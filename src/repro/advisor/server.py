@@ -32,12 +32,13 @@ Protocol (newline-delimited JSON, UTF-8)::
 from __future__ import annotations
 
 import json
+import select
 import socket
 import socketserver
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..errors import AdvisorError
 from ..storage import TrialDatabase
@@ -116,26 +117,57 @@ class TokenBucket:
             return True
 
 
+def read_frames(
+    sock: socket.socket,
+    draining: Callable[[], bool],
+    idle_s: float,
+    max_bytes: int,
+) -> Iterator[bytes]:
+    """Yield each newline-terminated line arriving on ``sock`` (a
+    server's read loop; the fleet hub runs it too).
+
+    Ends on EOF, on a connection error, or once ``draining()`` is true —
+    re-checked every ``idle_s`` while the peer is silent, by ``select``
+    on the blocking socket (a socket *timeout* would poison a buffered
+    reader: it refuses every read after the first timeout).  A line over
+    ``max_bytes`` is yielded as far as read and ends the stream.
+    """
+    buffer = bytearray()
+    scanned = 0  # no newline before here: a big frame is searched once
+    while not draining():
+        end = buffer.find(b"\n", scanned)
+        scanned = len(buffer)
+        if end >= 0:
+            line = bytes(buffer[:end + 1])
+            del buffer[:end + 1]
+            scanned = 0
+            yield line
+        elif len(buffer) > max_bytes:
+            yield bytes(buffer)
+            return
+        else:
+            try:
+                if not select.select([sock], [], [], idle_s)[0]:
+                    continue
+                chunk = sock.recv(1 << 16)
+            except OSError:
+                return
+            if not chunk:
+                return
+            buffer += chunk
+
+
 class _AdvisorHandler(socketserver.StreamRequestHandler):
     """One persistent client connection; loops until EOF or drain."""
-
-    def setup(self) -> None:
-        super().setup()
-        self.connection.settimeout(READ_TIMEOUT_S)
 
     def handle(self) -> None:
         server: "AdvisorServer" = self.server  # type: ignore[assignment]
         client = self.client_address[0]
         server.meters.counter("advisor.connections").inc()
-        while not server.draining:
-            try:
-                line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            if not line:
-                break
+        for line in read_frames(
+            self.connection, lambda: server.draining, READ_TIMEOUT_S,
+            MAX_LINE_BYTES,
+        ):
             if len(line) > MAX_LINE_BYTES:
                 # Oversized frame: the rest of the stream cannot be
                 # trusted to re-align on newlines, so answer with an

@@ -201,7 +201,9 @@ def main(argv=None) -> int:
     workers.add_argument("--idle-timeout", type=float, default=None,
                          help="exit after this many idle seconds")
     workers.add_argument("--poll-interval", type=float,
-                         default=IDLE_POLL_S)
+                         default=IDLE_POLL_S,
+                         help="idle tick: how long the hub may hold an "
+                              "empty lease before answering")
     workers.add_argument("--faults", default=None, metavar="SPEC",
                          help="fault-injection spec (chaos testing)")
     workers.set_defaults(func=_cmd_workers)

@@ -8,7 +8,7 @@ coordinator's cache before paying for a cold run.
 
 Execution path per job::
 
-    lease → [federation prefetch] → evaluate_trial → complete
+    lease (long poll) → [federation prefetch] → evaluate_trial → complete
               │                        │
               │                        └─ local ArtifactStore (isolated)
               └─ artifact_get from the hub on local miss
@@ -43,22 +43,26 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from ..artifacts import ArtifactStore, trial_key
+from ..artifacts import ArtifactStore, artifact_checksum, trial_key
 from ..core.model_server import TrialTask, evaluate_trial
 from ..errors import FleetError
 from ..faults import fault_point, should
+from ..service.pool import ProcessPool
+from ..service.worker import Periodic, result_blob
 from ..storage import TrialDatabase
 from .client import FleetClient
 from .registry import MachineRegistry, local_capabilities
+from .wire import pack_bytes, unpack_bytes
 
 logger = logging.getLogger(__name__)
 
-#: How long an idle host sleeps between lease polls, seconds.
+#: An idle host's tick, seconds: how long it asks the hub to hold an
+#: empty ``lease`` (``wait_s``), and the pause between leases against a
+#: hub that answers sooner.
 IDLE_POLL_S = 0.05
 
 #: Lease-extension period as a fraction of the granted TTL.
@@ -74,51 +78,6 @@ HOST_BACKOFF_S = 0.1
 _EPOCH_OPS = frozenset(
     {"lease", "extend", "complete", "fail", "artifact_put"}
 )
-
-
-class _LeaseExtender:
-    """Daemon thread renewing one remote lease until stopped.
-
-    The fleet-side mirror of the local worker's heartbeat thread; a host
-    that dies mid-trial stops extending, the lease expires, and the
-    janitor (or any reclaimer) hands the job to another machine.
-    """
-
-    def __init__(self, host: "RemoteHost", job_id: int, interval_s: float,
-                 suppressed: bool = False):
-        self._host = host
-        self._job_id = job_id
-        self._interval_s = interval_s
-        #: ``fleet.stale_lease``: pretend to extend but never do — the
-        #: lease quietly ages out under a still-running trial.
-        self._suppressed = suppressed
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self) -> "_LeaseExtender":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._stop.set()
-        self._thread.join(timeout=1.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            if self._suppressed:
-                continue
-            try:
-                # Healing variant: a hub restart mid-trial fences the
-                # extend; recover + resync keeps the lease alive under
-                # the new epoch without interrupting the computation.
-                response = self._host.call_healing(
-                    "extend", job_id=self._job_id,
-                    worker=self._host.worker_name,
-                )
-            except FleetError:
-                continue  # partition: keep trying until stopped
-            if response.get("ok") and not response.get("renewed"):
-                return  # lease lost; the retry owns the job now
 
 
 class RemoteHost:
@@ -276,8 +235,6 @@ class RemoteHost:
         blob = response.get("payload") if response.get("ok") else None
         if blob is None:
             return None
-        from ..artifacts import artifact_checksum
-        from .wire import unpack_bytes
 
         payload = unpack_bytes(blob)
         claimed = response.get("checksum")
@@ -306,9 +263,6 @@ class RemoteHost:
         payload = self.artifacts.get(key, count_miss=False)
         if payload is None:
             return  # evaluation was not cached locally (no store row)
-        from ..artifacts import artifact_checksum
-        from .wire import pack_bytes
-
         try:
             response = self.call_healing(
                 "artifact_put",
@@ -320,26 +274,20 @@ class RemoteHost:
                 epochs=task.epochs,
                 data_fraction=task.data_fraction,
             )
+            problem = None if response.get("ok") else (
+                f"refused by the hub: {response.get('error')}"
+            )
         except FleetError as error:
-            # Best-effort (the result blob still reaches the hub), but
-            # never silent: every lost upload costs the fleet a
-            # duplicated cold run on some other machine.
-            self.federation_upload_failures += 1
-            self._local_stats.bump("federation.upload_failures")
-            logger.warning(
-                "artifact upload for %s failed after retries: %s",
-                key, error,
-            )
-            return
-        if response.get("ok"):
+            problem = f"failed after retries: {error}"
+        if problem is None:
             self.federation_uploads += 1
-        else:
-            self.federation_upload_failures += 1
-            self._local_stats.bump("federation.upload_failures")
-            logger.warning(
-                "hub refused artifact upload for %s: %s",
-                key, response.get("error"),
-            )
+            return
+        # Best-effort (the result blob still reaches the hub), but never
+        # silent: every lost upload costs the fleet a duplicated cold run
+        # on some other machine.
+        self.federation_upload_failures += 1
+        self._local_stats.bump("federation.upload_failures")
+        logger.warning("artifact upload for %s %s", key, problem)
 
     # -- job execution -------------------------------------------------------
     def _run_job(self, job: Dict[str, Any]) -> None:
@@ -357,8 +305,26 @@ class RemoteHost:
         trial_id = job["trial_id"]
         attempt = int(job.get("attempts", 1))
         extend_s = max(0.05, self.lease_ttl_s * EXTEND_FRACTION)
+        #: ``fleet.stale_lease``: pretend to extend but never do — the
+        #: lease quietly ages out under a still-running trial.
         stale = should("fleet.stale_lease", key=trial_id, attempt=attempt)
-        with _LeaseExtender(self, job_id, extend_s, suppressed=stale):
+
+        def extend() -> bool:
+            if stale:
+                return True
+            try:
+                # Healing variant: a hub restart mid-trial fences the
+                # extend; recover + resync keeps the lease alive under
+                # the new epoch without interrupting the computation.
+                response = self.call_healing(
+                    "extend", job_id=job_id, worker=self.worker_name
+                )
+            except FleetError:
+                return True  # partition: keep trying until stopped
+            # Answered but not renewed: lease lost, the retry owns the job.
+            return bool(not response.get("ok") or response.get("renewed"))
+
+        with Periodic(extend_s, extend):
             try:
                 # The whole machine disappears mid-lease: heartbeats,
                 # extender, all of it.  Dead-host containment takes over.
@@ -366,14 +332,8 @@ class RemoteHost:
                             attempt=attempt)
                 task = TrialTask.from_json(job["payload"])
                 prefetched = self._prefetch(task)
-                evaluation, model = evaluate_trial(
-                    task, artifacts=self.artifacts
-                )
-                evaluation.model_blob = pickle.dumps(
-                    model, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                blob = pickle.dumps(
-                    evaluation, protocol=pickle.HIGHEST_PROTOCOL
+                blob = result_blob(
+                    *evaluate_trial(task, artifacts=self.artifacts)
                 )
                 if prefetched is None:
                     self._publish(task, trial_key(task))
@@ -387,7 +347,6 @@ class RemoteHost:
                 except FleetError:
                     pass  # lease expiry will requeue the job
                 return
-        from .wire import pack_bytes
 
         try:
             # Healing matters most here: this frame may be the replay of
@@ -409,13 +368,25 @@ class RemoteHost:
         stop_event: Optional[threading.Event] = None,
         idle_timeout_s: Optional[float] = None,
     ) -> int:
-        """Register, then lease-execute until stopped or idle too long."""
+        """Register, then lease-execute until stopped or idle too long.
+
+        ``lease`` is a long poll: the hub holds an empty one for up to
+        ``wait_s`` (one tick) and answers the moment a job is enqueued.
+        The rest of the tick is slept out here — nothing when the hub
+        held the request, all of it when the answer came at once (a hub
+        that ignores ``wait_s``, a rejection, a partition).
+        """
         self.register()
+        stop_event = stop_event or threading.Event()
         idle_since = time.time()
-        while stop_event is None or not stop_event.is_set():
+        while not stop_event.is_set():
             self._maybe_heartbeat()
+            asked_at = time.monotonic()
             try:
-                response = self.call("lease", worker=self.worker_name)
+                response = self.call(
+                    "lease", worker=self.worker_name,
+                    wait_s=self.poll_interval_s,
+                )
             except FleetError:
                 response = {"ok": False, "error": "unreachable"}
             job: Optional[Dict[str, Any]] = None
@@ -434,7 +405,10 @@ class RemoteHost:
                     and time.time() - idle_since > idle_timeout_s
                 ):
                     break
-                time.sleep(self.poll_interval_s)
+                stop_event.wait(max(
+                    0.0,
+                    self.poll_interval_s - (time.monotonic() - asked_at),
+                ))
                 continue
             self._run_job(job)
             idle_since = time.time()
@@ -455,11 +429,7 @@ def host_main(
 ) -> int:
     """Process entry point for fleet hosts (importable, hence spawn-safe)."""
     host = RemoteHost(
-        machine_id,
-        server_host=server_host,
-        server_port=server_port,
-        db_path=db_path,
-        poll_interval_s=poll_interval_s,
+        machine_id, server_host, server_port, db_path, poll_interval_s
     )
     try:
         return host.run_forever(idle_timeout_s=idle_timeout_s)
@@ -469,14 +439,15 @@ def host_main(
         host.close()
 
 
-class HostPool:
+class HostPool(ProcessPool):
     """Spawns and supervises N remote-host processes (tests, CI, demos).
 
     Each host gets its own database file under ``base_dir`` — the
     isolation is real, not simulated: a host process shares nothing with
     the coordinator but its TCP connection.  A supervisor thread respawns
     hosts that die (the ``fleet.dead_host`` chaos site kills them for
-    real), mirroring :class:`~repro.service.pool.WorkerPool`.
+    real) with the *same* machine id, so a respawn re-registers onto its
+    old shard and resumes serving.
     """
 
     def __init__(
@@ -488,22 +459,17 @@ class HostPool:
         name_prefix: str = "machine",
         idle_timeout_s: Optional[float] = None,
     ):
-        if hosts < 1:
-            raise ValueError(f"host pool needs >= 1 hosts, got {hosts}")
+        super().__init__(hosts, "host")
         self.server_host = server_host
         self.server_port = int(server_port)
         self.base_dir = base_dir
-        self.hosts = hosts
         self.name_prefix = name_prefix
         self.idle_timeout_s = idle_timeout_s
-        self._spawned = 0
-        self._processes: List[multiprocessing.Process] = []
-        self._machine_ids: List[str] = []
         self._stop = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
 
-    def _spawn_one(self, machine_id: str) -> multiprocessing.Process:
-        self._spawned += 1
+    def _spawn_one(self, slot: int) -> multiprocessing.Process:
+        machine_id = f"{self.name_prefix}-{slot + 1}"
         process = multiprocessing.Process(
             target=host_main,
             args=(
@@ -520,10 +486,7 @@ class HostPool:
         return process
 
     def start(self) -> "HostPool":
-        while len(self._processes) < self.hosts:
-            machine_id = f"{self.name_prefix}-{len(self._processes) + 1}"
-            self._machine_ids.append(machine_id)
-            self._processes.append(self._spawn_one(machine_id))
+        super().start()
         self._supervisor = threading.Thread(
             target=self._supervise, daemon=True
         )
@@ -531,39 +494,12 @@ class HostPool:
         return self
 
     def _supervise(self) -> None:
-        """Respawn dead hosts — a machine that crashed (or was crashed by
-        ``fleet.dead_host``) comes back with the *same* machine id, so it
-        re-registers onto its old shard and resumes serving."""
         while not self._stop.wait(0.1):
-            for index, process in enumerate(self._processes):
-                if not process.is_alive() and not self._stop.is_set():
-                    self._processes[index] = self._spawn_one(
-                        self._machine_ids[index]
-                    )
-
-    def alive(self) -> int:
-        return sum(1 for p in self._processes if p.is_alive())
+            self.ensure_alive()
 
     def stop(self, timeout_s: float = 5.0) -> None:
-        """Idempotent shutdown (same discipline as ``WorkerPool.stop``)."""
         self._stop.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=1.0)
             self._supervisor = None
-        processes, self._processes = self._processes, []
-        if not processes:
-            return
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=timeout_s)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=timeout_s)
-
-    def __enter__(self) -> "HostPool":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        super().stop(timeout_s)

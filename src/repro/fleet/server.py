@@ -34,18 +34,25 @@ bit-identical to the single-host run of the same spec.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import socketserver
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from .. import faults
+from ..advisor.server import TokenBucket, read_frames
 from ..artifacts import ArtifactStore, artifact_checksum
-from ..service.coordinator import COORDINATOR_POLL_S, SessionCoordinator
-from ..service.queue import DEFAULT_LEASE_TTL_S, JobQueue
-from ..service.sessions import S_QUEUED, S_RUNNING, SessionStore
+from ..service.coordinator import (
+    COORDINATOR_POLL_S, SessionCoordinator, drive_queued_sessions,
+)
+from ..service.doorbell import Doorbell, Doorbells
+from ..service.queue import DEFAULT_LEASE_TTL_S, Job, JobQueue
+from ..service.sessions import (
+    S_QUEUED, S_RUNNING, SessionRecord, SessionStore,
+)
 from ..errors import ServiceError
 from ..storage import TrialDatabase
 from ..telemetry import MeterRegistry
@@ -53,39 +60,34 @@ from .registry import DEFAULT_MACHINE_TTL_S, HubState, MachineRegistry
 from .router import DEFAULT_SHARDS, ShardRouter
 from .wire import (
     MAX_FRAME_BYTES, decode_frame, encode_frame, error_frame, ok_frame,
-    pack_bytes, unpack_bytes,
+    pack_bytes, peer_closed, unpack_bytes,
 )
 
 logger = logging.getLogger(__name__)
 
-#: How long a handler blocks on the next frame before re-checking the
+#: How long a handler waits for the next frame before re-checking the
 #: drain flag, seconds.
 READ_TIMEOUT_S = 0.2
 
 #: Janitor sweep period as a fraction of the machine TTL.
 JANITOR_FRACTION = 0.25
 
+#: Longest a ``lease`` long poll is held, seconds: half the client's
+#: socket timeout (a hub also caps it at its machine-heartbeat interval).
+MAX_LEASE_WAIT_S = 5.0
+
 
 class _FleetHandler(socketserver.StreamRequestHandler):
     """One persistent host connection; loops until EOF or drain."""
-
-    def setup(self) -> None:
-        super().setup()
-        self.connection.settimeout(READ_TIMEOUT_S)
 
     def handle(self) -> None:
         server: "FleetServer" = self.server  # type: ignore[assignment]
         client = self.client_address[0]
         server.meters.counter("fleet.connections").inc()
-        while not server.draining:
-            try:
-                line = self.rfile.readline(MAX_FRAME_BYTES + 1)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            if not line:
-                break
+        for line in read_frames(
+            self.connection, lambda: server.draining, READ_TIMEOUT_S,
+            MAX_FRAME_BYTES,
+        ):
             if len(line) > MAX_FRAME_BYTES:
                 # Oversized frame: the stream cannot be trusted to
                 # re-align on newlines — answer and drop the connection.
@@ -101,7 +103,9 @@ class _FleetHandler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             with server.track_in_flight():
-                response = server.handle_line(line, client)
+                response = server.handle_line(
+                    line, client, self.connection
+                )
             try:
                 self.wfile.write(encode_frame(response))
             except OSError:
@@ -136,13 +140,15 @@ class FleetServer(socketserver.ThreadingTCPServer):
         self.lease_ttl_s = float(lease_ttl_s)
         self.machine_ttl_s = float(machine_ttl_s)
         self.meters = meters or MeterRegistry()
-        if rate_limit:
-            from ..advisor.server import TokenBucket
-
-            self.limiter: Optional[Any] = TokenBucket(rate_limit, burst)
-        else:
-            self.limiter = None
+        self.limiter: Optional[TokenBucket] = (
+            TokenBucket(rate_limit, burst) if rate_limit else None
+        )
         self.draining = False
+        #: Hand-off (:mod:`repro.service.doorbell`): the coordinator rings
+        #: ``jobs_bell`` and blocked ``lease`` handlers listen on it;
+        #: ``complete``/``fail`` ring ``results_bell``, which it waits on.
+        self.jobs_bell = Doorbells()
+        self.results_bell = Doorbell()
         self._in_flight = 0
         self._in_flight_lock = threading.Lock()
         self._janitor_stop = threading.Event()
@@ -211,8 +217,16 @@ class FleetServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     # -- in-flight accounting ------------------------------------------------
-    def track_in_flight(self) -> "_InFlight":
-        return _InFlight(self)
+    @contextlib.contextmanager
+    def track_in_flight(self) -> Iterator[None]:
+        """Counts the frames currently being answered."""
+        with self._in_flight_lock:
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._in_flight_lock:
+                self._in_flight -= 1
 
     @property
     def in_flight(self) -> int:
@@ -220,8 +234,12 @@ class FleetServer(socketserver.ThreadingTCPServer):
             return self._in_flight
 
     # -- request dispatch ----------------------------------------------------
-    def handle_line(self, line: bytes, client: str = "") -> Dict[str, Any]:
-        """Decode and answer one frame (also the unit-test seam).
+    def handle_line(
+        self, line: bytes, client: str = "",
+        connection: Optional[socket.socket] = None,
+    ) -> Dict[str, Any]:
+        """Decode and answer one frame (also the unit-test seam, which
+        has no ``connection``).
 
         A garbage frame gets an error response but — unlike an oversized
         one — keeps the connection: the newline that delimited it proves
@@ -235,7 +253,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             self.meters.counter("fleet.errors").inc()
             return error_frame(f"bad frame: {error}")
         try:
-            response = self.process(payload, client)
+            response = self.process(payload, client, connection)
         except Exception as error:  # noqa: BLE001 — one bad request must
             # not take down the handler thread serving a whole machine.
             self.meters.counter("fleet.errors").inc()
@@ -247,31 +265,21 @@ class FleetServer(socketserver.ThreadingTCPServer):
         )
         return response
 
-    def process(self, payload: Dict[str, Any], client: str) -> Dict[str, Any]:
+    def process(
+        self, payload: Dict[str, Any], client: str,
+        connection: Optional[socket.socket] = None,
+    ) -> Dict[str, Any]:
         op = payload.get("op")
         if op == "ping":
             return ok_frame(pong=True, draining=self.draining)
         if self.limiter is not None and not self.limiter.allow(client):
             self.meters.counter("fleet.rate_limited").inc()
             return error_frame("rate_limited")
-        if op == "register":
-            return self._register(payload)
-        if op == "heartbeat":
-            return self._heartbeat(payload)
         if op == "lease":
-            return self._lease(payload)
-        if op == "extend":
-            return self._extend(payload)
-        if op == "complete":
-            return self._complete(payload)
-        if op == "fail":
-            return self._fail(payload)
-        if op == "resync":
-            return self._resync(payload)
-        if op == "artifact_get":
-            return self._artifact_get(payload)
-        if op == "artifact_put":
-            return self._artifact_put(payload)
+            return self._lease(payload, connection)
+        if op in ("register", "heartbeat", "extend", "complete", "fail",
+                  "resync", "artifact_get", "artifact_put"):
+            return getattr(self, f"_{op}")(payload)
         if op == "status":
             return ok_frame(**self.status())
         if op == "drain":
@@ -339,7 +347,10 @@ class FleetServer(socketserver.ThreadingTCPServer):
         worker = str(payload.get("worker") or "w0")
         return f"{machine_id}/{worker}"
 
-    def _lease(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _lease(
+        self, payload: Dict[str, Any],
+        connection: Optional[socket.socket] = None,
+    ) -> Dict[str, Any]:
         machine_id = str(payload.get("machine_id") or "")
         fenced = self._fence(payload)
         if fenced is not None:
@@ -351,11 +362,14 @@ class FleetServer(socketserver.ThreadingTCPServer):
             return ok_frame(job=None, draining=True)
         machine = self.registry.get(machine_id)
         assert machine is not None
-        job = self.queue.lease(
-            self._owner(payload),
-            ttl_s=self.lease_ttl_s,
-            shard=machine.shard,
-            epoch=self.epoch,
+        wait_s = payload.get("wait_s")
+        if not (isinstance(wait_s, (int, float)) and wait_s > 0):
+            wait_s = 0.0  # absent (an older host), or garbage off the wire
+        wait_s = min(
+            wait_s, MAX_LEASE_WAIT_S, self.machine_ttl_s * JANITOR_FRACTION
+        )
+        job = self._lease_within(
+            self._owner(payload), machine.shard, wait_s, connection
         )
         self.registry.heartbeat(machine_id)
         if job is None:
@@ -370,6 +384,35 @@ class FleetServer(socketserver.ThreadingTCPServer):
             "max_attempts": job.max_attempts,
             "shard": job.shard,
         })
+
+    def _lease_within(
+        self, owner: str, shard: int, wait_s: float,
+        connection: Optional[socket.socket],
+    ) -> Optional[Job]:
+        """Lease from ``shard``, holding on for up to ``wait_s`` while its
+        queue has nothing runnable (the long poll behind ``lease``).
+
+        The handler is listening on :attr:`jobs_bell` *before* it checks
+        the queue, so a wave committed in between is not missed; it
+        re-tries on every ring and gives up at once on drain — or when
+        the host hung up meanwhile: a job leased to a closed connection
+        would sit out a whole lease TTL.
+        """
+        deadline = time.monotonic() + wait_s
+        with self.jobs_bell.listening() as bell:
+            while True:
+                job = self.queue.lease(
+                    owner, ttl_s=self.lease_ttl_s, shard=shard,
+                    epoch=self.epoch,
+                )
+                remaining = deadline - time.monotonic()
+                if job is not None or remaining <= 0:
+                    return job
+                bell.wait(remaining)
+                if self.draining or (
+                    connection is not None and peer_closed(connection)
+                ):
+                    return None
 
     def _extend(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         fenced = self._fence(payload)
@@ -416,6 +459,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             "fleet.hub_crash", key=f"{self.epoch}:{job_id}:post"
         )
         if accepted:
+            self.results_bell.ring()
             self.registry.record_done(machine_id)
             self.registry.heartbeat(machine_id)
             self.meters.counter("fleet.completions").inc()
@@ -430,6 +474,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             self._owner(payload),
             str(payload.get("error") or "remote failure"),
         )
+        self.results_bell.ring()
         self.meters.counter("fleet.failures").inc()
         return ok_frame(accepted=accepted)
 
@@ -590,25 +635,12 @@ class FleetServer(socketserver.ThreadingTCPServer):
         shard) and merged in strict wave order — the fleet-scale result
         is bit-identical to the single-host run.
         """
-        results: List[Any] = []
-        idle_since = time.time()
-        while not self.draining:
-            record = self.sessions.claim_next_queued()
-            if record is None:
-                if drain:
-                    break
-                if (
-                    idle_timeout_s is not None
-                    and time.time() - idle_since > idle_timeout_s
-                ):
-                    break
-                time.sleep(poll_interval_s)
-                continue
+        def coordinator_for(record: SessionRecord) -> SessionCoordinator:
             shard = self.router.shard_for_session(
                 record.id, workload=record.spec.workload
             )
             self.meters.counter(f"fleet.sessions_shard_{shard}").inc()
-            coordinator = SessionCoordinator(
+            return SessionCoordinator(
                 self.database,
                 record.id,
                 workers=0,
@@ -616,26 +648,34 @@ class FleetServer(socketserver.ThreadingTCPServer):
                 poll_interval_s=poll_interval_s,
                 shard=shard,
                 remote=True,
+                jobs_bell=self.jobs_bell,
+                results_bell=self.results_bell,
             )
-            try:
-                results.append(coordinator.run())
-            except ServiceError:
-                pass  # recorded on the session row by the coordinator
-            idle_since = time.time()
-        return results
+
+        return drive_queued_sessions(
+            self.sessions, coordinator_for, drain=drain,
+            idle_timeout_s=idle_timeout_s, poll_interval_s=poll_interval_s,
+            stopping=lambda: self.draining,
+        )
 
     # -- lifecycle -----------------------------------------------------------
     def initiate_drain(self) -> None:
         """Stop handing out work and unblock :meth:`serve_until_drained`.
 
-        Safe to call from a signal handler: the blocking ``shutdown`` is
-        moved onto a helper thread.
+        Safe to call from a signal handler: everything that blocks or
+        takes a lock — ``shutdown``, and ringing the hosts out of their
+        long-polled ``lease`` — is moved onto a helper thread.
         """
         if self.draining:
             return
         self.draining = True
         self._janitor_stop.set()
-        threading.Thread(target=self.shutdown, daemon=True).start()
+
+        def release() -> None:
+            self.jobs_bell.ring()
+            self.shutdown()
+
+        threading.Thread(target=release, daemon=True).start()
 
     def serve_until_drained(
         self, poll_interval: float = 0.1, drain_timeout_s: float = 5.0
@@ -648,19 +688,3 @@ class FleetServer(socketserver.ThreadingTCPServer):
             while self.in_flight > 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
             self.server_close()
-
-
-class _InFlight:
-    """Context manager counting frames currently being answered."""
-
-    def __init__(self, server: FleetServer):
-        self._server = server
-
-    def __enter__(self) -> "_InFlight":
-        with self._server._in_flight_lock:
-            self._server._in_flight += 1
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        with self._server._in_flight_lock:
-            self._server._in_flight -= 1

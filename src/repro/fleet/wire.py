@@ -3,7 +3,8 @@
 Deliberately the same transport the advisor speaks — one JSON object per
 line over a persistent TCP connection — so every hardening lesson from
 that server (oversized-frame rejection, garbage tolerance, graceful
-drain) carries over unchanged.  Binary payloads (pickled evaluations,
+drain) carries over unchanged, and the advisor's ``read_frames`` is the
+one read loop both servers run.  Binary payloads (pickled evaluations,
 artifact blobs) travel base64-inside-JSON; the frame cap is sized for
 them.
 
@@ -14,7 +15,10 @@ Request frames are ``{"op": <name>, ...}``; response frames are
 ``register``        join the fleet (capability tags) → shard + lease terms
                     + the hub's current incarnation ``epoch``
 ``heartbeat``       machine liveness ping
-``lease``           claim one job from the machine's shard queue
+``lease``           claim one job from the machine's shard queue; with
+                    ``wait_s`` a long poll — the hub holds the request
+                    until a job can be leased, it drains, or the wait
+                    (capped hub-side) runs out
 ``extend``          renew a held job lease
 ``complete``        upload a finished job's evaluation blob
 ``fail``            report a job failure (traceback travels as text)
@@ -44,6 +48,8 @@ from __future__ import annotations
 
 import base64
 import json
+import select
+import socket
 from typing import Any, Dict, Optional
 
 from ..errors import FleetError
@@ -53,11 +59,15 @@ from ..errors import FleetError
 #: runaway (or hostile) frame before it exhausts memory.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
-#: Every op the server understands (unknown ops get a clean error frame).
-OPS = (
-    "register", "heartbeat", "lease", "extend", "complete", "fail",
-    "resync", "artifact_get", "artifact_put", "status", "drain", "ping",
-)
+
+def peer_closed(sock: socket.socket) -> bool:
+    """Whether the peer has hung up, judged without consuming a byte."""
+    try:
+        if not select.select([sock], [], [], 0)[0]:
+            return False
+        return sock.recv(1, socket.MSG_PEEK) == b""
+    except OSError:
+        return True
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:

@@ -10,6 +10,7 @@ The service decomposes a tuning run along the seam built into
   (``sessions`` table);
 * :mod:`repro.service.worker` — processes doing the real numpy training;
 * :mod:`repro.service.pool` — multiprocessing worker-pool supervisor;
+* :mod:`repro.service.doorbell` — ring/wait wake-ups replacing polls;
 * :mod:`repro.service.coordinator` — wave scheduling and the ordered
   merge that keeps N-worker runs bit-identical to 1-worker runs.
 

@@ -5,16 +5,21 @@ One coordinator drives one tuning session to completion:
 1. build the :class:`~repro.core.model_server.ModelTuningServer` the
    session's spec describes and :meth:`prepare` a run state (restoring the
    latest checkpoint if one exists — the crash-resume path);
-2. drain a **wave** of trials from the scheduler (one rung's worth for
-   halving schedulers) and enqueue each as a persistent job;
-3. while workers chew through the wave in *any* order, integrate finished
-   evaluations strictly in wave order — scoring, inference tuning, virtual
+2. ask the scheduler for trials — a whole **wave** (one rung's worth) for
+   halving schedulers, whatever is runnable right now for asynchronous
+   ones — enqueue them as persistent jobs in one commit and ring the
+   workers' doorbell;
+3. while workers chew through them in *any* order, integrate finished
+   evaluations in issue order — scoring, inference tuning, virtual
    timeline, scheduler reports are all order-sensitive, so pinning the
    integration order makes an N-worker run bit-identical to a 1-worker
    run;
 4. checkpoint the scheduler + run state after **every** integrated trial,
    so a ``kill -9`` at any point loses at most in-flight work (which the
    queue retries) and never re-runs a finished trial.
+
+Steps 2-4 are one loop, :meth:`SessionCoordinator._drive`; it waits in
+one place, on the results doorbell (:mod:`repro.service.doorbell`).
 
 With ``workers=0`` the coordinator executes jobs inline (still through the
 queue, so results persist identically) — the mode used by ``resume`` and
@@ -27,7 +32,7 @@ import os
 import pickle
 import time
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import faults
 from ..core.model_server import (
@@ -39,13 +44,15 @@ from ..telemetry.meters import FAILURES_SUBSTITUTED
 from ..search import ScheduledTrial
 from ..storage import TrialDatabase
 from ..telemetry import MeterRegistry
+from .doorbell import Doorbell, Doorbells
 from .pool import WorkerPool
-from .queue import DEFAULT_LEASE_TTL_S, FAILED, JobQueue
+from .queue import DEFAULT_LEASE_TTL_S, DONE, FAILED, JobQueue
 from .sessions import S_DONE, SessionRecord, SessionStore
 from .spec import build_server
 from .worker import TrialWorker
 
-#: How long the coordinator sleeps between result polls, seconds.
+#: The coordinator's fallback tick, seconds: the longest it waits for a
+#: result when nobody rings (see :mod:`repro.service.doorbell`).
 COORDINATOR_POLL_S = 0.05
 
 #: Issue lookahead of the asynchronous merge loop: at most this many
@@ -77,6 +84,8 @@ class SessionCoordinator:
         remote: bool = False,
         pin_order: bool = False,
         trial_batch: Optional[int] = None,
+        jobs_bell: Optional[Doorbells] = None,
+        results_bell: Optional[Doorbell] = None,
     ):
         if workers > 0 and pool is None and database.path == ":memory:":
             raise ServiceError(
@@ -97,7 +106,7 @@ class SessionCoordinator:
         self.shard = int(shard)
         #: Remote mode: the fleet's machines execute the jobs, so this
         #: coordinator spawns no workers of its own — it only enqueues,
-        #: polls, and merges (the wave-ordered integration is identical,
+        #: waits, and merges (the wave-ordered integration is identical,
         #: which is what keeps fleet runs bit-identical to local ones).
         self.remote = remote
         #: Replay mode for asynchronous schedulers: integrate results
@@ -116,6 +125,14 @@ class SessionCoordinator:
         self.trial_batch = trial_batch
         self._pool = pool
         self._owns_pool = pool is None and workers > 0 and not remote
+        #: The hand-off bells: whoever executes the jobs (a worker pool,
+        #: the fleet hub for its hosts) waits on ``jobs_bell`` and rings
+        #: ``results_bell``.  Private defaults nobody else holds make the
+        #: wait a plain fallback tick (inline mode, the pool not up yet).
+        if pool is not None:
+            jobs_bell, results_bell = pool.jobs_bell, pool.results_bell
+        self.jobs_bell = jobs_bell or Doorbells()
+        self.results_bell = results_bell or Doorbell()
         self._inline: Optional[TrialWorker] = None
         #: The finished session's scheduler decision log (asynchronous
         #: schedulers only), surfaced in the session result summary.
@@ -144,6 +161,8 @@ class SessionCoordinator:
                     heartbeat_interval_s=self.heartbeat_interval_s,
                     trial_batch=trial_batch,
                 ).start()
+                self.jobs_bell = self._pool.jobs_bell
+                self.results_bell = self._pool.results_bell
             elif self.workers == 0 and not self.remote:
                 self._inline = TrialWorker(
                     database=self.database,
@@ -178,30 +197,7 @@ class SessionCoordinator:
             self.meters.counter("trials.resumed").inc(len(state.records))
         self.sessions.set_state(self.session_id, "running")
 
-        if getattr(state.scheduler, "asynchronous", False):
-            self._drive_async(server, state, wave)
-        else:
-            while True:
-                if not wave:
-                    wave = server.next_wave(state)
-                    if not wave:
-                        break
-                    self.meters.meter("wave.size").record(len(wave))
-                    for trial in wave:
-                        self.queue.enqueue(
-                            self.session_id,
-                            trial.trial_id,
-                            server.make_task(trial, state).to_json(),
-                            shard=self.shard,
-                        )
-                    self._checkpoint(server, state, wave)
-                wave_started = time.time()
-                self._drain_wave(server, state, wave)
-                self.meters.meter("wave.latency_s").record(
-                    time.time() - wave_started
-                )
-                if state.stopped:
-                    break
+        self._drive(server, state, wave)
 
         log = getattr(state.scheduler, "decision_log", None)
         if log is not None:
@@ -235,197 +231,134 @@ class SessionCoordinator:
         except Exception:  # pragma: no cover - best-effort enrichment
             pass
 
-    # -- wave draining -------------------------------------------------------
-    def _drain_wave(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        wave: List[ScheduledTrial],
-    ) -> None:
-        """Integrate every trial of ``wave`` in order (mutates ``wave``).
-
-        Workers may finish out of order; only the *head* of the wave is
-        ever integrated, so the merge order — and therefore the run's
-        result — is independent of worker count and timing.
-        """
-        while wave:
-            results = self.queue.results_for(
-                self.session_id, [t.trial_id for t in wave]
-            )
-            progressed = False
-            while wave and wave[0].trial_id in results:
-                trial = wave.pop(0)
-                evaluation = pickle.loads(results[trial.trial_id])
-                # One transaction per integration: the trial/inference
-                # rows and the checkpoint that says "this trial is
-                # merged" must land together, or a crash between them
-                # would leave a warm inference cache the restored
-                # checkpoint has never seen — and the resumed run's
-                # stall accounting would diverge from an uninterrupted
-                # one.
-                with self.database.transaction():
-                    server.integrate(state, trial, evaluation)
-                    self._checkpoint(server, state, wave)
-                self.meters.counter("trials.integrated").inc()
-                progressed = True
-                if state.stopped:
-                    # Target reached mid-wave: the serial driver would
-                    # never have issued the remaining trials, so drop
-                    # them unintegrated to keep results identical.
-                    del wave[:]
-                    return
-            if not wave or progressed:
-                continue
-            if self._substitute_failure(server, state, wave):
-                continue
-            self._pump(wave)
-
-    def _substitute_failure(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        wave: List[ScheduledTrial],
-    ) -> bool:
-        """Integrate a failure record for a dead-lettered wave head.
-
-        A poison trial (fails every attempt) used to abort the whole
-        session; now its quarantined job is *substituted* with a
-        deterministic worst-case evaluation and the wave keeps draining.
-        Substitution happens only at the wave head, so it preserves the
-        strict integration order that makes N-worker runs bit-identical.
-        """
-        head = wave[0]
-        job = self.queue.get(self.session_id, head.trial_id)
-        if job is None or job.state != FAILED:
-            return False
-        trial = wave.pop(0)
-        with self.database.transaction():
-            server.integrate(
-                state, trial, failure_evaluation(trial.trial_id, job.error)
-            )
-            self._checkpoint(server, state, wave)
-        self.meters.counter(FAILURES_SUBSTITUTED).inc()
-        self.meters.counter("trials.integrated").inc()
-        if state.stopped:
-            del wave[:]
-        return True
-
-    # -- asynchronous merge (ASHA) -------------------------------------------
-    def _drive_async(
+    # -- the merge loop ------------------------------------------------------
+    def _drive(
         self,
         server: ModelTuningServer,
         state: RunState,
         pending: List[ScheduledTrial],
     ) -> None:
-        """Barrier-free merge loop for asynchronous schedulers.
+        """Issue trials, merge their results, until the run is complete.
 
-        Every turn: drain whatever the scheduler can issue *right now*
-        (promotions decided by the latest result, or fresh bottom-rung
-        trials) and enqueue it — freed workers pick the jobs up
-        immediately — then integrate **one** ready result so any
-        promotion it triggers reaches the queue before the next merge.
+        ``pending`` holds issued-but-unintegrated trials in issue order
+        (the restored wave on a resume).  One loop serves every
+        scheduler; two policy flags are all that differs (DESIGN.md §8):
 
-        ``pending`` holds issued-but-unintegrated trials in issue order.
-        Ready results integrate earliest-issued-first (a deterministic
-        tie-break, not a barrier); under :attr:`pin_order` only the
-        earliest pending trial ever integrates, which fixes the
-        completion order the scheduler observes and makes decision logs
-        bit-identical across worker counts (the async "replay mode").
+        * ``barrier`` (synchronous schedulers) — ask for more only once
+          ``pending`` has drained, a whole wave at a time; asynchronous
+          ones are asked every turn, up to the in-flight cap, so a
+          promotion reaches the queue before the next merge.
+        * ``head_only`` (barrier, or :attr:`pin_order`) — only the
+          earliest-issued pending trial may integrate, which makes the
+          result (and an async decision log) independent of worker count
+          and timing.  Otherwise any settled trial may, earliest-issued
+          first — a deterministic tie-break, not a barrier.
 
-        Checkpoint discipline matches the wave path: scheduler state is
-        snapshotted after enqueueing (a crash in between re-issues the
-        same trials; ``enqueue`` is idempotent) and inside the same
-        transaction as every integration.
+        Each turn integrates at most one trial, in one transaction with
+        the checkpoint that says "this trial is merged": a crash between
+        the two would leave a warm inference cache the restored
+        checkpoint has never seen, and the resumed run's stall
+        accounting would diverge.
         """
-        while True:
-            fresh = server.next_trials(
-                state,
-                in_flight=len(pending),
-                limit=max(0, ASYNC_MAX_IN_FLIGHT - len(pending)),
-            )
+        barrier = not getattr(state.scheduler, "asynchronous", False)
+        head_only = barrier or self.pin_order
+        wave_started = time.time()
+        while not state.stopped:
+            if not barrier:
+                fresh = server.next_trials(
+                    state,
+                    in_flight=len(pending),
+                    limit=max(0, ASYNC_MAX_IN_FLIGHT - len(pending)),
+                )
+            else:
+                fresh = [] if pending else server.next_wave(state)
             if fresh:
-                for trial in fresh:
-                    self.queue.enqueue(
-                        self.session_id,
-                        trial.trial_id,
-                        server.make_task(trial, state).to_json(),
-                        shard=self.shard,
-                    )
-                pending.extend(fresh)
-                self._checkpoint(server, state, pending)
+                if barrier:
+                    self.meters.meter("wave.size").record(len(fresh))
+                self._issue(server, state, fresh, pending)
+                wave_started = time.time()
             if not pending:
                 capped = (
                     server.max_trials is not None
                     and len(state.records) >= server.max_trials
                 )
-                if not (
-                    state.stopped or capped or state.scheduler.finished
-                ):
+                if not (barrier or capped or state.scheduler.finished):
                     raise TuningError(
                         "asynchronous scheduler stalled with no "
                         "runnable or in-flight trials"
                     )
                 return
-            results = self.queue.results_for(
-                self.session_id, [t.trial_id for t in pending]
+            trial, evaluation = self._next_settled(
+                pending[:1] if head_only else pending
             )
-            scan = pending[:1] if self.pin_order else list(pending)
-            integrated = False
-            for trial in scan:
-                if trial.trial_id not in results:
-                    continue
-                pending.remove(trial)
-                evaluation = pickle.loads(results[trial.trial_id])
-                with self.database.transaction():
-                    server.integrate(state, trial, evaluation)
-                    self._checkpoint(server, state, pending)
-                self.meters.counter("trials.integrated").inc()
-                integrated = True
-                break
-            if integrated:
-                if state.stopped:
-                    # Target reached: drop in-flight work unintegrated,
-                    # exactly like the wave path mid-wave.
-                    del pending[:]
-                    return
-                continue
-            if self._substitute_failure_async(server, state, pending):
-                continue
-            self._pump(pending)
-
-    def _substitute_failure_async(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        pending: List[ScheduledTrial],
-    ) -> bool:
-        """Integrate a failure record for a dead-lettered pending trial.
-
-        The async twin of :meth:`_substitute_failure`: scanned in issue
-        order (head-only under :attr:`pin_order`, preserving the pinned
-        completion order even for substitutions).
-        """
-        scan = pending[:1] if self.pin_order else list(pending)
-        for trial in scan:
-            job = self.queue.get(self.session_id, trial.trial_id)
-            if job is None or job.state != FAILED:
+            if trial is None:
+                self._pump()
                 continue
             pending.remove(trial)
             with self.database.transaction():
-                server.integrate(
-                    state, trial,
-                    failure_evaluation(trial.trial_id, job.error),
-                )
+                server.integrate(state, trial, evaluation)
                 self._checkpoint(server, state, pending)
-            self.meters.counter(FAILURES_SUBSTITUTED).inc()
             self.meters.counter("trials.integrated").inc()
-            if state.stopped:
-                del pending[:]
-            return True
-        return False
+            if barrier and (state.stopped or not pending):
+                self.meters.meter("wave.latency_s").record(
+                    time.time() - wave_started
+                )
+        # Target reached with work in flight: the serial driver would
+        # never have issued it, so drop it unintegrated.
+        del pending[:]
 
-    def _pump(self, wave: List[ScheduledTrial]) -> None:
-        """Make progress while the wave head's result is not ready yet."""
+    def _issue(
+        self,
+        server: ModelTuningServer,
+        state: RunState,
+        fresh: List[ScheduledTrial],
+        pending: List[ScheduledTrial],
+    ) -> None:
+        """Enqueue ``fresh`` as one commit, wake the workers once, then
+        snapshot the scheduler (a crash in between re-issues the same
+        trials; ``enqueue`` is idempotent)."""
+        with self.database.transaction():
+            for trial in fresh:
+                self.queue.enqueue(
+                    self.session_id,
+                    trial.trial_id,
+                    server.make_task(trial, state).to_json(),
+                    shard=self.shard,
+                )
+        self.jobs_bell.ring()
+        pending.extend(fresh)
+        self._checkpoint(server, state, pending)
+
+    def _next_settled(self, candidates: List[ScheduledTrial]) -> Tuple:
+        """``(trial, evaluation)`` of the first candidate whose job is
+        done — else of the first dead-lettered one, which gets a failure
+        record in place of a result — or ``(None, None)``."""
+        settled = self.queue.settled(
+            self.session_id, [t.trial_id for t in candidates]
+        )
+        for wanted in (DONE, FAILED):
+            for trial in candidates:
+                job_state, error = settled.get(trial.trial_id, (None, None))
+                if job_state != wanted:
+                    continue
+                if job_state == FAILED:
+                    self.meters.counter(FAILURES_SUBSTITUTED).inc()
+                    return trial, failure_evaluation(trial.trial_id, error)
+                blob = self.queue.results_for(
+                    self.session_id, [trial.trial_id]
+                )[trial.trial_id]
+                return trial, pickle.loads(blob)
+        return None, None
+
+    def _pump(self) -> None:
+        """Nothing can integrate yet: run a job inline, or wait for one.
+
+        The coordinator's only wait.  A worker (or the fleet hub, for a
+        remote host) rings :attr:`results_bell` once a result row has
+        committed; when nobody rings for a whole ``poll_interval_s`` —
+        the fallback tick — the janitor duties run: respawn dead
+        workers, reclaim expired leases, sample the queue depth.
+        """
         if self._inline is not None:
             leased = self._inline.queue.lease(
                 self._inline.worker_id,
@@ -435,19 +368,21 @@ class SessionCoordinator:
             if leased is not None:
                 self._inline.run_leased(leased)
                 return
-        else:
+        if self.results_bell.wait(self.poll_interval_s):
+            return
+        if self._pool is not None:
             self.meters.counter("workers.respawned").inc(
-                self._pool.ensure_alive() if self._pool else 0
+                self._pool.ensure_alive()
             )
-        self.meters.counter("leases.reclaimed").inc(
-            self.queue.reclaim_expired()
-        )
+        reclaimed = self.queue.reclaim_expired()
+        if reclaimed:
+            self.meters.counter("leases.reclaimed").inc(reclaimed)
+            self.jobs_bell.ring()
         depths = self.queue.depths(self.session_id)
         self.meters.gauge("queue.queued").set(depths["queued"])
         self.meters.meter("queue.depth").record(
             depths["queued"] + depths["leased"]
         )
-        time.sleep(self.poll_interval_s)
 
     # -- checkpoints / summaries ---------------------------------------------
     def _checkpoint(
@@ -530,6 +465,42 @@ class SessionCoordinator:
         }
 
 
+def drive_queued_sessions(
+    sessions: SessionStore,
+    coordinator_for: Callable[[SessionRecord], SessionCoordinator],
+    drain: bool = False,
+    idle_timeout_s: Optional[float] = None,
+    poll_interval_s: float = COORDINATOR_POLL_S,
+    stopping: Callable[[], bool] = lambda: False,
+) -> List[TuningRunResult]:
+    """Claim queued sessions one at a time and run each to completion.
+
+    ``drain=True`` returns once no queued session remains; otherwise the
+    loop idles — one ``poll_interval_s`` tick per look, nobody rings for
+    a submission — until ``idle_timeout_s`` (if any) elapses or
+    ``stopping()`` turns true.  A session failure is recorded on its row
+    and does not take the service down.
+    """
+    results: List[TuningRunResult] = []
+    idle_since = time.time()
+    while not stopping():
+        record = sessions.claim_next_queued()
+        if record is None:
+            if drain or (
+                idle_timeout_s is not None
+                and time.time() - idle_since > idle_timeout_s
+            ):
+                break
+            time.sleep(poll_interval_s)
+            continue
+        try:
+            results.append(coordinator_for(record).run())
+        except ServiceError:
+            pass  # recorded on the session row by the coordinator
+        idle_since = time.time()
+    return results
+
+
 def serve(
     database: TrialDatabase,
     workers: int = 0,
@@ -541,15 +512,8 @@ def serve(
     heartbeat_interval_s: Optional[float] = None,
     trial_batch: Optional[int] = None,
 ) -> List[TuningRunResult]:
-    """Claim and run queued sessions until stopped.
-
-    ``drain=True`` returns once no queued session remains (the mode used
-    by ``service workers --drain`` and the tests); otherwise the loop
-    idles waiting for new submissions until ``idle_timeout_s`` (if any)
-    elapses.  A session failure is recorded on its row and does not take
-    the service down.
-    """
-    sessions = SessionStore(database)
+    """Claim and run queued sessions on one shared worker pool (the mode
+    behind ``service workers``; see :func:`drive_queued_sessions`)."""
     pool: Optional[WorkerPool] = None
     if workers > 0:
         pool = WorkerPool(
@@ -558,38 +522,25 @@ def serve(
             heartbeat_interval_s=heartbeat_interval_s,
             trial_batch=trial_batch,
         ).start()
-    results: List[TuningRunResult] = []
-    idle_since = time.time()
+
+    def coordinator_for(record: SessionRecord) -> SessionCoordinator:
+        return SessionCoordinator(
+            database,
+            record.id,
+            workers=workers,
+            lease_ttl_s=lease_ttl_s,
+            poll_interval_s=poll_interval_s,
+            pool=pool,
+            trial_timeout_s=trial_timeout_s,
+            heartbeat_interval_s=heartbeat_interval_s,
+            trial_batch=trial_batch,
+        )
+
     try:
-        while True:
-            record = sessions.claim_next_queued()
-            if record is None:
-                if drain:
-                    break
-                if (
-                    idle_timeout_s is not None
-                    and time.time() - idle_since > idle_timeout_s
-                ):
-                    break
-                time.sleep(poll_interval_s)
-                continue
-            coordinator = SessionCoordinator(
-                database,
-                record.id,
-                workers=workers,
-                lease_ttl_s=lease_ttl_s,
-                poll_interval_s=poll_interval_s,
-                pool=pool,
-                trial_timeout_s=trial_timeout_s,
-                heartbeat_interval_s=heartbeat_interval_s,
-                trial_batch=trial_batch,
-            )
-            try:
-                results.append(coordinator.run())
-            except ServiceError:
-                pass  # recorded on the session row by the coordinator
-            idle_since = time.time()
+        return drive_queued_sessions(
+            SessionStore(database), coordinator_for, drain=drain,
+            idle_timeout_s=idle_timeout_s, poll_interval_s=poll_interval_s,
+        )
     finally:
         if pool is not None:
             pool.stop()
-    return results

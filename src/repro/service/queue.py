@@ -27,7 +27,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..storage import TrialDatabase
 
@@ -161,6 +161,14 @@ def _appended_history(raw: Optional[str], attempt: int, error: str,
     return json.dumps(history[-MAX_HISTORY_ENTRIES:])
 
 
+def _of_session(query: str, session_id: Optional[str]) -> Tuple[str, tuple]:
+    """``query`` (which has no WHERE clause yet) narrowed to one session,
+    or left fleet-wide for ``None``, with its arguments."""
+    if session_id is None:
+        return query, ()
+    return query + " WHERE session_id = ?", (session_id,)
+
+
 def backoff_delay(attempt: int, base: float = BACKOFF_BASE_S,
                   cap: float = BACKOFF_CAP_S) -> float:
     """Capped exponential backoff before retry ``attempt`` re-runs."""
@@ -214,72 +222,12 @@ class JobQueue:
         return cursor.rowcount > 0
 
     # -- worker side ---------------------------------------------------------
-    def lease(
-        self,
-        worker_id: str,
-        ttl_s: float = DEFAULT_LEASE_TTL_S,
-        session_id: Optional[str] = None,
-        now: Optional[float] = None,
-        shard: Optional[int] = None,
-        epoch: int = 0,
-    ) -> Optional[Job]:
-        """Atomically claim the oldest runnable queued job, if any.
-
-        ``shard`` restricts the claim to one per-shard queue (fleet
-        machines only serve their own shard); ``None`` leases across all
-        shards (local pool workers).  ``epoch`` stamps the lease with the
-        granting hub's incarnation (0 for local pool leases).
-        """
-        now = time.time() if now is None else now
-        with self.database.transaction() as connection:
-            query = (
-                f"SELECT {_JOB_COLUMNS} FROM jobs "
-                "WHERE state = ? AND next_retry_at <= ?"
-            )
-            args: List[Any] = [QUEUED, now]
-            if session_id is not None:
-                query += " AND session_id = ?"
-                args.append(session_id)
-            if shard is not None:
-                query += " AND shard = ?"
-                args.append(int(shard))
-            query += " ORDER BY id LIMIT 1"
-            row = connection.execute(query, tuple(args)).fetchone()
-            if row is None:
-                return None
-            job = Job.from_row(row)
-            connection.execute(
-                "UPDATE jobs SET state = ?, lease_owner = ?, "
-                "lease_expires_at = ?, attempts = attempts + 1, "
-                "started_at = ?, lease_epoch = ? "
-                "WHERE id = ? AND state = ?",
-                (LEASED, worker_id, now + ttl_s, now, int(epoch),
-                 job.id, QUEUED),
-            )
-        job.state = LEASED
-        job.lease_owner = worker_id
-        job.lease_expires_at = now + ttl_s
-        job.attempts += 1
-        job.started_at = now
-        job.lease_epoch = int(epoch)
-        return job
-
-    def peek_queued(
-        self,
-        session_id: Optional[str] = None,
-        shard: Optional[int] = None,
-        limit: int = 16,
-        now: Optional[float] = None,
-    ) -> List[Job]:
-        """Snapshot the oldest runnable queued jobs without claiming them.
-
-        The batched-trial worker uses this to find stackable groupmates
-        for a job it already holds; each candidate is then claimed
-        individually via :meth:`lease_by_id` (which re-checks state, so a
-        stale snapshot only costs a missed groupmate, never a double
-        claim).
-        """
-        now = time.time() if now is None else now
+    @staticmethod
+    def _runnable(
+        now: float, session_id: Optional[str], shard: Optional[int]
+    ) -> Tuple[str, List[Any]]:
+        """``FROM jobs WHERE ...`` selecting the queued jobs whose backoff
+        has expired, optionally of one session and/or one shard."""
         query = (
             f"SELECT {_JOB_COLUMNS} FROM jobs "
             "WHERE state = ? AND next_retry_at <= ?"
@@ -291,35 +239,18 @@ class JobQueue:
         if shard is not None:
             query += " AND shard = ?"
             args.append(int(shard))
-        query += " ORDER BY id LIMIT ?"
-        args.append(int(limit))
-        rows = self.database.execute(query, tuple(args)).fetchall()
-        return [Job.from_row(row) for row in rows]
+        return query, args
 
-    def lease_by_id(
-        self,
-        job_id: int,
-        worker_id: str,
-        ttl_s: float = DEFAULT_LEASE_TTL_S,
-        now: Optional[float] = None,
-        epoch: int = 0,
-        fresh_only: bool = False,
+    def _claim(
+        self, query: str, args: List[Any], worker_id: str, ttl_s: float,
+        now: float, epoch: int, fresh_only: bool = False,
     ) -> Optional[Job]:
-        """Atomically claim one specific queued job (group formation).
-
-        Returns ``None`` when the job is no longer runnable — already
-        leased by a sibling, finished, or backed off.  ``fresh_only``
-        additionally refuses jobs that have been attempted before, which
-        keeps retries out of batch groups (a retried member must run
-        serially so its fault-injection and dead-letter accounting follow
-        the pinned serial semantics).
-        """
-        now = time.time() if now is None else now
+        """Lease the first job ``query`` selects, atomically: select and
+        update share one ``BEGIN IMMEDIATE`` transaction, so at most one
+        worker can win a job."""
         with self.database.transaction() as connection:
             row = connection.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs "
-                "WHERE id = ? AND state = ? AND next_retry_at <= ?",
-                (int(job_id), QUEUED, now),
+                query + " ORDER BY id LIMIT 1", tuple(args)
             ).fetchone()
             if row is None:
                 return None
@@ -341,6 +272,74 @@ class JobQueue:
         job.started_at = now
         job.lease_epoch = int(epoch)
         return job
+
+    def lease(
+        self,
+        worker_id: str,
+        ttl_s: float = DEFAULT_LEASE_TTL_S,
+        session_id: Optional[str] = None,
+        now: Optional[float] = None,
+        shard: Optional[int] = None,
+        epoch: int = 0,
+    ) -> Optional[Job]:
+        """Atomically claim the oldest runnable queued job, if any.
+
+        ``shard`` restricts the claim to one per-shard queue (fleet
+        machines only serve their own shard); ``None`` leases across all
+        shards (local pool workers).  ``epoch`` stamps the lease with the
+        granting hub's incarnation (0 for local pool leases).
+        """
+        now = time.time() if now is None else now
+        query, args = self._runnable(now, session_id, shard)
+        return self._claim(query, args, worker_id, ttl_s, now, epoch)
+
+    def peek_queued(
+        self,
+        session_id: Optional[str] = None,
+        shard: Optional[int] = None,
+        limit: int = 16,
+        now: Optional[float] = None,
+    ) -> List[Job]:
+        """Snapshot the oldest runnable queued jobs without claiming them.
+
+        The batched-trial worker uses this to find stackable groupmates
+        for a job it already holds; each candidate is then claimed
+        individually via :meth:`lease_by_id` (which re-checks state, so a
+        stale snapshot only costs a missed groupmate, never a double
+        claim).
+        """
+        query, args = self._runnable(
+            time.time() if now is None else now, session_id, shard
+        )
+        rows = self.database.execute(
+            query + " ORDER BY id LIMIT ?", tuple(args + [int(limit)])
+        ).fetchall()
+        return [Job.from_row(row) for row in rows]
+
+    def lease_by_id(
+        self,
+        job_id: int,
+        worker_id: str,
+        ttl_s: float = DEFAULT_LEASE_TTL_S,
+        now: Optional[float] = None,
+        epoch: int = 0,
+        fresh_only: bool = False,
+    ) -> Optional[Job]:
+        """Atomically claim one specific queued job (group formation).
+
+        Returns ``None`` when the job is no longer runnable — already
+        leased by a sibling, finished, or backed off.  ``fresh_only``
+        additionally refuses jobs that have been attempted before, which
+        keeps retries out of batch groups (a retried member must run
+        serially so its fault-injection and dead-letter accounting follow
+        the pinned serial semantics).
+        """
+        now = time.time() if now is None else now
+        query, args = self._runnable(now, None, None)
+        return self._claim(
+            query + " AND id = ?", args + [int(job_id)], worker_id, ttl_s,
+            now, epoch, fresh_only,
+        )
 
     def heartbeat(
         self,
@@ -444,49 +443,11 @@ class JobQueue:
         per-attempt error history — into the ``dead_letter`` quarantine.
         """
         now = time.time() if now is None else now
-        with self.database.transaction() as connection:
-            row = connection.execute(
-                "SELECT attempts, max_attempts, lease_expires_at, "
-                "error_history FROM jobs "
-                "WHERE id = ? AND lease_owner = ? AND state = ?",
-                (int(job_id), worker_id, LEASED),
-            ).fetchone()
-            if row is None:
-                return False
-            attempts, max_attempts, lease_expires_at, raw_history = row
-            if lease_expires_at is not None and lease_expires_at < now:
-                return False
-            history = _appended_history(raw_history, attempts, error, now)
-            if attempts >= max_attempts:
-                connection.execute(
-                    "UPDATE jobs SET state = ?, error = ?, finished_at = ?, "
-                    "lease_owner = NULL, lease_expires_at = NULL, "
-                    "error_history = ? WHERE id = ?",
-                    (FAILED, error, now, history, int(job_id)),
-                )
-                self._quarantine(connection, int(job_id), now)
-            else:
-                connection.execute(
-                    "UPDATE jobs SET state = ?, error = ?, "
-                    "lease_owner = NULL, lease_expires_at = NULL, "
-                    "next_retry_at = ?, error_history = ? WHERE id = ?",
-                    (QUEUED, error, now + backoff_delay(attempts),
-                     history, int(job_id)),
-                )
-        return True
-
-    @staticmethod
-    def _quarantine(connection, job_id: int, now: float) -> None:
-        """Copy a terminally-failed job into ``dead_letter`` (idempotent:
-        the UNIQUE key makes a job quarantine exactly once)."""
-        connection.execute(
-            "INSERT OR IGNORE INTO dead_letter (session_id, trial_id, "
-            "payload, attempts, error, error_history, created_at, "
-            "quarantined_at) "
-            "SELECT session_id, trial_id, payload, attempts, error, "
-            "error_history, created_at, ? FROM jobs WHERE id = ?",
-            (now, int(job_id)),
-        )
+        return self._release(
+            "id = ? AND lease_owner = ? AND "
+            "(lease_expires_at IS NULL OR lease_expires_at >= ?)",
+            (int(job_id), worker_id, now), now, lambda *_: error,
+        ) > 0
 
     # -- janitor side --------------------------------------------------------
     def _janitor_now(self) -> float:
@@ -540,18 +501,11 @@ class JobQueue:
         tests and operators use deliberately.
         """
         now = self._janitor_now() if now is None else now
-        with self.database.transaction() as connection:
-            rows = connection.execute(
-                "SELECT id, attempts, max_attempts, lease_owner, "
-                "error_history FROM jobs "
-                "WHERE state = ? AND lease_expires_at < ?",
-                (LEASED, now),
-            ).fetchall()
-            return self._release_rows(
-                connection, rows, now,
-                lambda owner, attempts:
-                    f"lease expired (owner {owner!r}, attempt {attempts})",
-            )
+        return self._release(
+            "lease_expires_at < ?", (now,), now,
+            lambda owner, attempts:
+                f"lease expired (owner {owner!r}, attempt {attempts})",
+        )
 
     def reclaim_owner(
         self, owner: str, now: Optional[float] = None
@@ -564,28 +518,39 @@ class JobQueue:
         instead of idling until each lease times out on its own.
         """
         now = time.time() if now is None else now
+        return self._release(
+            "(lease_owner = ? OR lease_owner LIKE ? || '/%')",
+            (owner, owner), now,
+            lambda who, attempts:
+                f"host declared dead (owner {who!r}, attempt {attempts})",
+        )
+
+    def _release(self, where: str, args: tuple, now: float, describe) -> int:
+        """Take the lease off every leased job matching ``where``: back to
+        ``queued`` with backoff, or — attempts spent — to ``failed`` plus
+        a copy, with its full per-attempt error history, in the
+        ``dead_letter`` quarantine (the UNIQUE key makes a job quarantine
+        exactly once).  ``describe(owner, attempts)`` words the error."""
         with self.database.transaction() as connection:
             rows = connection.execute(
                 "SELECT id, attempts, max_attempts, lease_owner, "
-                "error_history FROM jobs "
-                "WHERE state = ? AND (lease_owner = ? "
-                "OR lease_owner LIKE ? || '/%')",
-                (LEASED, owner, owner),
+                f"error_history FROM jobs WHERE state = ? AND {where}",
+                (LEASED, *args),
             ).fetchall()
-            return self._release_rows(
-                connection, rows, now,
-                lambda who, attempts:
-                    f"host declared dead (owner {who!r}, "
-                    f"attempt {attempts})",
-            )
-
-    def _release_rows(self, connection, rows, now, describe) -> int:
-        """Requeue-or-quarantine the given leased rows (shared by the
-        expiry and dead-host reclaim paths)."""
-        for job_id, attempts, max_attempts, owner, raw_history in rows:
-            error = describe(owner, attempts)
-            history = _appended_history(raw_history, attempts, error, now)
-            if attempts >= max_attempts:
+            for job_id, attempts, max_attempts, owner, raw_history in rows:
+                error = describe(owner, attempts)
+                history = _appended_history(
+                    raw_history, attempts, error, now
+                )
+                if attempts < max_attempts:
+                    connection.execute(
+                        "UPDATE jobs SET state = ?, error = ?, "
+                        "lease_owner = NULL, lease_expires_at = NULL, "
+                        "next_retry_at = ?, error_history = ? WHERE id = ?",
+                        (QUEUED, error, now + backoff_delay(attempts),
+                         history, job_id),
+                    )
+                    continue
                 connection.execute(
                     "UPDATE jobs SET state = ?, error = ?, "
                     "finished_at = ?, lease_owner = NULL, "
@@ -593,14 +558,14 @@ class JobQueue:
                     "WHERE id = ?",
                     (FAILED, error, now, history, job_id),
                 )
-                self._quarantine(connection, int(job_id), now)
-            else:
                 connection.execute(
-                    "UPDATE jobs SET state = ?, error = ?, "
-                    "lease_owner = NULL, lease_expires_at = NULL, "
-                    "next_retry_at = ?, error_history = ? WHERE id = ?",
-                    (QUEUED, error, now + backoff_delay(attempts),
-                     history, job_id),
+                    "INSERT OR IGNORE INTO dead_letter (session_id, "
+                    "trial_id, payload, attempts, error, error_history, "
+                    "created_at, quarantined_at) "
+                    "SELECT session_id, trial_id, payload, attempts, "
+                    "error, error_history, created_at, ? FROM jobs "
+                    "WHERE id = ?",
+                    (now, job_id),
                 )
         return len(rows)
 
@@ -617,13 +582,12 @@ class JobQueue:
     # -- introspection -------------------------------------------------------
     def depths(self, session_id: Optional[str] = None) -> Dict[str, int]:
         """Queue depth per state (zero-filled for absent states)."""
-        query = "SELECT state, COUNT(*) FROM jobs"
-        args: tuple = ()
-        if session_id is not None:
-            query += " WHERE session_id = ?"
-            args = (session_id,)
-        query += " GROUP BY state"
-        rows = self.database.execute(query, args).fetchall()
+        query, args = _of_session(
+            "SELECT state, COUNT(*) FROM jobs", session_id
+        )
+        rows = self.database.execute(
+            query + " GROUP BY state", args
+        ).fetchall()
         depths = {state: 0 for state in JOB_STATES}
         depths.update({state: int(count) for state, count in rows})
         return depths
@@ -645,6 +609,26 @@ class JobQueue:
         query += " ORDER BY trial_id"
         rows = self.database.execute(query, tuple(args)).fetchall()
         return [Job.from_row(row) for row in rows]
+
+    def settled(
+        self, session_id: str, trial_ids: Iterable[int]
+    ) -> Dict[int, Tuple[str, Optional[str]]]:
+        """``trial_id -> (state, error)`` of the jobs among ``trial_ids``
+        that are ``done`` or terminally ``failed``.
+
+        The coordinator's "anything to merge?" probe: it runs on every
+        wake-up, so it deliberately leaves the result blobs (hundreds of
+        KB each) where they are — :meth:`results_for` fetches the one
+        about to be integrated.
+        """
+        wanted = [int(t) for t in trial_ids]
+        marks = ",".join("?" for _ in wanted)
+        rows = self.database.execute(
+            "SELECT trial_id, state, error FROM jobs WHERE session_id = ? "
+            f"AND state IN (?, ?) AND trial_id IN ({marks})",
+            tuple([session_id, DONE, FAILED] + wanted),
+        ).fetchall()
+        return {int(row[0]): (row[1], row[2]) for row in rows}
 
     def results_for(
         self, session_id: str, trial_ids: Iterable[int]
@@ -688,16 +672,12 @@ class JobQueue:
         self, session_id: Optional[str] = None
     ) -> List[DeadLetter]:
         """Quarantined jobs, oldest first."""
-        query = (
+        query, args = _of_session(
             "SELECT id, session_id, trial_id, payload, attempts, error, "
-            "error_history, created_at, quarantined_at FROM dead_letter"
+            "error_history, created_at, quarantined_at FROM dead_letter",
+            session_id,
         )
-        args: tuple = ()
-        if session_id is not None:
-            query += " WHERE session_id = ?"
-            args = (session_id,)
-        query += " ORDER BY id"
-        rows = self.database.execute(query, args).fetchall()
+        rows = self.database.execute(query + " ORDER BY id", args).fetchall()
         return [
             DeadLetter(
                 id=int(row[0]),
@@ -714,12 +694,9 @@ class JobQueue:
         ]
 
     def dead_letter_count(self, session_id: Optional[str] = None) -> int:
-        query = "SELECT COUNT(*) FROM dead_letter"
-        args: tuple = ()
-        if session_id is not None:
-            query += " WHERE session_id = ?"
-            args = (session_id,)
-        (count,) = self.database.execute(query, args).fetchone()
+        (count,) = self.database.execute(
+            *_of_session("SELECT COUNT(*) FROM dead_letter", session_id)
+        ).fetchone()
         return int(count)
 
     def retry_dead(
@@ -761,13 +738,9 @@ class JobQueue:
 
     def purge_dead(self, session_id: Optional[str] = None) -> int:
         """Drop quarantine rows (the failed ``jobs`` rows stay)."""
-        query = "DELETE FROM dead_letter"
-        args: tuple = ()
-        if session_id is not None:
-            query += " WHERE session_id = ?"
-            args = (session_id,)
-        cursor = self.database.execute(query, args)
-        return cursor.rowcount
+        return self.database.execute(
+            *_of_session("DELETE FROM dead_letter", session_id)
+        ).rowcount
 
     def last_error(self, session_id: str) -> Optional[str]:
         """Most recent job error recorded for a session, if any.

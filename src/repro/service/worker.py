@@ -26,7 +26,7 @@ import pickle
 import threading
 import time
 import traceback
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..artifacts import ArtifactStore
 from ..core.model_server import (
@@ -42,10 +42,11 @@ from ..core.trial_batch import (
 )
 from ..faults import fault_point
 from ..storage import TrialDatabase
+from .doorbell import Doorbell
 from .failures import run_with_deadline
 from .queue import DEFAULT_LEASE_TTL_S, Job, JobQueue, _env_float
 
-#: How long an idle worker sleeps between queue polls, seconds.
+#: An idle worker's fallback tick (its longest unrung wait), seconds.
 IDLE_POLL_S = 0.05
 
 #: Lease renewal period as a fraction of the TTL.
@@ -70,41 +71,48 @@ def heartbeat_interval(
     return max(0.05, ttl_s * HEARTBEAT_FRACTION)
 
 
-class _Heartbeat:
-    """Daemon thread renewing one job lease until stopped."""
+def result_blob(evaluation: Any, model: Any) -> bytes:
+    """The bytes a finished job is completed with: the pickled evaluation
+    carrying its pickled model."""
+    evaluation.model_blob = pickle.dumps(
+        model, protocol=pickle.HIGHEST_PROTOCOL
+    )
+    return pickle.dumps(evaluation, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def __init__(self, queue: JobQueue, job_id: int, worker_id: str,
-                 ttl_s: float, interval_s: Optional[float] = None,
-                 on_beat=None):
-        self._queue = queue
-        self._job_id = job_id
-        self._worker_id = worker_id
-        self._ttl_s = ttl_s
-        self._interval_s = heartbeat_interval(ttl_s, interval_s)
-        self._on_beat = on_beat
+
+class Periodic:
+    """Daemon thread calling ``tick`` every ``interval_s`` for as long as
+    the ``with`` block runs, or until ``tick`` returns ``False``.
+
+    What keeps a lease alive while its trial runs — the local worker's
+    queue heartbeat and the fleet host's ``extend`` frames alike; a
+    process that dies mid-trial stops ticking, so the lease expires and
+    someone else gets the job.
+    """
+
+    def __init__(self, interval_s: float, tick: Callable[[], Any],
+                 join_timeout_s: float = 1.0):
+        self._interval_s = interval_s
+        self._tick = tick
+        self._join_timeout_s = join_timeout_s
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def __enter__(self) -> "_Heartbeat":
+    def __enter__(self) -> "Periodic":
         self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
-        # Bounded join: if the heartbeat thread is itself stuck inside a
-        # wedged sqlite call, blocking here longer than the lease TTL
-        # would delay the failure report past the point where a sibling
+        # Bounded join: a tick stuck inside a wedged sqlite call or socket
+        # must not delay the caller past the point where a sibling
         # reclaims the job anyway.  The thread is a daemon; abandon it.
-        self._thread.join(timeout=min(self._ttl_s, 1.0))
+        self._thread.join(timeout=self._join_timeout_s)
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval_s):
-            if not self._queue.heartbeat(
-                self._job_id, self._worker_id, ttl_s=self._ttl_s
-            ):
-                return  # lease lost; the retry owns the job now
-            if self._on_beat is not None:
-                self._on_beat()
+            if self._tick() is False:
+                return
 
 
 class TrialWorker:
@@ -120,6 +128,8 @@ class TrialWorker:
         trial_timeout_s: Optional[float] = None,
         heartbeat_interval_s: Optional[float] = None,
         trial_batch: Optional[int] = None,
+        jobs_bell: Optional[Doorbell] = None,
+        results_bell: Optional[Doorbell] = None,
     ):
         if database is None and db_path is None:
             raise ValueError("TrialWorker needs a db_path or a database")
@@ -129,6 +139,11 @@ class TrialWorker:
         self.queue = JobQueue(self.database)
         self.lease_ttl_s = lease_ttl_s
         self.poll_interval_s = poll_interval_s
+        #: Hand-off with the coordinator: wait on ``jobs_bell`` while
+        #: idle, ring ``results_bell`` after every job.  The private
+        #: defaults make a standalone worker's idle wait a plain tick.
+        self.jobs_bell = jobs_bell or Doorbell()
+        self.results_bell = results_bell or Doorbell()
         self.heartbeat_interval_s = heartbeat_interval_s
         #: Wall-clock budget per trial; ``None`` disables the deadline.
         self.trial_timeout_s = trial_timeout_s
@@ -153,12 +168,6 @@ class TrialWorker:
         #: else stays serial): the session spec or the ``--trial-batch``
         #: flag is what turns grouping on service-side.
         self.trial_batch = resolve_trial_batch(trial_batch, default=1)
-        #: Batch-group occupancy meters (also pushed to the fleet-stats
-        #: table so ``service status`` sees fleet-wide occupancy).
-        self.groups_formed = 0
-        self.group_members = 0
-        self.serial_fallbacks = 0
-        self.max_group = 0
         self._dataset_cache_last = dataset_cache_stats()
 
     def _touch_machine(self) -> None:
@@ -171,13 +180,26 @@ class TrialWorker:
             self.registry.heartbeat(self.worker_id, now=now)
             self._machine_touched_at = now
 
+    def _heartbeat(self, job: Job) -> Periodic:
+        """Renews ``job``'s lease (and this machine's liveness) until the
+        block exits or the lease is lost — the retry owns the job then."""
+        def beat() -> bool:
+            renewed = self.queue.heartbeat(
+                job.id, self.worker_id, ttl_s=self.lease_ttl_s
+            )
+            if renewed:
+                self._touch_machine()
+            return renewed
+
+        return Periodic(
+            heartbeat_interval(self.lease_ttl_s, self.heartbeat_interval_s),
+            beat, join_timeout_s=min(self.lease_ttl_s, 1.0),
+        )
+
     # -- execution ----------------------------------------------------------
     def run_job(self, job: Job) -> None:
         """Execute one leased job to completion (or record its failure)."""
-        with _Heartbeat(self.queue, job.id, self.worker_id,
-                        self.lease_ttl_s,
-                        interval_s=self.heartbeat_interval_s,
-                        on_beat=self._touch_machine):
+        with self._heartbeat(job):
             try:
                 # Chaos sites: keyed by trial id and gated on the lease
                 # attempt, so (by default) the retry of an injected
@@ -187,13 +209,7 @@ class TrialWorker:
                 fault_point("worker.fail", key=job.trial_id,
                             attempt=job.attempts)
                 task = TrialTask.from_json(job.payload)
-                evaluation, model = self._evaluate(task, job.attempts)
-                evaluation.model_blob = pickle.dumps(
-                    model, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                blob = pickle.dumps(
-                    evaluation, protocol=pickle.HIGHEST_PROTOCOL
-                )
+                blob = result_blob(*self._evaluate(task, job.attempts))
             except Exception:
                 self.jobs_failed += 1
                 self.queue.fail(
@@ -206,18 +222,21 @@ class TrialWorker:
 
     # -- batched execution --------------------------------------------------
     def run_leased(self, job: Job) -> None:
-        """Execute a freshly leased job, stacking groupmates when enabled."""
-        if self.trial_batch <= 1:
-            self.run_job(job)
-            return
-        group = self._form_group(job)
-        if len(group) <= 1:
-            self.serial_fallbacks += 1
-            self.registry.bump("batch.serial_fallback")
-            self.run_job(job)
-        else:
-            self.run_job_group(group)
-        self._publish_dataset_cache_stats()
+        """Execute a freshly leased job, stacking groupmates when enabled;
+        rings the results bell once its verdict rows have committed."""
+        try:
+            if self.trial_batch <= 1:
+                self.run_job(job)
+                return
+            group = self._form_group(job)
+            if len(group) <= 1:
+                self.registry.bump("batch.serial_fallback")
+                self.run_job(job)
+            else:
+                self.run_job_group(group)
+            self._publish_dataset_cache_stats()
+        finally:
+            self.results_bell.ring()
 
     def _form_group(self, head: Job) -> List[Job]:
         """Claim up to K-1 stackable groupmates for an already-leased job.
@@ -274,11 +293,7 @@ class TrialWorker:
         completed: List[Tuple[Job, bytes]] = []
         with contextlib.ExitStack() as heartbeats:
             for job in jobs:
-                heartbeats.enter_context(_Heartbeat(
-                    self.queue, job.id, self.worker_id, self.lease_ttl_s,
-                    interval_s=self.heartbeat_interval_s,
-                    on_beat=self._touch_machine,
-                ))
+                heartbeats.enter_context(self._heartbeat(job))
             live: List[Tuple[Job, TrialTask]] = []
             for job in jobs:
                 try:
@@ -302,13 +317,8 @@ class TrialWorker:
                         [task for _, task in live], train_set, eval_set,
                         artifacts=self.artifacts,
                     )
-                    for (job, _), (evaluation, model) in zip(live, outputs):
-                        evaluation.model_blob = pickle.dumps(
-                            model, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                        completed.append((job, pickle.dumps(
-                            evaluation, protocol=pickle.HIGHEST_PROTOCOL
-                        )))
+                    for (job, _), output in zip(live, outputs):
+                        completed.append((job, result_blob(*output)))
                 except Exception:
                     error = traceback.format_exc(limit=8)
                     completed = []
@@ -319,9 +329,7 @@ class TrialWorker:
             if self.queue.complete(job.id, self.worker_id, blob):
                 self.jobs_done += 1
                 self.registry.record_done(self.worker_id)
-        self.groups_formed += 1
-        self.group_members += len(jobs)
-        self.max_group = max(self.max_group, len(jobs))
+        # Batch-group occupancy, fleet-wide, for ``service status``.
         self.registry.bump("batch.groups")
         self.registry.bump("batch.members", float(len(jobs)))
         self.registry.bump_max("batch.max_k", float(len(jobs)))
@@ -334,19 +342,6 @@ class TrialWorker:
             if delta:
                 self.registry.bump(f"dataset_cache.{key}", float(delta))
         self._dataset_cache_last = stats
-
-    def batch_stats(self) -> dict:
-        """This worker's batch-group occupancy meters."""
-        members = self.group_members
-        return {
-            "trial_batch": self.trial_batch,
-            "groups": self.groups_formed,
-            "members": members,
-            "mean_k": (members / self.groups_formed)
-            if self.groups_formed else 0.0,
-            "max_k": self.max_group,
-            "serial_fallback": self.serial_fallbacks,
-        }
 
     def _evaluate(self, task: TrialTask, attempt: int) -> Tuple:
         """Run one trial, under the wall-clock deadline when configured."""
@@ -373,8 +368,9 @@ class TrialWorker:
         """Lease-execute until stopped (or idle past ``idle_timeout_s``).
 
         Returns the number of jobs completed.  Also moonlights as the
-        queue janitor: idle workers reclaim expired leases so a crashed
-        sibling's jobs are not stuck until the coordinator notices.
+        queue janitor: on every fallback tick nobody rang for, an idle
+        worker reclaims expired leases so a crashed sibling's jobs are
+        not stuck until the coordinator notices.
         """
         idle_since = time.time()
         while stop_event is None or not stop_event.is_set():
@@ -383,13 +379,13 @@ class TrialWorker:
                 self.worker_id, ttl_s=self.lease_ttl_s
             )
             if job is None:
-                self.queue.reclaim_expired()
                 if (
                     idle_timeout_s is not None
                     and time.time() - idle_since > idle_timeout_s
                 ):
                     break
-                time.sleep(self.poll_interval_s)
+                if not self.jobs_bell.wait(self.poll_interval_s):
+                    self.queue.reclaim_expired()
                 continue
             self.run_leased(job)
             idle_since = time.time()
@@ -403,23 +399,12 @@ class TrialWorker:
 def worker_main(
     db_path: str,
     worker_id: Optional[str] = None,
-    lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    poll_interval_s: float = IDLE_POLL_S,
     idle_timeout_s: Optional[float] = None,
-    trial_timeout_s: Optional[float] = None,
-    heartbeat_interval_s: Optional[float] = None,
-    trial_batch: Optional[int] = None,
+    **options: Any,
 ) -> int:
-    """Process entry point for pool workers (importable, hence spawn-safe)."""
-    worker = TrialWorker(
-        db_path,
-        worker_id=worker_id,
-        lease_ttl_s=lease_ttl_s,
-        poll_interval_s=poll_interval_s,
-        trial_timeout_s=trial_timeout_s,
-        heartbeat_interval_s=heartbeat_interval_s,
-        trial_batch=trial_batch,
-    )
+    """Process entry point for pool workers (importable, hence
+    spawn-safe); ``options`` are :class:`TrialWorker` keyword arguments."""
+    worker = TrialWorker(db_path, worker_id=worker_id, **options)
     try:
         return worker.run_forever(idle_timeout_s=idle_timeout_s)
     except KeyboardInterrupt:
