@@ -45,6 +45,7 @@ pre-v8 rows, and removing orphaned files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -429,13 +430,9 @@ class ArtifactStore:
         ``resume`` is the optional :func:`pack_velocity` blob for
         warm-resume children (their weights come from the model pickle).
         """
-        stripped = pickle.loads(
-            pickle.dumps(evaluation, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        stripped.model_blob = None
         payload = pickle.dumps(
             {
-                "evaluation": stripped,
+                "evaluation": dataclasses.replace(evaluation, model_blob=None),
                 "model": pickle.dumps(
                     model, protocol=pickle.HIGHEST_PROTOCOL
                 ),

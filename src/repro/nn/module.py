@@ -6,11 +6,18 @@ The engine uses explicit forward/backward passes (no autodiff tape).  Each
 numeric gradient checks, and fast enough to *really train* the reproduction
 workloads on synthetic data — the tuning system then observes genuine
 accuracy-versus-budget behaviour instead of a canned curve.
+
+Pickling contract: a module pickles its *persistent* state — constructor
+configuration, parameter values, running statistics, RNG state and
+``training`` — and nothing with the lifetime of one step.  The per-step
+attributes are declared once, in :data:`STEP_STATE`; a restored module has
+them empty and the next ``forward`` rebuilds them, so a model pickle is
+about the size of its weights however (and on whatever batch) it last ran.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +36,18 @@ class ParamTensor:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"name": self.name, "value": self.value}
+
+    def __setstate__(self, state: Any) -> None:
+        if isinstance(state, tuple):
+            # Pickles written before the lean rule carry the default slot
+            # state ``(None, {"name", "value", "grad"})``.
+            state = state[1]
+        self.name = state["name"]
+        self.value = state["value"]
+        self.grad = np.zeros_like(self.value)
+
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
@@ -40,11 +59,45 @@ class ParamTensor:
         return f"ParamTensor({self.name!r}, shape={self.value.shape})"
 
 
+#: Every per-step attribute a layer may hold — what ``forward`` caches for
+#: ``backward`` and the buffers both reuse — mapped to the factory of its
+#: empty value.  A layer that grows a new cache declares it here; one that
+#: does not fails the blob-size bound in ``tests/test_nn_pickle.py``.
+STEP_STATE: Dict[str, Callable[["Module"], Any]] = {
+    **dict.fromkeys(
+        (
+            "_cache", "_inputs", "_mask", "_out", "_grad", "_output",
+            "_cols", "_geometry", "_grad_input", "_input_shape",
+        ),
+        lambda module: None,
+    ),
+    "_forward_scratch": lambda module: {},
+    "_backward_scratch": lambda module: {},
+    "_weight_grad_scratch": lambda module: np.zeros_like(module.weight.value),
+}
+
+
 class Module:
     """Base class for layers and models."""
 
     #: Set by :meth:`train` / :meth:`eval`; Dropout and BatchNorm branch on it.
     training: bool = True
+
+    # -- pickling ---------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        """Persistent state only; :data:`STEP_STATE` names are kept as
+        ``None`` placeholders so restore knows which ones this layer has."""
+        return {
+            name: None if name in STEP_STATE else value
+            for name, value in self.__dict__.items()
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Pickles written before the lean rule hold the full ``__dict__``;
+        # their step state is discarded the same way.
+        self.__dict__.update(state)
+        for name in STEP_STATE.keys() & state.keys():
+            setattr(self, name, STEP_STATE[name](self))
 
     # -- computation --------------------------------------------------------
     def forward(self, inputs: np.ndarray) -> np.ndarray:

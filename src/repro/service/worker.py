@@ -21,6 +21,7 @@ crash bit-identical.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import pickle
 import threading
@@ -74,10 +75,11 @@ def heartbeat_interval(
 def result_blob(evaluation: Any, model: Any) -> bytes:
     """The bytes a finished job is completed with: the pickled evaluation
     carrying its pickled model."""
-    evaluation.model_blob = pickle.dumps(
-        model, protocol=pickle.HIGHEST_PROTOCOL
+    model_blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(
+        dataclasses.replace(evaluation, model_blob=model_blob),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
-    return pickle.dumps(evaluation, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class Periodic:

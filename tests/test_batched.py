@@ -389,13 +389,13 @@ class TestQueueGroupLeasing:
 
 
 class TestWorkerGrouping:
-    def run_session(self, trial_batch, max_trials=6):
+    def run_session(self, trial_batch, max_trials=8):
         from repro.service import SessionSpec, SessionCoordinator
         from repro.service.sessions import SessionStore
 
         database = TrialDatabase()
         spec = SessionSpec(
-            workload="IC", seed=5, samples=SAMPLES,
+            workload="IC", seed=7, samples=SAMPLES,
             max_trials=max_trials, trial_batch=trial_batch,
         )
         session_id = SessionStore(database).create(spec)
@@ -407,7 +407,11 @@ class TestWorkerGrouping:
         return result, record, coordinator
 
     def test_service_batched_equals_serial(self):
-        serial_result, serial_record, _ = self.run_session(1)
+        from repro.fleet.registry import MachineRegistry
+
+        serial_result, serial_record, serial_coordinator = (
+            self.run_session(1)
+        )
         batched_result, batched_record, coordinator = self.run_session(8)
         assert (serial_result.best_accuracy
                 == batched_result.best_accuracy)
@@ -421,6 +425,18 @@ class TestWorkerGrouping:
             assert a.trial_id == b.trial_id
             assert a.accuracy == b.accuracy
             assert a.score == b.score
+        # A trial's stored bytes are a function of its content, not of
+        # how it ran: same key, same checksum, stacked or alone.
+        assert MachineRegistry(coordinator.database).stats()["batch.groups"]
+        serial_sums = self.artifact_checksums(serial_coordinator)
+        assert len(serial_sums) == len(serial_result.trials)
+        assert self.artifact_checksums(coordinator) == serial_sums
+
+    @staticmethod
+    def artifact_checksums(coordinator):
+        return dict(coordinator.database.execute(
+            "SELECT key, checksum FROM artifacts"
+        ).fetchall())
 
     def test_worker_occupancy_meters(self):
         from repro.fleet.registry import MachineRegistry
