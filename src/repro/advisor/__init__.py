@@ -9,20 +9,21 @@ extends both ideas across sessions:
 * :mod:`repro.advisor.kb` — the knowledge base over
   :class:`~repro.storage.TrialDatabase`'s ``recommendations`` table,
   populated when a service session finalizes (or by ``advisor index``);
-* :mod:`repro.advisor.server` — a threaded TCP server answering
-  line-delimited JSON queries with an LRU cache, per-client rate limits
-  and graceful drain;
+* :mod:`repro.advisor.server` — the ``ask``/``stats``/``index``/``ping``
+  verbs over :mod:`repro.wire`'s frame server, with an LRU cache and
+  per-client rate limits;
 * :mod:`repro.advisor.client` / :mod:`repro.advisor.loadgen` — the
   matching client and a multi-threaded throughput benchmark.
 
 CLI: ``python -m repro advisor serve|ask|index|bench``.
 """
 
+from ..wire import TokenBucket
 from .client import AdvisorClient
 from .kb import Advice, KnowledgeBase, inference_recommendation_of
 from .loadgen import LoadReport, run_load
 from .resilience import CircuitBreaker
-from .server import AdvisorServer, LRUCache, TokenBucket
+from .server import AdvisorServer, LRUCache
 from .signature import signature_distance, signature_for, workload_signature
 
 __all__ = [

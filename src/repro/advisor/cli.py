@@ -19,11 +19,9 @@ load-tests a running server, or self-hosts an ephemeral one when given
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import signal
 import sys
-import threading
-from typing import Optional
 
 from ..errors import AdvisorError
 from ..storage import TrialDatabase
@@ -45,14 +43,13 @@ def _cmd_serve(args) -> int:
         )
         if args.index:
             print(f"indexed {server.kb.index_sessions()} sessions")
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(
-                signum, lambda *_: server.initiate_drain()
-            )
-        print(f"advisor listening on {server.host}:{server.port} "
-              f"(knowledge base: {server.kb.size()} recommendations)")
-        sys.stdout.flush()
-        server.serve_until_drained(drain_timeout_s=args.drain_timeout)
+        with server.serving(
+            signals=True, drain_timeout_s=args.drain_timeout
+        ) as serve_thread:
+            print(f"advisor listening on {server.host}:{server.port} "
+                  f"(knowledge base: {server.kb.size()} recommendations)")
+            sys.stdout.flush()
+            serve_thread.join()
         print("drained; final stats:")
         print(json.dumps(server.meters.snapshot(), sort_keys=True, indent=2))
     return 0
@@ -100,46 +97,33 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    server: Optional[AdvisorServer] = None
-    database: Optional[TrialDatabase] = None
-    serve_thread: Optional[threading.Thread] = None
     host, port = args.host, args.port
+    asks = [
+        {"workload": workload, "device": args.device,
+         "objective": args.objective}
+        for workload in args.workloads
+    ]
     try:
-        if args.db is not None:
-            # Self-hosted mode: ephemeral server on a random port.
-            database = TrialDatabase(args.db)
-            server = AdvisorServer(
-                database, host=args.host, port=0,
-                cache_size=args.cache_size,
+        with contextlib.ExitStack() as stack:
+            if args.db is not None:
+                # Self-hosted mode: ephemeral server on a random port.
+                server = AdvisorServer(
+                    stack.enter_context(TrialDatabase(args.db)),
+                    host=args.host, port=0, cache_size=args.cache_size,
+                )
+                stack.enter_context(server.serving())
+                host, port = server.host, server.port
+            report = run_load(
+                host, port,
+                threads=args.threads,
+                duration_s=args.duration,
+                asks=asks,
             )
-            host, port = server.host, server.port
-            serve_thread = threading.Thread(
-                target=server.serve_until_drained, daemon=True
-            )
-            serve_thread.start()
-        asks = [
-            {"workload": workload, "device": args.device,
-             "objective": args.objective}
-            for workload in args.workloads
-        ]
-        report = run_load(
-            host, port,
-            threads=args.threads,
-            duration_s=args.duration,
-            asks=asks,
-        )
         print(report.render())
         return 0 if report.errors == 0 else 1
     except AdvisorError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    finally:
-        if server is not None:
-            server.initiate_drain()
-        if serve_thread is not None:
-            serve_thread.join(timeout=5.0)
-        if database is not None:
-            database.close()
 
 
 def main(argv=None) -> int:

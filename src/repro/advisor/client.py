@@ -4,10 +4,9 @@ One persistent connection per client; every request is one line out, one
 line back.  Used by ``advisor ask``/``advisor bench``, the load
 generator's worker threads, and tests.
 
-Resilience: transport errors and malformed responses are retried a
-bounded number of times with jittered exponential backoff, reconnecting
-each time (a fresh connection is the only reliable way to resynchronise
-a line protocol after garbage).  An optional
+Resilience: :class:`~repro.wire.FrameClient`'s bounded, backed-off
+reconnect-and-retry, with the ``advisor.drop`` and ``advisor.garbage``
+chaos sites.  On top, an optional
 :class:`~repro.advisor.resilience.CircuitBreaker` makes a *dead* advisor
 cheap: after a few consecutive failures requests fail instantly instead
 of burning a connect timeout each, and callers fall back to cold-start
@@ -16,26 +15,23 @@ via :meth:`AdvisorClient.try_ask`.
 
 from __future__ import annotations
 
-import json
-import random
-import socket
-import time
 from typing import Any, Dict, Optional
 
 from ..errors import AdvisorError
-from ..faults import should
+from ..wire import DEFAULT_BACKOFF_S, DEFAULT_RETRIES, Frame, FrameClient
 from .resilience import CircuitBreaker
 
 DEFAULT_PORT = 8377
 DEFAULT_TIMEOUT_S = 5.0
 
-#: Retries after the first attempt; 3 tries total by default.
-DEFAULT_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.05
 
-
-class AdvisorClient:
+class AdvisorClient(FrameClient):
     """Blocking client over one persistent TCP connection."""
+
+    error = AdvisorError
+    peer = "advisor"
+    sever_site = "advisor.drop"
+    garbage_site = "advisor.garbage"
 
     def __init__(
         self,
@@ -46,116 +42,29 @@ class AdvisorClient:
         backoff_s: float = DEFAULT_BACKOFF_S,
         breaker: Optional[CircuitBreaker] = None,
     ):
-        self.host = host
-        self.port = int(port)
-        self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.backoff_s = float(backoff_s)
+        super().__init__(host, port, timeout_s, retries, backoff_s)
         self.breaker = breaker
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._request_seq = 0
 
-    # -- connection ---------------------------------------------------------
-    def connect(self) -> "AdvisorClient":
-        if self._sock is None:
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout_s
-                )
-            except OSError as error:
-                raise AdvisorError(
-                    f"cannot reach advisor at {self.host}:{self.port}: "
-                    f"{error}"
-                )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
-            self._rfile = sock.makefile("rb")
-        return self
-
-    def close(self) -> None:
-        if self._rfile is not None:
-            self._rfile.close()
-            self._rfile = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def __enter__(self) -> "AdvisorClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- requests -----------------------------------------------------------
-    def request(self, op: str, **params: Any) -> Dict[str, Any]:
-        """Send one request, retrying transport faults with backoff.
-
-        Raises :class:`AdvisorError` once the retry budget is spent, or
-        immediately when the circuit breaker is open.
-        """
-        payload = dict(params, op=op)
-        last_error: Optional[AdvisorError] = None
-        for attempt in range(1, self.retries + 2):
-            if self.breaker is not None and not self.breaker.allow():
-                raise AdvisorError(
-                    f"advisor at {self.host}:{self.port} circuit is open; "
-                    "failing fast"
-                )
-            try:
-                response = self._request_once(payload, attempt)
-            except AdvisorError as error:
-                last_error = error
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                # Reconnect-resync: after a transport error or garbage
-                # frame the stream position is unknowable; a fresh
-                # connection is the only safe retry.
-                self.close()
-                if attempt <= self.retries:
-                    time.sleep(
-                        self.backoff_s * (2.0 ** (attempt - 1))
-                        * random.uniform(0.5, 1.0)
-                    )
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return response
-        assert last_error is not None
-        raise last_error
-
-    def _request_once(
-        self, payload: Dict[str, Any], attempt: int
-    ) -> Dict[str, Any]:
-        self.connect()
-        assert self._sock is not None and self._rfile is not None
-        self._request_seq += 1
-        seq = self._request_seq
-        if should("advisor.drop", key=seq, attempt=attempt):
-            # Chaos: sever the connection mid-request, as a flaky network
-            # or a restarting server would.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        try:
-            self._sock.sendall(
-                (json.dumps(payload, sort_keys=True) + "\n").encode()
+    # -- circuit breaker ----------------------------------------------------
+    def _admit(self) -> None:
+        if self.breaker is not None and not self.breaker.allow():
+            raise AdvisorError(
+                f"advisor at {self.host}:{self.port} circuit is open; "
+                "failing fast"
             )
-            line = self._rfile.readline()
-        except OSError as error:
-            raise AdvisorError(f"advisor connection failed: {error}")
-        if not line:
-            raise AdvisorError("advisor closed the connection")
-        if should("advisor.garbage", key=seq, attempt=attempt):
-            # Chaos: the bytes that arrived are not the bytes that were
-            # sent (proxy corruption, interleaved writes).
-            line = b"\x00\xfe{{{not-json\n"
-        try:
-            return json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise AdvisorError(f"malformed advisor response: {error}")
 
+    def _request_once(self, payload: Frame, attempt: int) -> Frame:
+        try:
+            response = super()._request_once(payload, attempt)
+        except AdvisorError:
+            if self.breaker is not None:
+                self.breaker.record_failure()
+            raise
+        if self.breaker is not None:
+            self.breaker.record_success()
+        return response
+
+    # -- verbs --------------------------------------------------------------
     def ask(
         self,
         workload: str,

@@ -67,6 +67,14 @@ class FleetError(ServiceError):
     (unreachable coordinator, protocol violation, unknown machine)."""
 
 
+class WireError(FleetError, AdvisorError):
+    """A frame could not be encoded or decoded, or a transport setting
+    is invalid.  Raised by the protocol-neutral :mod:`repro.wire`
+    helpers, which both protocols call; it is an :class:`AdvisorError`
+    *and* a :class:`FleetError` so each protocol's callers keep catching
+    it under their own family."""
+
+
 class TrialTimeoutError(ServiceError):
     """A trial exceeded its wall-clock deadline and was abandoned; the
     job is failed (and retried) instead of hanging its worker."""

@@ -63,24 +63,17 @@ def _cmd_serve(args) -> int:
             machine_ttl_s=args.machine_ttl,
             rate_limit=args.rate_limit,
         )
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, lambda *_: server.initiate_drain())
-        print(f"fleet coordinator listening on "
-              f"{server.host}:{server.port} ({args.shards} shards, "
-              f"epoch {server.epoch}, "
-              f"{server.recovery['sessions_requeued']} session(s) "
-              f"recovered)")
-        sys.stdout.flush()
-        server.start_janitor()
-        serve_thread = threading.Thread(
-            target=server.serve_until_drained, daemon=True
-        )
-        serve_thread.start()
-        results = server.run_sessions(
-            drain=args.drain, idle_timeout_s=args.idle_timeout
-        )
-        server.initiate_drain()
-        serve_thread.join(timeout=10.0)
+        with server.serving(signals=True):
+            print(f"fleet coordinator listening on "
+                  f"{server.host}:{server.port} ({args.shards} shards, "
+                  f"epoch {server.epoch}, "
+                  f"{server.recovery['sessions_requeued']} session(s) "
+                  f"recovered)")
+            sys.stdout.flush()
+            server.start_janitor()
+            results = server.run_sessions(
+                drain=args.drain, idle_timeout_s=args.idle_timeout
+            )
         for result in results:
             print(f"done: {result.system}:{result.workload_id} "
                   f"{len(result.trials)} trials, "

@@ -1,10 +1,11 @@
 """Line-JSON client for the fleet dispatch server.
 
-One persistent connection per host process.  The resilience discipline is
-the advisor client's, verbatim: transport errors and malformed frames are
-retried a bounded number of times with jittered exponential backoff,
-reconnecting each time — a fresh connection is the only reliable way to
-resynchronise a line protocol after garbage.
+One persistent connection per host process, with
+:class:`~repro.wire.FrameClient`'s resilience discipline: transport
+errors and malformed frames are retried a bounded number of times with
+jittered exponential backoff, reconnecting each time — a fresh
+connection is the only reliable way to resynchronise a line protocol
+after garbage.
 
 Two chaos sites live here.  ``fleet.partition`` severs the socket
 mid-request — exactly what a dropped switch port or a mid-request server
@@ -18,30 +19,20 @@ state worth losing.
 
 from __future__ import annotations
 
-import json
-import random
-import socket
-import time
-from typing import Any, Dict, Optional
-
 from ..errors import FleetError
-from ..faults import should
-from .wire import MAX_FRAME_BYTES, decode_frame
+from ..wire import DEFAULT_BACKOFF_S, DEFAULT_RETRIES, FrameClient
 
 DEFAULT_PORT = 8378
 DEFAULT_TIMEOUT_S = 10.0
 
-#: Retries after the first attempt; 3 tries total by default.
-DEFAULT_RETRIES = 2
-DEFAULT_BACKOFF_S = 0.05
 
-#: Ceiling on one backoff sleep — with the deep retry budgets hosts use
-#: to ride out a hub restart, uncapped doubling would sleep for minutes.
-MAX_BACKOFF_S = 2.0
-
-
-class FleetClient:
+class FleetClient(FrameClient):
     """Blocking dispatch client over one persistent TCP connection."""
+
+    error = FleetError
+    peer = "fleet server"
+    sever_site = "fleet.partition"
+    churn_site = "fleet.reconnect_storm"
 
     def __init__(
         self,
@@ -51,101 +42,4 @@ class FleetClient:
         retries: int = DEFAULT_RETRIES,
         backoff_s: float = DEFAULT_BACKOFF_S,
     ):
-        self.host = host
-        self.port = int(port)
-        self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.backoff_s = float(backoff_s)
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._request_seq = 0
-
-    # -- connection ----------------------------------------------------------
-    def connect(self) -> "FleetClient":
-        if self._sock is None:
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout_s
-                )
-            except OSError as error:
-                raise FleetError(
-                    f"cannot reach fleet server at {self.host}:{self.port}: "
-                    f"{error}"
-                )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
-            self._rfile = sock.makefile("rb")
-        return self
-
-    def close(self) -> None:
-        if self._rfile is not None:
-            self._rfile.close()
-            self._rfile = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def __enter__(self) -> "FleetClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- requests ------------------------------------------------------------
-    def request(self, op: str, **params: Any) -> Dict[str, Any]:
-        """Send one frame, retrying transport faults with backoff.
-
-        Raises :class:`FleetError` once the retry budget is spent.
-        """
-        payload = dict(params, op=op)
-        last_error: Optional[FleetError] = None
-        for attempt in range(1, self.retries + 2):
-            try:
-                response = self._request_once(payload, attempt)
-            except FleetError as error:
-                last_error = error
-                # Reconnect-resync: after a transport error the stream
-                # position is unknowable; a fresh connection is the only
-                # safe retry.
-                self.close()
-                if attempt <= self.retries:
-                    time.sleep(
-                        min(MAX_BACKOFF_S,
-                            self.backoff_s * (2.0 ** (attempt - 1)))
-                        * random.uniform(0.5, 1.0)
-                    )
-                continue
-            return response
-        assert last_error is not None
-        raise last_error
-
-    def _request_once(
-        self, payload: Dict[str, Any], attempt: int
-    ) -> Dict[str, Any]:
-        self._request_seq += 1
-        seq = self._request_seq
-        if self._sock is not None and should(
-            "fleet.reconnect_storm", key=seq, attempt=attempt
-        ):
-            # Chaos: connection churn — drop the healthy connection
-            # cleanly and dial again, as a flappy NAT would force.
-            self.close()
-        self.connect()
-        assert self._sock is not None and self._rfile is not None
-        if should("fleet.partition", key=seq, attempt=attempt):
-            # Chaos: the network between host and coordinator goes away
-            # mid-request; the host's side sees a dead socket.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        try:
-            self._sock.sendall(
-                (json.dumps(payload, sort_keys=True) + "\n").encode()
-            )
-            line = self._rfile.readline(MAX_FRAME_BYTES + 1)
-        except OSError as error:
-            raise FleetError(f"fleet connection failed: {error}")
-        if not line:
-            raise FleetError("fleet server closed the connection")
-        return decode_frame(line)
+        super().__init__(host, port, timeout_s, retries, backoff_s)

@@ -1,9 +1,9 @@
 """The fleet dispatch server: one coordinator hub, many worker hosts.
 
-A stdlib :class:`socketserver.ThreadingTCPServer` speaking the line-JSON
-frames of :mod:`repro.fleet.wire` — the same transport discipline as the
-advisor server (persistent connections, oversized-frame rejection,
-optional token-bucket limits, graceful drain), applied to work dispatch:
+A :class:`~repro.wire.FrameServer` speaking the verbs of
+:mod:`repro.fleet.wire` — the shared transport discipline (persistent
+connections, oversized-frame rejection, optional token-bucket limits,
+graceful drain) applied to work dispatch:
 
 * remote hosts **register** with capability tags and are placed on a
   shard by the :class:`~repro.fleet.router.ShardRouter`;
@@ -34,16 +34,12 @@ bit-identical to the single-host run of the same spec.
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import socket
-import socketserver
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import faults
-from ..advisor.server import TokenBucket, read_frames
 from ..artifacts import ArtifactStore, artifact_checksum
 from ..service.coordinator import (
     COORDINATOR_POLL_S, SessionCoordinator, drive_queued_sessions,
@@ -53,21 +49,16 @@ from ..service.queue import DEFAULT_LEASE_TTL_S, Job, JobQueue
 from ..service.sessions import (
     S_QUEUED, S_RUNNING, SessionRecord, SessionStore,
 )
-from ..errors import ServiceError
 from ..storage import TrialDatabase
 from ..telemetry import MeterRegistry
+from ..wire import Frame, FrameServer, Peer
 from .registry import DEFAULT_MACHINE_TTL_S, HubState, MachineRegistry
 from .router import DEFAULT_SHARDS, ShardRouter
 from .wire import (
-    MAX_FRAME_BYTES, decode_frame, encode_frame, error_frame, ok_frame,
-    pack_bytes, peer_closed, unpack_bytes,
+    error_frame, ok_frame, pack_bytes, peer_closed, unpack_bytes,
 )
 
 logger = logging.getLogger(__name__)
-
-#: How long a handler waits for the next frame before re-checking the
-#: drain flag, seconds.
-READ_TIMEOUT_S = 0.2
 
 #: Janitor sweep period as a fraction of the machine TTL.
 JANITOR_FRACTION = 0.25
@@ -77,46 +68,10 @@ JANITOR_FRACTION = 0.25
 MAX_LEASE_WAIT_S = 5.0
 
 
-class _FleetHandler(socketserver.StreamRequestHandler):
-    """One persistent host connection; loops until EOF or drain."""
-
-    def handle(self) -> None:
-        server: "FleetServer" = self.server  # type: ignore[assignment]
-        client = self.client_address[0]
-        server.meters.counter("fleet.connections").inc()
-        for line in read_frames(
-            self.connection, lambda: server.draining, READ_TIMEOUT_S,
-            MAX_FRAME_BYTES,
-        ):
-            if len(line) > MAX_FRAME_BYTES:
-                # Oversized frame: the stream cannot be trusted to
-                # re-align on newlines — answer and drop the connection.
-                server.meters.counter("fleet.errors").inc()
-                try:
-                    self.wfile.write(
-                        encode_frame(error_frame("frame too long"))
-                    )
-                except OSError:
-                    pass
-                break
-            line = line.strip()
-            if not line:
-                continue
-            with server.track_in_flight():
-                response = server.handle_line(
-                    line, client, self.connection
-                )
-            try:
-                self.wfile.write(encode_frame(response))
-            except OSError:
-                break
-
-
-class FleetServer(socketserver.ThreadingTCPServer):
+class FleetServer(FrameServer):
     """Threaded dispatch server over one central trial database."""
 
-    daemon_threads = True
-    allow_reuse_address = True
+    meter_prefix = "fleet"
 
     def __init__(
         self,
@@ -130,7 +85,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
         burst: Optional[int] = None,
         meters: Optional[MeterRegistry] = None,
     ):
-        super().__init__((host, port), _FleetHandler)
+        super().__init__(host, port, rate_limit, burst, meters)
         self.database = database
         self.queue = JobQueue(database)
         self.sessions = SessionStore(database)
@@ -139,18 +94,11 @@ class FleetServer(socketserver.ThreadingTCPServer):
         self.artifacts = ArtifactStore(database)
         self.lease_ttl_s = float(lease_ttl_s)
         self.machine_ttl_s = float(machine_ttl_s)
-        self.meters = meters or MeterRegistry()
-        self.limiter: Optional[TokenBucket] = (
-            TokenBucket(rate_limit, burst) if rate_limit else None
-        )
-        self.draining = False
         #: Hand-off (:mod:`repro.service.doorbell`): the coordinator rings
         #: ``jobs_bell`` and blocked ``lease`` handlers listen on it;
         #: ``complete``/``fail`` ring ``results_bell``, which it waits on.
         self.jobs_bell = Doorbells()
         self.results_bell = Doorbell()
-        self._in_flight = 0
-        self._in_flight_lock = threading.Lock()
         self._janitor_stop = threading.Event()
         self._janitor_thread: Optional[threading.Thread] = None
         # Fenced restart: mint this incarnation's epoch first, then
@@ -185,7 +133,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             "sessions_requeued": len(orphaned),
         }
 
-    def _fence(self, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    def _fence(self, payload: Frame) -> Optional[Frame]:
         """``None`` when the frame may mutate state, else the rejection.
 
         Only frames that *carry* an epoch are fenced: pre-epoch clients
@@ -206,90 +154,8 @@ class FleetServer(socketserver.ThreadingTCPServer):
             epoch=self.epoch,
         )
 
-    # -- addresses -----------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` ephemeral binds)."""
-        return self.server_address[1]
-
-    # -- in-flight accounting ------------------------------------------------
-    @contextlib.contextmanager
-    def track_in_flight(self) -> Iterator[None]:
-        """Counts the frames currently being answered."""
-        with self._in_flight_lock:
-            self._in_flight += 1
-        try:
-            yield
-        finally:
-            with self._in_flight_lock:
-                self._in_flight -= 1
-
-    @property
-    def in_flight(self) -> int:
-        with self._in_flight_lock:
-            return self._in_flight
-
-    # -- request dispatch ----------------------------------------------------
-    def handle_line(
-        self, line: bytes, client: str = "",
-        connection: Optional[socket.socket] = None,
-    ) -> Dict[str, Any]:
-        """Decode and answer one frame (also the unit-test seam, which
-        has no ``connection``).
-
-        A garbage frame gets an error response but — unlike an oversized
-        one — keeps the connection: the newline that delimited it proves
-        the stream is still aligned.
-        """
-        started = time.perf_counter()
-        self.meters.counter("fleet.requests").inc()
-        try:
-            payload = decode_frame(line)
-        except ServiceError as error:
-            self.meters.counter("fleet.errors").inc()
-            return error_frame(f"bad frame: {error}")
-        try:
-            response = self.process(payload, client, connection)
-        except Exception as error:  # noqa: BLE001 — one bad request must
-            # not take down the handler thread serving a whole machine.
-            self.meters.counter("fleet.errors").inc()
-            response = error_frame(
-                f"internal error: {type(error).__name__}: {error}"
-            )
-        self.meters.meter("fleet.latency_s").record(
-            time.perf_counter() - started
-        )
-        return response
-
-    def process(
-        self, payload: Dict[str, Any], client: str,
-        connection: Optional[socket.socket] = None,
-    ) -> Dict[str, Any]:
-        op = payload.get("op")
-        if op == "ping":
-            return ok_frame(pong=True, draining=self.draining)
-        if self.limiter is not None and not self.limiter.allow(client):
-            self.meters.counter("fleet.rate_limited").inc()
-            return error_frame("rate_limited")
-        if op == "lease":
-            return self._lease(payload, connection)
-        if op in ("register", "heartbeat", "extend", "complete", "fail",
-                  "resync", "artifact_get", "artifact_put"):
-            return getattr(self, f"_{op}")(payload)
-        if op == "status":
-            return ok_frame(**self.status())
-        if op == "drain":
-            self.initiate_drain()
-            return ok_frame(draining=True)
-        self.meters.counter("fleet.errors").inc()
-        return error_frame(f"unknown op {op!r}")
-
     # -- membership ops ------------------------------------------------------
-    def _register(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _register(self, payload: Frame, connection: Peer) -> Frame:
         machine_id = str(payload.get("machine_id") or "")
         if not machine_id:
             return error_frame("register needs a machine_id")
@@ -315,7 +181,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             epoch=self.epoch,
         )
 
-    def _heartbeat(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _heartbeat(self, payload: Frame, connection: Peer) -> Frame:
         machine_id = str(payload.get("machine_id") or "")
         if not self.registry.heartbeat(machine_id):
             return error_frame(
@@ -323,7 +189,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             )
         return ok_frame(draining=self.draining)
 
-    def _machine_ok(self, machine_id: str) -> Optional[Dict[str, Any]]:
+    def _machine_ok(self, machine_id: str) -> Optional[Frame]:
         """``None`` when the machine may take work, else the error frame
         (unregistered or declared dead → the host must re-register)."""
         machine = self.registry.get(machine_id)
@@ -340,17 +206,14 @@ class FleetServer(socketserver.ThreadingTCPServer):
 
     # -- dispatch ops --------------------------------------------------------
     @staticmethod
-    def _owner(payload: Dict[str, Any]) -> str:
+    def _owner(payload: Frame) -> str:
         """Lease owner string ``machine/<worker>`` — prefix-matchable by
         :meth:`~repro.service.queue.JobQueue.reclaim_owner`."""
         machine_id = str(payload.get("machine_id") or "")
         worker = str(payload.get("worker") or "w0")
         return f"{machine_id}/{worker}"
 
-    def _lease(
-        self, payload: Dict[str, Any],
-        connection: Optional[socket.socket] = None,
-    ) -> Dict[str, Any]:
+    def _lease(self, payload: Frame, connection: Peer) -> Frame:
         machine_id = str(payload.get("machine_id") or "")
         fenced = self._fence(payload)
         if fenced is not None:
@@ -386,8 +249,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
         })
 
     def _lease_within(
-        self, owner: str, shard: int, wait_s: float,
-        connection: Optional[socket.socket],
+        self, owner: str, shard: int, wait_s: float, connection: Peer
     ) -> Optional[Job]:
         """Lease from ``shard``, holding on for up to ``wait_s`` while its
         queue has nothing runnable (the long poll behind ``lease``).
@@ -414,7 +276,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
                 ):
                     return None
 
-    def _extend(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _extend(self, payload: Frame, connection: Peer) -> Frame:
         fenced = self._fence(payload)
         if fenced is not None:
             return fenced
@@ -429,7 +291,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
         self.registry.heartbeat(str(payload.get("machine_id") or ""))
         return ok_frame(renewed=renewed)
 
-    def _complete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _complete(self, payload: Frame, connection: Peer) -> Frame:
         machine_id = str(payload.get("machine_id") or "")
         job_id = int(payload.get("job_id", -1))
         owner = self._owner(payload)
@@ -465,7 +327,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             self.meters.counter("fleet.completions").inc()
         return ok_frame(accepted=accepted, duplicate=False)
 
-    def _fail(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _fail(self, payload: Frame, connection: Peer) -> Frame:
         fenced = self._fence(payload)
         if fenced is not None:
             return fenced
@@ -478,7 +340,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
         self.meters.counter("fleet.failures").inc()
         return ok_frame(accepted=accepted)
 
-    def _resync(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _resync(self, payload: Frame, connection: Peer) -> Frame:
         """Re-adopt a reconnecting host's held leases under this epoch.
 
         ``held`` maps job id → worker name; each lease still owned by
@@ -508,7 +370,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
         return ok_frame(renewed=renewed, dropped=dropped, epoch=self.epoch)
 
     # -- artifact federation -------------------------------------------------
-    def _artifact_get(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _artifact_get(self, payload: Frame, connection: Peer) -> Frame:
         key = str(payload.get("key") or "")
         if payload.get("probe"):
             row = self.database.execute(
@@ -527,7 +389,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
             payload=pack_bytes(blob), checksum=artifact_checksum(blob)
         )
 
-    def _artifact_put(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _artifact_put(self, payload: Frame, connection: Peer) -> Frame:
         fenced = self._fence(payload)
         if fenced is not None:
             return fenced
@@ -555,7 +417,7 @@ class FleetServer(socketserver.ThreadingTCPServer):
         return ok_frame(stored=True)
 
     # -- overview ------------------------------------------------------------
-    def status(self) -> Dict[str, Any]:
+    def _status(self, payload: Frame, connection: Peer) -> Frame:
         now = time.time()
         machines = [
             {
@@ -569,15 +431,35 @@ class FleetServer(socketserver.ThreadingTCPServer):
             }
             for machine in self.registry.list()
         ]
-        return {
-            "machines": machines,
-            "num_shards": self.router.num_shards,
-            "queue": self.queue.depths(),
-            "fleet_stats": self.registry.stats(),
-            "draining": self.draining,
-            "epoch": self.epoch,
-            "recovery": dict(self.recovery),
-        }
+        return ok_frame(
+            machines=machines,
+            num_shards=self.router.num_shards,
+            queue=self.queue.depths(),
+            fleet_stats=self.registry.stats(),
+            draining=self.draining,
+            epoch=self.epoch,
+            recovery=dict(self.recovery),
+        )
+
+    def _drain(self, payload: Frame, connection: Peer) -> Frame:
+        self.initiate_drain()
+        return ok_frame(draining=True)
+
+    #: The dispatch protocol (:mod:`repro.fleet.wire` documents each op).
+    verbs = {
+        **FrameServer.verbs,
+        "register": _register,
+        "heartbeat": _heartbeat,
+        "lease": _lease,
+        "extend": _extend,
+        "complete": _complete,
+        "fail": _fail,
+        "resync": _resync,
+        "artifact_get": _artifact_get,
+        "artifact_put": _artifact_put,
+        "status": _status,
+        "drain": _drain,
+    }
 
     # -- janitor -------------------------------------------------------------
     def janitor_sweep(self, now: Optional[float] = None) -> Dict[str, int]:
@@ -659,32 +541,8 @@ class FleetServer(socketserver.ThreadingTCPServer):
         )
 
     # -- lifecycle -----------------------------------------------------------
-    def initiate_drain(self) -> None:
-        """Stop handing out work and unblock :meth:`serve_until_drained`.
-
-        Safe to call from a signal handler: everything that blocks or
-        takes a lock — ``shutdown``, and ringing the hosts out of their
-        long-polled ``lease`` — is moved onto a helper thread.
-        """
-        if self.draining:
-            return
-        self.draining = True
+    def _on_drain(self) -> None:
+        """Stop the janitor and ring the hosts out of their long-polled
+        ``lease`` (off the signal handler's thread: both take locks)."""
         self._janitor_stop.set()
-
-        def release() -> None:
-            self.jobs_bell.ring()
-            self.shutdown()
-
-        threading.Thread(target=release, daemon=True).start()
-
-    def serve_until_drained(
-        self, poll_interval: float = 0.1, drain_timeout_s: float = 5.0
-    ) -> None:
-        """``serve_forever`` plus an orderly exit (mirrors the advisor)."""
-        try:
-            self.serve_forever(poll_interval=poll_interval)
-        finally:
-            deadline = time.monotonic() + drain_timeout_s
-            while self.in_flight > 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            self.server_close()
+        self.jobs_bell.ring()

@@ -108,7 +108,7 @@ class TestHandleLine:
         try:
             response = server.handle_line(b"{nope", "c")
             assert not response["ok"]
-            assert "bad request" in response["error"]
+            assert "bad frame" in response["error"]
         finally:
             server.server_close()
 

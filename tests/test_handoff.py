@@ -19,10 +19,8 @@ import time
 import pytest
 
 import repro.fleet.server as fleet_server_module
-from repro.advisor import AdvisorClient, AdvisorServer
-from repro.fleet.client import FleetClient
 from repro.fleet.host import RemoteHost
-from repro.fleet.server import READ_TIMEOUT_S, FleetServer
+from repro.fleet.server import FleetServer
 from repro.fleet.wire import decode_frame, encode_frame
 from repro.service import (
     JobQueue, SessionCoordinator, SessionStore, WorkerPool,
@@ -406,47 +404,8 @@ class TestLongPollLease:
 class TestIdleConnectionsSurvive:
     """A connection that idles past ``READ_TIMEOUT_S`` used to be dropped
     by the server (the timed-out file object refused the next read); the
-    next request then paid a failed read, a backoff sleep and a redial."""
-
-    def test_fleet_connection_is_reused_after_an_idle_spell(self):
-        with TrialDatabase() as database:
-            server = FleetServer(database, port=0)
-            thread = threading.Thread(
-                target=server.serve_until_drained, daemon=True
-            )
-            thread.start()
-            try:
-                with FleetClient("127.0.0.1", server.port) as client:
-                    assert client.request("ping")["pong"]
-                    sock = client._sock
-                    time.sleep(3 * READ_TIMEOUT_S)
-                    assert client.request("ping")["pong"]
-                    assert client._sock is sock, "the client had to redial"
-                    assert server.meters.counter(
-                        "fleet.connections"
-                    ).value == 1
-            finally:
-                server.initiate_drain()
-                thread.join(timeout=5.0)
-
-    def test_advisor_connection_is_reused_after_an_idle_spell(self):
-        with TrialDatabase() as database:
-            server = AdvisorServer(database, port=0)
-            thread = threading.Thread(
-                target=server.serve_until_drained, daemon=True
-            )
-            thread.start()
-            try:
-                with AdvisorClient(port=server.port) as client:
-                    assert client.ping()["ok"]
-                    time.sleep(3 * READ_TIMEOUT_S)
-                    assert client.ping()["ok"]
-                    assert server.meters.counter(
-                        "advisor.connections"
-                    ).value == 1
-            finally:
-                server.initiate_drain()
-                thread.join(timeout=5.0)
+    reuse itself is pinned for both servers by ``tests/test_wire.py``,
+    the read loop's buffering here."""
 
     def test_pipelined_frames_are_each_answered(self):
         """Two frames in one segment: the second must not sit in a

@@ -1,0 +1,433 @@
+"""The transport contract of :mod:`repro.wire`, kept by every protocol
+built on it: one suite, parametrized over the advisor and the fleet hub
+(servers) and their clients."""
+
+import ast
+import contextlib
+import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from typing import NamedTuple, Tuple
+
+import pytest
+
+import repro.advisor
+import repro.fleet.wire
+from repro import faults, wire
+from repro.advisor import AdvisorClient, AdvisorServer
+from repro.errors import AdvisorError, FleetError
+from repro.fleet.client import FleetClient
+from repro.fleet.server import FleetServer
+from repro.storage import TrialDatabase
+from repro.wire import MAX_BACKOFF_S, READ_TIMEOUT_S, decode_frame
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Protocol(NamedTuple):
+    prefix: str
+    server: type
+    client: type
+    error: type
+    #: Chaos sites: sever mid-request, and the protocol's second site.
+    sites: Tuple[str, str]
+    #: Per request, how often each site fired under ``seed=7`` with both
+    #: sites at 0.5 — recorded at the commit before the clients shared
+    #: one ``_request_once``: the sites still key on ``(seq, attempt)``.
+    fired: Tuple[Tuple[int, int], ...]
+
+
+PROTOCOLS = {
+    "advisor": Protocol(
+        "advisor", AdvisorServer, AdvisorClient, AdvisorError,
+        ("advisor.drop", "advisor.garbage"),
+        ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0), (1, 0),
+         (0, 1), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0)),
+    ),
+    "fleet": Protocol(
+        "fleet", FleetServer, FleetClient, FleetError,
+        ("fleet.partition", "fleet.reconnect_storm"),
+        ((1, 1), (0, 1), (1, 0), (0, 0), (0, 0), (1, 0),
+         (0, 1), (1, 0), (1, 0), (0, 0), (1, 0), (1, 0)),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(PROTOCOLS))
+def proto(request):
+    return PROTOCOLS[request.param]
+
+
+@pytest.fixture
+def server(proto):
+    with TrialDatabase() as database:
+        server = proto.server(database, port=0)
+        with server.serving() as thread:
+            yield server
+        assert not thread.is_alive(), "the server did not drain"
+
+
+@pytest.fixture(autouse=True)
+def clean_faults():
+    faults.reset()
+    yield
+    faults.reset()
+
+
+@contextlib.contextmanager
+def raw_connection(server):
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=5.0
+    ) as sock:
+        yield sock, sock.makefile("rb")
+
+
+def count(server, proto, name):
+    return server.meters.counter(f"{proto.prefix}.{name}").value
+
+
+class TestServerContract:
+    def test_garbage_frame_is_answered_and_connection_kept(
+        self, server, proto
+    ):
+        with raw_connection(server) as (sock, reader):
+            sock.sendall(b"\x00\xfe{{{not json at all\n")
+            response = decode_frame(reader.readline())
+            assert not response["ok"]
+            assert response["error"].startswith("bad frame: ")
+            # The newline proved the stream aligned: same connection,
+            # next frame served.
+            sock.sendall(b'{"op": "ping"}\n')
+            assert decode_frame(reader.readline())["pong"] is True
+            # Well-formed JSON can still be hostile: an ``op`` no table
+            # can hold is contained like any other failing request.
+            sock.sendall(b'{"op": ["ping"]}\n{"op": "ping"}\n')
+            assert not decode_frame(reader.readline())["ok"]
+            assert decode_frame(reader.readline())["pong"] is True
+        assert count(server, proto, "errors") == 2
+        # And other clients are unaffected.
+        with proto.client("127.0.0.1", server.port) as client:
+            assert client.request("ping")["ok"]
+
+    def test_oversized_frame_is_answered_then_hung_up_on(
+        self, server, proto
+    ):
+        assert AdvisorServer.max_frame_bytes == 64 * 1024
+        assert FleetServer.max_frame_bytes == 32 * 1024 * 1024
+        server.max_frame_bytes = 4096
+        with raw_connection(server) as (sock, reader):
+            sock.sendall(b"x" * 10000 + b"\n" + b'{"op": "ping"}\n')
+            response = decode_frame(reader.readline())
+            assert not response["ok"]
+            assert "frame too long" in response["error"]
+            # The stream is unrecoverable: the server hangs up (a reset
+            # is possible when it closes with bytes still unread).
+            try:
+                rest = reader.readline()
+            except OSError:
+                rest = b""
+            assert rest == b""
+        assert count(server, proto, "errors") == 1
+        # New connections are still served.
+        with proto.client("127.0.0.1", server.port) as client:
+            assert client.request("ping")["ok"]
+
+    def test_connection_idle_past_the_read_timeout_is_reused(
+        self, server, proto
+    ):
+        """The read loop re-checks the drain flag every
+        ``READ_TIMEOUT_S``; that must not cost an idle client its
+        connection (a failed read, a backoff sleep and a redial)."""
+        with proto.client("127.0.0.1", server.port) as client:
+            assert client.request("ping")["pong"]
+            sock = client._sock
+            time.sleep(3 * READ_TIMEOUT_S)
+            assert client.request("ping")["pong"]
+            assert client._sock is sock, "the client had to redial"
+        assert count(server, proto, "connections") == 1
+
+    def test_verb_that_raises_becomes_an_internal_error_frame(
+        self, server, proto
+    ):
+        def meltdown(server, payload, connection):
+            raise RuntimeError("kb meltdown")
+
+        server.verbs = dict(server.verbs, meltdown=meltdown)
+        with proto.client(
+            "127.0.0.1", server.port, retries=0
+        ) as client:
+            response = client.request("meltdown")
+            assert not response["ok"]
+            assert "internal error" in response["error"]
+            assert "RuntimeError: kb meltdown" in response["error"]
+            assert count(server, proto, "errors") == 1
+            # The handler thread survived: the next frame is served, on
+            # the same connection.
+            assert client.request("ping")["ok"]
+        assert count(server, proto, "connections") == 1
+
+    def test_drain_waits_for_in_flight_and_refuses_late_frames(
+        self, proto
+    ):
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(server, payload, connection):
+            entered.set()
+            release.wait(10.0)
+            return {"ok": True, "finished": True}
+
+        answers = []
+        with TrialDatabase() as database:
+            server = proto.server(database, port=0)
+            server.verbs = dict(server.verbs, slow=slow)
+            with server.serving() as serve_thread:
+                with proto.client("127.0.0.1", server.port) as busy, \
+                        proto.client(
+                            "127.0.0.1", server.port, retries=0
+                        ) as late:
+                    assert late.request("ping")["ok"]
+                    asker = threading.Thread(
+                        target=lambda: answers.append(busy.request("slow")),
+                        daemon=True,
+                    )
+                    asker.start()
+                    assert entered.wait(5.0)
+                    assert server.in_flight == 1
+                    server.initiate_drain()
+                    # A frame arriving now is not answered...
+                    with pytest.raises(proto.error):
+                        late.request("ping")
+                    # ...while the one in flight holds the drain open.
+                    serve_thread.join(timeout=0.3)
+                    assert serve_thread.is_alive()
+                    release.set()
+                    asker.join(timeout=5.0)
+                    assert answers == [{"ok": True, "finished": True}]
+                    serve_thread.join(timeout=5.0)
+                    assert not serve_thread.is_alive()
+                    assert server.in_flight == 0
+
+    def test_latency_is_metered_under_the_protocol_prefix(self, proto):
+        with TrialDatabase() as database:
+            server = proto.server(database, port=0)
+            try:
+                assert server.handle_line(b'{"op": "ping"}') == {
+                    "ok": True, "pong": True, "draining": False,
+                }
+                assert not server.handle_line(b"[1, 2, 3]")["ok"]
+                stats = server.meters.snapshot()
+                assert stats[f"{proto.prefix}.requests"] == 2
+                assert stats[f"{proto.prefix}.errors"] == 1
+                # Answered frames are timed; undecodable ones are not.
+                assert stats[f"{proto.prefix}.latency_s"]["count"] == 1
+                assert {"p50", "p90", "p99"} <= set(
+                    stats[f"{proto.prefix}.latency_s"]
+                )
+            finally:
+                server.server_close()
+
+
+class TestClientContract:
+    def test_chaos_sites_fire_on_the_pinned_requests(
+        self, server, proto
+    ):
+        """Severed sockets, churned connections and garbage replies are
+        each healed by a reconnect — and for a pinned seed they strike
+        the same requests as before the clients were one class."""
+        faults.configure(
+            f"seed=7;{proto.sites[0]}=0.5;{proto.sites[1]}=0.5",
+            propagate=False,
+        )
+        fired = []
+        with proto.client(
+            "127.0.0.1", server.port, backoff_s=0.001
+        ) as client:
+            for _ in proto.fired:
+                before = dict(faults.get_plan().fired)
+                assert client.request("ping")["pong"]
+                after = faults.get_plan().fired
+                fired.append(tuple(
+                    after.get(site, 0) - before.get(site, 0)
+                    for site in proto.sites
+                ))
+        assert tuple(fired) == proto.fired
+
+    def test_exhausted_budget_raises_the_protocols_error(
+        self, server, proto
+    ):
+        # Severed on every attempt (until_attempt=99): retries cannot win.
+        faults.configure(f"seed=1;{proto.sites[0]}=1.0:99", propagate=False)
+        client = proto.client(
+            "127.0.0.1", server.port, retries=1, backoff_s=0.001
+        )
+        with pytest.raises(proto.error) as raised:
+            client.request("ping")
+        assert type(raised.value) is proto.error
+        assert client._request_seq == 2  # one try, one retry
+        assert client._sock is None  # left closed, ready to redial
+
+    def test_unreachable_server_raises_the_protocols_error(self, proto):
+        client = proto.client("127.0.0.1", 1, timeout_s=0.1, retries=0)
+        with pytest.raises(proto.error, match="cannot reach"):
+            client.request("ping")
+
+    def test_no_backoff_sleep_exceeds_the_cap(self, proto, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(wire.time, "sleep", sleeps.append)
+        client = proto.client(
+            "127.0.0.1", 1, timeout_s=0.1, retries=8, backoff_s=1.0
+        )
+        with pytest.raises(proto.error):
+            client.request("ping")
+        assert len(sleeps) == 8
+        assert max(sleeps) <= MAX_BACKOFF_S
+        # Doubling from 1 s would have slept ~128 s by now: the cap, not
+        # a small budget, is what bounds the last sleeps (jitter halves
+        # a sleep at most).
+        assert all(sleep >= MAX_BACKOFF_S / 2 for sleep in sleeps[2:])
+
+    def test_endless_reply_is_cut_off_at_the_frame_cap(
+        self, proto, monkeypatch
+    ):
+        """A peer streaming bytes with no newline must cost a bounded
+        read and a retry, not unbounded buffering."""
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
+        flood_limit = 16 * 1024 * 1024  # per connection; never reached
+        sent = []
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def flood():
+            while True:
+                try:
+                    connection, _ = listener.accept()
+                except OSError:
+                    return
+                sent.append(0)
+                with connection:
+                    try:
+                        while sent[-1] < flood_limit:
+                            sent[-1] += connection.send(b"x" * 65536)
+                    except OSError:
+                        pass  # the client gave up on this connection
+
+        thread = threading.Thread(target=flood, daemon=True)
+        thread.start()
+        try:
+            client = proto.client(
+                "127.0.0.1", listener.getsockname()[1],
+                retries=2, backoff_s=0.001,
+            )
+            with pytest.raises(proto.error, match="malformed"):
+                client.request("ping")
+            client.close()
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
+        assert len(sent) == 3  # one dial per attempt
+        assert max(sent) < flood_limit
+
+
+class TestLayering:
+    def test_wire_imports_only_the_stdlib_and_three_leaf_packages(self):
+        with open(os.path.join(REPO, "src", "repro", "wire.py")) as handle:
+            tree = ast.parse(handle.read())
+        relative, absolute = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1
+                relative.add(node.module)
+            elif isinstance(node, ast.ImportFrom):
+                absolute.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                absolute.update(a.name.split(".")[0] for a in node.names)
+        assert relative == {"errors", "faults", "telemetry"}
+        stdlib = getattr(sys, "stdlib_module_names", None)  # 3.10+
+        if stdlib is not None:
+            assert absolute <= set(stdlib), absolute - set(stdlib)
+        assert not absolute & {"repro", "numpy"}
+
+    def test_fleet_hub_and_host_do_not_import_the_advisor(self):
+        """The hub used to import ``repro.advisor.server`` (and with it
+        the knowledge base, signatures and the load generator) to borrow
+        its read loop and token bucket."""
+        env = dict(os.environ, PYTHONPATH="src")
+        code = (
+            "import sys\n"
+            "import repro.fleet.server, repro.fleet.host\n"
+            "leaked = sorted(m for m in sys.modules\n"
+            "                if m.startswith('repro.advisor'))\n"
+            "assert not leaked, leaked\n"
+            "assert 'repro.wire' in sys.modules\n"
+            "print('clean')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, cwd=REPO,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "clean" in result.stdout
+
+    def test_each_protocol_keeps_its_error_family(self):
+        assert repro.advisor.TokenBucket is wire.TokenBucket
+        assert repro.fleet.wire.decode_frame is wire.decode_frame
+        with pytest.raises(FleetError):
+            repro.fleet.wire.decode_frame(b"{nope")
+        with pytest.raises(FleetError):
+            repro.fleet.wire.unpack_bytes("not base64!!")
+        with pytest.raises(AdvisorError):
+            repro.advisor.TokenBucket(0.0)
+
+
+class TestServingHelper:
+    """``FrameServer.serving`` at its CLI call sites (``fleet serve`` is
+    driven by ``tests/test_faults_fleet.py``'s hub-restart drill)."""
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        from repro.advisor import KnowledgeBase
+        from tests.test_advisor_kb import index
+
+        path = str(tmp_path / "kb.sqlite")
+        with TrialDatabase(path) as database:
+            index(KnowledgeBase(database))
+        return path
+
+    def test_advisor_serve_drains_on_sigterm(self, db):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "advisor", "serve",
+             "--db", db, "--port", "0"],
+            env=dict(os.environ, PYTHONPATH="src"), cwd=REPO,
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith("advisor listening on 127.0.0.1:")
+            port = int(banner.split()[3].rpartition(":")[2])
+            with AdvisorClient(port=port) as client:
+                assert client.ask("IC", target_accuracy=0.8)["ok"]
+                process.send_signal(signal.SIGTERM)
+                out, _ = process.communicate(timeout=20.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+        assert process.returncode == 0
+        assert "drained; final stats:" in out
+        assert '"advisor.requests": 1' in out
+
+    def test_advisor_bench_self_hosts_and_cleans_up(self, db, capsys):
+        from repro.__main__ import main as repro_main
+
+        before = threading.active_count()
+        assert repro_main(["advisor", "bench", "--db", db, "--threads", "2",
+                           "--duration", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert "throughput:" in out and "(0 errors)" in out
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > before and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert threading.active_count() <= before
