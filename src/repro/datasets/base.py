@@ -71,6 +71,24 @@ class Dataset:
             self.targets.ndim != 2 or self.targets.shape[1] != 5
         ):
             raise ShapeError("detection targets must have shape (N, 5)")
+        # The losses gather ``probabilities[rows, class_id]`` unchecked every
+        # step, where -1 would silently wrap to the last class: reject bad
+        # ids here, once.
+        if self.task == "detection":
+            class_ids = self.targets[:, 4]
+            integral = bool(np.all(class_ids == np.floor(class_ids)))
+        else:
+            class_ids = self.targets
+            integral = np.issubdtype(class_ids.dtype, np.integer)
+        if not integral:
+            raise ShapeError(f"{self.task} class ids must be integers")
+        if class_ids.size and not (
+            0 <= class_ids.min() and class_ids.max() < self.num_classes
+        ):
+            raise ShapeError(
+                f"class ids must lie in [0, {self.num_classes}), got "
+                f"[{class_ids.min()}, {class_ids.max()}]"
+            )
 
     # -- basic container -----------------------------------------------------
     def __len__(self) -> int:

@@ -62,9 +62,16 @@ from .layers import (
     Residual,
     Sequential,
     Tanh,
+    backward_chain,
 )
-from .losses import CrossEntropyLoss, DetectionLoss, Loss
+from .losses import (
+    CrossEntropyLoss,
+    DetectionLoss,
+    Loss,
+    SoftmaxCrossEntropy,
+)
 from .module import Module, ParamTensor
+from .optimizers import pack_arena, sgd_update
 from .trainer import BACKWARD_FLOPS_FACTOR, TrainingResult, evaluate_accuracy
 
 
@@ -96,9 +103,6 @@ class BatchedParam:
     @property
     def lanes(self) -> int:
         return self.value.shape[0]
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
 
     def unstack(self) -> None:
         for lane, parameter in enumerate(self.sources):
@@ -142,6 +146,8 @@ class BatchedModule:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Stacked :meth:`Module.backward`, ``need_input_grad`` rule
+        included: a twin that owns parameters takes the flag."""
         raise NotImplementedError
 
     def parameters(self) -> List[BatchedParam]:
@@ -157,10 +163,10 @@ class BSequential(BatchedModule):
             inputs = twin.forward(inputs)
         return inputs
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for twin in reversed(self.twins):
-            grad_output = twin.backward(grad_output)
-        return grad_output
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        return backward_chain(self.twins, grad_output, need_input_grad)
 
     def parameters(self) -> List[BatchedParam]:
         collected: List[BatchedParam] = []
@@ -176,7 +182,11 @@ class BResidual(BatchedModule):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         return self.inner.forward(inputs) + inputs
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        if not need_input_grad:
+            return self.inner.backward(grad_output, need_input_grad=False)
         return self.inner.backward(grad_output) + grad_output
 
     def parameters(self) -> List[BatchedParam]:
@@ -196,12 +206,16 @@ class BLinear(BatchedModule):
         out += self.bias.value[:, None, :]
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self.weight.grad += _buffered_matmul(
             self._inputs.transpose(0, 2, 1), grad_output,
             self._scratch, "wgrad",
         )
         self.bias.grad += grad_output.sum(axis=1)
+        if not need_input_grad:
+            return None
         return _buffered_matmul(
             grad_output, self.weight.value.transpose(0, 2, 1),
             self._scratch, "bwd",
@@ -323,7 +337,9 @@ class BConv1d(BatchedModule):
             lanes, batch, out_len, self.out_channels
         ).transpose(0, 1, 3, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         lanes, batch, channels, length, out_len = self._geometry
         flat_grad = np.ascontiguousarray(
             grad_output.transpose(0, 1, 3, 2).reshape(
@@ -334,6 +350,8 @@ class BConv1d(BatchedModule):
             self._cols.transpose(0, 2, 1), flat_grad, self._scratch, "wgrad"
         )
         self.bias.grad += flat_grad.sum(axis=1)
+        if not need_input_grad:
+            return None
         w_perm = self.weight.value.reshape(
             lanes, channels, self.kernel_size, self.out_channels
         ).transpose(0, 2, 1, 3).reshape(
@@ -396,7 +414,9 @@ class BConv2d(BatchedModule):
             lanes, batch, self.out_channels, out_h, out_w
         )
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         lanes, batch, channels, height, width, out_h, out_w = self._geometry
         k, s = self.kernel_size, self.stride
         positions = out_h * out_w
@@ -411,6 +431,8 @@ class BConv2d(BatchedModule):
             self._cols.transpose(0, 2, 1), flat_grad, self._scratch, "wgrad"
         )
         self.bias.grad += flat_grad.sum(axis=1)
+        if not need_input_grad:
+            return None
         w_perm = self.weight.value.reshape(
             lanes, channels, k * k, self.out_channels
         ).transpose(0, 2, 1, 3).reshape(
@@ -597,43 +619,13 @@ def stack_modules(models: Sequence[Module]) -> BatchedModule:
 # ---------------------------------------------------------------------------
 
 
-class BatchedCrossEntropyLoss:
-    """Per-lane cross entropy over ``(K, n, C)`` logits."""
-
-    def __init__(self):
-        self._cache: Optional[tuple] = None
-
-    def forward(
-        self, logits: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        probabilities = exp / exp.sum(axis=2, keepdims=True)
-        self._cache = (probabilities, targets)
-        lanes, batch = targets.shape
-        lane_idx = np.arange(lanes)[:, None]
-        row_idx = np.arange(batch)[None, :]
-        clipped = np.clip(
-            probabilities[lane_idx, row_idx, targets], 1e-12, None
-        )
-        return -np.log(clipped).mean(axis=1)
-
-    def backward(self) -> np.ndarray:
-        probabilities, targets = self._cache
-        lanes, batch = targets.shape
-        grad = probabilities.copy()
-        grad[
-            np.arange(lanes)[:, None], np.arange(batch)[None, :], targets
-        ] -= 1.0
-        return grad / batch
-
-
 class BatchedDetectionLoss:
     """Per-lane detection loss over ``(K, n, 4 + C)`` predictions."""
 
     def __init__(self, num_classes: int, box_weight: float = 1.0):
         self.num_classes = int(num_classes)
         self.box_weight = float(box_weight)
+        self._class_term = SoftmaxCrossEntropy("stacked DetectionLoss")
         self._cache: Optional[tuple] = None
 
     def forward(
@@ -641,47 +633,36 @@ class BatchedDetectionLoss:
     ) -> np.ndarray:
         targets = np.asarray(targets, dtype=np.float64)
         boxes_pred = predictions[:, :, :4]
-        logits = predictions[:, :, 4:]
         boxes_true = targets[:, :, :4]
-        classes = targets[:, :, 4].astype(int)
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        probabilities = exp / exp.sum(axis=2, keepdims=True)
-        lanes, batch = classes.shape
-        lane_idx = np.arange(lanes)[:, None]
-        row_idx = np.arange(batch)[None, :]
         # Serial computes ``((bp - bt) ** 2).mean()`` over the 2-D slice;
         # flattening each lane before the mean keeps the identical
         # pairwise-summation reduction tree per lane.
         box_loss = (
             (boxes_pred - boxes_true) ** 2
-        ).reshape(lanes, -1).mean(axis=1)
-        clipped = np.clip(
-            probabilities[lane_idx, row_idx, classes], 1e-12, None
+        ).reshape(len(predictions), -1).mean(axis=1)
+        class_loss = self._class_term.forward(
+            predictions[:, :, 4:], targets[:, :, 4].astype(int)
         )
-        class_loss = -np.log(clipped).mean(axis=1)
-        self._cache = (boxes_pred, boxes_true, probabilities, classes)
+        self._cache = (boxes_pred, boxes_true)
         return self.box_weight * box_loss + class_loss
 
     def backward(self) -> np.ndarray:
-        boxes_pred, boxes_true, probabilities, classes = self._cache
-        lanes, batch = classes.shape
-        grad = np.zeros((lanes, batch, 4 + self.num_classes))
+        grad_class = self._class_term.backward()
+        boxes_pred, boxes_true = self._cache
+        lanes, batch = boxes_pred.shape[:2]
+        grad = np.empty((lanes, batch, 4 + self.num_classes))
         grad[:, :, :4] = (
             self.box_weight * 2.0 * (boxes_pred - boxes_true) / (batch * 4)
         )
-        grad_class = probabilities.copy()
-        grad_class[
-            np.arange(lanes)[:, None], np.arange(batch)[None, :], classes
-        ] -= 1.0
-        grad[:, :, 4:] = grad_class / batch
+        grad[:, :, 4:] = grad_class
         return grad
 
 
 def batched_loss_for(loss: Loss):
     """Build the batched twin of a serial loss instance."""
     if type(loss) is CrossEntropyLoss:
-        return BatchedCrossEntropyLoss()
+        # The serial loss's fused kernel takes the stack as it is.
+        return SoftmaxCrossEntropy("stacked CrossEntropyLoss")
     if type(loss) is DetectionLoss:
         return BatchedDetectionLoss(loss.num_classes, loss.box_weight)
     raise UnstackableModelError(
@@ -697,12 +678,14 @@ def batched_loss_for(loss: Loss):
 class BatchedSGD:
     """SGD over stacked parameters with per-lane learning rates.
 
-    The all-lanes-active step runs the exact serial in-place op sequence
-    on the full stacks (the lr broadcast is ``(K, 1, …)``, so each lane
-    sees a scalar multiply like serial).  When some lanes are frozen by
-    divergence, the update runs on ``[active]`` fancy-index copies and
-    writes back — the same per-element arithmetic on the surviving lanes,
-    and no touch at all on frozen ones.
+    The stacked parameters live in one flat arena (:func:`pack_arena`),
+    each ``(K, ...)`` tensor a contiguous block, and ``_lr`` holds every
+    element's own lane's rate.  The all-lanes-active step is then the exact
+    serial in-place op sequence over the whole arena (each element sees the
+    scalar multiply its lane would see in serial).  When some lanes are
+    frozen by divergence, the update runs on fancy-index copies of the
+    active lanes' elements and writes back — the same per-element
+    arithmetic on the surviving lanes, and no touch at all on frozen ones.
     """
 
     def __init__(
@@ -730,52 +713,38 @@ class BatchedSGD:
         self.lrs = rates
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-        self._scratch = [np.zeros_like(p.value) for p in self.parameters]
-        self._lr_views = [
-            rates.reshape((rates.shape[0],) + (1,) * (p.value.ndim - 1))
-            for p in self.parameters
-        ]
+        self.values, self.grads = pack_arena(self.parameters)
+        self.velocity = np.zeros_like(self.values)
+        self.scratch = np.empty_like(self.values)
+        #: Lane of every arena element (blocks are lane-major inside).
+        self._lane = np.concatenate(
+            [np.empty(0, dtype=np.intp)] + [
+                np.repeat(np.arange(lanes), p.value[0].size)
+                for p in self.parameters
+            ]
+        )
+        self._lr = rates[self._lane]
 
     def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
+        self.grads.fill(0.0)
 
     def step(self, active: Optional[np.ndarray] = None) -> None:
         if active is None or bool(active.all()):
-            for parameter, velocity, scratch, lr in zip(
-                self.parameters, self._velocity, self._scratch, self._lr_views
-            ):
-                if self.weight_decay:
-                    np.multiply(parameter.value, self.weight_decay,
-                                out=scratch)
-                    scratch += parameter.grad
-                else:
-                    scratch[...] = parameter.grad
-                scratch *= lr
-                velocity *= self.momentum
-                velocity -= scratch
-                parameter.value += velocity
+            sgd_update(
+                self.values, self.grads, self.velocity, self.scratch,
+                self._lr, self.momentum, self.weight_decay,
+            )
             return
-        index = np.flatnonzero(active)
-        if index.size == 0:
+        if not active.any():
             return
-        for parameter, velocity, lr in zip(
-            self.parameters, self._velocity, self._lr_views
-        ):
-            value = parameter.value[index]
-            lane_velocity = velocity[index]
-            if self.weight_decay:
-                scratch = value * self.weight_decay
-                scratch += parameter.grad[index]
-            else:
-                scratch = parameter.grad[index].copy()
-            scratch *= lr[index]
-            lane_velocity *= self.momentum
-            lane_velocity -= scratch
-            value += lane_velocity
-            parameter.value[index] = value
-            velocity[index] = lane_velocity
+        index = np.flatnonzero(active[self._lane])
+        value, velocity = self.values[index], self.velocity[index]
+        sgd_update(
+            value, self.grads[index], velocity, np.empty_like(value),
+            self._lr[index], self.momentum, self.weight_decay,
+        )
+        self.values[index] = value
+        self.velocity[index] = velocity
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +868,9 @@ def train_model_batch(
                 active &= ~newly_diverged
             if not active.any():
                 break
-            stacked.backward(batched_loss.backward())
+            stacked.backward(
+                batched_loss.backward(), need_input_grad=False
+            )
             optimizer.step(active)
             width = stop - start
             for lane in np.flatnonzero(active):

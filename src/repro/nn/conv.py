@@ -83,7 +83,9 @@ class Conv1d(Module):
         out += self.bias.value
         return out.transpose(0, 2, 1)  # (N, C_out, Lo)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cols is None or self._input_shape is None:
             raise ShapeError("Conv1d.backward called before forward")
         grad_out = grad_output.transpose(0, 2, 1)  # (N, Lo, C_out)
@@ -94,6 +96,8 @@ class Conv1d(Module):
         np.matmul(flat_cols.T, flat_grad, out=self._weight_grad_scratch)
         self.weight.grad += self._weight_grad_scratch
         self.bias.grad += flat_grad.sum(axis=0)
+        if not need_input_grad:
+            return None
         # Feed the gemm the contiguous copy already made for the weight
         # gradient — same values, but saves matmul an internal buffering
         # pass over the strided transpose view.
@@ -239,7 +243,9 @@ class Conv2d(Module):
             batch, self.out_channels, out_h, out_w
         )
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cols is None or self._geometry is None:
             raise ShapeError("Conv2d.backward called before forward")
         input_shape, out_h, out_w = self._geometry
@@ -254,6 +260,8 @@ class Conv2d(Module):
         np.matmul(flat_cols.T, flat_grad, out=self._weight_grad_scratch)
         self.weight.grad += self._weight_grad_scratch
         self.bias.grad += flat_grad.sum(axis=0)
+        if not need_input_grad:
+            return None
         return kernels.conv2d_input_grad(
             flat_grad.reshape(grad_out.shape),
             self.weight.value,

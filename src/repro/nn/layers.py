@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,12 +37,14 @@ class Linear(Module):
         self._inputs = inputs
         return inputs @ self.weight.value + self.bias.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._inputs is None:
             raise ShapeError("Linear.backward called before forward")
         self.weight.grad += self._inputs.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.value.T
+        return grad_output @ self.weight.value.T if need_input_grad else None
 
     def parameters(self) -> List[ParamTensor]:
         return [self.weight, self.bias]
@@ -197,13 +199,17 @@ class BatchNorm1d(Module):
         self._cache = (normalized, std)
         return self.gamma.value * normalized + self.beta.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache is None:
             raise ShapeError("BatchNorm1d.backward called before forward")
         normalized, std = self._cache
         batch = grad_output.shape[0]
         self.gamma.grad += (grad_output * normalized).sum(axis=0)
         self.beta.grad += grad_output.sum(axis=0)
+        if not need_input_grad:
+            return None
         grad_normalized = grad_output * self.gamma.value
         if not self.training:
             return grad_normalized / std
@@ -234,7 +240,11 @@ class Residual(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         return self.inner.forward(inputs) + inputs
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        if not need_input_grad:
+            return self.inner.backward(grad_output, need_input_grad=False)
         return self.inner.backward(grad_output) + grad_output
 
     def parameters(self) -> List[ParamTensor]:
@@ -253,6 +263,27 @@ class Residual(Module):
         return inner_flops + int(np.prod(input_shape)), input_shape
 
 
+def backward_chain(
+    modules: Sequence, grad: np.ndarray, need_input_grad: bool
+) -> Optional[np.ndarray]:
+    """Backpropagate ``grad`` through ``modules`` (layers or stacked twins).
+
+    Without a consumer for the input gradient the chain ends at the first
+    module that owns parameters (which is told so in turn); the
+    parameter-free modules in front of it have nothing to learn.
+    """
+    if need_input_grad:
+        for module in reversed(modules):
+            grad = module.backward(grad)
+        return grad
+    head = next((i for i, m in enumerate(modules) if m.parameters()), None)
+    if head is not None:
+        for module in reversed(modules[head + 1:]):
+            grad = module.backward(grad)
+        modules[head].backward(grad, need_input_grad=False)
+    return None
+
+
 class Sequential(Module):
     """Chain of modules applied in order."""
 
@@ -269,11 +300,10 @@ class Sequential(Module):
             output = module.forward(output)
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for module in reversed(self.modules):
-            grad = module.backward(grad)
-        return grad
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        return backward_chain(self.modules, grad_output, need_input_grad)
 
     def parameters(self) -> List[ParamTensor]:
         result: List[ParamTensor] = []

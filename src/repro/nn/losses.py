@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,11 +27,68 @@ class Loss:
         raise NotImplementedError
 
 
+class SoftmaxCrossEntropy:
+    """Fused softmax + mean cross entropy in one reusable buffer.
+
+    Serves ``(n, C)`` logits and, for the stacked twins, ``(K, n, C)``
+    ones (the loss is then a ``(K,)`` vector, one mean per lane).
+    ``forward`` runs max, subtract, exp, sum and divide in place in a
+    scratch array kept per logits shape (with its cached gather index);
+    ``backward`` turns that same array into the gradient.  The arithmetic,
+    operand for operand, is the textbook ``softmax -> clip -> log -> mean``
+    (kept as the oracle in ``tests/test_nn_losses_optim.py``), so no result
+    bit changes.  Buffer contract, as for the conv layers' gradient
+    buffers: ``backward`` consumes the cached probabilities, so it runs
+    once per ``forward``, and the array it returns is valid until the next
+    ``forward``.
+    """
+
+    def __init__(self, owner: str) -> None:
+        self._owner = owner
+        self._buffers: Dict[Tuple[int, ...], Tuple[np.ndarray, tuple]] = {}
+        self._pending: Optional[tuple] = None
+
+    def forward(self, logits: np.ndarray, targets: np.ndarray):
+        buffers = self._buffers.get(logits.shape)
+        if buffers is None:
+            buffers = self._buffers[logits.shape] = (
+                np.empty(logits.shape),
+                tuple(np.indices(logits.shape[:-1], sparse=True)),
+            )
+        probabilities, index = buffers
+        np.subtract(
+            logits, np.maximum.reduce(logits, axis=-1, keepdims=True),
+            out=probabilities,
+        )
+        np.exp(probabilities, out=probabilities)
+        probabilities /= np.add.reduce(probabilities, axis=-1, keepdims=True)
+        index = index + (targets,)
+        picked = np.maximum(probabilities[index], 1e-12)
+        np.log(picked, out=picked)
+        self._pending = (probabilities, index)
+        return -(np.add.reduce(picked, axis=-1) / picked.shape[-1])
+
+    def backward(self) -> np.ndarray:
+        if self._pending is None:
+            raise ShapeError(f"{self._owner}.backward called before forward")
+        probabilities, index = self._pending
+        self._pending = None
+        probabilities[index] -= 1.0
+        probabilities /= probabilities.shape[-2]
+        return probabilities
+
+
 class CrossEntropyLoss(Loss):
-    """Softmax cross entropy over integer class targets."""
+    """Softmax cross entropy over integer class targets.
+
+    Targets are trusted to lie in ``[0, C)``: a ``Dataset`` validates its
+    class ids once, at construction.  The gradient ``backward`` returns is
+    a reused buffer: valid until the next ``forward``, and a second
+    ``backward`` without a new ``forward`` raises.
+    """
 
     def __init__(self) -> None:
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._kernel = SoftmaxCrossEntropy("CrossEntropyLoss")
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
         if logits.ndim != 2:
@@ -42,20 +99,10 @@ class CrossEntropyLoss(Loss):
                 f"targets shape {targets.shape} does not match batch "
                 f"{logits.shape[0]}"
             )
-        probabilities = softmax(logits)
-        self._cache = (probabilities, targets)
-        rows = np.arange(logits.shape[0])
-        clipped = np.clip(probabilities[rows, targets], 1e-12, None)
-        return float(-np.log(clipped).mean())
+        return float(self._kernel.forward(logits, targets))
 
     def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise ShapeError("CrossEntropyLoss.backward called before forward")
-        probabilities, targets = self._cache
-        grad = probabilities.copy()
-        rows = np.arange(grad.shape[0])
-        grad[rows, targets] -= 1.0
-        return grad / grad.shape[0]
+        return self._kernel.backward()
 
 
 class MSELoss(Loss):
@@ -88,7 +135,9 @@ class DetectionLoss(Loss):
     by class logits.  The loss is MSE on the box plus cross entropy on the
     class, weighted by ``box_weight`` — the same structure (localisation +
     classification) as the real YOLO objective, reduced to one object per
-    image.
+    image.  The class term is the same fused kernel as
+    :class:`CrossEntropyLoss`, with the same contract: one ``backward`` per
+    ``forward``, class ids trusted (validated by the dataset).
     """
 
     def __init__(self, num_classes: int, box_weight: float = 1.0):
@@ -96,6 +145,7 @@ class DetectionLoss(Loss):
             raise ShapeError("DetectionLoss needs at least 2 classes")
         self.num_classes = num_classes
         self.box_weight = float(box_weight)
+        self._class_term = SoftmaxCrossEntropy("DetectionLoss")
         self._cache: Optional[tuple] = None
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -110,28 +160,21 @@ class DetectionLoss(Loss):
                 "detection targets must be (N, 5): 4 box coords + class id"
             )
         boxes_pred = predictions[:, :4]
-        logits = predictions[:, 4:]
         boxes_true = targets[:, :4]
-        classes = targets[:, 4].astype(int)
-        probabilities = softmax(logits)
-        rows = np.arange(predictions.shape[0])
         box_loss = ((boxes_pred - boxes_true) ** 2).mean()
-        clipped = np.clip(probabilities[rows, classes], 1e-12, None)
-        class_loss = float(-np.log(clipped).mean())
-        self._cache = (boxes_pred, boxes_true, probabilities, classes)
+        class_loss = self._class_term.forward(
+            predictions[:, 4:], targets[:, 4].astype(int)
+        )
+        self._cache = (boxes_pred, boxes_true)
         return float(self.box_weight * box_loss + class_loss)
 
     def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise ShapeError("DetectionLoss.backward called before forward")
-        boxes_pred, boxes_true, probabilities, classes = self._cache
+        grad_class = self._class_term.backward()
+        boxes_pred, boxes_true = self._cache
         batch = boxes_pred.shape[0]
-        grad = np.zeros((batch, 4 + self.num_classes))
+        grad = np.empty((batch, 4 + self.num_classes))
         grad[:, :4] = (
             self.box_weight * 2.0 * (boxes_pred - boxes_true) / (batch * 4)
         )
-        grad_class = probabilities.copy()
-        rows = np.arange(batch)
-        grad_class[rows, classes] -= 1.0
-        grad[:, 4:] = grad_class / batch
+        grad[:, 4:] = grad_class
         return grad

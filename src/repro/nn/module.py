@@ -104,7 +104,15 @@ class Module:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_output`` and return the input gradient."""
+        """Backpropagate ``grad_output`` and return the input gradient.
+
+        A module that owns parameters also takes ``need_input_grad=False``:
+        the caller (the training loop, through :class:`Sequential`) has no
+        consumer for the input gradient — the module is the first trainable
+        one, what is in front of it is data — so it accumulates its
+        parameter gradients and returns ``None``.  The rule is an argument
+        of the call, never module state, so it cannot reach a pickle.
+        """
         raise NotImplementedError
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ tunable training hyperparameter in the extended examples.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -17,21 +17,87 @@ from ..errors import ConfigurationError
 from .module import ParamTensor
 
 
+def arena_views(arena: np.ndarray, parameters: Sequence) -> List[np.ndarray]:
+    """One contiguous view of the flat ``arena`` per parameter, in the
+    parameter's shape, back to back in list order."""
+    views, start = [], 0
+    for parameter in parameters:
+        stop = start + parameter.value.size
+        views.append(arena[start:stop].reshape(parameter.value.shape))
+        start = stop
+    return views
+
+
+def pack_arena(parameters: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Move ``parameters`` into one contiguous ``(values, grads)`` pair.
+
+    Every ``.value``/``.grad`` is rebound to a view of its slice, so layers,
+    ``state_dict``/``load_state_dict`` and pickling keep working on the
+    tensors (they read and write in place) while an optimizer updates all
+    of them with one ufunc call per operation.
+    """
+    values = np.empty(sum(p.value.size for p in parameters))
+    grads = np.empty_like(values)
+    for parameter, value, grad in zip(
+        parameters,
+        arena_views(values, parameters),
+        arena_views(grads, parameters),
+    ):
+        value[...] = parameter.value
+        grad[...] = parameter.grad
+        parameter.value, parameter.grad = value, grad
+    return values, grads
+
+
+def sgd_update(
+    values: np.ndarray,
+    grads: np.ndarray,
+    velocity: np.ndarray,
+    scratch: np.ndarray,
+    lr,
+    momentum: float,
+    weight_decay: float,
+) -> None:
+    """``v = m*v - lr*(g + wd*w); w += v`` in place, allocating nothing.
+
+    Bit-identical to that textbook per-parameter form (kept as the oracle
+    in ``tests/test_nn_losses_optim.py``): the update is elementwise, and
+    IEEE-754 addition and multiplication are commutative, so regrouping
+    into in-place ops over a whole arena does not change a single bit.
+    ``lr`` is a scalar or one rate per element (the stacked twins' lanes).
+    """
+    if weight_decay:
+        np.multiply(values, weight_decay, out=scratch)
+        scratch += grads
+    else:
+        scratch[...] = grads
+    scratch *= lr
+    velocity *= momentum
+    velocity -= scratch
+    values += velocity
+
+
 class Optimizer:
-    """Base optimizer over a fixed parameter list."""
+    """Base optimizer over a fixed parameter list.
+
+    Owns the parameter arena (:func:`pack_arena`): ``values`` and ``grads``
+    are flat buffers the parameters are views of, so a step costs the same
+    handful of array calls whatever the parameter count.  The most recently
+    built optimizer owns a model's parameters; an older one is detached.
+    """
 
     def __init__(self, parameters: Sequence[ParamTensor], lr: float):
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
         self.lr = float(lr)
+        self.values, self.grads = pack_arena(self.parameters)
 
     def step(self) -> None:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
+        self.grads.fill(0.0)
 
 
 class SGD(Optimizer):
@@ -53,17 +119,10 @@ class SGD(Optimizer):
             raise ConfigurationError("weight decay must be non-negative")
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self._velocity: List[np.ndarray] = [
-            np.zeros_like(p.value) for p in self.parameters
-        ]
-        # Per-parameter scratch for the effective-gradient temporary, so a
-        # step allocates nothing.  The update below is bit-identical to the
-        # textbook ``v = m*v - lr*(g + wd*w)`` form: IEEE-754 addition and
-        # multiplication are commutative, so regrouping into in-place ops
-        # does not change a single bit.
-        self._scratch: List[np.ndarray] = [
-            np.zeros_like(p.value) for p in self.parameters
-        ]
+        self.velocity = np.zeros_like(self.values)
+        #: Arena-sized home of the effective-gradient temporary.
+        self.scratch = np.empty_like(self.values)
+        self._velocity = arena_views(self.velocity, self.parameters)
 
     def state_dict(self) -> Dict[str, List[np.ndarray]]:
         """Copy of the mutable optimizer state (momentum buffers).
@@ -91,18 +150,10 @@ class SGD(Optimizer):
             slot[...] = value
 
     def step(self) -> None:
-        for parameter, velocity, scratch in zip(
-            self.parameters, self._velocity, self._scratch
-        ):
-            if self.weight_decay:
-                np.multiply(parameter.value, self.weight_decay, out=scratch)
-                scratch += parameter.grad
-            else:
-                scratch[...] = parameter.grad
-            scratch *= self.lr
-            velocity *= self.momentum
-            velocity -= scratch
-            parameter.value += velocity
+        sgd_update(
+            self.values, self.grads, self.velocity, self.scratch,
+            self.lr, self.momentum, self.weight_decay,
+        )
 
 
 class Adam(Optimizer):
@@ -121,22 +172,21 @@ class Adam(Optimizer):
             raise ConfigurationError("betas must be in [0, 1)")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.value) for p in self.parameters]
-        self._v = [np.zeros_like(p.value) for p in self.parameters]
+        self._m = np.zeros_like(self.values)
+        self._v = np.zeros_like(self.values)
 
     def step(self) -> None:
         self._step_count += 1
         correction1 = 1.0 - self.beta1**self._step_count
         correction2 = 1.0 - self.beta2**self._step_count
-        for parameter, m, v in zip(self.parameters, self._m, self._v):
-            grad = parameter.grad
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad**2
-            m_hat = m / correction1
-            v_hat = v / correction2
-            parameter.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, grad = self._m, self._v, self.grads
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad**2
+        m_hat = m / correction1
+        v_hat = v / correction2
+        self.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class LRSchedule:

@@ -61,12 +61,14 @@ class ElmanRNN(Module):
         self._cache = (inputs, states)
         return hidden
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache is None:
             raise ShapeError("ElmanRNN.backward called before forward")
         inputs, states = self._cache
         batch, steps, _ = inputs.shape
-        grad_inputs = np.zeros_like(inputs)
+        grad_inputs = np.zeros_like(inputs) if need_input_grad else None
         grad_hidden = grad_output
         for t in range(steps - 1, -1, -1):
             hidden = states[t + 1]
@@ -75,8 +77,10 @@ class ElmanRNN(Module):
             self.w_in.grad += inputs[:, t, :].T @ grad_pre
             self.w_rec.grad += previous.T @ grad_pre
             self.bias.grad += grad_pre.sum(axis=0)
-            grad_inputs[:, t, :] = grad_pre @ self.w_in.value.T
-            grad_hidden = grad_pre @ self.w_rec.value.T
+            if need_input_grad:
+                grad_inputs[:, t, :] = grad_pre @ self.w_in.value.T
+            if t:  # nothing precedes step 0
+                grad_hidden = grad_pre @ self.w_rec.value.T
         return grad_inputs
 
     def parameters(self) -> List[ParamTensor]:

@@ -197,7 +197,8 @@ def train_model(
                 # burning the rest of the budget or crashing the run.
                 diverged = True
                 break
-            model.backward(loss.backward())
+            # The batch is data: nothing consumes dL/d(input).
+            model.backward(loss.backward(), need_input_grad=False)
             optimizer.step()
             epoch_loss += batch_loss
             batches += 1

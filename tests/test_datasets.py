@@ -38,6 +38,33 @@ class TestDatasetContainer:
             Dataset("d", np.zeros((5, 2)), np.zeros((5, 3)), 2,
                     task="detection")
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_classification_class_ids_validated(self, bad):
+        """-1 would wrap to the last class in the loss's gather and train
+        on it; ``num_classes`` would be a bare IndexError mid-trial."""
+        targets = np.array([0, 1, bad, 3, 2])
+        with pytest.raises(ShapeError, match=r"\[0, 4\)"):
+            Dataset("d", np.zeros((5, 2)), targets, 4)
+
+    def test_classification_class_ids_must_be_integers(self):
+        with pytest.raises(ShapeError, match="integers"):
+            Dataset("d", np.zeros((5, 2)), np.zeros(5), 4)
+
+    @pytest.mark.parametrize("bad", [-1.0, 3.0, 1.5, np.nan])
+    def test_detection_class_column_validated(self, bad):
+        targets = np.zeros((5, 5))
+        targets[2, 4] = bad
+        with pytest.raises(ShapeError, match="class ids"):
+            Dataset("d", np.zeros((5, 2)), targets, 3, task="detection")
+
+    @pytest.mark.parametrize("maker", [make_cifar10, make_coco])
+    def test_views_of_a_valid_dataset_still_construct(self, maker):
+        ds = maker(samples=40, seed=0)
+        train, test = ds.split(0.2, rng=0)
+        parts = [ds.subset(0.3, rng=1), ds.take(7), train, test]
+        assert [len(p) for p in parts] == [12, 7, 32, 8]
+        assert all(p.num_classes == ds.num_classes for p in parts)
+
     def test_subset_fraction(self):
         ds = self.make(100)
         sub = ds.subset(0.3, rng=1)

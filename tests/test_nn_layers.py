@@ -286,3 +286,115 @@ class TestComposite:
     def test_parameter_count(self):
         model = Sequential(Linear(4, 3, rng=0))
         assert model.parameter_count() == 4 * 3 + 3
+
+
+class TestDataGradientRule:
+    """``train_model`` has no consumer for dL/d(input batch): the first
+    trainable layer is told so and what is in front of it is skipped, while
+    ``backward`` called directly still returns the full input gradient."""
+
+    FAMILIES = {
+        "textrnn": ((24, 12), {"stride": 4}),
+        "m5": ((1, 128), None),
+        "resnet": ((3, 8, 8), None),
+        "yolo": ((3, 16, 16), {"dropout": 0.3}),
+    }
+
+    def build(self, name):
+        from repro.nn.models import get_model_family
+
+        sample_shape, hyperparameters = self.FAMILIES[name]
+        return get_model_family(name).instantiate(
+            sample_shape, 5, hyperparameters, seed=3
+        )
+
+    def train(self, name, dataset):
+        from repro.nn import CrossEntropyLoss, train_model
+
+        train_set, held_out = dataset.split(0.2, rng=0)
+        result = train_model(
+            self.build(name), CrossEntropyLoss(), train_set, held_out,
+            epochs=2, batch_size=16, seed=5,
+        )
+        return -(-result.samples_seen // 16)  # 16-row batches: steps taken
+
+    def test_m5_step_computes_one_conv_input_gradient_not_two(
+        self, monkeypatch
+    ):
+        from repro.datasets import make_speech_commands
+        from repro.nn import kernels
+
+        calls = []
+        original = kernels.conv1d_input_grad
+        monkeypatch.setattr(
+            kernels, "conv1d_input_grad",
+            lambda *args: calls.append(1) or original(*args),
+        )
+        steps = self.train(
+            "m5", make_speech_commands(samples=40, num_classes=5, seed=1)
+        )
+        assert steps == 4 and len(calls) == steps
+        # Called directly, the same model runs both.
+        model = self.build("m5")
+        del calls[:]
+        model.backward(np.ones_like(model.forward(RNG.normal(size=(4, 1, 128)))))
+        assert len(calls) == 2
+
+    def test_textrnn_step_never_scatters_through_the_stride(
+        self, monkeypatch
+    ):
+        from repro.datasets import make_agnews
+
+        def forbidden(self, grad_output):
+            raise AssertionError("SequenceStride.backward under train_model")
+
+        monkeypatch.setattr(SequenceStride, "backward", forbidden)
+        assert self.train(
+            "textrnn", make_agnews(samples=40, num_classes=5, seed=1)
+        ) == 4
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_direct_backward_still_returns_the_input_gradient(self, name):
+        inputs = RNG.normal(size=(6,) + self.FAMILIES[name][0])
+        direct, chained, headless = (self.build(name) for _ in range(3))
+        grad_output = np.ones_like(direct.forward(inputs))
+
+        got = direct.backward(grad_output)
+        # The chain as Sequential has always run it, layer by layer.
+        chained.forward(inputs)
+        expected = grad_output
+        for module in reversed(chained.modules):
+            expected = module.backward(expected)
+        assert got.shape == inputs.shape
+        assert got.tobytes() == expected.tobytes()
+
+        # Skipping the data gradient changes no parameter gradient.
+        headless.forward(inputs)
+        assert headless.backward(grad_output, need_input_grad=False) is None
+        for ours, theirs in zip(headless.parameters(), direct.parameters()):
+            assert ours.grad.any()
+            assert ours.grad.tobytes() == theirs.grad.tobytes()
+
+    def test_rule_reaches_a_head_nested_in_containers(self):
+        def build():
+            return Sequential(
+                Flatten(),
+                Residual(Sequential(Linear(6, 6, rng=0), Tanh())),
+                BatchNorm1d(6),
+                Linear(6, 2, rng=1),
+            )
+
+        inputs = RNG.normal(size=(5, 2, 3))
+        full, headless = build(), build()
+        grad_output = np.ones((5, 2))
+        full.forward(inputs)
+        assert full.backward(grad_output).shape == inputs.shape
+        headless.forward(inputs)
+        assert headless.backward(grad_output, need_input_grad=False) is None
+        for ours, theirs in zip(headless.parameters(), full.parameters()):
+            assert ours.grad.tobytes() == theirs.grad.tobytes()
+        # A chain that starts with the batch norm ends there.
+        norm_first = Sequential(BatchNorm1d(6), Linear(6, 2, rng=1))
+        norm_first.forward(inputs.reshape(5, 6))
+        assert norm_first.backward(grad_output, need_input_grad=False) is None
+        assert norm_first.parameters()[0].grad.any()

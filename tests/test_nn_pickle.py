@@ -251,3 +251,61 @@ def test_legacy_blob_loads_like_a_fresh_one(name):
     )
     for ours, theirs in zip(legacy.parameters(), fresh.parameters()):
         assert np.array_equal(ours.value, theirs.value)
+
+
+# ---------------------------------------------------------------------------
+# A trained model's parameters are views of its optimizer's arena
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["resnet", "m5"])
+def test_model_trained_in_an_arena_pickles_like_one_that_was_not(name):
+    """``train_model`` leaves every parameter a view of one arena buffer;
+    the pickle must carry each tensor's own bytes, not the arena — the
+    same bytes the trial leaves when it ran as a lane of a stacked group
+    (whose models are written back into their own arrays), which is what
+    CI's serial-vs-stacked checksum comparison asserts through the CLI."""
+    from repro.datasets import make_cifar10, make_speech_commands
+    from repro.nn import train_model
+    from repro.nn.batched import train_model_batch
+
+    family = get_model_family(name)
+    make = {"resnet": make_cifar10, "m5": make_speech_commands}[name]
+    train_set, held_out = make(samples=60, seed=1).split(0.2, rng=0)
+    loss = family.make_loss(train_set.num_classes)
+    settings = dict(epochs=2, batch_size=16, lr=0.05)
+
+    def build():
+        return [
+            family.instantiate(
+                train_set.sample_shape, train_set.num_classes, seed=seed
+            )
+            for seed in (3, 4)
+        ]
+
+    serial, stacked = build(), build()
+    for model, seed in zip(serial, (11, 12)):
+        train_model(model, loss, train_set, held_out, seed=seed, **settings)
+    train_model_batch(
+        stacked, loss, train_set, held_out, seeds=(11, 12), **settings
+    )
+    for ours, theirs in zip(serial, stacked):
+        assert not any(p.value.flags.owndata for p in ours.parameters())
+        assert all(p.value.flags.owndata for p in theirs.parameters())
+        blob = pickle.dumps(ours, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) <= 1.05 * parameter_bytes(ours) + 4096, len(blob)
+        assert blob == pickle.dumps(theirs, protocol=pickle.HIGHEST_PROTOCOL)
+
+        restored = pickle.loads(blob).parameters()
+        for index, parameter in enumerate(restored):
+            buffer = parameter.value
+            while isinstance(buffer.base, np.ndarray):
+                buffer = buffer.base
+            assert buffer.size == parameter.value.size  # its own memory
+            assert not any(
+                np.shares_memory(parameter.value, other.value)
+                for other in restored[index + 1:]
+            )
+            assert np.array_equal(
+                parameter.value, ours.parameters()[index].value
+            )
