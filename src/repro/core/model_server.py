@@ -41,14 +41,14 @@ import json
 import os
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..artifacts import ArtifactStore, pack_velocity, trial_key
 from ..budgets import BudgetStrategy, MultiBudget
 from ..datasets.base import Dataset
 from ..errors import TuningError
 from ..hardware import Emulator, get_device
-from ..nn import train_model
+from ..nn import TrainingResult, train_model
 from ..objectives import WORST_SCORE, RatioObjective, TuningObjective
 from ..rng import SeedLike, derive_seed, ensure_seed
 from ..search import ScheduledTrial, TrialReport, build_scheduler
@@ -266,18 +266,70 @@ def evaluate_trial(
     memoization): a task whose :func:`~repro.artifacts.trial_key` is
     already stored returns the stored evaluation and model bit-for-bit
     without training.  Tier 2 (warm-resume, only when ``task.reuse``):
-    the parent rung's weights/momentum are restored and training starts
-    at ``task.start_epoch``.  A missing parent artifact degrades to a
-    cold run — the task is re-keyed with the lineage stripped so the
-    stored artifact always describes what actually ran.
+    see :func:`train_trial`, which is everything past the memo probe.
     """
-    workload = workload or get_workload(task.workload_id)
     key: Optional[str] = None
     if artifacts is not None:
         key = trial_key(task)
         cached = artifacts.load_trial(key)
         if cached is not None:
             return cached[0], cached[1]
+    return train_trial(task, key, train_set, eval_set, workload, artifacts)
+
+
+class TrialSetup(NamedTuple):
+    """What a trial trains with, alone or as a lane of a stack."""
+
+    model: Any
+    loss: Any
+    batch_size: int
+    learning_rate: float
+    seed: int
+
+
+def trial_setup(
+    task: TrialTask, workload: Workload, train_set: Dataset
+) -> TrialSetup:
+    """Build ``task``'s model and loss and resolve its real batch size,
+    learning rate and training seed."""
+    family = workload.family
+    model = family.instantiate(
+        train_set.sample_shape,
+        train_set.num_classes,
+        dict(task.values),
+        seed=workload.model_seed(task.seed, task.trial_id),
+    )
+    real_batch, learning_rate = workload.effective_training(
+        int(task.values["train_batch_size"])
+    )
+    return TrialSetup(
+        model,
+        family.make_loss(train_set.num_classes),
+        real_batch,
+        learning_rate,
+        derive_seed(task.seed, "train", task.trial_id),
+    )
+
+
+def train_trial(
+    task: TrialTask,
+    key: Optional[str],
+    train_set: Optional[Dataset] = None,
+    eval_set: Optional[Dataset] = None,
+    workload: Optional[Workload] = None,
+    artifacts: Optional[ArtifactStore] = None,
+) -> Tuple[TrialEvaluation, Any]:
+    """Train one task whose memo probe under ``key`` already missed.
+
+    :func:`evaluate_trial` without the probe, for callers that have made
+    it (a second one would count the miss, and query the store, twice).
+    Warm-resume (only when ``task.reuse``): the parent rung's
+    weights/momentum are restored and training starts at
+    ``task.start_epoch``.  A missing parent artifact degrades to a cold
+    run — the task is re-keyed with the lineage stripped so the stored
+    artifact always describes what actually ran.
+    """
+    workload = workload or get_workload(task.workload_id)
     resume: Optional[Tuple[Dict[str, Any], List[Any]]] = None
     if artifacts is not None and task.reuse and task.parent_key is not None:
         resume = artifacts.resume_state(task.parent_key)
@@ -293,34 +345,39 @@ def evaluate_trial(
         train_set, eval_set = workload.load(
             seed=task.seed, samples=task.samples
         )
-    family = workload.family
-    model = family.instantiate(
-        train_set.sample_shape,
-        train_set.num_classes,
-        dict(task.values),
-        seed=workload.model_seed(task.seed, task.trial_id),
-    )
-    loss = family.make_loss(train_set.num_classes)
-    configured_batch = int(task.values["train_batch_size"])
-    real_batch, learning_rate = workload.effective_training(configured_batch)
+    setup = trial_setup(task, workload, train_set)
+    model = setup.model
     init_state: Optional[Dict[str, Any]] = None
     if resume is not None:
         init_state = {"weights": resume[0], "velocity": resume[1]}
     result = train_model(
         model,
-        loss,
+        setup.loss,
         train_set,
         eval_set,
         epochs=task.epochs,
-        batch_size=real_batch,
-        lr=learning_rate,
+        batch_size=setup.batch_size,
+        lr=setup.learning_rate,
         data_fraction=task.data_fraction,
-        seed=derive_seed(task.seed, "train", task.trial_id),
+        seed=setup.seed,
         start_epoch=task.start_epoch if init_state is not None else 0,
         init_state=init_state,
         nested_subset=task.reuse,
         capture_state=task.reuse and artifacts is not None,
     )
+    return finish_trial(task, key, model, result, artifacts), model
+
+
+def finish_trial(
+    task: TrialTask,
+    key: Optional[str],
+    model: Any,
+    result: TrainingResult,
+    artifacts: Optional[ArtifactStore],
+) -> TrialEvaluation:
+    """Turn the training result into the trial's evaluation and store it
+    under ``key`` — one place for every way a trial trains, so a stacked
+    lane leaves the artifact its serial run would."""
     evaluation = TrialEvaluation(
         trial_id=task.trial_id,
         accuracy=result.accuracy,
@@ -348,7 +405,7 @@ def evaluate_trial(
             epochs=task.epochs,
             data_fraction=task.data_fraction,
         )
-    return evaluation, model
+    return evaluation
 
 
 @dataclass

@@ -13,16 +13,18 @@ path (:func:`repro.nn.batched.train_model_batch`).  Three pieces:
   means "not stackable — use the serial path".
 * :func:`group_tasks` — partition a task list into execution groups of
   at most K signature-sharers plus serial singletons.
-* :func:`evaluate_trial_batch` — the K-wide twin of
+* :func:`evaluate_trial_batch` — the K-wide form of
   :func:`~repro.core.model_server.evaluate_trial`: per-member artifact
   memo check first, one stacked training run for the misses, K per-trial
-  evaluations out.  Artifact keys stay per-trial (the cache must hit
-  identically whether a trial ran stacked or serial), so each member is
-  stored under exactly the key the serial path would have used.
+  evaluations out, each built and stored by the serial path's own
+  :func:`~repro.core.model_server.finish_trial`.  Artifact keys stay
+  per-trial (the cache must hit identically whether a trial ran stacked
+  or serial), so each member is stored under exactly the key the serial
+  path would have used.
 
 Bit-identity per member with the serial path is the invariant; the
 signature gates (fast backend, no warm-resume lineage) exclude every
-path the batched trainer does not mirror.
+path the batched training loop does not have.
 """
 
 from __future__ import annotations
@@ -33,13 +35,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..artifacts import ArtifactStore, trial_key
 from ..nn import kernels
 from ..nn.batched import UnstackableModelError, train_model_batch
-from ..rng import derive_seed
+from ..nn.trainer import TrainingResult
 from ..workloads import Workload, get_workload
 from .model_server import (
     TrialEvaluation,
     TrialTask,
     _plain,
     evaluate_trial,
+    finish_trial,
+    train_trial,
+    trial_setup,
 )
 
 #: Stacking width when the CLI/spec leaves ``--trial-batch`` on auto.
@@ -76,9 +81,10 @@ def batch_signature(
     """Grouping key for ``task``, or ``None`` when it must run serially.
 
     Serial-only cases: warm-resume lineage (``reuse``/``parent_key``/
-    ``start_epoch`` change the training loop in ways the batched path
-    does not mirror), non-stackable model families (recurrent), and the
-    reference kernel backend (the batched twins mirror the fast paths).
+    ``start_epoch`` change the training loop in ways the batched loop
+    does not have), non-stackable model families (recurrent), and the
+    reference kernel backend (the serial-rank oracle: its kernels take no
+    lane stack).
     """
     if task.reuse or task.parent_key is not None or task.start_epoch:
         return None
@@ -153,9 +159,9 @@ def evaluate_trial_batch(
     Returns ``[(evaluation, model), ...]`` aligned with ``tasks``; each
     element is bit-identical to ``evaluate_trial(task, ...)`` run alone.
     Members already memoized in the artifact store are served from it
-    (and excluded from the stack); a single remaining miss falls through
-    to the serial path.  Stacking failures (defensive — the signature
-    should prevent them) also fall back to per-task serial evaluation.
+    (and excluded from the stack); a single remaining miss trains
+    serially, as does every miss when stacking fails (defensive — the
+    signature should prevent it).  Each member's key is probed once.
     """
     tasks = list(tasks)
     if not tasks:
@@ -177,102 +183,53 @@ def evaluate_trial_batch(
                 results[index] = (cached[0], cached[1])
                 continue
         pending.append((index, task, key))
-    if len(pending) == 1:
-        index, task, _ = pending[0]
-        results[index] = evaluate_trial(
-            task, train_set, eval_set,
-            workload=workload, artifacts=artifacts,
-        )
-        return results
-    if pending:
+    trained = None
+    if len(pending) > 1:
         try:
-            evaluated = _train_stacked(
-                pending, train_set, eval_set, workload
+            trained = _train_stacked(
+                [task for _, task, _ in pending],
+                train_set, eval_set, workload,
             )
         except UnstackableModelError:
-            for index, task, _ in pending:
-                results[index] = evaluate_trial(
-                    task, train_set, eval_set,
-                    workload=workload, artifacts=artifacts,
-                )
-            return results
-        for (index, task, key), (evaluation, model) in zip(
-            pending, evaluated
-        ):
-            if artifacts is not None and key is not None:
-                artifacts.store_trial(
-                    key,
-                    evaluation,
-                    model,
-                    None,
-                    workload=task.workload_id,
-                    epochs=task.epochs,
-                    data_fraction=task.data_fraction,
-                )
-            results[index] = (evaluation, model)
+            pass
+    for lane, (index, task, key) in enumerate(pending):
+        if trained is None:
+            results[index] = train_trial(
+                task, key, train_set, eval_set, workload, artifacts
+            )
+        else:
+            model, result = trained[lane]
+            results[index] = (
+                finish_trial(task, key, model, result, artifacts), model
+            )
     return results
 
 
 def _train_stacked(
-    pending: Sequence[Tuple[int, TrialTask, Optional[str]]],
-    train_set,
-    eval_set,
-    workload: Workload,
-) -> List[Tuple[TrialEvaluation, Any]]:
-    """One stacked training run over the pending members.
+    tasks: Sequence[TrialTask], train_set, eval_set, workload: Workload
+) -> List[Tuple[Any, TrainingResult]]:
+    """One stacked training run: ``(model, training result)`` per task.
 
-    Mirrors the serial ``evaluate_trial`` body: same model/loss
-    construction, same ``effective_training`` resolution (the signature
-    guarantees every member resolves to the same real batch/lr), same
-    per-trial training seeds.
+    Every lane is set up by the serial path's own
+    :func:`~repro.core.model_server.trial_setup`; the signature
+    guarantees the members resolve to the same loss, real batch size and
+    learning rate, so the head's stand for all.
     """
-    family = workload.family
-    models = [
-        family.instantiate(
-            train_set.sample_shape,
-            train_set.num_classes,
-            dict(task.values),
-            seed=workload.model_seed(task.seed, task.trial_id),
-        )
-        for _, task, _ in pending
-    ]
-    loss = family.make_loss(train_set.num_classes)
-    head = pending[0][1]
-    configured_batch = int(head.values["train_batch_size"])
-    real_batch, learning_rate = workload.effective_training(configured_batch)
-    seeds = [
-        derive_seed(task.seed, "train", task.trial_id)
-        for _, task, _ in pending
-    ]
-    train_results = train_model_batch(
+    setups = [trial_setup(task, workload, train_set) for task in tasks]
+    models = [setup.model for setup in setups]
+    head, head_setup = tasks[0], setups[0]
+    results = train_model_batch(
         models,
-        loss,
+        head_setup.loss,
         train_set,
         eval_set,
         epochs=head.epochs,
-        batch_size=real_batch,
-        lr=learning_rate,
+        batch_size=head_setup.batch_size,
+        lr=head_setup.learning_rate,
         data_fraction=head.data_fraction,
-        seeds=seeds,
+        seeds=[setup.seed for setup in setups],
     )
-    out: List[Tuple[TrialEvaluation, Any]] = []
-    for (_, task, _), model, result in zip(pending, models, train_results):
-        out.append((
-            TrialEvaluation(
-                trial_id=task.trial_id,
-                accuracy=result.accuracy,
-                final_loss=result.final_loss,
-                samples_seen=result.samples_seen,
-                forward_flops_per_sample=result.forward_flops_per_sample,
-                train_total_flops=result.train_total_flops,
-                parameter_count=result.parameter_count,
-                diverged=result.diverged,
-                failure="training diverged (non-finite loss)"
-                if result.diverged else None,
-            ),
-            model,
-        ))
-    return out
+    return list(zip(models, results))
 
 
 def evaluate_task_groups(

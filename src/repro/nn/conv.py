@@ -13,6 +13,14 @@ layers their matmul scratch) across steps, so steady-state training does
 not allocate in ``backward``.  The returned gradient is therefore only
 valid until the layer's next ``backward`` call — which is how the
 engine's layer-by-layer backward chain consumes it.
+
+Lanes: every body here computes on trailing axes, so a ``(K, n, C, ...)``
+lane stack runs through the lines an ``(n, C, ...)`` batch does.  The
+gather/scatter kernels keep their ``(N, C, ...)`` contract — the layers
+fold the lane axis into the batch axis around them (:func:`_fold`; a
+no-op view on a plain batch) — while the gemms see the patch matrix as
+``(M, F)`` rows per weight matrix: ``(n·Lo, F) @ (F, O)`` for one trial,
+``(K, n·Lo, F) @ (K, F, O)`` for a stack.
 """
 
 from __future__ import annotations
@@ -28,6 +36,12 @@ from .initializers import he_normal, zeros
 from .module import Module, ParamTensor, Shape, check_ndim
 
 
+def _fold(array: np.ndarray, keep: int) -> np.ndarray:
+    """``array`` with every axis in front of its last ``keep`` merged into
+    one: lanes folded into the batch axis for an ``(N, ...)`` kernel."""
+    return array.reshape((-1,) + array.shape[-keep:])
+
+
 def _out_length(length: int, kernel: int, stride: int) -> int:
     if length < kernel:
         raise ShapeError(
@@ -36,8 +50,49 @@ def _out_length(length: int, kernel: int, stride: int) -> int:
     return (length - kernel) // stride + 1
 
 
-class Conv1d(Module):
-    """1-D convolution over (N, C, L) inputs; used by the M5 audio model."""
+class _PatchGemm:
+    """The two gemms of an im2col convolution, shared by both conv layers.
+
+    Patch rows are grouped per weight matrix — ``(n·P, F)`` for one trial,
+    ``(K, n·P, F)`` against ``(K, F, O)`` weights for a lane stack — so the
+    flattened-gemm form of :func:`kernels.scratch_matmul` (one tall matrix
+    instead of ``n`` small ones) and the flat bias reduction are the same
+    lines at either rank.
+    """
+
+    def _project(self, cols: np.ndarray) -> np.ndarray:
+        """Cache the ``(N, P, F)`` patch matrix and return ``cols @ W + b``
+        as ``(..., n·P, C_out)`` rows in the layer's forward buffer."""
+        weight = self.weight.value
+        self._cols = cols.reshape(weight.shape[:-2] + (-1, cols.shape[-1]))
+        out = kernels.scratch_matmul(
+            self._cols, weight, self._forward_scratch, "out"
+        )
+        out += self.bias.value[..., None, :]
+        return out
+
+    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add the weight and bias gradients of ``grad_out`` ``(..., P,
+        C_out)`` and return its contiguous copy — the input-gradient gemm
+        is fed that copy, which saves matmul an internal buffering pass
+        over the strided transpose view."""
+        flat_grad = np.ascontiguousarray(grad_out).reshape(
+            self._cols.shape[:-1] + (self.out_channels,)
+        )
+        np.matmul(
+            self._cols.swapaxes(-1, -2), flat_grad,
+            out=self._weight_grad_scratch,
+        )
+        self.weight.grad += self._weight_grad_scratch
+        self.bias.grad += flat_grad.sum(axis=-2)
+        return flat_grad.reshape(grad_out.shape)
+
+    def parameters(self) -> List[ParamTensor]:
+        return [self.weight, self.bias]
+
+
+class Conv1d(_PatchGemm, Module):
+    """1-D convolution over (..., C, L) inputs; used by the M5 audio model."""
 
     def __init__(
         self,
@@ -60,58 +115,45 @@ class Conv1d(Module):
         )
         self.bias = ParamTensor("bias", zeros((out_channels,)))
         self._cols: Optional[np.ndarray] = None
-        self._input_shape: Optional[Tuple[int, int, int]] = None
+        self._input_shape: Optional[Tuple[int, ...]] = None
         self._forward_scratch: dict = {}
         self._backward_scratch: dict = {}
         self._weight_grad_scratch = np.zeros_like(self.weight.value)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("Conv1d", inputs, 3)
-        if inputs.shape[1] != self.in_channels:
+        check_ndim("Conv1d", inputs, 3 + self.lane_axes)
+        if inputs.shape[-2] != self.in_channels:
             raise ShapeError(
                 f"Conv1d expected {self.in_channels} channels, "
-                f"got {inputs.shape[1]}"
+                f"got {inputs.shape[-2]}"
             )
-        out_len = _out_length(inputs.shape[2], self.kernel_size, self.stride)
+        out_len = _out_length(inputs.shape[-1], self.kernel_size, self.stride)
         self._input_shape = inputs.shape
-        self._cols = kernels.im2col_1d(
-            inputs, self.kernel_size, self.stride, out_len
-        )
-        out = kernels.scratch_matmul(
-            self._cols, self.weight.value, self._forward_scratch, "out"
-        )
-        out += self.bias.value
-        return out.transpose(0, 2, 1)  # (N, C_out, Lo)
+        out = self._project(kernels.im2col_1d(
+            _fold(inputs, 2), self.kernel_size, self.stride, out_len
+        ))
+        return out.reshape(
+            inputs.shape[:-2] + (out_len, self.out_channels)
+        ).swapaxes(-1, -2)  # (..., C_out, Lo)
 
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True
     ) -> Optional[np.ndarray]:
         if self._cols is None or self._input_shape is None:
             raise ShapeError("Conv1d.backward called before forward")
-        grad_out = grad_output.transpose(0, 2, 1)  # (N, Lo, C_out)
-        flat_cols = self._cols.reshape(-1, self._cols.shape[-1])
-        flat_grad = np.ascontiguousarray(
-            grad_out.reshape(-1, self.out_channels)
+        grad_out = self._accumulate(
+            grad_output.swapaxes(-1, -2)  # (..., Lo, C_out)
         )
-        np.matmul(flat_cols.T, flat_grad, out=self._weight_grad_scratch)
-        self.weight.grad += self._weight_grad_scratch
-        self.bias.grad += flat_grad.sum(axis=0)
         if not need_input_grad:
             return None
-        # Feed the gemm the contiguous copy already made for the weight
-        # gradient — same values, but saves matmul an internal buffering
-        # pass over the strided transpose view.
         return kernels.conv1d_input_grad(
-            flat_grad.reshape(grad_out.shape),
+            grad_out,
             self.weight.value,
             self._input_shape,
             self.kernel_size,
             self.stride,
             self._backward_scratch,
         )
-
-    def parameters(self) -> List[ParamTensor]:
-        return [self.weight, self.bias]
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, length = input_shape
@@ -134,15 +176,17 @@ class MaxPool1d(Module):
         self._grad_input: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("MaxPool1d", inputs, 3)
-        batch, channels, length = inputs.shape
+        check_ndim("MaxPool1d", inputs, 3 + self.lane_axes)
+        length = inputs.shape[-1]
         out_len = length // self.kernel_size
         if out_len == 0:
             raise ShapeError(
                 f"MaxPool1d: length {length} < kernel {self.kernel_size}"
             )
-        trimmed = inputs[:, :, : out_len * self.kernel_size]
-        windows = trimmed.reshape(batch, channels, out_len, self.kernel_size)
+        trimmed = inputs[..., : out_len * self.kernel_size]
+        windows = trimmed.reshape(
+            inputs.shape[:-1] + (out_len, self.kernel_size)
+        )
         maxima, argmax = kernels.maxpool_forward(windows)
         self._cache = (inputs.shape, out_len, argmax)
         return maxima
@@ -151,15 +195,16 @@ class MaxPool1d(Module):
         if self._cache is None:
             raise ShapeError("MaxPool1d.backward called before forward")
         input_shape, out_len, argmax = self._cache
+        folded = _fold(grad_output, 2)
         self._grad_input = kernels.maxpool1d_backward(
-            grad_output,
-            input_shape,
+            folded,
+            folded.shape[:1] + input_shape[-2:],
             out_len,
             self.kernel_size,
-            argmax,
+            _fold(argmax, 2),
             out=self._grad_input,
         )
-        return self._grad_input
+        return self._grad_input.reshape(input_shape)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, length = input_shape
@@ -168,22 +213,21 @@ class MaxPool1d(Module):
 
 
 class GlobalAvgPool1d(Module):
-    """Average over the length axis: (N, C, L) -> (N, C)."""
+    """Average over the length axis: (..., C, L) -> (..., C)."""
 
     def __init__(self) -> None:
-        self._input_shape: Optional[Tuple[int, int, int]] = None
+        self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("GlobalAvgPool1d", inputs, 3)
+        check_ndim("GlobalAvgPool1d", inputs, 3 + self.lane_axes)
         self._input_shape = inputs.shape
-        return inputs.mean(axis=2)
+        return inputs.mean(axis=-1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise ShapeError("GlobalAvgPool1d.backward called before forward")
-        batch, channels, length = self._input_shape
         return np.broadcast_to(
-            grad_output[:, :, None] / length, self._input_shape
+            grad_output[..., None] / self._input_shape[-1], self._input_shape
         ).copy()
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
@@ -191,8 +235,8 @@ class GlobalAvgPool1d(Module):
         return channels * length, (channels,)
 
 
-class Conv2d(Module):
-    """2-D convolution over (N, C, H, W) inputs (square kernels)."""
+class Conv2d(_PatchGemm, Module):
+    """2-D convolution over (..., C, H, W) inputs (square kernels)."""
 
     def __init__(
         self,
@@ -221,27 +265,22 @@ class Conv2d(Module):
         self._weight_grad_scratch = np.zeros_like(self.weight.value)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("Conv2d", inputs, 4)
-        if inputs.shape[1] != self.in_channels:
+        check_ndim("Conv2d", inputs, 4 + self.lane_axes)
+        if inputs.shape[-3] != self.in_channels:
             raise ShapeError(
                 f"Conv2d expected {self.in_channels} channels, "
-                f"got {inputs.shape[1]}"
+                f"got {inputs.shape[-3]}"
             )
-        out_h = _out_length(inputs.shape[2], self.kernel_size, self.stride)
-        out_w = _out_length(inputs.shape[3], self.kernel_size, self.stride)
-        cols = kernels.im2col_2d(
-            inputs, self.kernel_size, self.stride, out_h, out_w
-        )
-        self._cols = cols
+        out_h = _out_length(inputs.shape[-2], self.kernel_size, self.stride)
+        out_w = _out_length(inputs.shape[-1], self.kernel_size, self.stride)
+        out = self._project(kernels.im2col_2d(
+            _fold(inputs, 3), self.kernel_size, self.stride, out_h, out_w
+        ))
         self._geometry = (inputs.shape, out_h, out_w)
-        out = kernels.scratch_matmul(
-            cols, self.weight.value, self._forward_scratch, "out"
-        )  # (N, Ho*Wo, C_out)
-        out += self.bias.value
-        batch = inputs.shape[0]
-        return out.transpose(0, 2, 1).reshape(
-            batch, self.out_channels, out_h, out_w
-        )
+        lead = inputs.shape[:-3]
+        return out.reshape(
+            lead + (out_h * out_w, self.out_channels)
+        ).swapaxes(-1, -2).reshape(lead + (self.out_channels, out_h, out_w))
 
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True
@@ -249,21 +288,15 @@ class Conv2d(Module):
         if self._cols is None or self._geometry is None:
             raise ShapeError("Conv2d.backward called before forward")
         input_shape, out_h, out_w = self._geometry
-        batch = input_shape[0]
-        grad_out = grad_output.reshape(
-            batch, self.out_channels, out_h * out_w
-        ).transpose(0, 2, 1)  # (N, Ho*Wo, C_out)
-        flat_cols = self._cols.reshape(-1, self._cols.shape[-1])
-        flat_grad = np.ascontiguousarray(
-            grad_out.reshape(-1, self.out_channels)
+        grad_out = self._accumulate(
+            grad_output.reshape(
+                input_shape[:-3] + (self.out_channels, out_h * out_w)
+            ).swapaxes(-1, -2)  # (..., Ho*Wo, C_out)
         )
-        np.matmul(flat_cols.T, flat_grad, out=self._weight_grad_scratch)
-        self.weight.grad += self._weight_grad_scratch
-        self.bias.grad += flat_grad.sum(axis=0)
         if not need_input_grad:
             return None
         return kernels.conv2d_input_grad(
-            flat_grad.reshape(grad_out.shape),
+            grad_out,
             self.weight.value,
             input_shape,
             out_h,
@@ -272,9 +305,6 @@ class Conv2d(Module):
             self.stride,
             self._backward_scratch,
         )
-
-    def parameters(self) -> List[ParamTensor]:
-        return [self.weight, self.bias]
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, height, width = input_shape
@@ -298,33 +328,33 @@ class MaxPool2d(Module):
         self._grad_input: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("MaxPool2d", inputs, 4)
+        check_ndim("MaxPool2d", inputs, 4 + self.lane_axes)
         k = self.kernel_size
-        batch, channels, height, width = inputs.shape
+        height, width = inputs.shape[-2:]
         out_h, out_w = height // k, width // k
         if out_h == 0 or out_w == 0:
             raise ShapeError(
                 f"MaxPool2d: input {height}x{width} smaller than kernel {k}"
             )
-        trimmed = inputs[:, :, : out_h * k, : out_w * k]
+        trimmed = _fold(inputs, 3)[:, :, : out_h * k, : out_w * k]
         maxima, argmax = kernels.maxpool2d_forward(trimmed, k)
         self._cache = (inputs.shape, out_h, out_w, argmax)
-        return maxima
+        return maxima.reshape(inputs.shape[:-2] + (out_h, out_w))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ShapeError("MaxPool2d.backward called before forward")
         input_shape, out_h, out_w, argmax = self._cache
         self._grad_input = kernels.maxpool2d_backward(
-            grad_output,
-            input_shape,
+            _fold(grad_output, 3),
+            argmax.shape[:1] + input_shape[-3:],
             out_h,
             out_w,
             self.kernel_size,
             argmax,
             out=self._grad_input,
         )
-        return self._grad_input
+        return self._grad_input.reshape(input_shape)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, height, width = input_shape
@@ -334,23 +364,22 @@ class MaxPool2d(Module):
 
 
 class GlobalAvgPool2d(Module):
-    """Average over spatial axes: (N, C, H, W) -> (N, C)."""
+    """Average over spatial axes: (..., C, H, W) -> (..., C)."""
 
     def __init__(self) -> None:
         self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("GlobalAvgPool2d", inputs, 4)
+        check_ndim("GlobalAvgPool2d", inputs, 4 + self.lane_axes)
         self._input_shape = inputs.shape
-        return inputs.mean(axis=(2, 3))
+        return inputs.mean(axis=(-2, -1))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise ShapeError("GlobalAvgPool2d.backward called before forward")
-        batch, channels, height, width = self._input_shape
-        area = height * width
+        area = self._input_shape[-2] * self._input_shape[-1]
         return np.broadcast_to(
-            grad_output[:, :, None, None] / area, self._input_shape
+            grad_output[..., None, None] / area, self._input_shape
         ).copy()
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:

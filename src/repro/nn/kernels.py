@@ -105,17 +105,20 @@ def scratch_matmul(
     ``(N*M, K) @ (K, P)`` gemm: BLAS handles a single tall matrix far
     better than N small calls, and because gemm reduces over K in the
     same order regardless of M, the result is bit-identical (asserted by
-    the property tests in ``tests/test_nn_kernels.py``).
+    the property tests in ``tests/test_nn_kernels.py``).  With K lanes in
+    front of both operands the same fold gives ``(K, n, M, F) @ (K, F, P)``
+    as ``(K, n*M, F) @ (K, F, P)`` — per lane, the gemm above.
     """
     shape = a.shape[:-1] + (b.shape[-1],)
     buf = scratch.get(key)
     if buf is None or buf.shape != shape:
         buf = np.empty(shape, dtype=np.result_type(a, b))
         scratch[key] = buf
-    if a.ndim == 3 and b.ndim == 2 and a.flags.c_contiguous:
+    if a.ndim == b.ndim + 1 and a.flags.c_contiguous:
+        rows = b.shape[:-2] + (-1,)
         np.matmul(
-            a.reshape(-1, a.shape[-1]), b,
-            out=buf.reshape(-1, shape[-1]),
+            a.reshape(rows + a.shape[-1:]), b,
+            out=buf.reshape(rows + shape[-1:]),
         )
     else:
         np.matmul(a, b, out=buf)
@@ -156,39 +159,59 @@ def im2col_1d(inputs: np.ndarray, kernel: int, stride: int, out_len: int) -> np.
     return _im2col_1d_reference(inputs, kernel, stride, out_len)
 
 
+def _offset_major_grad_cols(
+    grad_out: np.ndarray,
+    weight: np.ndarray,
+    channels: int,
+    offsets: int,
+    scratch: dict,
+) -> np.ndarray:
+    """Patch gradient ``grad_out @ W'.T``, kernel offset outermost.
+
+    The ``(..., C*offsets, C_out)`` weight is permuted to offset-major
+    rows so the gemm emits each offset's contributions as one contiguous
+    ``(..., C)`` block instead of an ``offsets``-strided gather.
+    Permuting gemm columns does not change any dot product, so the values
+    are bit-identical to the reference layout.  Trailing axes throughout:
+    a leading lane axis on ``weight`` (and on ``grad_out``, in front of
+    its batch axis) rides along.
+    """
+    lanes, out_channels = weight.shape[:-2], weight.shape[-1]
+    w_perm = weight.reshape(
+        lanes + (channels, offsets, out_channels)
+    ).swapaxes(-3, -2).reshape(lanes + (offsets * channels, out_channels))
+    return scratch_matmul(
+        grad_out, w_perm.swapaxes(-1, -2), scratch, "grad_cols"
+    )
+
+
 def _conv1d_input_grad_fast(
     grad_out: np.ndarray,
     weight: np.ndarray,
-    input_shape: Tuple[int, int, int],
+    input_shape: Tuple[int, ...],
     kernel: int,
     stride: int,
     scratch: dict,
 ) -> np.ndarray:
     """Input gradient via an offset-major gemm and strided slice-adds.
 
-    The weight matrix is permuted so the gemm emits the patch gradient
-    with the kernel offset as the *outer* block axis: the slice for each
-    offset ``k`` is then a contiguous ``(N, Lo, C)`` block instead of a
-    K-strided gather.  Permuting gemm columns does not change any dot
-    product, so the values are bit-identical to the reference layout.
-    Per offset, the destinations ``o*stride + k`` are strictly increasing
-    in ``o`` — no duplicate indices, so a plain ``+=`` on the strided
-    slice is exact and ``np.add.at`` is unnecessary.
+    Per offset ``k``, the destinations ``o*stride + k`` are strictly
+    increasing in ``o`` — no duplicate indices, so a plain ``+=`` on the
+    strided slice is exact and ``np.add.at`` is unnecessary.  The
+    slice-adds run on the gradient with its lanes folded into the batch
+    axis (a view: the buffer is contiguous).
     """
-    batch, channels, _ = input_shape
-    out_len = grad_out.shape[1]
-    out_channels = weight.shape[1]
-    w_perm = weight.reshape(channels, kernel, out_channels).transpose(
-        1, 0, 2
-    ).reshape(kernel * channels, out_channels)
-    grad_cols = scratch_matmul(
-        grad_out, w_perm.T, scratch, "grad_cols"
-    )  # (N, Lo, K*C)
+    channels, length = input_shape[-2:]
+    out_len = grad_out.shape[-2]
+    grad_cols = _offset_major_grad_cols(
+        grad_out, weight, channels, kernel, scratch
+    )  # (..., Lo, K*C)
     grad = _scratch_zeroed(input_shape, scratch, "grad_input")
-    blocks = grad_cols.reshape(batch, out_len, kernel, channels)
+    folded = grad.reshape(-1, channels, length)
+    blocks = grad_cols.reshape(-1, out_len, kernel, channels)
     for k in range(kernel):
         end = k + (out_len - 1) * stride + 1
-        grad[:, :, k:end:stride] += blocks[:, :, k, :].transpose(0, 2, 1)
+        folded[:, :, k:end:stride] += blocks[:, :, k, :].transpose(0, 2, 1)
     return grad
 
 
@@ -224,7 +247,10 @@ def conv1d_input_grad(
 
     ``scratch`` is a layer-owned dict the backend reuses for its gemm and
     gradient buffers across steps; the returned array aliases it and is
-    only valid until the next call with the same dict.
+    only valid until the next call with the same dict.  The fast backend
+    also takes a lane stack — ``grad_out`` (K, n, Lo, C_out), ``weight``
+    (K, C*K, C_out), ``input_shape`` (K, n, C, L); the reference backend
+    is the serial-rank oracle only.
     """
     if _BACKEND == "fast":
         return _conv1d_input_grad_fast(
@@ -272,7 +298,7 @@ def im2col_2d(
 def _conv2d_input_grad_fast(
     grad_out: np.ndarray,
     weight: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
+    input_shape: Tuple[int, ...],
     out_h: int,
     out_w: int,
     kernel: int,
@@ -282,22 +308,19 @@ def _conv2d_input_grad_fast(
     """2-D analogue of :func:`_conv1d_input_grad_fast`: offset-major gemm
     so each (dy, dx) slice is a contiguous ``(N, Ho, Wo, C)`` block, then
     one exact strided slice-add per kernel offset."""
-    batch, channels, _, _ = input_shape
-    out_channels = weight.shape[1]
+    channels = input_shape[-3]
     k, s = kernel, stride
-    w_perm = weight.reshape(channels, k * k, out_channels).transpose(
-        1, 0, 2
-    ).reshape(k * k * channels, out_channels)
-    grad_cols = scratch_matmul(
-        grad_out, w_perm.T, scratch, "grad_cols"
-    )  # (N, Ho*Wo, K*K*C)
+    grad_cols = _offset_major_grad_cols(
+        grad_out, weight, channels, k * k, scratch
+    )  # (..., Ho*Wo, K*K*C)
     grad = _scratch_zeroed(input_shape, scratch, "grad_input")
-    blocks = grad_cols.reshape(batch, out_h, out_w, k * k, channels)
+    folded = grad.reshape((-1,) + input_shape[-3:])
+    blocks = grad_cols.reshape(-1, out_h, out_w, k * k, channels)
     for dy in range(k):
         row_end = dy + (out_h - 1) * s + 1
         for dx in range(k):
             col_end = dx + (out_w - 1) * s + 1
-            grad[:, :, dy:row_end:s, dx:col_end:s] += blocks[
+            folded[:, :, dy:row_end:s, dx:col_end:s] += blocks[
                 :, :, :, dy * k + dx, :
             ].transpose(0, 3, 1, 2)
     return grad
@@ -339,7 +362,8 @@ def conv2d_input_grad(
     scratch: dict,
 ) -> np.ndarray:
     """Gradient w.r.t. the conv input: ``grad_out`` (N, Ho*Wo, C_out)
-    back through ``weight`` (C*K*K, C_out) and the im2col gather."""
+    back through ``weight`` (C*K*K, C_out) and the im2col gather; lane
+    stacks as for :func:`conv1d_input_grad`."""
     if _BACKEND == "fast":
         return _conv2d_input_grad_fast(
             grad_out, weight, input_shape, out_h, out_w, kernel, stride,

@@ -13,7 +13,12 @@ from .module import Module, ParamTensor, Shape, check_ndim
 
 
 class Linear(Module):
-    """Fully connected layer: ``y = x @ W + b``."""
+    """Fully connected layer: ``y = x @ W + b``.
+
+    Written against trailing axes, so the same lines run an ``(n, F)``
+    batch through ``(F, O)`` weights and a ``(K, n, F)`` lane stack through
+    ``(K, F, O)`` ones — a stacked gemm is, lane for lane, the 2-D gemm.
+    """
 
     def __init__(self, in_features: int, out_features: int, rng: SeedLike = None):
         if in_features <= 0 or out_features <= 0:
@@ -28,23 +33,25 @@ class Linear(Module):
         self._inputs: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("Linear", inputs, 2)
-        if inputs.shape[1] != self.in_features:
+        check_ndim("Linear", inputs, 2 + self.lane_axes)
+        if inputs.shape[-1] != self.in_features:
             raise ShapeError(
                 f"Linear expected {self.in_features} features, "
-                f"got {inputs.shape[1]}"
+                f"got {inputs.shape[-1]}"
             )
         self._inputs = inputs
-        return inputs @ self.weight.value + self.bias.value
+        return inputs @ self.weight.value + self.bias.value[..., None, :]
 
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True
     ) -> Optional[np.ndarray]:
         if self._inputs is None:
             raise ShapeError("Linear.backward called before forward")
-        self.weight.grad += self._inputs.T @ grad_output
-        self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.value.T if need_input_grad else None
+        self.weight.grad += self._inputs.swapaxes(-1, -2) @ grad_output
+        self.bias.grad += grad_output.sum(axis=-2)
+        if not need_input_grad:
+            return None
+        return grad_output @ self.weight.value.swapaxes(-1, -2)
 
     def parameters(self) -> List[ParamTensor]:
         return [self.weight, self.bias]
@@ -146,14 +153,19 @@ class Dropout(Module):
 
 
 class Flatten(Module):
-    """Collapse all non-batch dimensions into one."""
+    """Collapse each sample's dimensions into one.
+
+    Which axis is the sample is not written on the tensor — a ``(K, n, F)``
+    lane stack and an ``(n, C, L)`` batch look alike — so the leading axes
+    kept are the batch axis plus :attr:`Module.lane_axes`.
+    """
 
     def __init__(self) -> None:
         self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._input_shape = inputs.shape
-        return inputs.reshape(inputs.shape[0], -1)
+        return inputs.reshape(inputs.shape[: 1 + self.lane_axes] + (-1,))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
@@ -266,7 +278,7 @@ class Residual(Module):
 def backward_chain(
     modules: Sequence, grad: np.ndarray, need_input_grad: bool
 ) -> Optional[np.ndarray]:
-    """Backpropagate ``grad`` through ``modules`` (layers or stacked twins).
+    """Backpropagate ``grad`` through ``modules``, last to first.
 
     Without a consumer for the input gradient the chain ends at the first
     module that owns parameters (which is told so in turn); the

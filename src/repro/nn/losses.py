@@ -18,7 +18,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 class Loss:
     """Base class: ``forward`` returns a scalar, ``backward`` the gradient
-    with respect to the predictions."""
+    with respect to the predictions.
+
+    A lane-safe loss (:class:`CrossEntropyLoss`, :class:`DetectionLoss`)
+    reduces over trailing axes, so ``(K, n, ...)`` predictions — K trials
+    stacked in front of the batch axis — give one loss per lane, as a list
+    of K floats, from the lines that give a float for one batch.
+    """
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         raise NotImplementedError
@@ -30,8 +36,8 @@ class Loss:
 class SoftmaxCrossEntropy:
     """Fused softmax + mean cross entropy in one reusable buffer.
 
-    Serves ``(n, C)`` logits and, for the stacked twins, ``(K, n, C)``
-    ones (the loss is then a ``(K,)`` vector, one mean per lane).
+    Serves ``(n, C)`` logits and ``(K, n, C)`` lane stacks (the loss is
+    then a ``(K,)`` vector, one mean per lane).
     ``forward`` runs max, subtract, exp, sum and divide in place in a
     scratch array kept per logits shape (with its cached gather index);
     ``backward`` turns that same array into the gradient.  The arithmetic,
@@ -91,15 +97,16 @@ class CrossEntropyLoss(Loss):
         self._kernel = SoftmaxCrossEntropy("CrossEntropyLoss")
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        if logits.ndim != 2:
-            raise ShapeError(f"expected 2-D logits, got {logits.shape}")
+        if logits.ndim < 2:
+            raise ShapeError(f"expected (..., N, C) logits, got {logits.shape}")
         targets = np.asarray(targets)
-        if targets.shape != (logits.shape[0],):
+        if targets.shape != logits.shape[:-1]:
             raise ShapeError(
                 f"targets shape {targets.shape} does not match batch "
-                f"{logits.shape[0]}"
+                f"{logits.shape[:-1]}"
             )
-        return float(self._kernel.forward(logits, targets))
+        # ``tolist`` is ``float()`` that also takes a vector of lane losses.
+        return self._kernel.forward(logits, targets).tolist()
 
     def backward(self) -> np.ndarray:
         return self._kernel.backward()
@@ -131,11 +138,11 @@ class MSELoss(Loss):
 class DetectionLoss(Loss):
     """Simplified single-object detection loss for the YOLO-lite workload.
 
-    Predictions are ``(N, 4 + num_classes)``: four box coordinates followed
-    by class logits.  The loss is MSE on the box plus cross entropy on the
-    class, weighted by ``box_weight`` — the same structure (localisation +
-    classification) as the real YOLO objective, reduced to one object per
-    image.  The class term is the same fused kernel as
+    Predictions are ``(..., N, 4 + num_classes)``: four box coordinates
+    followed by class logits.  The loss is MSE on the box plus cross entropy
+    on the class, weighted by ``box_weight`` — the same structure
+    (localisation + classification) as the real YOLO objective, reduced to
+    one object per image.  The class term is the same fused kernel as
     :class:`CrossEntropyLoss`, with the same contract: one ``backward`` per
     ``forward``, class ids trusted (validated by the dataset).
     """
@@ -150,31 +157,34 @@ class DetectionLoss(Loss):
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         expected = 4 + self.num_classes
-        if predictions.ndim != 2 or predictions.shape[1] != expected:
+        if predictions.ndim < 2 or predictions.shape[-1] != expected:
             raise ShapeError(
                 f"expected predictions (N, {expected}), got {predictions.shape}"
             )
         targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != (predictions.shape[0], 5):
+        if targets.shape != predictions.shape[:-1] + (5,):
             raise ShapeError(
                 "detection targets must be (N, 5): 4 box coords + class id"
             )
-        boxes_pred = predictions[:, :4]
-        boxes_true = targets[:, :4]
-        box_loss = ((boxes_pred - boxes_true) ** 2).mean()
+        boxes_pred = predictions[..., :4]
+        boxes_true = targets[..., :4]
+        squared = (boxes_pred - boxes_true) ** 2
+        # One flat mean per batch: the reduction tree of ``.mean()`` over
+        # the 2-D block, whatever stands in front of it.
+        box_loss = squared.reshape(squared.shape[:-2] + (-1,)).mean(axis=-1)
         class_loss = self._class_term.forward(
-            predictions[:, 4:], targets[:, 4].astype(int)
+            predictions[..., 4:], targets[..., 4].astype(int)
         )
         self._cache = (boxes_pred, boxes_true)
-        return float(self.box_weight * box_loss + class_loss)
+        return (self.box_weight * box_loss + class_loss).tolist()
 
     def backward(self) -> np.ndarray:
         grad_class = self._class_term.backward()
         boxes_pred, boxes_true = self._cache
-        batch = boxes_pred.shape[0]
-        grad = np.empty((batch, 4 + self.num_classes))
-        grad[:, :4] = (
+        batch = boxes_pred.shape[-2]
+        grad = np.empty(boxes_pred.shape[:-1] + (4 + self.num_classes,))
+        grad[..., :4] = (
             self.box_weight * 2.0 * (boxes_pred - boxes_true) / (batch * 4)
         )
-        grad[:, 4:] = grad_class
+        grad[..., 4:] = grad_class
         return grad

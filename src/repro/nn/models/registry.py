@@ -38,8 +38,9 @@ class ModelFamily:
     #: one batched training run; the remaining hyperparameters are scalars
     #: (lr, momentum, dropout) that batch along the lane axis.
     shape_hyperparameters: Tuple[str, ...] = ()
-    #: Whether the family's layer tree has batched twins in
-    #: :mod:`repro.nn.batched` (recurrent families do not).
+    #: Whether every layer of the family is lane-safe, so
+    #: :func:`repro.nn.batched.stack_modules` can stack its models
+    #: (recurrent families are not).
     stackable: bool = False
 
     def instantiate(

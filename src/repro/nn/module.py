@@ -83,6 +83,14 @@ class Module:
     #: Set by :meth:`train` / :meth:`eval`; Dropout and BatchNorm branch on it.
     training: bool = True
 
+    #: Lane axes in front of the batch axis: 0 on a model that trains one
+    #: trial, 1 on the instances :func:`repro.nn.batched.stack_modules`
+    #: builds around ``(K, ...)`` parameters.  A lane-safe layer computes
+    #: on trailing axes, so the same lines serve both; this count is the
+    #: data for what a tensor's shape cannot say — how many axes a valid
+    #: input has, and (``Flatten``) where a sample's own axes begin.
+    lane_axes: int = 0
+
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         """Persistent state only; :data:`STEP_STATE` names are kept as

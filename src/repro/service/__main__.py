@@ -456,8 +456,9 @@ def main(argv=None) -> int:
     submit.add_argument("--trial-batch", type=int, default=None,
                         help="stack up to K shape-compatible trials into "
                              "one vectorized training run per worker "
-                             "(bit-identical to serial; default: auto via "
-                             "$REPRO_TRIAL_BATCH or 8; 1 disables)")
+                             "(bit-identical to serial; opt-in: the "
+                             "default is $REPRO_TRIAL_BATCH on the "
+                             "workers, else 1 = no stacking)")
     submit.set_defaults(func=_cmd_submit)
 
     status = subparsers.add_parser("status",

@@ -57,8 +57,9 @@ class SessionSpec:
     slo_p99_s: Optional[float] = None
     slo_deadline_s: Optional[float] = None
     #: Stacking width K for batched-trial execution on the workers
-    #: (``--trial-batch``).  ``None`` = auto (``$REPRO_TRIAL_BATCH`` or
-    #: the built-in default); 1 disables grouping.
+    #: (``--trial-batch``).  Opt-in: ``None`` leaves it to the workers,
+    #: which use ``$REPRO_TRIAL_BATCH`` if set and otherwise 1 — no
+    #: grouping (only the in-process ``tune`` driver defaults to 8).
     trial_batch: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -311,6 +311,44 @@ class TestEvaluateTrialBatch:
         ref_eval, _ = evaluate_trial(tasks[0], artifacts=store)
         assert pickle.dumps(outputs[0][0]) == pickle.dumps(ref_eval)
 
+    def test_half_cached_pair_probes_each_member_once(self):
+        """One of two group-mates memoized: the other trains serially
+        off the probe the group already made — one hit, one miss, not a
+        second miss (and a second SELECT) for the same key."""
+        from repro.artifacts import ArtifactStore
+        from repro.core.model_server import evaluate_trial
+
+        store = ArtifactStore(TrialDatabase())
+        tasks = [make_task(trial_id=i, config_seed=3) for i in range(2)]
+        evaluate_trial(tasks[0], artifacts=store)
+        assert (store.session_hits, store.session_misses) == (0, 1)
+        outputs = evaluate_trial_batch(tasks, artifacts=store)
+        assert (store.session_hits, store.session_misses) == (1, 2)
+        assert store.stats()["entries"] == 2
+        ref_eval, ref_model = evaluate_trial(tasks[1])
+        assert pickle.dumps(outputs[1][0]) == pickle.dumps(ref_eval)
+        assert model_bytes(outputs[1][1]) == model_bytes(ref_model)
+
+    def test_unstackable_fallback_probes_each_member_once(self, monkeypatch):
+        from repro.artifacts import ArtifactStore
+        from repro.core import trial_batch
+        from repro.core.model_server import evaluate_trial
+        from repro.nn.batched import UnstackableModelError
+
+        def refuse(*args, **kwargs):
+            raise UnstackableModelError("forced")
+
+        monkeypatch.setattr(trial_batch, "train_model_batch", refuse)
+        store = ArtifactStore(TrialDatabase())
+        tasks = [make_task(trial_id=i, config_seed=3) for i in range(3)]
+        outputs = evaluate_trial_batch(tasks, artifacts=store)
+        assert (store.session_hits, store.session_misses) == (0, 3)
+        assert store.stats()["entries"] == 3
+        for task, (evaluation, model) in zip(tasks, outputs):
+            ref_eval, ref_model = evaluate_trial(task)
+            assert pickle.dumps(evaluation) == pickle.dumps(ref_eval)
+            assert model_bytes(model) == model_bytes(ref_model)
+
     def test_task_groups_driver_preserves_order(self):
         tasks = [make_task(trial_id=i, config_seed=3) for i in range(3)]
         workload = get_workload("IC")
