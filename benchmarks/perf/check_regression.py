@@ -35,9 +35,14 @@ import sys
 SPEEDUP_FLOORS = {
     "micro.conv1d.backward": 1.5,
     "micro.conv2d.backward": 1.5,
-    # The 1-D pool backward was never an add.at scatter; its fast path
-    # only saves the per-step buffer allocation, so gate the forward
-    # (one-pass reduction vs two) and hold the backward near parity.
+    # The reference 1-D pool backward is an indexed assignment, not an
+    # add.at scatter, and at this bandwidth-bound size (64x32x4096) the
+    # fast path's flat-index assignment moves the same bytes: parity is
+    # the expected reading.  Its win is per-call overhead at session
+    # shapes (no index grids rebuilt per step), which the report-only
+    # ``session_step.*`` rows and tests/test_nn_step_cost.py watch.  So
+    # gate the forward (one-pass reduction vs two) and hold the backward
+    # near parity.
     "micro.maxpool1d.forward": 1.5,
     "micro.maxpool1d.backward": 0.8,
     "micro.maxpool2d.backward": 1.2,

@@ -15,10 +15,16 @@ Two kinds of numbers come out:
   independent and gate the "vectorized kernels actually pay" claim.
 
 Micro shapes and end-to-end workloads run at the paper's native scales
-(32x32 CIFAR images, ~8k-sample audio), where the kernels dominate; the
-repo's default shrunken datasets spend too much time in Python glue to
-measure kernels meaningfully.  ``--scale smoke`` keeps the shapes but
-cuts sample counts and repeats for CI.
+(32x32 CIFAR images, ~8k-sample audio), where the kernels dominate and
+are bandwidth-bound.  A tuning session never enters that regime — its
+steps run on batches of 4-17 small samples, where per-call overhead and
+stride mismatches are the cost — so the ``session_step.*`` rows time one
+training step of each conv model at the batch shape its session most
+often trains on, inputs reaching every layer through the real layer
+chain.  They are report-only (no floor: ROADMAP item 4); the gated
+counterpart is the call-count pin in ``tests/test_nn_step_cost.py``.
+``--scale smoke`` keeps the shapes but cuts sample counts and repeats
+for CI.
 
 Usage::
 
@@ -46,9 +52,9 @@ from repro.datasets import (
     make_coco,
     make_speech_commands,
 )
-from repro.nn import train_model, use_backend
+from repro.nn import CrossEntropyLoss, train_model, use_backend
 from repro.nn.conv import Conv1d, Conv2d, MaxPool1d, MaxPool2d
-from repro.nn.models import build_conv_resnet, get_model_family
+from repro.nn.models import build_conv_resnet, build_m5, get_model_family
 
 BACKENDS = ("fast", "reference")
 
@@ -63,6 +69,34 @@ def _best_ms(fn: Callable[[], None], repeats: int) -> float:
         fn()
         times.append((time.perf_counter() - start) * 1000.0)
     return min(times)
+
+
+def _interleaved_medians(
+    timed: Dict[str, Callable[[], None]], repeats: int, unit: str,
+    scale: float,
+) -> Dict[str, float]:
+    """``{fast_<unit>, reference_<unit>, speedup}`` of one callable per
+    backend (``scale`` converts milliseconds per call into ``unit``).
+
+    Backend timings are interleaved so background-load drift cannot bias
+    one side: within a round the two backends run back-to-back under
+    near-identical load, so the per-round ratio — whose median is the
+    speedup — is robust even when absolute times wander.
+    """
+    samples = {backend: [] for backend in BACKENDS}
+    for _ in range(repeats):
+        for backend in BACKENDS:
+            with use_backend(backend):
+                samples[backend].append(_best_ms(timed[backend], 1) * scale)
+    entry = {
+        f"{backend}_{unit}": statistics.median(samples[backend])
+        for backend in BACKENDS
+    }
+    entry["speedup"] = statistics.median(
+        reference / fast
+        for fast, reference in zip(samples["fast"], samples["reference"])
+    )
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -117,27 +151,7 @@ def run_micro(scale: str, repeats: int) -> Dict[str, dict]:
                         run = lambda layer=layer, g=grad_out: layer.backward(g)
                     run()  # warm the layer's scratch buffers
                     timed[backend] = run
-            # Interleave backend timings so background-load drift cannot
-            # bias one side: within a round the two backends run
-            # back-to-back under near-identical load, so the per-round
-            # ratio is robust even when absolute times wander.
-            samples = {backend: [] for backend in BACKENDS}
-            for _ in range(repeats):
-                for backend in BACKENDS:
-                    with use_backend(backend):
-                        samples[backend].append(
-                            _best_ms(timed[backend], 1)
-                        )
-            entry: Dict[str, float] = {
-                f"{backend}_ms": statistics.median(samples[backend])
-                for backend in BACKENDS
-            }
-            entry["speedup"] = statistics.median(
-                reference / fast
-                for fast, reference in zip(
-                    samples["fast"], samples["reference"]
-                )
-            )
+            entry = _interleaved_medians(timed, repeats, "ms", 1.0)
             results[f"{name}.{direction}"] = entry
             print(
                 f"micro {name}.{direction:8s}  "
@@ -145,6 +159,73 @@ def run_micro(scale: str, repeats: int) -> Dict[str, dict]:
                 f"reference {entry['reference_ms']:8.2f}ms  "
                 f"speedup {entry['speedup']:.2f}x"
             )
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Session-shaped training steps (report-only)
+# ---------------------------------------------------------------------------
+
+def _session_step_cases():
+    """name -> (model builder, loss, targets builder, batch shape): each
+    conv model at the sample shape of its workload's default dataset and
+    the batch size its ``EdgeTune(device="armv7", seed=7)`` session trains
+    on most often (SR x80: 7, IC x240: 4, OD x120: 17)."""
+    yolo = get_model_family("yolo")
+    labels = lambda rng, batch: rng.integers(0, 10, size=batch)
+    boxes = lambda rng, batch: np.concatenate(
+        [rng.random((batch, 4)), rng.integers(0, 10, (batch, 1))], axis=1
+    )
+    return {
+        "m5": (
+            lambda: build_m5((1, 128), 10, seed=3),
+            CrossEntropyLoss(), labels, (7, 1, 128),
+        ),
+        "conv_resnet": (
+            lambda: build_conv_resnet((3, 8, 8), 10, seed=3),
+            CrossEntropyLoss(), labels, (4, 3, 8, 8),
+        ),
+        "yolo": (
+            lambda: yolo.instantiate((3, 8, 8), 10, seed=3),
+            yolo.make_loss(10), boxes, (17, 3, 8, 8),
+        ),
+    }
+
+
+def run_session_step(repeats: int, steps: int = 200) -> Dict[str, dict]:
+    """One forward + loss + backward step per model, microseconds per
+    step (median over ``repeats`` interleaved rounds of ``steps`` steps)."""
+    results: Dict[str, dict] = {}
+    for name, (build, loss, targets_of, shape) in (
+        _session_step_cases().items()
+    ):
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=shape)
+        targets = targets_of(rng, shape[0])
+        timed = {}
+        for backend in BACKENDS:
+            model = build()
+
+            def run(model=model):
+                for _ in range(steps):
+                    model.zero_grad()
+                    loss.forward(model.forward(features), targets)
+                    model.backward(loss.backward(), need_input_grad=False)
+
+            with use_backend(backend):
+                run()  # warm the buffers and index tables
+            timed[backend] = run
+        entry = {
+            "batch_shape": list(shape),
+            **_interleaved_medians(timed, repeats, "us", 1000.0 / steps),
+        }
+        results[name] = entry
+        print(
+            f"session_step {name:12s} @ {'x'.join(map(str, shape)):9s}  "
+            f"fast {entry['fast_us']:8.1f}us  "
+            f"reference {entry['reference_us']:8.1f}us  "
+            f"ratio {entry['speedup']:.2f}x  (report-only)"
+        )
     return results
 
 
@@ -619,6 +700,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "micro": run_micro(args.scale, args.repeats),
+        "session_step": run_session_step(args.repeats),
         "e2e": run_e2e(args.scale, e2e_repeats),
         "batched": run_batched(args.scale, e2e_repeats),
         "artifact": run_artifact(args.scale),

@@ -8,11 +8,16 @@ live in :mod:`repro.nn.kernels`, which keeps a vectorized ``fast``
 backend and the original ``reference`` backend side by side; the layers
 here only manage parameters, caches and reusable gradient buffers.
 
-Buffer reuse: each layer keeps its input-gradient buffer (and the conv
-layers their matmul scratch) across steps, so steady-state training does
-not allocate in ``backward``.  The returned gradient is therefore only
-valid until the layer's next ``backward`` call — which is how the
-engine's layer-by-layer backward chain consumes it.
+Buffer reuse: each layer keeps its patch matrix, its input-gradient
+buffer, the pooling index tables and the conv matmul scratch across
+steps, so steady-state training allocates nothing here.  A returned
+array is therefore only valid until the layer's next call in the same
+direction — which is how the engine's layer-by-layer chain consumes it.
+
+Layout: a gradient buffer is laid out like the activation it pairs with
+(:mod:`repro.nn.kernels`).  The layers remember the strides their input
+arrived with and hand them to the kernels; shapes and views are what
+they always were.
 
 Lanes: every body here computes on trailing axes, so a ``(K, n, C, ...)``
 lane stack runs through the lines an ``(n, C, ...)`` batch does.  The
@@ -25,6 +30,7 @@ no-op view on a plain batch) — while the gemms see the patch matrix as
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -73,9 +79,11 @@ class _PatchGemm:
 
     def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
         """Add the weight and bias gradients of ``grad_out`` ``(..., P,
-        C_out)`` and return its contiguous copy — the input-gradient gemm
-        is fed that copy, which saves matmul an internal buffering pass
-        over the strided transpose view."""
+        C_out)`` and return it gemm-contiguous.  Inside a conv trunk it
+        arrives that way (the layer behind laid its gradient out like
+        this layer's channel-last output) and nothing is copied; a
+        C-order gradient is copied once here, which saves both gemms an
+        internal buffering pass over the strided transpose view."""
         flat_grad = np.ascontiguousarray(grad_out).reshape(
             self._cols.shape[:-1] + (self.out_channels,)
         )
@@ -116,6 +124,7 @@ class Conv1d(_PatchGemm, Module):
         self.bias = ParamTensor("bias", zeros((out_channels,)))
         self._cols: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
+        self._input_strides: Optional[Tuple[int, ...]] = None
         self._forward_scratch: dict = {}
         self._backward_scratch: dict = {}
         self._weight_grad_scratch = np.zeros_like(self.weight.value)
@@ -128,9 +137,11 @@ class Conv1d(_PatchGemm, Module):
                 f"got {inputs.shape[-2]}"
             )
         out_len = _out_length(inputs.shape[-1], self.kernel_size, self.stride)
-        self._input_shape = inputs.shape
+        folded = _fold(inputs, 2)
+        self._input_shape, self._input_strides = inputs.shape, folded.strides
         out = self._project(kernels.im2col_1d(
-            _fold(inputs, 2), self.kernel_size, self.stride, out_len
+            folded, self.kernel_size, self.stride, out_len,
+            self._forward_scratch,
         ))
         return out.reshape(
             inputs.shape[:-2] + (out_len, self.out_channels)
@@ -153,6 +164,7 @@ class Conv1d(_PatchGemm, Module):
             self.kernel_size,
             self.stride,
             self._backward_scratch,
+            self._input_strides,
         )
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
@@ -168,12 +180,14 @@ class Conv1d(_PatchGemm, Module):
 class MaxPool1d(Module):
     """Non-overlapping 1-D max pooling (kernel == stride)."""
 
+    grown_step_state = ("_backward_scratch",)
+
     def __init__(self, kernel_size: int):
         if kernel_size <= 0:
             raise ShapeError("MaxPool1d kernel must be positive")
         self.kernel_size = kernel_size
         self._cache: Optional[tuple] = None
-        self._grad_input: Optional[np.ndarray] = None
+        self._backward_scratch: dict = {}
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         check_ndim("MaxPool1d", inputs, 3 + self.lane_axes)
@@ -196,15 +210,14 @@ class MaxPool1d(Module):
             raise ShapeError("MaxPool1d.backward called before forward")
         input_shape, out_len, argmax = self._cache
         folded = _fold(grad_output, 2)
-        self._grad_input = kernels.maxpool1d_backward(
+        return kernels.maxpool1d_backward(
             folded,
             folded.shape[:1] + input_shape[-2:],
             out_len,
             self.kernel_size,
             _fold(argmax, 2),
-            out=self._grad_input,
-        )
-        return self._grad_input.reshape(input_shape)
+            self._backward_scratch,
+        ).reshape(input_shape)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, length = input_shape
@@ -212,23 +225,55 @@ class MaxPool1d(Module):
         return channels * out_len * self.kernel_size, (channels, out_len)
 
 
-class GlobalAvgPool1d(Module):
-    """Average over the length axis: (..., C, L) -> (..., C)."""
+class _GlobalAvgPool:
+    """Mean over the trailing ``_reduced`` axes, and its broadcast back.
+
+    ``np.mean`` is ``add.reduce`` and a divide by the count behind a
+    Python wrapper; the two ufuncs are called directly (same bits).  The
+    gradient goes into a reused buffer laid out like the input, so the
+    layer in front reads it in the order it reads its own mask.
+    """
+
+    _reduced: Tuple[int, ...] = ()
+    grown_step_state = ("_backward_scratch",)
 
     def __init__(self) -> None:
         self._input_shape: Optional[Tuple[int, ...]] = None
+        self._input_strides: Optional[Tuple[int, ...]] = None
+        self._backward_scratch: dict = {}
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("GlobalAvgPool1d", inputs, 3 + self.lane_axes)
-        self._input_shape = inputs.shape
-        return inputs.mean(axis=-1)
+        check_ndim(
+            type(self).__name__, inputs,
+            2 + len(self._reduced) + self.lane_axes,
+        )
+        self._input_shape, self._input_strides = inputs.shape, inputs.strides
+        out = np.add.reduce(inputs, axis=self._reduced)
+        out /= self._count()
+        return out
+
+    def _count(self) -> int:
+        return math.prod(self._input_shape[axis] for axis in self._reduced)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
-            raise ShapeError("GlobalAvgPool1d.backward called before forward")
-        return np.broadcast_to(
-            grad_output[..., None] / self._input_shape[-1], self._input_shape
-        ).copy()
+            raise ShapeError(
+                f"{type(self).__name__}.backward called before forward"
+            )
+        grad = kernels.scratch_like(
+            self._input_shape, self._input_strides, self._backward_scratch,
+            "grad_input",
+        )
+        grad[...] = (grad_output / self._count())[
+            (...,) + (None,) * len(self._reduced)
+        ]
+        return grad
+
+
+class GlobalAvgPool1d(_GlobalAvgPool, Module):
+    """Average over the length axis: (..., C, L) -> (..., C)."""
+
+    _reduced = (-1,)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, length = input_shape
@@ -273,10 +318,12 @@ class Conv2d(_PatchGemm, Module):
             )
         out_h = _out_length(inputs.shape[-2], self.kernel_size, self.stride)
         out_w = _out_length(inputs.shape[-1], self.kernel_size, self.stride)
+        folded = _fold(inputs, 3)
         out = self._project(kernels.im2col_2d(
-            _fold(inputs, 3), self.kernel_size, self.stride, out_h, out_w
+            folded, self.kernel_size, self.stride, out_h, out_w,
+            self._forward_scratch,
         ))
-        self._geometry = (inputs.shape, out_h, out_w)
+        self._geometry = (inputs.shape, folded.strides, out_h, out_w)
         lead = inputs.shape[:-3]
         return out.reshape(
             lead + (out_h * out_w, self.out_channels)
@@ -287,7 +334,7 @@ class Conv2d(_PatchGemm, Module):
     ) -> Optional[np.ndarray]:
         if self._cols is None or self._geometry is None:
             raise ShapeError("Conv2d.backward called before forward")
-        input_shape, out_h, out_w = self._geometry
+        input_shape, input_strides, out_h, out_w = self._geometry
         grad_out = self._accumulate(
             grad_output.reshape(
                 input_shape[:-3] + (self.out_channels, out_h * out_w)
@@ -304,6 +351,7 @@ class Conv2d(_PatchGemm, Module):
             self.kernel_size,
             self.stride,
             self._backward_scratch,
+            input_strides,
         )
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
@@ -320,12 +368,14 @@ class Conv2d(_PatchGemm, Module):
 class MaxPool2d(Module):
     """Non-overlapping 2-D max pooling (kernel == stride)."""
 
+    grown_step_state = ("_backward_scratch",)
+
     def __init__(self, kernel_size: int):
         if kernel_size <= 0:
             raise ShapeError("MaxPool2d kernel must be positive")
         self.kernel_size = kernel_size
         self._cache: Optional[tuple] = None
-        self._grad_input: Optional[np.ndarray] = None
+        self._backward_scratch: dict = {}
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         check_ndim("MaxPool2d", inputs, 4 + self.lane_axes)
@@ -345,16 +395,15 @@ class MaxPool2d(Module):
         if self._cache is None:
             raise ShapeError("MaxPool2d.backward called before forward")
         input_shape, out_h, out_w, argmax = self._cache
-        self._grad_input = kernels.maxpool2d_backward(
+        return kernels.maxpool2d_backward(
             _fold(grad_output, 3),
             argmax.shape[:1] + input_shape[-3:],
             out_h,
             out_w,
             self.kernel_size,
             argmax,
-            out=self._grad_input,
-        )
-        return self._grad_input.reshape(input_shape)
+            self._backward_scratch,
+        ).reshape(input_shape)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, height, width = input_shape
@@ -363,24 +412,10 @@ class MaxPool2d(Module):
         return channels * out_h * out_w * k * k, (channels, out_h, out_w)
 
 
-class GlobalAvgPool2d(Module):
+class GlobalAvgPool2d(_GlobalAvgPool, Module):
     """Average over spatial axes: (..., C, H, W) -> (..., C)."""
 
-    def __init__(self) -> None:
-        self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("GlobalAvgPool2d", inputs, 4 + self.lane_axes)
-        self._input_shape = inputs.shape
-        return inputs.mean(axis=(-2, -1))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise ShapeError("GlobalAvgPool2d.backward called before forward")
-        area = self._input_shape[-2] * self._input_shape[-1]
-        return np.broadcast_to(
-            grad_output[..., None, None] / area, self._input_shape
-        ).copy()
+    _reduced = (-2, -1)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, height, width = input_shape

@@ -4,18 +4,29 @@ The convolution and pooling layers funnel all of their array-heavy work
 through this module.  Two implementations of every kernel are kept:
 
 ``fast`` (the default)
-    Strided-slice kernels.  ``im2col`` is a zero-copy
-    :func:`numpy.lib.stride_tricks.sliding_window_view` gather (the only
-    copy is the final reshape into the patch matrix, which the matmul
-    needs contiguous anyway).  ``col2im`` accumulates one strided slice
-    per kernel offset: for a fixed offset ``k`` the destination indices
+    Strided kernels over layer-owned, reused buffers.  ``im2col`` copies
+    patches in runs its input holds contiguously (one plain slice per
+    kernel offset from a channel-last input, one strided window view
+    otherwise).  ``col2im`` accumulates one strided slice per kernel
+    offset: for a fixed offset ``k`` the destination indices
     ``o * stride + k`` are strictly increasing, so the slice has **no
     duplicate indices** and a plain ``+=`` is exact — no scatter needed.
+    The pooling backward is one assignment on a flat index whose table
+    is built once per buffer.
+
+    *A gradient buffer is laid out like the activation it pairs with.*
+    The conv gemm emits ``(N, P, C_out)`` memory viewed as ``(N, C_out,
+    P)``, so inside a conv trunk every activation is channel-last; the
+    col2im and pooling-backward buffers take the memory order of the
+    forward tensor they mirror (:func:`scratch_like`, read off its
+    strides) behind the usual ``(N, C, ...)`` views, and a C-order input
+    gets C-order buffers by the same rule.  Layout moves bytes, never an
+    operand or a reduction order, so no result bit depends on it
+    (DESIGN §5c, ``tests/test_nn_layout.py``).
 
 ``reference``
-    The original ``np.add.at`` / fancy-indexing implementations, kept
-    verbatim.  They are numpy's slowest write path but trivially correct,
-    which makes them the oracle for the gradient-equivalence tests in
+    The original ``np.add.at`` / fancy-indexing implementations: numpy's
+    slowest write path but trivially correct, which makes them the oracle for the gradient-equivalence tests in
     ``tests/test_nn_kernels.py`` and the baseline the perf harness
     (``benchmarks/perf/``) measures speedups against.
 
@@ -37,10 +48,10 @@ bit-identical across backends (the fingerprints do not move).  The
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigurationError
 
@@ -76,24 +87,43 @@ def use_backend(name: str) -> Iterator[None]:
         set_backend(previous)
 
 
-def _zeroed(
-    shape: Tuple[int, ...], out: Optional[np.ndarray]
+def _nested_empty(
+    shape: Tuple[int, ...], strides: Optional[Sequence[int]], dtype
 ) -> np.ndarray:
-    """Return a zero-filled float64 buffer, reusing ``out`` when its shape
-    matches — the layers keep their input-gradient buffer across steps so
-    steady-state training allocates nothing here."""
-    if out is not None and out.shape == shape:
-        out.fill(0.0)
-        return out
-    return np.zeros(shape, dtype=np.float64)
+    """Dense uninitialised ``shape`` array: the batch axis outermost, the
+    others nested in memory in the order ``strides`` ranks them (``None``
+    and ties: C order)."""
+    inner = range(1, len(shape))
+    nesting = [0] + (
+        sorted(inner, key=lambda axis: -abs(strides[axis]))
+        if strides else list(inner)
+    )
+    return np.empty([shape[axis] for axis in nesting], dtype).transpose(
+        sorted(range(len(shape)), key=nesting.__getitem__)
+    )
 
 
-def _scratch_zeroed(
-    shape: Tuple[int, ...], scratch: dict, key: str
+def scratch_like(
+    shape: Tuple[int, ...],
+    strides: Optional[Sequence[int]],
+    scratch: dict,
+    key: str,
 ) -> np.ndarray:
-    buf = _zeroed(shape, scratch.get(key))
-    scratch[key] = buf
-    return buf
+    """Uninitialised float64 ``shape`` buffer laid out like a tensor with
+    ``strides`` (the layout rule of the module docstring), kept in
+    ``scratch[key]``.  Its batch axis being outermost, it serves every
+    batch up to the largest seen as a prefix: an epoch's short last batch
+    reallocates nothing and keeps the pooling index tables valid."""
+    layout = (shape[1:], strides and strides[1:])
+    buf = scratch.get(key)
+    if (
+        buf is None
+        or len(buf) < shape[0]
+        or scratch[key + ".layout"] != layout
+    ):
+        buf = scratch[key] = _nested_empty(shape, strides, np.float64)
+        scratch[key + ".layout"] = layout
+    return buf[:shape[0]]
 
 
 def scratch_matmul(
@@ -110,10 +140,7 @@ def scratch_matmul(
     as ``(K, n*M, F) @ (K, F, P)`` — per lane, the gemm above.
     """
     shape = a.shape[:-1] + (b.shape[-1],)
-    buf = scratch.get(key)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape, dtype=np.result_type(a, b))
-        scratch[key] = buf
+    buf = scratch_like(shape, None, scratch, key)
     if a.ndim == b.ndim + 1 and a.flags.c_contiguous:
         rows = b.shape[:-2] + (-1,)
         np.matmul(
@@ -130,15 +157,31 @@ def scratch_matmul(
 # ---------------------------------------------------------------------------
 
 def _im2col_1d_fast(
-    inputs: np.ndarray, kernel: int, stride: int, out_len: int
+    inputs: np.ndarray, kernel: int, stride: int, out_len: int, scratch: dict
 ) -> np.ndarray:
-    """(N, C, L) -> (N, Lo, C*K) patch matrix via a sliding-window view."""
+    """(N, C, L) -> (N, Lo, C*K) patch matrix in a reused ``(N, Lo, C, K)``
+    buffer; element ``(n, p, c, k)`` is ``x[n, c, p*stride + k]``, copied
+    in runs the input holds contiguously.  Channel-last (what a conv
+    trunk produces): offset ``k`` of every patch is the slice
+    ``x[:, :, k::stride]``, one plain copy per offset in runs of ``C``.
+    Length-contiguous (a data batch): the patches are one strided window
+    view, copied in runs of ``K``.  Measurements: DESIGN §5c."""
     batch, channels, _ = inputs.shape
-    windows = sliding_window_view(inputs, kernel, axis=2)[:, :, ::stride]
-    # (N, C, Lo, K) view -> (N, Lo, C, K) -> contiguous (N, Lo, C*K)
-    return windows.transpose(0, 2, 1, 3).reshape(
-        batch, out_len, channels * kernel
+    cols = scratch_like(
+        (batch, out_len, channels, kernel), None, scratch, "cols"
     )
+    by_sample, by_channel, by_step = inputs.strides
+    if by_channel < by_step:
+        moved = inputs.transpose(0, 2, 1)  # (N, L, C)
+        span = (out_len - 1) * stride + 1
+        for k in range(kernel):
+            cols[..., k] = moved[:, k:k + span:stride]
+    else:
+        np.copyto(cols, as_strided(
+            inputs, cols.shape,
+            (by_sample, by_step * stride, by_channel, by_step),
+        ))
+    return cols.reshape(batch, out_len, channels * kernel)
 
 
 def _im2col_1d_reference(
@@ -153,9 +196,21 @@ def _im2col_1d_reference(
     )
 
 
-def im2col_1d(inputs: np.ndarray, kernel: int, stride: int, out_len: int) -> np.ndarray:
+def im2col_1d(
+    inputs: np.ndarray,
+    kernel: int,
+    stride: int,
+    out_len: int,
+    scratch: Optional[dict] = None,
+) -> np.ndarray:
+    """(N, C, L) -> (N, Lo, C*K) patch matrix.  The fast backend fills a
+    buffer kept in the layer-owned ``scratch``: the result aliases it and
+    is only valid until the next call with the same dict."""
     if _BACKEND == "fast":
-        return _im2col_1d_fast(inputs, kernel, stride, out_len)
+        return _im2col_1d_fast(
+            inputs, kernel, stride, out_len,
+            {} if scratch is None else scratch,
+        )
     return _im2col_1d_reference(inputs, kernel, stride, out_len)
 
 
@@ -192,6 +247,7 @@ def _conv1d_input_grad_fast(
     kernel: int,
     stride: int,
     scratch: dict,
+    input_strides: Optional[Sequence[int]],
 ) -> np.ndarray:
     """Input gradient via an offset-major gemm and strided slice-adds.
 
@@ -199,20 +255,24 @@ def _conv1d_input_grad_fast(
     increasing in ``o`` — no duplicate indices, so a plain ``+=`` on the
     strided slice is exact and ``np.add.at`` is unnecessary.  The
     slice-adds run on the gradient with its lanes folded into the batch
-    axis (a view: the buffer is contiguous).
+    axis, in a buffer laid out like the (folded) forward input: each
+    offset's ``(N, Lo, C)`` block is then added over contiguous channel
+    runs when that input was channel-last.
     """
     channels, length = input_shape[-2:]
     out_len = grad_out.shape[-2]
     grad_cols = _offset_major_grad_cols(
         grad_out, weight, channels, kernel, scratch
     )  # (..., Lo, K*C)
-    grad = _scratch_zeroed(input_shape, scratch, "grad_input")
-    folded = grad.reshape(-1, channels, length)
     blocks = grad_cols.reshape(-1, out_len, kernel, channels)
+    folded = scratch_like(
+        (len(blocks), channels, length), input_strides, scratch, "grad_input"
+    )
+    folded.fill(0.0)
     for k in range(kernel):
         end = k + (out_len - 1) * stride + 1
         folded[:, :, k:end:stride] += blocks[:, :, k, :].transpose(0, 2, 1)
-    return grad
+    return folded.reshape(input_shape)
 
 
 def _col2im_1d_reference(
@@ -220,11 +280,10 @@ def _col2im_1d_reference(
     input_shape: Tuple[int, int, int],
     kernel: int,
     stride: int,
-    out: Optional[np.ndarray],
 ) -> np.ndarray:
     batch, channels, _ = input_shape
     out_len = grad_cols.shape[1]
-    grad = _zeroed(input_shape, out)
+    grad = np.zeros(input_shape, dtype=np.float64)
     cols = grad_cols.reshape(batch, out_len, channels, kernel).transpose(
         0, 2, 1, 3
     )  # (N, C, Lo, K)
@@ -241,6 +300,7 @@ def conv1d_input_grad(
     kernel: int,
     stride: int,
     scratch: dict,
+    input_strides: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Gradient w.r.t. the conv input: ``grad_out`` (N, Lo, C_out) back
     through ``weight`` (C*K, C_out) and the im2col gather.
@@ -248,16 +308,19 @@ def conv1d_input_grad(
     ``scratch`` is a layer-owned dict the backend reuses for its gemm and
     gradient buffers across steps; the returned array aliases it and is
     only valid until the next call with the same dict.  The fast backend
-    also takes a lane stack — ``grad_out`` (K, n, Lo, C_out), ``weight``
-    (K, C*K, C_out), ``input_shape`` (K, n, C, L); the reference backend
-    is the serial-rank oracle only.
+    lays the gradient out like a tensor with ``input_strides`` — those of
+    the forward input, lanes folded into its batch axis (C order when not
+    given).  It also takes a lane stack — ``grad_out`` (K, n, Lo, C_out),
+    ``weight`` (K, C*K, C_out), ``input_shape`` (K, n, C, L); the
+    reference backend is the serial-rank oracle only.
     """
     if _BACKEND == "fast":
         return _conv1d_input_grad_fast(
-            grad_out, weight, input_shape, kernel, stride, scratch
+            grad_out, weight, input_shape, kernel, stride, scratch,
+            input_strides,
         )
     grad_cols = grad_out @ weight.T  # (N, Lo, C*K)
-    return _col2im_1d_reference(grad_cols, input_shape, kernel, stride, None)
+    return _col2im_1d_reference(grad_cols, input_shape, kernel, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +328,28 @@ def conv1d_input_grad(
 # ---------------------------------------------------------------------------
 
 def _im2col_2d_fast(
-    inputs: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+    inputs: np.ndarray,
+    kernel: int,
+    stride: int,
+    out_h: int,
+    out_w: int,
+    scratch: dict,
 ) -> np.ndarray:
+    """(N, C, H, W) -> (N, Ho*Wo, C*K*K): the strided window view copied
+    once into a reused ``(N, Ho, Wo, C, K, K)`` buffer.  (With K*K offsets
+    to pass over, per-offset slice copies do not beat the single copy in
+    2-D at any layout or size measured — DESIGN §5c.)"""
     batch, channels, _, _ = inputs.shape
-    windows = sliding_window_view(inputs, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, K, K) view
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)  # (N, Ho, Wo, C, K, K)
-    return patches.reshape(batch, out_h * out_w, channels * kernel * kernel)
+    cols = scratch_like(
+        (batch, out_h, out_w, channels, kernel, kernel), None, scratch, "cols"
+    )
+    by_sample, by_channel, by_row, by_col = inputs.strides
+    np.copyto(cols, as_strided(
+        inputs, cols.shape,
+        (by_sample, by_row * stride, by_col * stride, by_channel,
+         by_row, by_col),
+    ))
+    return cols.reshape(batch, out_h * out_w, channels * kernel * kernel)
 
 
 def _im2col_2d_reference(
@@ -287,11 +365,20 @@ def _im2col_2d_reference(
 
 
 def im2col_2d(
-    inputs: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+    inputs: np.ndarray,
+    kernel: int,
+    stride: int,
+    out_h: int,
+    out_w: int,
+    scratch: Optional[dict] = None,
 ) -> np.ndarray:
-    """(N, C, H, W) -> (N, Ho*Wo, C*K*K) patch matrix."""
+    """(N, C, H, W) -> (N, Ho*Wo, C*K*K) patch matrix; ``scratch`` as for
+    :func:`im2col_1d`."""
     if _BACKEND == "fast":
-        return _im2col_2d_fast(inputs, kernel, stride, out_h, out_w)
+        return _im2col_2d_fast(
+            inputs, kernel, stride, out_h, out_w,
+            {} if scratch is None else scratch,
+        )
     return _im2col_2d_reference(inputs, kernel, stride, out_h, out_w)
 
 
@@ -304,6 +391,7 @@ def _conv2d_input_grad_fast(
     kernel: int,
     stride: int,
     scratch: dict,
+    input_strides: Optional[Sequence[int]],
 ) -> np.ndarray:
     """2-D analogue of :func:`_conv1d_input_grad_fast`: offset-major gemm
     so each (dy, dx) slice is a contiguous ``(N, Ho, Wo, C)`` block, then
@@ -313,9 +401,12 @@ def _conv2d_input_grad_fast(
     grad_cols = _offset_major_grad_cols(
         grad_out, weight, channels, k * k, scratch
     )  # (..., Ho*Wo, K*K*C)
-    grad = _scratch_zeroed(input_shape, scratch, "grad_input")
-    folded = grad.reshape((-1,) + input_shape[-3:])
     blocks = grad_cols.reshape(-1, out_h, out_w, k * k, channels)
+    folded = scratch_like(
+        (len(blocks),) + tuple(input_shape[-3:]), input_strides, scratch,
+        "grad_input",
+    )
+    folded.fill(0.0)
     for dy in range(k):
         row_end = dy + (out_h - 1) * s + 1
         for dx in range(k):
@@ -323,7 +414,7 @@ def _conv2d_input_grad_fast(
             folded[:, :, dy:row_end:s, dx:col_end:s] += blocks[
                 :, :, :, dy * k + dx, :
             ].transpose(0, 3, 1, 2)
-    return grad
+    return folded.reshape(input_shape)
 
 
 def _col2im_2d_reference(
@@ -333,10 +424,9 @@ def _col2im_2d_reference(
     out_w: int,
     kernel: int,
     stride: int,
-    out: Optional[np.ndarray],
 ) -> np.ndarray:
     batch, channels, _, _ = input_shape
-    grad = _zeroed(input_shape, out)
+    grad = np.zeros(input_shape, dtype=np.float64)
     k = kernel
     patches = grad_cols.reshape(batch, out_h, out_w, channels, k, k)
     for dy in range(k):
@@ -360,18 +450,19 @@ def conv2d_input_grad(
     kernel: int,
     stride: int,
     scratch: dict,
+    input_strides: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Gradient w.r.t. the conv input: ``grad_out`` (N, Ho*Wo, C_out)
     back through ``weight`` (C*K*K, C_out) and the im2col gather; lane
-    stacks as for :func:`conv1d_input_grad`."""
+    stacks and ``input_strides`` as for :func:`conv1d_input_grad`."""
     if _BACKEND == "fast":
         return _conv2d_input_grad_fast(
             grad_out, weight, input_shape, out_h, out_w, kernel, stride,
-            scratch,
+            scratch, input_strides,
         )
     grad_cols = grad_out @ weight.T  # (N, Ho*Wo, C*K*K)
     return _col2im_2d_reference(
-        grad_cols, input_shape, out_h, out_w, kernel, stride, None
+        grad_cols, input_shape, out_h, out_w, kernel, stride
     )
 
 
@@ -475,24 +566,53 @@ def maxpool2d_forward(
     return _maxpool_forward_reference(windows)
 
 
-def _maxpool1d_backward_fast(
+def _maxpool_backward_fast(
     grad_output: np.ndarray,
-    input_shape: Tuple[int, int, int],
-    out_len: int,
+    input_shape: Tuple[int, ...],
     kernel: int,
     argmax: np.ndarray,
-    out: Optional[np.ndarray],
+    scratch: dict,
 ) -> np.ndarray:
-    batch, channels, _ = input_shape
-    grad = _zeroed(input_shape, out)
-    windows = grad[:, :, : out_len * kernel].reshape(
-        batch, channels, out_len, kernel
-    )
-    # The reference write path (indexed assignment on disjoint windows)
-    # was never the bottleneck here — the fast path's win is reusing the
-    # zeroed gradient buffer instead of allocating it every step.
-    b_idx, c_idx, o_idx = np.ogrid[:batch, :channels, :out_len]
-    windows[b_idx, c_idx, o_idx, argmax] = grad_output
+    """One assignment on a flat index, 1-D and 2-D alike.
+
+    The gradient buffer is laid out like ``argmax`` (and so like the
+    pooled activation), ``flat`` is its memory as one 1-D array and
+    ``base`` the flat position of every window's first cell — built once
+    per buffer, kept with it in ``scratch`` and, like it, serving a
+    smaller batch as a prefix.  Window cell ``argmax`` (row-major in the
+    window: ``dy*K + dx``) lies ``argmax`` column steps on, plus, per row,
+    a row step less the K column steps already counted.  The windows are
+    disjoint, so no index repeats and the assignment is exact; cells no
+    window reaches (a trailing remainder) keep the buffer's zero.
+    """
+    grad = scratch_like(input_shape, argmax.strides, scratch, "grad_input")
+    full = scratch["grad_input"]
+    plan = scratch.get("plan")
+    if plan is None or plan[0] is not full or plan[1] != kernel:
+        steps = [stride // full.itemsize for stride in full.strides]
+        base = _nested_empty(
+            (len(full),) + argmax.shape[1:], argmax.strides, np.intp
+        )
+        base.fill(0)
+        for axis, size in enumerate(base.shape):
+            window = kernel if axis >= 2 else 1
+            base += (np.arange(size) * (window * steps[axis])).reshape(
+                (size,) + (1,) * (base.ndim - 1 - axis)
+            )
+        plan = scratch["plan"] = (
+            full, kernel, steps, full.ravel(order="K"), base,
+            np.empty_like(base),
+        )
+    _, _, steps, flat, base, index = plan
+    index = index[:len(grad)]
+    np.multiply(argmax, steps[-1], out=index)
+    rows = argmax
+    for axis in range(argmax.ndim - 2, 1, -1):
+        rows = rows // kernel
+        index += rows * (steps[axis] - kernel * steps[axis + 1])
+    index += base[:len(grad)]
+    grad.fill(0.0)
+    flat[index] = grad_output
     return grad
 
 
@@ -502,10 +622,9 @@ def _maxpool1d_backward_reference(
     out_len: int,
     kernel: int,
     argmax: np.ndarray,
-    out: Optional[np.ndarray],
 ) -> np.ndarray:
     batch, channels, _ = input_shape
-    grad = _zeroed(input_shape, out)
+    grad = np.zeros(input_shape, dtype=np.float64)
     windows = grad.reshape(batch, channels, -1)[
         :, :, : out_len * kernel
     ].reshape(batch, channels, out_len, kernel)
@@ -520,37 +639,21 @@ def maxpool1d_backward(
     out_len: int,
     kernel: int,
     argmax: np.ndarray,
-    out: Optional[np.ndarray] = None,
+    scratch: Optional[dict] = None,
 ) -> np.ndarray:
-    """Route ``grad_output`` to each window's argmax position."""
+    """Route ``grad_output`` to each window's argmax position.
+
+    The fast backend keeps its gradient buffer and index tables in the
+    layer-owned ``scratch`` (the result aliases it until the next call)
+    and lays the gradient out like ``argmax``."""
     if _BACKEND == "fast":
-        return _maxpool1d_backward_fast(
-            grad_output, input_shape, out_len, kernel, argmax, out
+        return _maxpool_backward_fast(
+            grad_output, input_shape, kernel, argmax,
+            {} if scratch is None else scratch,
         )
     return _maxpool1d_backward_reference(
-        grad_output, input_shape, out_len, kernel, argmax, out
+        grad_output, input_shape, out_len, kernel, argmax
     )
-
-
-def _maxpool2d_backward_fast(
-    grad_output: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-    argmax: np.ndarray,
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    batch, channels, _, _ = input_shape
-    k = kernel
-    grad = _zeroed(input_shape, out)
-    # Non-overlapping windows: every (window, argmax) pair targets a
-    # distinct input cell, so a plain fancy assignment is an exact
-    # replacement for the buffered np.add.at scatter.
-    dy, dx = argmax // k, argmax % k
-    b_idx, c_idx, h_idx, w_idx = np.ogrid[:batch, :channels, :out_h, :out_w]
-    grad[b_idx, c_idx, h_idx * k + dy, w_idx * k + dx] = grad_output
-    return grad
 
 
 def _maxpool2d_backward_reference(
@@ -560,11 +663,10 @@ def _maxpool2d_backward_reference(
     out_w: int,
     kernel: int,
     argmax: np.ndarray,
-    out: Optional[np.ndarray],
 ) -> np.ndarray:
     batch, channels, _, _ = input_shape
     k = kernel
-    grad = _zeroed(input_shape, out)
+    grad = np.zeros(input_shape, dtype=np.float64)
     flat_pos = argmax  # position within the k*k window
     dy, dx = flat_pos // k, flat_pos % k
     b_idx, c_idx, h_idx, w_idx = np.ogrid[:batch, :channels, :out_h, :out_w]
@@ -581,13 +683,15 @@ def maxpool2d_backward(
     out_w: int,
     kernel: int,
     argmax: np.ndarray,
-    out: Optional[np.ndarray] = None,
+    scratch: Optional[dict] = None,
 ) -> np.ndarray:
-    """Route ``grad_output`` to each window's argmax position."""
+    """Route ``grad_output`` to each window's argmax position; ``scratch``
+    as for :func:`maxpool1d_backward`."""
     if _BACKEND == "fast":
-        return _maxpool2d_backward_fast(
-            grad_output, input_shape, out_h, out_w, kernel, argmax, out
+        return _maxpool_backward_fast(
+            grad_output, input_shape, kernel, argmax,
+            {} if scratch is None else scratch,
         )
     return _maxpool2d_backward_reference(
-        grad_output, input_shape, out_h, out_w, kernel, argmax, out
+        grad_output, input_shape, out_h, out_w, kernel, argmax
     )

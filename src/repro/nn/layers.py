@@ -92,10 +92,11 @@ class ReLU(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise ShapeError("ReLU.backward called before forward")
-        if self._grad is not None and self._grad.shape == grad_output.shape:
-            return np.multiply(grad_output, self._mask, out=self._grad)
-        self._grad = grad_output * self._mask
-        return self._grad
+        if self._grad is None or self._grad.shape != self._mask.shape:
+            # Laid out like the mask, i.e. like the activation this
+            # gradient pairs with (see repro.nn.kernels).
+            self._grad = np.empty_like(self._mask, dtype=np.float64)
+        return np.multiply(grad_output, self._mask, out=self._grad)
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         return int(np.prod(input_shape)), input_shape

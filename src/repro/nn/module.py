@@ -13,6 +13,8 @@ configuration, parameter values, running statistics, RNG state and
 attributes are declared once, in :data:`STEP_STATE`; a restored module has
 them empty and the next ``forward`` rebuilds them, so a model pickle is
 about the size of its weights however (and on whatever batch) it last ran.
+A blob written before a layer grew one of them gets it, empty, on restore
+(:attr:`Module.grown_step_state`).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ STEP_STATE: Dict[str, Callable[["Module"], Any]] = {
         (
             "_cache", "_inputs", "_mask", "_out", "_grad", "_output",
             "_cols", "_geometry", "_grad_input", "_input_shape",
+            "_input_strides",
         ),
         lambda module: None,
     ),
@@ -91,6 +94,11 @@ class Module:
     #: input has, and (``Flatten``) where a sample's own axes begin.
     lane_axes: int = 0
 
+    #: Step attributes a class reads before writing and grew after blobs
+    #: of it were first stored (artifact stores outlive code versions):
+    #: restore creates them even when the blob predates them.
+    grown_step_state: Tuple[str, ...] = ()
+
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         """Persistent state only; :data:`STEP_STATE` names are kept as
@@ -104,7 +112,9 @@ class Module:
         # Pickles written before the lean rule hold the full ``__dict__``;
         # their step state is discarded the same way.
         self.__dict__.update(state)
-        for name in STEP_STATE.keys() & state.keys():
+        for name in STEP_STATE.keys() & (
+            state.keys() | set(self.grown_step_state)
+        ):
             setattr(self, name, STEP_STATE[name](self))
 
     # -- computation --------------------------------------------------------
