@@ -145,6 +145,17 @@ def trial_key(task: Any, fingerprint: Optional[str] = None) -> str:
     ).hexdigest()
 
 
+def pack_result(evaluation: Any, model_blob: bytes) -> bytes:
+    """The bytes a finished job is completed with: the pickled evaluation
+    carrying its pickled model.  One function for the worker that just
+    trained the model and for :meth:`ArtifactStore.load_result`, so a
+    memoized job's row is the cold run's byte for byte."""
+    return pickle.dumps(
+        dataclasses.replace(evaluation, model_blob=model_blob),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Resume-state packing (weights + optimizer state as one npz blob)
 # ---------------------------------------------------------------------------
@@ -460,6 +471,21 @@ class ArtifactStore:
             pickle.loads(record["model"]),
             record.get("resume"),
         )
+
+    def load_result(
+        self, key: str, count_miss: bool = True
+    ) -> Optional[bytes]:
+        """The job-result blob for ``key`` (:func:`pack_result` of the
+        stored evaluation and the stored model pickle), or ``None``.  For
+        callers that pass a result on (:meth:`load_trial` hands back a
+        live model; here it is never unpickled).  ``count_miss=False``:
+        the miss will be counted by whoever runs the trial.
+        """
+        payload = self.get(key, count_miss=count_miss)
+        if payload is None:
+            return None
+        record = pickle.loads(payload)
+        return pack_result(record["evaluation"], record["model"])
 
     def resume_state(
         self, key: str

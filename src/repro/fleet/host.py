@@ -8,10 +8,13 @@ coordinator's cache before paying for a cold run.
 
 Execution path per job::
 
-    lease (long poll) → [federation prefetch] → evaluate_trial → complete
-              │                        │
-              │                        └─ local ArtifactStore (isolated)
-              └─ artifact_get from the hub on local miss
+    lease (long poll) → local memo probe → [federation prefetch] →
+    evaluate_trial → [publish] → complete
+
+A leased job is one the hub's own store could not answer at issue time:
+the local probe covers what this host holds and the hub lacks (a lost
+upload), the prefetch what the hub gained since.  Either hit completes
+the job with the stored bytes — one counted read, no model unpickled.
 
 ``evaluate_trial`` is pure given the task (all seeds travel inside it),
 so a trial runs bit-identically on any machine — which is what makes the
@@ -217,24 +220,20 @@ class RemoteHost:
             self.recover()
 
     # -- artifact federation -------------------------------------------------
-    def _prefetch(self, task: TrialTask) -> Optional[str]:
-        """Pull the task's artifact from the hub into the local store.
-
-        Returns the trial key when the artifact is now locally available
-        (``evaluate_trial`` will then short-circuit bit-identically), or
-        ``None`` when the fleet has never run this trial and a cold run
-        is due.
+    def _prefetch(self, task: TrialTask, key: str) -> bool:
+        """Pull an artifact this host lacks from the hub into the local
+        store; ``False`` when the fleet has never run this trial — or the
+        hub cannot be asked — and a cold run is due.  The hub settles
+        what its store holds before dispatch, so this only finds what it
+        gained after issuing the job (``federation.hits`` counts it).
         """
-        key = trial_key(task)
-        if self.artifacts.get(key, count_miss=False) is not None:
-            return key  # already local (this host ran it before)
         try:
             response = self.call("artifact_get", key=key)
         except FleetError:
-            return None  # partition: degrade to a cold run
+            return False  # partition: degrade to a cold run
         blob = response.get("payload") if response.get("ok") else None
         if blob is None:
-            return None
+            return False
 
         payload = unpack_bytes(blob)
         claimed = response.get("checksum")
@@ -246,7 +245,7 @@ class RemoteHost:
                 "federated artifact %s failed checksum verification; "
                 "falling back to a cold run", key,
             )
-            return None
+            return False
         self.artifacts.put(
             key,
             payload,
@@ -256,7 +255,7 @@ class RemoteHost:
             data_fraction=task.data_fraction,
         )
         self.federation_hits += 1
-        return key
+        return True
 
     def _publish(self, task: TrialTask, key: str) -> None:
         """Upload a cold-run artifact so no other machine re-runs it."""
@@ -331,12 +330,16 @@ class RemoteHost:
                 fault_point("fleet.dead_host", key=trial_id,
                             attempt=attempt)
                 task = TrialTask.from_json(job["payload"])
-                prefetched = self._prefetch(task)
-                blob = result_blob(
-                    *evaluate_trial(task, artifacts=self.artifacts)
-                )
-                if prefetched is None:
-                    self._publish(task, trial_key(task))
+                key = trial_key(task)
+                # A miss is left for evaluate_trial to count.
+                blob = self.artifacts.load_result(key, count_miss=False)
+                if blob is None and self._prefetch(task, key):
+                    blob = self.artifacts.load_result(key, count_miss=False)
+                if blob is None:
+                    blob = result_blob(
+                        *evaluate_trial(task, artifacts=self.artifacts)
+                    )
+                    self._publish(task, key)
             except Exception as error:
                 self.jobs_failed += 1
                 try:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import faults
 from ..artifacts import ArtifactStore, artifact_checksum
@@ -52,7 +52,9 @@ from ..service.sessions import (
 from ..storage import TrialDatabase
 from ..telemetry import MeterRegistry
 from ..wire import Frame, FrameServer, Peer
-from .registry import DEFAULT_MACHINE_TTL_S, HubState, MachineRegistry
+from .registry import (
+    DEFAULT_MACHINE_TTL_S, HubState, Machine, MachineRegistry,
+)
 from .router import DEFAULT_SHARDS, ShardRouter
 from .wire import (
     error_frame, ok_frame, pack_bytes, peer_closed, unpack_bytes,
@@ -189,20 +191,23 @@ class FleetServer(FrameServer):
             )
         return ok_frame(draining=self.draining)
 
-    def _machine_ok(self, machine_id: str) -> Optional[Frame]:
-        """``None`` when the machine may take work, else the error frame
-        (unregistered or declared dead → the host must re-register)."""
+    def _machine_ok(
+        self, machine_id: str
+    ) -> Tuple[Optional[Machine], Optional[Frame]]:
+        """``(row, None)`` when the machine may take work, else ``(None,
+        error frame)`` (unregistered or declared dead → the host must
+        re-register)."""
         machine = self.registry.get(machine_id)
         if machine is None:
-            return error_frame(
+            return None, error_frame(
                 f"unknown machine {machine_id!r}", reregister=True
             )
         if machine.state != "alive":
-            return error_frame(
+            return None, error_frame(
                 f"machine {machine_id!r} is {machine.state}",
                 reregister=True,
             )
-        return None
+        return machine, None
 
     # -- dispatch ops --------------------------------------------------------
     @staticmethod
@@ -218,13 +223,11 @@ class FleetServer(FrameServer):
         fenced = self._fence(payload)
         if fenced is not None:
             return fenced
-        rejected = self._machine_ok(machine_id)
+        machine, rejected = self._machine_ok(machine_id)
         if rejected is not None:
             return rejected
         if self.draining:
             return ok_frame(job=None, draining=True)
-        machine = self.registry.get(machine_id)
-        assert machine is not None
         wait_s = payload.get("wait_s")
         if not (isinstance(wait_s, (int, float)) and wait_s > 0):
             wait_s = 0.0  # absent (an older host), or garbage off the wire
@@ -349,7 +352,7 @@ class FleetServer(FrameServer):
         in-flight attempt (the queue's retry owns the outcome now).
         """
         machine_id = str(payload.get("machine_id") or "")
-        rejected = self._machine_ok(machine_id)
+        _, rejected = self._machine_ok(machine_id)
         if rejected is not None:
             return rejected
         held = payload.get("held") or {}

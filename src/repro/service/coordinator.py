@@ -7,8 +7,11 @@ One coordinator drives one tuning session to completion:
    latest checkpoint if one exists — the crash-resume path);
 2. ask the scheduler for trials — a whole **wave** (one rung's worth) for
    halving schedulers, whatever is runnable right now for asynchronous
-   ones — enqueue them as persistent jobs in one commit and ring the
-   workers' doorbell;
+   ones — and look each one up in the coordinator's own artifact store
+   (**memo before dispatch**): a trial the store answers gets its job
+   row written already ``done``, carrying the stored result; the rest
+   are enqueued as persistent jobs — all in one commit — and the
+   workers' doorbell rings only if something was queued;
 3. while workers chew through them in *any* order, integrate finished
    evaluations in issue order — scoring, inference tuning, virtual
    timeline, scheduler reports are all order-sensitive, so pinning the
@@ -35,6 +38,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import faults
+from ..artifacts import trial_key
 from ..core.model_server import (
     ModelTuningServer, RunState, _plain, failure_evaluation,
 )
@@ -314,18 +318,35 @@ class SessionCoordinator:
         fresh: List[ScheduledTrial],
         pending: List[ScheduledTrial],
     ) -> None:
-        """Enqueue ``fresh`` as one commit, wake the workers once, then
-        snapshot the scheduler (a crash in between re-issues the same
-        trials; ``enqueue`` is idempotent)."""
+        """Settle or enqueue ``fresh`` as one commit, wake the workers if
+        anything was queued, then snapshot the scheduler (a crash in
+        between re-issues the same trials; both writes are idempotent).
+
+        A trial whose artifact the coordinator's own store holds never
+        crosses the queue.  The probe is the verified, hit-counting read
+        a worker's is, so a corrupt blob is quarantined here and the
+        trial dispatched cold.
+        """
+        store = server.artifacts
+        queued = 0
         with self.database.transaction():
             for trial in fresh:
+                task = server.make_task(trial, state)
+                blob = None if store is None else store.load_result(
+                    trial_key(task), count_miss=False
+                )
+                if blob is not None and self.queue.settle(
+                    self.session_id, trial.trial_id, task.to_json(),
+                    blob, shard=self.shard,
+                ):
+                    continue
+                queued += 1
                 self.queue.enqueue(
-                    self.session_id,
-                    trial.trial_id,
-                    server.make_task(trial, state).to_json(),
+                    self.session_id, trial.trial_id, task.to_json(),
                     shard=self.shard,
                 )
-        self.jobs_bell.ring()
+        if queued:
+            self.jobs_bell.ring()
         pending.extend(fresh)
         self._checkpoint(server, state, pending)
 

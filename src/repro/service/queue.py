@@ -39,6 +39,11 @@ FAILED = "failed"
 
 JOB_STATES = (QUEUED, LEASED, DONE, FAILED)
 
+#: ``lease_owner`` of a job that was never leased: the coordinator found
+#: the trial's artifact in its own store and wrote the row already done
+#: (:meth:`JobQueue.settle`).  ``worker_stats`` reports it like a worker.
+MEMO_OWNER = "memo"
+
 
 def _env_float(name: str, default: float) -> float:
     """A float from the environment, falling back on garbage values (a
@@ -217,6 +222,32 @@ class JobQueue:
                 int(max_attempts),
                 time.time() if now is None else now,
                 int(shard),
+            ),
+        )
+        return cursor.rowcount > 0
+
+    def settle(
+        self,
+        session_id: str,
+        trial_id: int,
+        payload: str,
+        result: bytes,
+        shard: int = 0,
+    ) -> bool:
+        """Record a trial whose result the issuer already holds as done,
+        without queueing it: the row a worker would have completed on its
+        first attempt (owner :data:`MEMO_OWNER`, zero wait and run time),
+        so nothing downstream can tell and no lease can touch it.
+        Idempotent like :meth:`enqueue`: an existing row wins.
+        """
+        now = time.time()
+        cursor = self.database.execute(
+            "INSERT OR IGNORE INTO jobs (session_id, trial_id, payload, "
+            "state, attempts, lease_owner, result, created_at, started_at, "
+            "finished_at, shard) VALUES (?, ?, ?, ?, 1, ?, ?, ?, ?, ?, ?)",
+            (
+                session_id, int(trial_id), payload, DONE, MEMO_OWNER,
+                result, now, now, now, int(shard),
             ),
         )
         return cursor.rowcount > 0

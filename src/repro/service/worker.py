@@ -21,7 +21,6 @@ crash bit-identical.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import pickle
 import threading
@@ -29,7 +28,7 @@ import time
 import traceback
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..artifacts import ArtifactStore
+from ..artifacts import ArtifactStore, pack_result, trial_key
 from ..core.model_server import (
     TrialTask,
     dataset_cache_stats,
@@ -73,12 +72,9 @@ def heartbeat_interval(
 
 
 def result_blob(evaluation: Any, model: Any) -> bytes:
-    """The bytes a finished job is completed with: the pickled evaluation
-    carrying its pickled model."""
-    model_blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-    return pickle.dumps(
-        dataclasses.replace(evaluation, model_blob=model_blob),
-        protocol=pickle.HIGHEST_PROTOCOL,
+    """The bytes a job that just trained ``model`` is completed with."""
+    return pack_result(
+        evaluation, pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
     )
 
 
@@ -211,7 +207,7 @@ class TrialWorker:
                 fault_point("worker.fail", key=job.trial_id,
                             attempt=job.attempts)
                 task = TrialTask.from_json(job.payload)
-                blob = result_blob(*self._evaluate(task, job.attempts))
+                blob = self._evaluate(task, job.attempts)
             except Exception:
                 self.jobs_failed += 1
                 self.queue.fail(
@@ -305,7 +301,14 @@ class TrialWorker:
                                 attempt=job.attempts)
                     fault_point("worker.hang", key=job.trial_id,
                                 attempt=job.attempts)
-                    live.append((job, TrialTask.from_json(job.payload)))
+                    task = TrialTask.from_json(job.payload)
+                    blob = self.artifacts.load_result(
+                        trial_key(task), count_miss=False
+                    )
+                    if blob is None:
+                        live.append((job, task))
+                    else:  # memoized members sit the stack out
+                        completed.append((job, blob))
                 except Exception:
                     self.jobs_failed += 1
                     self.queue.fail(
@@ -319,11 +322,12 @@ class TrialWorker:
                         [task for _, task in live], train_set, eval_set,
                         artifacts=self.artifacts,
                     )
-                    for (job, _), output in zip(live, outputs):
-                        completed.append((job, result_blob(*output)))
+                    completed.extend([
+                        (job, result_blob(*output))
+                        for (job, _), output in zip(live, outputs)
+                    ])
                 except Exception:
                     error = traceback.format_exc(limit=8)
-                    completed = []
                     for job, _ in live:
                         self.jobs_failed += 1
                         self.queue.fail(job.id, self.worker_id, error)
@@ -345,15 +349,23 @@ class TrialWorker:
                 self.registry.bump(f"dataset_cache.{key}", float(delta))
         self._dataset_cache_last = stats
 
-    def _evaluate(self, task: TrialTask, attempt: int) -> Tuple:
-        """Run one trial, under the wall-clock deadline when configured."""
+    def _evaluate(self, task: TrialTask, attempt: int) -> bytes:
+        """Run one trial to its result blob, under the wall-clock deadline
+        when configured.  A memo hit is passed on as stored bytes; a miss
+        is left for :func:`evaluate_trial` to count.  (The coordinator
+        probed at issue time; this covers what landed since.)"""
 
-        def execute() -> Tuple:
+        def execute() -> bytes:
             fault_point("worker.hang", key=task.trial_id, attempt=attempt)
-            train_set, eval_set = load_task_datasets(task)
-            return evaluate_trial(
-                task, train_set, eval_set, artifacts=self.artifacts
+            blob = self.artifacts.load_result(
+                trial_key(task), count_miss=False
             )
+            if blob is not None:
+                return blob
+            train_set, eval_set = load_task_datasets(task)
+            return result_blob(*evaluate_trial(
+                task, train_set, eval_set, artifacts=self.artifacts
+            ))
 
         if self.trial_timeout_s is None:
             return execute()

@@ -15,6 +15,7 @@ import pytest
 from repro.fleet.host import HostPool
 from repro.fleet.server import FleetServer
 from repro.service import SessionCoordinator, SessionSpec, SessionStore
+from repro.service.queue import MEMO_OWNER
 from repro.service.sessions import S_DONE
 from repro.storage import TrialDatabase
 
@@ -139,22 +140,25 @@ class TestFleetBitIdentity:
         assert machines == {"machine-1", "machine-2"}
 
     def test_federation_avoids_cold_reruns(self, fleet_factory, capsys):
-        """A second identical session served by *fresh* machine databases
-        never cold-runs a trial: every artifact is fetched from the hub
-        cache that the first session populated."""
+        """A second identical session never cold-runs a trial — and, since
+        the hub settles what its own store holds before dispatch, never
+        reaches the *fresh* machines waiting for it either: no lease, no
+        federation fetch, no upload.  (The host-side fetch keeps its own
+        witness: ``test_memo_dispatch.py``.)"""
         first = fleet_factory("first")
         first.submit()
         (result_a,) = first.run()
         uploads = first.stats().get("federation.uploads", 0)
         assert uploads > 0  # cold runs were published to the hub
-        hits_before = first.stats().get("federation.hits", 0)
+        hits = first.stats().get("federation.hits", 0)
+        leases = first.server.meters.counter("fleet.leases").value
+        assert leases >= len(result_a.trials)
 
-        # Same hub, brand-new host databases (a new base dir): the only
-        # way the second session's trials short-circuit is through the
-        # federation's remote lookup.
+        # Same hub, brand-new host databases (a new base dir): they hold
+        # nothing, and are asked for nothing.
         second_dir = first.dir / "fresh-hosts"
         second_dir.mkdir()
-        first.submit()
+        second = first.submit()
         first.pool = HostPool(
             "127.0.0.1", first.server.port, str(second_dir), hosts=2,
         ).start()
@@ -163,10 +167,13 @@ class TestFleetBitIdentity:
         finally:
             first.pool.stop()
         assert warm_fingerprint(result_b) == warm_fingerprint(result_a)
-        hits_after = first.stats().get("federation.hits", 0)
-        assert hits_after > hits_before
-        # No new uploads: nothing was cold-run the second time.
+        assert first.server.meters.counter("fleet.leases").value == leases
+        assert first.stats().get("federation.hits", 0) == hits
         assert first.stats().get("federation.uploads", 0) == uploads
+        assert first.server.queue.worker_stats(second) == [{
+            "worker": MEMO_OWNER, "jobs_done": len(result_b.trials),
+            "busy_s": 0.0,
+        }]
 
         # The counters are operator-visible through ``service status``.
         from repro.service.__main__ import main as service_main
@@ -177,8 +184,10 @@ class TestFleetBitIdentity:
             ["status", "--db", first.db_path, "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["fleet"]["federation.hits"] == hits_after
+        assert payload[0]["fleet"]["federation.uploads"] == uploads
+        assert payload[0]["fleet"].get("federation.hits", 0) == hits
         assert len(payload[0]["machines"]) == 2
+        assert payload[1]["result"]["worker_stats"][0]["worker"] == MEMO_OWNER
 
 
 @pytest.mark.slow

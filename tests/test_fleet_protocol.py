@@ -134,6 +134,28 @@ class TestLeaseProtocol:
         job = server.handle_line(frame("lease", machine_id="m1"))["job"]
         assert job is not None and job["trial_id"] == 1
 
+    def test_lease_reads_the_machine_row_once(self, server):
+        """One ``machines`` SELECT per ``lease`` frame, job or no job:
+        the row ``_machine_ok`` validated is the row that routes."""
+        self._setup_job(server, "m1")
+        statements = []
+        server.database._connection.set_trace_callback(statements.append)
+        try:
+            for expected in (1, None):  # a job, then an empty queue
+                del statements[:]
+                job = server.handle_line(
+                    frame("lease", machine_id="m1")
+                )["job"]
+                assert (job and job["trial_id"]) == expected
+                reads = [
+                    sql for sql in statements
+                    if sql.lstrip().upper().startswith("SELECT")
+                    and "FROM machines" in sql
+                ]
+                assert len(reads) == 1, statements
+        finally:
+            server.database._connection.set_trace_callback(None)
+
     def test_lease_complete_roundtrip(self, server):
         self._setup_job(server, "m1")
         job = server.handle_line(
