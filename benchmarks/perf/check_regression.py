@@ -48,13 +48,6 @@ SPEEDUP_FLOORS = {
     "micro.maxpool2d.backward": 1.2,
     "e2e.SR": 1.5,
     "e2e.IC": 1.5,
-    # Batched-trial execution: 8 stacked lanes must beat the same 8
-    # trials run serially by >= 1.5x (2x is the target on IC, whose
-    # dense gemms amortize best).  Bit-identity is asserted inside the
-    # benchmark itself, so this speedup can never be bought with skipped
-    # or diverged work.
-    "batched.IC": 1.5,
-    "batched.SR": 1.5,
     # Artifact cache, end-to-end: warm-resume must at least halve the
     # retrain cost over a BOHB bracket (analytic work ratio is 1.92x),
     # and an exact-memo replay of a finished session must be far faster
@@ -91,8 +84,6 @@ def _metrics(report: dict):
         yield f"micro.{name}", entry
     for name, entry in report.get("e2e", {}).items():
         yield f"e2e.{name}", entry
-    for name, entry in report.get("batched", {}).items():
-        yield f"batched.{name}", entry
     for name, entry in report.get("artifact", {}).items():
         yield f"artifact.{name}", entry
     for name, entry in report.get("scheduler", {}).items():

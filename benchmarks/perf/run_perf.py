@@ -328,102 +328,6 @@ def run_e2e(scale: str, repeats: int) -> Dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Batched-trial execution: K stacked lanes vs K serial runs (bit-identical)
-# ---------------------------------------------------------------------------
-
-def run_batched(scale: str, repeats: int) -> Dict[str, dict]:
-    """Stacked K=8 training vs the same 8 trials run serially.
-
-    Measures exactly what the ``TrialBatch`` execution unit runs in a
-    session: the workload's own dataset, model family, and
-    ``effective_training``-resolved batch/lr — so the speedup here is
-    the one a ``--trial-batch 8`` session actually sees.  Bit-identity
-    is asserted before timing (same per-lane seeds the serial path would
-    derive), so the speedup can never come from skipped or diverged
-    work.  ``speedup`` is the best-of-round serial/stacked wall-clock
-    ratio; the floor in ``check_regression`` is 1.5x with 2x the target
-    on IC.
-    """
-    from repro.nn.batched import train_model_batch
-    from repro.rng import derive_seed
-    from repro.workloads import get_workload
-
-    full = scale == "full"
-    lanes = 8
-    epochs = 2
-    cases = {"IC": 640 if full else 256, "SR": 320 if full else 128}
-    results: Dict[str, dict] = {}
-    for workload_id, samples in cases.items():
-        wl = get_workload(workload_id)
-        train_set, eval_set = wl.load(seed=3, samples=samples)
-        family = wl.family
-        loss = family.make_loss(train_set.num_classes)
-        real_batch, lr = wl.effective_training(64)
-        seeds = [derive_seed(3, "train", tid) for tid in range(lanes)]
-
-        def make_models():
-            return [
-                family.instantiate(
-                    train_set.sample_shape,
-                    train_set.num_classes,
-                    {"train_batch_size": 64},
-                    seed=wl.model_seed(3, tid),
-                )
-                for tid in range(lanes)
-            ]
-
-        def serial():
-            return [
-                train_model(
-                    model, loss, train_set, eval_set, epochs=epochs,
-                    batch_size=real_batch, lr=lr, seed=seeds[tid],
-                )
-                for tid, model in enumerate(make_models())
-            ]
-
-        def stacked():
-            return train_model_batch(
-                make_models(), loss, train_set, eval_set, epochs=epochs,
-                batch_size=real_batch, lr=lr, seeds=seeds,
-            )
-
-        with use_backend("fast"):
-            serial_ref, stacked_ref = serial(), stacked()  # warms buffers
-            for a, b in zip(serial_ref, stacked_ref):
-                assert a.accuracy == b.accuracy, (workload_id, "accuracy")
-                assert a.losses == b.losses, (workload_id, "losses")
-                assert a.samples_seen == b.samples_seen, (
-                    workload_id, "samples"
-                )
-                assert a.train_total_flops == b.train_total_flops, (
-                    workload_id, "flops"
-                )
-
-            rounds = {"serial": [], "stacked": []}
-            for _ in range(max(repeats, 2)):
-                rounds["serial"].append(_best_ms(serial, 1))
-                rounds["stacked"].append(_best_ms(stacked, 1))
-        entry = {
-            "model": f"{family.name} @ "
-                     f"{'x'.join(str(d) for d in train_set.sample_shape)}",
-            "lanes": lanes,
-            "serial_trials_per_sec":
-                lanes * 1000.0 / min(rounds["serial"]),
-            "fast_trials_per_sec":
-                lanes * 1000.0 / min(rounds["stacked"]),
-            "speedup": min(rounds["serial"]) / min(rounds["stacked"]),
-        }
-        results[workload_id] = entry
-        print(
-            f"batched {workload_id:4s} (K={lanes}, {entry['model']})  "
-            f"serial {entry['serial_trials_per_sec']:.2f} trials/s  "
-            f"stacked {entry['fast_trials_per_sec']:.2f} trials/s  "
-            f"speedup {entry['speedup']:.2f}x"
-        )
-    return results
-
-
-# ---------------------------------------------------------------------------
 # Artifact cache: warm-resume and exact-memoization end-to-end speedups
 # ---------------------------------------------------------------------------
 
@@ -702,7 +606,6 @@ def main() -> None:
         "micro": run_micro(args.scale, args.repeats),
         "session_step": run_session_step(args.repeats),
         "e2e": run_e2e(args.scale, e2e_repeats),
-        "batched": run_batched(args.scale, e2e_repeats),
         "artifact": run_artifact(args.scale),
         "scheduler": run_scheduler(args.scale),
         "traffic": run_traffic(args.scale, args.repeats),

@@ -78,7 +78,6 @@ def _tune_service(args) -> int:
             traffic_metric=args.traffic_metric,
             slo_p99_s=args.slo_p99,
             slo_deadline_s=args.slo_deadline,
-            trial_batch=args.trial_batch,
         )
         session_id = SessionStore(database).create(spec)
         result = SessionCoordinator(
@@ -166,7 +165,6 @@ def _cmd_tune(args) -> int:
                              traffic=args.traffic,
                              traffic_metric=args.traffic_metric,
                              slo=_slo_from_args(args),
-                             trial_batch=args.trial_batch,
                              **extra, **common)
         elif args.system == "tune":
             tuner = TuneBaseline(budget=build_budget(args.budget), **common)
@@ -277,11 +275,6 @@ def main(argv=None) -> int:
     tune.add_argument("--slo-deadline", type=float, default=None,
                       help="per-request deadline in seconds (missed "
                            "requests count against the deadline metric)")
-    tune.add_argument("--trial-batch", type=int, default=None,
-                      help="stack up to K shape-compatible trials into one "
-                           "vectorized training run (bit-identical to "
-                           "serial; default: auto via $REPRO_TRIAL_BATCH "
-                           "or 8; 1 disables)")
     tune.set_defaults(func=_cmd_tune)
 
     devices = subparsers.add_parser("devices", help="list emulated devices")

@@ -59,7 +59,6 @@ class EdgeTune:
         traffic: Optional[str] = None,
         traffic_metric: str = "p99",
         slo: Optional[SLOSpec] = None,
-        trial_batch: Optional[int] = None,
     ):
         self.workload = (
             get_workload(workload) if isinstance(workload, str) else workload
@@ -118,7 +117,6 @@ class EdgeTune:
                 self.traffic_spec.canonical()
                 if self.traffic_spec is not None else None
             ),
-            trial_batch=trial_batch,
         )
 
     def tune(self) -> TuningRunResult:

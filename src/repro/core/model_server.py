@@ -41,14 +41,14 @@ import json
 import os
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..artifacts import ArtifactStore, pack_velocity, trial_key
 from ..budgets import BudgetStrategy, MultiBudget
 from ..datasets.base import Dataset
 from ..errors import TuningError
 from ..hardware import Emulator, get_device
-from ..nn import TrainingResult, train_model
+from ..nn import train_model
 from ..objectives import WORST_SCORE, RatioObjective, TuningObjective
 from ..rng import SeedLike, derive_seed, ensure_seed
 from ..search import ScheduledTrial, TrialReport, build_scheduler
@@ -198,8 +198,8 @@ _DATASET_CACHE: Dict[Tuple[str, int, Optional[int]], Tuple[Dataset, Dataset]] = 
 
 def _dataset_cache_max() -> int:
     """Size cap, overridable per deployment via ``$REPRO_DATASET_CACHE_MAX``
-    (batched groups reuse one split K times — a worker serving interleaved
-    sessions may want more than the default four)."""
+    (a worker serving interleaved sessions may want more than the default
+    four)."""
     raw = os.environ.get("REPRO_DATASET_CACHE_MAX", "").strip()
     if raw:
         try:
@@ -212,8 +212,7 @@ def _dataset_cache_max() -> int:
 _DATASET_CACHE_MAX = 4
 
 #: Lifetime telemetry for the dataset memo (process-local, monotonic).
-#: Surfaced by the worker meters and ``service status --json`` so the
-#: cache-reuse that batched groups rely on is observable.
+#: Published by the service workers and reported by ``service status``.
 _DATASET_CACHE_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
@@ -265,8 +264,11 @@ def evaluate_trial(
     ``artifacts`` plugs in the trial artifact cache.  Tier 1 (exact
     memoization): a task whose :func:`~repro.artifacts.trial_key` is
     already stored returns the stored evaluation and model bit-for-bit
-    without training.  Tier 2 (warm-resume, only when ``task.reuse``):
-    see :func:`train_trial`, which is everything past the memo probe.
+    without training.  Tier 2 (warm-resume, only when ``task.reuse``): the
+    parent rung's weights/momentum are restored and training starts at
+    ``task.start_epoch``.  A missing parent artifact degrades to a cold
+    run — the task is re-keyed with the lineage stripped so the stored
+    artifact always describes what actually ran.
     """
     key: Optional[str] = None
     if artifacts is not None:
@@ -274,61 +276,6 @@ def evaluate_trial(
         cached = artifacts.load_trial(key)
         if cached is not None:
             return cached[0], cached[1]
-    return train_trial(task, key, train_set, eval_set, workload, artifacts)
-
-
-class TrialSetup(NamedTuple):
-    """What a trial trains with, alone or as a lane of a stack."""
-
-    model: Any
-    loss: Any
-    batch_size: int
-    learning_rate: float
-    seed: int
-
-
-def trial_setup(
-    task: TrialTask, workload: Workload, train_set: Dataset
-) -> TrialSetup:
-    """Build ``task``'s model and loss and resolve its real batch size,
-    learning rate and training seed."""
-    family = workload.family
-    model = family.instantiate(
-        train_set.sample_shape,
-        train_set.num_classes,
-        dict(task.values),
-        seed=workload.model_seed(task.seed, task.trial_id),
-    )
-    real_batch, learning_rate = workload.effective_training(
-        int(task.values["train_batch_size"])
-    )
-    return TrialSetup(
-        model,
-        family.make_loss(train_set.num_classes),
-        real_batch,
-        learning_rate,
-        derive_seed(task.seed, "train", task.trial_id),
-    )
-
-
-def train_trial(
-    task: TrialTask,
-    key: Optional[str],
-    train_set: Optional[Dataset] = None,
-    eval_set: Optional[Dataset] = None,
-    workload: Optional[Workload] = None,
-    artifacts: Optional[ArtifactStore] = None,
-) -> Tuple[TrialEvaluation, Any]:
-    """Train one task whose memo probe under ``key`` already missed.
-
-    :func:`evaluate_trial` without the probe, for callers that have made
-    it (a second one would count the miss, and query the store, twice).
-    Warm-resume (only when ``task.reuse``): the parent rung's
-    weights/momentum are restored and training starts at
-    ``task.start_epoch``.  A missing parent artifact degrades to a cold
-    run — the task is re-keyed with the lineage stripped so the stored
-    artifact always describes what actually ran.
-    """
     workload = workload or get_workload(task.workload_id)
     resume: Optional[Tuple[Dict[str, Any], List[Any]]] = None
     if artifacts is not None and task.reuse and task.parent_key is not None:
@@ -345,39 +292,34 @@ def train_trial(
         train_set, eval_set = workload.load(
             seed=task.seed, samples=task.samples
         )
-    setup = trial_setup(task, workload, train_set)
-    model = setup.model
+    family = workload.family
+    model = family.instantiate(
+        train_set.sample_shape,
+        train_set.num_classes,
+        dict(task.values),
+        seed=workload.model_seed(task.seed, task.trial_id),
+    )
+    real_batch, learning_rate = workload.effective_training(
+        int(task.values["train_batch_size"])
+    )
     init_state: Optional[Dict[str, Any]] = None
     if resume is not None:
         init_state = {"weights": resume[0], "velocity": resume[1]}
     result = train_model(
         model,
-        setup.loss,
+        family.make_loss(train_set.num_classes),
         train_set,
         eval_set,
         epochs=task.epochs,
-        batch_size=setup.batch_size,
-        lr=setup.learning_rate,
+        batch_size=real_batch,
+        lr=learning_rate,
         data_fraction=task.data_fraction,
-        seed=setup.seed,
+        seed=derive_seed(task.seed, "train", task.trial_id),
         start_epoch=task.start_epoch if init_state is not None else 0,
         init_state=init_state,
         nested_subset=task.reuse,
         capture_state=task.reuse and artifacts is not None,
     )
-    return finish_trial(task, key, model, result, artifacts), model
-
-
-def finish_trial(
-    task: TrialTask,
-    key: Optional[str],
-    model: Any,
-    result: TrainingResult,
-    artifacts: Optional[ArtifactStore],
-) -> TrialEvaluation:
-    """Turn the training result into the trial's evaluation and store it
-    under ``key`` — one place for every way a trial trains, so a stacked
-    lane leaves the artifact its serial run would."""
     evaluation = TrialEvaluation(
         trial_id=task.trial_id,
         accuracy=result.accuracy,
@@ -405,7 +347,7 @@ def finish_trial(
             epochs=task.epochs,
             data_fraction=task.data_fraction,
         )
-    return evaluation
+    return evaluation, model
 
 
 @dataclass
@@ -466,7 +408,6 @@ class ModelTuningServer:
         reuse_checkpoints: bool = False,
         artifacts: Optional[ArtifactStore] = None,
         traffic: Optional[str] = None,
-        trial_batch: Optional[int] = None,
     ):
         self.workload = workload
         self.algorithm = algorithm
@@ -512,10 +453,6 @@ class ModelTuningServer:
         #: tunes under (stamped onto every :class:`TrialTask`); ``None``
         #: preserves the historical steady-state trial keys bit-exactly.
         self.traffic_spec = traffic
-        #: Stacking width K for batched-trial execution (``None`` = auto
-        #: via ``$REPRO_TRIAL_BATCH``/default; 1 disables).  Resolved at
-        #: :meth:`run` time so the environment is read when it matters.
-        self.trial_batch = trial_batch
         if artifacts is not None:
             self.artifacts: Optional[ArtifactStore] = artifacts
         elif self.reuse_checkpoints or self.database.path != ":memory:":
@@ -961,29 +898,10 @@ class ModelTuningServer:
 
     # -- full run ----------------------------------------------------------------
     def run(self) -> TuningRunResult:
-        """Execute the tuning loop in-process to completion.
-
-        With an effective ``trial_batch`` > 1 and a synchronous
-        scheduler, each wave's tasks are partitioned by
-        :func:`~repro.core.trial_batch.batch_signature` and
-        signature-sharers train as one stacked run — integration stays
-        in wave order, so results are bit-identical to the serial loop.
-        Asynchronous schedulers and adaptive searchers that must observe
-        each report before their next suggestion (``wave_safe`` False,
-        e.g. plain TPE) keep the one-at-a-time path here; their batched
-        execution happens worker-side in the service, where waves are
-        the contract anyway.
-        """
-        from .trial_batch import resolve_trial_batch
-
+        """Execute the tuning loop in-process to completion, one trial
+        at a time: each result is integrated before the next trial is
+        drawn, for every scheduler."""
         state = self.prepare()
-        limit = resolve_trial_batch(self.trial_batch)
-        if (
-            limit > 1
-            and not getattr(state.scheduler, "asynchronous", False)
-            and getattr(state.scheduler, "wave_safe", True)
-        ):
-            return self._run_batched(state, limit)
         while True:
             trial = self._next_trial(state)
             if trial is None:
@@ -996,35 +914,6 @@ class ModelTuningServer:
                 artifacts=self.artifacts,
             )
             self.integrate(state, trial, evaluation, model=model)
-        return self.finalize(state)
-
-    def _run_batched(self, state: RunState, limit: int) -> TuningRunResult:
-        """Wave-at-a-time driver with stacked trial execution.
-
-        Evaluating a whole wave before integrating matches the service
-        coordinator's contract (evaluations are order-independent; only
-        :meth:`integrate` order matters), which PR 1 pinned bit-identical
-        to the serial loop.
-        """
-        from .trial_batch import evaluate_task_groups
-
-        while True:
-            wave = self.next_wave(state)
-            if not wave:
-                break
-            tasks = [self.make_task(trial, state) for trial in wave]
-            outputs = evaluate_task_groups(
-                tasks,
-                state.train_set,
-                state.eval_set,
-                limit,
-                workload=self.workload,
-                artifacts=self.artifacts,
-            )
-            for trial, (evaluation, model) in zip(wave, outputs):
-                if state.stopped:
-                    break
-                self.integrate(state, trial, evaluation, model=model)
         return self.finalize(state)
 
     @staticmethod

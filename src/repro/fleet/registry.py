@@ -300,15 +300,6 @@ class MachineRegistry:
             (key, float(amount)),
         )
 
-    def bump_max(self, key: str, value: float) -> None:
-        """Crash-safe high-water-mark update (e.g. widest batch group)."""
-        self.database.execute(
-            "INSERT INTO fleet_stats (key, value) VALUES (?, ?) "
-            "ON CONFLICT (key) DO UPDATE SET "
-            "value = MAX(value, excluded.value)",
-            (key, float(value)),
-        )
-
     def stats(self) -> Dict[str, float]:
         rows = self.database.execute(
             "SELECT key, value FROM fleet_stats ORDER BY key"

@@ -18,14 +18,6 @@ Layout: a gradient buffer is laid out like the activation it pairs with
 (:mod:`repro.nn.kernels`).  The layers remember the strides their input
 arrived with and hand them to the kernels; shapes and views are what
 they always were.
-
-Lanes: every body here computes on trailing axes, so a ``(K, n, C, ...)``
-lane stack runs through the lines an ``(n, C, ...)`` batch does.  The
-gather/scatter kernels keep their ``(N, C, ...)`` contract — the layers
-fold the lane axis into the batch axis around them (:func:`_fold`; a
-no-op view on a plain batch) — while the gemms see the patch matrix as
-``(M, F)`` rows per weight matrix: ``(n·Lo, F) @ (F, O)`` for one trial,
-``(K, n·Lo, F) @ (K, F, O)`` for a stack.
 """
 
 from __future__ import annotations
@@ -42,12 +34,6 @@ from .initializers import he_normal, zeros
 from .module import Module, ParamTensor, Shape, check_ndim
 
 
-def _fold(array: np.ndarray, keep: int) -> np.ndarray:
-    """``array`` with every axis in front of its last ``keep`` merged into
-    one: lanes folded into the batch axis for an ``(N, ...)`` kernel."""
-    return array.reshape((-1,) + array.shape[-keep:])
-
-
 def _out_length(length: int, kernel: int, stride: int) -> int:
     if length < kernel:
         raise ShapeError(
@@ -59,16 +45,15 @@ def _out_length(length: int, kernel: int, stride: int) -> int:
 class _PatchGemm:
     """The two gemms of an im2col convolution, shared by both conv layers.
 
-    Patch rows are grouped per weight matrix — ``(n·P, F)`` for one trial,
-    ``(K, n·P, F)`` against ``(K, F, O)`` weights for a lane stack — so the
-    flattened-gemm form of :func:`kernels.scratch_matmul` (one tall matrix
-    instead of ``n`` small ones) and the flat bias reduction are the same
-    lines at either rank.
+    The patch matrix is one tall ``(n·P, F)`` matrix against the
+    ``(F, O)`` weights — the flattened-gemm form of
+    :func:`kernels.scratch_matmul` instead of ``n`` small gemms — with a
+    flat bias reduction.
     """
 
     def _project(self, cols: np.ndarray) -> np.ndarray:
         """Cache the ``(N, P, F)`` patch matrix and return ``cols @ W + b``
-        as ``(..., n·P, C_out)`` rows in the layer's forward buffer."""
+        as ``(n·P, C_out)`` rows in the layer's forward buffer."""
         weight = self.weight.value
         self._cols = cols.reshape(weight.shape[:-2] + (-1, cols.shape[-1]))
         out = kernels.scratch_matmul(
@@ -78,7 +63,7 @@ class _PatchGemm:
         return out
 
     def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
-        """Add the weight and bias gradients of ``grad_out`` ``(..., P,
+        """Add the weight and bias gradients of ``grad_out`` ``(N, P,
         C_out)`` and return it gemm-contiguous.  Inside a conv trunk it
         arrives that way (the layer behind laid its gradient out like
         this layer's channel-last output) and nothing is copied; a
@@ -100,7 +85,7 @@ class _PatchGemm:
 
 
 class Conv1d(_PatchGemm, Module):
-    """1-D convolution over (..., C, L) inputs; used by the M5 audio model."""
+    """1-D convolution over (N, C, L) inputs; used by the M5 audio model."""
 
     def __init__(
         self,
@@ -130,22 +115,21 @@ class Conv1d(_PatchGemm, Module):
         self._weight_grad_scratch = np.zeros_like(self.weight.value)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("Conv1d", inputs, 3 + self.lane_axes)
+        check_ndim("Conv1d", inputs, 3)
         if inputs.shape[-2] != self.in_channels:
             raise ShapeError(
                 f"Conv1d expected {self.in_channels} channels, "
                 f"got {inputs.shape[-2]}"
             )
         out_len = _out_length(inputs.shape[-1], self.kernel_size, self.stride)
-        folded = _fold(inputs, 2)
-        self._input_shape, self._input_strides = inputs.shape, folded.strides
+        self._input_shape, self._input_strides = inputs.shape, inputs.strides
         out = self._project(kernels.im2col_1d(
-            folded, self.kernel_size, self.stride, out_len,
+            inputs, self.kernel_size, self.stride, out_len,
             self._forward_scratch,
         ))
         return out.reshape(
             inputs.shape[:-2] + (out_len, self.out_channels)
-        ).swapaxes(-1, -2)  # (..., C_out, Lo)
+        ).swapaxes(-1, -2)  # (N, C_out, Lo)
 
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True
@@ -153,7 +137,7 @@ class Conv1d(_PatchGemm, Module):
         if self._cols is None or self._input_shape is None:
             raise ShapeError("Conv1d.backward called before forward")
         grad_out = self._accumulate(
-            grad_output.swapaxes(-1, -2)  # (..., Lo, C_out)
+            grad_output.swapaxes(-1, -2)  # (N, Lo, C_out)
         )
         if not need_input_grad:
             return None
@@ -190,7 +174,7 @@ class MaxPool1d(Module):
         self._backward_scratch: dict = {}
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("MaxPool1d", inputs, 3 + self.lane_axes)
+        check_ndim("MaxPool1d", inputs, 3)
         length = inputs.shape[-1]
         out_len = length // self.kernel_size
         if out_len == 0:
@@ -209,15 +193,14 @@ class MaxPool1d(Module):
         if self._cache is None:
             raise ShapeError("MaxPool1d.backward called before forward")
         input_shape, out_len, argmax = self._cache
-        folded = _fold(grad_output, 2)
         return kernels.maxpool1d_backward(
-            folded,
-            folded.shape[:1] + input_shape[-2:],
+            grad_output,
+            input_shape,
             out_len,
             self.kernel_size,
-            _fold(argmax, 2),
+            argmax,
             self._backward_scratch,
-        ).reshape(input_shape)
+        )
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, length = input_shape
@@ -245,7 +228,7 @@ class _GlobalAvgPool:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         check_ndim(
             type(self).__name__, inputs,
-            2 + len(self._reduced) + self.lane_axes,
+            2 + len(self._reduced),
         )
         self._input_shape, self._input_strides = inputs.shape, inputs.strides
         out = np.add.reduce(inputs, axis=self._reduced)
@@ -271,7 +254,7 @@ class _GlobalAvgPool:
 
 
 class GlobalAvgPool1d(_GlobalAvgPool, Module):
-    """Average over the length axis: (..., C, L) -> (..., C)."""
+    """Average over the length axis: (N, C, L) -> (N, C)."""
 
     _reduced = (-1,)
 
@@ -281,7 +264,7 @@ class GlobalAvgPool1d(_GlobalAvgPool, Module):
 
 
 class Conv2d(_PatchGemm, Module):
-    """2-D convolution over (..., C, H, W) inputs (square kernels)."""
+    """2-D convolution over (N, C, H, W) inputs (square kernels)."""
 
     def __init__(
         self,
@@ -310,7 +293,7 @@ class Conv2d(_PatchGemm, Module):
         self._weight_grad_scratch = np.zeros_like(self.weight.value)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("Conv2d", inputs, 4 + self.lane_axes)
+        check_ndim("Conv2d", inputs, 4)
         if inputs.shape[-3] != self.in_channels:
             raise ShapeError(
                 f"Conv2d expected {self.in_channels} channels, "
@@ -318,12 +301,11 @@ class Conv2d(_PatchGemm, Module):
             )
         out_h = _out_length(inputs.shape[-2], self.kernel_size, self.stride)
         out_w = _out_length(inputs.shape[-1], self.kernel_size, self.stride)
-        folded = _fold(inputs, 3)
         out = self._project(kernels.im2col_2d(
-            folded, self.kernel_size, self.stride, out_h, out_w,
+            inputs, self.kernel_size, self.stride, out_h, out_w,
             self._forward_scratch,
         ))
-        self._geometry = (inputs.shape, folded.strides, out_h, out_w)
+        self._geometry = (inputs.shape, inputs.strides, out_h, out_w)
         lead = inputs.shape[:-3]
         return out.reshape(
             lead + (out_h * out_w, self.out_channels)
@@ -338,7 +320,7 @@ class Conv2d(_PatchGemm, Module):
         grad_out = self._accumulate(
             grad_output.reshape(
                 input_shape[:-3] + (self.out_channels, out_h * out_w)
-            ).swapaxes(-1, -2)  # (..., Ho*Wo, C_out)
+            ).swapaxes(-1, -2)  # (N, Ho*Wo, C_out)
         )
         if not need_input_grad:
             return None
@@ -378,7 +360,7 @@ class MaxPool2d(Module):
         self._backward_scratch: dict = {}
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("MaxPool2d", inputs, 4 + self.lane_axes)
+        check_ndim("MaxPool2d", inputs, 4)
         k = self.kernel_size
         height, width = inputs.shape[-2:]
         out_h, out_w = height // k, width // k
@@ -386,7 +368,7 @@ class MaxPool2d(Module):
             raise ShapeError(
                 f"MaxPool2d: input {height}x{width} smaller than kernel {k}"
             )
-        trimmed = _fold(inputs, 3)[:, :, : out_h * k, : out_w * k]
+        trimmed = inputs[:, :, : out_h * k, : out_w * k]
         maxima, argmax = kernels.maxpool2d_forward(trimmed, k)
         self._cache = (inputs.shape, out_h, out_w, argmax)
         return maxima.reshape(inputs.shape[:-2] + (out_h, out_w))
@@ -396,14 +378,14 @@ class MaxPool2d(Module):
             raise ShapeError("MaxPool2d.backward called before forward")
         input_shape, out_h, out_w, argmax = self._cache
         return kernels.maxpool2d_backward(
-            _fold(grad_output, 3),
-            argmax.shape[:1] + input_shape[-3:],
+            grad_output,
+            input_shape,
             out_h,
             out_w,
             self.kernel_size,
             argmax,
             self._backward_scratch,
-        ).reshape(input_shape)
+        )
 
     def flops(self, input_shape: Shape) -> Tuple[int, Shape]:
         channels, height, width = input_shape
@@ -413,7 +395,7 @@ class MaxPool2d(Module):
 
 
 class GlobalAvgPool2d(_GlobalAvgPool, Module):
-    """Average over spatial axes: (..., C, H, W) -> (..., C)."""
+    """Average over spatial axes: (N, C, H, W) -> (N, C)."""
 
     _reduced = (-2, -1)
 

@@ -135,9 +135,7 @@ def scratch_matmul(
     ``(N*M, K) @ (K, P)`` gemm: BLAS handles a single tall matrix far
     better than N small calls, and because gemm reduces over K in the
     same order regardless of M, the result is bit-identical (asserted by
-    the property tests in ``tests/test_nn_kernels.py``).  With K lanes in
-    front of both operands the same fold gives ``(K, n, M, F) @ (K, F, P)``
-    as ``(K, n*M, F) @ (K, F, P)`` — per lane, the gemm above.
+    the property tests in ``tests/test_nn_kernels.py``).
     """
     shape = a.shape[:-1] + (b.shape[-1],)
     buf = scratch_like(shape, None, scratch, key)
@@ -227,9 +225,7 @@ def _offset_major_grad_cols(
     rows so the gemm emits each offset's contributions as one contiguous
     ``(..., C)`` block instead of an ``offsets``-strided gather.
     Permuting gemm columns does not change any dot product, so the values
-    are bit-identical to the reference layout.  Trailing axes throughout:
-    a leading lane axis on ``weight`` (and on ``grad_out``, in front of
-    its batch axis) rides along.
+    are bit-identical to the reference layout.
     """
     lanes, out_channels = weight.shape[:-2], weight.shape[-1]
     w_perm = weight.reshape(
@@ -254,8 +250,7 @@ def _conv1d_input_grad_fast(
     Per offset ``k``, the destinations ``o*stride + k`` are strictly
     increasing in ``o`` — no duplicate indices, so a plain ``+=`` on the
     strided slice is exact and ``np.add.at`` is unnecessary.  The
-    slice-adds run on the gradient with its lanes folded into the batch
-    axis, in a buffer laid out like the (folded) forward input: each
+    slice-adds run in a buffer laid out like the forward input: each
     offset's ``(N, Lo, C)`` block is then added over contiguous channel
     runs when that input was channel-last.
     """
@@ -309,10 +304,7 @@ def conv1d_input_grad(
     gradient buffers across steps; the returned array aliases it and is
     only valid until the next call with the same dict.  The fast backend
     lays the gradient out like a tensor with ``input_strides`` — those of
-    the forward input, lanes folded into its batch axis (C order when not
-    given).  It also takes a lane stack — ``grad_out`` (K, n, Lo, C_out),
-    ``weight`` (K, C*K, C_out), ``input_shape`` (K, n, C, L); the
-    reference backend is the serial-rank oracle only.
+    the forward input (C order when not given).
     """
     if _BACKEND == "fast":
         return _conv1d_input_grad_fast(
@@ -453,8 +445,8 @@ def conv2d_input_grad(
     input_strides: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Gradient w.r.t. the conv input: ``grad_out`` (N, Ho*Wo, C_out)
-    back through ``weight`` (C*K*K, C_out) and the im2col gather; lane
-    stacks and ``input_strides`` as for :func:`conv1d_input_grad`."""
+    back through ``weight`` (C*K*K, C_out) and the im2col gather;
+    ``input_strides`` as for :func:`conv1d_input_grad`."""
     if _BACKEND == "fast":
         return _conv2d_input_grad_fast(
             grad_out, weight, input_shape, out_h, out_w, kernel, stride,

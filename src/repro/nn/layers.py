@@ -13,12 +13,7 @@ from .module import Module, ParamTensor, Shape, check_ndim
 
 
 class Linear(Module):
-    """Fully connected layer: ``y = x @ W + b``.
-
-    Written against trailing axes, so the same lines run an ``(n, F)``
-    batch through ``(F, O)`` weights and a ``(K, n, F)`` lane stack through
-    ``(K, F, O)`` ones — a stacked gemm is, lane for lane, the 2-D gemm.
-    """
+    """Fully connected layer: ``y = x @ W + b``."""
 
     def __init__(self, in_features: int, out_features: int, rng: SeedLike = None):
         if in_features <= 0 or out_features <= 0:
@@ -33,7 +28,7 @@ class Linear(Module):
         self._inputs: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        check_ndim("Linear", inputs, 2 + self.lane_axes)
+        check_ndim("Linear", inputs, 2)
         if inputs.shape[-1] != self.in_features:
             raise ShapeError(
                 f"Linear expected {self.in_features} features, "
@@ -154,19 +149,14 @@ class Dropout(Module):
 
 
 class Flatten(Module):
-    """Collapse each sample's dimensions into one.
-
-    Which axis is the sample is not written on the tensor — a ``(K, n, F)``
-    lane stack and an ``(n, C, L)`` batch look alike — so the leading axes
-    kept are the batch axis plus :attr:`Module.lane_axes`.
-    """
+    """Collapse each sample's dimensions into one."""
 
     def __init__(self) -> None:
         self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._input_shape = inputs.shape
-        return inputs.reshape(inputs.shape[: 1 + self.lane_axes] + (-1,))
+        return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

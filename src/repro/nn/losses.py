@@ -18,13 +18,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 class Loss:
     """Base class: ``forward`` returns a scalar, ``backward`` the gradient
-    with respect to the predictions.
-
-    A lane-safe loss (:class:`CrossEntropyLoss`, :class:`DetectionLoss`)
-    reduces over trailing axes, so ``(K, n, ...)`` predictions — K trials
-    stacked in front of the batch axis — give one loss per lane, as a list
-    of K floats, from the lines that give a float for one batch.
-    """
+    with respect to the predictions."""
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         raise NotImplementedError
@@ -36,8 +30,6 @@ class Loss:
 class SoftmaxCrossEntropy:
     """Fused softmax + mean cross entropy in one reusable buffer.
 
-    Serves ``(n, C)`` logits and ``(K, n, C)`` lane stacks (the loss is
-    then a ``(K,)`` vector, one mean per lane).
     ``forward`` runs max, subtract, exp, sum and divide in place in a
     scratch array kept per logits shape (with its cached gather index);
     ``backward`` turns that same array into the gradient.  The arithmetic,
@@ -105,7 +97,7 @@ class CrossEntropyLoss(Loss):
                 f"targets shape {targets.shape} does not match batch "
                 f"{logits.shape[:-1]}"
             )
-        # ``tolist`` is ``float()`` that also takes a vector of lane losses.
+        # ``tolist`` turns the 0-d mean into a Python float.
         return self._kernel.forward(logits, targets).tolist()
 
     def backward(self) -> np.ndarray:

@@ -10,7 +10,7 @@ RNN → stride, YOLO → dropout).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping
 
 from ...errors import WorkloadError
 from ...rng import SeedLike
@@ -33,15 +33,6 @@ class ModelFamily:
     model_parameter: Parameter
     default_hyperparameters: Mapping[str, Any]
     task: str = "classification"
-    #: Hyperparameters that change tensor *shapes* (layer widths/depths).
-    #: Trials agreeing on these (plus budget and data) can be stacked into
-    #: one batched training run; the remaining hyperparameters are scalars
-    #: (lr, momentum, dropout) that batch along the lane axis.
-    shape_hyperparameters: Tuple[str, ...] = ()
-    #: Whether every layer of the family is lane-safe, so
-    #: :func:`repro.nn.batched.stack_modules` can stack its models
-    #: (recurrent families are not).
-    stackable: bool = False
 
     def instantiate(
         self,
@@ -87,8 +78,6 @@ MODEL_FAMILIES: Dict[str, ModelFamily] = {
             "num_layers", RESNET_LAYER_CHOICES, kind="model"
         ),
         default_hyperparameters={"num_layers": 18, "width": 32},
-        shape_hyperparameters=("num_layers", "width"),
-        stackable=True,
     ),
     "m5": ModelFamily(
         name="m5",
@@ -100,8 +89,6 @@ MODEL_FAMILIES: Dict[str, ModelFamily] = {
             "embedding_dim", M5_EMBEDDING_CHOICES, kind="model"
         ),
         default_hyperparameters={"embedding_dim": 32},
-        shape_hyperparameters=("embedding_dim",),
-        stackable=True,
     ),
     "textrnn": ModelFamily(
         name="textrnn",
@@ -128,8 +115,6 @@ MODEL_FAMILIES: Dict[str, ModelFamily] = {
         ),
         default_hyperparameters={"dropout": 0.1, "trunk_channels": 12},
         task="detection",
-        shape_hyperparameters=("trunk_channels",),
-        stackable=True,
     ),
 }
 

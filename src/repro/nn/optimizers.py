@@ -64,7 +64,6 @@ def sgd_update(
     in ``tests/test_nn_losses_optim.py``): the update is elementwise, and
     IEEE-754 addition and multiplication are commutative, so regrouping
     into in-place ops over a whole arena does not change a single bit.
-    ``lr`` is a scalar or one rate per element (each lane's, on a stack).
     """
     if weight_decay:
         np.multiply(values, weight_decay, out=scratch)

@@ -87,11 +87,6 @@ class _Snapshottable:
 class Searcher(_Snapshottable):
     """Proposes configurations over a fixed space."""
 
-    #: Whether :meth:`suggest` depends on prior :meth:`observe` calls.
-    #: Adaptive searchers (TPE) must see each report before the next
-    #: suggestion, so drivers may not issue their trials ahead in waves.
-    adaptive = False
-
     def __init__(self, space: ParameterSpace, seed: SeedLike = None):
         if len(space) == 0:
             raise SearchSpaceError("cannot search an empty space")
@@ -166,14 +161,6 @@ class TrialReport:
 class TrialScheduler(_Snapshottable):
     """Issues :class:`ScheduledTrial`s and consumes :class:`TrialReport`s."""
 
-    #: Whether draining a whole wave of trials before reporting any of
-    #: them yields the same issuance stream as strict issue-report
-    #: alternation.  True for the halving/median schedulers (each rung's
-    #: configurations are suggested up front, so report *timing* never
-    #: reaches the searcher mid-rung); overridden by adapters around
-    #: adaptive searchers.  Gates the batched in-process driver.
-    wave_safe = True
-
     def __init__(
         self,
         space: ParameterSpace,
@@ -226,12 +213,6 @@ class SearcherScheduler(TrialScheduler):
         self.num_trials = num_trials
         self._issued = 0
         self._reported = 0
-
-    @property
-    def wave_safe(self) -> bool:
-        """Issue-ahead changes an adaptive searcher's suggestion stream
-        (it would suggest blind instead of from accumulated reports)."""
-        return not self.searcher.adaptive
 
     def next_trial(self) -> Optional[ScheduledTrial]:
         if self._issued >= self.num_trials:

@@ -27,8 +27,6 @@ class _BudgetAwareTPE(Searcher):
     data only guides sampling until then.
     """
 
-    adaptive = True
-
     def __init__(
         self,
         space: ParameterSpace,

@@ -73,8 +73,6 @@ class ParzenEstimator:
 class TPESampler(Searcher):
     """TPE searcher over a :class:`ParameterSpace`."""
 
-    adaptive = True
-
     def __init__(
         self,
         space: ParameterSpace,

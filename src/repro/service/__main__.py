@@ -60,7 +60,6 @@ def _cmd_submit(args) -> int:
             traffic_metric=args.traffic_metric,
             slo_p99_s=args.slo_p99,
             slo_deadline_s=args.slo_deadline,
-            trial_batch=args.trial_batch,
         )
         session_id = SessionStore(database).create(spec)
     print(session_id)
@@ -78,6 +77,7 @@ def _machines_info(database) -> dict:
     from ..fleet.registry import HubState, MachineRegistry
 
     registry = MachineRegistry(database)
+    stats = registry.stats()
     now = _time.time()
     return {
         # Epoch 0 = no fleet hub has ever run against this database.
@@ -95,32 +95,18 @@ def _machines_info(database) -> dict:
             }
             for machine in registry.list()
         ],
-        # Traffic, batching and dataset-cache counters share the
-        # fleet_stats table but are reported in their own status
-        # sections, not among the fleet meters.
+        # Traffic and dataset-cache counters share the fleet_stats table
+        # but are reported in their own status sections, not among the
+        # fleet meters (``batch.*`` rows are what databases written while
+        # trial stacking existed still hold).
         "fleet": {
             key: value
-            for key, value in registry.stats().items()
+            for key, value in stats.items()
             if not key.startswith(("traffic.", "batch.", "dataset_cache."))
         },
-        "batching": _batching_info(registry.stats()),
-    }
-
-
-def _batching_info(stats: dict) -> dict:
-    """The ``batching`` status section: fleet-wide group occupancy."""
-    groups = stats.get("batch.groups", 0.0)
-    members = stats.get("batch.members", 0.0)
-    return {
-        "groups": groups,
-        "members": members,
-        "mean_k": (members / groups) if groups else 0.0,
-        "max_k": stats.get("batch.max_k", 0.0),
-        "serial_fallback": stats.get("batch.serial_fallback", 0.0),
         "dataset_cache": {
-            "hits": stats.get("dataset_cache.hits", 0.0),
-            "misses": stats.get("dataset_cache.misses", 0.0),
-            "evictions": stats.get("dataset_cache.evictions", 0.0),
+            key: stats.get(f"dataset_cache.{key}", 0.0)
+            for key in ("hits", "misses", "evictions")
         },
     }
 
@@ -188,7 +174,7 @@ def _session_status(
         "machines": machines["machines"] if machines else [],
         "fleet": machines["fleet"] if machines else {},
         "hub": machines["hub"] if machines else {},
-        "batching": machines["batching"] if machines else {},
+        "dataset_cache": machines["dataset_cache"] if machines else {},
         "traffic": traffic or {},
     }
 
@@ -237,12 +223,11 @@ def _cmd_status(args) -> int:
                 print(f"worker:    {stats['worker']}: "
                       f"{stats['jobs_done']} jobs, "
                       f"{stats['busy_s']:.1f}s busy")
-            batching = machines["batching"]
-            if batching["groups"]:
-                print(f"batching:  {batching['groups']:g} groups, "
-                      f"mean K {batching['mean_k']:.1f}, "
-                      f"max K {batching['max_k']:g}, "
-                      f"{batching['serial_fallback']:g} serial fallbacks")
+            datasets = machines["dataset_cache"]
+            if datasets["hits"] or datasets["misses"]:
+                print(f"datasets:  {datasets['hits']:g} hits / "
+                      f"{datasets['misses']:g} misses, "
+                      f"{datasets['evictions']:g} evictions")
             if traffic["scenario"] or traffic["replays"]:
                 violations = " ".join(
                     f"{name}={count:g}"
@@ -297,7 +282,6 @@ def _cmd_workers(args) -> int:
             idle_timeout_s=args.idle_timeout,
             trial_timeout_s=args.trial_timeout,
             heartbeat_interval_s=args.heartbeat_interval,
-            trial_batch=args.trial_batch,
         )
         machines = _machines_info(database)
     for result in results:
@@ -453,12 +437,6 @@ def main(argv=None) -> int:
                         help="p99 latency target in seconds")
     submit.add_argument("--slo-deadline", type=float, default=None,
                         help="per-request deadline in seconds")
-    submit.add_argument("--trial-batch", type=int, default=None,
-                        help="stack up to K shape-compatible trials into "
-                             "one vectorized training run per worker "
-                             "(bit-identical to serial; opt-in: the "
-                             "default is $REPRO_TRIAL_BATCH on the "
-                             "workers, else 1 = no stacking)")
     submit.set_defaults(func=_cmd_submit)
 
     status = subparsers.add_parser("status",
@@ -491,10 +469,6 @@ def main(argv=None) -> int:
                          help="wall-clock deadline per trial in seconds "
                               "(overruns fail the job instead of hanging "
                               "the worker)")
-    workers.add_argument("--trial-batch", type=int, default=None,
-                         help="stacking width K for batched-trial "
-                              "execution (overrides the session spec; "
-                              "1 disables grouping)")
     workers.add_argument("--faults", default=None, metavar="SPEC",
                          help="fault-injection spec, e.g. "
                               "'seed=7;worker.crash=0.2' (chaos testing; "

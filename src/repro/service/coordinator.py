@@ -87,7 +87,6 @@ class SessionCoordinator:
         shard: int = 0,
         remote: bool = False,
         pin_order: bool = False,
-        trial_batch: Optional[int] = None,
         jobs_bell: Optional[Doorbells] = None,
         results_bell: Optional[Doorbell] = None,
     ):
@@ -124,9 +123,6 @@ class SessionCoordinator:
         self.pin_order = bool(pin_order) or pin_env.lower() not in (
             "", "0", "false",
         )
-        #: Stacking width K for batched-trial execution; ``None`` defers
-        #: to the session spec (then ``$REPRO_TRIAL_BATCH``/auto).
-        self.trial_batch = trial_batch
         self._pool = pool
         self._owns_pool = pool is None and workers > 0 and not remote
         #: The hand-off bells: whoever executes the jobs (a worker pool,
@@ -151,10 +147,6 @@ class SessionCoordinator:
                 f"session {self.session_id!r} is already done"
             )
         server = build_server(record.spec, self.database)
-        trial_batch = (
-            self.trial_batch if self.trial_batch is not None
-            else getattr(record.spec, "trial_batch", None)
-        )
         try:
             if self._owns_pool:
                 self._pool = WorkerPool(
@@ -163,7 +155,6 @@ class SessionCoordinator:
                     lease_ttl_s=self.lease_ttl_s,
                     trial_timeout_s=self.trial_timeout_s,
                     heartbeat_interval_s=self.heartbeat_interval_s,
-                    trial_batch=trial_batch,
                 ).start()
                 self.jobs_bell = self._pool.jobs_bell
                 self.results_bell = self._pool.results_bell
@@ -173,7 +164,6 @@ class SessionCoordinator:
                     worker_id="inline",
                     lease_ttl_s=self.lease_ttl_s,
                     trial_timeout_s=self.trial_timeout_s,
-                    trial_batch=trial_batch,
                 )
             result = self._run(server, record)
         except Exception:
@@ -531,7 +521,6 @@ def serve(
     idle_timeout_s: Optional[float] = None,
     trial_timeout_s: Optional[float] = None,
     heartbeat_interval_s: Optional[float] = None,
-    trial_batch: Optional[int] = None,
 ) -> List[TuningRunResult]:
     """Claim and run queued sessions on one shared worker pool (the mode
     behind ``service workers``; see :func:`drive_queued_sessions`)."""
@@ -541,7 +530,6 @@ def serve(
             database.path, workers, lease_ttl_s=lease_ttl_s,
             trial_timeout_s=trial_timeout_s,
             heartbeat_interval_s=heartbeat_interval_s,
-            trial_batch=trial_batch,
         ).start()
 
     def coordinator_for(record: SessionRecord) -> SessionCoordinator:
@@ -554,7 +542,6 @@ def serve(
             pool=pool,
             trial_timeout_s=trial_timeout_s,
             heartbeat_interval_s=heartbeat_interval_s,
-            trial_batch=trial_batch,
         )
 
     try:

@@ -106,7 +106,6 @@ class WorkerPool(ProcessPool):
         name_prefix: str = "worker",
         trial_timeout_s: Optional[float] = None,
         heartbeat_interval_s: Optional[float] = None,
-        trial_batch: Optional[int] = None,
     ):
         super().__init__(workers, "worker")
         self.db_path = db_path
@@ -115,7 +114,6 @@ class WorkerPool(ProcessPool):
         self.name_prefix = name_prefix
         self.trial_timeout_s = trial_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.trial_batch = trial_batch
         #: Rung by the coordinator once enqueued jobs have committed; one
         #: bell per worker slot (a respawned worker inherits its slot's).
         self.jobs_bell = Doorbells()
@@ -135,7 +133,6 @@ class WorkerPool(ProcessPool):
                 "poll_interval_s": self.poll_interval_s,
                 "trial_timeout_s": self.trial_timeout_s,
                 "heartbeat_interval_s": self.heartbeat_interval_s,
-                "trial_batch": self.trial_batch,
                 "jobs_bell": self._slot_bells[slot],
                 "results_bell": self.results_bell,
             },

@@ -253,12 +253,26 @@ class JobQueue:
         return cursor.rowcount > 0
 
     # -- worker side ---------------------------------------------------------
-    @staticmethod
-    def _runnable(
-        now: float, session_id: Optional[str], shard: Optional[int]
-    ) -> Tuple[str, List[Any]]:
-        """``FROM jobs WHERE ...`` selecting the queued jobs whose backoff
-        has expired, optionally of one session and/or one shard."""
+    def lease(
+        self,
+        worker_id: str,
+        ttl_s: float = DEFAULT_LEASE_TTL_S,
+        session_id: Optional[str] = None,
+        now: Optional[float] = None,
+        shard: Optional[int] = None,
+        epoch: int = 0,
+    ) -> Optional[Job]:
+        """Atomically claim the oldest runnable queued job, if any: a
+        queued job whose backoff has expired, optionally of one session.
+
+        ``shard`` restricts the claim to one per-shard queue (fleet
+        machines only serve their own shard); ``None`` leases across all
+        shards (local pool workers).  ``epoch`` stamps the lease with the
+        granting hub's incarnation (0 for local pool leases).  Select and
+        update share one ``BEGIN IMMEDIATE`` transaction, so at most one
+        worker can win a job.
+        """
+        now = time.time() if now is None else now
         query = (
             f"SELECT {_JOB_COLUMNS} FROM jobs "
             "WHERE state = ? AND next_retry_at <= ?"
@@ -270,15 +284,6 @@ class JobQueue:
         if shard is not None:
             query += " AND shard = ?"
             args.append(int(shard))
-        return query, args
-
-    def _claim(
-        self, query: str, args: List[Any], worker_id: str, ttl_s: float,
-        now: float, epoch: int, fresh_only: bool = False,
-    ) -> Optional[Job]:
-        """Lease the first job ``query`` selects, atomically: select and
-        update share one ``BEGIN IMMEDIATE`` transaction, so at most one
-        worker can win a job."""
         with self.database.transaction() as connection:
             row = connection.execute(
                 query + " ORDER BY id LIMIT 1", tuple(args)
@@ -286,8 +291,6 @@ class JobQueue:
             if row is None:
                 return None
             job = Job.from_row(row)
-            if fresh_only and job.attempts != 0:
-                return None
             connection.execute(
                 "UPDATE jobs SET state = ?, lease_owner = ?, "
                 "lease_expires_at = ?, attempts = attempts + 1, "
@@ -303,74 +306,6 @@ class JobQueue:
         job.started_at = now
         job.lease_epoch = int(epoch)
         return job
-
-    def lease(
-        self,
-        worker_id: str,
-        ttl_s: float = DEFAULT_LEASE_TTL_S,
-        session_id: Optional[str] = None,
-        now: Optional[float] = None,
-        shard: Optional[int] = None,
-        epoch: int = 0,
-    ) -> Optional[Job]:
-        """Atomically claim the oldest runnable queued job, if any.
-
-        ``shard`` restricts the claim to one per-shard queue (fleet
-        machines only serve their own shard); ``None`` leases across all
-        shards (local pool workers).  ``epoch`` stamps the lease with the
-        granting hub's incarnation (0 for local pool leases).
-        """
-        now = time.time() if now is None else now
-        query, args = self._runnable(now, session_id, shard)
-        return self._claim(query, args, worker_id, ttl_s, now, epoch)
-
-    def peek_queued(
-        self,
-        session_id: Optional[str] = None,
-        shard: Optional[int] = None,
-        limit: int = 16,
-        now: Optional[float] = None,
-    ) -> List[Job]:
-        """Snapshot the oldest runnable queued jobs without claiming them.
-
-        The batched-trial worker uses this to find stackable groupmates
-        for a job it already holds; each candidate is then claimed
-        individually via :meth:`lease_by_id` (which re-checks state, so a
-        stale snapshot only costs a missed groupmate, never a double
-        claim).
-        """
-        query, args = self._runnable(
-            time.time() if now is None else now, session_id, shard
-        )
-        rows = self.database.execute(
-            query + " ORDER BY id LIMIT ?", tuple(args + [int(limit)])
-        ).fetchall()
-        return [Job.from_row(row) for row in rows]
-
-    def lease_by_id(
-        self,
-        job_id: int,
-        worker_id: str,
-        ttl_s: float = DEFAULT_LEASE_TTL_S,
-        now: Optional[float] = None,
-        epoch: int = 0,
-        fresh_only: bool = False,
-    ) -> Optional[Job]:
-        """Atomically claim one specific queued job (group formation).
-
-        Returns ``None`` when the job is no longer runnable — already
-        leased by a sibling, finished, or backed off.  ``fresh_only``
-        additionally refuses jobs that have been attempted before, which
-        keeps retries out of batch groups (a retried member must run
-        serially so its fault-injection and dead-letter accounting follow
-        the pinned serial semantics).
-        """
-        now = time.time() if now is None else now
-        query, args = self._runnable(now, None, None)
-        return self._claim(
-            query + " AND id = ?", args + [int(job_id)], worker_id, ttl_s,
-            now, epoch, fresh_only,
-        )
 
     def heartbeat(
         self,

@@ -56,11 +56,6 @@ class SessionSpec:
     traffic_metric: str = "p99"
     slo_p99_s: Optional[float] = None
     slo_deadline_s: Optional[float] = None
-    #: Stacking width K for batched-trial execution on the workers
-    #: (``--trial-batch``).  Opt-in: ``None`` leaves it to the workers,
-    #: which use ``$REPRO_TRIAL_BATCH`` if set and otherwise 1 — no
-    #: grouping (only the in-process ``tune`` driver defaults to 8).
-    trial_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.system not in SERVICE_SYSTEMS:
@@ -103,14 +98,15 @@ class SessionSpec:
             raise ServiceError(
                 "SLO targets need a traffic scenario to replay"
             )
-        if self.trial_batch is not None and self.trial_batch < 1:
-            raise ServiceError("--trial-batch must be >= 1")
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "SessionSpec":
+        """Rebuild a stored spec; keys this version has no field for
+        (the stacking width that sessions stored before trial stacking
+        was removed carry) are dropped."""
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in raw.items() if k in known})
 

@@ -20,13 +20,13 @@ crash bit-identical.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
+import signal
 import threading
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from ..artifacts import ArtifactStore, pack_result, trial_key
 from ..core.model_server import (
@@ -34,11 +34,6 @@ from ..core.model_server import (
     dataset_cache_stats,
     evaluate_trial,
     load_task_datasets,
-)
-from ..core.trial_batch import (
-    batch_signature,
-    evaluate_trial_batch,
-    resolve_trial_batch,
 )
 from ..faults import fault_point
 from ..storage import TrialDatabase
@@ -125,7 +120,6 @@ class TrialWorker:
         database: Optional[TrialDatabase] = None,
         trial_timeout_s: Optional[float] = None,
         heartbeat_interval_s: Optional[float] = None,
-        trial_batch: Optional[int] = None,
         jobs_bell: Optional[Doorbell] = None,
         results_bell: Optional[Doorbell] = None,
     ):
@@ -161,22 +155,22 @@ class TrialWorker:
             self.worker_id, capabilities=local_capabilities()
         )
         self._machine_touched_at = time.time()
-        #: Stacking width K for batched-trial execution.  Opt-in for
-        #: queue workers (``None`` falls back to ``$REPRO_TRIAL_BATCH``,
-        #: else stays serial): the session spec or the ``--trial-batch``
-        #: flag is what turns grouping on service-side.
-        self.trial_batch = resolve_trial_batch(trial_batch, default=1)
+        #: Dataset-memo counters as last published (the lock: both the
+        #: main loop and a job's heartbeat thread touch the machine).
         self._dataset_cache_last = dataset_cache_stats()
+        self._dataset_cache_lock = threading.Lock()
 
     def _touch_machine(self) -> None:
         """Throttled machine-liveness heartbeat (cheap: one UPDATE at
-        most every quarter-TTL, piggybacking on existing loops)."""
+        most every quarter-TTL, piggybacking on existing loops), which
+        also carries this process's dataset-memo counters."""
         now = time.time()
         if now - self._machine_touched_at >= max(
             0.25, self.lease_ttl_s * HEARTBEAT_FRACTION
         ):
             self.registry.heartbeat(self.worker_id, now=now)
             self._machine_touched_at = now
+            self._publish_dataset_cache_stats()
 
     def _heartbeat(self, job: Job) -> Periodic:
         """Renews ``job``'s lease (and this machine's liveness) until the
@@ -218,136 +212,23 @@ class TrialWorker:
             self.jobs_done += 1
             self.registry.record_done(self.worker_id)
 
-    # -- batched execution --------------------------------------------------
     def run_leased(self, job: Job) -> None:
-        """Execute a freshly leased job, stacking groupmates when enabled;
-        rings the results bell once its verdict rows have committed."""
+        """Execute a freshly leased job; rings the results bell once its
+        verdict rows have committed."""
         try:
-            if self.trial_batch <= 1:
-                self.run_job(job)
-                return
-            group = self._form_group(job)
-            if len(group) <= 1:
-                self.registry.bump("batch.serial_fallback")
-                self.run_job(job)
-            else:
-                self.run_job_group(group)
-            self._publish_dataset_cache_stats()
+            self.run_job(job)
         finally:
             self.results_bell.ring()
 
-    def _form_group(self, head: Job) -> List[Job]:
-        """Claim up to K-1 stackable groupmates for an already-leased job.
-
-        Only first-attempt jobs group (retries — including the survivors
-        of a failed group — re-run serially, keeping fault-injection and
-        dead-letter semantics identical to the serial worker), and only
-        when no per-trial deadline is configured (the group shares one
-        training loop, which a member-level deadline cannot cut).
-        """
-        if self.trial_timeout_s is not None or head.attempts != 1:
-            return [head]
-        try:
-            head_task = TrialTask.from_json(head.payload)
-            signature = batch_signature(head_task)
-        except Exception:
-            return [head]
-        if signature is None:
-            return [head]
-        group = [head]
-        candidates = self.queue.peek_queued(
-            session_id=head.session_id,
-            limit=max(16, 4 * self.trial_batch),
-        )
-        for candidate in candidates:
-            if len(group) >= self.trial_batch:
-                break
-            if candidate.id == head.id or candidate.attempts != 0:
-                continue
-            try:
-                task = TrialTask.from_json(candidate.payload)
-                if batch_signature(task) != signature:
-                    continue
-            except Exception:
-                continue
-            leased = self.queue.lease_by_id(
-                candidate.id, self.worker_id,
-                ttl_s=self.lease_ttl_s, fresh_only=True,
-            )
-            if leased is not None:
-                group.append(leased)
-        return group
-
-    def run_job_group(self, jobs: List[Job]) -> None:
-        """Execute K signature-matched leased jobs as one stacked run.
-
-        Failure containment mirrors the serial worker per member: fault
-        sites fire with each member's own key/attempt (an injected crash
-        kills the process, every lease expires, and all members retry
-        serially); a training error fails *every* member, whose serial
-        retries then isolate any poisoned one into the dead-letter queue
-        alone.
-        """
-        completed: List[Tuple[Job, bytes]] = []
-        with contextlib.ExitStack() as heartbeats:
-            for job in jobs:
-                heartbeats.enter_context(self._heartbeat(job))
-            live: List[Tuple[Job, TrialTask]] = []
-            for job in jobs:
-                try:
-                    fault_point("worker.crash", key=job.trial_id,
-                                attempt=job.attempts)
-                    fault_point("worker.fail", key=job.trial_id,
-                                attempt=job.attempts)
-                    fault_point("worker.hang", key=job.trial_id,
-                                attempt=job.attempts)
-                    task = TrialTask.from_json(job.payload)
-                    blob = self.artifacts.load_result(
-                        trial_key(task), count_miss=False
-                    )
-                    if blob is None:
-                        live.append((job, task))
-                    else:  # memoized members sit the stack out
-                        completed.append((job, blob))
-                except Exception:
-                    self.jobs_failed += 1
-                    self.queue.fail(
-                        job.id, self.worker_id,
-                        traceback.format_exc(limit=8),
-                    )
-            if live:
-                try:
-                    train_set, eval_set = load_task_datasets(live[0][1])
-                    outputs = evaluate_trial_batch(
-                        [task for _, task in live], train_set, eval_set,
-                        artifacts=self.artifacts,
-                    )
-                    completed.extend([
-                        (job, result_blob(*output))
-                        for (job, _), output in zip(live, outputs)
-                    ])
-                except Exception:
-                    error = traceback.format_exc(limit=8)
-                    for job, _ in live:
-                        self.jobs_failed += 1
-                        self.queue.fail(job.id, self.worker_id, error)
-        for job, blob in completed:
-            if self.queue.complete(job.id, self.worker_id, blob):
-                self.jobs_done += 1
-                self.registry.record_done(self.worker_id)
-        # Batch-group occupancy, fleet-wide, for ``service status``.
-        self.registry.bump("batch.groups")
-        self.registry.bump("batch.members", float(len(jobs)))
-        self.registry.bump_max("batch.max_k", float(len(jobs)))
-
     def _publish_dataset_cache_stats(self) -> None:
         """Push dataset-memo deltas into the shared fleet-stats table."""
-        stats = dataset_cache_stats()
-        for key in ("hits", "misses", "evictions"):
-            delta = stats[key] - self._dataset_cache_last.get(key, 0)
-            if delta:
-                self.registry.bump(f"dataset_cache.{key}", float(delta))
-        self._dataset_cache_last = stats
+        with self._dataset_cache_lock:
+            stats = dataset_cache_stats()
+            for key in ("hits", "misses", "evictions"):
+                delta = stats[key] - self._dataset_cache_last[key]
+                if delta:
+                    self.registry.bump(f"dataset_cache.{key}", float(delta))
+            self._dataset_cache_last = stats
 
     def _evaluate(self, task: TrialTask, attempt: int) -> bytes:
         """Run one trial to its result blob, under the wall-clock deadline
@@ -406,6 +287,9 @@ class TrialWorker:
         return self.jobs_done
 
     def close(self) -> None:
+        """Publish the last dataset-memo counters, then let go of the
+        database (if this worker opened it)."""
+        self._publish_dataset_cache_stats()
         if self._owns_database:
             self.database.close()
 
@@ -417,8 +301,13 @@ def worker_main(
     **options: Any,
 ) -> int:
     """Process entry point for pool workers (importable, hence
-    spawn-safe); ``options`` are :class:`TrialWorker` keyword arguments."""
+    spawn-safe); ``options`` are :class:`TrialWorker` keyword arguments.
+
+    The pool stops its workers with SIGTERM, which here unwinds like an
+    interrupt, so :meth:`TrialWorker.close` still publishes the counters.
+    """
     worker = TrialWorker(db_path, worker_id=worker_id, **options)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return worker.run_forever(idle_timeout_s=idle_timeout_s)
     except KeyboardInterrupt:

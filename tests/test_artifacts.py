@@ -566,6 +566,75 @@ class TestDatasetMemo:
                 == model_server._DATASET_CACHE_MAX)
 
 
+class TestDatasetCacheMeters:
+    def test_hit_miss_eviction_counters(self):
+        from repro.core import model_server
+
+        model_server._DATASET_CACHE.clear()
+        before = model_server.dataset_cache_stats()
+        task = make_task(seed=91, samples=64)
+        model_server.load_task_datasets(task)
+        model_server.load_task_datasets(task)
+        after = model_server.dataset_cache_stats()
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["size"] >= 1
+
+    def test_cache_cap_env_override(self, monkeypatch):
+        from repro.core import model_server
+
+        model_server._DATASET_CACHE.clear()
+        monkeypatch.setenv("REPRO_DATASET_CACHE_MAX", "2")
+        before = model_server.dataset_cache_stats()["evictions"]
+        for seed in range(4):
+            model_server.load_task_datasets(
+                make_task(seed=200 + seed, samples=64)
+            )
+        assert len(model_server._DATASET_CACHE) == 2
+        assert model_server.dataset_cache_stats()["evictions"] == before + 2
+
+    def test_concurrent_publishes_send_every_load_once(self, tmp_path):
+        """A worker's main loop and its job heartbeat thread both publish
+        the counters: no delta may be lost or sent twice."""
+        import sys
+        import threading
+
+        from repro.core import model_server
+        from repro.fleet.registry import MachineRegistry
+        from repro.service.worker import TrialWorker
+
+        path = str(tmp_path / "w.sqlite")
+        worker = TrialWorker(path, worker_id="w")
+        loads = 300
+
+        def load_and_publish():
+            for _ in range(loads):
+                model_server._DATASET_CACHE_COUNTERS["hits"] += 1
+                worker._publish_dataset_cache_stats()
+
+        def publish():
+            for _ in range(loads):
+                worker._publish_dataset_cache_stats()
+
+        threads = [threading.Thread(target=load_and_publish)] + [
+            threading.Thread(target=publish) for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        worker.close()
+        with TrialDatabase(path) as database:
+            stats = MachineRegistry(database).stats()
+        assert stats["dataset_cache.hits"] == loads
+
+
 class TestCrashSurvival:
     def test_artifacts_survive_sigkill(self, tmp_path):
         """Artifacts published before a kill -9 are all replayable after:

@@ -142,6 +142,103 @@ class TestServiceCli:
         assert status["jobs"]["done"] == 4
         assert status["result"]["num_trials"] == 4
 
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_drained_workers_publish_dataset_cache_counters(
+        self, tmp_path, capsys, workers
+    ):
+        """Every trained trial loads its datasets through the worker's
+        memo once: a hit or a miss, published by the time the workers
+        have stopped (inline worker and pool processes alike)."""
+        import json
+
+        from repro.service.__main__ import main as service_main
+
+        db = str(tmp_path / "svc.sqlite")
+        service_main(["submit", "IC", "--db", db, "--max-trials", "4",
+                      "--samples", "160"])
+        session_id = capsys.readouterr().out.strip()
+        assert service_main(["workers", "--db", db, "-n", workers,
+                             "--drain"]) == 0
+        capsys.readouterr()
+        assert service_main(["status", "--db", db, "--json",
+                             session_id]) == 0
+        status = json.loads(capsys.readouterr().out)
+        trained = sum(
+            worker["jobs_done"] for worker in status["workers"]
+            if worker["worker"] != "memo"
+        )
+        assert trained == status["jobs"]["done"] == 4
+        cache = status["dataset_cache"]
+        assert cache["hits"] + cache["misses"] == trained
+        assert "batching" not in status
+
+    def test_session_stored_with_a_stacking_width_still_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Sessions stored while trial stacking existed carry a
+        ``trial_batch`` key in their spec: ``status`` and ``resume`` of
+        such a (crashed, checkpointed) session still work, and resume
+        finishes it exactly as an uninterrupted run."""
+        import json
+
+        from repro.core.model_server import ModelTuningServer
+        from repro.service import SessionCoordinator, SessionSpec, SessionStore
+        from repro.service.__main__ import main as service_main
+        from repro.storage import TrialDatabase
+
+        #: ``SessionSpec.to_dict()`` as that version wrote it.
+        stored = {
+            "budget": "multi-budget", "device": "armv7", "max_trials": 8,
+            "num_configs": None, "reuse_checkpoints": False,
+            "samples": 160, "scheduler": None, "seed": 7,
+            "slo_deadline_s": None, "slo_p99_s": None, "system": "edgetune",
+            "target_accuracy": None, "traffic": None,
+            "traffic_metric": "p99", "trial_batch": 8,
+            "tuning_metric": "runtime", "warm_start": False,
+            "workload": "IC",
+        }
+        spec = SessionSpec.from_dict(stored)
+        assert spec == SessionSpec(workload="IC", samples=160, max_trials=8)
+
+        reference_db = str(tmp_path / "reference.sqlite")
+        with TrialDatabase(reference_db) as database:
+            reference_id = SessionStore(database).create(spec)
+        assert service_main(["resume", reference_id,
+                             "--db", reference_db]) == 0
+        reference = capsys.readouterr().out
+
+        db = str(tmp_path / "old.sqlite")
+        with TrialDatabase(db) as database:
+            session_id = SessionStore(database).create(spec)
+            database.execute(
+                "UPDATE sessions SET spec = ? WHERE id = ?",
+                (json.dumps(stored, sort_keys=True), session_id),
+            )
+            original = ModelTuningServer.integrate
+            calls = []
+
+            def crashing(self, *args, **kwargs):
+                record = original(self, *args, **kwargs)
+                calls.append(record)
+                if len(calls) == 3:
+                    raise RuntimeError("simulated coordinator crash")
+                return record
+
+            monkeypatch.setattr(ModelTuningServer, "integrate", crashing)
+            with pytest.raises(RuntimeError):
+                SessionCoordinator(database, session_id).run()
+            monkeypatch.setattr(ModelTuningServer, "integrate", original)
+
+        assert service_main(["status", "--db", db, "--json",
+                             session_id]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["state"] == "failed" and status["resumable"]
+        assert status["spec"] == spec.to_dict()
+        assert service_main(["status", "--db", db, session_id]) == 0
+        capsys.readouterr()
+        assert service_main(["resume", session_id, "--db", db]) == 0
+        assert capsys.readouterr().out == reference
+
     def test_status_plain_text_unchanged(self, tmp_path, capsys):
         from repro.service.__main__ import main as service_main
 

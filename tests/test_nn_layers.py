@@ -229,6 +229,32 @@ class TestPooling:
         check_input_gradient(GlobalAvgPool2d(), RNG.normal(size=(2, 3, 4, 4)))
 
 
+class TestInputShapeChecks:
+    @pytest.mark.parametrize("layer,sample_shape", [
+        (Linear(6, 4, rng=0), (6,)),
+        (Conv1d(2, 3, 3, rng=0), (2, 8)),
+        (Conv2d(2, 3, 3, rng=0), (2, 6, 6)),
+        (MaxPool1d(2), (2, 8)),
+        (MaxPool2d(2), (2, 6, 6)),
+        (GlobalAvgPool1d(), (2, 8)),
+        (GlobalAvgPool2d(), (2, 6, 6)),
+    ])
+    def test_a_batch_of_the_wrong_rank_is_rejected(self, layer, sample_shape):
+        layer.forward(np.zeros((5,) + sample_shape))
+        with pytest.raises(ShapeError):  # one axis too many
+            layer.forward(np.zeros((3, 5) + sample_shape))
+        with pytest.raises(ShapeError):  # a single unbatched sample
+            layer.forward(np.zeros(sample_shape))
+
+    @pytest.mark.parametrize("layer,shape", [
+        (Conv1d(2, 3, 3, rng=0), (5, 3, 8)),
+        (Conv2d(2, 3, 3, rng=0), (5, 3, 6, 6)),
+    ])
+    def test_conv_rejects_the_wrong_channel_count(self, layer, shape):
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros(shape))
+
+
 class TestRecurrent:
     def test_rnn_output_shape(self):
         layer = ElmanRNN(5, 7, rng=0)

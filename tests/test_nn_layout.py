@@ -5,11 +5,11 @@ pairs with (``repro.nn.kernels``): channel-last inside a conv trunk,
 C order on a data batch.  Which layout a tensor arrives in must change
 where bytes live and nothing else.  Pinned here:
 
-* for every conv-trunk layer, the same values arriving C-contiguous,
-  channel-last-strided and as the lanes of a stacked layer give the same
-  output, parameter gradients and input gradient *by* ``tobytes()`` —
-  equal to each other and to the ``reference`` backend on contiguous
-  input — on buffers a previous step left dirty;
+* for every conv-trunk layer, the same values arriving C-contiguous and
+  channel-last-strided give the same output, parameter gradients and
+  input gradient *by* ``tobytes()`` — equal to each other and to the
+  ``reference`` backend on contiguous input — on buffers a previous step
+  left dirty;
 * one model driven through the batch shapes every ``train_model`` epoch
   produces (full, short last batch, evaluation batch, full) computes, at
   each step, what a fresh model computes;
@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 import repro.nn
 from repro.nn import CrossEntropyLoss, use_backend
-from repro.nn.batched import stack_modules
 from repro.nn.conv import (
     Conv1d,
     Conv2d,
@@ -46,19 +45,14 @@ from repro.nn.models import build_conv_resnet, build_m5
 from repro.nn.models.yolo import build_yolo
 from repro.nn.module import STEP_STATE
 
-LANES = 2
 
-
-def channel_last(array, lanes=0):
+def channel_last(array):
     """Same values, channel axis innermost in memory."""
-    axis = 1 + lanes
-    return np.moveaxis(
-        np.ascontiguousarray(np.moveaxis(array, axis, -1)), -1, axis
-    )
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(array, 1, -1)), -1, 1)
 
 
-def arrive(array, layout, lanes=0):
-    return channel_last(array, lanes) if layout == "channel_last" else array
+def arrive(array, layout):
+    return channel_last(array) if layout == "channel_last" else array
 
 
 #: kind -> (builder(case), spatial rank).  ``case`` carries the drawn
@@ -160,9 +154,9 @@ def test_layout_moves_no_bit(case):
         out_shape = probe.forward(inputs[0]).shape
     grads = [rng.normal(size=out_shape) for _ in range(2)]
 
-    def steps(layout_in, layout_grad, lanes=0):
+    def steps(layout_in, layout_grad):
         return [
-            (arrive(x, layout_in, lanes), arrive(g, layout_grad, lanes))
+            (arrive(x, layout_in), arrive(g, layout_grad))
             for x, g in zip(inputs, grads)
         ]
 
@@ -206,25 +200,6 @@ def test_layout_moves_no_bit(case):
         untouched = np.array(runs["arrived"][2])
         untouched[(..., *reached)] = 0.0
         assert not untouched.any()
-
-    # The same values as the lanes of a stacked layer.
-    stacked = stack_modules([build(case) for _ in range(LANES)])
-    lane_steps = [
-        (
-            arrive(np.stack([x] * LANES), case["inputs"], lanes=1),
-            arrive(np.stack([g] * LANES), case["grads"], lanes=1),
-        )
-        for x, g in zip(inputs, grads)
-    ]
-    output, param_grads, grad_input = run_steps(
-        stacked, lane_steps, needs_grad
-    )
-    for lane in range(LANES):
-        same_bytes(output[lane], runs["contiguous"][0])
-        for ours, theirs in zip(param_grads, runs["contiguous"][1]):
-            same_bytes(ours[lane], theirs)
-        if needs_grad:
-            same_bytes(grad_input[lane], runs["contiguous"][2])
 
 
 # ---------------------------------------------------------------------------

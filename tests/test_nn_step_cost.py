@@ -40,13 +40,15 @@ REPRO_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 NUMPY_ROOT = os.path.dirname(os.path.abspath(np.__file__)) + os.sep
 ROOTS = (REPRO_ROOT, NUMPY_ROOT)
 
-#: Calls per step measured after PR 21 (Python 3.11, numpy 2.4): 80 into
-#: ``repro``, 69 into numpy.  The parent commit measured 206 with this
-#: same counter (69 + 137): ``sliding_window_view`` per conv, ``np.ogrid``
-#: per pooling backward, ``broadcast_to`` and ``_mean`` in the average
-#: pool.  Lower it when a step gets cheaper; never raise it to make a
-#: change pass.
-STEP_CALLS_PIN = 149
+#: Calls per step (Python 3.11, numpy 2.4): 74 into ``repro``, 61 into
+#: numpy, since the layers stopped folding a lane axis into the batch axis
+#: around their kernels (``_fold`` per conv and pooling call, and the
+#: reshape back after each pooling backward: 80 + 69 = 149 before).  The
+#: conv-trunk rewrite before that came down from 206 (69 + 137):
+#: ``sliding_window_view`` per conv, ``np.ogrid`` per pooling backward,
+#: ``broadcast_to`` and ``_mean`` in the average pool.  Lower it when a
+#: step gets cheaper; never raise it to make a change pass.
+STEP_CALLS_PIN = 135
 
 
 def _is_numpy_callable(function) -> bool:
