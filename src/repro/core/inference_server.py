@@ -59,8 +59,9 @@ INFERENCE_SERVER_POWER_W = 35.0
 
 #: Simulation cost per replayed request when scoring a candidate under
 #: traffic load, seconds of tuning-server CPU time.  Replay is a tight
-#: numpy loop (>= 50k requests/s per the perf floor), so a trace costs
-#: far less than the per-sample forward passes of the steady-state path.
+#: numpy loop (about four numpy calls per dispatched batch), so a trace
+#: costs far less than the per-sample forward passes of the steady-state
+#: path.
 SIM_PER_REQUEST_S = 2e-5
 
 

@@ -13,7 +13,6 @@ from .conv import (
     MaxPool1d,
     MaxPool2d,
 )
-from .kernels import get_backend, set_backend, use_backend
 from .layers import (
     BatchNorm1d,
     Dropout,
@@ -97,7 +96,4 @@ __all__ = [
     "save_model",
     "load_model",
     "BACKWARD_FLOPS_FACTOR",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]

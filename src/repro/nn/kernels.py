@@ -1,90 +1,49 @@
-"""Hot-path im2col/col2im and pooling kernels with switchable backends.
+"""Hot-path im2col/col2im and pooling kernels.
 
 The convolution and pooling layers funnel all of their array-heavy work
-through this module.  Two implementations of every kernel are kept:
+through this module: strided kernels over layer-owned, reused buffers.
+``im2col`` copies patches in runs its input holds contiguously (one
+plain slice per kernel offset from a channel-last input, one strided
+window view otherwise).  ``col2im`` accumulates one strided slice per
+kernel offset: for a fixed offset ``k`` the destination indices
+``o * stride + k`` are strictly increasing, so the slice has **no
+duplicate indices** and a plain ``+=`` is exact — no scatter needed.
+The pooling backward is one assignment on a flat index whose table is
+built once per buffer.
 
-``fast`` (the default)
-    Strided kernels over layer-owned, reused buffers.  ``im2col`` copies
-    patches in runs its input holds contiguously (one plain slice per
-    kernel offset from a channel-last input, one strided window view
-    otherwise).  ``col2im`` accumulates one strided slice per kernel
-    offset: for a fixed offset ``k`` the destination indices
-    ``o * stride + k`` are strictly increasing, so the slice has **no
-    duplicate indices** and a plain ``+=`` is exact — no scatter needed.
-    The pooling backward is one assignment on a flat index whose table
-    is built once per buffer.
+*A gradient buffer is laid out like the activation it pairs with.*  The
+conv gemm emits ``(N, P, C_out)`` memory viewed as ``(N, C_out, P)``, so
+inside a conv trunk every activation is channel-last; the col2im and
+pooling-backward buffers take the memory order of the forward tensor
+they mirror (:func:`scratch_like`, read off its strides) behind the
+usual ``(N, C, ...)`` views, and a C-order input gets C-order buffers by
+the same rule.  Layout moves bytes, never an operand or a reduction
+order, so no result bit depends on it (DESIGN §5c,
+``tests/test_nn_layout.py``).
 
-    *A gradient buffer is laid out like the activation it pairs with.*
-    The conv gemm emits ``(N, P, C_out)`` memory viewed as ``(N, C_out,
-    P)``, so inside a conv trunk every activation is channel-last; the
-    col2im and pooling-backward buffers take the memory order of the
-    forward tensor they mirror (:func:`scratch_like`, read off its
-    strides) behind the usual ``(N, C, ...)`` views, and a C-order input
-    gets C-order buffers by the same rule.  Layout moves bytes, never an
-    operand or a reduction order, so no result bit depends on it
-    (DESIGN §5c, ``tests/test_nn_layout.py``).
-
-``reference``
-    The original ``np.add.at`` / fancy-indexing implementations: numpy's
-    slowest write path but trivially correct, which makes them the oracle for the gradient-equivalence tests in
-    ``tests/test_nn_kernels.py`` and the baseline the perf harness
-    (``benchmarks/perf/``) measures speedups against.
-
-Equivalence contract (pinned by ``tests/test_nn_kernels.py``): the
-gather/scatter and pooling kernels are **bit-identical** across backends
+Equivalence contract, against the original ``np.add.at`` /
+fancy-indexing implementations kept as the oracle in
+``tests/kernel_oracle.py`` (pinned by ``tests/test_nn_kernels.py``): the
+gather/scatter and pooling kernels are **bit-identical** to the oracle
 for every shape — they add the same contributions in the same
 kernel-offset order, and IEEE-754 addition of an identical operand
 sequence yields identical bits.  The conv input-gradient entry points
 additionally run a gemm, whose flattened batching (see
-:func:`scratch_matmul`) may differ by an ulp from the reference's
-batched ``@`` at shapes where numpy dispatches the two layouts to
-different inner kernels; the per-kernel contract there is agreement to
-≤1e-10, while end-to-end seeded training on the repo's workloads stays
-bit-identical across backends (the fingerprints do not move).  The
-``benchmarks/perf`` harness and the property tests both rely on
-:func:`use_backend` to flip the engine wholesale.
+:func:`scratch_matmul`) may differ by an ulp from the oracle's batched
+``@`` at shapes where numpy dispatches the two layouts to different
+inner kernels; the per-kernel contract there is agreement to ≤1e-10,
+while end-to-end seeded training on the repo's workloads stays
+bit-identical to the oracle (the fingerprints do not move).  The layers
+call every kernel through this module's attributes, which is how the
+oracle swaps in under whole models.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-
-from ..errors import ConfigurationError
-
-BACKENDS = ("fast", "reference")
-
-_BACKEND = "fast"
-
-
-def get_backend() -> str:
-    """Name of the kernel backend currently in use."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend (``fast`` or ``reference``) globally."""
-    global _BACKEND
-    if name not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r}; expected one of {BACKENDS}"
-        )
-    _BACKEND = name
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the kernel backend (used by tests and the perf
-    harness to time ``fast`` against ``reference`` on identical inputs)."""
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
 
 
 def _nested_empty(
@@ -154,19 +113,26 @@ def scratch_matmul(
 # 1-D convolution
 # ---------------------------------------------------------------------------
 
-def _im2col_1d_fast(
-    inputs: np.ndarray, kernel: int, stride: int, out_len: int, scratch: dict
+def im2col_1d(
+    inputs: np.ndarray,
+    kernel: int,
+    stride: int,
+    out_len: int,
+    scratch: Optional[dict] = None,
 ) -> np.ndarray:
     """(N, C, L) -> (N, Lo, C*K) patch matrix in a reused ``(N, Lo, C, K)``
-    buffer; element ``(n, p, c, k)`` is ``x[n, c, p*stride + k]``, copied
-    in runs the input holds contiguously.  Channel-last (what a conv
-    trunk produces): offset ``k`` of every patch is the slice
-    ``x[:, :, k::stride]``, one plain copy per offset in runs of ``C``.
-    Length-contiguous (a data batch): the patches are one strided window
-    view, copied in runs of ``K``.  Measurements: DESIGN §5c."""
+    buffer kept in the layer-owned ``scratch`` (the result aliases it and
+    is only valid until the next call with the same dict); element
+    ``(n, p, c, k)`` is ``x[n, c, p*stride + k]``, copied in runs the
+    input holds contiguously.  Channel-last (what a conv trunk produces):
+    offset ``k`` of every patch is the slice ``x[:, :, k::stride]``, one
+    plain copy per offset in runs of ``C``.  Length-contiguous (a data
+    batch): the patches are one strided window view, copied in runs of
+    ``K``.  Measurements: DESIGN §5c."""
     batch, channels, _ = inputs.shape
     cols = scratch_like(
-        (batch, out_len, channels, kernel), None, scratch, "cols"
+        (batch, out_len, channels, kernel), None,
+        {} if scratch is None else scratch, "cols",
     )
     by_sample, by_channel, by_step = inputs.strides
     if by_channel < by_step:
@@ -182,36 +148,6 @@ def _im2col_1d_fast(
     return cols.reshape(batch, out_len, channels * kernel)
 
 
-def _im2col_1d_reference(
-    inputs: np.ndarray, kernel: int, stride: int, out_len: int
-) -> np.ndarray:
-    """Fancy-indexing gather (one extra full copy before the reshape)."""
-    batch, channels, _ = inputs.shape
-    idx = (np.arange(out_len) * stride)[:, None] + np.arange(kernel)[None, :]
-    patches = inputs[:, :, idx]  # (N, C, Lo, K)
-    return patches.transpose(0, 2, 1, 3).reshape(
-        batch, out_len, channels * kernel
-    )
-
-
-def im2col_1d(
-    inputs: np.ndarray,
-    kernel: int,
-    stride: int,
-    out_len: int,
-    scratch: Optional[dict] = None,
-) -> np.ndarray:
-    """(N, C, L) -> (N, Lo, C*K) patch matrix.  The fast backend fills a
-    buffer kept in the layer-owned ``scratch``: the result aliases it and
-    is only valid until the next call with the same dict."""
-    if _BACKEND == "fast":
-        return _im2col_1d_fast(
-            inputs, kernel, stride, out_len,
-            {} if scratch is None else scratch,
-        )
-    return _im2col_1d_reference(inputs, kernel, stride, out_len)
-
-
 def _offset_major_grad_cols(
     grad_out: np.ndarray,
     weight: np.ndarray,
@@ -225,7 +161,7 @@ def _offset_major_grad_cols(
     rows so the gemm emits each offset's contributions as one contiguous
     ``(..., C)`` block instead of an ``offsets``-strided gather.
     Permuting gemm columns does not change any dot product, so the values
-    are bit-identical to the reference layout.
+    are bit-identical to the oracle's layout.
     """
     lanes, out_channels = weight.shape[:-2], weight.shape[-1]
     w_perm = weight.reshape(
@@ -236,23 +172,30 @@ def _offset_major_grad_cols(
     )
 
 
-def _conv1d_input_grad_fast(
+def conv1d_input_grad(
     grad_out: np.ndarray,
     weight: np.ndarray,
-    input_shape: Tuple[int, ...],
+    input_shape: Tuple[int, int, int],
     kernel: int,
     stride: int,
     scratch: dict,
-    input_strides: Optional[Sequence[int]],
+    input_strides: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Input gradient via an offset-major gemm and strided slice-adds.
+    """Gradient w.r.t. the conv input: ``grad_out`` (N, Lo, C_out) back
+    through ``weight`` (C*K, C_out) and the im2col gather, via an
+    offset-major gemm and strided slice-adds.
 
     Per offset ``k``, the destinations ``o*stride + k`` are strictly
     increasing in ``o`` — no duplicate indices, so a plain ``+=`` on the
     strided slice is exact and ``np.add.at`` is unnecessary.  The
-    slice-adds run in a buffer laid out like the forward input: each
-    offset's ``(N, Lo, C)`` block is then added over contiguous channel
-    runs when that input was channel-last.
+    slice-adds run in a buffer laid out like a tensor with
+    ``input_strides`` — those of the forward input (C order when not
+    given) — so each offset's ``(N, Lo, C)`` block is added over
+    contiguous channel runs when that input was channel-last.
+
+    ``scratch`` is a layer-owned dict reused for the gemm and gradient
+    buffers across steps; the returned array aliases it and is only
+    valid until the next call with the same dict.
     """
     channels, length = input_shape[-2:]
     out_len = grad_out.shape[-2]
@@ -270,70 +213,27 @@ def _conv1d_input_grad_fast(
     return folded.reshape(input_shape)
 
 
-def _col2im_1d_reference(
-    grad_cols: np.ndarray,
-    input_shape: Tuple[int, int, int],
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    batch, channels, _ = input_shape
-    out_len = grad_cols.shape[1]
-    grad = np.zeros(input_shape, dtype=np.float64)
-    cols = grad_cols.reshape(batch, out_len, channels, kernel).transpose(
-        0, 2, 1, 3
-    )  # (N, C, Lo, K)
-    for k in range(kernel):
-        positions = np.arange(out_len) * stride + k
-        np.add.at(grad, (slice(None), slice(None), positions), cols[:, :, :, k])
-    return grad
-
-
-def conv1d_input_grad(
-    grad_out: np.ndarray,
-    weight: np.ndarray,
-    input_shape: Tuple[int, int, int],
-    kernel: int,
-    stride: int,
-    scratch: dict,
-    input_strides: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Gradient w.r.t. the conv input: ``grad_out`` (N, Lo, C_out) back
-    through ``weight`` (C*K, C_out) and the im2col gather.
-
-    ``scratch`` is a layer-owned dict the backend reuses for its gemm and
-    gradient buffers across steps; the returned array aliases it and is
-    only valid until the next call with the same dict.  The fast backend
-    lays the gradient out like a tensor with ``input_strides`` — those of
-    the forward input (C order when not given).
-    """
-    if _BACKEND == "fast":
-        return _conv1d_input_grad_fast(
-            grad_out, weight, input_shape, kernel, stride, scratch,
-            input_strides,
-        )
-    grad_cols = grad_out @ weight.T  # (N, Lo, C*K)
-    return _col2im_1d_reference(grad_cols, input_shape, kernel, stride)
-
-
 # ---------------------------------------------------------------------------
 # 2-D convolution
 # ---------------------------------------------------------------------------
 
-def _im2col_2d_fast(
+def im2col_2d(
     inputs: np.ndarray,
     kernel: int,
     stride: int,
     out_h: int,
     out_w: int,
-    scratch: dict,
+    scratch: Optional[dict] = None,
 ) -> np.ndarray:
     """(N, C, H, W) -> (N, Ho*Wo, C*K*K): the strided window view copied
-    once into a reused ``(N, Ho, Wo, C, K, K)`` buffer.  (With K*K offsets
-    to pass over, per-offset slice copies do not beat the single copy in
-    2-D at any layout or size measured — DESIGN §5c.)"""
+    once into a reused ``(N, Ho, Wo, C, K, K)`` buffer; ``scratch`` as for
+    :func:`im2col_1d`.  (With K*K offsets to pass over, per-offset slice
+    copies do not beat the single copy in 2-D at any layout or size
+    measured — DESIGN §5c.)"""
     batch, channels, _, _ = inputs.shape
     cols = scratch_like(
-        (batch, out_h, out_w, channels, kernel, kernel), None, scratch, "cols"
+        (batch, out_h, out_w, channels, kernel, kernel), None,
+        {} if scratch is None else scratch, "cols",
     )
     by_sample, by_channel, by_row, by_col = inputs.strides
     np.copyto(cols, as_strided(
@@ -344,50 +244,23 @@ def _im2col_2d_fast(
     return cols.reshape(batch, out_h * out_w, channels * kernel * kernel)
 
 
-def _im2col_2d_reference(
-    inputs: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
-) -> np.ndarray:
-    batch, channels, _, _ = inputs.shape
-    rows = (np.arange(out_h) * stride)[:, None] + np.arange(kernel)[None, :]
-    cols = (np.arange(out_w) * stride)[:, None] + np.arange(kernel)[None, :]
-    # Gather (N, C, Ho, K, Wo, K)
-    patches = inputs[:, :, rows][:, :, :, :, cols]
-    patches = patches.transpose(0, 2, 4, 1, 3, 5)  # (N, Ho, Wo, C, K, K)
-    return patches.reshape(batch, out_h * out_w, channels * kernel * kernel)
-
-
-def im2col_2d(
-    inputs: np.ndarray,
-    kernel: int,
-    stride: int,
-    out_h: int,
-    out_w: int,
-    scratch: Optional[dict] = None,
-) -> np.ndarray:
-    """(N, C, H, W) -> (N, Ho*Wo, C*K*K) patch matrix; ``scratch`` as for
-    :func:`im2col_1d`."""
-    if _BACKEND == "fast":
-        return _im2col_2d_fast(
-            inputs, kernel, stride, out_h, out_w,
-            {} if scratch is None else scratch,
-        )
-    return _im2col_2d_reference(inputs, kernel, stride, out_h, out_w)
-
-
-def _conv2d_input_grad_fast(
+def conv2d_input_grad(
     grad_out: np.ndarray,
     weight: np.ndarray,
-    input_shape: Tuple[int, ...],
+    input_shape: Tuple[int, int, int, int],
     out_h: int,
     out_w: int,
     kernel: int,
     stride: int,
     scratch: dict,
-    input_strides: Optional[Sequence[int]],
+    input_strides: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """2-D analogue of :func:`_conv1d_input_grad_fast`: offset-major gemm
-    so each (dy, dx) slice is a contiguous ``(N, Ho, Wo, C)`` block, then
-    one exact strided slice-add per kernel offset."""
+    """Gradient w.r.t. the conv input: ``grad_out`` (N, Ho*Wo, C_out)
+    back through ``weight`` (C*K*K, C_out) and the im2col gather.  The
+    2-D analogue of :func:`conv1d_input_grad` (``scratch`` and
+    ``input_strides`` as there): offset-major gemm so each (dy, dx) slice
+    is a contiguous ``(N, Ho, Wo, C)`` block, then one exact strided
+    slice-add per kernel offset."""
     channels = input_shape[-3]
     k, s = kernel, stride
     grad_cols = _offset_major_grad_cols(
@@ -409,69 +282,18 @@ def _conv2d_input_grad_fast(
     return folded.reshape(input_shape)
 
 
-def _col2im_2d_reference(
-    grad_cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    batch, channels, _, _ = input_shape
-    grad = np.zeros(input_shape, dtype=np.float64)
-    k = kernel
-    patches = grad_cols.reshape(batch, out_h, out_w, channels, k, k)
-    for dy in range(k):
-        for dx in range(k):
-            rows = np.arange(out_h) * stride + dy
-            cols_idx = np.arange(out_w) * stride + dx
-            np.add.at(
-                grad,
-                (slice(None), slice(None), rows[:, None], cols_idx[None, :]),
-                patches[:, :, :, :, dy, dx].transpose(0, 3, 1, 2),
-            )
-    return grad
-
-
-def conv2d_input_grad(
-    grad_out: np.ndarray,
-    weight: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-    stride: int,
-    scratch: dict,
-    input_strides: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Gradient w.r.t. the conv input: ``grad_out`` (N, Ho*Wo, C_out)
-    back through ``weight`` (C*K*K, C_out) and the im2col gather;
-    ``input_strides`` as for :func:`conv1d_input_grad`."""
-    if _BACKEND == "fast":
-        return _conv2d_input_grad_fast(
-            grad_out, weight, input_shape, out_h, out_w, kernel, stride,
-            scratch, input_strides,
-        )
-    grad_cols = grad_out @ weight.T  # (N, Ho*Wo, C*K*K)
-    return _col2im_2d_reference(
-        grad_cols, input_shape, out_h, out_w, kernel, stride
-    )
-
-
 # ---------------------------------------------------------------------------
 # Max pooling (non-overlapping windows: kernel == stride)
 # ---------------------------------------------------------------------------
 
-def _maxpool_forward_fast(
-    windows: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(…, K) windows -> (max, argmax) in one pass over the data.
+def maxpool_forward(windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduce the trailing window axis to ``(max, argmax)`` in one pass.
 
     ``argmax`` fully determines the max (``take_along_axis`` at the argmax
-    *is* the window maximum, bit for bit), so the second full ``max``
-    reduction of the reference implementation is redundant.  The ubiquitous
-    kernel-2 case collapses further to a single vectorized comparison whose
-    tie-breaking (first maximum wins) matches ``argmax`` exactly.
+    *is* the window maximum, bit for bit), so a second full ``max``
+    reduction is redundant.  The ubiquitous kernel-2 case collapses
+    further to a single vectorized comparison whose tie-breaking (first
+    maximum wins) matches ``argmax`` exactly.
     """
     if windows.shape[-1] == 2:
         first, second = windows[..., 0], windows[..., 1]
@@ -501,47 +323,23 @@ def _maxpool_forward_fast(
     return maxima[..., 0], argmax
 
 
-def _maxpool_forward_reference(
-    windows: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Two full passes: one for the argmax, one for the max."""
-    argmax = windows.argmax(axis=-1)
-    return windows.max(axis=-1), argmax
-
-
-def maxpool_forward(windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce the trailing window axis to ``(max, argmax)``."""
-    if _BACKEND == "fast":
-        return _maxpool_forward_fast(windows)
-    return _maxpool_forward_reference(windows)
-
-
-def _maxpool2d_windows(trimmed: np.ndarray, kernel: int) -> np.ndarray:
-    """(N, C, Ho*K, Wo*K) -> materialized (N, C, Ho, Wo, K*K) windows."""
-    batch, channels, height, width = trimmed.shape
-    k = kernel
-    region = trimmed.reshape(batch, channels, height // k, k, width // k, k)
-    return region.transpose(0, 1, 2, 4, 3, 5).reshape(
-        batch, channels, height // k, width // k, k * k
-    )
-
-
 def maxpool2d_forward(
     trimmed: np.ndarray, kernel: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """2-D window reduction of a pre-trimmed (N, C, Ho*K, Wo*K) input to
     ``(max, argmax)``, with argmax numbered in row-major K*K lane order.
 
-    The reference path materializes every window as a trailing axis (one
-    full input copy) before reducing twice.  The fast K=2 path reduces the
-    four strided lane views directly — no copy, one comparison tournament
-    (bit-identical, see :func:`_maxpool_forward_fast`).
+    K=2 reduces the four strided lane views directly — no copy, one
+    comparison tournament (bit-identical, see :func:`maxpool_forward`).
+    Other kernels materialize every window as a trailing axis (one full
+    input copy) and reduce that.
     """
-    if _BACKEND == "fast" and kernel == 2:
-        batch, channels, height, width = trimmed.shape
-        region = trimmed.reshape(
-            batch, channels, height // 2, 2, width // 2, 2
-        )  # axis-splitting views even a sliced input; no copy
+    batch, channels, height, width = trimmed.shape
+    k = kernel
+    region = trimmed.reshape(
+        batch, channels, height // k, k, width // k, k
+    )  # axis-splitting views even a sliced input; no copy
+    if k == 2:
         w0, w1 = region[:, :, :, 0, :, 0], region[:, :, :, 0, :, 1]
         w2, w3 = region[:, :, :, 1, :, 0], region[:, :, :, 1, :, 1]
         front_idx = (w1 > w0).astype(np.intp)
@@ -552,31 +350,36 @@ def maxpool2d_forward(
         return np.maximum(front, back), np.where(
             back > front, back_idx, front_idx
         )
-    windows = _maxpool2d_windows(trimmed, kernel)
-    if _BACKEND == "fast":
-        return _maxpool_forward_fast(windows)
-    return _maxpool_forward_reference(windows)
+    return maxpool_forward(region.transpose(0, 1, 2, 4, 3, 5).reshape(
+        batch, channels, height // k, width // k, k * k
+    ))
 
 
-def _maxpool_backward_fast(
+def maxpool1d_backward(
     grad_output: np.ndarray,
     input_shape: Tuple[int, ...],
+    out_len: int,
     kernel: int,
     argmax: np.ndarray,
-    scratch: dict,
+    scratch: Optional[dict] = None,
 ) -> np.ndarray:
-    """One assignment on a flat index, 1-D and 2-D alike.
+    """Route ``grad_output`` to each window's argmax position: one
+    assignment on a flat index, 1-D and 2-D alike.
 
-    The gradient buffer is laid out like ``argmax`` (and so like the
-    pooled activation), ``flat`` is its memory as one 1-D array and
-    ``base`` the flat position of every window's first cell — built once
-    per buffer, kept with it in ``scratch`` and, like it, serving a
+    The gradient buffer, kept in the layer-owned ``scratch`` (the result
+    aliases it until the next call), is laid out like ``argmax`` (and so
+    like the pooled activation), ``flat`` is its memory as one 1-D array
+    and ``base`` the flat position of every window's first cell — built
+    once per buffer, kept with it in ``scratch`` and, like it, serving a
     smaller batch as a prefix.  Window cell ``argmax`` (row-major in the
     window: ``dy*K + dx``) lies ``argmax`` column steps on, plus, per row,
     a row step less the K column steps already counted.  The windows are
     disjoint, so no index repeats and the assignment is exact; cells no
     window reaches (a trailing remainder) keep the buffer's zero.
+    ``out_len`` is implied by ``argmax`` and not read.
     """
+    if scratch is None:
+        scratch = {}
     grad = scratch_like(input_shape, argmax.strides, scratch, "grad_input")
     full = scratch["grad_input"]
     plan = scratch.get("plan")
@@ -608,66 +411,6 @@ def _maxpool_backward_fast(
     return grad
 
 
-def _maxpool1d_backward_reference(
-    grad_output: np.ndarray,
-    input_shape: Tuple[int, int, int],
-    out_len: int,
-    kernel: int,
-    argmax: np.ndarray,
-) -> np.ndarray:
-    batch, channels, _ = input_shape
-    grad = np.zeros(input_shape, dtype=np.float64)
-    windows = grad.reshape(batch, channels, -1)[
-        :, :, : out_len * kernel
-    ].reshape(batch, channels, out_len, kernel)
-    b_idx, c_idx, o_idx = np.ogrid[:batch, :channels, :out_len]
-    windows[b_idx, c_idx, o_idx, argmax] = grad_output
-    return grad
-
-
-def maxpool1d_backward(
-    grad_output: np.ndarray,
-    input_shape: Tuple[int, int, int],
-    out_len: int,
-    kernel: int,
-    argmax: np.ndarray,
-    scratch: Optional[dict] = None,
-) -> np.ndarray:
-    """Route ``grad_output`` to each window's argmax position.
-
-    The fast backend keeps its gradient buffer and index tables in the
-    layer-owned ``scratch`` (the result aliases it until the next call)
-    and lays the gradient out like ``argmax``."""
-    if _BACKEND == "fast":
-        return _maxpool_backward_fast(
-            grad_output, input_shape, kernel, argmax,
-            {} if scratch is None else scratch,
-        )
-    return _maxpool1d_backward_reference(
-        grad_output, input_shape, out_len, kernel, argmax
-    )
-
-
-def _maxpool2d_backward_reference(
-    grad_output: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-    argmax: np.ndarray,
-) -> np.ndarray:
-    batch, channels, _, _ = input_shape
-    k = kernel
-    grad = np.zeros(input_shape, dtype=np.float64)
-    flat_pos = argmax  # position within the k*k window
-    dy, dx = flat_pos // k, flat_pos % k
-    b_idx, c_idx, h_idx, w_idx = np.ogrid[:batch, :channels, :out_h, :out_w]
-    rows = h_idx * k + dy
-    cols = w_idx * k + dx
-    np.add.at(grad, (b_idx, c_idx, rows, cols), grad_output)
-    return grad
-
-
 def maxpool2d_backward(
     grad_output: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -677,13 +420,8 @@ def maxpool2d_backward(
     argmax: np.ndarray,
     scratch: Optional[dict] = None,
 ) -> np.ndarray:
-    """Route ``grad_output`` to each window's argmax position; ``scratch``
-    as for :func:`maxpool1d_backward`."""
-    if _BACKEND == "fast":
-        return _maxpool_backward_fast(
-            grad_output, input_shape, kernel, argmax,
-            {} if scratch is None else scratch,
-        )
-    return _maxpool2d_backward_reference(
-        grad_output, input_shape, out_h, out_w, kernel, argmax
+    """Route ``grad_output`` to each window's argmax position: the
+    rank-free assignment of :func:`maxpool1d_backward`."""
+    return maxpool1d_backward(
+        grad_output, input_shape, out_w, kernel, argmax, scratch
     )

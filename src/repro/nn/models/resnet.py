@@ -99,9 +99,8 @@ def build_conv_resnet(
     their time, which is what this variant exists to exercise.
 
     Not the default IC model (tuning results were produced with
-    :func:`build_resnet` and must stay reproducible); used by the
-    ``benchmarks/perf`` harness to stress the 2-D conv kernels at the
-    paper's native 32x32 CIFAR-10 resolution.
+    :func:`build_resnet` and must stay reproducible); the NN tests use
+    it to drive the 2-D conv kernels through a whole model.
     """
     if num_layers <= 0:
         raise ConfigurationError(f"num_layers must be positive, got {num_layers}")

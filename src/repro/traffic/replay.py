@@ -21,7 +21,8 @@ with everything deployment scoring needs:
 
 Everything runs in virtual time (see :mod:`repro.sim.clock`): nothing
 sleeps, and a replay of millions of requests is a tight Python/numpy
-loop — the perf harness gates it at >= 50k simulated requests/sec.
+loop — about four numpy calls per dispatched batch, a count
+``tests/test_traffic_replay.py`` pins.
 """
 
 from __future__ import annotations

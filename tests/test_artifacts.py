@@ -32,15 +32,17 @@ from repro.artifacts import (
 )
 from repro.budgets import MultiBudget
 from repro.core import ModelTuningServer
+import repro.core.model_server as model_server
 from repro.core.model_server import TrialTask, evaluate_trial
 from repro.errors import ConfigurationError
-from repro.nn.optimizers import SGD
+from repro.nn.optimizers import SGD, Adam
 from repro.nn.serialize import state_dict
 from repro.rng import make_rng
 from repro.search.successive_halving import SuccessiveHalvingScheduler
 from repro.search.random_search import RandomSearcher
 from repro.storage import TrialDatabase
 from repro.workloads import get_workload
+from tests.test_session_cost import counting
 
 SAMPLES = 160
 
@@ -132,6 +134,20 @@ class TestTrialKey:
             assert backend_fingerprint() != clean
         finally:
             faults.configure(None)
+
+    def test_key_of_a_fixed_task_is_pinned(self, monkeypatch):
+        """Every stored artifact is addressed by this digest: an edit to
+        ``trial_key`` or ``backend_fingerprint`` that moves it orphans
+        every store.  numpy's version is part of the fingerprint, so it
+        is fixed here to keep the pin the same on every machine."""
+        faults.reset()
+        monkeypatch.setattr(np, "__version__", "2.4.6")
+        task = TrialTask(
+            trial_id=5, values={"batch_size": 32, "cores": 2, "lr": 0.05},
+            fidelity=2, bracket=1, rung=1, epochs=2, data_fraction=0.5,
+            workload_id="IC", seed=11, samples=160,
+        )
+        assert trial_key(task) == "6cc80fbbbe5a22046eb8b278b66defb758c954c1"
 
 
 class TestResumeStatePacking:
@@ -431,6 +447,41 @@ class TestWarmResume:
         warm = tune_result(reuse=True, max_trials=None)
         assert warm.tuning_runtime_s < cold.tuning_runtime_s
         assert warm.tuning_energy_j < cold.tuning_energy_j
+
+    def test_warm_and_memo_sessions_do_less_work(self, tmp_path,
+                                                 monkeypatch):
+        """One IC BOHB bracket (31 trials) cold, warm (a fresh store under
+        ``reuse_checkpoints``) and memo (the same store again), counted in
+        optimizer steps and trainings rather than timed: at this size the
+        warm run is no faster in wall time than the cold one, yet does
+        about half its training (262 vs 138 steps; the analytic budget
+        ratio is 1.92x)."""
+        counts = {"steps": 0, "trainings": 0}
+        counting(monkeypatch, SGD, "step", counts, "steps")
+        counting(monkeypatch, Adam, "step", counts, "steps")
+        counting(monkeypatch, model_server, "train_model", counts,
+                 "trainings")
+
+        def session(database=None):
+            counts.update(steps=0, trainings=0)
+            result = ModelTuningServer(
+                workload=get_workload("IC"), algorithm="bohb",
+                database=database, seed=7, samples=240,
+                max_trials=31,  # exactly the first (widest) BOHB bracket
+                reuse_checkpoints=database is not None,
+            ).run()
+            assert len(result.trials) == 31
+            return dict(counts)
+
+        cold = session()
+        path = str(tmp_path / "artifacts.sqlite")
+        with TrialDatabase(path) as database:
+            warm = session(database)
+        with TrialDatabase(path) as database:
+            memo = session(database)
+        assert cold["trainings"] == warm["trainings"] == 31
+        assert warm["steps"] * 1.5 <= cold["steps"], (warm, cold)
+        assert memo == {"steps": 0, "trainings": 0}
 
     def test_flag_off_matches_storeless_run(self, tmp_path):
         """Attaching a store without --reuse-checkpoints must not change

@@ -1,11 +1,11 @@
 """Gradient-equivalence tests for the vectorized NN kernels.
 
-The ``fast`` backend in :mod:`repro.nn.kernels` must be *bit-identical*
-to the ``reference`` (``np.add.at`` / two-pass) backend — the tuning
-results in storage were produced with seeded training and must not move
-by even an ulp.  These tests pin that contract with hypothesis over
-randomized shapes, strides and values, at both the kernel and the layer
-level, and additionally anchor the convolution gradient to finite
+The kernels in :mod:`repro.nn.kernels` must be *bit-identical* to the
+``np.add.at`` / two-pass oracle in ``tests/kernel_oracle.py`` — the
+tuning results in storage were produced with seeded training and must
+not move by even an ulp.  These tests pin that contract with hypothesis
+over randomized shapes, strides and values, at both the kernel and the
+layer level, and additionally anchor the convolution gradient to finite
 differences.  Regression tests for the trainer's trial-accounting fixes
 (epochs_run on divergence, final_loss on empty training sets) and the
 meter thread-safety contract ride along.
@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.datasets import make_cifar10
 from repro.datasets.base import Dataset
-from repro.errors import ConfigurationError
-from repro.nn import CrossEntropyLoss, train_model, use_backend
+from repro.nn import CrossEntropyLoss, train_model
 from repro.nn.conv import Conv1d, Conv2d, MaxPool1d, MaxPool2d
 from repro.nn import kernels
 from repro.nn.models import get_model_family
 from repro.telemetry.meters import MeterRegistry
+from tests.kernel_oracle import reference_kernels
 
 
 @pytest.fixture(autouse=True)
@@ -36,11 +36,10 @@ def clean_faults():
     faults.reset()
 
 
-def both_backends(fn):
-    """Run ``fn()`` under each backend and return the two results."""
-    with use_backend("fast"):
-        fast = fn()
-    with use_backend("reference"):
+def engine_and_oracle(fn):
+    """Run ``fn()`` on the kernels and on the oracle; both results."""
+    fast = fn()
+    with reference_kernels():
         reference = fn()
     return fast, reference
 
@@ -60,7 +59,7 @@ def assert_grad_equivalent(fast, reference):
     path's flattened gemm and the reference's batched ``@`` to different
     inner kernels depending on shape, so the per-kernel guarantee is
     ≤1e-10, not equal bits.  End-to-end seeded training on the repo's
-    workloads is still bit-identical across backends — pinned by
+    workloads is still bit-identical to the oracle — pinned by
     ``test_training_is_bit_identical_across_backends`` below."""
     fast = np.asarray(fast)
     reference = np.asarray(reference)
@@ -95,12 +94,12 @@ def test_property_conv1d_kernels_match_reference(case):
     weight = rng.normal(size=(channels * kernel, out_channels))
     grad_out = rng.normal(size=(batch, out_len, out_channels))
 
-    cols_fast, cols_ref = both_backends(
+    cols_fast, cols_ref = engine_and_oracle(
         lambda: kernels.im2col_1d(inputs, kernel, stride, out_len)
     )
     assert_bit_identical(cols_fast, cols_ref)
 
-    grad_fast, grad_ref = both_backends(
+    grad_fast, grad_ref = engine_and_oracle(
         lambda: kernels.conv1d_input_grad(
             grad_out, weight, inputs.shape, kernel, stride, {}
         ).copy()
@@ -132,12 +131,12 @@ def test_property_conv2d_kernels_match_reference(case):
     weight = rng.normal(size=(channels * kernel * kernel, out_channels))
     grad_out = rng.normal(size=(batch, out_h * out_w, out_channels))
 
-    cols_fast, cols_ref = both_backends(
+    cols_fast, cols_ref = engine_and_oracle(
         lambda: kernels.im2col_2d(inputs, kernel, stride, out_h, out_w)
     )
     assert_bit_identical(cols_fast, cols_ref)
 
-    grad_fast, grad_ref = both_backends(
+    grad_fast, grad_ref = engine_and_oracle(
         lambda: kernels.conv2d_input_grad(
             grad_out, weight, inputs.shape, out_h, out_w, kernel, stride, {}
         ).copy()
@@ -162,12 +161,12 @@ def test_property_maxpool1d_kernels_match_reference(case):
     rng = np.random.default_rng(seed)
     if quantize:
         # Few distinct values => many tied windows; tie-breaking (first
-        # maximum wins) must agree between the backends.
+        # maximum wins) must agree between the engine and the oracle.
         windows = rng.integers(0, 3, size=(batch, channels, out_len, kernel))
         windows = windows.astype(np.float64)
     else:
         windows = rng.normal(size=(batch, channels, out_len, kernel))
-    (max_f, arg_f), (max_r, arg_r) = both_backends(
+    (max_f, arg_f), (max_r, arg_r) = engine_and_oracle(
         lambda: kernels.maxpool_forward(windows)
     )
     assert_bit_identical(max_f, max_r)
@@ -175,7 +174,7 @@ def test_property_maxpool1d_kernels_match_reference(case):
 
     grad_out = rng.normal(size=(batch, channels, out_len))
     input_shape = (batch, channels, out_len * kernel + rng.integers(0, kernel))
-    grad_fast, grad_ref = both_backends(
+    grad_fast, grad_ref = engine_and_oracle(
         lambda: kernels.maxpool1d_backward(
             grad_out, input_shape, out_len, kernel, arg_r
         )
@@ -204,7 +203,7 @@ def test_property_maxpool2d_kernels_match_reference(case):
         trimmed = rng.integers(0, 3, size=shape).astype(np.float64)
     else:
         trimmed = rng.normal(size=shape)
-    (max_f, arg_f), (max_r, arg_r) = both_backends(
+    (max_f, arg_f), (max_r, arg_r) = engine_and_oracle(
         lambda: kernels.maxpool2d_forward(trimmed, kernel)
     )
     assert_bit_identical(max_f, max_r)
@@ -216,7 +215,7 @@ def test_property_maxpool2d_kernels_match_reference(case):
         out_h * kernel + rng.integers(0, kernel),
         out_w * kernel + rng.integers(0, kernel),
     )
-    grad_fast, grad_ref = both_backends(
+    grad_fast, grad_ref = engine_and_oracle(
         lambda: kernels.maxpool2d_backward(
             grad_out, input_shape, out_h, out_w, kernel, arg_r
         )
@@ -230,7 +229,7 @@ def test_maxpool2d_fused_path_handles_sliced_input():
     rng = np.random.default_rng(7)
     inputs = rng.normal(size=(2, 3, 5, 7))  # odd extent forces trimming
     trimmed = inputs[:, :, :4, :6]
-    (max_f, arg_f), (max_r, arg_r) = both_backends(
+    (max_f, arg_f), (max_r, arg_r) = engine_and_oracle(
         lambda: kernels.maxpool2d_forward(trimmed, 2)
     )
     assert_bit_identical(max_f, max_r)
@@ -258,7 +257,7 @@ def test_property_conv1d_layer_backends_agree(seed, stride):
     run = lambda: _layer_roundtrip(
         lambda: Conv1d(2, 4, 5, stride=stride, rng=seed), inputs, seed
     )
-    (out_f, gin_f, pg_f), (out_r, gin_r, pg_r) = both_backends(run)
+    (out_f, gin_f, pg_f), (out_r, gin_r, pg_r) = engine_and_oracle(run)
     assert_bit_identical(out_f, out_r)
     assert_bit_identical(gin_f, gin_r)
     for grad_fast, grad_ref in zip(pg_f, pg_r):
@@ -273,7 +272,7 @@ def test_property_conv2d_layer_backends_agree(seed, stride):
     run = lambda: _layer_roundtrip(
         lambda: Conv2d(3, 4, 3, stride=stride, rng=seed), inputs, seed
     )
-    (out_f, gin_f, pg_f), (out_r, gin_r, pg_r) = both_backends(run)
+    (out_f, gin_f, pg_f), (out_r, gin_r, pg_r) = engine_and_oracle(run)
     assert_bit_identical(out_f, out_r)
     assert_bit_identical(gin_f, gin_r)
     for grad_fast, grad_ref in zip(pg_f, pg_r):
@@ -291,7 +290,7 @@ def test_property_pool_layers_backends_agree(seed, kernel):
         (lambda: MaxPool2d(kernel), inputs2d),
     ]:
         run = lambda: _layer_roundtrip(make_layer, inputs, seed)
-        (out_f, gin_f, _), (out_r, gin_r, _) = both_backends(run)
+        (out_f, gin_f, _), (out_r, gin_r, _) = engine_and_oracle(run)
         assert_bit_identical(out_f, out_r)
         assert_bit_identical(gin_f, gin_r)
 
@@ -317,33 +316,9 @@ def test_conv1d_gradient_matches_finite_differences():
         np.testing.assert_allclose(grad_in[index], numeric, atol=1e-5)
 
 
-# ---------------------------------------------------------------------------
-# Backend plumbing
-# ---------------------------------------------------------------------------
-
-def test_backend_default_is_fast():
-    assert kernels.get_backend() == "fast"
-
-
-def test_use_backend_restores_previous_backend_on_error():
-    with pytest.raises(RuntimeError):
-        with use_backend("reference"):
-            assert kernels.get_backend() == "reference"
-            raise RuntimeError("boom")
-    assert kernels.get_backend() == "fast"
-
-
-def test_unknown_backend_is_rejected():
-    with pytest.raises(ConfigurationError):
-        kernels.set_backend("cuda")
-    with pytest.raises(ConfigurationError):
-        with use_backend("turbo"):
-            pass  # pragma: no cover
-
-
 def test_training_is_bit_identical_across_backends():
     """End to end: one seeded M5 training run must produce the same loss
-    trajectory and accuracy on both backends."""
+    trajectory and accuracy on the kernels and on the oracle."""
     from repro.datasets import make_speech_commands
     from repro.nn.models import build_m5
 
@@ -357,10 +332,7 @@ def test_training_is_bit_identical_across_backends():
             epochs=2, batch_size=16, lr=0.01, seed=5,
         )
 
-    with use_backend("fast"):
-        fast = run()
-    with use_backend("reference"):
-        reference = run()
+    fast, reference = engine_and_oracle(run)
     assert fast.losses == reference.losses
     assert fast.accuracy == reference.accuracy
 

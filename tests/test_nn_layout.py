@@ -1,6 +1,6 @@
 """Layout is free, bits are not.
 
-The fast conv trunk lays every gradient buffer out like the activation it
+The conv trunk lays every gradient buffer out like the activation it
 pairs with (``repro.nn.kernels``): channel-last inside a conv trunk,
 C order on a data batch.  Which layout a tensor arrives in must change
 where bytes live and nothing else.  Pinned here:
@@ -8,8 +8,8 @@ where bytes live and nothing else.  Pinned here:
 * for every conv-trunk layer, the same values arriving C-contiguous and
   channel-last-strided give the same output, parameter gradients and
   input gradient *by* ``tobytes()`` — equal to each other and to the
-  ``reference`` backend on contiguous input — on buffers a previous step
-  left dirty;
+  kernel oracle (``tests/kernel_oracle.py``) on contiguous input — on
+  buffers a previous step left dirty;
 * one model driven through the batch shapes every ``train_model`` epoch
   produces (full, short last batch, evaluation batch, full) computes, at
   each step, what a fresh model computes;
@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.nn
-from repro.nn import CrossEntropyLoss, use_backend
+from repro.nn import CrossEntropyLoss
 from repro.nn.conv import (
     Conv1d,
     Conv2d,
@@ -44,6 +44,7 @@ from repro.nn.losses import DetectionLoss
 from repro.nn.models import build_conv_resnet, build_m5
 from repro.nn.models.yolo import build_yolo
 from repro.nn.module import STEP_STATE
+from tests.kernel_oracle import reference_kernels
 
 
 def channel_last(array):
@@ -149,7 +150,7 @@ def test_layout_moves_no_bit(case):
 
     # Two steps per run: the first leaves every reused buffer dirty.
     inputs = [draw_values(rng, shape, kind) for _ in range(2)]
-    with use_backend("reference"):
+    with reference_kernels():
         probe = build(case)
         out_shape = probe.forward(inputs[0]).shape
     grads = [rng.normal(size=out_shape) for _ in range(2)]
@@ -160,7 +161,7 @@ def test_layout_moves_no_bit(case):
             for x, g in zip(inputs, grads)
         ]
 
-    with use_backend("reference"):
+    with reference_kernels():
         oracle = run_steps(build(case), steps("contiguous", "contiguous"),
                            needs_grad)
     runs = {
@@ -177,11 +178,11 @@ def test_layout_moves_no_bit(case):
             same_bytes(ours, theirs)
         if needs_grad:
             if kind.startswith("Conv"):
-                # The reference input gradient runs a batched gemm where
-                # the fast one runs a flattened one; numpy may route the
+                # The oracle's input gradient runs a batched gemm where
+                # the kernel runs a flattened one; numpy may route the
                 # two to different inner kernels (tests/test_nn_kernels.py:
                 # the per-kernel contract is 1e-10).  Across layouts of the
-                # fast backend the bytes must be equal.
+                # kernel the bytes must be equal.
                 np.testing.assert_allclose(
                     grad_input, oracle[2], rtol=1e-12, atol=1e-10
                 )

@@ -2,10 +2,13 @@
 
 The determinism contract under test: given a fixed completion order,
 every decision (and every trial id) is a pure function of that order —
-bit-identical across runs and across ``state_dict`` save/restore.
+bit-identical across runs and across ``state_dict`` save/restore.  The
+speed claim — no rung barriers beat barriers under a straggler — is
+pinned in virtual time at the end of the file.
 """
 
 import pickle
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,9 @@ from repro.search import (
     build_scheduler,
 )
 from repro.search.asha import COMPLETE, PAUSE, PROMOTE
+from repro.service import SessionCoordinator, SessionSpec, SessionStore
 from repro.space import Categorical, Float, Integer, ParameterSpace
+from repro.storage import TrialDatabase
 
 
 def small_space():
@@ -376,3 +381,100 @@ class TestSyncWaveOrderIndependence:
             lambda n: sorted(range(n), key=lambda i: perm[i % 8])
         )
         assert in_order == permuted
+
+
+# ---------------------------------------------------------------------------
+# Straggler makespan: ASHA vs wave-synchronous halving, in virtual time
+# ---------------------------------------------------------------------------
+
+#: An 8-worker pool whose first worker is 5x slower — the straggler every
+#: shared cluster has.
+POOL_WORKERS = 8
+SLOW_FACTOR = 5.0
+
+
+def assign(free: List[float], ready: float, duration: float) -> float:
+    """Place on the worker that frees first; returns the end time.
+
+    This is lease-queue order: a worker takes the head of the queue the
+    moment it frees, blind to how long the unit will run.
+    Earliest-*finish* placement would be omniscient — it would route long
+    trials away from the straggler and hide exactly the stall measured
+    here.
+    """
+    w = min(range(POOL_WORKERS), key=lambda i: (max(free[i], ready), i))
+    factor = SLOW_FACTOR if w == 0 else 1.0
+    end = max(free[w], ready) + duration * factor
+    free[w] = end
+    return end
+
+
+def wave_makespan(result) -> float:
+    """The synchronous path may not start a rung before the previous rung
+    fully completes (the coordinator's barrier)."""
+    free = [0.0] * POOL_WORKERS
+    barrier = 0.0
+    rung_key, rung_end = None, 0.0
+    for trial in result.trials:
+        if (trial.bracket, trial.rung) != rung_key:
+            rung_key = (trial.bracket, trial.rung)
+            barrier = max(barrier, rung_end)
+        rung_end = max(
+            rung_end, assign(free, barrier, trial.trial_runtime_s)
+        )
+    return max(free)
+
+
+def asha_makespan(result, decision_log) -> float:
+    """ASHA carries no barriers, only true dependencies: a promotion
+    cannot start before its parent's result has landed."""
+    parent_of = {
+        entry[4]: entry[1]
+        for entry in decision_log
+        if entry[4] is not None
+    }
+    free = [0.0] * POOL_WORKERS
+    done: Dict[int, float] = {}
+    for trial in result.trials:  # issue order (inline = pin order)
+        ready = done.get(parent_of.get(trial.trial_id), 0.0)
+        done[trial.trial_id] = assign(free, ready, trial.trial_runtime_s)
+    return max(free)
+
+
+def test_asha_outruns_barriers_under_a_straggler(tmp_path):
+    """Wall-clock cannot measure parallel scheduling honestly on a loaded
+    (or single-core) host, so both schedulers run inline —
+    bit-deterministic, every trial carrying its emulator-virtual duration
+    — and the quantity gated is the simulated makespan of those trials
+    list-scheduled over the straggler pool.  A 64-wide IC bracket keeps
+    rung widths above the pool size, so the barrier stall, not the
+    longest promotion chain, dominates.  Identical pool, assignment
+    policy and per-schedule trial durations: the ratio isolates the
+    barrier stall.  Measured: speedup 1.396, quality 1.000; both numbers
+    are exact, so the floors carry no noise margin.
+    """
+
+    def session(scheduler: str):
+        with TrialDatabase(str(tmp_path / f"{scheduler}.sqlite")) as database:
+            spec = SessionSpec(
+                workload="IC", samples=480, seed=7,
+                scheduler=scheduler, num_configs=64,
+            )
+            session_id = SessionStore(database).create(spec)
+            result = SessionCoordinator(
+                database, session_id, workers=0
+            ).run()
+            record = SessionStore(database).get(session_id)
+        return result, record.result["decision_log"]
+
+    wave_result, _ = session("sha")
+    asha_result, decision_log = session("asha")
+    speedup = wave_makespan(wave_result) / asha_makespan(
+        asha_result, decision_log
+    )
+    # Lower scores are better, so quality >= 1 means ASHA's answer is at
+    # least as good.  Promotion trial ids differ between the schedulers,
+    # which reseeds model init, so this is a floor, not bit-equality.
+    quality = wave_result.best_score / asha_result.best_score
+    assert speedup >= 1.3, speedup
+    assert quality >= 0.9, quality

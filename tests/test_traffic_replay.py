@@ -29,6 +29,7 @@ from repro.traffic import (
     traffic_stats,
 )
 from repro.workloads import get_workload
+from tests.test_nn_step_cost import count_calls
 
 LIGHT = build_trace("poisson:rate=20,duration=20,seed=1")
 
@@ -111,6 +112,21 @@ class TestReplayEngine:
         assert stats.completed == stats.requests
         with pytest.raises(ConfigurationError, match="latency"):
             replay_trace(trace, [flat_latency(0.001)], max_batch=4)
+
+    def test_replay_makes_a_pinned_number_of_calls(self):
+        """The replay loop stays a tight numpy loop: counted (as in
+        ``tests/test_nn_step_cost.py``), not timed, 9 calls into
+        ``repro`` and 8,025 into numpy (Python 3.11, numpy 2.4) for 9,939
+        requests in 2,003 batches — about four per batch, nearly all of
+        them the queue-depth ``searchsorted``.  Lower the pin when replay
+        gets cheaper; never raise it to make a change pass."""
+        trace = build_trace("poisson:rate=5000,duration=2,seed=1")
+        latency = lambda batch: 0.0005 + 0.0001 * batch
+        run = lambda: replay_trace(trace, latency, max_batch=64)
+        run()
+        counts = count_calls(run)
+        assert counts == count_calls(run)
+        assert counts["repro"] + counts["numpy"] <= 8034, counts
 
 
 class TestFleetReplay:
