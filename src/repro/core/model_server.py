@@ -26,10 +26,11 @@ it across process boundaries:
 * :meth:`ModelTuningServer.integrate` merges one evaluation back —
   scoring, inference tuning, virtual-time accounting, scheduler report —
   and must be called in wave order, which is what makes an N-worker run
-  identical to a 1-worker run;
-* :meth:`snapshot_run` / :meth:`restore_run` checkpoint everything but the
-  datasets (rebuilt deterministically from the seed) for crash-safe
-  resume.
+  identical to a 1-worker run.  It also returns the merge's
+  :class:`MergeNote`; handed back, the note replays that merge exactly
+  and writes nothing, which is how the service resumes a crashed session
+  (the scheduler and the run state are rebuilt by re-running the
+  session, not restored from a snapshot).
 
 :meth:`run` is the classic in-process driver: one trial at a time, exactly
 the historical serial semantics.
@@ -354,9 +355,8 @@ def evaluate_trial(
 class RunState:
     """Mutable state of one tuning run (everything :meth:`integrate` touches).
 
-    All fields except the datasets are picklable; :meth:`snapshot_run`
-    excludes ``train_set``/``eval_set`` because they are rebuilt
-    bit-identically from the workload seed on resume.
+    Never persisted: a resumed service session rebuilds it by re-issuing
+    the session's trials and replaying their merges (:class:`MergeNote`).
     """
 
     train_set: Dataset
@@ -375,9 +375,26 @@ class RunState:
     best_model: Optional[Any] = None
     stopped: bool = False
     #: trial_id -> artifact key, the rung-lineage chain the warm-resume
-    #: tier walks when a promoted child looks up its parent's checkpoint.
-    #: Part of every snapshot so resume after a crash keeps the chain.
+    #: tier walks when a promoted child looks up its parent's checkpoint
+    #: (filled by :meth:`make_task`, so a replay rebuilds it too).
     artifact_keys: Dict[int, str] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class MergeNote:
+    """What one :meth:`ModelTuningServer.integrate` drew from outside the
+    run state and the scheduler: the inference recommendation it used
+    (``None`` for a degraded trial or a server without inference tuning),
+    and whether that recommendation was tuned fresh for this trial — only
+    then does its cost land on the virtual timeline.
+
+    The inference cache is persistent, so on a replay the architecture a
+    crashed run tuned already reads as cached; the note is what keeps the
+    replayed stall and energy those of the original merge.
+    """
+
+    inference: Optional[InferenceRecommendation] = None
+    tuned: bool = False
 
 
 class ModelTuningServer:
@@ -664,14 +681,21 @@ class ModelTuningServer:
         trial: ScheduledTrial,
         evaluation: TrialEvaluation,
         model: Any = None,
-    ) -> TrialRecord:
-        """Merge one finished evaluation back into the run.
+        note: Optional[MergeNote] = None,
+    ) -> Tuple[TrialRecord, MergeNote]:
+        """Merge one finished evaluation back into the run; returns the
+        trial's record and the note that replays this merge.
 
         Must be called in wave order: this is where inference tuning, the
         virtual timeline, the scheduler report and the database write
         happen, all of which are order-sensitive.  Calling it in a fixed
         order makes the run independent of *when* evaluations finished —
         the determinism contract of the parallel worker pool.
+
+        Given the ``note`` an earlier merge of the same trial returned,
+        the merge is *replayed*: the inference recommendation comes from
+        the note, and nothing is read from or written to the database
+        (the trial's history row already exists).
         """
         configuration = trial.configuration
         budget = self.budget.budget(trial.fidelity)
@@ -691,15 +715,16 @@ class ModelTuningServer:
         # so the scheduler prunes it without poisoning its model fit.
         degraded = getattr(evaluation, "degraded", False)
 
-        inference_rec: Optional[InferenceRecommendation] = None
-        inference_is_new = False
-        if self.inference_server is not None and not degraded:
+        replay = note is not None
+        if note is None and self.inference_server is not None and not degraded:
             inference_key, flops, params = self._architecture_key(
                 configuration, state.train_set
             )
-            inference_rec = self.inference_server.cached(inference_key)
-            if inference_rec is None:
-                inference_rec, _ = self.inference_server.tune(
+            cached = self.inference_server.cached(inference_key)
+            if cached is not None:
+                note = MergeNote(inference=cached)
+            else:
+                fresh, _ = self.inference_server.tune(
                     inference_key,
                     forward_flops_per_sample=flops,
                     parameter_count=params,
@@ -707,7 +732,9 @@ class ModelTuningServer:
                         self.inference_server.device
                     ),
                 )
-                inference_is_new = True
+                note = MergeNote(inference=fresh, tuned=True)
+        note = note or MergeNote()
+        inference_rec, inference_is_new = note.inference, note.tuned
 
         gpus = (
             int(configuration["gpus"])
@@ -781,18 +808,19 @@ class ModelTuningServer:
             failure=getattr(evaluation, "failure", None),
         )
         state.records.append(record)
-        self.database.record_trial(
-            experiment=self.experiment_name,
-            trial_id=trial.trial_id,
-            configuration=record.configuration,
-            fidelity=trial.fidelity,
-            epochs=budget.epochs,
-            data_fraction=budget.data_fraction,
-            accuracy=evaluation.accuracy,
-            score=score,
-            train_runtime_s=training_measurement.runtime_s,
-            train_energy_j=training_measurement.energy_j,
-        )
+        if not replay:
+            self.database.record_trial(
+                experiment=self.experiment_name,
+                trial_id=trial.trial_id,
+                configuration=record.configuration,
+                fidelity=trial.fidelity,
+                epochs=budget.epochs,
+                data_fraction=budget.data_fraction,
+                accuracy=evaluation.accuracy,
+                score=score,
+                train_runtime_s=training_measurement.runtime_s,
+                train_energy_j=training_measurement.energy_j,
+            )
         state.scheduler.report(
             TrialReport(
                 trial=trial, score=score, accuracy=evaluation.accuracy
@@ -819,7 +847,7 @@ class ModelTuningServer:
             and record.accuracy >= self.target_accuracy
         ):
             state.stopped = True
-        return record
+        return record, note
 
     def finalize(self, state: RunState) -> TuningRunResult:
         """Close the run and assemble the :class:`TuningRunResult`."""
@@ -853,48 +881,17 @@ class ModelTuningServer:
             best_model=best_model,
         )
 
-    # -- crash-safe checkpointing -------------------------------------------
-    #: RunState fields excluded from checkpoints: datasets are rebuilt
-    #: deterministically from the workload seed on resume.
-    _EPHEMERAL_FIELDS = ("train_set", "eval_set")
-
     def snapshot_run(
         self, state: RunState, wave: Optional[List[ScheduledTrial]] = None
     ) -> bytes:
-        """Serialize the full run state (plus un-integrated wave trials).
+        """Never called: a service session's durable state is its job log
+        (:class:`MergeNote`), not a pickle of the run state.
 
-        Taken after every integrated trial by the service coordinator; a
-        process killed at any point resumes from the latest snapshot
-        without re-running finished trials.
+        ``benchmarks/session/ledger.py``'s frozen ``TARGETS`` still names
+        this method; that is the only reason it exists, and its ledger
+        rows read 0.  ROADMAP item 1(ii) deletes it with ``TARGETS``.
         """
-        payload = {
-            name: value
-            for name, value in state.__dict__.items()
-            if name not in self._EPHEMERAL_FIELDS and name != "scheduler"
-        }
-        return pickle.dumps(
-            {
-                "scheduler": state.scheduler.state_dict(),
-                "state": payload,
-                "wave": list(wave or []),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    def restore_run(
-        self, state: RunState, blob: bytes
-    ) -> List[ScheduledTrial]:
-        """Restore a :meth:`snapshot_run` checkpoint into ``state``.
-
-        Returns the wave of trials that were issued but not yet integrated
-        when the snapshot was taken; the caller re-collects their results
-        (from the job queue) and integrates them in order.
-        """
-        checkpoint = pickle.loads(blob)
-        state.scheduler.load_state_dict(checkpoint["scheduler"])
-        for name, value in checkpoint["state"].items():
-            setattr(state, name, value)
-        return list(checkpoint["wave"])
+        raise NotImplementedError("run-state snapshots were removed")
 
     # -- full run ----------------------------------------------------------------
     def run(self) -> TuningRunResult:

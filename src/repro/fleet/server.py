@@ -20,9 +20,10 @@ graceful drain) applied to work dispatch:
   in one machine TTL, not one per-job lease expiry each);
 * the hub itself is **crash-restartable**: every start mints a new
   incarnation epoch (:class:`~repro.fleet.registry.HubState`), recovers
-  orphaned running sessions back to ``queued`` (their checkpoints make
-  the resume bit-identical), and **fences** mutation frames that carry a
-  pre-crash epoch — with an idempotent-replay carve-out for ``complete``
+  orphaned running sessions back to ``queued`` (replaying their job
+  logs makes the resume bit-identical), and **fences** mutation frames
+  that carry a pre-crash epoch — with an idempotent-replay carve-out for
+  ``complete``
   so a result that raced the crash lands exactly once.
 
 The server also *runs sessions*: :meth:`FleetServer.run_sessions` claims
@@ -115,9 +116,9 @@ class FleetServer(FrameServer):
 
         Sessions stuck in ``running`` belonged to a coordinator that no
         longer exists; flipping them back to ``queued`` lets
-        :meth:`run_sessions` re-claim them, and their persisted
-        checkpoints make the resume bit-identical to an uninterrupted
-        run.  Leases survive as-is — the janitor (or a fenced host's
+        :meth:`run_sessions` re-claim them, and replaying their job
+        logs makes the resume bit-identical to an uninterrupted run.
+        Leases survive as-is — the janitor (or a fenced host's
         ``resync``) settles each one individually.
         """
         orphaned = self.sessions.list(state=S_RUNNING)
@@ -127,7 +128,7 @@ class FleetServer(FrameServer):
             self.registry.bump("hub.restarts")
             logger.warning(
                 "fleet hub restarted: epoch %d, %d orphaned running "
-                "session(s) requeued for checkpoint resume",
+                "session(s) requeued to resume from their job logs",
                 self.epoch, len(orphaned),
             )
         return {

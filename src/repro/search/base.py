@@ -62,13 +62,16 @@ def coerce_warm_start_records(
 class _Snapshottable:
     """Opaque state snapshot/restore, shared by searchers and schedulers.
 
-    The service layer checkpoints a tuning session after every completed
-    trial; the searcher/scheduler contribution to that checkpoint is this
-    pair of hooks.  The default implementation captures the full mutable
-    state (``__dict__``) — including RNG generators, pending rungs and
+    The default implementation captures the full mutable state
+    (``__dict__``) — including RNG generators, pending rungs and
     observation histories — in one pickle blob, so a restored object
     continues the search bit-for-bit where the snapshot was taken.
     Subclasses with unpicklable state must override both hooks.
+
+    This is not how the service resumes a session: a resumed coordinator
+    rebuilds its scheduler by replaying the session's job log through a
+    fresh one (:mod:`repro.service.coordinator`).  The hooks remain for
+    callers that hand a search between processes or pause it.
     """
 
     def state_dict(self) -> bytes:

@@ -126,11 +126,7 @@ class SuccessiveHalvingScheduler(TrialScheduler):
             self._promote()
             if self._exhausted or not self._pending:
                 return None
-        entry = self._pending.pop(0)
-        if isinstance(entry, tuple):
-            configuration, parent_id, parent_fidelity = entry
-        else:  # pre-lineage checkpoint restored into this release
-            configuration, parent_id, parent_fidelity = entry, None, None
+        configuration, parent_id, parent_fidelity = self._pending.pop(0)
         trial = ScheduledTrial(
             trial_id=self._next_trial_id,
             configuration=configuration,

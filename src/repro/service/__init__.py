@@ -6,13 +6,14 @@ The service decomposes a tuning run along the seam built into
 * :mod:`repro.service.spec` — what a session runs (serializable spec);
 * :mod:`repro.service.queue` — persistent job queue with leases,
   heartbeats and capped-backoff retries (``jobs`` table);
-* :mod:`repro.service.sessions` — session lifecycle + checkpoints
-  (``sessions`` table);
+* :mod:`repro.service.sessions` — session lifecycle (``sessions``
+  table);
 * :mod:`repro.service.worker` — processes doing the real numpy training;
 * :mod:`repro.service.pool` — multiprocessing worker-pool supervisor;
 * :mod:`repro.service.doorbell` — ring/wait wake-ups replacing polls;
 * :mod:`repro.service.coordinator` — wave scheduling and the ordered
-  merge that keeps N-worker runs bit-identical to 1-worker runs.
+  merge that keeps N-worker runs bit-identical to 1-worker runs; resume
+  replays the merges the session's job rows record.
 
 CLI: ``python -m repro.service submit|status|workers|resume|gc``.
 """

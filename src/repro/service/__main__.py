@@ -166,7 +166,7 @@ def _session_status(
         "jobs": queue.depths(record.id),
         "dead_letter": queue.dead_letter_count(record.id),
         "last_error": queue.last_error(record.id),
-        "resumable": record.has_checkpoint,
+        "resumable": record.resumable,
         "error": record.error,
         "result": record.result,
         "workers": queue.worker_stats(record.id),
@@ -209,7 +209,7 @@ def _cmd_status(args) -> int:
             last_error = queue.last_error(record.id)
             if last_error:
                 print(f"last err:  {last_error.strip().splitlines()[-1]}")
-            print(f"resumable: {'yes' if record.has_checkpoint else 'no'}")
+            print(f"resumable: {'yes' if record.resumable else 'no'}")
             cache = artifacts.stats()
             print(f"artifacts: {cache['entries']} entries, "
                   f"{cache['bytes']} bytes, {cache['hits']} hits / "
@@ -476,7 +476,8 @@ def main(argv=None) -> int:
     workers.set_defaults(func=_cmd_workers)
 
     resume = subparsers.add_parser(
-        "resume", help="resume an interrupted session from its checkpoint"
+        "resume", help="resume an interrupted session by replaying its "
+                       "job log"
     )
     resume.add_argument("session")
     resume.add_argument("--db", required=True)

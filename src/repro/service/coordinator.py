@@ -3,8 +3,9 @@
 One coordinator drives one tuning session to completion:
 
 1. build the :class:`~repro.core.model_server.ModelTuningServer` the
-   session's spec describes and :meth:`prepare` a run state (restoring the
-   latest checkpoint if one exists — the crash-resume path);
+   session's spec describes, :meth:`prepare` a fresh run state, and read
+   the session's job rows in one ``SELECT`` — empty for a new session,
+   the durable state to replay for an interrupted one;
 2. ask the scheduler for trials — a whole **wave** (one rung's worth) for
    halving schedulers, whatever is runnable right now for asynchronous
    ones — and look each one up in the coordinator's own artifact store
@@ -17,12 +18,19 @@ One coordinator drives one tuning session to completion:
    timeline, scheduler reports are all order-sensitive, so pinning the
    integration order makes an N-worker run bit-identical to a 1-worker
    run;
-4. checkpoint the scheduler + run state after **every** integrated trial,
-   so a ``kill -9`` at any point loses at most in-flight work (which the
-   queue retries) and never re-runs a finished trial.
+4. stamp every merged trial's job row, in the merge's own transaction,
+   with its merge sequence number and its
+   :class:`~repro.core.model_server.MergeNote`.
 
 Steps 2-4 are one loop, :meth:`SessionCoordinator._drive`; it waits in
 one place, on the results doorbell (:mod:`repro.service.doorbell`).
+
+Resume is the same loop over the job rows step 1 read: a re-drawn trial
+that has a row is neither probed nor enqueued (its payload must equal
+the row's), and a merged one is replayed from its note, in sequence
+order, writing nothing.  A ``kill -9`` at any point loses at most
+in-flight work (which the queue retries), and the resumed session is
+bit-identical to an uninterrupted one (DESIGN.md §5b).
 
 With ``workers=0`` the coordinator executes jobs inline (still through the
 queue, so results persist identically) — the mode used by ``resume`` and
@@ -47,10 +55,11 @@ from ..errors import ServiceError, TuningError
 from ..telemetry.meters import FAILURES_SUBSTITUTED
 from ..search import ScheduledTrial
 from ..storage import TrialDatabase
+from ..storage.database import PRE_V9_INTERRUPTED
 from ..telemetry import MeterRegistry
 from .doorbell import Doorbell, Doorbells
 from .pool import WorkerPool
-from .queue import DEFAULT_LEASE_TTL_S, DONE, FAILED, JobQueue
+from .queue import DEFAULT_LEASE_TTL_S, DONE, FAILED, JobQueue, LoggedJob
 from .sessions import S_DONE, SessionRecord, SessionStore
 from .spec import build_server
 from .worker import TrialWorker
@@ -71,7 +80,7 @@ ASYNC_MAX_IN_FLIGHT = 8
 
 
 class SessionCoordinator:
-    """Runs one session: wave scheduling, ordered merge, checkpoints."""
+    """Runs one session: wave scheduling, ordered merge, replayable log."""
 
     def __init__(
         self,
@@ -137,6 +146,8 @@ class SessionCoordinator:
         #: The finished session's scheduler decision log (asynchronous
         #: schedulers only), surfaced in the session result summary.
         self._decision_log: Optional[List[List[Any]]] = None
+        #: The session's job rows as :meth:`run` found them, by trial id.
+        self._log: Dict[int, LoggedJob] = {}
 
     # -- main entry ---------------------------------------------------------
     def run(self) -> TuningRunResult:
@@ -145,6 +156,10 @@ class SessionCoordinator:
         if record.state == S_DONE:
             raise ServiceError(
                 f"session {self.session_id!r} is already done"
+            )
+        if record.error == PRE_V9_INTERRUPTED:
+            raise ServiceError(
+                f"session {self.session_id!r} was {PRE_V9_INTERRUPTED}"
             )
         server = build_server(record.spec, self.database)
         try:
@@ -183,15 +198,16 @@ class SessionCoordinator:
     def _run(
         self, server: ModelTuningServer, record: SessionRecord
     ) -> TuningRunResult:
+        if server.warm_start and server.warm_start_records is None:
+            server.warm_start_records = self.database.trials_for(
+                server.experiment_name,
+                upto=self.sessions.history_watermark(self.session_id),
+            )
         state = server.prepare()
-        wave: List[ScheduledTrial] = []
-        blob = self.sessions.load_checkpoint(self.session_id)
-        if blob is not None:
-            wave = server.restore_run(state, blob)
-            self.meters.counter("trials.resumed").inc(len(state.records))
+        self._log = self.queue.merge_log(self.session_id)
         self.sessions.set_state(self.session_id, "running")
 
-        self._drive(server, state, wave)
+        self._drive(server, state)
 
         log = getattr(state.scheduler, "decision_log", None)
         if log is not None:
@@ -226,17 +242,12 @@ class SessionCoordinator:
             pass
 
     # -- the merge loop ------------------------------------------------------
-    def _drive(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        pending: List[ScheduledTrial],
-    ) -> None:
+    def _drive(self, server: ModelTuningServer, state: RunState) -> None:
         """Issue trials, merge their results, until the run is complete.
 
-        ``pending`` holds issued-but-unintegrated trials in issue order
-        (the restored wave on a resume).  One loop serves every
-        scheduler; two policy flags are all that differs (DESIGN.md §8):
+        ``pending`` holds issued-but-unintegrated trials in issue order.
+        One loop serves every scheduler; two policy flags are all that
+        differs (DESIGN.md §8):
 
         * ``barrier`` (synchronous schedulers) — ask for more only once
           ``pending`` has drained, a whole wave at a time; asynchronous
@@ -249,13 +260,15 @@ class SessionCoordinator:
           first — a deterministic tie-break, not a barrier.
 
         Each turn integrates at most one trial, in one transaction with
-        the checkpoint that says "this trial is merged": a crash between
-        the two would leave a warm inference cache the restored
-        checkpoint has never seen, and the resumed run's stall
-        accounting would diverge.
+        the merge note that says "this trial is merged": the trial's
+        history row, a freshly tuned inference-cache entry and the note
+        commit together or not at all.  While pending trials have notes
+        (a resume), the one with the lowest merge sequence number goes
+        next, replayed from its note — whatever the flags say.
         """
         barrier = not getattr(state.scheduler, "asynchronous", False)
         head_only = barrier or self.pin_order
+        pending: List[ScheduledTrial] = []
         wave_started = time.time()
         while not state.stopped:
             if not barrier:
@@ -282,24 +295,59 @@ class SessionCoordinator:
                         "runnable or in-flight trials"
                     )
                 return
-            trial, evaluation = self._next_settled(
-                pending[:1] if head_only else pending
-            )
+            noted = [t for t in pending if self._merge_seq(t) is not None]
+            if noted:
+                candidates = [min(noted, key=self._merge_seq)]
+            else:
+                candidates = pending[:1] if head_only else pending
+            trial, evaluation = self._next_settled(candidates)
             if trial is None:
                 self._pump()
                 continue
             pending.remove(trial)
-            with self.database.transaction():
-                server.integrate(state, trial, evaluation)
-                self._checkpoint(server, state, pending)
-            self.meters.counter("trials.integrated").inc()
+            self._merge(server, state, trial, evaluation)
             if barrier and (state.stopped or not pending):
                 self.meters.meter("wave.latency_s").record(
                     time.time() - wave_started
                 )
         # Target reached with work in flight: the serial driver would
-        # never have issued it, so drop it unintegrated.
-        del pending[:]
+        # never have issued it, so it is dropped unintegrated.
+
+    def _merge_seq(self, trial: ScheduledTrial) -> Optional[int]:
+        """Where the session merged ``trial`` before, if it did."""
+        logged = self._log.get(trial.trial_id)
+        return None if logged is None else logged.merge_seq
+
+    def _merge(
+        self,
+        server: ModelTuningServer,
+        state: RunState,
+        trial: ScheduledTrial,
+        evaluation: Any,
+    ) -> None:
+        """Integrate one settled trial: replayed from its note if the
+        session merged it before, else merged and noted in one commit."""
+        logged = self._log.get(trial.trial_id)
+        if logged is not None and logged.merge_seq is not None:
+            if logged.merge_seq != len(state.records) + 1:
+                raise ServiceError(
+                    f"session {self.session_id!r}: trial {trial.trial_id} "
+                    f"was merge {logged.merge_seq}, replayed as "
+                    f"{len(state.records) + 1}"
+                )
+            server.integrate(
+                state, trial, evaluation,
+                note=pickle.loads(logged.merge_note),
+            )
+            self.meters.counter("trials.resumed").inc()
+            return
+        with self.database.transaction():
+            _, note = server.integrate(state, trial, evaluation)
+            self.queue.record_merge(
+                self.session_id, trial.trial_id, len(state.records),
+                pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL),
+            )
+        self.meters.counter("trials.integrated").inc()
 
     def _issue(
         self,
@@ -308,37 +356,49 @@ class SessionCoordinator:
         fresh: List[ScheduledTrial],
         pending: List[ScheduledTrial],
     ) -> None:
-        """Settle or enqueue ``fresh`` as one commit, wake the workers if
-        anything was queued, then snapshot the scheduler (a crash in
-        between re-issues the same trials; both writes are idempotent).
+        """Settle or enqueue ``fresh`` as one commit and wake the workers
+        if anything was queued (a crash before the commit re-issues the
+        same trials on resume).
 
         A trial whose artifact the coordinator's own store holds never
         crosses the queue.  The probe is the verified, hit-counting read
         a worker's is, so a corrupt blob is quarantined here and the
-        trial dispatched cold.
+        trial dispatched cold.  A trial the session already has a job
+        row for (a resume) is neither probed nor enqueued again; its
+        re-drawn payload must equal the row's.
         """
         store = server.artifacts
         queued = 0
         with self.database.transaction():
             for trial in fresh:
                 task = server.make_task(trial, state)
+                payload = task.to_json()
+                logged = self._log.get(trial.trial_id)
+                if logged is not None:
+                    if logged.payload != payload:
+                        raise ServiceError(
+                            f"session {self.session_id!r}: trial "
+                            f"{trial.trial_id} re-drawn as {payload}, "
+                            f"issued as {logged.payload}"
+                        )
+                    queued += logged.merge_seq is None
+                    continue
                 blob = None if store is None else store.load_result(
                     trial_key(task), count_miss=False
                 )
                 if blob is not None and self.queue.settle(
-                    self.session_id, trial.trial_id, task.to_json(),
+                    self.session_id, trial.trial_id, payload,
                     blob, shard=self.shard,
                 ):
                     continue
                 queued += 1
                 self.queue.enqueue(
-                    self.session_id, trial.trial_id, task.to_json(),
+                    self.session_id, trial.trial_id, payload,
                     shard=self.shard,
                 )
         if queued:
             self.jobs_bell.ring()
         pending.extend(fresh)
-        self._checkpoint(server, state, pending)
 
     def _next_settled(self, candidates: List[ScheduledTrial]) -> Tuple:
         """``(trial, evaluation)`` of the first candidate whose job is
@@ -395,18 +455,7 @@ class SessionCoordinator:
             depths["queued"] + depths["leased"]
         )
 
-    # -- checkpoints / summaries ---------------------------------------------
-    def _checkpoint(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        wave: List[ScheduledTrial],
-    ) -> None:
-        self.sessions.save_checkpoint(
-            self.session_id, server.snapshot_run(state, wave)
-        )
-        self.meters.counter("checkpoints.written").inc()
-
+    # -- summaries -------------------------------------------------------------
     def _summarize(
         self, server: ModelTuningServer, result: TuningRunResult
     ) -> Dict[str, Any]:

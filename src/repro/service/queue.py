@@ -27,7 +27,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..storage import TrialDatabase
 
@@ -138,6 +138,16 @@ class Job:
 
     def history(self) -> List[Dict[str, Any]]:
         return json.loads(self.error_history or "[]")
+
+
+class LoggedJob(NamedTuple):
+    """What resume needs of one of a session's job rows: the payload the
+    trial was issued with, and — once the coordinator merged it — the
+    merge's sequence number (1-based, in merge order) and pickled note."""
+
+    payload: str
+    merge_seq: Optional[int]
+    merge_note: Optional[bytes]
 
 
 @dataclass
@@ -610,6 +620,27 @@ class JobQueue:
             tuple([session_id, DONE] + wanted),
         ).fetchall()
         return {int(trial_id): result for trial_id, result in rows}
+
+    def merge_log(self, session_id: str) -> Dict[int, LoggedJob]:
+        """``trial_id -> LoggedJob`` for every job of the session: the
+        durable state a coordinator resumes from (empty when fresh)."""
+        rows = self.database.execute(
+            "SELECT trial_id, payload, merge_seq, merge_note FROM jobs "
+            "WHERE session_id = ?",
+            (session_id,),
+        ).fetchall()
+        return {int(row[0]): LoggedJob(*row[1:]) for row in rows}
+
+    def record_merge(
+        self, session_id: str, trial_id: int, seq: int, note: bytes
+    ) -> None:
+        """Stamp a job as merged: the ``seq``-th merge of its session,
+        replayable from ``note``.  Called inside the merge's transaction."""
+        self.database.execute(
+            "UPDATE jobs SET merge_seq = ?, merge_note = ? "
+            "WHERE session_id = ? AND trial_id = ?",
+            (int(seq), note, session_id, int(trial_id)),
+        )
 
     def worker_stats(self, session_id: Optional[str] = None) -> List[Dict[str, Any]]:
         """Per-worker completion counts and busy time (done jobs only);

@@ -1,10 +1,12 @@
 """Tuning-session records (``sessions`` table).
 
 A session is one submitted tuning run: its :class:`SessionSpec`, a
-lifecycle state (``queued → running → done | failed``), the result
-summary, and — the crash-safety core — a checkpoint blob written after
-every completed trial by the coordinator, from which a ``kill -9``'d
-session resumes without re-running finished trials.
+lifecycle state (``queued → running → done | failed``) and the result
+summary.  What a ``kill -9``'d session resumes from is not here: it is
+the session's job rows, each merged one stamped with its merge note
+(:meth:`~repro.service.queue.JobQueue.merge_log`), which the coordinator
+replays.  The row only adds a warm-start session's history watermark, so
+a resume reads the history the first run read.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ServiceError
 from ..storage import TrialDatabase
+from ..storage.database import PRE_V9_INTERRUPTED
 from .queue import JobQueue
 from .spec import SessionSpec
 
@@ -40,7 +43,9 @@ class SessionRecord:
     error: Optional[str]
     created_at: float
     updated_at: float
-    has_checkpoint: bool
+    #: Interrupted (``running``/``failed``), so ``resume`` can finish it:
+    #: every such session but one the v9 migration failed.
+    resumable: bool
 
 
 class SessionStore:
@@ -65,8 +70,8 @@ class SessionStore:
 
     def get(self, session_id: str) -> SessionRecord:
         row = self.database.execute(
-            "SELECT id, spec, state, result, error, created_at, updated_at, "
-            "checkpoint IS NOT NULL FROM sessions WHERE id = ?",
+            "SELECT id, spec, state, result, error, created_at, updated_at "
+            "FROM sessions WHERE id = ?",
             (session_id,),
         ).fetchone()
         if row is None:
@@ -79,7 +84,8 @@ class SessionStore:
             error=row[4],
             created_at=row[5],
             updated_at=row[6],
-            has_checkpoint=bool(row[7]),
+            resumable=row[2] in (S_RUNNING, S_FAILED)
+            and row[4] != PRE_V9_INTERRUPTED,
         )
 
     def list(self, state: Optional[str] = None) -> List[SessionRecord]:
@@ -120,9 +126,9 @@ class SessionStore:
         )
 
     def finish(self, session_id: str, result: Dict[str, Any]) -> None:
-        """Mark done with a JSON result summary; drops the checkpoint."""
+        """Mark done with a JSON result summary."""
         self.database.execute(
-            "UPDATE sessions SET state = ?, result = ?, checkpoint = NULL, "
+            "UPDATE sessions SET state = ?, result = ?, "
             "error = NULL, updated_at = ? WHERE id = ?",
             (S_DONE, json.dumps(result, sort_keys=True), time.time(),
              session_id),
@@ -135,20 +141,30 @@ class SessionStore:
             (S_FAILED, error, time.time(), session_id),
         )
 
-    # -- checkpoints ---------------------------------------------------------
-    def save_checkpoint(self, session_id: str, blob: bytes) -> None:
+    def history_watermark(self, session_id: str) -> int:
+        """The largest ``trials.id`` a warm-start session may learn from,
+        fixed at its first call: a resume must not read the trials the
+        session itself recorded before it was interrupted."""
         self.database.execute(
-            "UPDATE sessions SET checkpoint = ?, updated_at = ? WHERE id = ?",
-            (blob, time.time(), session_id),
+            "UPDATE sessions SET history_upto = "
+            "(SELECT COALESCE(MAX(id), 0) FROM trials) "
+            "WHERE id = ? AND history_upto IS NULL",
+            (session_id,),
         )
-
-    def load_checkpoint(self, session_id: str) -> Optional[bytes]:
-        row = self.database.execute(
-            "SELECT checkpoint FROM sessions WHERE id = ?", (session_id,)
+        (upto,) = self.database.execute(
+            "SELECT history_upto FROM sessions WHERE id = ?", (session_id,)
         ).fetchone()
-        if row is None:
-            raise ServiceError(f"no session {session_id!r}")
-        return row[0]
+        return int(upto)
+
+    def save_checkpoint(self, session_id: str, blob: bytes) -> None:
+        """Never called: sessions resume from their job log, not from a
+        stored snapshot (:mod:`repro.service.coordinator`).
+
+        ``benchmarks/session/ledger.py``'s frozen ``TARGETS`` still names
+        this method; that is the only reason it exists, and its ledger
+        rows read 0.  ROADMAP item 1(ii) deletes it with ``TARGETS``.
+        """
+        raise NotImplementedError("run-state checkpoints were removed")
 
     # -- garbage collection ----------------------------------------------------
     def gc(self, max_age_s: float = 7 * 24 * 3600.0,

@@ -8,10 +8,12 @@ for tests.  Four tables:
   look-up table (§3.4): optimal inference configuration and metrics keyed
   by architecture, so repeated architectures are never re-tuned;
 * ``sessions`` — long-lived tuning sessions owned by :mod:`repro.service`
-  (spec, lifecycle state, checkpoint blob for crash-safe resume);
+  (spec, lifecycle state, result summary);
 * ``jobs`` — the persistent trial-evaluation job queue consumed by the
   service's parallel worker pool (lease-with-heartbeat ownership), with
-  a ``shard`` column for the fleet's per-shard queues;
+  a ``shard`` column for the fleet's per-shard queues; its rows, with
+  the merge note the coordinator stamps on each, are also a session's
+  durable state (crash-safe resume replays them);
 * ``machines`` — the :mod:`repro.fleet` machine registry: worker hosts
   with capability tags and liveness heartbeats;
 * ``fleet_stats`` — crash-safe fleet counters (artifact federation hits,
@@ -251,6 +253,19 @@ CREATE TABLE IF NOT EXISTS hub_state (
 );
 """
 
+#: v9 — a session's durable state is its job log (DESIGN.md §5b): each
+#: merged job gets ``merge_seq`` (its place in merge order) and
+#: ``merge_note``, and a warm-start session's ``history_upto`` bounds the
+#: history it reads.  The run-state snapshot ``sessions.checkpoint`` is
+#: dropped; a session that was resumable from one fails with
+#: :data:`PRE_V9_INTERRUPTED`.  :meth:`TrialDatabase._migrate` does it all.
+_SCHEMA_V9 = ""
+
+#: Error of a session the v9 migration failed: it was interrupted while
+#: resumable from a run-state snapshot, which no longer exists.
+#: Resubmitting it trains nothing its artifacts already hold.
+PRE_V9_INTERRUPTED = "interrupted before schema v9: resubmit"
+
 #: Ordered (version, script) migration ladder; each script must be safe to
 #: run on a database that already contains the objects it creates (older
 #: releases wrote the v1 tables without stamping ``user_version``).
@@ -263,6 +278,7 @@ MIGRATIONS: Tuple[Tuple[int, str], ...] = (
     (6, _SCHEMA_V6),
     (7, _SCHEMA_V7),
     (8, _SCHEMA_V8),
+    (9, _SCHEMA_V9),
 )
 
 SCHEMA_VERSION = MIGRATIONS[-1][0]
@@ -376,19 +392,35 @@ class TrialDatabase:
                     "jobs", "lease_epoch", "INTEGER NOT NULL DEFAULT 0"
                 )
                 self._ensure_column("artifacts", "checksum", "TEXT")
+            if target == 9:
+                self._ensure_column("jobs", "merge_seq", "INTEGER")
+                self._ensure_column("jobs", "merge_note", "BLOB")
+                self._ensure_column("sessions", "history_upto", "INTEGER")
+                if "checkpoint" in self._columns("sessions"):
+                    self._connection.execute(
+                        "UPDATE sessions SET state = 'failed', error = ?, "
+                        "updated_at = ? WHERE state IN ('running', 'failed') "
+                        "AND checkpoint IS NOT NULL",
+                        (PRE_V9_INTERRUPTED, time.time()),
+                    )
+                    self._connection.execute(
+                        "ALTER TABLE sessions DROP COLUMN checkpoint"
+                    )
             self._connection.executescript(script)
             self._connection.execute(f"PRAGMA user_version = {target}")
             version = target
 
-    def _ensure_column(self, table: str, column: str, decl: str) -> None:
-        """Add ``column`` to ``table`` when a pre-migration file lacks it."""
-        present = {
+    def _columns(self, table: str) -> set:
+        return {
             row[1]
             for row in self._connection.execute(
                 f"PRAGMA table_info({table})"
             ).fetchall()
         }
-        if column not in present:
+
+    def _ensure_column(self, table: str, column: str, decl: str) -> None:
+        """Add ``column`` to ``table`` when a pre-migration file lacks it."""
+        if column not in self._columns(table):
             self._connection.execute(
                 f"ALTER TABLE {table} ADD COLUMN {column} {decl}"
             )
@@ -503,13 +535,23 @@ class TrialDatabase:
                 ),
             )
 
-    def trials_for(self, experiment: str) -> List[Dict[str, Any]]:
+    def trials_for(
+        self, experiment: str, upto: Optional[int] = None
+    ) -> List[Dict[str, Any]]:
+        """The experiment's history, oldest first; ``upto`` keeps only the
+        rows whose ``trials.id`` is at most it (a session's watermark)."""
+        query = (
+            "SELECT trial_id, configuration, fidelity, epochs, "
+            "data_fraction, accuracy, score, train_runtime_s, "
+            "train_energy_j FROM trials WHERE experiment = ?"
+        )
+        args: Tuple = (experiment,)
+        if upto is not None:
+            query += " AND id <= ?"
+            args += (int(upto),)
         with self._lock:
             rows = self._connection.execute(
-                "SELECT trial_id, configuration, fidelity, epochs, "
-                "data_fraction, accuracy, score, train_runtime_s, "
-                "train_energy_j FROM trials WHERE experiment = ? ORDER BY id",
-                (experiment,),
+                query + " ORDER BY id", args
             ).fetchall()
         return [
             {

@@ -85,10 +85,8 @@ class DyingConnection:
         return self._connection.__exit__(*exc_info)
 
 
-#: Summary fields that are not part of the result: timing meters, and
-#: ``warm_started_trials``, which a resumed warm-start session counts
-#: again with its own pre-crash trials included.
-UNCOMPARED = ("meters", "worker_stats", "artifact_cache", "warm_started_trials")
+#: Summary fields that are not part of the result: timing meters.
+UNCOMPARED = ("meters", "worker_stats", "artifact_cache")
 
 
 def summary(record):

@@ -14,8 +14,8 @@ restart is pinned down deterministically:
 * a ``complete`` replayed across the crash lands exactly once;
 * ``resync`` re-adopts still-held leases under the new epoch and drops
   reclaimed ones;
-* ``running`` sessions orphaned by the dead hub are requeued for
-  checkpoint resume.
+* ``running`` sessions orphaned by the dead hub are requeued, to resume
+  from their job logs.
 """
 
 import json

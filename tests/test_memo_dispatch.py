@@ -329,7 +329,7 @@ class TestCrashDrills:
         monkeypatch.undo()
         store = SessionStore(database)
         assert store.get(second).state == "running"
-        assert store.get(second).has_checkpoint
+        assert store.get(second).resumable
         settled = {
             t: (job.lease_owner, job.finished_at)
             for t, job in job_rows(database, second).items()

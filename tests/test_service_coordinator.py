@@ -68,7 +68,7 @@ class TestInlineService:
         )
         stats = {s["worker"]: s for s in record.result["worker_stats"]}
         assert stats["inline"]["jobs_done"] == len(result.trials)
-        assert not record.has_checkpoint  # dropped on finish
+        assert not record.resumable  # done
 
     def test_completed_session_cannot_rerun(self):
         db = TrialDatabase()
@@ -126,8 +126,8 @@ class TestCrashResume:
         store = SessionStore(db)
         crashed = store.get(session_id)
         assert crashed.state == S_FAILED
-        assert crashed.has_checkpoint
-        # Integration and checkpoint commit atomically: the 10th trial's
+        assert crashed.resumable
+        # Integration and merge note commit atomically: the 10th trial's
         # rows (its inference-cache entry above all) rolled back with the
         # crash, so the resumed run re-merges it against a cold cache and
         # its stall accounting cannot diverge from the reference.
@@ -143,7 +143,7 @@ class TestCrashResume:
         resumed = coordinator.run()
         assert fingerprint(resumed) == fingerprint(reference)
         assert store.get(session_id).state == S_DONE
-        # At least the 9 checkpointed trials were restored, not re-run.
+        # The 9 noted merges were replayed, not re-run.
         assert coordinator.meters.counter("trials.resumed").value == 9
         done_after = {
             job.trial_id: (job.attempts, job.finished_at)
@@ -248,7 +248,7 @@ class TestAsyncScheduling:
         assert record.result["decision_log"] is None
 
     def test_asha_crash_resume_matches_uninterrupted_run(self, monkeypatch):
-        """Checkpoint discipline on the async path: crash mid-run, resume,
+        """Replay discipline on the async path: crash mid-run, resume,
         and the pinned decision log + result match an uninterrupted run."""
         reference_db = TrialDatabase()
         ref_id, _ = self.asha_session(reference_db)
@@ -280,7 +280,7 @@ class TestAsyncScheduling:
 
         store = SessionStore(db)
         assert store.get(session_id).state == S_FAILED
-        assert store.get(session_id).has_checkpoint
+        assert store.get(session_id).resumable
         resumed = SessionCoordinator(
             db, session_id, workers=0, pin_order=True
         ).run()

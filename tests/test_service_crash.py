@@ -110,7 +110,7 @@ def test_kill9_then_resume_matches_uninterrupted_run(tmp_path):
         store = SessionStore(db)
         record = store.get(session_id)
         assert record.state != S_DONE
-        assert record.has_checkpoint or count_done(db_path, session_id) >= 0
+        assert record.resumable or count_done(db_path, session_id) >= 0
 
         from repro.service import JobQueue
 

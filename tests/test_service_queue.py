@@ -1,12 +1,15 @@
 """Tests for the service substrate: migrations, job queue, sessions."""
 
+import json
 import os
 import sqlite3
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import JobQueue, SessionSpec, SessionStore, backoff_delay
+from repro.service import (
+    JobQueue, SessionCoordinator, SessionSpec, SessionStore, backoff_delay,
+)
 from repro.service.queue import (
     BACKOFF_BASE_S,
     BACKOFF_CAP_S,
@@ -17,6 +20,8 @@ from repro.service.queue import (
 )
 from repro.service.sessions import S_DONE, S_FAILED, S_QUEUED, S_RUNNING
 from repro.storage import BUSY_TIMEOUT_MS, SCHEMA_VERSION, TrialDatabase
+from repro.storage.database import MIGRATIONS, PRE_V9_INTERRUPTED
+from tests.test_session_goldens import GOLDENS, digest
 
 
 def make_queue():
@@ -82,6 +87,63 @@ class TestMigrations:
                 ).fetchall()
             }
             assert "idx_trials_experiment_created" in indexes
+
+    def test_v8_database_upgrades_to_the_job_log(self, tmp_path):
+        """v9 drops the run-state snapshot column.  A session that was
+        still resumable from a snapshot cannot be replayed (its merges
+        have no notes) and fails with the resubmit message; a queued one
+        runs to its golden result; one interrupted before its first
+        snapshot has nothing to replay wrongly and stays resumable."""
+        path = os.path.join(tmp_path, "v8.sqlite")
+        raw = sqlite3.connect(path)
+        # The v8 ladder, with the columns its steps added by hand.
+        added = {
+            5: ["jobs ADD COLUMN error_history TEXT NOT NULL DEFAULT '[]'"],
+            7: ["jobs ADD COLUMN shard INTEGER NOT NULL DEFAULT 0"],
+            8: ["jobs ADD COLUMN lease_epoch INTEGER NOT NULL DEFAULT 0",
+                "artifacts ADD COLUMN checksum TEXT"],
+        }
+        for version, script in MIGRATIONS[:8]:
+            for alter in added.get(version, ()):
+                raw.execute(f"ALTER TABLE {alter}")
+            raw.executescript(script)
+        spec = SessionSpec(workload="NLP", device="armv7", seed=7,
+                           samples=GOLDENS["NLP"]["samples"])
+        stored = json.dumps(spec.to_dict(), sort_keys=True)
+        for session_id, state, checkpoint in (
+            ("crashed", S_FAILED, b"\x80snapshot"),
+            ("started", S_RUNNING, None),
+            ("waiting", S_QUEUED, None),
+        ):
+            raw.execute(
+                "INSERT INTO sessions (id, spec, state, checkpoint, error, "
+                "created_at, updated_at) VALUES (?, ?, ?, ?, ?, 1, 1)",
+                (session_id, stored, state, checkpoint,
+                 "Traceback: boom" if state == S_FAILED else None),
+            )
+        raw.execute("PRAGMA user_version = 8")
+        raw.commit()
+        raw.close()
+
+        with TrialDatabase(path) as db:
+            assert db.schema_version == SCHEMA_VERSION == 9
+            columns = {
+                row[1]
+                for row in db.execute("PRAGMA table_info(sessions)")
+            }
+            assert "checkpoint" not in columns
+            store = SessionStore(db)
+            crashed = store.get("crashed")
+            assert crashed.state == S_FAILED
+            assert crashed.error == PRE_V9_INTERRUPTED
+            assert not crashed.resumable
+            with pytest.raises(ServiceError, match="resubmit"):
+                SessionCoordinator(db, "crashed").run()
+            assert store.get("crashed").error == PRE_V9_INTERRUPTED
+            assert store.get("started").resumable
+            assert store.get("waiting").state == S_QUEUED
+            result = SessionCoordinator(db, "waiting").run()
+            assert digest(result) == GOLDENS["NLP"]["digest"]
 
     def test_created_at_is_stamped_and_history_orders_by_it(self):
         db = TrialDatabase()
@@ -233,7 +295,7 @@ class TestSessions:
         assert record.state == S_QUEUED
         assert record.spec == self.spec()
         assert record.result is None
-        assert not record.has_checkpoint
+        assert not record.resumable  # queued: nothing to resume
 
     def test_unknown_session_raises(self):
         store = SessionStore(TrialDatabase())
@@ -254,16 +316,16 @@ class TestSessions:
         assert store.claim_next_queued().id == second
         assert store.claim_next_queued() is None
 
-    def test_finish_stores_result_and_drops_checkpoint(self):
+    def test_finish_stores_result_and_ends_resumability(self):
         store = SessionStore(TrialDatabase())
         session_id = store.create(self.spec())
-        store.save_checkpoint(session_id, b"blob")
-        assert store.load_checkpoint(session_id) == b"blob"
+        store.claim_next_queued()
+        assert store.get(session_id).resumable  # running: interrupted
         store.finish(session_id, {"num_trials": 4})
         record = store.get(session_id)
         assert record.state == S_DONE
         assert record.result == {"num_trials": 4}
-        assert not record.has_checkpoint
+        assert not record.resumable
 
     def test_fail_records_error(self):
         store = SessionStore(TrialDatabase())

@@ -10,7 +10,12 @@ now memoized — and counts, for each run:
   connection (``sqlite3`` trace callback), ``BEGIN``/``COMMIT`` aside;
 * ``commits`` — explicit ``COMMIT``s plus the write statements that ran
   outside a transaction (autocommit: each is its own commit);
-* ``checkpoints`` — ``SessionStore.save_checkpoint`` calls;
+* ``checkpoints`` / ``checkpoint_bytes`` — ``SessionStore.save_checkpoint``
+  calls and the bytes they were handed (a never-called stub now: a
+  session's durable state is its job log, so a run-state snapshot coming
+  back fails here);
+* ``stored_bytes`` — payload bytes ``ArtifactStore.put`` publishes (every
+  ``store_trial`` of a cold trial);
 * ``leases`` — ``JobQueue.lease`` calls;
 * ``trainings`` — ``train_model`` calls;
 * ``steps`` — ``SGD.step`` + ``Adam.step`` calls.
@@ -25,6 +30,7 @@ shows there.
 """
 
 import repro.core.model_server as model_server
+from repro.artifacts import ArtifactStore
 from repro.nn.optimizers import SGD, Adam
 from repro.service import (
     JobQueue, SessionCoordinator, SessionSpec, SessionStore,
@@ -33,30 +39,41 @@ from repro.storage import TrialDatabase
 
 SPEC = dict(workload="NLP", device="armv7", seed=7, samples=400)
 
-#: Measured after PR 23 (memo before dispatch).  The parent commit read,
-#: with this same counter: statements 1,029, commits 419, checkpoints 92,
-#: leases 77, trainings 0 — every memoized trial was enqueued, leased,
-#: probed (``SELECT`` + ``UPDATE hits``), completed and counted on its
-#: machine row, each in a commit of its own.  (The cold run went
-#: 1,045 -> 1,199 statements at 419 commits: one indexed miss per
-#: trial in the coordinator's probe and one in the worker's.)  Lower a
-#: pin when the session gets cheaper; never raise one to make a change
-#: pass.
+#: Measured with the job log as a session's durable state.  History of
+#: the memoized run: before memo-before-dispatch it read statements
+#: 1,029 and commits 419 — every memoized trial was enqueued, leased,
+#: probed, completed and counted on its machine row, each in a commit of
+#: its own — and 77 leases; memo-before-dispatch brought it to 644 / 111.
+#: Then a pickled run-state snapshot (~36 KB; 3.28 MB a session) was
+#: written 92 times: after every merge, inside its transaction, and
+#: after every wave's issue, autocommitted.  Stamping each merged job
+#: row with a merge note instead gives 629 statements (-92 snapshot
+#: writes, -1 snapshot read, +77 note writes, +1 read of the job log) and
+#: 96 commits (the 15 post-issue snapshot commits are gone).  What is
+#: left is one transaction per merge; batching merges into fewer commits
+#: would buy nothing measurable (77 one-UPDATE transactions take about
+#: 1 ms in all), so it is not pursued.  Lower a pin when the session
+#: gets cheaper; never raise one to make a change pass.
 PINS = {
-    "statements": 644,
-    "commits": 111,
-    "checkpoints": 92,
+    "statements": 629,
+    "commits": 96,
+    "checkpoints": 0,
+    "checkpoint_bytes": 0,
     "leases": 0,
     "trainings": 0,
     "steps": 0,
 }
 
 #: The cold run, measured with the same counters: every trial leased
-#: (77) and trained, 3,416 optimizer steps in all.  Same rule as above.
+#: (77) and trained, 3,416 optimizer steps in all, 1,043,168 payload
+#: bytes published to the artifact store (was 1,201 statements / 421
+#: commits with the snapshots).  Same rule as above.
 COLD_PINS = {
-    "statements": 1201,
-    "commits": 421,
-    "checkpoints": 92,
+    "statements": 1186,
+    "commits": 406,
+    "checkpoints": 0,
+    "checkpoint_bytes": 0,
+    "stored_bytes": 1043168,
     "steps": 3416,
 }
 
@@ -84,21 +101,33 @@ class SqlCounter:
                 self.commits += 1
 
 
-def counting(monkeypatch, owner, name, counts, key):
+def counting(monkeypatch, owner, name, counts, key, size_of=None):
+    """Count calls of ``owner.name`` into ``counts[key]`` — or, given
+    ``size_of``, add ``size_of(*args)`` instead."""
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
-        counts[key] += 1
+        counts[key] += 1 if size_of is None else size_of(*args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
 
 
 def run_counted(database, monkeypatch):
-    counts = {"checkpoints": 0, "leases": 0, "trainings": 0, "steps": 0}
+    counts = {
+        "checkpoints": 0, "checkpoint_bytes": 0, "stored_bytes": 0,
+        "leases": 0, "trainings": 0, "steps": 0,
+    }
     sql = SqlCounter()
     with monkeypatch.context() as patch:
+        # An empty dataset memo, whatever ran before in this process: an
+        # eviction would add a counter write when the inline worker closes.
+        patch.setattr(model_server, "_DATASET_CACHE", {})
         counting(patch, SessionStore, "save_checkpoint", counts, "checkpoints")
+        counting(patch, SessionStore, "save_checkpoint", counts,
+                 "checkpoint_bytes", lambda store, sid, blob: len(blob))
+        counting(patch, ArtifactStore, "put", counts, "stored_bytes",
+                 lambda store, key, payload, *rest: len(payload))
         counting(patch, JobQueue, "lease", counts, "leases")
         counting(patch, model_server, "train_model", counts, "trainings")
         counting(patch, SGD, "step", counts, "steps")
