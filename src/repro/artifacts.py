@@ -80,21 +80,34 @@ def artifact_checksum(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=20).hexdigest()
 
 
+#: Fault sites that act around a trial, never inside it — a worker or
+#: host dies, hangs or raises before training, a frame is lost — so they
+#: cannot change a stored bit.  A plan of only these keys trials like no
+#: plan: a fleet host under one still serves and reuses the fleet's store.
+KEY_NEUTRAL_SITES = ("worker.", "fleet.")
+
+
 def backend_fingerprint() -> str:
     """Everything process-global that changes training bits.
 
     The numpy version pins BLAS-adjacent behaviour, and the active fault
-    plan makes injected corruption part of the key — a faultless run
-    must never be served a ``trainer.nan`` result, and vice versa.
+    plan's other sites make injected corruption part of the key — a
+    faultless run must never be served a ``trainer.nan`` result, and
+    vice versa.
     """
     plan = faults.get_plan()
+    rules = [] if plan is None else [
+        rule.to_spec() for site, rule in sorted(plan.rules.items())
+        if not site.startswith(KEY_NEUTRAL_SITES)
+    ]
     return json.dumps(
         {
             # The one kernel engine's name when there were two; kept so
             # every stored artifact keeps its key.
             "backend": "fast",
             "numpy": np.__version__,
-            "faults": None if plan is None else plan.to_spec(),
+            "faults": ";".join([f"seed={plan.seed}", *rules])
+            if rules else None,
             "payload": PAYLOAD_VERSION,
         },
         sort_keys=True,

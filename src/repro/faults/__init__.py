@@ -30,14 +30,14 @@ bit-identical fault schedule, in every process.
 Injection sites wired into the codebase:
 
 ========================  ====================================================
-``worker.crash``          hard-kills the worker process mid-trial
+``worker.crash``          hard-kills the worker (or fleet host) process
+                          mid-trial
 ``worker.fail``           raises inside trial execution (exercises retries)
 ``worker.hang``           sleeps ``param`` seconds inside the trial deadline
 ``trainer.nan``           corrupts one training loss to NaN (numeric guard)
 ``storage.io``            raises a transient sqlite "disk I/O error"
 ``advisor.drop``          drops the advisor client's TCP connection
 ``advisor.garbage``       corrupts one advisor response frame
-``fleet.dead_host``       hard-kills a remote fleet host process mid-lease
 ``fleet.partition``       severs a fleet host's dispatch connection
 ``fleet.stale_lease``     suppresses one job's remote lease extensions
 ``fleet.hub_crash``       hard-kills the fleet *hub* mid-frame (keyed on

@@ -32,7 +32,6 @@ KNOWN_SITES = (
     "storage.io",
     "advisor.drop",
     "advisor.garbage",
-    "fleet.dead_host",
     "fleet.partition",
     "fleet.stale_lease",
     "fleet.hub_crash",
@@ -179,11 +178,10 @@ class FaultPlan:
         if not self.should(site, key, attempt):
             return
         rule = self.rules[site]
-        if site in ("worker.crash", "fleet.dead_host", "fleet.hub_crash"):
+        if site in ("worker.crash", "fleet.hub_crash"):
             # A real crash: no cleanup, no exception handlers — the
-            # heartbeat dies with us and the lease protocol takes over.
-            # ``fleet.dead_host`` is the same death at host granularity:
-            # the whole remote-host process disappears mid-lease.
+            # heartbeat dies with us and the lease protocol takes over
+            # (on a fleet host the whole machine disappears mid-lease).
             # ``fleet.hub_crash`` kills the *coordinator hub* itself;
             # keying its call sites on the hub's incarnation epoch makes
             # the crash fire exactly once — the restarted hub draws on a

@@ -18,7 +18,9 @@ Layout:
   janitor, and remote session driver;
 * :mod:`repro.fleet.client` — the host-side dispatch client
   (reconnect-resync retries);
-* :mod:`repro.fleet.host` — the remote worker host process and
+* :mod:`repro.fleet.host` — the remote worker host: the service's
+  :class:`~repro.service.worker.TrialWorker` over the hub-client job
+  source :class:`~repro.fleet.host.HubJobs`, and
   :class:`~repro.fleet.host.HostPool`.
 
 This package root deliberately imports only the storage-facing pieces —

@@ -33,9 +33,10 @@ from typing import Optional, Tuple
 
 from ..errors import FleetError
 from ..service.queue import DEFAULT_LEASE_TTL_S
+from ..service.worker import IDLE_POLL_S
 from ..storage import TrialDatabase
 from .client import DEFAULT_PORT, FleetClient
-from .host import IDLE_POLL_S, RemoteHost
+from .host import RemoteHost
 from .registry import DEFAULT_MACHINE_TTL_S
 from .router import DEFAULT_SHARDS
 from .server import FleetServer
@@ -92,10 +93,7 @@ def _cmd_workers(args) -> int:
         faults.configure(args.faults)
     host, port = _endpoint(args.connect)
     machine = RemoteHost(
-        args.machine_id,
-        server_host=host,
-        server_port=port,
-        db_path=args.db,
+        args.machine_id, host, port, args.db,
         poll_interval_s=args.poll_interval,
     )
     stop = threading.Event()
@@ -112,8 +110,8 @@ def _cmd_workers(args) -> int:
         machine.close()
     print(f"{args.machine_id}: {done} jobs done, "
           f"{machine.jobs_failed} failed, "
-          f"{machine.federation_hits} federation hits, "
-          f"{machine.federation_uploads} uploads")
+          f"{machine.hub.federation_hits} federation hits, "
+          f"{machine.hub.federation_uploads} uploads")
     return 0
 
 

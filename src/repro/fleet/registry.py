@@ -294,10 +294,17 @@ class MachineRegistry:
     # -- fleet counters ------------------------------------------------------
     def bump(self, key: str, amount: float = 1.0) -> None:
         """Crash-safe counter increment (single upsert statement)."""
+        self.bump_all({key: amount})
+
+    def bump_all(self, amounts: Dict[str, float]) -> None:
+        """:meth:`bump` of several counters, still one statement."""
+        if not amounts:
+            return
         self.database.execute(
-            "INSERT INTO fleet_stats (key, value) VALUES (?, ?) "
-            "ON CONFLICT (key) DO UPDATE SET value = value + excluded.value",
-            (key, float(amount)),
+            "INSERT INTO fleet_stats (key, value) VALUES "
+            + ", ".join(["(?, ?)"] * len(amounts))
+            + " ON CONFLICT (key) DO UPDATE SET value = value + excluded.value",
+            [v for key, amount in amounts.items() for v in (key, float(amount))],
         )
 
     def stats(self) -> Dict[str, float]:

@@ -36,6 +36,7 @@ bit-identical to the single-host run of the same spec.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -50,6 +51,7 @@ from ..service.queue import DEFAULT_LEASE_TTL_S, Job, JobQueue
 from ..service.sessions import (
     S_QUEUED, S_RUNNING, SessionRecord, SessionStore,
 )
+from ..service.worker import DATASET_CACHE_KEYS
 from ..storage import TrialDatabase
 from ..telemetry import MeterRegistry
 from ..wire import Frame, FrameServer, Peer
@@ -69,6 +71,14 @@ JANITOR_FRACTION = 0.25
 #: Longest a ``lease`` long poll is held, seconds: half the client's
 #: socket timeout (a hub also caps it at its machine-heartbeat interval).
 MAX_LEASE_WAIT_S = 5.0
+
+
+def _count(value: Any) -> bool:
+    """A counter delta off the wire: a finite number >= 0."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value >= 0
+    )
 
 
 class FleetServer(FrameServer):
@@ -186,10 +196,23 @@ class FleetServer(FrameServer):
 
     def _heartbeat(self, payload: Frame, connection: Peer) -> Frame:
         machine_id = str(payload.get("machine_id") or "")
+        counters = payload.get("dataset_cache") or {}
+        if not (isinstance(counters, dict) and all(
+            key in DATASET_CACHE_KEYS and _count(value)
+            for key, value in counters.items()
+        )):
+            return error_frame(
+                "dataset_cache must map hits/misses/evictions to finite "
+                "counts >= 0"
+            )
         if not self.registry.heartbeat(machine_id):
             return error_frame(
                 f"unknown machine {machine_id!r}", reregister=True
             )
+        # The host's dataset-memo deltas since its last heartbeat.
+        self.registry.bump_all({
+            f"dataset_cache.{key}": value for key, value in counters.items()
+        })
         return ok_frame(draining=self.draining)
 
     def _machine_ok(

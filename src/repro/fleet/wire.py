@@ -14,7 +14,9 @@ Request frames are ``{"op": <name>, ...}``; response frames are
 ==================  =======================================================
 ``register``        join the fleet (capability tags) → shard + lease terms
                     + the hub's current incarnation ``epoch``
-``heartbeat``       machine liveness ping
+``heartbeat``       machine liveness ping; an optional ``dataset_cache``
+                    maps hits/misses/evictions to the host's dataset-memo
+                    deltas since its last heartbeat (finite counts >= 0)
 ``lease``           claim one job from the machine's shard queue; with
                     ``wait_s`` a long poll — the hub holds the request
                     until a job can be leased, it drains, or the wait

@@ -431,7 +431,7 @@ class SessionCoordinator:
         workers, reclaim expired leases, sample the queue depth.
         """
         if self._inline is not None:
-            leased = self._inline.queue.lease(
+            leased = self.queue.lease(
                 self._inline.worker_id,
                 ttl_s=self.lease_ttl_s,
                 session_id=self.session_id,

@@ -1,19 +1,20 @@
-"""The parallel worker pool: N OS processes pulling from one queue.
+"""Process pools: N OS processes, each running one trial executor.
 
-``multiprocessing.Process`` rather than a thread pool because the trial
-workload is pure-numpy compute — real parallel speed-up needs separate
-interpreters.  The pool is supervision-light by design: workers share
-nothing with the parent but the database path and the hand-off doorbells
-(:mod:`repro.service.doorbell`), crashes are tolerated (the queue reclaims
-their leases), and :meth:`WorkerPool.ensure_alive` simply respawns
-replacements.
+Processes, not threads: the trial workload is pure-numpy compute.  A
+:class:`ProcessPool` only spawns, respawns and stops; each slot runs an
+entry point wrapping a :class:`~repro.service.worker.TrialWorker` —
+:func:`worker_main` here, :func:`~repro.fleet.host.host_main` in the
+fleet's :class:`~repro.fleet.host.HostPool`.  Workers share nothing with
+the parent but the database path and the hand-off doorbells
+(:mod:`repro.service.doorbell`); a crashed one's leases are reclaimed
+and :meth:`ProcessPool.ensure_alive` respawns it.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .doorbell import Doorbell, Doorbells
 from .queue import DEFAULT_LEASE_TTL_S
@@ -23,53 +24,53 @@ logger = logging.getLogger(__name__)
 
 
 class ProcessPool:
-    """``size`` supervised daemon processes, one per slot.
+    """``size`` supervised daemon processes running ``target``, one per
+    slot; subclasses name each slot's process and arguments
+    (:meth:`_slot`)."""
 
-    Subclasses say what a slot runs (:meth:`_spawn_one`); spawning,
-    respawning the dead and the escalating shutdown are shared with the
-    fleet's :class:`~repro.fleet.host.HostPool`.
-    """
-
-    def __init__(self, size: int, what: str):
+    def __init__(self, size: int, what: str, target: Callable[..., Any]):
         if size < 1:
             raise ValueError(f"{what} pool needs >= 1 {what}s, got {size}")
         self.size = size
-        self._processes: List[multiprocessing.Process] = []
+        self.target = target
+        #: The live process of each slot, in slot order.
+        self.processes: List[multiprocessing.Process] = []
 
-    def _spawn_one(self, slot: int) -> multiprocessing.Process:
+    def _slot(self, slot: int) -> Tuple[str, tuple, Dict[str, Any]]:
+        """``(process name, args, kwargs)`` for a (re)spawn of ``slot``."""
         raise NotImplementedError
 
+    def _spawn_one(self, slot: int) -> multiprocessing.Process:
+        name, args, kwargs = self._slot(slot)
+        process = multiprocessing.Process(
+            target=self.target, args=args, kwargs=kwargs, name=name,
+            daemon=True,
+        )
+        process.start()
+        return process
+
     def start(self):
-        while len(self._processes) < self.size:
-            self._processes.append(self._spawn_one(len(self._processes)))
+        while len(self.processes) < self.size:
+            self.processes.append(self._spawn_one(len(self.processes)))
         return self
 
     def ensure_alive(self) -> int:
         """Replace dead processes; returns how many were respawned."""
         respawned = 0
-        for slot, process in enumerate(self._processes):
+        for slot, process in enumerate(self.processes):
             if not process.is_alive():
-                self._processes[slot] = self._spawn_one(slot)
+                self.processes[slot] = self._spawn_one(slot)
                 respawned += 1
         return respawned
 
     def alive(self) -> int:
-        return sum(1 for p in self._processes if p.is_alive())
+        return sum(1 for p in self.processes if p.is_alive())
 
     def stop(self, timeout_s: float = 5.0) -> None:
-        """Terminate every process (leases they held will be reclaimed).
-
-        Idempotent: the process list is detached up front, so a second
-        ``stop`` (coordinator teardown racing ``__exit__``, for example)
-        is a no-op — and an exception mid-shutdown can never terminate
-        the same process twice.
-
-        Escalates SIGTERM -> SIGKILL; a process that survives even the
-        kill (unkillable D-state) is logged and abandoned rather than
-        blocking shutdown forever — its lease expires and the job is
-        retried elsewhere.
-        """
-        processes, self._processes = self._processes, []
+        """Terminate every process (their leases will be reclaimed);
+        idempotent.  Escalates SIGTERM -> SIGKILL, and a process that
+        survives even that (D-state) is logged and abandoned."""
+        processes, self.processes = self.processes, []
         for process in processes:
             if process.is_alive():
                 process.terminate()
@@ -90,9 +91,6 @@ class ProcessPool:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def pids(self) -> List[Optional[int]]:
-        return [p.pid for p in self._processes]
-
 
 class WorkerPool(ProcessPool):
     """Spawns and supervises trial-evaluation worker processes."""
@@ -103,41 +101,28 @@ class WorkerPool(ProcessPool):
         workers: int,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         poll_interval_s: float = IDLE_POLL_S,
-        name_prefix: str = "worker",
         trial_timeout_s: Optional[float] = None,
         heartbeat_interval_s: Optional[float] = None,
     ):
-        super().__init__(workers, "worker")
+        super().__init__(workers, "worker", worker_main)
         self.db_path = db_path
-        self.lease_ttl_s = lease_ttl_s
-        self.poll_interval_s = poll_interval_s
-        self.name_prefix = name_prefix
-        self.trial_timeout_s = trial_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
         #: Rung by the coordinator once enqueued jobs have committed; one
         #: bell per worker slot (a respawned worker inherits its slot's).
         self.jobs_bell = Doorbells()
         self._slot_bells = [self.jobs_bell.add() for _ in range(workers)]
         #: Rung by a worker once a result row has committed.
         self.results_bell = Doorbell()
+        self._options = dict(
+            lease_ttl_s=lease_ttl_s, poll_interval_s=poll_interval_s,
+            trial_timeout_s=trial_timeout_s,
+            heartbeat_interval_s=heartbeat_interval_s,
+            results_bell=self.results_bell,
+        )
         self._spawned = 0
 
-    def _spawn_one(self, slot: int) -> multiprocessing.Process:
+    def _slot(self, slot: int) -> Tuple[str, tuple, Dict[str, Any]]:
         self._spawned += 1
-        worker_id = f"{self.name_prefix}-{self._spawned}"
-        process = multiprocessing.Process(
-            target=worker_main,
-            args=(self.db_path, worker_id),
-            kwargs={
-                "lease_ttl_s": self.lease_ttl_s,
-                "poll_interval_s": self.poll_interval_s,
-                "trial_timeout_s": self.trial_timeout_s,
-                "heartbeat_interval_s": self.heartbeat_interval_s,
-                "jobs_bell": self._slot_bells[slot],
-                "results_bell": self.results_bell,
-            },
-            name=worker_id,
-            daemon=True,
+        worker_id = f"worker-{self._spawned}"
+        return worker_id, (self.db_path, worker_id), dict(
+            self._options, jobs_bell=self._slot_bells[slot]
         )
-        process.start()
-        return process

@@ -1,17 +1,17 @@
-"""Trial-evaluation workers: the processes that do the real training.
+"""Trial-evaluation workers: the one executor that does the real training.
 
-:func:`worker_main` is the entry point of each pool process (also usable
-standalone).  A worker:
-
-1. leases the oldest runnable job from the persistent queue;
-2. spawns a heartbeat thread that renews the lease while training runs —
-   a worker killed mid-trial stops heartbeating, so its job is reclaimed
-   and retried by someone else;
-3. executes the trial's real numpy training via
-   :func:`repro.core.model_server.evaluate_trial` (datasets cached per
-   workload/seed/sample-count, so a session pays the synthesis cost once
-   per worker);
-4. writes the pickled :class:`TrialEvaluation` back into the job row.
+A :class:`TrialWorker` leases jobs from a *job source* — ``lease(wait_s,
+stop)`` (``None`` once up to ``wait_s`` has passed), ``renew(job)``,
+``complete(job, blob)``, ``fail(job, error)`` and ``touch(counters)``
+(machine liveness, carrying dataset-memo counter deltas).
+:class:`LocalJobs` is the source over a shared database file; a fleet
+host runs the same worker over the hub (:mod:`repro.fleet.host`).  Per
+job the worker renews the lease on a :class:`Periodic` (a worker killed
+mid-trial stops renewing, so its job is reclaimed and retried), serves a
+trial its artifact store already holds, or else trains it via
+:func:`~repro.core.model_server.evaluate_trial` under the optional
+deadline, and completes the job with the result blob or fails it with
+the traceback.
 
 Workers are stateless by design: every piece of information needed to run
 a job travels inside the job payload, which is what makes retries after a
@@ -26,7 +26,7 @@ import signal
 import threading
 import time
 import traceback
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..artifacts import ArtifactStore, pack_result, trial_key
 from ..core.model_server import (
@@ -44,15 +44,17 @@ from .queue import DEFAULT_LEASE_TTL_S, Job, JobQueue, _env_float
 #: An idle worker's fallback tick (its longest unrung wait), seconds.
 IDLE_POLL_S = 0.05
 
-#: Lease renewal period as a fraction of the TTL.
+#: Lease renewal and machine touch periods as a fraction of their TTL.
 HEARTBEAT_FRACTION = 0.25
 
-#: Explicit lease-renewal period; ``None`` derives it from the TTL via
-#: :data:`HEARTBEAT_FRACTION`.  Overridable per deployment through
-#: ``$REPRO_HEARTBEAT_INTERVAL_S`` (and per run via ``--heartbeat-interval``).
+#: Explicit lease-renewal period (``None``: a fraction of the TTL), from
+#: ``$REPRO_HEARTBEAT_INTERVAL_S`` (per run: ``--heartbeat-interval``).
 DEFAULT_HEARTBEAT_INTERVAL_S: Optional[float] = (
     _env_float("REPRO_HEARTBEAT_INTERVAL_S", 0.0) or None
 )
+
+#: The dataset-memo counters a worker publishes with its touch.
+DATASET_CACHE_KEYS = ("hits", "misses", "evictions")
 
 
 def heartbeat_interval(
@@ -75,21 +77,19 @@ def result_blob(evaluation: Any, model: Any) -> bytes:
 
 class Periodic:
     """Daemon thread calling ``tick`` every ``interval_s`` for as long as
-    the ``with`` block runs, or until ``tick`` returns ``False``.
-
-    What keeps a lease alive while its trial runs — the local worker's
-    queue heartbeat and the fleet host's ``extend`` frames alike; a
-    process that dies mid-trial stops ticking, so the lease expires and
-    someone else gets the job.
-    """
+    the ``with`` block runs, or until ``tick`` returns ``False`` — the
+    executor's one timer, renewing a job's lease whatever its source."""
 
     def __init__(self, interval_s: float, tick: Callable[[], Any],
                  join_timeout_s: float = 1.0):
-        self._interval_s = interval_s
-        self._tick = tick
-        self._join_timeout_s = join_timeout_s
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._join_timeout_s = join_timeout_s
+
+        def run() -> None:
+            while not self._stop.wait(interval_s) and tick() is not False:
+                pass
+
+        self._thread = threading.Thread(target=run, daemon=True)
 
     def __enter__(self) -> "Periodic":
         self._thread.start()
@@ -97,19 +97,61 @@ class Periodic:
 
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
-        # Bounded join: a tick stuck inside a wedged sqlite call or socket
-        # must not delay the caller past the point where a sibling
-        # reclaims the job anyway.  The thread is a daemon; abandon it.
+        # Bounded join: a tick stuck in a wedged sqlite call or socket is
+        # abandoned (a daemon) rather than outlive a sibling's reclaim.
         self._thread.join(timeout=self._join_timeout_s)
 
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            if self._tick() is False:
-                return
+
+class LocalJobs:
+    """The local job source: a shared database's :class:`JobQueue`, with
+    leases owned by ``owner``, and its machine registry."""
+
+    def __init__(self, database: TrialDatabase, owner: str,
+                 lease_ttl_s: float, jobs_bell: Doorbell):
+        from ..fleet.registry import MachineRegistry, local_capabilities
+
+        self.queue = JobQueue(database)
+        #: ``service status`` reports per-machine liveness from here.
+        self.registry = MachineRegistry(database)
+        self.registry.register(owner, capabilities=local_capabilities())
+        self.owner = owner
+        self.lease_ttl_s = lease_ttl_s
+        #: Rung by the coordinator once enqueued jobs have committed.
+        self.jobs_bell = jobs_bell
+        self.touch_interval_s = max(0.25, lease_ttl_s * HEARTBEAT_FRACTION)
+
+    def lease(self, wait_s: float, stop: threading.Event) -> Optional[Job]:
+        """The oldest runnable job, else a wait on the jobs bell; on a tick
+        nobody rang for, reclaim expired leases (a crashed sibling's jobs
+        need not wait for the coordinator to notice)."""
+        job = self.queue.lease(self.owner, ttl_s=self.lease_ttl_s)
+        if job is None and not self.jobs_bell.wait(wait_s):
+            self.queue.reclaim_expired()
+        return job
+
+    def renew(self, job: Job) -> bool:
+        return self.queue.heartbeat(job.id, self.owner, ttl_s=self.lease_ttl_s)
+
+    def complete(self, job: Job, blob: bytes) -> bool:
+        if not self.queue.complete(job.id, self.owner, blob):
+            return False
+        self.registry.record_done(self.owner)
+        return True
+
+    def fail(self, job: Job, error: str) -> None:
+        self.queue.fail(job.id, self.owner, error)
+
+    def touch(self, counters: Dict[str, float]) -> bool:
+        self.registry.heartbeat(self.owner)
+        self.registry.bump_all({
+            f"dataset_cache.{key}": delta for key, delta in counters.items()
+        })
+        return True
 
 
 class TrialWorker:
-    """Executes trial-evaluation jobs from a shared database file."""
+    """Executes trial-evaluation jobs from a job source — by default the
+    local queue of a shared database file."""
 
     def __init__(
         self,
@@ -128,74 +170,67 @@ class TrialWorker:
         self.worker_id = worker_id or f"worker-{os.getpid()}"
         self.database = database or TrialDatabase(db_path)
         self._owns_database = database is None
-        self.queue = JobQueue(self.database)
-        self.lease_ttl_s = lease_ttl_s
         self.poll_interval_s = poll_interval_s
-        #: Hand-off with the coordinator: wait on ``jobs_bell`` while
-        #: idle, ring ``results_bell`` after every job.  The private
-        #: defaults make a standalone worker's idle wait a plain tick.
-        self.jobs_bell = jobs_bell or Doorbell()
+        #: Rung after every job (private defaults: plain ticks).
         self.results_bell = results_bell or Doorbell()
         self.heartbeat_interval_s = heartbeat_interval_s
         #: Wall-clock budget per trial; ``None`` disables the deadline.
         self.trial_timeout_s = trial_timeout_s
         self.jobs_done = 0
         self.jobs_failed = 0
-        #: Trial artifact cache over the session database.  Exact
-        #: memoization is always on (bit-safe); warm-resume activates
-        #: only for tasks that carry lineage (``--reuse-checkpoints``).
+        #: Exact memoization is always on (bit-safe); warm-resume only for
+        #: tasks that carry lineage (``--reuse-checkpoints``).
         self.artifacts = ArtifactStore(self.database)
-        #: Machine-registry presence: every worker registers itself with
-        #: its host's capability tags so ``service status`` can report
-        #: per-machine liveness instead of bare worker PIDs.
-        from ..fleet.registry import MachineRegistry, local_capabilities
-
-        self.registry = MachineRegistry(self.database)
-        self.registry.register(
-            self.worker_id, capabilities=local_capabilities()
-        )
+        self.source = self._job_source(lease_ttl_s, jobs_bell or Doorbell())
         self._machine_touched_at = time.time()
         #: Dataset-memo counters as last published (the lock: both the
-        #: main loop and a job's heartbeat thread touch the machine).
+        #: main loop and a job's renewal thread touch the machine).
         self._dataset_cache_last = dataset_cache_stats()
         self._dataset_cache_lock = threading.Lock()
 
-    def _touch_machine(self) -> None:
-        """Throttled machine-liveness heartbeat (cheap: one UPDATE at
-        most every quarter-TTL, piggybacking on existing loops), which
-        also carries this process's dataset-memo counters."""
-        now = time.time()
-        if now - self._machine_touched_at >= max(
-            0.25, self.lease_ttl_s * HEARTBEAT_FRACTION
-        ):
-            self.registry.heartbeat(self.worker_id, now=now)
-            self._machine_touched_at = now
-            self._publish_dataset_cache_stats()
+    def _job_source(self, lease_ttl_s: float, jobs_bell: Doorbell) -> Any:
+        """Where this worker's jobs come from: its database's own queue (a
+        fleet host's come from the hub)."""
+        return LocalJobs(self.database, self.worker_id, lease_ttl_s, jobs_bell)
 
-    def _heartbeat(self, job: Job) -> Periodic:
-        """Renews ``job``'s lease (and this machine's liveness) until the
-        block exits or the lease is lost — the retry owns the job then."""
-        def beat() -> bool:
-            renewed = self.queue.heartbeat(
-                job.id, self.worker_id, ttl_s=self.lease_ttl_s
-            )
+    def _touch_machine(self) -> None:
+        """Throttled touch, piggybacking on the lease and renewal loops."""
+        now = time.time()
+        if now - self._machine_touched_at >= self.source.touch_interval_s:
+            self._machine_touched_at = now
+            self._publish_dataset_cache_stats(touch=True)
+
+    def _publish_dataset_cache_stats(self, touch: bool = False) -> None:
+        """Send the dataset-memo deltas since the last accepted send with
+        a touch (``touch``: also when there are none); a source that
+        could not deliver them gets them again next time."""
+        with self._dataset_cache_lock:
+            stats = dataset_cache_stats()
+            deltas = {
+                key: float(stats[key] - self._dataset_cache_last[key])
+                for key in DATASET_CACHE_KEYS
+                if stats[key] != self._dataset_cache_last[key]
+            }
+            if (deltas or touch) and self.source.touch(deltas):
+                self._dataset_cache_last = stats
+
+    # -- execution ----------------------------------------------------------
+    def run_job(self, job: Job) -> None:
+        """Execute one leased job to completion (or record its failure),
+        renewing its lease (and touching the machine) meanwhile; a lost
+        lease stops the renewals — the retry owns the job then."""
+        def renew() -> bool:
+            renewed = self.source.renew(job)
             if renewed:
                 self._touch_machine()
             return renewed
 
-        return Periodic(
-            heartbeat_interval(self.lease_ttl_s, self.heartbeat_interval_s),
-            beat, join_timeout_s=min(self.lease_ttl_s, 1.0),
-        )
-
-    # -- execution ----------------------------------------------------------
-    def run_job(self, job: Job) -> None:
-        """Execute one leased job to completion (or record its failure)."""
-        with self._heartbeat(job):
+        ttl_s = self.source.lease_ttl_s
+        with Periodic(heartbeat_interval(ttl_s, self.heartbeat_interval_s),
+                      renew, join_timeout_s=min(ttl_s, 1.0)):
             try:
-                # Chaos sites: keyed by trial id and gated on the lease
-                # attempt, so (by default) the retry of an injected
-                # failure runs clean and the session still converges.
+                # Chaos sites, keyed by trial and gated on the attempt: the
+                # retry of an injected failure runs clean by default.
                 fault_point("worker.crash", key=job.trial_id,
                             attempt=job.attempts)
                 fault_point("worker.fail", key=job.trial_id,
@@ -204,13 +239,10 @@ class TrialWorker:
                 blob = self._evaluate(task, job.attempts)
             except Exception:
                 self.jobs_failed += 1
-                self.queue.fail(
-                    job.id, self.worker_id, traceback.format_exc(limit=8)
-                )
+                self.source.fail(job, traceback.format_exc(limit=8))
                 return
-        if self.queue.complete(job.id, self.worker_id, blob):
+        if self.source.complete(job, blob):
             self.jobs_done += 1
-            self.registry.record_done(self.worker_id)
 
     def run_leased(self, job: Job) -> None:
         """Execute a freshly leased job; rings the results bell once its
@@ -220,33 +252,26 @@ class TrialWorker:
         finally:
             self.results_bell.ring()
 
-    def _publish_dataset_cache_stats(self) -> None:
-        """Push dataset-memo deltas into the shared fleet-stats table."""
-        with self._dataset_cache_lock:
-            stats = dataset_cache_stats()
-            for key in ("hits", "misses", "evictions"):
-                delta = stats[key] - self._dataset_cache_last[key]
-                if delta:
-                    self.registry.bump(f"dataset_cache.{key}", float(delta))
-            self._dataset_cache_last = stats
-
     def _evaluate(self, task: TrialTask, attempt: int) -> bytes:
-        """Run one trial to its result blob, under the wall-clock deadline
-        when configured.  A memo hit is passed on as stored bytes; a miss
-        is left for :func:`evaluate_trial` to count.  (The coordinator
-        probed at issue time; this covers what landed since.)"""
+        """One trial's result blob, under the deadline when configured.  A
+        memo hit (landed since the coordinator's probe at issue) is passed
+        on as stored bytes; a miss is left for :func:`evaluate_trial` to
+        count."""
 
         def execute() -> bytes:
             fault_point("worker.hang", key=task.trial_id, attempt=attempt)
-            blob = self.artifacts.load_result(
-                trial_key(task), count_miss=False
-            )
+            key = trial_key(task)
+            blob = self.artifacts.load_result(key, count_miss=False)
+            if blob is None and self._prefetch(task, key):
+                blob = self.artifacts.load_result(key, count_miss=False)
             if blob is not None:
                 return blob
             train_set, eval_set = load_task_datasets(task)
-            return result_blob(*evaluate_trial(
+            blob = result_blob(*evaluate_trial(
                 task, train_set, eval_set, artifacts=self.artifacts
             ))
+            self._publish(task, key)
+            return blob
 
         if self.trial_timeout_s is None:
             return execute()
@@ -254,36 +279,35 @@ class TrialWorker:
             execute, self.trial_timeout_s, name=f"trial-{task.trial_id}"
         )
 
+    def _prefetch(self, task: TrialTask, key: str) -> bool:
+        """Install ``key`` from elsewhere (a fleet host asks the hub)."""
+        return False
+
+    def _publish(self, task: TrialTask, key: str) -> None:
+        """Share a cold run's artifact (a fleet host uploads it)."""
+
     # -- main loop -----------------------------------------------------------
     def run_forever(
         self,
         stop_event: Optional["threading.Event"] = None,
         idle_timeout_s: Optional[float] = None,
     ) -> int:
-        """Lease-execute until stopped (or idle past ``idle_timeout_s``).
-
-        Returns the number of jobs completed.  Also moonlights as the
-        queue janitor: on every fallback tick nobody rang for, an idle
-        worker reclaims expired leases so a crashed sibling's jobs are
-        not stuck until the coordinator notices.
-        """
+        """Lease-execute until stopped (or idle past ``idle_timeout_s``);
+        returns the jobs completed.  An empty ``lease`` takes one fallback
+        tick (``poll_interval_s``)."""
+        stop = stop_event or threading.Event()
         idle_since = time.time()
-        while stop_event is None or not stop_event.is_set():
+        while not stop.is_set():
             self._touch_machine()
-            job = self.queue.lease(
-                self.worker_id, ttl_s=self.lease_ttl_s
-            )
-            if job is None:
-                if (
-                    idle_timeout_s is not None
-                    and time.time() - idle_since > idle_timeout_s
-                ):
-                    break
-                if not self.jobs_bell.wait(self.poll_interval_s):
-                    self.queue.reclaim_expired()
-                continue
-            self.run_leased(job)
-            idle_since = time.time()
+            job = self.source.lease(self.poll_interval_s, stop)
+            if job is not None:
+                self.run_leased(job)
+                idle_since = time.time()
+            elif (
+                idle_timeout_s is not None
+                and time.time() - idle_since > idle_timeout_s
+            ):
+                break
         return self.jobs_done
 
     def close(self) -> None:
@@ -294,23 +318,22 @@ class TrialWorker:
             self.database.close()
 
 
-def worker_main(
-    db_path: str,
-    worker_id: Optional[str] = None,
-    idle_timeout_s: Optional[float] = None,
-    **options: Any,
-) -> int:
-    """Process entry point for pool workers (importable, hence
-    spawn-safe); ``options`` are :class:`TrialWorker` keyword arguments.
-
-    The pool stops its workers with SIGTERM, which here unwinds like an
-    interrupt, so :meth:`TrialWorker.close` still publishes the counters.
-    """
-    worker = TrialWorker(db_path, worker_id=worker_id, **options)
+def serve_worker(worker: TrialWorker) -> int:
+    """Run ``worker`` as its process's main loop.  A pool stops it with
+    SIGTERM, which unwinds like an interrupt here, so
+    :meth:`TrialWorker.close` still publishes the counters."""
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        return worker.run_forever(idle_timeout_s=idle_timeout_s)
+        return worker.run_forever()
     except KeyboardInterrupt:
         return worker.jobs_done
     finally:
         worker.close()
+
+
+def worker_main(
+    db_path: str, worker_id: Optional[str] = None, **options: Any
+) -> int:
+    """Process entry point for pool workers (importable, hence
+    spawn-safe); ``options`` are :class:`TrialWorker` keyword arguments."""
+    return serve_worker(TrialWorker(db_path, worker_id=worker_id, **options))

@@ -135,6 +135,25 @@ class TestTrialKey:
         finally:
             faults.configure(None)
 
+    def test_sites_around_a_trial_leave_the_fingerprint_alone(self):
+        """A fleet host started under ``worker.fail`` trains the same
+        bits as its hub: its artifacts must keep their keys."""
+        clean = backend_fingerprint()
+        faults.configure(
+            "seed=13;worker.fail=0.5;worker.crash=0.1;fleet.partition=0.2",
+            propagate=False,
+        )
+        try:
+            assert backend_fingerprint() == clean
+            faults.configure(
+                "seed=13;worker.fail=0.5;trainer.nan=0.5", propagate=False
+            )
+            only_nan = backend_fingerprint()
+            faults.configure("seed=13;trainer.nan=0.5", propagate=False)
+            assert backend_fingerprint() == only_nan != clean
+        finally:
+            faults.configure(None)
+
     def test_key_of_a_fixed_task_is_pinned(self, monkeypatch):
         """Every stored artifact is addressed by this digest: an edit to
         ``trial_key`` or ``backend_fingerprint`` that moves it orphans

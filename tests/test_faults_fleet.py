@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-import repro.fleet.host as host_module
+import repro.service.worker as worker_module
 from repro import faults
 from repro.errors import FleetError
 from repro.faults.plan import CRASH_EXIT_CODE
@@ -104,10 +104,10 @@ class TestDeadHostChaos:
     ):
         reference = fingerprint(single_host_reference())
         # Trial 2's first attempt hard-kills whichever machine leased it
-        # (``os._exit``: heartbeats, extender and all die with it).  The
-        # supervisor respawns the machine; the orphaned lease expires and
-        # the retry runs clean.
-        faults.configure("seed=11;fleet.dead_host=1.0@2")
+        # (``worker.crash`` is ``os._exit``: heartbeats, lease renewal and
+        # all die with it).  The supervisor respawns the machine; the
+        # orphaned lease expires and the retry runs clean.
+        faults.configure("seed=11;worker.crash=1.0@2")
         result, session_id, database, _ = run_fleet_session(
             tmp_path, "deadhost"
         )
@@ -197,17 +197,17 @@ class TestStaleLeaseChaos:
         reference = fingerprint(single_host_reference())
         faults.configure("seed=11;fleet.stale_lease=1.0@2",
                          propagate=False)
-        real_evaluate = host_module.evaluate_trial
+        real_evaluate = worker_module.evaluate_trial
         slowed = threading.Event()
 
-        def slow_evaluate(task, **kwargs):
+        def slow_evaluate(task, *datasets, **kwargs):
             # First execution of trial 2 outlives its (unextended) lease.
             if task.trial_id == 2 and not slowed.is_set():
                 slowed.set()
                 time.sleep(2.5)
-            return real_evaluate(task, **kwargs)
+            return real_evaluate(task, *datasets, **kwargs)
 
-        monkeypatch.setattr(host_module, "evaluate_trial", slow_evaluate)
+        monkeypatch.setattr(worker_module, "evaluate_trial", slow_evaluate)
         result, session_id, database, members = run_fleet_session(
             tmp_path, "stale", in_process=True, lease_ttl_s=0.8,
         )

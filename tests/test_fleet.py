@@ -204,7 +204,7 @@ class TestFleetLiveness:
             while fleet.pool.alive() < 1 and deadline > 0:
                 time.sleep(0.05)
                 deadline -= 0.05
-            (process,) = fleet.pool._processes
+            (process,) = fleet.pool.processes
             process.terminate()
             process.join(timeout=5.0)
             deadline = 5.0
@@ -212,7 +212,7 @@ class TestFleetLiveness:
                 time.sleep(0.05)
                 deadline -= 0.05
             assert fleet.pool.alive() == 1
-            respawned = fleet.pool._processes[0]
+            respawned = fleet.pool.processes[0]
             assert respawned.name == "machine-1"  # same identity
         finally:
             fleet.pool.stop()

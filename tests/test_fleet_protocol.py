@@ -113,6 +113,32 @@ class TestRegistration:
         assert not response["ok"]
         assert response["reregister"]
 
+    def test_heartbeat_adds_dataset_cache_deltas(self, server):
+        register(server, "m1")
+        for counters in ({"hits": 2, "misses": 1.0}, {"hits": 1}, {}):
+            assert server.handle_line(frame(
+                "heartbeat", machine_id="m1", dataset_cache=counters
+            ))["ok"]
+        stats = server.registry.stats()
+        assert stats["dataset_cache.hits"] == 3.0
+        assert stats["dataset_cache.misses"] == 1.0
+        assert "dataset_cache.evictions" not in stats
+
+    @pytest.mark.parametrize("counters", [
+        {"size": 1}, {"hits": -1}, {"hits": "2"}, {"hits": True},
+        {"misses": float("inf")}, {"misses": float("nan")}, [1, 2],
+    ])
+    def test_heartbeat_rejects_bad_dataset_cache(self, server, counters):
+        register(server, "m1")
+        response = server.handle_line(frame(
+            "heartbeat", machine_id="m1", dataset_cache=counters
+        ))
+        assert not response["ok"] and "dataset_cache" in response["error"]
+        assert not any(
+            key.startswith("dataset_cache.")
+            for key in server.registry.stats()
+        )
+
 
 class TestLeaseProtocol:
     def _setup_job(self, server, machine_id="m1", trial_id=1):

@@ -19,7 +19,7 @@ import time
 import pytest
 
 import repro.fleet.server as fleet_server_module
-from repro.fleet.host import RemoteHost
+from repro.fleet.host import HubJobs, RemoteHost
 from repro.fleet.server import FleetServer
 from repro.fleet.wire import decode_frame, encode_frame
 from repro.service import (
@@ -244,20 +244,28 @@ class TestEventDrivenSessions:
         assert done_by <= {"machine-1/w0", "machine-2/w0"}
 
 
-class _OldHost(RemoteHost):
-    """A host from before the long poll: its ``lease`` has no ``wait_s``."""
+class _OldHub(HubJobs):
+    """The hub as a host from before the long poll sees it: its ``lease``
+    has no ``wait_s``."""
 
     def call(self, op, **params):
         params.pop("wait_s", None)
         return super().call(op, **params)
 
 
+class _OldHost(RemoteHost):
+    """A host from before the long poll."""
+
+    hub_class = _OldHub
+
+
 class LiveFleet:
     """A live hub plus ``hosts`` in-process host threads (real loopback
-    TCP, each host on its own database file)."""
+    TCP, each host on its own database file); ``options`` are further
+    :class:`RemoteHost` keyword arguments."""
 
     def __init__(self, tmp_path, hosts, poll_interval_s=0.05,
-                 host_class=RemoteHost):
+                 host_class=RemoteHost, **options):
         self.database = TrialDatabase(str(tmp_path / "hub.sqlite"))
         self.server = FleetServer(self.database, port=0, num_shards=1)
         self.stop = threading.Event()
@@ -265,7 +273,7 @@ class LiveFleet:
             host_class(
                 f"machine-{index}", "127.0.0.1", self.server.port,
                 db_path=str(tmp_path / f"machine-{index}.db"),
-                poll_interval_s=poll_interval_s,
+                poll_interval_s=poll_interval_s, **options,
             )
             for index in range(1, hosts + 1)
         ]

@@ -397,18 +397,18 @@ class TestFleet:
             origin = ArtifactStore(source)
             for trial_id, key in keys.items():
                 host.artifacts.put(key, origin.get(key))
-            host.register()
+            host.hub.register()
             for trial_id, job in rows.items():
                 hub.queue.enqueue("s-host", trial_id, job.payload)
             hits_before = host.artifacts.stats()["hits"]
             while True:
-                job = host.call("lease", worker=host.worker_name)["job"]
+                job = host.source.lease(0.0, threading.Event())
                 if job is None:
                     break
-                host._run_job(job)
+                host.run_job(job)
             assert host.jobs_done == len(rows)
             assert host.artifacts.stats()["hits"] == hits_before + len(rows)
-            assert host.federation_hits == host.federation_uploads == 0
+            assert host.hub.federation_hits == host.hub.federation_uploads == 0
         finally:
             host.close()
         done = job_rows(hub.database, "s-host")
@@ -428,10 +428,10 @@ class TestFleet:
         hub.artifacts.put(key, payload, trial_id=task.trial_id)
         host = RemoteHost("machine-1", "127.0.0.1", hub.port)
         try:
-            host.register()
+            host.hub.register()
             assert host.artifacts.load_result(key) is None
             assert host._prefetch(task, key) is True
-            assert host.federation_hits == 1
+            assert host.hub.federation_hits == 1
             assert host.artifacts.get(key) == payload
             assert host.artifacts.load_result(key) == job.result
             assert hub.registry.stats()["federation.hits"] == 1
