@@ -32,7 +32,6 @@ from typing import Any, Optional
 
 from ..errors import AdvisorError
 from ..storage import TrialDatabase
-from ..telemetry import MeterRegistry
 from ..wire import Frame, FrameServer, Peer
 from .kb import KnowledgeBase
 
@@ -92,9 +91,8 @@ class AdvisorServer(FrameServer):
         cache_size: int = DEFAULT_CACHE_SIZE,
         rate_limit: Optional[float] = None,
         burst: Optional[int] = None,
-        meters: Optional[MeterRegistry] = None,
     ):
-        super().__init__(host, port, rate_limit, burst, meters)
+        super().__init__(host, port, rate_limit, burst)
         self.database = database
         self.kb = KnowledgeBase(database)
         self.cache = LRUCache(cache_size)
@@ -114,16 +112,16 @@ class AdvisorServer(FrameServer):
     def _index(self, payload: Frame, connection: Peer) -> Frame:
         indexed = self.kb.index_sessions()
         self.cache.clear()
-        self.meters.counter("advisor.indexed").inc(indexed)
+        self.meters.count("advisor.indexed", indexed)
         return {"ok": True, "indexed": indexed}
 
     def _ask(self, payload: Frame, connection: Peer) -> Frame:
         key = tuple(payload.get(field) for field in _ASK_FIELDS)
         cached = self.cache.get(key)
         if cached is not None:
-            self.meters.counter("advisor.cache_hits").inc()
+            self.meters.count("advisor.cache_hits")
             return dict(cached, cache_hit=True)
-        self.meters.counter("advisor.cache_misses").inc()
+        self.meters.count("advisor.cache_misses")
         try:
             advice = self.kb.query(
                 workload=payload.get("workload", ""),
@@ -134,7 +132,7 @@ class AdvisorServer(FrameServer):
                 allow_nearest=bool(payload.get("allow_nearest", True)),
             )
         except AdvisorError as error:
-            self.meters.counter("advisor.errors").inc()
+            self.meters.count("advisor.errors")
             return {"ok": False, "error": str(error)}
         response = {"ok": True, "advice": advice.to_dict()}
         self.cache.put(key, response)

@@ -324,22 +324,6 @@ class ArtifactStore:
         return payload
 
     # -- integrity ------------------------------------------------------------
-    def _bump_stat(self, stat: str, amount: int = 1) -> None:
-        """Crash-safe counter in ``fleet_stats`` (same upsert discipline
-        as the fleet registry — readable by ``service status`` from any
-        process)."""
-        self.database.execute(
-            "INSERT INTO fleet_stats (key, value) VALUES (?, ?) "
-            "ON CONFLICT (key) DO UPDATE SET value = value + excluded.value",
-            (stat, float(amount)),
-        )
-
-    def _stat(self, stat: str) -> int:
-        row = self.database.execute(
-            "SELECT value FROM fleet_stats WHERE key = ?", (stat,)
-        ).fetchone()
-        return int(row[0]) if row is not None else 0
-
     def quarantine(
         self, key: str, payload: Optional[bytes] = None, reason: str = ""
     ) -> None:
@@ -368,7 +352,7 @@ class ArtifactStore:
                 )
             except OSError:
                 pass  # file already gone; the dropped row is what matters
-        self._bump_stat("artifacts.quarantined")
+        self.database.bump_stats({"artifacts.quarantined": 1})
 
     def scrub(self, repair: bool = True) -> Dict[str, int]:
         """Sweep the whole store: verify every blob end to end.
@@ -429,7 +413,7 @@ class ArtifactStore:
         counts["orphans_removed"] = (
             self._prune_orphans() if repair else 0
         )
-        self._bump_stat("artifacts.scrubs")
+        self.database.bump_stats({"artifacts.scrubs": 1})
         return counts
 
     # -- trial-level helpers --------------------------------------------------
@@ -537,7 +521,9 @@ class ArtifactStore:
             "bytes": int(row[1]),
             "hits": int(row[2]),
             "misses": int(row[0]),
-            "quarantined": self._stat("artifacts.quarantined"),
+            "quarantined": int(self.database.stats(
+                "artifacts.quarantined"
+            ).get("artifacts.quarantined", 0)),
         }
 
     def gc(

@@ -29,7 +29,7 @@ import signal
 import sys
 import threading
 import warnings
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import FleetError
 from ..service.queue import DEFAULT_LEASE_TTL_S
@@ -80,7 +80,7 @@ def _cmd_serve(args) -> int:
                   f"{len(result.trials)} trials, "
                   f"best accuracy {result.best_accuracy:.3f}")
         print("fleet stats: " + json.dumps(
-            server.registry.stats(), sort_keys=True
+            server.database.stats(), sort_keys=True
         ))
     return 0
 

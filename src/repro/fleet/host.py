@@ -34,7 +34,7 @@ from ..service.worker import (
     HEARTBEAT_FRACTION, IDLE_POLL_S, TrialWorker, serve_worker,
 )
 from .client import FleetClient
-from .registry import MachineRegistry, local_capabilities
+from .registry import local_capabilities
 from .wire import pack_bytes, unpack_bytes
 
 logger = logging.getLogger(__name__)
@@ -219,9 +219,7 @@ class HubJobs:
         claimed = response.get("checksum")
         if claimed is not None and artifact_checksum(payload) != claimed:
             # Strictly safer to train than to warm-start from damage.
-            MachineRegistry(artifacts.database).bump(
-                "federation.checksum_rejects"
-            )
+            artifacts.database.bump_stats({"federation.checksum_rejects": 1})
             logger.warning("federated artifact %s failed checksum "
                            "verification; falling back to a cold run", key)
             return False
@@ -254,7 +252,7 @@ class HubJobs:
             return
         # Best effort (the result still reaches the hub), never silent:
         # a lost upload costs the fleet a duplicated cold run elsewhere.
-        MachineRegistry(artifacts.database).bump("federation.upload_failures")
+        artifacts.database.bump_stats({"federation.upload_failures": 1})
         logger.warning("artifact upload for %s failed: %s", key, problem)
 
 

@@ -13,12 +13,9 @@ Registration is idempotent: a host process that restarts with the same
 machine id re-registers in place, keeps its shard assignment, and simply
 comes back ``alive`` — duplicate ids are a reconnect, not an error.
 
-The module also owns ``fleet_stats``, a tiny crash-safe counter table
-(artifact-federation hits/misses, janitor reclaim counts).  Counters are
-single ``INSERT ... ON CONFLICT`` bumps, so any process — coordinator,
-worker, fleet server — can account events and ``service status`` reads
-one consistent view from the database rather than from per-process
-memory.
+The janitor's ``machines.expired`` count goes to the ``fleet_stats``
+event counters, which the storage layer owns
+(:meth:`~repro.storage.TrialDatabase.bump_stats`).
 """
 
 from __future__ import annotations
@@ -153,7 +150,7 @@ class HubState:
 
 
 class MachineRegistry:
-    """CRUD over the ``machines`` table plus the fleet counters."""
+    """CRUD over the ``machines`` table."""
 
     def __init__(self, database: TrialDatabase):
         self.database = database
@@ -287,28 +284,9 @@ class MachineRegistry:
                     "UPDATE machines SET state = ? WHERE id = ?",
                     (DEAD, machine_id),
                 )
-        if doomed:
-            self.bump("machines.expired", len(doomed))
+        self.database.bump_stats({"machines.expired": len(doomed)})
         return doomed
 
-    # -- fleet counters ------------------------------------------------------
-    def bump(self, key: str, amount: float = 1.0) -> None:
-        """Crash-safe counter increment (single upsert statement)."""
-        self.bump_all({key: amount})
-
-    def bump_all(self, amounts: Dict[str, float]) -> None:
-        """:meth:`bump` of several counters, still one statement."""
-        if not amounts:
-            return
-        self.database.execute(
-            "INSERT INTO fleet_stats (key, value) VALUES "
-            + ", ".join(["(?, ?)"] * len(amounts))
-            + " ON CONFLICT (key) DO UPDATE SET value = value + excluded.value",
-            [v for key, amount in amounts.items() for v in (key, float(amount))],
-        )
-
     def stats(self) -> Dict[str, float]:
-        rows = self.database.execute(
-            "SELECT key, value FROM fleet_stats ORDER BY key"
-        ).fetchall()
-        return {key: float(value) for key, value in rows}
+        """Every ``fleet_stats`` counter (kept for the session benchmark)."""
+        return self.database.stats()

@@ -53,7 +53,6 @@ from ..service.sessions import (
 )
 from ..service.worker import DATASET_CACHE_KEYS
 from ..storage import TrialDatabase
-from ..telemetry import MeterRegistry
 from ..wire import Frame, FrameServer, Peer
 from .registry import (
     DEFAULT_MACHINE_TTL_S, HubState, Machine, MachineRegistry,
@@ -96,15 +95,15 @@ class FleetServer(FrameServer):
         machine_ttl_s: float = DEFAULT_MACHINE_TTL_S,
         rate_limit: Optional[float] = None,
         burst: Optional[int] = None,
-        meters: Optional[MeterRegistry] = None,
     ):
-        super().__init__(host, port, rate_limit, burst, meters)
+        super().__init__(host, port, rate_limit, burst)
         self.database = database
         self.queue = JobQueue(database)
         self.sessions = SessionStore(database)
         self.registry = MachineRegistry(database)
         self.router = ShardRouter(self.registry, num_shards=num_shards)
         self.artifacts = ArtifactStore(database)
+        self._placement_lock = threading.Lock()
         self.lease_ttl_s = float(lease_ttl_s)
         self.machine_ttl_s = float(machine_ttl_s)
         #: Hand-off (:mod:`repro.service.doorbell`): the coordinator rings
@@ -135,7 +134,7 @@ class FleetServer(FrameServer):
         for record in orphaned:
             self.sessions.set_state(record.id, S_QUEUED)
         if self.epoch > 1:
-            self.registry.bump("hub.restarts")
+            self.database.bump_stats({"hub.restarts": 1})
             logger.warning(
                 "fleet hub restarted: epoch %d, %d orphaned running "
                 "session(s) requeued to resume from their job logs",
@@ -158,8 +157,7 @@ class FleetServer(FrameServer):
         epoch = payload.get("epoch")
         if epoch is None or int(epoch) == self.epoch:
             return None
-        self.meters.counter("fleet.fenced").inc()
-        self.registry.bump("hub.fenced_frames")
+        self.database.bump_stats({"hub.fenced_frames": 1})
         return error_frame(
             f"fenced: frame epoch {int(epoch)} != hub epoch {self.epoch}",
             fenced=True,
@@ -175,17 +173,19 @@ class FleetServer(FrameServer):
         capabilities = payload.get("capabilities") or {}
         if not isinstance(capabilities, dict):
             return error_frame("capabilities must be an object")
-        known = self.registry.get(machine_id)
         # A duplicate id is a host reconnecting: keep its shard so the
         # sessions routed there still find their machine.  Fresh ids go
-        # to the least-populated shard.
-        shard = known.shard if known is not None else (
-            self.router.place_machine()
-        )
-        machine = self.registry.register(
-            machine_id, capabilities=capabilities, shard=shard
-        )
-        self.meters.counter("fleet.registrations").inc()
+        # to the least-populated shard — counted and joined under one
+        # lock, or two hosts registering at once both read the same
+        # census and land on the same shard.
+        with self._placement_lock:
+            known = self.registry.get(machine_id)
+            shard = known.shard if known is not None else (
+                self.router.place_machine()
+            )
+            machine = self.registry.register(
+                machine_id, capabilities=capabilities, shard=shard
+            )
         return ok_frame(
             shard=machine.shard,
             rejoined=known is not None,
@@ -210,7 +210,7 @@ class FleetServer(FrameServer):
                 f"unknown machine {machine_id!r}", reregister=True
             )
         # The host's dataset-memo deltas since its last heartbeat.
-        self.registry.bump_all({
+        self.database.bump_stats({
             f"dataset_cache.{key}": value for key, value in counters.items()
         })
         return ok_frame(draining=self.draining)
@@ -264,7 +264,6 @@ class FleetServer(FrameServer):
         self.registry.heartbeat(machine_id)
         if job is None:
             return ok_frame(job=None, epoch=self.epoch)
-        self.meters.counter("fleet.leases").inc()
         return ok_frame(epoch=self.epoch, job={
             "id": job.id,
             "session_id": job.session_id,
@@ -333,8 +332,7 @@ class FleetServer(FrameServer):
         # trial for nothing.
         if self.queue.is_done_by(job_id, owner):
             self.registry.heartbeat(machine_id)
-            self.registry.bump("hub.replayed_completions")
-            self.meters.counter("fleet.duplicate_completions").inc()
+            self.database.bump_stats({"hub.replayed_completions": 1})
             return ok_frame(accepted=True, duplicate=True)
         fenced = self._fence(payload)
         if fenced is not None:
@@ -351,7 +349,6 @@ class FleetServer(FrameServer):
             self.results_bell.ring()
             self.registry.record_done(machine_id)
             self.registry.heartbeat(machine_id)
-            self.meters.counter("fleet.completions").inc()
         return ok_frame(accepted=accepted, duplicate=False)
 
     def _fail(self, payload: Frame, connection: Peer) -> Frame:
@@ -364,7 +361,6 @@ class FleetServer(FrameServer):
             str(payload.get("error") or "remote failure"),
         )
         self.results_bell.ring()
-        self.meters.counter("fleet.failures").inc()
         return ok_frame(accepted=accepted)
 
     def _resync(self, payload: Frame, connection: Peer) -> Frame:
@@ -391,9 +387,7 @@ class FleetServer(FrameServer):
         )
         dropped = sorted(set(claims) - set(renewed))
         self.registry.heartbeat(machine_id)
-        if renewed:
-            self.registry.bump("hub.leases_resynced", len(renewed))
-        self.meters.counter("fleet.resyncs").inc()
+        self.database.bump_stats({"hub.leases_resynced": len(renewed)})
         return ok_frame(renewed=renewed, dropped=dropped, epoch=self.epoch)
 
     # -- artifact federation -------------------------------------------------
@@ -406,10 +400,9 @@ class FleetServer(FrameServer):
             return ok_frame(present=row is not None)
         blob = self.artifacts.get(key)
         if blob is None:
-            self.registry.bump("federation.misses")
+            self.database.bump_stats({"federation.misses": 1})
             return ok_frame(payload=None)
-        self.registry.bump("federation.hits")
-        self.meters.counter("fleet.federation_hits").inc()
+        self.database.bump_stats({"federation.hits": 1})
         # The checksum rides along so the receiving host can verify the
         # transfer end-to-end before trusting the warm-start state.
         return ok_frame(
@@ -426,8 +419,7 @@ class FleetServer(FrameServer):
             return error_frame("artifact_put needs a key and a payload")
         claimed = payload.get("checksum")
         if claimed is not None and artifact_checksum(blob) != claimed:
-            self.registry.bump("federation.upload_rejects")
-            self.meters.counter("fleet.checksum_rejects").inc()
+            self.database.bump_stats({"federation.upload_rejects": 1})
             return error_frame(
                 f"artifact {key!r} failed checksum verification in "
                 "transfer", checksum_mismatch=True,
@@ -440,7 +432,7 @@ class FleetServer(FrameServer):
             epochs=int(payload.get("epochs", 0)),
             data_fraction=float(payload.get("data_fraction", 0.0)),
         )
-        self.registry.bump("federation.uploads")
+        self.database.bump_stats({"federation.uploads": 1})
         return ok_frame(stored=True)
 
     # -- overview ------------------------------------------------------------
@@ -462,7 +454,7 @@ class FleetServer(FrameServer):
             machines=machines,
             num_shards=self.router.num_shards,
             queue=self.queue.depths(),
-            fleet_stats=self.registry.stats(),
+            fleet_stats=self.database.stats(),
             draining=self.draining,
             epoch=self.epoch,
             recovery=dict(self.recovery),
@@ -502,11 +494,9 @@ class FleetServer(FrameServer):
                 machine_id, drained,
             )
         expired = self.queue.reclaim_expired(now=now)
-        if drained:
-            self.registry.bump("leases.drained", drained)
-        if expired:
-            self.registry.bump("leases.expired", expired)
-        self.meters.counter("fleet.machines_expired").inc(len(dead))
+        self.database.bump_stats(
+            {"leases.drained": drained, "leases.expired": expired}
+        )
         return {
             "machines_expired": len(dead),
             "leases_drained": drained,
@@ -548,7 +538,6 @@ class FleetServer(FrameServer):
             shard = self.router.shard_for_session(
                 record.id, workload=record.spec.workload
             )
-            self.meters.counter(f"fleet.sessions_shard_{shard}").inc()
             return SessionCoordinator(
                 self.database,
                 record.id,

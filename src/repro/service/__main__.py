@@ -77,7 +77,7 @@ def _machines_info(database) -> dict:
     from ..fleet.registry import HubState, MachineRegistry
 
     registry = MachineRegistry(database)
-    stats = registry.stats()
+    stats = database.stats()
     now = _time.time()
     return {
         # Epoch 0 = no fleet hub has ever run against this database.
@@ -97,8 +97,8 @@ def _machines_info(database) -> dict:
         ],
         # Traffic and dataset-cache counters share the fleet_stats table
         # but are reported in their own status sections, not among the
-        # fleet meters (``batch.*`` rows are what databases written while
-        # trial stacking existed still hold).
+        # fleet counters (``batch.*`` rows are what databases written
+        # while trial stacking existed still hold).
         "fleet": {
             key: value
             for key, value in stats.items()

@@ -45,14 +45,12 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import faults
 from ..artifacts import trial_key
 from ..core.model_server import (
     ModelTuningServer, RunState, _plain, failure_evaluation,
 )
 from ..core.results import TuningRunResult
 from ..errors import ServiceError, TuningError
-from ..telemetry.meters import FAILURES_SUBSTITUTED
 from ..search import ScheduledTrial
 from ..storage import TrialDatabase
 from ..storage.database import PRE_V9_INTERRUPTED
@@ -90,7 +88,6 @@ class SessionCoordinator:
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         poll_interval_s: float = COORDINATOR_POLL_S,
         pool: Optional[WorkerPool] = None,
-        meters: Optional[MeterRegistry] = None,
         trial_timeout_s: Optional[float] = None,
         heartbeat_interval_s: Optional[float] = None,
         shard: int = 0,
@@ -111,7 +108,7 @@ class SessionCoordinator:
         self.poll_interval_s = poll_interval_s
         self.queue = JobQueue(database)
         self.sessions = SessionStore(database)
-        self.meters = meters or MeterRegistry()
+        self.meters = MeterRegistry()
         self.trial_timeout_s = trial_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
         #: Fleet shard the session's jobs are routed to (0 = local).
@@ -237,7 +234,6 @@ class SessionCoordinator:
                 session_id=self.session_id,
                 result=result,
             )
-            self.meters.counter("advisor.indexed").inc()
         except Exception:  # pragma: no cover - best-effort enrichment
             pass
 
@@ -280,8 +276,6 @@ class SessionCoordinator:
             else:
                 fresh = [] if pending else server.next_wave(state)
             if fresh:
-                if barrier:
-                    self.meters.meter("wave.size").record(len(fresh))
                 self._issue(server, state, fresh, pending)
                 wave_started = time.time()
             if not pending:
@@ -307,8 +301,8 @@ class SessionCoordinator:
             pending.remove(trial)
             self._merge(server, state, trial, evaluation)
             if barrier and (state.stopped or not pending):
-                self.meters.meter("wave.latency_s").record(
-                    time.time() - wave_started
+                self.meters.record(
+                    "wave.latency_s", time.time() - wave_started
                 )
         # Target reached with work in flight: the serial driver would
         # never have issued it, so it is dropped unintegrated.
@@ -339,7 +333,7 @@ class SessionCoordinator:
                 state, trial, evaluation,
                 note=pickle.loads(logged.merge_note),
             )
-            self.meters.counter("trials.resumed").inc()
+            self.meters.count("trials.resumed")
             return
         with self.database.transaction():
             _, note = server.integrate(state, trial, evaluation)
@@ -347,7 +341,7 @@ class SessionCoordinator:
                 self.session_id, trial.trial_id, len(state.records),
                 pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL),
             )
-        self.meters.counter("trials.integrated").inc()
+        self.meters.count("trials.integrated")
 
     def _issue(
         self,
@@ -413,7 +407,7 @@ class SessionCoordinator:
                 if job_state != wanted:
                     continue
                 if job_state == FAILED:
-                    self.meters.counter(FAILURES_SUBSTITUTED).inc()
+                    self.meters.count("failures.substituted")
                     return trial, failure_evaluation(trial.trial_id, error)
                 blob = self.queue.results_for(
                     self.session_id, [trial.trial_id]
@@ -428,7 +422,7 @@ class SessionCoordinator:
         remote host) rings :attr:`results_bell` once a result row has
         committed; when nobody rings for a whole ``poll_interval_s`` —
         the fallback tick — the janitor duties run: respawn dead
-        workers, reclaim expired leases, sample the queue depth.
+        workers, reclaim expired leases.
         """
         if self._inline is not None:
             leased = self.queue.lease(
@@ -442,18 +436,13 @@ class SessionCoordinator:
         if self.results_bell.wait(self.poll_interval_s):
             return
         if self._pool is not None:
-            self.meters.counter("workers.respawned").inc(
-                self._pool.ensure_alive()
+            self.meters.count(
+                "workers.respawned", self._pool.ensure_alive()
             )
         reclaimed = self.queue.reclaim_expired()
         if reclaimed:
-            self.meters.counter("leases.reclaimed").inc(reclaimed)
+            self.meters.count("leases.reclaimed", reclaimed)
             self.jobs_bell.ring()
-        depths = self.queue.depths(self.session_id)
-        self.meters.gauge("queue.queued").set(depths["queued"])
-        self.meters.meter("queue.depth").record(
-            depths["queued"] + depths["leased"]
-        )
 
     # -- summaries -------------------------------------------------------------
     def _summarize(
@@ -483,17 +472,9 @@ class SessionCoordinator:
                     "cores": rec.measurement.cores,
                 },
             }
-        plan = faults.get_plan()
-        if plan is not None:
-            self.meters.counter("faults.injected").inc(plan.fired_total())
         artifact_cache: Optional[Dict[str, int]] = None
         if getattr(server, "artifacts", None) is not None:
             artifact_cache = server.artifacts.stats()
-            self.meters.gauge("artifacts.entries").set(
-                artifact_cache["entries"]
-            )
-            self.meters.gauge("artifacts.bytes").set(artifact_cache["bytes"])
-            self.meters.gauge("artifacts.hits").set(artifact_cache["hits"])
         return {
             "system": result.system,
             "workload": result.workload_id,

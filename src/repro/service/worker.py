@@ -143,7 +143,7 @@ class LocalJobs:
 
     def touch(self, counters: Dict[str, float]) -> bool:
         self.registry.heartbeat(self.owner)
-        self.registry.bump_all({
+        self.registry.database.bump_stats({
             f"dataset_cache.{key}": delta for key, delta in counters.items()
         })
         return True

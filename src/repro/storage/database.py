@@ -16,8 +16,11 @@ for tests.  Four tables:
   durable state (crash-safe resume replays them);
 * ``machines`` — the :mod:`repro.fleet` machine registry: worker hosts
   with capability tags and liveness heartbeats;
-* ``fleet_stats`` — crash-safe fleet counters (artifact federation hits,
-  janitor reclaims) readable from any process;
+* ``fleet_stats`` — the crash-safe event counters (hub, federation,
+  janitor, dataset cache, traffic replay, artifact quarantine) that any
+  process bumps and ``service status`` reads; only
+  :meth:`TrialDatabase.bump_stats` writes them and only
+  :meth:`TrialDatabase.stats` reads them;
 * ``hub_state`` — the fleet hub's persisted incarnation epoch (bumped on
   every hub start so stale pre-crash frames can be fenced).
 
@@ -36,7 +39,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .. import faults
 from ..errors import StorageError
@@ -476,11 +479,15 @@ class TrialDatabase:
         yet, so retrying it cannot double-apply the caller's writes.
         """
         with self._lock:
-            self._begin(immediate)
             try:
+                self._begin(immediate)
                 yield self._connection
             except BaseException:
-                self._connection.execute("ROLLBACK")
+                # Also when the interrupt (a pool worker's SIGTERM) lands
+                # just after BEGIN: a connection left inside the
+                # transaction would swallow every later write.
+                if self._connection.in_transaction:
+                    self._connection.execute("ROLLBACK")
                 raise
             else:
                 self._connection.execute("COMMIT")
@@ -604,6 +611,30 @@ class TrialDatabase:
         with self._lock:
             (count,) = self._connection.execute(query, args).fetchone()
         return int(count)
+
+    # -- event counters -------------------------------------------------------
+    def bump_stats(self, amounts: Mapping[str, float]) -> None:
+        """Add each non-zero amount to its ``fleet_stats`` counter, all
+        in one upsert statement (crash-safe from any process)."""
+        rows = [(key, float(amount)) for key, amount in amounts.items()
+                if amount]
+        if rows:
+            self.execute(
+                "INSERT INTO fleet_stats (key, value) VALUES "
+                + ", ".join(["(?, ?)"] * len(rows))
+                + " ON CONFLICT (key) DO UPDATE SET "
+                "value = value + excluded.value",
+                tuple(value for row in rows for value in row),
+            )
+
+    def stats(self, prefix: str = "") -> Dict[str, float]:
+        """The ``fleet_stats`` counters whose key starts with ``prefix``."""
+        rows = self.execute(
+            "SELECT key, value FROM fleet_stats "
+            "WHERE substr(key, 1, ?) = ? ORDER BY key",
+            (len(prefix), prefix),
+        ).fetchall()
+        return {key: float(value) for key, value in rows}
 
     # -- inference cache ------------------------------------------------------
     def store_inference(self, result: StoredInferenceResult) -> None:

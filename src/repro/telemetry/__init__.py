@@ -1,6 +1,6 @@
 """Measurement records, aggregation helpers, and service meters."""
 
-from .meters import Counter, Gauge, Meter, MeterRegistry
+from .meters import MeterRegistry
 from .metrics import (
     InferenceMeasurement,
     MetricSummary,
@@ -13,8 +13,5 @@ __all__ = [
     "InferenceMeasurement",
     "MetricSummary",
     "percent_error",
-    "Counter",
-    "Gauge",
-    "Meter",
     "MeterRegistry",
 ]

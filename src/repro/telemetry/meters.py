@@ -1,125 +1,57 @@
 """Lightweight operational meters for the tuning service.
 
 Distinct from :mod:`repro.telemetry.metrics` (simulated physical
-measurements): meters track *real* operational quantities — queue depth
-over time, jobs per worker, wave latencies — cheaply enough to sample in
-the coordinator's poll loop.
+measurements): meters track *real* operational quantities — wave
+latencies, per-frame request counts — cheaply enough to update on every
+frame and in the coordinator's poll loop.  Events that must survive a
+crash or be read from another process are counted in the database
+instead (:meth:`~repro.storage.TrialDatabase.bump_stats`).
 
-Thread safety: the advisor's TCP server mutates meters from its
-per-connection handler threads while the drain path snapshots them, so
-every mutation and read goes through a per-instrument lock (and the
-registry guards its name tables the same way).  The locks are plain
-``threading.Lock`` — uncontended acquisition is tens of nanoseconds,
-invisible next to the work being metered.
+Thread safety: a wire server's per-connection handler threads update
+meters while the drain path snapshots them, so every update and read
+holds the registry's one lock — a plain ``threading.Lock``, whose
+uncontended acquisition is tens of nanoseconds, invisible next to the
+work being metered.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .metrics import MetricSummary
 
-#: Canonical counter names for the failure-containment path, so the
-#: coordinator, CLI and tests agree on spelling.
-FAULTS_INJECTED = "faults.injected"
-FAILURES_SUBSTITUTED = "failures.substituted"
-FAILURES_DEAD_LETTERED = "failures.dead_lettered"
-FAILURES_TIMEOUTS = "failures.timeouts"
-
-
-@dataclass
-class Counter:
-    """Monotonic event count (jobs completed, retries, respawns)."""
-
-    name: str
-    value: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += int(amount)
-
-
-@dataclass
-class Gauge:
-    """Last-value-wins measurement (current queue depth, live workers)."""
-
-    name: str
-    value: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-
-@dataclass
-class Meter:
-    """A sampled series with summary statistics (kept fully in memory;
-    service sessions run at most a few thousand samples)."""
-
-    name: str
-    samples: List[float] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def record(self, value: float) -> None:
-        with self._lock:
-            self.samples.append(float(value))
-
-    def summary(self) -> Optional[MetricSummary]:
-        with self._lock:
-            if not self.samples:
-                return None
-            samples = list(self.samples)
-        return MetricSummary.of(samples)
-
 
 class MeterRegistry:
-    """Named meters for one coordinator run (safe to share across the
-    advisor server's handler threads)."""
+    """Named counts and sampled series for one server or coordinator run."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._meters: Dict[str, Meter] = {}
+        self._counts: Dict[str, int] = {}
+        self._samples: Dict[str, List[float]] = {}
 
-    def counter(self, name: str) -> Counter:
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the monotonic count ``name``."""
         with self._lock:
-            return self._counters.setdefault(name, Counter(name))
+            self._counts[name] = self._counts.get(name, 0) + int(amount)
 
-    def gauge(self, name: str) -> Gauge:
+    def record(self, name: str, value: float) -> None:
+        """Append one sample to the series ``name`` (kept in memory; a
+        session records at most a few thousand)."""
         with self._lock:
-            return self._gauges.setdefault(name, Gauge(name))
-
-    def meter(self, name: str) -> Meter:
-        with self._lock:
-            return self._meters.setdefault(name, Meter(name))
+            self._samples.setdefault(name, []).append(float(value))
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict dump (JSON-safe) for status output and session
-        result summaries."""
+        result summaries: a number per count, a summary per series."""
         with self._lock:
-            counters = sorted(self._counters.items())
-            gauges = sorted(self._gauges.items())
-            meters = sorted(self._meters.items())
-        out: Dict[str, Any] = {}
-        for name, counter in counters:
-            out[name] = counter.value
-        for name, gauge in gauges:
-            out[name] = gauge.value
-        for name, meter in meters:
-            summary = meter.summary()
-            if summary is None:
-                continue
+            out: Dict[str, Any] = dict(sorted(self._counts.items()))
+            series = sorted(
+                (name, list(samples))
+                for name, samples in self._samples.items()
+            )
+        for name, samples in series:
+            summary = MetricSummary.of(samples)
             out[name] = {
                 "count": summary.count,
                 "mean": summary.mean,

@@ -1,11 +1,11 @@
 """Persistent traffic counters for ``service status``.
 
 Replays executed while scoring deployment candidates (the SLO-aware
-inference objectives) record crash-safe aggregate counters into the
-``fleet_stats`` key-value table (migration v7) under a ``traffic.``
-prefix, so ``service status --json`` can report serving-load progress —
-requests replayed, SLO violations, shed/diverged replays — next to the
-fleet and cache meters, from any process, after any crash.
+inference objectives) add crash-safe aggregate counters to the storage
+layer's ``fleet_stats`` event counters under a ``traffic.`` prefix, so
+``service status --json`` can report serving-load progress — requests
+replayed, SLO violations, shed/diverged replays — next to the fleet and
+cache counters, from any process, after any crash.
 """
 
 from __future__ import annotations
@@ -15,19 +15,8 @@ from typing import Dict, Optional
 from ..storage import TrialDatabase
 from .replay import ReplayStats, SLOSpec
 
-#: Key prefix separating traffic counters from fleet counters inside the
-#: shared ``fleet_stats`` table.
+#: Key prefix separating traffic counters from the other event counters.
 PREFIX = "traffic."
-
-
-def _bump(database: TrialDatabase, key: str, amount: float) -> None:
-    if not amount:
-        return
-    database.execute(
-        "INSERT INTO fleet_stats (key, value) VALUES (?, ?) "
-        "ON CONFLICT (key) DO UPDATE SET value = value + excluded.value",
-        (PREFIX + key, float(amount)),
-    )
 
 
 def record_replay(
@@ -36,20 +25,24 @@ def record_replay(
     slo: Optional[SLOSpec] = None,
 ) -> None:
     """Fold one replay's outcome into the persistent counters."""
-    _bump(database, "replays", 1)
-    _bump(database, "requests_replayed", stats.requests)
-    _bump(database, "requests_shed", stats.shed)
-    _bump(database, "replays_diverged", 1 if stats.diverged else 0)
-    _bump(database, "storm_injected", stats.storm_injected)
+    amounts = {
+        "replays": 1,
+        "requests_replayed": stats.requests,
+        "requests_shed": stats.shed,
+        "replays_diverged": 1 if stats.diverged else 0,
+        "storm_injected": stats.storm_injected,
+    }
     if slo is not None:
         for name, count in slo.violations(stats).items():
-            _bump(database, f"slo_violations.{name}", count)
+            amounts[f"slo_violations.{name}"] = count
+    database.bump_stats(
+        {PREFIX + key: amount for key, amount in amounts.items()}
+    )
 
 
 def traffic_stats(database: TrialDatabase) -> Dict[str, float]:
     """All ``traffic.*`` counters, with the prefix stripped."""
-    rows = database.execute(
-        "SELECT key, value FROM fleet_stats WHERE key LIKE ? ORDER BY key",
-        (PREFIX + "%",),
-    ).fetchall()
-    return {key[len(PREFIX):]: float(value) for key, value in rows}
+    return {
+        key[len(PREFIX):]: value
+        for key, value in database.stats(PREFIX).items()
+    }

@@ -245,10 +245,9 @@ class FrameServer(socketserver.ThreadingTCPServer):
         port: int,
         rate_limit: Optional[float] = None,
         burst: Optional[int] = None,
-        meters: Optional[MeterRegistry] = None,
     ):
         super().__init__((host, port), _FrameHandler)
-        self.meters = meters or MeterRegistry()
+        self.meters = MeterRegistry()
         self.limiter = TokenBucket(rate_limit, burst) if rate_limit else None
         self.draining = False
         #: Frames currently being answered (drain waits for zero).
@@ -265,7 +264,7 @@ class FrameServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     def _count(self, name: str) -> None:
-        self.meters.counter(f"{self.meter_prefix}.{name}").inc()
+        self.meters.count(f"{self.meter_prefix}.{name}")
 
     # -- request dispatch ----------------------------------------------------
     def handle_line(
@@ -303,8 +302,8 @@ class FrameServer(socketserver.ThreadingTCPServer):
             response = error_frame(
                 f"internal error: {type(error).__name__}: {error}"
             )
-        self.meters.meter(f"{self.meter_prefix}.latency_s").record(
-            time.perf_counter() - started
+        self.meters.record(
+            f"{self.meter_prefix}.latency_s", time.perf_counter() - started
         )
         return response
 

@@ -670,7 +670,6 @@ class TestDatasetCacheMeters:
         import threading
 
         from repro.core import model_server
-        from repro.fleet.registry import MachineRegistry
         from repro.service.worker import TrialWorker
 
         path = str(tmp_path / "w.sqlite")
@@ -701,7 +700,7 @@ class TestDatasetCacheMeters:
         assert not any(thread.is_alive() for thread in threads)
         worker.close()
         with TrialDatabase(path) as database:
-            stats = MachineRegistry(database).stats()
+            stats = database.stats()
         assert stats["dataset_cache.hits"] == loads
 
 

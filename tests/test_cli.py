@@ -239,6 +239,57 @@ class TestServiceCli:
         assert service_main(["resume", session_id, "--db", db]) == 0
         assert capsys.readouterr().out == reference
 
+    def test_status_sections_of_each_counter_writer(self, tmp_path, capsys):
+        """One event-counter row from each writer lands in its own
+        ``status --json`` section; rows left by trial stacking (``batch.*``)
+        land in none."""
+        import json
+        from types import SimpleNamespace
+
+        from repro.artifacts import ArtifactStore
+        from repro.fleet.server import FleetServer
+        from repro.service import SessionSpec, SessionStore
+        from repro.service.__main__ import main as service_main
+        from repro.service.doorbell import Doorbell
+        from repro.service.worker import LocalJobs
+        from repro.storage import TrialDatabase
+        from repro.traffic import record_replay
+
+        db = str(tmp_path / "svc.sqlite")
+        with TrialDatabase(db) as database:
+            session_id = SessionStore(database).create(
+                SessionSpec(workload="IC", samples=160, max_trials=4)
+            )
+            for _ in range(2):  # the second start counts a hub restart
+                FleetServer(database).server_close()
+            ArtifactStore(database).quarantine("deadbeef", reason="test")
+            record_replay(database, SimpleNamespace(
+                requests=40, shed=3, diverged=False, storm_injected=0,
+            ))
+            LocalJobs(database, "w0", 5.0, Doorbell()).touch(
+                {"hits": 2, "misses": 1, "evictions": 0}
+            )
+            database.execute(
+                "INSERT INTO fleet_stats (key, value) VALUES (?, ?)",
+                ("batch.stacked_trials", 8.0),
+            )
+
+        assert service_main(["status", "--db", db, "--json",
+                             session_id]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["fleet"] == {
+            "artifacts.quarantined": 1.0, "hub.restarts": 1.0,
+        }
+        assert status["dataset_cache"] == {
+            "hits": 2.0, "misses": 1.0, "evictions": 0.0,
+        }
+        assert status["artifact_cache"]["quarantined"] == 1
+        traffic = status["traffic"]
+        assert (traffic["replays"], traffic["requests_replayed"],
+                traffic["requests_shed"]) == (1.0, 40.0, 3.0)
+        assert traffic["slo_violations"] == {}
+        assert "batch" not in json.dumps(status)
+
     def test_status_plain_text_unchanged(self, tmp_path, capsys):
         from repro.service.__main__ import main as service_main
 

@@ -107,10 +107,10 @@ class TestWorkerCrashChaos:
                 assert queue.dead_letter_count(session_id) == 0
                 # Crashes really happened: leases were reclaimed and/or
                 # dead workers respawned.
-                meters = coordinator.meters
+                meters = coordinator.meters.snapshot()
                 assert (
-                    meters.counter("leases.reclaimed").value > 0
-                    or meters.counter("workers.respawned").value > 0
+                    meters.get("leases.reclaimed", 0) > 0
+                    or meters.get("workers.respawned", 0) > 0
                 )
         finally:
             faults.reset()
@@ -156,9 +156,9 @@ class TestPoisonQuarantine:
         assert letters  # at 0.4 over every attempt, some trials poison
         assert record.result["dead_letter"] == len(letters)
         assert record.result["failed_trials"] >= len(letters)
-        assert coordinator.meters.counter(
+        assert coordinator.meters.snapshot()[
             "failures.substituted"
-        ).value == len(letters)
+        ] == len(letters)
         poisoned_ids = {letter.trial_id for letter in letters}
         for trial in result.trials:
             if trial.trial_id in poisoned_ids:

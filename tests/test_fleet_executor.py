@@ -91,7 +91,7 @@ class TestDatasetCacheCounters:
                 model_server._DATASET_CACHE_COUNTERS["hits"] += 2
                 host.close()
                 host.close()  # nothing left to flush
-                stats = server.registry.stats()
+                stats = server.database.stats()
             finally:
                 server.initiate_drain()
                 thread.join(timeout=5.0)

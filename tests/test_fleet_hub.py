@@ -79,7 +79,7 @@ class TestHubEpoch:
         assert second.epoch == 2
         assert HubState(database).current_epoch() == 2
         # The first boot is not a "restart"; every one after is.
-        assert second.registry.stats().get("hub.restarts") == 1.0
+        assert second.database.stats().get("hub.restarts") == 1.0
         second.server_close()
 
     def test_register_and_status_expose_epoch(self, database):
@@ -133,7 +133,7 @@ class TestFencing:
             # Nothing mutated: the job is still leased, unfinished.
             stored = hub.queue.get("sess", 1)
             assert stored.state == LEASED and stored.result is None
-            assert hub.registry.stats()["hub.fenced_frames"] == 4.0
+            assert hub.database.stats()["hub.fenced_frames"] == 4.0
         finally:
             hub.server_close()
 
@@ -226,7 +226,7 @@ class TestFencing:
             assert stored.result == b"bits"  # the first write won
             assert hub.registry.get("m1").jobs_done == 1  # not re-counted
             assert (
-                hub.registry.stats()["hub.replayed_completions"] == 1.0
+                hub.database.stats()["hub.replayed_completions"] == 1.0
             )
         finally:
             hub.server_close()

@@ -381,8 +381,14 @@ class TestFleet:
         assert warm_fingerprint(result) == warm_fingerprint(first)
         assert SessionStore(database).get(second).state == S_DONE
         assert {m.id: m.jobs_done for m in hub.registry.list()} == machines
-        assert hub.meters.counter("fleet.leases").value == 0
-        assert hub.meters.counter("fleet.completions").value == 0
+        # No job was leased (a lease bumps attempts; a memo settle is
+        # one attempt by the memo owner) and none was completed by a host
+        # (``jobs_done`` is unchanged above).
+        assert database.execute(
+            "SELECT COALESCE(SUM(attempts), 0) FROM jobs "
+            "WHERE session_id = ? AND lease_owner IS NOT ?",
+            (second, MEMO_OWNER),
+        ).fetchone() == (0,)
         assert JobQueue(database).depths(second)[QUEUED] == 0
 
     def test_host_counts_one_hit_per_memoized_trial(self, hub, cold):
@@ -434,9 +440,9 @@ class TestFleet:
             assert host.hub.federation_hits == 1
             assert host.artifacts.get(key) == payload
             assert host.artifacts.load_result(key) == job.result
-            assert hub.registry.stats()["federation.hits"] == 1
+            assert hub.database.stats()["federation.hits"] == 1
             # A key nobody holds: a miss, counted on the hub.
             assert host._prefetch(task, "0" * 40) is False
-            assert hub.registry.stats()["federation.misses"] == 1
+            assert hub.database.stats()["federation.misses"] == 1
         finally:
             host.close()

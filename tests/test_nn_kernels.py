@@ -413,35 +413,38 @@ class TestMeterThreadSafety:
 
         def work():
             for _ in range(self.ITERATIONS):
-                registry.counter("jobs").inc()
+                registry.count("jobs")
 
         self._hammer(work)
-        assert registry.counter("jobs").value == self.THREADS * self.ITERATIONS
+        assert registry.snapshot()["jobs"] == self.THREADS * self.ITERATIONS
 
     def test_concurrent_meter_records_are_not_lost(self):
         registry = MeterRegistry()
 
         def work():
             for value in range(self.ITERATIONS):
-                registry.meter("latency").record(float(value))
+                registry.record("latency", float(value))
 
         self._hammer(work)
-        summary = registry.meter("latency").summary()
-        assert summary is not None
-        assert summary.count == self.THREADS * self.ITERATIONS
+        summary = registry.snapshot()["latency"]
+        assert summary["count"] == self.THREADS * self.ITERATIONS
+        assert (summary["min"], summary["max"]) == (0.0, self.ITERATIONS - 1)
 
     def test_registry_returns_one_instrument_per_name_under_races(self):
+        """Threads racing to create a name share one entry: every first
+        use lands in it."""
         registry = MeterRegistry()
-        seen = []
-        lock = threading.Lock()
+        start = threading.Barrier(self.THREADS)
 
         def work():
-            counter = registry.counter("shared")
-            with lock:
-                seen.append(counter)
+            start.wait()
+            registry.count("shared")
+            registry.record("shared_s", 1.0)
 
         self._hammer(work)
-        assert all(counter is seen[0] for counter in seen)
+        snapshot = registry.snapshot()
+        assert snapshot["shared"] == self.THREADS
+        assert snapshot["shared_s"]["count"] == self.THREADS
 
     def test_snapshot_while_recording_does_not_crash(self):
         registry = MeterRegistry()
@@ -449,8 +452,8 @@ class TestMeterThreadSafety:
 
         def record():
             while not stop.is_set():
-                registry.meter("wave").record(1.0)
-                registry.counter("ticks").inc()
+                registry.record("wave", 1.0)
+                registry.count("ticks")
 
         recorder = threading.Thread(target=record)
         recorder.start()

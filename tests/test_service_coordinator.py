@@ -144,7 +144,7 @@ class TestCrashResume:
         assert fingerprint(resumed) == fingerprint(reference)
         assert store.get(session_id).state == S_DONE
         # The 9 noted merges were replayed, not re-run.
-        assert coordinator.meters.counter("trials.resumed").value == 9
+        assert coordinator.meters.snapshot()["trials.resumed"] == 9
         done_after = {
             job.trial_id: (job.attempts, job.finished_at)
             for job in queue.jobs_for(session_id, DONE)

@@ -114,6 +114,62 @@ class TestPersistence:
         assert db.trial_count() == 100
 
 
+    def test_interrupt_just_after_begin_leaves_no_open_transaction(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool worker's SIGTERM can land right after ``BEGIN`` returns
+        (its lease waiting out a sibling's write lock).  The connection
+        must not stay inside that transaction: the worker's last counter
+        write, on the way out, would be rolled back with it."""
+        path = os.path.join(tmp_path, "trials.sqlite")
+        db = TrialDatabase(path)
+        begin = db._begin
+
+        def interrupted(immediate):
+            begin(immediate)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(db, "_begin", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            with db.transaction():
+                pass
+        assert not db._connection.in_transaction
+        db.bump_stats({"dataset_cache.hits": 2})
+        db.close()
+        with TrialDatabase(path) as reader:
+            assert reader.stats() == {"dataset_cache.hits": 2.0}
+
+
+class TestEventCounters:
+    def test_one_statement_per_bump_with_zero_amounts_dropped(
+        self, monkeypatch
+    ):
+        db = TrialDatabase()
+        statements = []
+        execute = db.execute
+        monkeypatch.setattr(
+            db, "execute",
+            lambda sql, args=(): statements.append(sql) or execute(sql, args),
+        )
+        db.bump_stats({"traffic.replays": 1, "traffic.requests_shed": 0,
+                       "traffic.requests_replayed": 40})
+        db.bump_stats({"traffic.replays": 1})
+        db.bump_stats({"leases.drained": 0})
+        assert len(statements) == 2
+        assert db.stats() == {
+            "traffic.replays": 2.0, "traffic.requests_replayed": 40.0,
+        }
+
+    def test_prefix_is_literal(self):
+        """``_`` and ``%`` in a prefix are characters, not wildcards."""
+        db = TrialDatabase()
+        db.bump_stats({"dataset_cache.hits": 1, "datasetXcache.hits": 5,
+                       "dataset_cache": 7})
+        assert db.stats("dataset_cache.") == {"dataset_cache.hits": 1.0}
+        assert db.stats("") == db.stats()
+        assert len(db.stats()) == 3
+
+
 def recommendation(workload="IC", device="armv7", objective="runtime",
                    target=0.8, system="edgetune", accuracy=0.82):
     from repro.storage import StoredRecommendation
