@@ -1,8 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one paper table/figure, saves the rendered
-rows under ``benchmarks/results/`` and asserts the paper's qualitative
-claims about the shape of the data.
+rows and asserts the paper's qualitative claims about the shape of the
+data.  The rows go to a temporary directory, so a run leaves the
+committed tables alone; ``--out DIR`` saves them under ``DIR`` instead
+(``--out benchmarks/results`` regenerates the committed ones).
 
 Environment knobs:
 
@@ -18,8 +20,6 @@ import pytest
 
 from repro.experiments import ExperimentContext, render_table, save_table
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
 # The numpy engine occasionally overflows on deliberately-diverging
 # configurations (e.g. huge learning rates the tuner must learn to avoid);
 # that is expected behaviour, not noise worth surfacing per-benchmark.
@@ -27,6 +27,14 @@ warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 
 _CAPTURE_MANAGER = None
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--out", metavar="DIR", default=None,
+        help="save the rendered tables under DIR (default: a temporary "
+             "directory)",
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -49,9 +57,12 @@ def ctx() -> ExperimentContext:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request, tmp_path_factory) -> str:
+    out = request.config.getoption("--out")
+    if out is None:
+        return str(tmp_path_factory.mktemp("results"))
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def run_experiment(benchmark, experiment, ctx, results_dir):

@@ -38,6 +38,7 @@ the historical serial semantics.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
@@ -50,6 +51,7 @@ from ..datasets.base import Dataset
 from ..errors import TuningError
 from ..hardware import Emulator, get_device
 from ..nn import train_model
+from ..nn.models import get_model_family
 from ..objectives import WORST_SCORE, RatioObjective, TuningObjective
 from ..rng import SeedLike, derive_seed, ensure_seed
 from ..search import ScheduledTrial, TrialReport, build_scheduler
@@ -57,7 +59,7 @@ from ..sim.pool import GpuPool
 from ..space import ParameterSpace
 from ..storage import TrialDatabase
 from ..telemetry import TrainingMeasurement
-from ..workloads import Workload, get_workload
+from ..workloads import WORKLOADS, Workload, get_workload
 from .inference_server import InferenceTuningServer, architecture_key_of
 from .results import InferenceRecommendation, TrialRecord, TuningRunResult
 
@@ -189,11 +191,12 @@ def failure_evaluation(trial_id: int, error: Optional[str]) -> TrialEvaluation:
     )
 
 
-#: Dataset memo: (workload_id, seed, samples) -> (train, eval).  Worker
-#: processes evaluate many tasks of the same session back to back, and
-#: rebuilding the synthetic dataset dominated small-trial latency.  FIFO
-#: capped — a worker serving interleaved sessions holds at most this many
-#: materialised datasets.
+#: Dataset memo: (workload_id, seed, samples) -> (train, eval), one per
+#: process.  A coordinator's :meth:`ModelTuningServer.prepare` and a
+#: worker's trials look a session's datasets up here, so a long-lived
+#: process (a hub running session after session, a worker serving many
+#: jobs, a benchmark tuning in a loop) builds each synthetic dataset
+#: once.  FIFO capped: at most this many materialised datasets are held.
 _DATASET_CACHE: Dict[Tuple[str, int, Optional[int]], Tuple[Dataset, Dataset]] = {}
 
 
@@ -224,19 +227,21 @@ def dataset_cache_stats() -> Dict[str, int]:
     return stats
 
 
-def load_task_datasets(task: TrialTask) -> Tuple[Dataset, Dataset]:
-    """(train, eval) splits for a task — identical to the serial path.
+def load_datasets(
+    workload_id: str, seed: int, samples: Optional[int]
+) -> Tuple[Dataset, Dataset]:
+    """(train, eval) splits of a registry workload, through the memo.
 
-    Memoized per process: datasets are immutable after construction and
-    fully determined by ``(workload_id, seed, samples)``, so sharing one
-    instance across a worker's jobs cannot change results.
+    Datasets are immutable after construction and fully determined by
+    ``(workload_id, seed, samples)``, so sharing one instance across the
+    process cannot change results.
     """
-    cache_key = (task.workload_id, task.seed, task.samples)
+    cache_key = (workload_id, seed, samples)
     cached = _DATASET_CACHE.get(cache_key)
     if cached is None:
         _DATASET_CACHE_COUNTERS["misses"] += 1
-        workload = get_workload(task.workload_id)
-        cached = workload.load(seed=task.seed, samples=task.samples)
+        workload = get_workload(workload_id)
+        cached = workload.load(seed=seed, samples=samples)
         while len(_DATASET_CACHE) >= _dataset_cache_max():
             _DATASET_CACHE.pop(next(iter(_DATASET_CACHE)))
             _DATASET_CACHE_COUNTERS["evictions"] += 1
@@ -244,6 +249,35 @@ def load_task_datasets(task: TrialTask) -> Tuple[Dataset, Dataset]:
     else:
         _DATASET_CACHE_COUNTERS["hits"] += 1
     return cached
+
+
+def load_task_datasets(task: TrialTask) -> Tuple[Dataset, Dataset]:
+    """(train, eval) splits for a task — identical to the serial path."""
+    return load_datasets(task.workload_id, task.seed, task.samples)
+
+
+#: Probe sizing memo: (family, sample shape, classes, model values) ->
+#: (FLOPs per sample, parameter count).  Both depend on the architecture
+#: alone, not on the probe's initialisation seed, so every session in the
+#: process shares them.  Bounded because a continuous model parameter
+#: (OD's ``dropout``) makes nearly every trial a new key.
+SIZING_CACHE_MAX = 256
+
+
+@functools.lru_cache(maxsize=SIZING_CACHE_MAX)
+def architecture_size(
+    family_name: str,
+    sample_shape: Tuple[int, ...],
+    num_classes: int,
+    model_values: Tuple[Tuple[str, Any], ...],
+) -> Tuple[int, int]:
+    """(FLOPs per sample, parameter count) of a randomly-initialised probe
+    model (Algorithm 1's ``model.random_init()``)."""
+    probe = get_model_family(family_name).instantiate(
+        sample_shape, num_classes, dict(model_values), seed=0
+    )
+    flops, _ = probe.flops(sample_shape)
+    return int(flops), probe.parameter_count()
 
 
 def evaluate_trial(
@@ -479,7 +513,6 @@ class ModelTuningServer:
             self.artifacts = ArtifactStore(self.database)
         else:
             self.artifacts = None
-        self._sizing_cache: Dict[tuple, Tuple[int, int]] = {}
 
     def enable_checkpoint_reuse(self) -> None:
         """Turn on warm-resume after construction (CLI flag plumbing)."""
@@ -494,36 +527,33 @@ class ModelTuningServer:
 
     # -- architecture sizing ---------------------------------------------------
     def _architecture_key(self, configuration, train_set):
-        """(cache key, flops/sample, params) for a configuration.
-
-        Builds a randomly-initialised probe model per distinct set of
-        model-kind hyperparameters (Algorithm 1's ``model.random_init()``)
-        and memoises the sizing so repeated structures cost nothing.
-        """
-        model_values = tuple(
-            sorted(configuration.subset(["model"]).items())
+        """(cache key, flops/sample, params) for a configuration, sized by
+        the process-wide :func:`architecture_size` memo."""
+        family = self.workload.family.name
+        flops, params = architecture_size(
+            family,
+            train_set.sample_shape,
+            train_set.num_classes,
+            tuple(sorted(configuration.subset(["model"]).items())),
         )
-        cached = self._sizing_cache.get(model_values)
-        if cached is None:
-            probe = self.workload.family.instantiate(
-                train_set.sample_shape,
-                train_set.num_classes,
-                configuration.to_dict(),
-                seed=derive_seed(self.seed, "probe", repr(model_values)),
-            )
-            flops, _ = probe.flops(train_set.sample_shape)
-            cached = (int(flops), probe.parameter_count())
-            self._sizing_cache[model_values] = cached
-        flops, params = cached
-        key = architecture_key_of(self.workload.family.name, flops, params)
+        key = architecture_key_of(family, flops, params)
         return key, flops, params
 
     # -- stepwise engine ----------------------------------------------------
     def prepare(self) -> RunState:
-        """Load data, build the scheduler, and return a fresh run state."""
-        train_set, eval_set = self.workload.load(
-            seed=self.seed, samples=self.samples
-        )
+        """Load data, build the scheduler, and return a fresh run state.
+
+        A registry workload's datasets come from the process's memo; a
+        custom :class:`Workload` object builds its own.
+        """
+        if WORKLOADS.get(self.workload.workload_id) is self.workload:
+            train_set, eval_set = load_datasets(
+                self.workload.workload_id, self.seed, self.samples
+            )
+        else:
+            train_set, eval_set = self.workload.load(
+                seed=self.seed, samples=self.samples
+            )
         space = self.workload.training_space(
             include_system=self.include_system_parameters
         )

@@ -36,7 +36,16 @@ MIN_BANDWIDTH = 0.08
 
 
 class ParzenEstimator:
-    """Product of 1-D Gaussian mixture densities over the unit cube."""
+    """Product of 1-D Gaussian mixture densities over the unit cube.
+
+    Draw-order contract: :meth:`sample_many` makes each candidate's
+    ``rng.integers`` + ``rng.normal(0.0, bandwidths)`` draws in candidate
+    order, exactly as that many :meth:`sample` calls would, so batching
+    leaves the generator stream (and every later suggestion) untouched.
+    Only the arithmetic on the drawn values is batched; it is elementwise
+    or a reduction along the same axis, so each row equals the one-row
+    result bit for bit (``tests/tpe_oracle.py`` holds the scalar code).
+    """
 
     def __init__(self, points: np.ndarray):
         if points.ndim != 2 or len(points) == 0:
@@ -47,27 +56,41 @@ class ParzenEstimator:
         spread = points.std(axis=0)
         scott = spread * count ** (-1.0 / (dims + 4))
         self.bandwidths = np.maximum(scott, MIN_BANDWIDTH)
+        self._log_norm = np.log(self.bandwidths).sum()
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw ``count`` points as a ``(count, d)`` array: pick a kernel,
+        perturb, reflect into [0, 1]."""
+        indices = np.empty(count, dtype=np.intp)
+        noise = np.empty((count, self.points.shape[1]))
+        for row in range(count):
+            indices[row] = rng.integers(len(self.points))
+            noise[row] = rng.normal(0.0, self.bandwidths)
+        draws = self.points[indices] + noise
+        # Reflect at the boundaries to keep the proposal inside the cube.
+        draws = np.abs(draws)
+        draws = 1.0 - np.abs(1.0 - draws)
+        return np.clip(draws, 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one point: pick a kernel, perturb, reflect into [0, 1]."""
-        index = int(rng.integers(len(self.points)))
-        draw = self.points[index] + rng.normal(0.0, self.bandwidths)
-        # Reflect at the boundaries to keep the proposal inside the cube.
-        draw = np.abs(draw)
-        draw = 1.0 - np.abs(1.0 - draw)
-        return np.clip(draw, 0.0, 1.0)
+        """Draw one point (:meth:`sample_many` of one)."""
+        return self.sample_many(rng, 1)[0]
+
+    def log_densities(self, xs: np.ndarray) -> np.ndarray:
+        """Log of the mixture density at each row of ``xs`` (up to the same
+        constant for every estimator of equal dimension, which ratios
+        cancel): every row against every kernel as one
+        ``(count, n, d)`` array."""
+        z = (xs[:, None, :] - self.points[None, :, :]) / self.bandwidths
+        per_kernel = -0.5 * (z**2).sum(axis=2) - self._log_norm
+        peaks = per_kernel.max(axis=1)
+        means = np.exp(per_kernel - peaks[:, None]).mean(axis=1)
+        # math.log, not np.log: the scalar code's rounding, row by row.
+        return peaks + np.array([math.log(mean) for mean in means])
 
     def log_density(self, x: np.ndarray) -> float:
-        """Log of the mixture density at ``x`` (up to the same constant for
-        every estimator of equal dimension, which ratios cancel)."""
-        z = (x[None, :] - self.points) / self.bandwidths[None, :]
-        per_kernel = -0.5 * (z**2).sum(axis=1) - np.log(
-            self.bandwidths
-        ).sum()
-        peak = per_kernel.max()
-        return float(
-            peak + math.log(np.exp(per_kernel - peak).mean())
-        )
+        """:meth:`log_densities` of the single point ``x``."""
+        return float(self.log_densities(x[None, :])[0])
 
 
 class TPESampler(Searcher):
@@ -131,13 +154,13 @@ class TPESampler(Searcher):
         good, bad = self._split()
         good_kde = ParzenEstimator(good)
         bad_kde = ParzenEstimator(bad)
+        candidates = good_kde.sample_many(self._rng, self.candidates)
+        ratios = good_kde.log_densities(candidates) - bad_kde.log_densities(
+            candidates
+        )
         best_vector: Optional[np.ndarray] = None
         best_ratio = -math.inf
-        for _ in range(self.candidates):
-            candidate = good_kde.sample(self._rng)
-            ratio = good_kde.log_density(candidate) - bad_kde.log_density(
-                candidate
-            )
+        for candidate, ratio in zip(candidates, ratios):
             if ratio > best_ratio:
                 best_ratio = ratio
                 best_vector = candidate

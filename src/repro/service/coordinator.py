@@ -170,13 +170,6 @@ class SessionCoordinator:
                 ).start()
                 self.jobs_bell = self._pool.jobs_bell
                 self.results_bell = self._pool.results_bell
-            elif self.workers == 0 and not self.remote:
-                self._inline = TrialWorker(
-                    database=self.database,
-                    worker_id="inline",
-                    lease_ttl_s=self.lease_ttl_s,
-                    trial_timeout_s=self.trial_timeout_s,
-                )
             result = self._run(server, record)
         except Exception:
             self.sessions.fail(
@@ -201,6 +194,15 @@ class SessionCoordinator:
                 upto=self.sessions.history_watermark(self.session_id),
             )
         state = server.prepare()
+        if self.workers == 0 and not self.remote:
+            # Started after prepare(): a worker publishes the dataset-memo
+            # lookups of its own trials, not the coordinator's.
+            self._inline = TrialWorker(
+                database=self.database,
+                worker_id="inline",
+                lease_ttl_s=self.lease_ttl_s,
+                trial_timeout_s=self.trial_timeout_s,
+            )
         self._log = self.queue.merge_log(self.session_id)
         self.sessions.set_state(self.session_id, "running")
 

@@ -1,10 +1,12 @@
 """Integration tests for the Model Tuning Server and the EdgeTune facade."""
 
+import dataclasses
+
 import pytest
 
 from repro import EdgeTune
 from repro.budgets import DatasetBudget, MultiBudget
-from repro.core import InferenceTuningServer, ModelTuningServer
+from repro.core import InferenceTuningServer, ModelTuningServer, model_server
 from repro.hardware import Emulator
 from repro.objectives import AccuracyObjective, RatioObjective
 from repro.storage import TrialDatabase
@@ -157,3 +159,46 @@ class TestEdgeTuneFacade:
         result = self.run_edgetune()
         assert result.stall_s >= 0.0
         assert all(record.stall_s >= 0.0 for record in result.trials)
+
+
+class TestProcessMemos:
+    def test_sizing_memo_is_bounded(self):
+        """OD's continuous ``dropout`` makes every trial a new sizing key:
+        500 of them leave the process-wide memo at its cap, and each size
+        still equals a freshly built probe's (the memo drops no key
+        component the size depends on)."""
+        model_server.architecture_size.cache_clear()
+        train_set, _ = get_workload("OD").load(seed=3, samples=40)
+        shape, classes = train_set.sample_shape, train_set.num_classes
+        family = get_workload("OD").family
+        for index in range(500):
+            model_server.architecture_size(
+                family.name, shape, classes, (("dropout", index / 1000),)
+            )
+        info = model_server.architecture_size.cache_info()
+        assert info.currsize == info.maxsize == model_server.SIZING_CACHE_MAX
+        assert info.misses == 500
+        for dropout in (0.0, 0.137, 0.499):
+            probe = family.instantiate(
+                shape, classes, {"dropout": dropout}, seed=11
+            )
+            size = model_server.architecture_size(
+                family.name, shape, classes, (("dropout", dropout),)
+            )
+            assert size == (int(probe.flops(shape)[0]),
+                            probe.parameter_count())
+
+    def test_prepare_shares_registry_datasets(self):
+        """Two servers of one registry workload and seed share the
+        process's datasets, and each lookup counts in the memo's meters;
+        a custom workload object builds its own."""
+        first = make_server(seed=5).prepare()
+        before = model_server.dataset_cache_stats()
+        second = make_server(seed=5).prepare()
+        assert model_server.dataset_cache_stats()["hits"] == before["hits"] + 1
+        assert first.train_set is second.train_set
+        assert first.eval_set is second.eval_set
+        custom = dataclasses.replace(get_workload("IC"))
+        own = make_server(seed=5, workload=custom).prepare()
+        assert own.train_set is not first.train_set
+        assert (own.train_set.features == first.train_set.features).all()

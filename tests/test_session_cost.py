@@ -18,24 +18,31 @@ now memoized — and counts, for each run:
   ``store_trial`` of a cold trial);
 * ``leases`` — ``JobQueue.lease`` calls;
 * ``trainings`` — ``train_model`` calls;
-* ``steps`` — ``SGD.step`` + ``Adam.step`` calls.
+* ``steps`` — ``SGD.step`` + ``Adam.step`` calls;
+* ``loads`` — ``Workload.load`` calls (synthetic datasets built);
+* ``instantiations`` — ``ModelFamily.instantiate`` calls (models built,
+  sizing probes included).
 
 The two memoized runs must count identically (the path has no timing in
 it: nothing is queued, so the coordinator never waits), and at *equal or
-lower* than the pins.  A change that sends a memoized trial back through
-the queue, re-reads its artifact, or commits per trial instead of per
-wave fails here in about a second, on any machine.  The cold run has
-its own pins: one more statement, commit or optimizer step per trial
-shows there.
+lower* than the pins.  All three share one process, as sessions on a
+long-lived hub do: a memoized run rebuilds no dataset and no probe
+model, because the process-wide memos already hold them.  A change that
+sends a memoized trial back through the queue, re-reads its artifact,
+or commits per trial instead of per wave fails here in about a second,
+on any machine.  The cold run has its own pins: one more statement,
+commit or optimizer step per trial shows there.
 """
 
 import repro.core.model_server as model_server
 from repro.artifacts import ArtifactStore
+from repro.nn.models import ModelFamily
 from repro.nn.optimizers import SGD, Adam
 from repro.service import (
     JobQueue, SessionCoordinator, SessionSpec, SessionStore,
 )
 from repro.storage import TrialDatabase
+from repro.workloads import Workload
 
 SPEC = dict(workload="NLP", device="armv7", seed=7, samples=400)
 
@@ -62,12 +69,16 @@ PINS = {
     "leases": 0,
     "trainings": 0,
     "steps": 0,
+    "loads": 0,
+    "instantiations": 0,
 }
 
 #: The cold run, measured with the same counters: every trial leased
 #: (77) and trained, 3,416 optimizer steps in all, 1,043,168 payload
 #: bytes published to the artifact store (was 1,201 statements / 421
-#: commits with the snapshots).  Same rule as above.
+#: commits with the snapshots).  One dataset build: the coordinator's
+#: ``prepare`` and the inline worker's trials share the process memo
+#: (two builds before they did).  Same rule as above.
 COLD_PINS = {
     "statements": 1186,
     "commits": 406,
@@ -75,6 +86,7 @@ COLD_PINS = {
     "checkpoint_bytes": 0,
     "stored_bytes": 1043168,
     "steps": 3416,
+    "loads": 1,
 }
 
 
@@ -116,13 +128,11 @@ def counting(monkeypatch, owner, name, counts, key, size_of=None):
 def run_counted(database, monkeypatch):
     counts = {
         "checkpoints": 0, "checkpoint_bytes": 0, "stored_bytes": 0,
-        "leases": 0, "trainings": 0, "steps": 0,
+        "leases": 0, "trainings": 0, "steps": 0, "loads": 0,
+        "instantiations": 0,
     }
     sql = SqlCounter()
     with monkeypatch.context() as patch:
-        # An empty dataset memo, whatever ran before in this process: an
-        # eviction would add a counter write when the inline worker closes.
-        patch.setattr(model_server, "_DATASET_CACHE", {})
         counting(patch, SessionStore, "save_checkpoint", counts, "checkpoints")
         counting(patch, SessionStore, "save_checkpoint", counts,
                  "checkpoint_bytes", lambda store, sid, blob: len(blob))
@@ -132,6 +142,8 @@ def run_counted(database, monkeypatch):
         counting(patch, model_server, "train_model", counts, "trainings")
         counting(patch, SGD, "step", counts, "steps")
         counting(patch, Adam, "step", counts, "steps")
+        counting(patch, Workload, "load", counts, "loads")
+        counting(patch, ModelFamily, "instantiate", counts, "instantiations")
         session_id = SessionStore(database).create(SessionSpec(**SPEC))
         database._connection.set_trace_callback(sql)
         try:
@@ -145,6 +157,9 @@ def run_counted(database, monkeypatch):
 
 
 def test_memoized_session_costs_what_is_pinned(tmp_path, monkeypatch):
+    # Empty process memos, whatever ran before in this process.
+    monkeypatch.setattr(model_server, "_DATASET_CACHE", {})
+    model_server.architecture_size.cache_clear()
     with TrialDatabase(str(tmp_path / "svc.sqlite")) as database:
         cold, trials = run_counted(database, monkeypatch)
         assert cold["trainings"] == cold["leases"] == trials == 77
