@@ -8,7 +8,6 @@ committed tables alone; ``--out DIR`` saves them under ``DIR`` instead
 
 Environment knobs:
 
-* ``REPRO_FAST=1`` — shrink datasets/trial counts for quick iteration.
 * ``REPRO_SEED=<int>`` — change the experiment seed (default 7).
 """
 
@@ -52,7 +51,6 @@ def ctx() -> ExperimentContext:
     return ExperimentContext(
         seed=int(os.environ.get("REPRO_SEED", "7")),
         samples=500,
-        fast=os.environ.get("REPRO_FAST", "") == "1",
     )
 
 

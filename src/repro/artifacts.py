@@ -272,6 +272,12 @@ class ArtifactStore:
             ),
         )
 
+    def contains(self, key: str) -> bool:
+        """Whether ``key`` has a row (unverified and not hit-counted)."""
+        return self.database.execute(
+            "SELECT 1 FROM artifacts WHERE key = ?", (key,)
+        ).fetchone() is not None
+
     def get(self, key: str, count_miss: bool = True) -> Optional[bytes]:
         """Payload bytes for ``key``, bumping hit accounting; ``None`` on
         miss (including a row whose sidecar file was pruned underneath —

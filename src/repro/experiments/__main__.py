@@ -6,7 +6,6 @@ Regenerate any table/figure of the paper from the shell::
     python -m repro.experiments table1 fig05    # several
     python -m repro.experiments --all           # everything
     python -m repro.experiments --list          # what exists
-    python -m repro.experiments --fast fig13    # shrunk datasets
 
 Tables are printed and, with ``--out DIR``, also written to disk.
 """
@@ -31,8 +30,6 @@ def main(argv=None) -> int:
                         help="run every experiment")
     parser.add_argument("--list", action="store_true",
                         help="list available experiment ids")
-    parser.add_argument("--fast", action="store_true",
-                        help="shrink datasets/trial counts")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--samples", type=int, default=600)
     parser.add_argument("--device", default="armv7")
@@ -54,8 +51,7 @@ def main(argv=None) -> int:
 
     warnings.filterwarnings("ignore", category=RuntimeWarning)
     ctx = ExperimentContext(
-        seed=args.seed, samples=args.samples, device=args.device,
-        fast=args.fast,
+        seed=args.seed, samples=args.samples, device=args.device
     )
     for name in names:
         result = ALL_EXPERIMENTS[name](ctx)

@@ -45,14 +45,14 @@ def ablation_onefold_vs_hierarchical(
             workload=workload_id,
             device=ctx.device,
             seed=derive_seed(ctx.seed, "ab-onefold", workload_id),
-            samples=ctx.run_samples,
+            samples=ctx.samples,
             target_accuracy=ctx.target_for(workload_id),
         ).tune()
         hierarchical = HierarchicalTuner(
             workload=workload_id,
             device=ctx.device,
             seed=derive_seed(ctx.seed, "ab-onefold", workload_id),
-            samples=ctx.run_samples,
+            samples=ctx.samples,
         ).tune()
         for approach, run in (("onefold", onefold),
                               ("hierarchical", hierarchical)):
@@ -101,7 +101,7 @@ def ablation_inference_cache(ctx: ExperimentContext) -> ExperimentResult:
             inference_server=inference_server,
             database=database,
             seed=derive_seed(ctx.seed, "ab-cache"),
-            samples=ctx.run_samples,
+            samples=ctx.samples,
             target_accuracy=ctx.target_for("IC"),
             max_trials=24,
         )
@@ -136,7 +136,7 @@ def ablation_reduction_factor(ctx: ExperimentContext) -> ExperimentResult:
             workload="IC",
             device=ctx.device,
             seed=derive_seed(ctx.seed, "ab-eta", eta),
-            samples=ctx.run_samples,
+            samples=ctx.samples,
             target_accuracy=ctx.target_for("IC"),
         )
         run.model_server.eta = eta

@@ -44,7 +44,7 @@ def figure_12_budget_convergence(ctx: ExperimentContext) -> ExperimentResult:
             seed=derive_seed(ctx.seed, "fig12", name),
             include_system_parameters=False,
             fixed_gpus=1,
-            samples=ctx.run_samples,
+            samples=ctx.samples,
             system_name=f"fig12-{name}",
             max_trials=50,
             target_accuracy=target,
@@ -84,7 +84,7 @@ def figure_13_budget_comparison(ctx: ExperimentContext) -> ExperimentResult:
                 device=ctx.device,
                 budget=budget_cls(),
                 seed=derive_seed(ctx.seed, "fig13", workload_id, name),
-                samples=ctx.run_samples,
+                samples=ctx.samples,
                 target_accuracy=ctx.target_for(workload_id),
                 stop_on_target=False,
             ).tune()

@@ -25,7 +25,7 @@ def figure_14_vs_tune(ctx: ExperimentContext) -> ExperimentResult:
                  "accuracy"],
     )
     for workload_id in WORKLOAD_IDS:
-        target = ctx.comparison_target_for(workload_id)
+        target = ctx.target_for(workload_id)
         edgetune = EdgeTune(
             workload=workload_id,
             device=ctx.device,
@@ -83,7 +83,7 @@ def figure_16_objectives(ctx: ExperimentContext) -> ExperimentResult:
                 inference_metric=metric
                 if metric in ("runtime", "energy") else "energy",
                 seed=derive_seed(ctx.seed, "fig16", workload_id),
-                samples=ctx.run_samples,
+                samples=ctx.samples,
                 target_accuracy=ctx.target_for(workload_id),
             ).tune()
             inference = run.inference
@@ -124,7 +124,7 @@ def figure_17_vs_hyperpower(ctx: ExperimentContext) -> ExperimentResult:
     )
     emulator = Emulator()
     for workload_id in WORKLOAD_IDS:
-        target = ctx.comparison_target_for(workload_id)
+        target = ctx.target_for(workload_id)
         edgetune = EdgeTune(
             workload=workload_id,
             device=ctx.device,

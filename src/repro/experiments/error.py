@@ -23,7 +23,7 @@ def figure_15_emulation_error(ctx: ExperimentContext) -> ExperimentResult:
     )
     emulator = Emulator()
     workload = get_workload("IC")
-    train_set, _ = workload.load(seed=ctx.seed, samples=ctx.run_samples)
+    train_set, _ = workload.load(seed=ctx.seed, samples=ctx.samples)
     family = workload.family
     throughput_errors: List[float] = []
     energy_errors: List[float] = []

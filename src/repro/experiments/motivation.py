@@ -23,7 +23,7 @@ from .runner import ExperimentContext, ExperimentResult
 def _ic_architecture(ctx: ExperimentContext, num_layers: int = 18):
     """Probe the IC (ResNet/CIFAR10) architecture: flops & params."""
     workload = get_workload("IC")
-    train_set, eval_set = workload.load(seed=ctx.seed, samples=ctx.run_samples)
+    train_set, eval_set = workload.load(seed=ctx.seed, samples=ctx.samples)
     family = workload.family
     model = family.instantiate(
         train_set.sample_shape,
@@ -91,7 +91,7 @@ def figure_02_model_hparams(ctx: ExperimentContext) -> ExperimentResult:
             ctx, layers
         )
         params = model.parameter_count()
-        epochs = 4 if ctx.fast else 16
+        epochs = 16
         samples = len(train_set) * epochs
         total_flops = flops * samples * (1 + BACKWARD_FLOPS_FACTOR)
         training = emulator.measure_training(
@@ -130,7 +130,7 @@ def figure_03_batch_sizes(ctx: ExperimentContext) -> ExperimentResult:
     workload, train_set, eval_set, _, flops = _ic_architecture(ctx)
     family = workload.family
     target = 0.8
-    max_epochs = 12 if ctx.fast else 48
+    max_epochs = 48
     for batch in (256, 512, 1024):
         real_batch, lr = workload.effective_training(batch)
         model = family.instantiate(
@@ -200,7 +200,7 @@ def figure_04_gpus(ctx: ExperimentContext) -> ExperimentResult:
     )
     emulator = Emulator()
     _, train_set, _, model, flops = _ic_architecture(ctx)
-    epochs = 4 if ctx.fast else 16
+    epochs = 16
     samples = len(train_set) * epochs
     total = flops * samples * (1 + BACKWARD_FLOPS_FACTOR)
     for batch in (32, 1024):

@@ -16,27 +16,14 @@ from typing import Any, Dict, List, Optional, Sequence
 #: detection/NLP tasks get proportionally scaled targets).
 ACCURACY_TARGETS = {"IC": 0.8, "SR": 0.7, "NLP": 0.6, "OD": 0.5}
 
-#: Fast mode shrinks the datasets, which lowers the reachable accuracy;
-#: targets scale down with it so the tuning dynamics stay comparable.
-ACCURACY_TARGETS_FAST = {"IC": 0.65, "SR": 0.5, "NLP": 0.45, "OD": 0.3}
-
 
 @dataclass(frozen=True)
 class ExperimentContext:
-    """Knobs shared by all experiments.
-
-    ``fast=True`` shrinks datasets and trial counts so the whole harness
-    runs in minutes; the defaults reproduce the reported numbers.
-    """
+    """Knobs shared by all experiments."""
 
     seed: int = 7
     samples: int = 600
     device: str = "armv7"
-    fast: bool = False
-
-    @property
-    def run_samples(self) -> int:
-        return 300 if self.fast else self.samples
 
     @property
     def comparison_samples(self) -> int:
@@ -49,10 +36,6 @@ class ExperimentContext:
         return max(500, self.samples)
 
     def target_for(self, workload_id: str) -> float:
-        table = ACCURACY_TARGETS_FAST if self.fast else ACCURACY_TARGETS
-        return table[workload_id]
-
-    def comparison_target_for(self, workload_id: str) -> float:
         return ACCURACY_TARGETS[workload_id]
 
 

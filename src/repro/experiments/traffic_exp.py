@@ -25,8 +25,8 @@ from .runner import ExperimentContext, ExperimentResult
 ARCH_FLOPS = 200.0
 ARCH_PARAMS = 12_000
 
-#: Scenarios replayed per trace family; short enough for the fast
-#: harness, long enough that peaks dominate the percentiles.
+#: Scenarios replayed per trace family; long enough that peaks dominate
+#: the percentiles.
 SCENARIOS = {
     "diurnal": "diurnal:rate=35,peak=6,duration={duration},seed={seed}",
     "flash": "flash:rate=30,mult=10,duration={duration},seed={seed}",
@@ -42,7 +42,7 @@ def traffic_slo_comparison(ctx: ExperimentContext) -> ExperimentResult:
                  "miss_pct", "j_per_req", "slo_score"],
     )
     slo = SLOSpec(deadline_s=0.5)
-    duration = 20 if ctx.fast else 40
+    duration = 40
     emulator = Emulator()
     spec = get_device(ctx.device)
     space = get_workload("IC").inference_space(ctx.device)

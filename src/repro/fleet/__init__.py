@@ -12,7 +12,6 @@ Layout:
 
 * :mod:`repro.fleet.registry` — machine registry (capability tags,
   liveness heartbeats, fleet counters);
-* :mod:`repro.fleet.router` — shard placement and session affinity;
 * :mod:`repro.fleet.wire` — the dispatch frame format;
 * :mod:`repro.fleet.server` — the coordinator-side dispatch server,
   janitor, and remote session driver;
@@ -34,4 +33,3 @@ from .registry import (  # noqa: F401
     MachineRegistry,
     local_capabilities,
 )
-from .router import ShardRouter  # noqa: F401

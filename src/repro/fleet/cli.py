@@ -17,7 +17,7 @@ Operate a multi-host tuning fleet::
 ``serve`` runs the dispatch server, the dead-host janitor, and the
 remote session coordinator in one process; it exits once drained (or,
 with ``--drain``, once no queued session remains).  ``workers`` is the
-whole worker-machine side: it registers, leases jobs from its shard,
+whole worker-machine side: it registers, leases jobs from the hub,
 executes them against its own local database, and streams results back.
 """
 
@@ -38,7 +38,6 @@ from ..storage import TrialDatabase
 from .client import DEFAULT_PORT, FleetClient
 from .host import RemoteHost
 from .registry import DEFAULT_MACHINE_TTL_S
-from .router import DEFAULT_SHARDS
 from .server import FleetServer
 
 
@@ -59,15 +58,13 @@ def _cmd_serve(args) -> int:
             database,
             host=args.host,
             port=args.port,
-            num_shards=args.shards,
             lease_ttl_s=args.lease_ttl,
             machine_ttl_s=args.machine_ttl,
             rate_limit=args.rate_limit,
         )
         with server.serving(signals=True):
             print(f"fleet coordinator listening on "
-                  f"{server.host}:{server.port} ({args.shards} shards, "
-                  f"epoch {server.epoch}, "
+                  f"{server.host}:{server.port} (epoch {server.epoch}, "
                   f"{server.recovery['sessions_requeued']} session(s) "
                   f"recovered)")
             sys.stdout.flush()
@@ -158,8 +155,6 @@ def main(argv=None) -> int:
     serve.add_argument("--db", required=True, help="central sqlite path")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=DEFAULT_PORT)
-    serve.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                       help="number of per-shard job queues")
     serve.add_argument("--lease-ttl", type=float,
                        default=DEFAULT_LEASE_TTL_S,
                        help="job lease duration granted to machines "
@@ -187,8 +182,8 @@ def main(argv=None) -> int:
     workers.add_argument("--db", required=True,
                          help="this machine's own (isolated) sqlite path")
     workers.add_argument("--machine-id", required=True,
-                         help="stable machine identity (reconnects keep "
-                              "their shard)")
+                         help="stable machine identity (a reconnect "
+                              "rejoins under it)")
     workers.add_argument("--idle-timeout", type=float, default=None,
                          help="exit after this many idle seconds")
     workers.add_argument("--poll-interval", type=float,

@@ -313,7 +313,7 @@ class HostPool(ProcessPool):
     """N remote-host processes (tests, CI, demos), each on its own
     ``machine-<n>.db`` under ``base_dir``.  A supervisor thread respawns
     a host that dies (``worker.crash`` kills them for real) under the
-    *same* machine id, so it re-registers onto its old shard."""
+    *same* machine id, so it rejoins as the same machine."""
 
     def __init__(
         self, server_host: str, server_port: int, base_dir: str,

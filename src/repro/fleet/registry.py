@@ -10,8 +10,8 @@ held is drained back into the queue immediately instead of waiting for
 per-job lease expiry.
 
 Registration is idempotent: a host process that restarts with the same
-machine id re-registers in place, keeps its shard assignment, and simply
-comes back ``alive`` — duplicate ids are a reconnect, not an error.
+machine id re-registers in place and simply comes back ``alive`` —
+duplicate ids are a reconnect, not an error.
 
 The janitor's ``machines.expired`` count goes to the ``fleet_stats``
 event counters, which the storage layer owns
@@ -42,7 +42,7 @@ MACHINE_STATES = (ALIVE, DRAINING, DEAD)
 DEFAULT_MACHINE_TTL_S = 30.0
 
 _MACHINE_COLUMNS = (
-    "id, hostname, shard, state, capabilities, jobs_done, "
+    "id, hostname, state, capabilities, jobs_done, "
     "registered_at, last_heartbeat_at"
 )
 
@@ -72,7 +72,6 @@ class Machine:
 
     id: str
     hostname: str
-    shard: int
     state: str
     capabilities: Dict[str, Any] = field(default_factory=dict)
     jobs_done: int = 0
@@ -84,22 +83,15 @@ class Machine:
         return cls(
             id=row[0],
             hostname=row[1],
-            shard=int(row[2]),
-            state=row[3],
-            capabilities=json.loads(row[4] or "{}"),
-            jobs_done=int(row[5]),
-            registered_at=float(row[6]),
-            last_heartbeat_at=float(row[7]),
+            state=row[2],
+            capabilities=json.loads(row[3] or "{}"),
+            jobs_done=int(row[4]),
+            registered_at=float(row[5]),
+            last_heartbeat_at=float(row[6]),
         )
 
     def heartbeat_age_s(self, now: Optional[float] = None) -> float:
         return (time.time() if now is None else now) - self.last_heartbeat_at
-
-    def supports(self, workload: str) -> bool:
-        """Whether this machine advertises the workload; machines with no
-        ``workloads`` tag (older registrations) are assumed universal."""
-        workloads = self.capabilities.get("workloads")
-        return workloads is None or workload in workloads
 
 
 class HubState:
@@ -160,40 +152,25 @@ class MachineRegistry:
         self,
         machine_id: str,
         capabilities: Optional[Dict[str, Any]] = None,
-        shard: Optional[int] = None,
         now: Optional[float] = None,
     ) -> Machine:
         """Add (or re-add) a machine; idempotent per id.
 
         A duplicate registration is a host reconnecting: it refreshes the
-        capability tags and heartbeat and revives the row to ``alive``,
-        but keeps the original shard assignment (session affinity must
-        survive a host restart) unless the caller forces one.
+        capability tags and heartbeat and revives the row to ``alive``.
         """
         now = time.time() if now is None else now
         capabilities = dict(capabilities or {})
         hostname = str(capabilities.get("hostname") or socket.gethostname())
         tags = json.dumps(capabilities, sort_keys=True, default=repr)
-        with self.database.transaction() as connection:
-            row = connection.execute(
-                "SELECT shard FROM machines WHERE id = ?", (machine_id,)
-            ).fetchone()
-            if row is None:
-                connection.execute(
-                    "INSERT INTO machines (id, hostname, shard, state, "
-                    "capabilities, registered_at, last_heartbeat_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (machine_id, hostname, int(shard or 0), ALIVE, tags,
-                     now, now),
-                )
-            else:
-                kept_shard = int(row[0]) if shard is None else int(shard)
-                connection.execute(
-                    "UPDATE machines SET hostname = ?, shard = ?, "
-                    "state = ?, capabilities = ?, last_heartbeat_at = ? "
-                    "WHERE id = ?",
-                    (hostname, kept_shard, ALIVE, tags, now, machine_id),
-                )
+        self.database.execute(
+            "INSERT INTO machines (id, hostname, state, capabilities, "
+            "registered_at, last_heartbeat_at) VALUES (?, ?, ?, ?, ?, ?) "
+            "ON CONFLICT (id) DO UPDATE SET hostname = excluded.hostname, "
+            "state = excluded.state, capabilities = excluded.capabilities, "
+            "last_heartbeat_at = excluded.last_heartbeat_at",
+            (machine_id, hostname, ALIVE, tags, now, now),
+        )
         machine = self.get(machine_id)
         assert machine is not None
         return machine
@@ -249,7 +226,7 @@ class MachineRegistry:
         if state is not None:
             query += " WHERE state = ?"
             args = (state,)
-        query += " ORDER BY shard, id"
+        query += " ORDER BY id"
         rows = self.database.execute(query, args).fetchall()
         return [Machine.from_row(row) for row in rows]
 

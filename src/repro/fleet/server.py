@@ -5,9 +5,9 @@ A :class:`~repro.wire.FrameServer` speaking the verbs of
 connections, oversized-frame rejection, optional token-bucket limits,
 graceful drain) applied to work dispatch:
 
-* remote hosts **register** with capability tags and are placed on a
-  shard by the :class:`~repro.fleet.router.ShardRouter`;
-* they **lease** jobs from their shard's queue, **extend** leases while
+* remote hosts **register** with capability tags;
+* they **lease** jobs from the one shared queue — only jobs of a
+  workload they advertise — **extend** leases while
   trials run, and stream **complete**/**fail** verdicts back — all
   against the coordinator's central database, under the exact ownership
   protocol local pool workers use (owner ``machine/<worker>``);
@@ -57,7 +57,6 @@ from ..wire import Frame, FrameServer, Peer
 from .registry import (
     DEFAULT_MACHINE_TTL_S, HubState, Machine, MachineRegistry,
 )
-from .router import DEFAULT_SHARDS, ShardRouter
 from .wire import (
     error_frame, ok_frame, pack_bytes, peer_closed, unpack_bytes,
 )
@@ -90,20 +89,22 @@ class FleetServer(FrameServer):
         database: TrialDatabase,
         host: str = "127.0.0.1",
         port: int = 0,
-        num_shards: int = DEFAULT_SHARDS,
+        num_shards: int = 1,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         machine_ttl_s: float = DEFAULT_MACHINE_TTL_S,
         rate_limit: Optional[float] = None,
         burst: Optional[int] = None,
     ):
+        # ``num_shards`` survives only for callers that still pass it;
+        # every host leases from one queue.
+        if num_shards != 1:
+            raise ValueError(f"the fleet has one queue, got {num_shards}")
         super().__init__(host, port, rate_limit, burst)
         self.database = database
         self.queue = JobQueue(database)
         self.sessions = SessionStore(database)
         self.registry = MachineRegistry(database)
-        self.router = ShardRouter(self.registry, num_shards=num_shards)
         self.artifacts = ArtifactStore(database)
-        self._placement_lock = threading.Lock()
         self.lease_ttl_s = float(lease_ttl_s)
         self.machine_ttl_s = float(machine_ttl_s)
         #: Hand-off (:mod:`repro.service.doorbell`): the coordinator rings
@@ -173,21 +174,16 @@ class FleetServer(FrameServer):
         capabilities = payload.get("capabilities") or {}
         if not isinstance(capabilities, dict):
             return error_frame("capabilities must be an object")
-        # A duplicate id is a host reconnecting: keep its shard so the
-        # sessions routed there still find their machine.  Fresh ids go
-        # to the least-populated shard — counted and joined under one
-        # lock, or two hosts registering at once both read the same
-        # census and land on the same shard.
-        with self._placement_lock:
-            known = self.registry.get(machine_id)
-            shard = known.shard if known is not None else (
-                self.router.place_machine()
-            )
-            machine = self.registry.register(
-                machine_id, capabilities=capabilities, shard=shard
-            )
+        workloads = capabilities.get("workloads")
+        if workloads is not None and not (
+            isinstance(workloads, list)
+            and all(isinstance(workload, str) for workload in workloads)
+        ):
+            return error_frame("capabilities.workloads must list strings")
+        # A duplicate id is a host reconnecting, not an error.
+        known = self.registry.get(machine_id)
+        self.registry.register(machine_id, capabilities=capabilities)
         return ok_frame(
-            shard=machine.shard,
             rejoined=known is not None,
             lease_ttl_s=self.lease_ttl_s,
             machine_ttl_s=self.machine_ttl_s,
@@ -259,7 +255,8 @@ class FleetServer(FrameServer):
             wait_s, MAX_LEASE_WAIT_S, self.machine_ttl_s * JANITOR_FRACTION
         )
         job = self._lease_within(
-            self._owner(payload), machine.shard, wait_s, connection
+            self._owner(payload), machine.capabilities.get("workloads"),
+            wait_s, connection,
         )
         self.registry.heartbeat(machine_id)
         if job is None:
@@ -271,14 +268,15 @@ class FleetServer(FrameServer):
             "payload": job.payload,
             "attempts": job.attempts,
             "max_attempts": job.max_attempts,
-            "shard": job.shard,
         })
 
     def _lease_within(
-        self, owner: str, shard: int, wait_s: float, connection: Peer
+        self, owner: str, workloads: Optional[List[str]], wait_s: float,
+        connection: Peer,
     ) -> Optional[Job]:
-        """Lease from ``shard``, holding on for up to ``wait_s`` while its
-        queue has nothing runnable (the long poll behind ``lease``).
+        """Lease a job of one of ``workloads`` (``None``: any), holding
+        on for up to ``wait_s`` while the queue has nothing runnable for
+        it (the long poll behind ``lease``).
 
         The handler is listening on :attr:`jobs_bell` *before* it checks
         the queue, so a wave committed in between is not missed; it
@@ -290,7 +288,7 @@ class FleetServer(FrameServer):
         with self.jobs_bell.listening() as bell:
             while True:
                 job = self.queue.lease(
-                    owner, ttl_s=self.lease_ttl_s, shard=shard,
+                    owner, ttl_s=self.lease_ttl_s, workloads=workloads,
                     epoch=self.epoch,
                 )
                 remaining = deadline - time.monotonic()
@@ -394,10 +392,7 @@ class FleetServer(FrameServer):
     def _artifact_get(self, payload: Frame, connection: Peer) -> Frame:
         key = str(payload.get("key") or "")
         if payload.get("probe"):
-            row = self.database.execute(
-                "SELECT 1 FROM artifacts WHERE key = ?", (key,)
-            ).fetchone()
-            return ok_frame(present=row is not None)
+            return ok_frame(present=self.artifacts.contains(key))
         blob = self.artifacts.get(key)
         if blob is None:
             self.database.bump_stats({"federation.misses": 1})
@@ -442,7 +437,6 @@ class FleetServer(FrameServer):
             {
                 "id": machine.id,
                 "hostname": machine.hostname,
-                "shard": machine.shard,
                 "state": machine.state,
                 "jobs_done": machine.jobs_done,
                 "heartbeat_age_s": round(machine.heartbeat_age_s(now), 3),
@@ -452,7 +446,6 @@ class FleetServer(FrameServer):
         ]
         return ok_frame(
             machines=machines,
-            num_shards=self.router.num_shards,
             queue=self.queue.depths(),
             fleet_stats=self.database.stats(),
             draining=self.draining,
@@ -529,22 +522,17 @@ class FleetServer(FrameServer):
     ) -> List[Any]:
         """Claim queued sessions and drive each with a remote coordinator.
 
-        Each session is routed to one shard (affinity: all its jobs, and
-        therefore its artifact locality, stay with the machines of that
-        shard) and merged in strict wave order — the fleet-scale result
-        is bit-identical to the single-host run.
+        Every session's jobs go to the one queue all hosts lease from,
+        and are merged in strict wave order — the fleet-scale result is
+        bit-identical to the single-host run.
         """
         def coordinator_for(record: SessionRecord) -> SessionCoordinator:
-            shard = self.router.shard_for_session(
-                record.id, workload=record.spec.workload
-            )
             return SessionCoordinator(
                 self.database,
                 record.id,
                 workers=0,
                 lease_ttl_s=self.lease_ttl_s,
                 poll_interval_s=poll_interval_s,
-                shard=shard,
                 remote=True,
                 jobs_bell=self.jobs_bell,
                 results_bell=self.results_bell,

@@ -12,12 +12,13 @@ Request frames are ``{"op": <name>, ...}``; response frames are
 ``{"ok": true, ...}`` or ``{"ok": false, "error": "..."}``.  Ops:
 
 ==================  =======================================================
-``register``        join the fleet (capability tags) → shard + lease terms
-                    + the hub's current incarnation ``epoch``
+``register``        join the fleet (capability tags) → lease terms + the
+                    hub's current incarnation ``epoch``
 ``heartbeat``       machine liveness ping; an optional ``dataset_cache``
                     maps hits/misses/evictions to the host's dataset-memo
                     deltas since its last heartbeat (finite counts >= 0)
-``lease``           claim one job from the machine's shard queue; with
+``lease``           claim the oldest runnable job of a workload the
+                    machine advertises (no ``workloads`` tag: any); with
                     ``wait_s`` a long poll — the hub holds the request
                     until a job can be leased, it drains, or the wait
                     (capped hub-side) runs out
@@ -30,7 +31,7 @@ Request frames are ``{"op": <name>, ...}``; response frames are
                     (response carries a blake2b ``checksum``)
 ``artifact_put``    federation: publish a cold-run artifact to the hub
                     (optional ``checksum`` is verified before storing)
-``status``          fleet overview (machines, shards, counters)
+``status``          fleet overview (machines, queue depths, counters)
 ``drain``           ask the server to stop handing out work
 ``ping``            connection liveness probe
 ==================  =======================================================

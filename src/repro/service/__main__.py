@@ -70,7 +70,7 @@ def _machines_info(database) -> dict:
     """Per-machine registry view plus the fleet counters.
 
     Machines are what ``status``/``workers`` report instead of bare
-    worker PIDs: hostname, backend fingerprint, shard, heartbeat age.
+    worker PIDs: hostname, backend fingerprint, heartbeat age.
     """
     import time as _time
 
@@ -86,7 +86,6 @@ def _machines_info(database) -> dict:
             {
                 "id": machine.id,
                 "hostname": machine.hostname,
-                "shard": machine.shard,
                 "state": machine.state,
                 "jobs_done": machine.jobs_done,
                 "heartbeat_age_s": round(machine.heartbeat_age_s(now), 3),
@@ -144,7 +143,7 @@ def _print_machines(info: dict) -> None:
         if len(fingerprint) > 48:
             fingerprint = fingerprint[:45] + "..."
         print(f"machine:   {machine['id']} on {machine['hostname']} "
-              f"shard {machine['shard']} [{machine['state']}] "
+              f"[{machine['state']}] "
               f"{machine['jobs_done']} jobs, "
               f"hb {machine['heartbeat_age_s']:.1f}s ago, "
               f"backend {fingerprint}")

@@ -90,7 +90,6 @@ class SessionCoordinator:
         pool: Optional[WorkerPool] = None,
         trial_timeout_s: Optional[float] = None,
         heartbeat_interval_s: Optional[float] = None,
-        shard: int = 0,
         remote: bool = False,
         pin_order: bool = False,
         jobs_bell: Optional[Doorbells] = None,
@@ -111,8 +110,6 @@ class SessionCoordinator:
         self.meters = MeterRegistry()
         self.trial_timeout_s = trial_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        #: Fleet shard the session's jobs are routed to (0 = local).
-        self.shard = int(shard)
         #: Remote mode: the fleet's machines execute the jobs, so this
         #: coordinator spawns no workers of its own — it only enqueues,
         #: waits, and merges (the wave-ordered integration is identical,
@@ -383,15 +380,11 @@ class SessionCoordinator:
                     trial_key(task), count_miss=False
                 )
                 if blob is not None and self.queue.settle(
-                    self.session_id, trial.trial_id, payload,
-                    blob, shard=self.shard,
+                    self.session_id, trial.trial_id, payload, blob
                 ):
                     continue
                 queued += 1
-                self.queue.enqueue(
-                    self.session_id, trial.trial_id, payload,
-                    shard=self.shard,
-                )
+                self.queue.enqueue(self.session_id, trial.trial_id, payload)
         if queued:
             self.jobs_bell.ring()
         pending.extend(fresh)

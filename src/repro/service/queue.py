@@ -27,7 +27,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..storage import TrialDatabase
 
@@ -98,8 +100,7 @@ MAX_HISTORY_ENTRIES = 20
 _JOB_COLUMNS = (
     "id, session_id, trial_id, payload, state, attempts, max_attempts, "
     "lease_owner, lease_expires_at, next_retry_at, result, error, "
-    "created_at, started_at, finished_at, error_history, shard, "
-    "lease_epoch"
+    "created_at, started_at, finished_at, error_history, lease_epoch"
 )
 
 
@@ -126,8 +127,6 @@ class Job:
     #: attempt, in order, capped to the most recent
     #: :data:`MAX_HISTORY_ENTRIES`.
     error_history: str = "[]"
-    #: Fleet shard the job is routed to (0 for single-host sessions).
-    shard: int = 0
     #: Hub incarnation epoch that granted the current lease (0 for local
     #: pool leases — fencing applies only to fleet dispatch).
     lease_epoch: int = 0
@@ -210,20 +209,17 @@ class JobQueue:
         payload: str,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         now: Optional[float] = None,
-        shard: int = 0,
     ) -> bool:
         """Queue one trial-evaluation job.
 
         Idempotent per ``(session_id, trial_id)``: re-enqueueing after a
         coordinator crash leaves finished jobs (and their results) alone.
-        Returns ``True`` when a new row was inserted.  ``shard`` routes
-        the job to one of the fleet's per-shard queues (0, the default,
-        is also where single-host sessions live).
+        Returns ``True`` when a new row was inserted.
         """
         cursor = self.database.execute(
             "INSERT OR IGNORE INTO jobs (session_id, trial_id, payload, "
-            "state, max_attempts, created_at, shard) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            "state, max_attempts, created_at) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
             (
                 session_id,
                 int(trial_id),
@@ -231,7 +227,6 @@ class JobQueue:
                 QUEUED,
                 int(max_attempts),
                 time.time() if now is None else now,
-                int(shard),
             ),
         )
         return cursor.rowcount > 0
@@ -242,7 +237,6 @@ class JobQueue:
         trial_id: int,
         payload: str,
         result: bytes,
-        shard: int = 0,
     ) -> bool:
         """Record a trial whose result the issuer already holds as done,
         without queueing it: the row a worker would have completed on its
@@ -254,10 +248,10 @@ class JobQueue:
         cursor = self.database.execute(
             "INSERT OR IGNORE INTO jobs (session_id, trial_id, payload, "
             "state, attempts, lease_owner, result, created_at, started_at, "
-            "finished_at, shard) VALUES (?, ?, ?, ?, 1, ?, ?, ?, ?, ?, ?)",
+            "finished_at) VALUES (?, ?, ?, ?, 1, ?, ?, ?, ?, ?)",
             (
                 session_id, int(trial_id), payload, DONE, MEMO_OWNER,
-                result, now, now, now, int(shard),
+                result, now, now, now,
             ),
         )
         return cursor.rowcount > 0
@@ -269,15 +263,15 @@ class JobQueue:
         ttl_s: float = DEFAULT_LEASE_TTL_S,
         session_id: Optional[str] = None,
         now: Optional[float] = None,
-        shard: Optional[int] = None,
+        workloads: Optional[Sequence[str]] = None,
         epoch: int = 0,
     ) -> Optional[Job]:
         """Atomically claim the oldest runnable queued job, if any: a
         queued job whose backoff has expired, optionally of one session.
 
-        ``shard`` restricts the claim to one per-shard queue (fleet
-        machines only serve their own shard); ``None`` leases across all
-        shards (local pool workers).  ``epoch`` stamps the lease with the
+        ``workloads`` restricts the claim to jobs whose payload names one
+        of them (a fleet machine's advertised capabilities); ``None``
+        leases any job.  ``epoch`` stamps the lease with the
         granting hub's incarnation (0 for local pool leases).  Select and
         update share one ``BEGIN IMMEDIATE`` transaction, so at most one
         worker can win a job.
@@ -291,9 +285,12 @@ class JobQueue:
         if session_id is not None:
             query += " AND session_id = ?"
             args.append(session_id)
-        if shard is not None:
-            query += " AND shard = ?"
-            args.append(int(shard))
+        if workloads is not None:
+            marks = ", ".join("?" * len(workloads))
+            query += (
+                f" AND json_extract(payload, '$.workload_id') IN ({marks})"
+            )
+            args.extend(workloads)
         with self.database.transaction() as connection:
             row = connection.execute(
                 query + " ORDER BY id LIMIT 1", tuple(args)

@@ -256,7 +256,9 @@ class TrialWorker:
         """One trial's result blob, under the deadline when configured.  A
         memo hit (landed since the coordinator's probe at issue) is passed
         on as stored bytes; a miss is left for :func:`evaluate_trial` to
-        count."""
+        count.  A warm resume's parent that the local store lacks is
+        fetched the same way before training, so a child resumes
+        whichever host ran its parent."""
 
         def execute() -> bytes:
             fault_point("worker.hang", key=task.trial_id, attempt=attempt)
@@ -266,6 +268,10 @@ class TrialWorker:
                 blob = self.artifacts.load_result(key, count_miss=False)
             if blob is not None:
                 return blob
+            parent = task.parent_key if task.reuse else None
+            if parent is not None and not self.artifacts.contains(parent):
+                # A warm resume whose parent ran elsewhere (a fleet host).
+                self._prefetch(task, parent)
             train_set, eval_set = load_task_datasets(task)
             blob = result_blob(*evaluate_trial(
                 task, train_set, eval_set, artifacts=self.artifacts

@@ -10,10 +10,10 @@ for tests.  Four tables:
 * ``sessions`` — long-lived tuning sessions owned by :mod:`repro.service`
   (spec, lifecycle state, result summary);
 * ``jobs`` — the persistent trial-evaluation job queue consumed by the
-  service's parallel worker pool (lease-with-heartbeat ownership), with
-  a ``shard`` column for the fleet's per-shard queues; its rows, with
-  the merge note the coordinator stamps on each, are also a session's
-  durable state (crash-safe resume replays them);
+  service's parallel worker pool and the fleet's hosts alike
+  (lease-with-heartbeat ownership); its rows, with the merge note the
+  coordinator stamps on each, are also a session's durable state
+  (crash-safe resume replays them);
 * ``machines`` — the :mod:`repro.fleet` machine registry: worker hosts
   with capability tags and liveness heartbeats;
 * ``fleet_stats`` — the crash-safe event counters (hub, federation,
@@ -269,6 +269,16 @@ _SCHEMA_V9 = ""
 #: Resubmitting it trains nothing its artifacts already hold.
 PRE_V9_INTERRUPTED = "interrupted before schema v9: resubmit"
 
+#: v10 — one fleet queue: every host leases from the whole ``jobs``
+#: table (filtered by the workloads it advertises), so v7's ``jobs.shard``
+#: and ``machines.shard`` are dropped with ``idx_jobs_claim_shard``, and
+#: ``idx_machines_state`` is rebuilt on ``state`` alone.
+#: :meth:`TrialDatabase._migrate` drops them; the script re-creates the
+#: index.
+_SCHEMA_V10 = """
+CREATE INDEX IF NOT EXISTS idx_machines_state ON machines (state);
+"""
+
 #: Ordered (version, script) migration ladder; each script must be safe to
 #: run on a database that already contains the objects it creates (older
 #: releases wrote the v1 tables without stamping ``user_version``).
@@ -282,6 +292,7 @@ MIGRATIONS: Tuple[Tuple[int, str], ...] = (
     (7, _SCHEMA_V7),
     (8, _SCHEMA_V8),
     (9, _SCHEMA_V9),
+    (10, _SCHEMA_V10),
 )
 
 SCHEMA_VERSION = MIGRATIONS[-1][0]
@@ -409,6 +420,14 @@ class TrialDatabase:
                     self._connection.execute(
                         "ALTER TABLE sessions DROP COLUMN checkpoint"
                     )
+            if target == 10:
+                for index in ("idx_jobs_claim_shard", "idx_machines_state"):
+                    self._connection.execute(f"DROP INDEX IF EXISTS {index}")
+                for table in ("jobs", "machines"):
+                    if "shard" in self._columns(table):
+                        self._connection.execute(
+                            f"ALTER TABLE {table} DROP COLUMN shard"
+                        )
             self._connection.executescript(script)
             self._connection.execute(f"PRAGMA user_version = {target}")
             version = target

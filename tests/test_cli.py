@@ -94,13 +94,13 @@ class TestExperimentsCli:
         assert "ablation_cache" in out
 
     def test_run_one(self, capsys):
-        assert experiments_main(["--fast", "table1"]) == 0
+        assert experiments_main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "Workloads used for experiments" in out
 
     def test_save_to_directory(self, tmp_path, capsys):
         assert experiments_main(
-            ["--fast", "--out", str(tmp_path), "fig05"]
+            ["--out", str(tmp_path), "fig05"]
         ) == 0
         assert (tmp_path / "fig05.txt").exists()
 

@@ -1,5 +1,5 @@
-"""Tests for the experiment harness (fast experiments only; the tuning-run
-experiments are exercised end to end by benchmarks/)."""
+"""Tests for the experiment harness (the experiments that need no tuning
+run; those are exercised end to end by benchmarks/)."""
 
 import pytest
 
@@ -23,7 +23,7 @@ from repro.experiments import (
 
 @pytest.fixture(scope="module")
 def ctx():
-    return ExperimentContext(seed=7, fast=True)
+    return ExperimentContext(seed=7)
 
 
 class TestRegistry:
@@ -39,12 +39,7 @@ class TestRegistry:
         assert set(ALL_EXPERIMENTS) == paper_targets | ablations | extensions
 
     def test_context_targets(self):
-        full = ExperimentContext(fast=False)
-        fast = ExperimentContext(fast=True)
-        assert full.target_for("IC") == 0.8
-        assert fast.target_for("IC") < full.target_for("IC")
-        assert full.comparison_target_for("IC") == 0.8
-        assert fast.comparison_target_for("IC") == 0.8
+        assert ExperimentContext().target_for("IC") == 0.8
 
 
 class TestFastExperiments:

@@ -9,6 +9,7 @@ cold-runs a trial the fleet has already paid for."""
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -61,15 +62,15 @@ def single_host_reference(**overrides):
 class Fleet:
     """One coordinator + N remote-host processes, torn down cleanly."""
 
-    def __init__(self, tmp_path, name, hosts=2, num_shards=2,
-                 lease_ttl_s=5.0, machine_ttl_s=30.0):
+    def __init__(self, tmp_path, name, hosts=2, lease_ttl_s=5.0,
+                 machine_ttl_s=30.0):
         self.dir = tmp_path / name
         self.dir.mkdir()
         self.db_path = str(self.dir / "hub.sqlite")
         self.database = TrialDatabase(self.db_path)
         self.server = FleetServer(
-            self.database, port=0, num_shards=num_shards,
-            lease_ttl_s=lease_ttl_s, machine_ttl_s=machine_ttl_s,
+            self.database, port=0, lease_ttl_s=lease_ttl_s,
+            machine_ttl_s=machine_ttl_s,
         )
         self.hosts = hosts
         self._serve_thread = threading.Thread(
@@ -82,7 +83,8 @@ class Fleet:
         return SessionStore(self.database).create(SessionSpec(**spec))
 
     def run(self):
-        """Serve all queued sessions through the remote hosts."""
+        """Serve all queued sessions through the remote hosts, once every
+        host has registered (so all of them share the first wave)."""
         self._serve_thread.start()
         self.server.start_janitor()
         self.pool = HostPool(
@@ -90,6 +92,10 @@ class Fleet:
             hosts=self.hosts,
         ).start()
         try:
+            deadline = time.monotonic() + 30.0
+            while len(self.server.registry.alive()) < self.hosts:
+                assert time.monotonic() < deadline, "hosts did not register"
+                time.sleep(0.01)
             return self.server.run_sessions(drain=True)
         finally:
             self.pool.stop()
@@ -147,6 +153,19 @@ class TestFleetBitIdentity:
         assert all(owner.startswith("machine-") for owner in owners)
         machines = {m.id for m in fleet.server.registry.list()}
         assert machines == {"machine-1", "machine-2"}
+
+    def test_two_host_warm_resume_matches_single_host(self, fleet_factory):
+        """Reuse SHA: a promoted child whose parent ran on the other host
+        fetches the parent from the hub and resumes it, as the single
+        host does, instead of quietly training cold."""
+        reuse = dict(scheduler="sha", num_configs=6, max_trials=12,
+                     reuse_checkpoints=True)
+        fleet = fleet_factory("reuse")
+        fleet.submit(**reuse)
+        (result,) = fleet.run()
+        assert fingerprint(result) == fingerprint(
+            single_host_reference(**reuse)
+        )
 
     def test_federation_avoids_cold_reruns(self, fleet_factory, capsys):
         """A second identical session never cold-runs a trial — and, since
@@ -209,7 +228,6 @@ class TestFleetLiveness:
         ).start()
         try:
             deadline = 5.0
-            import time
             while fleet.pool.alive() < 1 and deadline > 0:
                 time.sleep(0.05)
                 deadline -= 0.05

@@ -114,7 +114,7 @@ class TestDatasetCacheCounters:
         """Host processes: every trial a host trains loads its datasets
         through that process's memo once — a hit or a miss — and the
         hub holds the sum once the hosts have stopped."""
-        fleet = Fleet(tmp_path, "datasets", num_shards=1)
+        fleet = Fleet(tmp_path, "datasets")
         try:
             fleet.submit()
             (result,) = fleet.run()  # stops the hosts before returning

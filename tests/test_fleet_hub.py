@@ -16,12 +16,18 @@ restart is pinned down deterministically:
   reclaimed ones;
 * ``running`` sessions orphaned by the dead hub are requeued, to resume
   from their job logs.
+
+It also holds the one-queue regression: a session claimed before any
+host has joined is served by the first host that does.
 """
 
 import json
+import threading
+import time
 
 import pytest
 
+from repro.fleet.host import RemoteHost
 from repro.fleet.registry import HubState
 from repro.fleet.server import FleetServer
 from repro.fleet.wire import pack_bytes
@@ -50,17 +56,14 @@ def database(tmp_path):
 
 def start_hub(database, **kwargs):
     kwargs.setdefault("port", 0)
-    kwargs.setdefault("num_shards", 1)
     kwargs.setdefault("lease_ttl_s", 5.0)
     return FleetServer(database, **kwargs)
 
 
 def lease_one(server, machine_id="m1", worker="w0", trial_id=1):
-    """Register, enqueue one job on the machine's shard, lease it."""
-    shard = server.handle_line(
-        frame("register", machine_id=machine_id)
-    )["shard"]
-    server.queue.enqueue("sess", trial_id, "{}", shard=shard)
+    """Register, enqueue one job, lease it."""
+    server.handle_line(frame("register", machine_id=machine_id))
+    server.queue.enqueue("sess", trial_id, "{}")
     response = server.handle_line(frame(
         "lease", machine_id=machine_id, worker=worker,
         epoch=server.epoch,
@@ -247,6 +250,60 @@ class TestCrashRecovery:
             assert store.get(queued).state == S_QUEUED
         finally:
             hub.server_close()
+
+
+class TestOneQueue:
+    def test_session_claimed_before_any_host_is_served(
+        self, database, tmp_path
+    ):
+        """A session the hub claims while no host is registered must be
+        leased by the first host that joins.  (With per-shard queues,
+        session ``stall-c`` hashed onto shard 1 of an empty fleet and the
+        lone host was placed on shard 0: nothing was ever served.)"""
+        server = start_hub(database)
+        threads = [threading.Thread(
+            target=server.serve_until_drained, daemon=True
+        )]
+        SessionStore(database).create(
+            SessionSpec(**dict(SPEC, max_trials=2)), session_id="stall-c"
+        )
+        results = []
+        threads.append(threading.Thread(
+            target=lambda: results.extend(server.run_sessions(drain=True)),
+            daemon=True,
+        ))
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30.0
+        while not server.queue.jobs_for("stall-c"):
+            assert time.monotonic() < deadline, "stall-c was never claimed"
+            time.sleep(0.01)
+        assert server.registry.list() == []
+
+        host = RemoteHost("m1", "127.0.0.1", server.port,
+                          db_path=str(tmp_path / "m1.db"))
+        stop = threading.Event()
+        try:
+            job = host.hub.lease(1.0, stop)  # registers, then leases
+            assert [machine.id for machine in server.registry.list()] == [
+                "m1"
+            ]
+            assert job is not None and job.session_id == "stall-c"
+            # The same machine runs that job and serves the rest.
+            host.run_job(job)
+            threads.append(threading.Thread(
+                target=host.run_forever, args=(stop,), daemon=True
+            ))
+            threads[-1].start()
+            threads[1].join(timeout=60.0)
+            assert [len(result.trials) for result in results] == [2]
+        finally:
+            stop.set()
+            server.initiate_drain()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            host.close()
+            server.server_close()
 
 
 class TestReclaimCompleteRace:

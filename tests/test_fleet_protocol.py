@@ -34,8 +34,7 @@ def frame(op, **params):
 def server():
     with TrialDatabase() as database:
         instance = FleetServer(
-            database, port=0, num_shards=2, lease_ttl_s=5.0,
-            machine_ttl_s=30.0,
+            database, port=0, lease_ttl_s=5.0, machine_ttl_s=30.0,
         )
         try:
             yield instance
@@ -66,55 +65,28 @@ class TestFrames:
 
 
 class TestRegistration:
-    def test_fresh_machines_balance_across_shards(self, server):
+    def test_fresh_machine_gets_lease_terms(self, server):
         first = register(server, "m1")
-        second = register(server, "m2")
-        assert first["ok"] and second["ok"]
-        assert {first["shard"], second["shard"]} == {0, 1}
-        assert not first["rejoined"]
+        assert first["ok"] and not first["rejoined"]
         assert first["lease_ttl_s"] == 5.0
+        assert first["epoch"] == server.epoch
 
-    def test_concurrent_fresh_machines_land_on_distinct_shards(
-        self, server, monkeypatch
-    ):
-        """Two hosts register at once and each placement is held until
-        the other has been computed too: unless the hub serialises
-        placement with registration, both read the same empty census."""
-        both_placed = threading.Barrier(2, timeout=0.5)
-        place = server.router.place_machine
-
-        def place_then_wait():
-            shard = place()
-            try:
-                both_placed.wait()
-            except threading.BrokenBarrierError:
-                pass  # the other registration was held back meanwhile
-            return shard
-
-        monkeypatch.setattr(server.router, "place_machine", place_then_wait)
-        shards = {}
-
-        def join(machine_id):
-            shards[machine_id] = register(server, machine_id)["shard"]
-
-        threads = [
-            threading.Thread(target=join, args=(machine_id,))
-            for machine_id in ("m1", "m2")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert sorted(shards.values()) == [0, 1]
-
-    def test_duplicate_machine_id_keeps_shard(self, server):
+    def test_duplicate_machine_id_rejoins(self, server):
         """Re-registering the same id is a host reconnect, not a new
-        machine: it must come back on the shard its sessions live on."""
-        shard = register(server, "m1")["shard"]
-        register(server, "m2")
-        again = register(server, "m1")
-        assert again["rejoined"]
-        assert again["shard"] == shard
+        machine: one row, refreshed capabilities."""
+        register(server, "m1", capabilities={"cores": 2})
+        again = register(server, "m1", capabilities={"cores": 8})
+        assert again["ok"] and again["rejoined"]
+        (machine,) = server.registry.list()
+        assert machine.capabilities["cores"] == 8
+
+    @pytest.mark.parametrize("workloads", ["IC", [1], {"IC": True}])
+    def test_register_rejects_bad_workloads_tag(self, server, workloads):
+        response = register(
+            server, "m1", capabilities={"workloads": workloads}
+        )
+        assert not response["ok"] and "workloads" in response["error"]
+        assert server.registry.get("m1") is None
 
     def test_register_requires_machine_id(self, server):
         assert not server.handle_line(frame("register"))["ok"]
@@ -153,22 +125,24 @@ class TestRegistration:
 
 class TestLeaseProtocol:
     def _setup_job(self, server, machine_id="m1", trial_id=1):
-        shard = register(server, machine_id)["shard"]
-        server.queue.enqueue("sess", trial_id, "{}", shard=shard)
-        return shard
+        register(server, machine_id)
+        server.queue.enqueue("sess", trial_id, "{}")
 
     def test_lease_from_unregistered_machine_rejected(self, server):
         response = server.handle_line(frame("lease", machine_id="ghost"))
         assert not response["ok"]
         assert response["reregister"]
 
-    def test_lease_respects_machine_shard(self, server):
-        self._setup_job(server, "m1")
-        register(server, "m2")  # other shard: must not see m1's job
+    def test_lease_respects_machine_workloads(self, server):
+        """Capability routing at lease time: a machine advertising only
+        SR never takes an IC job; an untagged machine takes any."""
+        server.queue.enqueue("sess", 1, json.dumps({"workload_id": "IC"}))
+        register(server, "sr", capabilities={"workloads": ["SR"]})
+        register(server, "any")
         assert server.handle_line(
-            frame("lease", machine_id="m2")
+            frame("lease", machine_id="sr")
         )["job"] is None
-        job = server.handle_line(frame("lease", machine_id="m1"))["job"]
+        job = server.handle_line(frame("lease", machine_id="any"))["job"]
         assert job is not None and job["trial_id"] == 1
 
     def test_lease_reads_the_machine_row_once(self, server):
@@ -237,13 +211,10 @@ class TestLeaseProtocol:
         assert sweep["leases_expired"] == 1
         requeued = server.queue.get("sess", 1)
         assert requeued.state == QUEUED
-        # Backoff has passed by `now`; m1's shard still owns the job, so
-        # the re-lease comes from m1 (here: the respawned process).
+        # Backoff has passed by `now`: the re-lease goes to m2.
         retry = server.handle_line(frame("lease", machine_id="m1"))
         assert retry["job"] is None  # backoff still pending at real now
-        leased = server.queue.lease(
-            "m1/w0", now=_time.time() + 7.0, shard=job["shard"]
-        )
+        leased = server.queue.lease("m2/w0", now=_time.time() + 7.0)
         assert leased is not None and leased.attempts == 2
 
     def test_zombie_complete_after_expiry_rejected(self, server):
@@ -272,9 +243,9 @@ class TestLeaseProtocol:
         """Machine-level containment: when heartbeats stop, the janitor
         drains every lease the machine held without waiting for each
         job's own (much longer) lease to expire."""
-        shard = register(server, "m1")["shard"]
+        register(server, "m1")
         for trial in (1, 2):
-            server.queue.enqueue("sess", trial, "{}", shard=shard)
+            server.queue.enqueue("sess", trial, "{}")
         for worker in ("w0", "w1"):
             job = server.handle_line(
                 frame("lease", machine_id="m1", worker=worker)
@@ -291,7 +262,7 @@ class TestLeaseProtocol:
         refused = server.handle_line(frame("lease", machine_id="m1"))
         assert not refused["ok"] and refused["reregister"]
         rejoin = register(server, "m1")
-        assert rejoin["rejoined"] and rejoin["shard"] == shard
+        assert rejoin["rejoined"]
 
     def test_drain_stops_handing_out_work(self, server):
         self._setup_job(server, "m1")
@@ -336,7 +307,6 @@ class TestArtifactFederation:
         assert machine["id"] == "m1"
         assert machine["fingerprint"] == "fp-a"
         assert machine["heartbeat_age_s"] >= 0
-        assert status["num_shards"] == 2
         assert set(status["queue"]) == {
             "queued", "leased", "done", "failed"
         }
@@ -363,13 +333,13 @@ class TestOverTheWire:
         with FleetClient("127.0.0.1", live_server.port) as client:
             assert client.request("ping")["pong"]
             response = client.request("register", machine_id="m1")
-            assert response["ok"] and response["shard"] in (0, 1)
+            assert response["ok"] and not response["rejoined"]
 
 
     def test_mid_lease_disconnect_over_socket(self, live_server):
         """The wire version of vanish-mid-lease: the TCP connection dies
         with the lease held; nothing is completed; reclaim frees it."""
-        live_server.queue.enqueue("sess", 1, "{}", shard=0)
+        live_server.queue.enqueue("sess", 1, "{}")
         client = FleetClient("127.0.0.1", live_server.port)
         client.request("register", machine_id="m1")
         job = client.request("lease", machine_id="m1")["job"]

@@ -1,16 +1,17 @@
-"""Tests for the fleet's storage-facing pieces: machine registry, shard
-router, per-shard queues, dead-host lease draining, and fleet counters."""
+"""Tests for the fleet's storage-facing pieces: machine registry,
+capability routing at lease time, dead-host lease draining, and fleet
+counters."""
+
+import json
 
 import pytest
 
 from repro.fleet.registry import (
     ALIVE,
     DEAD,
-    Machine,
     MachineRegistry,
     local_capabilities,
 )
-from repro.fleet.router import ShardRouter
 from repro.service.queue import JobQueue, LEASED, QUEUED
 from repro.storage import TrialDatabase
 
@@ -26,32 +27,34 @@ class TestMachineRegistry:
         registry = MachineRegistry(db)
         machine = registry.register(
             "m1", capabilities={"hostname": "edge-a", "cores": 4},
-            shard=1, now=100.0,
+            now=100.0,
         )
         assert machine.id == "m1"
         assert machine.hostname == "edge-a"
-        assert machine.shard == 1
         assert machine.state == ALIVE
         assert machine.capabilities["cores"] == 4
         assert machine.registered_at == 100.0
 
-    def test_duplicate_registration_keeps_shard(self, db):
+    def test_duplicate_registration_is_a_reconnect(self, db):
         """A host restarting with the same machine id is a reconnect:
-        capabilities refresh, the shard assignment survives."""
+        capabilities and heartbeat refresh, the row and its history stay."""
         registry = MachineRegistry(db)
-        registry.register("m1", capabilities={"cores": 2}, shard=3,
-                          now=100.0)
+        registry.register("m1", capabilities={"cores": 2}, now=100.0)
+        registry.record_done("m1")
+        registry.set_state("m1", DEAD)
         again = registry.register(
             "m1", capabilities={"cores": 8}, now=200.0
         )
-        assert again.shard == 3
+        assert again.state == ALIVE
+        assert again.registered_at == 100.0
+        assert again.jobs_done == 1
         assert again.capabilities["cores"] == 8
         assert again.last_heartbeat_at == 200.0
         assert len(registry.list()) == 1
 
     def test_heartbeat_refreshes_and_revives(self, db):
         registry = MachineRegistry(db)
-        registry.register("m1", shard=0, now=100.0)
+        registry.register("m1", now=100.0)
         registry.set_state("m1", DEAD)
         assert registry.heartbeat("m1", now=150.0)
         machine = registry.get("m1")
@@ -100,74 +103,24 @@ class TestMachineRegistry:
         assert "IC" in tags["workloads"]
 
 
-class TestShardRouter:
-    def _registry(self, db, placements):
-        registry = MachineRegistry(db)
-        for machine_id, shard in placements:
-            registry.register(machine_id, shard=shard, now=100.0)
-        return registry
+class TestCapabilityLease:
+    """Capability routing happens when a machine leases: the queue hands
+    it only jobs whose payload names a workload it advertises."""
 
-    def test_place_machine_balances(self, db):
-        registry = self._registry(db, [("a", 0)])
-        router = ShardRouter(registry, num_shards=2)
-        assert router.place_machine() == 1
-        registry.register("b", shard=1, now=100.0)
-        assert router.place_machine() == 0  # tie → lowest shard
-
-    def test_session_affinity_is_deterministic(self, db):
-        registry = self._registry(db, [("a", 0), ("b", 1)])
-        router = ShardRouter(registry, num_shards=2)
-        first = router.shard_for_session("session-x", workload="IC")
-        assert all(
-            router.shard_for_session("session-x", workload="IC") == first
-            for _ in range(10)
-        )
-        # Different sessions spread across both shards eventually.
-        shards = {
-            router.shard_for_session(f"s{i}", workload="IC")
-            for i in range(32)
-        }
-        assert shards == {0, 1}
-
-    def test_routing_skips_shards_without_capable_machines(self, db):
-        registry = MachineRegistry(db)
-        registry.register(
-            "a", capabilities={"workloads": ["IC"]}, shard=0, now=100.0
-        )
-        registry.register(
-            "b", capabilities={"workloads": ["SR"]}, shard=1, now=100.0
-        )
-        router = ShardRouter(registry, num_shards=2)
-        for i in range(8):
-            assert router.shard_for_session(f"s{i}", workload="IC") == 0
-            assert router.shard_for_session(f"s{i}", workload="SR") == 1
-
-    def test_empty_fleet_falls_back_to_full_range(self, db):
-        router = ShardRouter(MachineRegistry(db), num_shards=3)
-        assert router.shard_for_session("s", workload="IC") in (0, 1, 2)
-
-    def test_dead_machines_are_not_candidates(self, db):
-        registry = self._registry(db, [("a", 0), ("b", 1)])
-        registry.set_state("b", DEAD)
-        router = ShardRouter(registry, num_shards=2)
-        for i in range(8):
-            assert router.shard_for_session(f"s{i}") == 0
-
-    def test_supports_defaults_to_universal(self):
-        machine = Machine(id="m", hostname="h", shard=0, state=ALIVE)
-        assert machine.supports("IC")
+    def test_lease_skips_workloads_the_machine_lacks(self, db):
+        queue = JobQueue(db)
+        queue.enqueue("s", 1, json.dumps({"workload_id": "IC"}))
+        queue.enqueue("s", 2, json.dumps({"workload_id": "SR"}))
+        assert queue.lease("sr-only", workloads=["SR"]).trial_id == 2
+        assert queue.lease("sr-only", workloads=["SR"]) is None
+        assert queue.lease("none", workloads=[]) is None
+        # An untagged machine (``workloads=None``) takes any job.
+        assert queue.lease("untagged").trial_id == 1
 
 
 class TestShardedQueue:
-    def test_lease_respects_shard_filter(self, db):
-        queue = JobQueue(db)
-        queue.enqueue("s", 1, "{}", shard=0)
-        queue.enqueue("s", 2, "{}", shard=1)
-        job = queue.lease("w", shard=1)
-        assert job.trial_id == 2 and job.shard == 1
-        assert queue.lease("w2", shard=1) is None
-        # Unsharded lease (local pool workers) still sees everything.
-        assert queue.lease("w3").trial_id == 1
+    """Dead-host draining of the one queue every fleet host leases from
+    (the class name predates the single queue)."""
 
     def test_reclaim_owner_drains_machine_prefix(self, db):
         """Dead-host drain: every lease held by ``machine/<worker>`` is

@@ -267,7 +267,7 @@ class LiveFleet:
     def __init__(self, tmp_path, hosts, poll_interval_s=0.05,
                  host_class=RemoteHost, **options):
         self.database = TrialDatabase(str(tmp_path / "hub.sqlite"))
-        self.server = FleetServer(self.database, port=0, num_shards=1)
+        self.server = FleetServer(self.database, port=0)
         self.stop = threading.Event()
         self.hosts = [
             host_class(
@@ -305,7 +305,7 @@ class TestLongPollLease:
     @pytest.fixture
     def server(self):
         with TrialDatabase() as database:
-            server = FleetServer(database, port=0, num_shards=1)
+            server = FleetServer(database, port=0)
             thread = threading.Thread(
                 target=server.serve_until_drained, daemon=True
             )
@@ -335,7 +335,7 @@ class TestLongPollLease:
 
     def test_ring_hands_a_blocked_lease_the_new_job(self, server):
         thread, box = self.blocked_lease(server)
-        server.queue.enqueue("sess", 1, "{}", shard=0)
+        server.queue.enqueue("sess", 1, "{}")
         rung_at = time.monotonic()
         server.jobs_bell.ring()
         thread.join(timeout=NEVER_S)
@@ -360,7 +360,7 @@ class TestLongPollLease:
                 {"op": "lease", "machine_id": "m1", "wait_s": NEVER_S}
             ))
             time.sleep(0.2)  # the handler is now holding the request
-        server.queue.enqueue("sess", 1, "{}", shard=0)
+        server.queue.enqueue("sess", 1, "{}")
         server.jobs_bell.ring()
         time.sleep(0.3)
         assert server.queue.depths()["queued"] == 1

@@ -357,7 +357,7 @@ class TestCrashDrills:
 def hub(tmp_path):
     """A serving hub on a file database, no host registered."""
     database = TrialDatabase(str(tmp_path / "hub.sqlite"))
-    server = FleetServer(database, port=0, num_shards=1)
+    server = FleetServer(database, port=0)
     thread = threading.Thread(
         target=server.serve_until_drained, daemon=True
     )

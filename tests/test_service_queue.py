@@ -7,6 +7,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ServiceError
+from repro.fleet.registry import MachineRegistry
 from repro.service import (
     JobQueue, SessionCoordinator, SessionSpec, SessionStore, backoff_delay,
 )
@@ -27,6 +28,28 @@ from tests.test_session_goldens import GOLDENS, digest
 def make_queue():
     db = TrialDatabase()
     return db, JobQueue(db)
+
+
+#: The columns each migration step added (or dropped) by hand.
+_LADDER_ALTERS = {
+    5: ["jobs ADD COLUMN error_history TEXT NOT NULL DEFAULT '[]'"],
+    7: ["jobs ADD COLUMN shard INTEGER NOT NULL DEFAULT 0"],
+    8: ["jobs ADD COLUMN lease_epoch INTEGER NOT NULL DEFAULT 0",
+        "artifacts ADD COLUMN checksum TEXT"],
+    9: ["jobs ADD COLUMN merge_seq INTEGER",
+        "jobs ADD COLUMN merge_note BLOB",
+        "sessions ADD COLUMN history_upto INTEGER",
+        "sessions DROP COLUMN checkpoint"],
+}
+
+
+def build_ladder(raw, version):
+    """Write the schema as it stood at ``version`` into ``raw``."""
+    for target, script in MIGRATIONS[:version]:
+        for alter in _LADDER_ALTERS.get(target, ()):
+            raw.execute(f"ALTER TABLE {alter}")
+        raw.executescript(script)
+    raw.execute(f"PRAGMA user_version = {version}")
 
 
 class TestMigrations:
@@ -96,17 +119,7 @@ class TestMigrations:
         snapshot has nothing to replay wrongly and stays resumable."""
         path = os.path.join(tmp_path, "v8.sqlite")
         raw = sqlite3.connect(path)
-        # The v8 ladder, with the columns its steps added by hand.
-        added = {
-            5: ["jobs ADD COLUMN error_history TEXT NOT NULL DEFAULT '[]'"],
-            7: ["jobs ADD COLUMN shard INTEGER NOT NULL DEFAULT 0"],
-            8: ["jobs ADD COLUMN lease_epoch INTEGER NOT NULL DEFAULT 0",
-                "artifacts ADD COLUMN checksum TEXT"],
-        }
-        for version, script in MIGRATIONS[:8]:
-            for alter in added.get(version, ()):
-                raw.execute(f"ALTER TABLE {alter}")
-            raw.executescript(script)
+        build_ladder(raw, 8)
         spec = SessionSpec(workload="NLP", device="armv7", seed=7,
                            samples=GOLDENS["NLP"]["samples"])
         stored = json.dumps(spec.to_dict(), sort_keys=True)
@@ -121,12 +134,11 @@ class TestMigrations:
                 (session_id, stored, state, checkpoint,
                  "Traceback: boom" if state == S_FAILED else None),
             )
-        raw.execute("PRAGMA user_version = 8")
         raw.commit()
         raw.close()
 
         with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION == 9
+            assert db.schema_version == SCHEMA_VERSION == 10
             columns = {
                 row[1]
                 for row in db.execute("PRAGMA table_info(sessions)")
@@ -144,6 +156,41 @@ class TestMigrations:
             assert store.get("waiting").state == S_QUEUED
             result = SessionCoordinator(db, "waiting").run()
             assert digest(result) == GOLDENS["NLP"]["digest"]
+
+    def test_v9_database_upgrades_to_one_queue(self, tmp_path):
+        """v10 drops the fleet's shard columns and the indexes over them;
+        the rows survive, and a job queued on shard 1 is leasable by any
+        host that runs its workload."""
+        path = os.path.join(tmp_path, "v9.sqlite")
+        raw = sqlite3.connect(path)
+        build_ladder(raw, 9)
+        raw.execute(
+            "INSERT INTO jobs (session_id, trial_id, payload, created_at, "
+            "shard) VALUES ('s', 1, ?, 1, 1)",
+            (json.dumps({"workload_id": "IC"}),),
+        )
+        raw.execute(
+            "INSERT INTO machines (id, hostname, shard, registered_at, "
+            "last_heartbeat_at) VALUES ('m1', 'edge-a', 1, 1, 1)"
+        )
+        raw.commit()
+        raw.close()
+
+        with TrialDatabase(path) as db:
+            assert db.schema_version == SCHEMA_VERSION == 10
+            for table in ("jobs", "machines"):
+                assert "shard" not in {
+                    row[1] for row in db.execute(f"PRAGMA table_info({table})")
+                }
+            indexes = dict(db.execute(
+                "SELECT name, sql FROM sqlite_master WHERE type = 'index' "
+                "AND sql IS NOT NULL"
+            ).fetchall())
+            assert "idx_jobs_claim_shard" not in indexes
+            assert "shard" not in indexes["idx_machines_state"]
+            assert MachineRegistry(db).get("m1").hostname == "edge-a"
+            job = JobQueue(db).lease("m2/w0", workloads=["IC"])
+            assert job is not None and job.trial_id == 1
 
     def test_created_at_is_stamped_and_history_orders_by_it(self):
         db = TrialDatabase()
