@@ -18,9 +18,12 @@ One coordinator drives one tuning session to completion:
    timeline, scheduler reports are all order-sensitive, so pinning the
    integration order makes an N-worker run bit-identical to a 1-worker
    run;
-4. stamp every merged trial's job row, in the merge's own transaction,
-   with its merge sequence number and its
-   :class:`~repro.core.model_server.MergeNote`.
+4. note every merged trial, in the merge's own transaction, with its
+   merge sequence number and its
+   :class:`~repro.core.model_server.MergeNote` (one ``merge_notes`` row).
+   A barrier scheduler merges every settled trial at the head of its
+   wave in one transaction; an asynchronous one merges one trial per
+   transaction, asking the scheduler for more in between.
 
 Steps 2-4 are one loop, :meth:`SessionCoordinator._drive`; it waits in
 one place, on the results doorbell (:mod:`repro.service.doorbell`).
@@ -43,6 +46,7 @@ import os
 import pickle
 import time
 import traceback
+from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..artifacts import trial_key
@@ -142,6 +146,10 @@ class SessionCoordinator:
         self._decision_log: Optional[List[List[Any]]] = None
         #: The session's job rows as :meth:`run` found them, by trial id.
         self._log: Dict[int, LoggedJob] = {}
+        #: Result blobs :meth:`_issue` settled from the artifact store,
+        #: by trial id, held until the trial merges: a memo hit is never
+        #: read back from its job row.
+        self._held: Dict[int, bytes] = {}
 
     # -- main entry ---------------------------------------------------------
     def run(self) -> TuningRunResult:
@@ -180,6 +188,7 @@ class SessionCoordinator:
             if self._inline is not None:
                 self._inline.close()
                 self._inline = None
+            self._held.clear()
         return result
 
     def _run(
@@ -248,21 +257,24 @@ class SessionCoordinator:
           ``pending`` has drained, a whole wave at a time; asynchronous
           ones are asked every turn, up to the in-flight cap, so a
           promotion reaches the queue before the next merge.
-        * ``head_only`` (barrier, or :attr:`pin_order`) — only the
-          earliest-issued pending trial may integrate, which makes the
-          result (and an async decision log) independent of worker count
-          and timing.  Otherwise any settled trial may, earliest-issued
-          first — a deterministic tie-break, not a barrier.
+        * head-only (barrier, or :attr:`pin_order`) — only the
+          earliest-issued pending trial may integrate next, which makes
+          the result (and an async decision log) independent of worker
+          count and timing.  Otherwise any settled trial may,
+          earliest-issued first — a deterministic tie-break, not a
+          barrier.
 
-        Each turn integrates at most one trial, in one transaction with
-        the merge note that says "this trial is merged": the trial's
-        history row, a freshly tuned inference-cache entry and the note
-        commit together or not at all.  While pending trials have notes
-        (a resume), the one with the lowest merge sequence number goes
-        next, replayed from its note — whatever the flags say.
+        A barrier turn integrates the settled head of the wave — every
+        pending trial, in issue order, up to the first one still
+        running — in one transaction; an asynchronous turn integrates
+        one trial.  Each trial's history row, a freshly tuned
+        inference-cache entry and the merge note that says "this trial
+        is merged" commit together or not at all.  While pending trials
+        have notes (a resume), the one with the lowest merge sequence
+        number goes next, alone, replayed from its note — whatever the
+        flags say.
         """
         barrier = not getattr(state.scheduler, "asynchronous", False)
-        head_only = barrier or self.pin_order
         pending: List[ScheduledTrial] = []
         wave_started = time.time()
         while not state.stopped:
@@ -290,15 +302,18 @@ class SessionCoordinator:
                 return
             noted = [t for t in pending if self._merge_seq(t) is not None]
             if noted:
-                candidates = [min(noted, key=self._merge_seq)]
+                batch = self._settled([min(noted, key=self._merge_seq)])
+            elif barrier:
+                batch = self._settled(pending, prefix=True)
             else:
-                candidates = pending[:1] if head_only else pending
-            trial, evaluation = self._next_settled(candidates)
-            if trial is None:
+                batch = self._settled(
+                    pending[:1] if self.pin_order else pending
+                )
+            if not batch:
                 self._pump()
                 continue
-            pending.remove(trial)
-            self._merge(server, state, trial, evaluation)
+            for trial in self._merge(server, state, batch):
+                pending.remove(trial)
             if barrier and (state.stopped or not pending):
                 self.meters.record(
                     "wave.latency_s", time.time() - wave_started
@@ -315,11 +330,13 @@ class SessionCoordinator:
         self,
         server: ModelTuningServer,
         state: RunState,
-        trial: ScheduledTrial,
-        evaluation: Any,
-    ) -> None:
-        """Integrate one settled trial: replayed from its note if the
-        session merged it before, else merged and noted in one commit."""
+        batch: List[Tuple[ScheduledTrial, Any]],
+    ) -> List[ScheduledTrial]:
+        """Integrate settled ``(trial, evaluation)`` pairs in order; the
+        trials integrated.  A trial the session merged before is replayed
+        from its note (it comes alone); the others are merged and noted
+        in one commit, up to the one that stops the run."""
+        trial, evaluation = batch[0]
         logged = self._log.get(trial.trial_id)
         if logged is not None and logged.merge_seq is not None:
             if logged.merge_seq != len(state.records) + 1:
@@ -333,14 +350,21 @@ class SessionCoordinator:
                 note=pickle.loads(logged.merge_note),
             )
             self.meters.count("trials.resumed")
-            return
+            return [trial]
+        merged: List[ScheduledTrial] = []
         with self.database.transaction():
-            _, note = server.integrate(state, trial, evaluation)
-            self.queue.record_merge(
-                self.session_id, trial.trial_id, len(state.records),
-                pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        self.meters.count("trials.integrated")
+            for trial, evaluation in batch:
+                _, note = server.integrate(state, trial, evaluation)
+                self.queue.record_merge(
+                    self.session_id, trial.trial_id, len(state.records),
+                    pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL),
+                )
+                merged.append(trial)
+                self._held.pop(trial.trial_id, None)
+                if state.stopped:
+                    break
+        self.meters.count("trials.integrated", len(merged))
+        return merged
 
     def _issue(
         self,
@@ -354,11 +378,12 @@ class SessionCoordinator:
         same trials on resume).
 
         A trial whose artifact the coordinator's own store holds never
-        crosses the queue.  The probe is the verified, hit-counting read
-        a worker's is, so a corrupt blob is quarantined here and the
-        trial dispatched cold.  A trial the session already has a job
-        row for (a resume) is neither probed nor enqueued again; its
-        re-drawn payload must equal the row's.
+        crosses the queue; its blob is also held in memory until the
+        trial merges.  The probe is the verified, hit-counting read a
+        worker's is, so a corrupt blob is quarantined here and the trial
+        dispatched cold.  A trial the session already has a job row for
+        (a resume) is neither probed nor enqueued again; its re-drawn
+        payload must equal the row's.
         """
         store = server.artifacts
         queued = 0
@@ -382,6 +407,7 @@ class SessionCoordinator:
                 if blob is not None and self.queue.settle(
                     self.session_id, trial.trial_id, payload, blob
                 ):
+                    self._held[trial.trial_id] = blob
                     continue
                 queued += 1
                 self.queue.enqueue(self.session_id, trial.trial_id, payload)
@@ -389,26 +415,55 @@ class SessionCoordinator:
             self.jobs_bell.ring()
         pending.extend(fresh)
 
-    def _next_settled(self, candidates: List[ScheduledTrial]) -> Tuple:
-        """``(trial, evaluation)`` of the first candidate whose job is
-        done — else of the first dead-lettered one, which gets a failure
-        record in place of a result — or ``(None, None)``."""
-        settled = self.queue.settled(
-            self.session_id, [t.trial_id for t in candidates]
+    def _settled(
+        self, candidates: List[ScheduledTrial], prefix: bool = False
+    ) -> List[Tuple[ScheduledTrial, Any]]:
+        """``(trial, evaluation)`` pairs ready to integrate, from
+        ``candidates`` in issue order: with ``prefix``, every one up to
+        the first still running; otherwise the first whose job is done —
+        else the first dead-lettered one — or none.  A dead-lettered
+        trial gets a failure record in place of a result.
+
+        A trial :meth:`_issue` settled is done with its blob in hand, so
+        the one ``settled`` probe asks only about the others.
+        """
+        held = self._held
+        settled = {
+            trial.trial_id: (DONE, None)
+            for trial in candidates if trial.trial_id in held
+        }
+        asked = [t.trial_id for t in candidates if t.trial_id not in held]
+        if asked:
+            settled.update(self.queue.settled(self.session_id, asked))
+        if prefix:
+            chosen = list(takewhile(
+                lambda trial: trial.trial_id in settled, candidates
+            ))
+        else:
+            chosen = [
+                trial for wanted in (DONE, FAILED) for trial in candidates
+                if settled.get(trial.trial_id, (None,))[0] == wanted
+            ][:1]
+        unheld = [
+            trial.trial_id for trial in chosen
+            if settled[trial.trial_id][0] == DONE
+            and trial.trial_id not in held
+        ]
+        fetched = (
+            self.queue.results_for(self.session_id, unheld) if unheld else {}
         )
-        for wanted in (DONE, FAILED):
-            for trial in candidates:
-                job_state, error = settled.get(trial.trial_id, (None, None))
-                if job_state != wanted:
-                    continue
-                if job_state == FAILED:
-                    self.meters.count("failures.substituted")
-                    return trial, failure_evaluation(trial.trial_id, error)
-                blob = self.queue.results_for(
-                    self.session_id, [trial.trial_id]
-                )[trial.trial_id]
-                return trial, pickle.loads(blob)
-        return None, None
+        batch = []
+        for trial in chosen:
+            job_state, error = settled[trial.trial_id]
+            if job_state == FAILED:
+                self.meters.count("failures.substituted")
+                evaluation = failure_evaluation(trial.trial_id, error)
+            else:
+                evaluation = pickle.loads(
+                    held.get(trial.trial_id) or fetched[trial.trial_id]
+                )
+            batch.append((trial, evaluation))
+        return batch
 
     def _pump(self) -> None:
         """Nothing can integrate yet: run a job inline, or wait for one.

@@ -242,7 +242,9 @@ class JobQueue:
         without queueing it: the row a worker would have completed on its
         first attempt (owner :data:`MEMO_OWNER`, zero wait and run time),
         so nothing downstream can tell and no lease can touch it.
-        Idempotent like :meth:`enqueue`: an existing row wins.
+        Idempotent like :meth:`enqueue`: an existing row wins.  The
+        coordinator merges a trial it settled from the blob it still
+        holds, so nothing reads the row back during the session.
         """
         now = time.time()
         cursor = self.database.execute(
@@ -543,13 +545,17 @@ class JobQueue:
         return len(rows)
 
     def delete_for_sessions(self, session_ids: Iterable[str]) -> int:
-        """Drop all jobs belonging to the given sessions (``service gc``)."""
+        """Drop all jobs belonging to the given sessions, and their merge
+        notes (``service gc``)."""
         deleted = 0
         for session_id in session_ids:
             cursor = self.database.execute(
                 "DELETE FROM jobs WHERE session_id = ?", (session_id,)
             )
             deleted += cursor.rowcount
+            self.database.execute(
+                "DELETE FROM merge_notes WHERE session_id = ?", (session_id,)
+            )
         return deleted
 
     # -- introspection -------------------------------------------------------
@@ -591,8 +597,10 @@ class JobQueue:
 
         The coordinator's "anything to merge?" probe: it runs on every
         wake-up, so it deliberately leaves the result blobs (hundreds of
-        KB each) where they are — :meth:`results_for` fetches the one
-        about to be integrated.
+        KB each) where they are — :meth:`results_for` fetches the ones
+        about to be integrated.  One probe covers every pending trial
+        the coordinator does not already hold the result of; a barrier
+        scheduler merges the settled head of them in one transaction.
         """
         wanted = [int(t) for t in trial_ids]
         marks = ",".join("?" for _ in wanted)
@@ -619,11 +627,14 @@ class JobQueue:
         return {int(trial_id): result for trial_id, result in rows}
 
     def merge_log(self, session_id: str) -> Dict[int, LoggedJob]:
-        """``trial_id -> LoggedJob`` for every job of the session: the
+        """``trial_id -> LoggedJob`` for every job of the session, with
+        its merge note (``merge_notes``) joined on when it has one: the
         durable state a coordinator resumes from (empty when fresh)."""
         rows = self.database.execute(
-            "SELECT trial_id, payload, merge_seq, merge_note FROM jobs "
-            "WHERE session_id = ?",
+            "SELECT jobs.trial_id, payload, notes.merge_seq, "
+            "notes.merge_note FROM jobs "
+            "LEFT JOIN merge_notes AS notes USING (session_id, trial_id) "
+            "WHERE jobs.session_id = ?",
             (session_id,),
         ).fetchall()
         return {int(row[0]): LoggedJob(*row[1:]) for row in rows}
@@ -631,12 +642,15 @@ class JobQueue:
     def record_merge(
         self, session_id: str, trial_id: int, seq: int, note: bytes
     ) -> None:
-        """Stamp a job as merged: the ``seq``-th merge of its session,
-        replayable from ``note``.  Called inside the merge's transaction."""
+        """Note a job as merged: the ``seq``-th merge of its session,
+        replayable from ``note``.  One small ``merge_notes`` row — the
+        job row and its result blob are not rewritten.  Called inside
+        the merge's transaction, which a barrier scheduler shares among
+        every trial of a settled wave head."""
         self.database.execute(
-            "UPDATE jobs SET merge_seq = ?, merge_note = ? "
-            "WHERE session_id = ? AND trial_id = ?",
-            (int(seq), note, session_id, int(trial_id)),
+            "INSERT INTO merge_notes (session_id, trial_id, merge_seq, "
+            "merge_note) VALUES (?, ?, ?, ?)",
+            (session_id, int(trial_id), int(seq), note),
         )
 
     def worker_stats(self, session_id: Optional[str] = None) -> List[Dict[str, Any]]:

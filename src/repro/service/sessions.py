@@ -3,7 +3,7 @@
 A session is one submitted tuning run: its :class:`SessionSpec`, a
 lifecycle state (``queued → running → done | failed``) and the result
 summary.  What a ``kill -9``'d session resumes from is not here: it is
-the session's job rows, each merged one stamped with its merge note
+the session's job rows, each merged one with its merge note
 (:meth:`~repro.service.queue.JobQueue.merge_log`), which the coordinator
 replays.  The row only adds a warm-start session's history watermark, so
 a resume reads the history the first run read.

@@ -11,9 +11,9 @@ for tests.  Four tables:
   (spec, lifecycle state, result summary);
 * ``jobs`` — the persistent trial-evaluation job queue consumed by the
   service's parallel worker pool and the fleet's hosts alike
-  (lease-with-heartbeat ownership); its rows, with the merge note the
-  coordinator stamps on each, are also a session's durable state
-  (crash-safe resume replays them);
+  (lease-with-heartbeat ownership); its rows, with the note
+  ``merge_notes`` holds for each one the coordinator merged, are also a
+  session's durable state (crash-safe resume replays them);
 * ``machines`` — the :mod:`repro.fleet` machine registry: worker hosts
   with capability tags and liveness heartbeats;
 * ``fleet_stats`` — the crash-safe event counters (hub, federation,
@@ -258,10 +258,11 @@ CREATE TABLE IF NOT EXISTS hub_state (
 
 #: v9 — a session's durable state is its job log (DESIGN.md §5b): each
 #: merged job gets ``merge_seq`` (its place in merge order) and
-#: ``merge_note``, and a warm-start session's ``history_upto`` bounds the
-#: history it reads.  The run-state snapshot ``sessions.checkpoint`` is
-#: dropped; a session that was resumable from one fails with
-#: :data:`PRE_V9_INTERRUPTED`.  :meth:`TrialDatabase._migrate` does it all.
+#: ``merge_note`` (in ``jobs`` until v11, in ``merge_notes`` since), and
+#: a warm-start session's ``history_upto`` bounds the history it reads.
+#: The run-state snapshot ``sessions.checkpoint`` is dropped; a session
+#: that was resumable from one fails with :data:`PRE_V9_INTERRUPTED`.
+#: :meth:`TrialDatabase._migrate` does it all.
 _SCHEMA_V9 = ""
 
 #: Error of a session the v9 migration failed: it was interrupted while
@@ -279,6 +280,25 @@ _SCHEMA_V10 = """
 CREATE INDEX IF NOT EXISTS idx_machines_state ON machines (state);
 """
 
+#: v11 — merge notes move out of ``jobs`` into a table of their own, so
+#: noting a merge inserts a ~430 B row instead of rewriting the job row
+#: that holds the trial's result blob.  :meth:`TrialDatabase._migrate`
+#: copies v9's ``jobs.merge_seq`` / ``merge_note`` here after the script
+#: runs, then drops them (see :meth:`TrialDatabase._drop_column`).
+_SCHEMA_V11 = """
+CREATE TABLE IF NOT EXISTS merge_notes (
+    session_id TEXT NOT NULL,
+    trial_id INTEGER NOT NULL,
+    merge_seq INTEGER NOT NULL,
+    merge_note BLOB NOT NULL,
+    PRIMARY KEY (session_id, trial_id)
+);
+"""
+
+#: ``ALTER TABLE ... DROP COLUMN`` arrived in sqlite 3.35.0.  On an older
+#: library a migration leaves a column it drops in place, unread.
+DROPS_COLUMNS = sqlite3.sqlite_version_info >= (3, 35, 0)
+
 #: Ordered (version, script) migration ladder; each script must be safe to
 #: run on a database that already contains the objects it creates (older
 #: releases wrote the v1 tables without stamping ``user_version``).
@@ -293,6 +313,7 @@ MIGRATIONS: Tuple[Tuple[int, str], ...] = (
     (8, _SCHEMA_V8),
     (9, _SCHEMA_V9),
     (10, _SCHEMA_V10),
+    (11, _SCHEMA_V11),
 )
 
 SCHEMA_VERSION = MIGRATIONS[-1][0]
@@ -407,8 +428,8 @@ class TrialDatabase:
                 )
                 self._ensure_column("artifacts", "checksum", "TEXT")
             if target == 9:
-                self._ensure_column("jobs", "merge_seq", "INTEGER")
-                self._ensure_column("jobs", "merge_note", "BLOB")
+                # v9 also added jobs.merge_seq / merge_note, which v11
+                # moves out again: a file older than v9 has no notes.
                 self._ensure_column("sessions", "history_upto", "INTEGER")
                 if "checkpoint" in self._columns("sessions"):
                     self._connection.execute(
@@ -417,18 +438,22 @@ class TrialDatabase:
                         "AND checkpoint IS NOT NULL",
                         (PRE_V9_INTERRUPTED, time.time()),
                     )
-                    self._connection.execute(
-                        "ALTER TABLE sessions DROP COLUMN checkpoint"
-                    )
+                    self._drop_column("sessions", "checkpoint")
             if target == 10:
                 for index in ("idx_jobs_claim_shard", "idx_machines_state"):
                     self._connection.execute(f"DROP INDEX IF EXISTS {index}")
                 for table in ("jobs", "machines"):
-                    if "shard" in self._columns(table):
-                        self._connection.execute(
-                            f"ALTER TABLE {table} DROP COLUMN shard"
-                        )
+                    self._drop_column(table, "shard")
             self._connection.executescript(script)
+            if target == 11 and "merge_seq" in self._columns("jobs"):
+                self._connection.execute(
+                    "INSERT OR IGNORE INTO merge_notes (session_id, "
+                    "trial_id, merge_seq, merge_note) SELECT session_id, "
+                    "trial_id, merge_seq, merge_note FROM jobs "
+                    "WHERE merge_seq IS NOT NULL"
+                )
+                for column in ("merge_seq", "merge_note"):
+                    self._drop_column("jobs", column)
             self._connection.execute(f"PRAGMA user_version = {target}")
             version = target
 
@@ -439,6 +464,16 @@ class TrialDatabase:
                 f"PRAGMA table_info({table})"
             ).fetchall()
         }
+
+    def _drop_column(self, table: str, column: str) -> None:
+        """Drop ``column`` from ``table`` if it is there.  Without
+        :data:`DROPS_COLUMNS` the column stays as it is: nothing reads it,
+        and every column a migration drops is nullable or has a default,
+        so inserts that leave it out still work."""
+        if DROPS_COLUMNS and column in self._columns(table):
+            self._connection.execute(
+                f"ALTER TABLE {table} DROP COLUMN {column}"
+            )
 
     def _ensure_column(self, table: str, column: str, decl: str) -> None:
         """Add ``column`` to ``table`` when a pre-migration file lacks it."""

@@ -15,8 +15,11 @@ Each swept session starts from a copy of one template file whose
 experiment already has history (a finished BOHB and a finished ASHA
 session of the same spec) and whose artifact store holds every other
 trial of them, so a sweep crosses memo-settled issues, leases,
-training, artifact writes, inference tuning and merges.  For every crash
-point the resumed session must
+training, artifact writes, inference tuning and merges.  The
+``bohb-memoized`` session starts from a template whose store holds every
+trial of its spec: nothing is queued, each wave merges in one
+transaction, and sampled kills land inside multi-trial merge commits.
+For every crash point the resumed session must
 
 * equal the uninterrupted run (the goldens fingerprint, virtual timeline
   included; and the stored result summary);
@@ -40,12 +43,13 @@ from tests.test_session_goldens import fingerprint
 
 SPEC = dict(workload="NLP", device="armv7", seed=7, samples=60, max_trials=12)
 
-#: name -> (spec overrides, pin_order).
+#: name -> (spec overrides, pin_order, template fixture).
 SESSIONS = {
-    "bohb": ({}, False),
-    "asha-pinned": ({"scheduler": "asha"}, True),
-    "asha": ({"scheduler": "asha"}, False),
-    "warm-start": ({"warm_start": True}, False),
+    "bohb": ({}, False, "template"),
+    "bohb-memoized": ({}, False, "memo_template"),
+    "asha-pinned": ({"scheduler": "asha"}, True, "template"),
+    "asha": ({"scheduler": "asha"}, False, "template"),
+    "warm-start": ({"warm_start": True}, False, "template"),
 }
 
 #: Crash points sampled per session.
@@ -59,20 +63,23 @@ class Crash(BaseException):
 class DyingConnection:
     """A sqlite3 connection that dies at its ``die_at``-th ``execute``.
 
-    Counts every ``execute`` (``BEGIN``/``COMMIT`` included); ``die_at``
-    ``None`` only counts.
+    Counts every ``execute`` (``BEGIN``/``COMMIT`` included) and keeps
+    the first three words of each executed statement in :attr:`verbs`;
+    ``die_at`` ``None`` never dies.
     """
 
     def __init__(self, connection, die_at=None):
         self._connection = connection
         self.die_at = die_at
         self.statements = 0
+        self.verbs = []
 
-    def execute(self, *args):
+    def execute(self, sql, *args):
         self.statements += 1
         if self.die_at is not None and self.statements >= self.die_at:
             raise Crash(self.statements)
-        return self._connection.execute(*args)
+        self.verbs.append(" ".join(sql.split()[:3]))
+        return self._connection.execute(sql, *args)
 
     def __getattr__(self, name):
         return getattr(self._connection, name)
@@ -134,15 +141,22 @@ def template(tmp_path_factory):
     return path, last
 
 
-@pytest.mark.parametrize("name", sorted(SESSIONS))
-def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
-    name, template, tmp_path
-):
-    template_path, history_id = template
-    overrides, pin_order = SESSIONS[name]
-    spec = SessionSpec(**dict(SPEC, **overrides))
+@pytest.fixture(scope="module")
+def memo_template(template, tmp_path_factory):
+    """The template after one more BOHB session of the spec: its store
+    holds every trial a BOHB session of the spec draws."""
+    path = str(tmp_path_factory.mktemp("sweep-memo") / "template.sqlite")
+    copy_template(template[0], path)
+    with TrialDatabase(path) as database:
+        session_id = SessionStore(database).create(SessionSpec(**SPEC))
+        run(database, session_id, False)
+        (last,) = database.execute("SELECT MAX(id) FROM trials").fetchone()
+    return path, last
 
-    path = str(tmp_path / "reference.sqlite")
+
+def run_reference(template_path, spec, pin_order, path):
+    """Run ``spec`` uninterrupted on a copy of the template: its result,
+    stored summary, history rows and statement counter."""
     copy_template(template_path, path)
     with TrialDatabase(path) as database:
         session_id = SessionStore(database).create(spec)
@@ -151,6 +165,44 @@ def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
         reference = run(database, session_id, pin_order)
         database._connection = counter._connection
         expected = summary(SessionStore(database).get(session_id))
+    return reference, expected, counter
+
+
+def crash_at(template_path, spec, pin_order, path, die_at):
+    """Run ``spec`` on a copy of the template until its ``die_at``-th
+    statement kills it; the session id."""
+    copy_template(template_path, path)
+    database = TrialDatabase(path)
+    session_id = SessionStore(database).create(spec)
+    raw = database._connection
+    database._connection = DyingConnection(raw, die_at)
+    with pytest.raises(Crash):
+        run(database, session_id, pin_order)
+    raw.close()
+    return session_id
+
+
+def resume(database, session_id, pin_order):
+    """Release the dead process's leases — as the janitor would once
+    their TTL and the retry backoff had both run out — and run the
+    session to completion again; the result."""
+    JobQueue(database).reclaim_owner("inline", now=time.time() - BACKOFF_CAP_S)
+    return run(database, session_id, pin_order)
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
+    name, request, tmp_path
+):
+    overrides, pin_order, fixture = SESSIONS[name]
+    template_path, history_id = request.getfixturevalue(fixture)
+    spec = SessionSpec(**dict(SPEC, **overrides))
+
+    path = str(tmp_path / "reference.sqlite")
+    reference, expected, counter = run_reference(
+        template_path, spec, pin_order, path
+    )
+    with TrialDatabase(path) as database:
         expected_rows = merged_rows(database, history_id)
     assert len(expected_rows) == len(reference.trials) == SPEC["max_trials"]
 
@@ -158,14 +210,7 @@ def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
     points = sorted(rng.sample(range(1, counter.statements + 1), CRASH_POINTS))
     for die_at in points:
         path = str(tmp_path / f"crash-{die_at}.sqlite")
-        copy_template(template_path, path)
-        database = TrialDatabase(path)
-        session_id = SessionStore(database).create(spec)
-        raw = database._connection
-        database._connection = DyingConnection(raw, die_at)
-        with pytest.raises(Crash):
-            run(database, session_id, pin_order)
-        raw.close()
+        session_id = crash_at(template_path, spec, pin_order, path, die_at)
 
         with TrialDatabase(path) as database:
             queue = JobQueue(database)
@@ -173,12 +218,9 @@ def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
                 job.trial_id: (job.attempts, job.finished_at)
                 for job in queue.jobs_for(session_id, DONE)
             }
-            # The dead process's leases: released as the janitor would
-            # once their TTL and the retry backoff had both run out.
-            queue.reclaim_owner("inline", now=time.time() - BACKOFF_CAP_S)
             store = SessionStore(database)
             if store.get(session_id).state != S_DONE:
-                resumed = run(database, session_id, pin_order)
+                resumed = resume(database, session_id, pin_order)
                 assert fingerprint(resumed) == fingerprint(reference), die_at
             record = store.get(session_id)
             assert record.state == S_DONE, die_at
@@ -194,3 +236,37 @@ def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
             if os.path.exists(leftover):
                 os.remove(leftover)
         shutil.rmtree(path + ".artifacts")
+
+
+def test_kill_between_two_merges_of_one_batch_loses_the_whole_batch(
+    memo_template, tmp_path
+):
+    """A fully memoized BOHB session merges its first wave in one
+    commit.  Killed right after that commit's first merge note, before
+    the second merge's first statement, it keeps no ``trials`` row and
+    no note of the batch, and resumes to the uninterrupted run."""
+    template_path, history_id = memo_template
+    spec = SessionSpec(**SPEC)
+    reference, expected, counter = run_reference(
+        template_path, spec, False, str(tmp_path / "reference.sqlite")
+    )
+    verbs = counter.verbs
+    first_note = verbs.index("INSERT INTO merge_notes")
+    commit = verbs.index("COMMIT", first_note)
+    batch = verbs[first_note:commit]
+    assert batch.count("INSERT INTO merge_notes") >= 2, batch
+
+    path = str(tmp_path / "crash.sqlite")
+    # ``verbs`` is 0-based, ``die_at`` counts from 1: the second merge's
+    # first statement, the one after the first note, never runs.
+    session_id = crash_at(template_path, spec, False, path, first_note + 2)
+    with TrialDatabase(path) as database:
+        assert merged_rows(database, history_id) == []
+        assert database.execute(
+            "SELECT COUNT(*) FROM merge_notes WHERE session_id = ?",
+            (session_id,),
+        ).fetchone() == (0,)
+        resumed = resume(database, session_id, False)
+        assert fingerprint(resumed) == fingerprint(reference)
+        assert summary(SessionStore(database).get(session_id)) == expected
+        assert len(merged_rows(database, history_id)) == SPEC["max_trials"]

@@ -118,9 +118,8 @@ class TestCapabilityLease:
         assert queue.lease("untagged").trial_id == 1
 
 
-class TestShardedQueue:
-    """Dead-host draining of the one queue every fleet host leases from
-    (the class name predates the single queue)."""
+class TestDeadHostDrain:
+    """Dead-host draining of the one queue every fleet host leases from."""
 
     def test_reclaim_owner_drains_machine_prefix(self, db):
         """Dead-host drain: every lease held by ``machine/<worker>`` is

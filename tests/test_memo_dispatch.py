@@ -177,6 +177,98 @@ class TestSettledAtIssue:
         assert owners == {MEMO_OWNER}
 
 
+    def test_memo_hits_merge_without_reading_their_rows(
+        self, cold, monkeypatch
+    ):
+        """The coordinator merges a trial it settled from the blob it
+        still holds: no ``settled`` probe, no ``results_for``."""
+        database, _, result = cold
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a memo hit was read back from its row")
+
+        monkeypatch.setattr(JobQueue, "settled", unread)
+        monkeypatch.setattr(JobQueue, "results_for", unread)
+        again = run_inline(database, submit(database))
+        assert warm_fingerprint(again) == warm_fingerprint(result)
+
+
+class TestMergeCommits:
+    """Which merges share a commit, on a fully memoized resubmit: every
+    trial of a wave is settled at issue, the case a batch is for."""
+
+    @staticmethod
+    def events(database, session_id, monkeypatch, **options):
+        """``BEGIN`` / ``COMMIT`` / ``note`` (a merge note written) and
+        ``next_trials`` calls, in the order the session made them."""
+        events = []
+
+        def trace(sql):
+            words = sql.split()
+            if words[0] in ("BEGIN", "COMMIT"):
+                events.append(words[0])
+            elif words[:3] == ["INSERT", "INTO", "merge_notes"]:
+                events.append("note")
+
+        real = ModelTuningServer.next_trials
+
+        def next_trials(server, *args, **kwargs):
+            events.append("next_trials")
+            return real(server, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ModelTuningServer, "next_trials", next_trials)
+            database._connection.set_trace_callback(trace)
+            try:
+                result = run_inline(database, session_id, **options)
+            finally:
+                database._connection.set_trace_callback(None)
+        owners = {job.lease_owner for job in
+                  job_rows(database, session_id).values()}
+        assert owners == {MEMO_OWNER}
+        return events, len(result.trials)
+
+    @staticmethod
+    def notes_per_commit(events):
+        counts, notes = [], 0
+        for event in events:
+            if event == "note":
+                notes += 1
+            elif event == "COMMIT":
+                if notes:
+                    counts.append(notes)
+                notes = 0
+        return counts
+
+    def test_barrier_merges_a_settled_wave_in_one_commit(
+        self, cold, monkeypatch
+    ):
+        database, _, _ = cold
+        events, trials = self.events(database, submit(database), monkeypatch)
+        counts = self.notes_per_commit(events)
+        assert sum(counts) == trials
+        assert max(counts) > 1 and len(counts) < trials
+
+    @pytest.mark.parametrize("pin_order", [False, True])
+    def test_async_merges_one_trial_per_commit(
+        self, tmp_path, monkeypatch, pin_order
+    ):
+        """ASHA must see each result before it is asked for more: a
+        promotion the merge unlocks reaches the queue before the next
+        merge, so batching its merges would change the schedule."""
+        asha = dict(scheduler="asha", num_configs=6, max_trials=None)
+        with TrialDatabase(str(tmp_path / "svc.sqlite")) as database:
+            run_inline(database, submit(database, **asha), pin_order=pin_order)
+            events, trials = self.events(
+                database, submit(database, **asha), monkeypatch,
+                pin_order=pin_order,
+            )
+        assert self.notes_per_commit(events) == [1] * trials
+        merges = [i for i, event in enumerate(events) if event == "note"]
+        for before, after in zip(merges, merges[1:]):
+            assert "next_trials" in events[before:after], (before, after)
+
+
 class TestPartialStore:
     @settings(max_examples=8, deadline=None)
     @given(st.sets(st.sampled_from(TRIAL_IDS)))

@@ -64,6 +64,24 @@ class TestMigrations:
         }
         assert {"trials", "inference_results", "sessions", "jobs"} <= tables
 
+    def test_fresh_database_without_drop_column_runs_a_session(
+        self, monkeypatch
+    ):
+        """On a sqlite older than 3.35 the migrations leave the columns
+        they drop in place; a session still runs to its golden result."""
+        monkeypatch.setattr("repro.storage.database.DROPS_COLUMNS", False)
+        with TrialDatabase() as db:
+            assert db.schema_version == SCHEMA_VERSION
+            assert "shard" in {
+                row[1] for row in db.execute("PRAGMA table_info(jobs)")
+            }
+            session_id = SessionStore(db).create(SessionSpec(
+                workload="NLP", device="armv7", seed=7,
+                samples=GOLDENS["NLP"]["samples"],
+            ))
+            result = SessionCoordinator(db, session_id).run()
+            assert digest(result) == GOLDENS["NLP"]["digest"]
+
     def test_legacy_v0_database_upgrades_in_place(self, tmp_path):
         """A pre-migration file (no user_version, no created_at column)
         must upgrade on open with its rows intact."""
@@ -138,7 +156,7 @@ class TestMigrations:
         raw.close()
 
         with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION == 10
+            assert db.schema_version == SCHEMA_VERSION == 11
             columns = {
                 row[1]
                 for row in db.execute("PRAGMA table_info(sessions)")
@@ -177,7 +195,7 @@ class TestMigrations:
         raw.close()
 
         with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION == 10
+            assert db.schema_version == SCHEMA_VERSION == 11
             for table in ("jobs", "machines"):
                 assert "shard" not in {
                     row[1] for row in db.execute(f"PRAGMA table_info({table})")
@@ -191,6 +209,83 @@ class TestMigrations:
             assert MachineRegistry(db).get("m1").hostname == "edge-a"
             job = JobQueue(db).lease("m2/w0", workloads=["IC"])
             assert job is not None and job.trial_id == 1
+
+    @pytest.mark.parametrize("drops_columns", [True, False])
+    def test_v10_database_moves_merge_notes_out_of_jobs(
+        self, tmp_path, monkeypatch, drops_columns
+    ):
+        """v11 moves the merge notes of an interrupted session from
+        ``jobs`` into ``merge_notes``, and the session resumes to its
+        golden result.  On a sqlite without ``DROP COLUMN`` the old
+        columns stay behind; garbage written there afterwards changes
+        nothing, because nothing reads them."""
+        path = os.path.join(tmp_path, "v10.sqlite")
+        spec = SessionSpec(workload="NLP", device="armv7", seed=7,
+                           samples=GOLDENS["NLP"]["samples"])
+
+        class Killed(BaseException):
+            """Not an ``Exception``: nothing in the service catches it."""
+
+        merged = []
+        real_record_merge = JobQueue.record_merge
+
+        def record_merge(queue, *args):
+            if len(merged) == 30:
+                raise Killed()
+            merged.append(args)
+            return real_record_merge(queue, *args)
+
+        with TrialDatabase(path) as db:
+            session_id = SessionStore(db).create(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(JobQueue, "record_merge", record_merge)
+                with pytest.raises(Killed):
+                    SessionCoordinator(db, session_id).run()
+        # Back to the v10 layout: the notes in the job rows.
+        raw = sqlite3.connect(path)
+        raw.executescript(
+            """
+            ALTER TABLE jobs ADD COLUMN merge_seq INTEGER;
+            ALTER TABLE jobs ADD COLUMN merge_note BLOB;
+            UPDATE jobs SET (merge_seq, merge_note) = (
+                SELECT merge_seq, merge_note FROM merge_notes AS m
+                WHERE m.session_id = jobs.session_id
+                AND m.trial_id = jobs.trial_id);
+            DROP TABLE merge_notes;
+            PRAGMA user_version = 10;
+            """
+        )
+        assert raw.execute(
+            "SELECT COUNT(*) FROM jobs WHERE merge_seq IS NOT NULL"
+        ).fetchone() == (30,)
+        raw.close()
+
+        monkeypatch.setattr(
+            "repro.storage.database.DROPS_COLUMNS", drops_columns
+        )
+        with TrialDatabase(path) as db:
+            assert db.schema_version == SCHEMA_VERSION == 11
+            left = {"merge_seq", "merge_note"} & {
+                row[1] for row in db.execute("PRAGMA table_info(jobs)")
+            }
+            assert bool(left) is not drops_columns
+            log = JobQueue(db).merge_log(session_id)
+            assert sorted(
+                entry.merge_seq for entry in log.values()
+                if entry.merge_seq is not None
+            ) == list(range(1, 31))
+            if left:
+                db.execute("UPDATE jobs SET merge_seq = -1, merge_note = x'00'")
+            store = SessionStore(db)
+            assert store.get(session_id).state == S_RUNNING
+            result = SessionCoordinator(db, session_id).run()
+            assert digest(result) == GOLDENS["NLP"]["digest"]
+            assert store.get(session_id).state == S_DONE
+            assert db.trial_count() == len(result.trials)
+            assert db.execute(
+                "SELECT COUNT(*) FROM merge_notes WHERE session_id = ?",
+                (session_id,),
+            ).fetchone() == (len(result.trials),)
 
     def test_created_at_is_stamped_and_history_orders_by_it(self):
         db = TrialDatabase()
@@ -391,6 +486,8 @@ class TestSessions:
         fresh = store.create(self.spec(seed=2))
         queue.enqueue(old, 1, "p")
         queue.enqueue(fresh, 1, "p")
+        for session_id in (old, fresh):
+            queue.record_merge(session_id, 1, 1, b"note")
         queue.lease("dead", ttl_s=-1.0, session_id=fresh)  # already expired
         counts = store.gc(max_age_s=-1.0)
         assert counts["sessions_deleted"] == 1
@@ -400,6 +497,9 @@ class TestSessions:
             store.get(old)
         assert store.get(fresh).id == fresh
         assert queue.get(fresh, 1) is not None
+        assert db.execute(
+            "SELECT session_id FROM merge_notes"
+        ).fetchall() == [(fresh,)]
 
 
 class TestClockSkewHardening:

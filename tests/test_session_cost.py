@@ -28,10 +28,10 @@ it: nothing is queued, so the coordinator never waits), and at *equal or
 lower* than the pins.  All three share one process, as sessions on a
 long-lived hub do: a memoized run rebuilds no dataset and no probe
 model, because the process-wide memos already hold them.  A change that
-sends a memoized trial back through the queue, re-reads its artifact,
-or commits per trial instead of per wave fails here in about a second,
-on any machine.  The cold run has its own pins: one more statement,
-commit or optimizer step per trial shows there.
+sends a memoized trial back through the queue, re-reads its artifact
+or its job row, or commits per trial instead of per wave fails here in
+about a second, on any machine.  The cold run has its own pins: one
+more statement, commit or optimizer step per trial shows there.
 """
 
 import repro.core.model_server as model_server
@@ -54,16 +54,20 @@ SPEC = dict(workload="NLP", device="armv7", seed=7, samples=400)
 #: Then a pickled run-state snapshot (~36 KB; 3.28 MB a session) was
 #: written 92 times: after every merge, inside its transaction, and
 #: after every wave's issue, autocommitted.  Stamping each merged job
-#: row with a merge note instead gives 629 statements (-92 snapshot
+#: row with a merge note instead gave 629 statements (-92 snapshot
 #: writes, -1 snapshot read, +77 note writes, +1 read of the job log) and
-#: 96 commits (the 15 post-issue snapshot commits are gone).  What is
-#: left is one transaction per merge; batching merges into fewer commits
-#: would buy nothing measurable (77 one-UPDATE transactions take about
-#: 1 ms in all), so it is not pursued.  Lower a pin when the session
-#: gets cheaper; never raise one to make a change pass.
+#: 96 commits: one transaction per merge.  Those 77 merge commits took
+#: 15.7 ms of a ~94 ms session, because each note was an UPDATE of the
+#: job row holding the 13.5 KB result blob, which sqlite rewrote whole.
+#: Now a note is a row of its own, a wave's settled trials merge in one
+#: commit, and a memo hit merges from the blob the coordinator settled
+#: it with: 474 statements (-77 ``settled`` probes, -77 ``results_for``
+#: reads) and 34 commits (-62: one merge commit per wave, not per
+#: trial).  Lower a pin when the session gets cheaper; never raise one
+#: to make a change pass.
 PINS = {
-    "statements": 629,
-    "commits": 96,
+    "statements": 474,
+    "commits": 34,
     "checkpoints": 0,
     "checkpoint_bytes": 0,
     "leases": 0,
@@ -78,7 +82,9 @@ PINS = {
 #: bytes published to the artifact store (was 1,201 statements / 421
 #: commits with the snapshots).  One dataset build: the coordinator's
 #: ``prepare`` and the inline worker's trials share the process memo
-#: (two builds before they did).  Same rule as above.
+#: (two builds before they did).  Same rule as above: a barrier wave's
+#: merges may share a commit, but not at the price of one more probe per
+#: merge (+62 statements) on this path.
 COLD_PINS = {
     "statements": 1186,
     "commits": 406,
