@@ -156,9 +156,9 @@ def trial_key(task: Any, fingerprint: Optional[str] = None) -> str:
 
 def pack_result(evaluation: Any, model_blob: bytes) -> bytes:
     """The bytes a finished job is completed with: the pickled evaluation
-    carrying its pickled model.  One function for the worker that just
-    trained the model and for :meth:`ArtifactStore.load_result`, so a
-    memoized job's row is the cold run's byte for byte."""
+    carrying its pickled model.  :meth:`ArtifactStore.load_result` pickles
+    the same object, so a job a worker served from the store holds the
+    bytes of the cold run's."""
     return pickle.dumps(
         dataclasses.replace(evaluation, model_blob=model_blob),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -471,20 +471,33 @@ class ArtifactStore:
             record.get("resume"),
         )
 
-    def load_result(
-        self, key: str, count_miss: bool = True
-    ) -> Optional[bytes]:
-        """The job-result blob for ``key`` (:func:`pack_result` of the
-        stored evaluation and the stored model pickle), or ``None``.  For
-        callers that pass a result on (:meth:`load_trial` hands back a
-        live model; here it is never unpickled).  ``count_miss=False``:
-        the miss will be counted by whoever runs the trial.
+    def load_evaluation(self, key: str, count_miss: bool = True) -> Any:
+        """The stored evaluation for ``key`` with ``model_blob`` set to the
+        stored model pickle — what a worker that trained the model would
+        have sent, unpickled — or ``None``.  One verified, hit-counting
+        :meth:`get` and one unpickle of the payload; the model stays a
+        pickle (:meth:`load_trial` hands back a live one).
+        ``count_miss=False``: the miss will be counted by whoever runs
+        the trial.  The coordinator merges a memo hit from this object.
         """
         payload = self.get(key, count_miss=count_miss)
         if payload is None:
             return None
         record = pickle.loads(payload)
-        return pack_result(record["evaluation"], record["model"])
+        return dataclasses.replace(
+            record["evaluation"], model_blob=record["model"]
+        )
+
+    def load_result(
+        self, key: str, count_miss: bool = True
+    ) -> Optional[bytes]:
+        """:meth:`load_evaluation` packed as a job-result blob — the bytes
+        :func:`pack_result` gives the worker that trained the model — for
+        a worker that completes its job with them."""
+        evaluation = self.load_evaluation(key, count_miss=count_miss)
+        if evaluation is None:
+            return None
+        return pickle.dumps(evaluation, protocol=pickle.HIGHEST_PROTOCOL)
 
     def resume_state(
         self, key: str

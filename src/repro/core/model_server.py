@@ -286,6 +286,7 @@ def evaluate_trial(
     eval_set: Optional[Dataset] = None,
     workload: Optional[Workload] = None,
     artifacts: Optional[ArtifactStore] = None,
+    probed_key: Optional[str] = None,
 ) -> Tuple[TrialEvaluation, Any]:
     """Run the real numpy training for one :class:`TrialTask`.
 
@@ -304,13 +305,21 @@ def evaluate_trial(
     ``task.start_epoch``.  A missing parent artifact degrades to a cold
     run — the task is re-keyed with the lineage stripped so the stored
     artifact always describes what actually ran.
+
+    ``probed_key`` is the task's trial key when the caller has already
+    probed ``artifacts`` for it and missed without counting the miss (a
+    worker, which serves a hit itself): the key is not probed again, and
+    its miss is counted here, once.
     """
-    key: Optional[str] = None
+    key: Optional[str] = probed_key
     if artifacts is not None:
-        key = trial_key(task)
-        cached = artifacts.load_trial(key)
-        if cached is not None:
-            return cached[0], cached[1]
+        if key is not None:
+            artifacts.session_misses += 1
+        else:
+            key = trial_key(task)
+            cached = artifacts.load_trial(key)
+            if cached is not None:
+                return cached[0], cached[1]
     workload = workload or get_workload(task.workload_id)
     resume: Optional[Tuple[Dict[str, Any], List[Any]]] = None
     if artifacts is not None and task.reuse and task.parent_key is not None:

@@ -337,15 +337,20 @@ class FleetServer(FrameServer):
             return fenced
         # Chaos hooks: die right before / right after the result lands.
         # Keyed on this incarnation's epoch so the restarted hub (new
-        # epoch, new draw) sails past the replayed frame.
+        # epoch, new draw) sails past the replayed frame.  The result and
+        # the machine's count commit together: had the result landed
+        # alone, the replay would be acknowledged as a duplicate and the
+        # count never written.
         faults.fault_point("fleet.hub_crash", key=f"{self.epoch}:{job_id}")
-        accepted = self.queue.complete(job_id, owner, result)
+        with self.database.transaction():
+            accepted = self.queue.complete(job_id, owner, result)
+            if accepted:
+                self.registry.record_done(machine_id)
         faults.fault_point(
             "fleet.hub_crash", key=f"{self.epoch}:{job_id}:post"
         )
         if accepted:
             self.results_bell.ring()
-            self.registry.record_done(machine_id)
             self.registry.heartbeat(machine_id)
         return ok_frame(accepted=accepted, duplicate=False)
 

@@ -10,9 +10,11 @@ One coordinator drives one tuning session to completion:
    halving schedulers, whatever is runnable right now for asynchronous
    ones — and look each one up in the coordinator's own artifact store
    (**memo before dispatch**): a trial the store answers gets its job
-   row written already ``done``, carrying the stored result; the rest
-   are enqueued as persistent jobs — all in one commit — and the
-   workers' doorbell rings only if something was queued;
+   row written already ``done``, holding the result by reference (the
+   store keeps it; the coordinator merges the evaluation its probe
+   returned); the rest are enqueued as persistent jobs — all in one
+   commit — and the workers' doorbell rings only if something was
+   queued;
 3. while workers chew through them in *any* order, integrate finished
    evaluations in issue order — scoring, inference tuning, virtual
    timeline, scheduler reports are all order-sensitive, so pinning the
@@ -29,9 +31,11 @@ Steps 2-4 are one loop, :meth:`SessionCoordinator._drive`; it waits in
 one place, on the results doorbell (:mod:`repro.service.doorbell`).
 
 Resume is the same loop over the job rows step 1 read: a re-drawn trial
-that has a row is neither probed nor enqueued (its payload must equal
-the row's), and a merged one is replayed from its note, in sequence
-order, writing nothing.  A ``kill -9`` at any point loses at most
+that has a row is not enqueued again (its payload must equal the row's)
+and is probed only if its row is a memo hit held by reference — the
+store answers it again, or the row goes back to the queue — and a
+merged one is replayed from its note, in sequence order, writing
+nothing.  A ``kill -9`` at any point loses at most
 in-flight work (which the queue retries), and the resumed session is
 bit-identical to an uninterrupted one (DESIGN.md §5b).
 
@@ -146,10 +150,10 @@ class SessionCoordinator:
         self._decision_log: Optional[List[List[Any]]] = None
         #: The session's job rows as :meth:`run` found them, by trial id.
         self._log: Dict[int, LoggedJob] = {}
-        #: Result blobs :meth:`_issue` settled from the artifact store,
-        #: by trial id, held until the trial merges: a memo hit is never
-        #: read back from its job row.
-        self._held: Dict[int, bytes] = {}
+        #: Evaluations :meth:`_issue` settled from the artifact store, by
+        #: trial id, held until the trial merges: a memo hit's job row
+        #: holds no result to read back.
+        self._held: Dict[int, Any] = {}
 
     # -- main entry ---------------------------------------------------------
     def run(self) -> TuningRunResult:
@@ -360,7 +364,6 @@ class SessionCoordinator:
                     pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL),
                 )
                 merged.append(trial)
-                self._held.pop(trial.trial_id, None)
                 if state.stopped:
                     break
         self.meters.count("trials.integrated", len(merged))
@@ -378,12 +381,16 @@ class SessionCoordinator:
         same trials on resume).
 
         A trial whose artifact the coordinator's own store holds never
-        crosses the queue; its blob is also held in memory until the
-        trial merges.  The probe is the verified, hit-counting read a
-        worker's is, so a corrupt blob is quarantined here and the trial
+        crosses the queue: its row holds the result by reference and the
+        evaluation the probe returned is held in memory until the trial
+        merges.  The probe is the verified, hit-counting read a worker's
+        is, so a corrupt blob is quarantined here and the trial
         dispatched cold.  A trial the session already has a job row for
-        (a resume) is neither probed nor enqueued again; its re-drawn
-        payload must equal the row's.
+        (a resume) is not enqueued again; its re-drawn payload must equal
+        the row's.  It is probed again only if its row is a memo hit held
+        by reference: the store answers it, or — the key gc'd or
+        quarantined since — the row goes back to ``queued`` and a worker
+        runs the trial cold.
         """
         store = server.artifacts
         queued = 0
@@ -399,18 +406,28 @@ class SessionCoordinator:
                             f"{trial.trial_id} re-drawn as {payload}, "
                             f"issued as {logged.payload}"
                         )
-                    queued += logged.merge_seq is None
-                    continue
-                blob = None if store is None else store.load_result(
-                    trial_key(task), count_miss=False
-                )
-                if blob is not None and self.queue.settle(
-                    self.session_id, trial.trial_id, payload, blob
+                    if not logged.by_reference:
+                        queued += logged.merge_seq is None
+                        continue
+                evaluation = None
+                if store is not None:
+                    evaluation = store.load_evaluation(
+                        trial_key(task), count_miss=False
+                    )
+                if evaluation is not None and (
+                    logged is not None or self.queue.settle(
+                        self.session_id, trial.trial_id, payload
+                    )
                 ):
-                    self._held[trial.trial_id] = blob
+                    self._held[trial.trial_id] = evaluation
                     continue
                 queued += 1
-                self.queue.enqueue(self.session_id, trial.trial_id, payload)
+                if logged is None:
+                    self.queue.enqueue(
+                        self.session_id, trial.trial_id, payload
+                    )
+                else:
+                    self.queue.unsettle(self.session_id, trial.trial_id)
         if queued:
             self.jobs_bell.ring()
         pending.extend(fresh)
@@ -424,8 +441,8 @@ class SessionCoordinator:
         else the first dead-lettered one — or none.  A dead-lettered
         trial gets a failure record in place of a result.
 
-        A trial :meth:`_issue` settled is done with its blob in hand, so
-        the one ``settled`` probe asks only about the others.
+        A trial :meth:`_issue` settled is done with its evaluation in
+        hand, so the one ``settled`` probe asks only about the others.
         """
         held = self._held
         settled = {
@@ -458,10 +475,10 @@ class SessionCoordinator:
             if job_state == FAILED:
                 self.meters.count("failures.substituted")
                 evaluation = failure_evaluation(trial.trial_id, error)
+            elif trial.trial_id in held:
+                evaluation = held.pop(trial.trial_id)
             else:
-                evaluation = pickle.loads(
-                    held.get(trial.trial_id) or fetched[trial.trial_id]
-                )
+                evaluation = pickle.loads(fetched[trial.trial_id])
             batch.append((trial, evaluation))
         return batch
 

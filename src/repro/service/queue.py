@@ -46,6 +46,14 @@ JOB_STATES = (QUEUED, LEASED, DONE, FAILED)
 #: (:meth:`JobQueue.settle`).  ``worker_stats`` reports it like a worker.
 MEMO_OWNER = "memo"
 
+#: SQL truth value of "this row is a memo hit held by reference": done,
+#: settled by the coordinator, no result copy (rows settled before
+#: results were held by reference carry one and read like any done row).
+_BY_REFERENCE = (
+    f"(jobs.state = '{DONE}' AND jobs.lease_owner = '{MEMO_OWNER}' "
+    "AND jobs.result IS NULL)"
+)
+
 
 def _env_float(name: str, default: float) -> float:
     """A float from the environment, falling back on garbage values (a
@@ -141,12 +149,15 @@ class Job:
 
 class LoggedJob(NamedTuple):
     """What resume needs of one of a session's job rows: the payload the
-    trial was issued with, and — once the coordinator merged it — the
-    merge's sequence number (1-based, in merge order) and pickled note."""
+    trial was issued with, the merge's sequence number (1-based, in
+    merge order) and pickled note once the coordinator merged it, and
+    whether the row is a memo hit held by reference (its result is in
+    the artifact store, not the row: :meth:`JobQueue.settle`)."""
 
     payload: str
     merge_seq: Optional[int]
     merge_note: Optional[bytes]
+    by_reference: bool
 
 
 @dataclass
@@ -231,30 +242,37 @@ class JobQueue:
         )
         return cursor.rowcount > 0
 
-    def settle(
-        self,
-        session_id: str,
-        trial_id: int,
-        payload: str,
-        result: bytes,
-    ) -> bool:
-        """Record a trial whose result the issuer already holds as done,
-        without queueing it: the row a worker would have completed on its
-        first attempt (owner :data:`MEMO_OWNER`, zero wait and run time),
-        so nothing downstream can tell and no lease can touch it.
-        Idempotent like :meth:`enqueue`: an existing row wins.  The
-        coordinator merges a trial it settled from the blob it still
-        holds, so nothing reads the row back during the session.
+    def settle(self, session_id: str, trial_id: int, payload: str) -> bool:
+        """Record a trial whose result the issuer found in its artifact
+        store as done, without queueing it: the row a worker would have
+        completed on its first attempt (owner :data:`MEMO_OWNER`, zero
+        wait and run time), so ``worker_stats``, ``status`` and the
+        janitor cannot tell and no lease can touch it.  The row holds the
+        result **by reference**: ``result`` stays NULL, the artifact
+        store keeps the one copy, and the coordinator merges from the
+        evaluation its probe returned (a resume probes the store again).
+        Idempotent like :meth:`enqueue`: an existing row wins.
         """
         now = time.time()
         cursor = self.database.execute(
             "INSERT OR IGNORE INTO jobs (session_id, trial_id, payload, "
-            "state, attempts, lease_owner, result, created_at, started_at, "
-            "finished_at) VALUES (?, ?, ?, ?, 1, ?, ?, ?, ?, ?)",
-            (
-                session_id, int(trial_id), payload, DONE, MEMO_OWNER,
-                result, now, now, now,
-            ),
+            "state, attempts, lease_owner, created_at, started_at, "
+            "finished_at) VALUES (?, ?, ?, ?, 1, ?, ?, ?, ?)",
+            (session_id, int(trial_id), payload, DONE, MEMO_OWNER,
+             now, now, now),
+        )
+        return cursor.rowcount > 0
+
+    def unsettle(self, session_id: str, trial_id: int) -> bool:
+        """Send a memo row held by reference back to ``queued`` because
+        the store no longer holds its key (gc'd, or quarantined as
+        corrupt): the row :meth:`enqueue` would have written, so a worker
+        runs the trial cold.  ``False`` if the row is not one."""
+        cursor = self.database.execute(
+            "UPDATE jobs SET state = ?, attempts = 0, lease_owner = NULL, "
+            "next_retry_at = 0, started_at = NULL, finished_at = NULL "
+            f"WHERE session_id = ? AND trial_id = ? AND {_BY_REFERENCE}",
+            (QUEUED, session_id, int(trial_id)),
         )
         return cursor.rowcount > 0
 
@@ -614,7 +632,10 @@ class JobQueue:
     def results_for(
         self, session_id: str, trial_ids: Iterable[int]
     ) -> Dict[int, bytes]:
-        """Result blobs of the finished jobs among ``trial_ids``."""
+        """Result blobs of the finished jobs among ``trial_ids``: rows a
+        worker completed (and memo rows settled before results were held
+        by reference).  A memo row that holds its result by reference has
+        no blob; the coordinator never asks for one."""
         wanted = [int(t) for t in trial_ids]
         if not wanted:
             return {}
@@ -632,12 +653,15 @@ class JobQueue:
         durable state a coordinator resumes from (empty when fresh)."""
         rows = self.database.execute(
             "SELECT jobs.trial_id, payload, notes.merge_seq, "
-            "notes.merge_note FROM jobs "
+            f"notes.merge_note, {_BY_REFERENCE} FROM jobs "
             "LEFT JOIN merge_notes AS notes USING (session_id, trial_id) "
             "WHERE jobs.session_id = ?",
             (session_id,),
         ).fetchall()
-        return {int(row[0]): LoggedJob(*row[1:]) for row in rows}
+        return {
+            int(row[0]): LoggedJob(row[1], row[2], row[3], bool(row[4]))
+            for row in rows
+        }
 
     def record_merge(
         self, session_id: str, trial_id: int, seq: int, note: bytes

@@ -133,9 +133,12 @@ class LocalJobs:
         return self.queue.heartbeat(job.id, self.owner, ttl_s=self.lease_ttl_s)
 
     def complete(self, job: Job, blob: bytes) -> bool:
-        if not self.queue.complete(job.id, self.owner, blob):
-            return False
-        self.registry.record_done(self.owner)
+        """Complete the job and count it on this machine in one commit
+        (apart, a kill between the two would lose the count)."""
+        with self.queue.database.transaction():
+            if not self.queue.complete(job.id, self.owner, blob):
+                return False
+            self.registry.record_done(self.owner)
         return True
 
     def fail(self, job: Job, error: str) -> None:
@@ -255,10 +258,11 @@ class TrialWorker:
     def _evaluate(self, task: TrialTask, attempt: int) -> bytes:
         """One trial's result blob, under the deadline when configured.  A
         memo hit (landed since the coordinator's probe at issue) is passed
-        on as stored bytes; a miss is left for :func:`evaluate_trial` to
-        count.  A warm resume's parent that the local store lacks is
-        fetched the same way before training, so a child resumes
-        whichever host ran its parent."""
+        on as stored bytes; on a miss :func:`evaluate_trial` trains
+        without probing the key again, and counts the miss.  A warm
+        resume's parent that the local store lacks is fetched the same
+        way before training, so a child resumes whichever host ran its
+        parent."""
 
         def execute() -> bytes:
             fault_point("worker.hang", key=task.trial_id, attempt=attempt)
@@ -274,7 +278,8 @@ class TrialWorker:
                 self._prefetch(task, parent)
             train_set, eval_set = load_task_datasets(task)
             blob = result_blob(*evaluate_trial(
-                task, train_set, eval_set, artifacts=self.artifacts
+                task, train_set, eval_set, artifacts=self.artifacts,
+                probed_key=key,
             ))
             self._publish(task, key)
             return blob

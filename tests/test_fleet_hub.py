@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.fleet.host import RemoteHost
 from repro.fleet.registry import HubState
 from repro.fleet.server import FleetServer
@@ -231,6 +232,46 @@ class TestFencing:
             assert (
                 hub.database.stats()["hub.replayed_completions"] == 1.0
             )
+        finally:
+            hub.server_close()
+
+    def test_hub_killed_after_the_result_landed_keeps_the_count(
+        self, database, monkeypatch
+    ):
+        """``fleet.hub_crash``'s ``:post`` site kills the hub right after
+        the result is written.  The machine's ``jobs_done`` must have
+        committed with it: the replayed frame is acknowledged as a
+        duplicate and writes nothing."""
+
+        class Killed(BaseException):
+            """The hub process died: nothing may catch it."""
+
+        real = faults.fault_point
+
+        def kill_at_post(site, key=None, attempt=1):
+            if site == "fleet.hub_crash" and str(key).endswith(":post"):
+                raise Killed(key)
+            return real(site, key=key, attempt=attempt)
+
+        old = start_hub(database)
+        job = lease_one(old)
+        with monkeypatch.context() as patch:
+            patch.setattr(faults, "fault_point", kill_at_post)
+            with pytest.raises(Killed):
+                old.handle_line(frame(
+                    "complete", machine_id="m1", worker="w0",
+                    job_id=job["id"], epoch=1, result=pack_bytes(b"bits"),
+                ))
+        old.server_close()
+        hub = start_hub(database)
+        try:
+            replay = hub.handle_line(frame(
+                "complete", machine_id="m1", worker="w0",
+                job_id=job["id"], epoch=1, result=pack_bytes(b"bits"),
+            ))
+            assert replay["ok"] and replay["duplicate"]
+            assert hub.queue.get("sess", 1).state == DONE
+            assert hub.registry.get("m1").jobs_done == 1
         finally:
             hub.server_close()
 

@@ -3,13 +3,17 @@ store holds is settled at issue time and never crosses the queue.
 
 Everything here runs the real :class:`SessionCoordinator` (and, for the
 fleet cases, the real :class:`FleetServer`) on a file database.  The
-contract under test: a settled job row is indistinguishable from the row
-the cold run's worker completed (``jobs.result`` byte for byte), a trial
-the store cannot answer — evicted, corrupt — is dispatched cold, and no
+contract under test: a settled job row holds its result by reference
+(``jobs.result`` is NULL; the artifact store keeps the one copy) and
+the evaluation merged for it is the cold run's, field for field and
+``model_blob`` byte for byte; a trial the store cannot answer — evicted,
+corrupt, at issue or on resume — is dispatched cold; and no
 verification is traded for the shortcut.
 """
 
+import dataclasses
 import os
+import pickle
 import shutil
 import tempfile
 import threading
@@ -72,6 +76,46 @@ def job_keys(database, session_id):
     }
 
 
+def run_recording(database, session_id, **options):
+    """Run the session inline: its result, and the evaluation each merge
+    integrated, by trial id."""
+    merged = {}
+    real = ModelTuningServer.integrate
+
+    def integrate(server, state, trial, evaluation, *args, **kwargs):
+        merged[trial.trial_id] = evaluation
+        return real(server, state, trial, evaluation, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ModelTuningServer, "integrate", integrate)
+        result = run_inline(database, session_id, **options)
+    return result, merged
+
+
+def fields(evaluation):
+    return {
+        field.name: getattr(evaluation, field.name)
+        for field in dataclasses.fields(evaluation)
+    }
+
+
+def assert_by_reference(database, session_id, merged, cold_results):
+    """Memo rows hold no result, rows a worker completed hold the cold
+    run's blob, and every merged evaluation is the one the cold run's
+    worker sent: field for field, ``model_blob`` bytes included."""
+    rows = job_rows(database, session_id)
+    assert rows.keys() == merged.keys() == cold_results.keys()
+    for trial_id, job in rows.items():
+        cold = cold_results[trial_id]
+        if job.lease_owner == MEMO_OWNER:
+            assert job.result is None, trial_id
+        else:
+            assert job.result == cold, trial_id
+        assert fields(merged[trial_id]) == fields(pickle.loads(cold)), (
+            trial_id
+        )
+
+
 @pytest.fixture()
 def cold(tmp_path):
     """A file database holding one finished cold session."""
@@ -131,18 +175,22 @@ class TestSettledAtIssue:
             {"worker": MEMO_OWNER, "jobs_done": len(rows), "busy_s": 0.0}
         ]
 
-    def test_settled_result_is_the_cold_row_byte_for_byte(self, cold):
+    def test_memo_rows_hold_no_result_and_merge_the_cold_one(self, cold):
         """``integrate`` must see the very ``model_blob`` the cold run's
-        worker sent, so the row's bytes — not just its fields — repeat."""
+        worker sent; the memo row itself keeps no copy of it."""
         database, first, _ = cold
         second = submit(database)
-        run_inline(database, second)
+        _, merged = run_recording(database, second)
         before, after = job_rows(database, first), job_rows(database, second)
         assert before.keys() == after.keys()
         for trial_id, job in before.items():
-            assert job.lease_owner == "inline"
-            assert after[trial_id].result == job.result
+            assert job.lease_owner == "inline" and job.result is not None
+            assert after[trial_id].lease_owner == MEMO_OWNER
             assert after[trial_id].payload == job.payload
+        assert_by_reference(
+            database, second, merged,
+            {t: job.result for t, job in before.items()},
+        )
 
     def test_probe_does_not_count_a_miss(self, tmp_path):
         """``count_miss=False``: the coordinator's miss only means
@@ -288,12 +336,15 @@ class TestPartialStore:
                     tuple(gone),
                 )
                 session_id = submit(database)
-                result = run_inline(database, session_id)
+                result, merged = run_recording(database, session_id)
                 assert warm_fingerprint(result) == reference
                 for trial_id, job in job_rows(database, session_id).items():
                     wanted = "inline" if trial_id in evicted else MEMO_OWNER
                     assert job.lease_owner == wanted
-                    assert job.result == rows[trial_id][0]
+                assert_by_reference(
+                    database, session_id, merged,
+                    {t: row[0] for t, row in rows.items()},
+                )
                 # The dispatched trials re-stored what was evicted.
                 assert ArtifactStore(database).stats()["entries"] == len(rows)
 
@@ -312,7 +363,7 @@ class TestCorruption:
                 first = submit(database)
                 reference = run_inline(database, first)
                 second = submit(database)
-                result = run_inline(database, second)
+                result, merged = run_recording(database, second)
                 store = ArtifactStore(database)
                 owners = [
                     job.lease_owner
@@ -324,9 +375,10 @@ class TestCorruption:
                 assert store.stats()["quarantined"] == cold_again
                 assert store.stats()["entries"] == len(owners)
                 assert warm_fingerprint(result) == warm_fingerprint(reference)
-                first_rows = job_rows(database, first)
-                for trial_id, job in job_rows(database, second).items():
-                    assert job.result == first_rows[trial_id].result
+                assert_by_reference(database, second, merged, {
+                    t: job.result
+                    for t, job in job_rows(database, first).items()
+                })
         finally:
             faults.configure(None)
 
@@ -336,20 +388,17 @@ class TestCorruption:
         store = ArtifactStore(database)
         hurt = {3, 11}
         for trial_id in hurt:
-            path = os.path.join(store.blob_dir, keys[trial_id] + ".bin")
-            with open(path, "rb") as handle:
-                payload = bytearray(handle.read())
-            payload[len(payload) // 2] ^= 0x01
-            with open(path, "wb") as handle:
-                handle.write(payload)
+            flip_a_byte(os.path.join(store.blob_dir, keys[trial_id] + ".bin"))
         second = submit(database)
-        result = run_inline(database, second)
+        result, merged = run_recording(database, second)
         assert warm_fingerprint(result) == warm_fingerprint(reference)
         rows, first_rows = job_rows(database, second), job_rows(database, first)
         assert {
             t for t, job in rows.items() if job.lease_owner == "inline"
         } == hurt
-        assert all(rows[t].result == first_rows[t].result for t in rows)
+        assert_by_reference(database, second, merged, {
+            t: job.result for t, job in first_rows.items()
+        })
         assert store.stats()["quarantined"] == len(hurt)
         for trial_id in hurt:
             assert os.path.exists(os.path.join(
@@ -359,6 +408,23 @@ class TestCorruption:
         report = store.scrub()
         assert report["verified"] == report["scanned"] == len(rows)
         assert report["quarantined"] == report["missing"] == 0
+
+
+class Killed(BaseException):
+    """Not an ``Exception``: nothing in the coordinator may catch it, as
+    nothing catches ``kill -9``."""
+
+
+def die(*args, **kwargs):
+    raise Killed()
+
+
+def flip_a_byte(path):
+    with open(path, "rb") as handle:
+        payload = bytearray(handle.read())
+    payload[len(payload) // 2] ^= 0x01
+    with open(path, "wb") as handle:
+        handle.write(payload)
 
 
 class TestCrashDrills:
@@ -406,14 +472,6 @@ class TestCrashDrills:
         self, cold, monkeypatch
     ):
         database, first, reference = cold
-
-        class Killed(BaseException):
-            """Not an ``Exception``: nothing in the coordinator may
-            catch it, as nothing catches ``kill -9``."""
-
-        def die(*args, **kwargs):
-            raise Killed()
-
         second = submit(database)
         monkeypatch.setattr(ModelTuningServer, "integrate", die)
         with pytest.raises(Killed):
@@ -430,8 +488,7 @@ class TestCrashDrills:
         assert {owner for owner, _ in settled.values()} == {MEMO_OWNER}
         assert database.trial_count() == len(reference.trials)  # first only
 
-        coordinator = SessionCoordinator(database, second, workers=0)
-        resumed = coordinator.run()
+        resumed, merged = run_recording(database, second)
         assert warm_fingerprint(resumed) == warm_fingerprint(reference)
         assert store.get(second).state == S_DONE
         rows = job_rows(database, second)
@@ -440,8 +497,111 @@ class TestCrashDrills:
             assert (rows[trial_id].lease_owner, rows[trial_id].finished_at) == (
                 owner, finished_at
             )
-        first_rows = job_rows(database, first)
-        assert all(rows[t].result == first_rows[t].result for t in rows)
+        assert_by_reference(database, second, merged, {
+            t: job.result for t, job in job_rows(database, first).items()
+        })
+
+    def test_resume_runs_cold_what_the_store_lost_since_the_kill(
+        self, cold, monkeypatch
+    ):
+        """Killed between issue and first merge, the settled wave's rows
+        hold results by reference only.  Two of those artifacts are then
+        deleted and a third one's sidecar file is damaged: the resume
+        sends exactly those three back to the queue and runs them cold,
+        and ends where the uninterrupted run does."""
+        database, first, reference = cold
+        second = submit(database)
+        monkeypatch.setattr(ModelTuningServer, "integrate", die)
+        with pytest.raises(Killed):
+            run_inline(database, second)
+        monkeypatch.undo()
+        settled = {
+            t: (job.lease_owner, job.finished_at)
+            for t, job in job_rows(database, second).items()
+        }
+        assert len(settled) >= 3
+        assert {owner for owner, _ in settled.values()} == {MEMO_OWNER}
+        keys = job_keys(database, second)
+        deleted, flipped = sorted(settled)[:2], sorted(settled)[-1]
+        database.execute(
+            "DELETE FROM artifacts WHERE key IN (?, ?)",
+            tuple(keys[t] for t in deleted),
+        )
+        store = ArtifactStore(database)
+        flip_a_byte(os.path.join(store.blob_dir, keys[flipped] + ".bin"))
+
+        resumed, merged = run_recording(database, second)
+        assert warm_fingerprint(resumed) == warm_fingerprint(reference)
+        assert SessionStore(database).get(second).state == S_DONE
+        rows = job_rows(database, second)
+        lost = {*deleted, flipped}
+        assert {
+            t for t, job in rows.items() if job.lease_owner == "inline"
+        } == lost
+        for trial_id in lost:
+            assert rows[trial_id].attempts == 1
+        for trial_id, (owner, finished_at) in settled.items():
+            if trial_id not in lost:
+                assert (
+                    rows[trial_id].lease_owner, rows[trial_id].finished_at
+                ) == (owner, finished_at)
+        assert store.stats()["quarantined"] == 1
+        assert store.stats()["entries"] == len(rows)
+        assert_by_reference(database, second, merged, {
+            t: job.result for t, job in job_rows(database, first).items()
+        })
+
+    def test_merged_memo_row_whose_artifact_is_gone_replays_its_note(
+        self, cold, monkeypatch
+    ):
+        """Killed after the first wave merged, a merged memo row whose
+        artifact has since gone is run cold again, then replayed from
+        its merge note: no second history row, the same result."""
+        database, first, reference = cold
+        second = submit(database)
+        real = ModelTuningServer.integrate
+        waves = []
+
+        def die_on_the_second_wave(server, state, trial, *args, **kwargs):
+            if (trial.bracket, trial.rung) not in waves:
+                waves.append((trial.bracket, trial.rung))
+            if len(waves) > 1:
+                raise Killed()
+            return real(server, state, trial, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ModelTuningServer, "integrate", die_on_the_second_wave
+        )
+        with pytest.raises(Killed):
+            run_inline(database, second)
+        monkeypatch.undo()
+        noted = [
+            trial_id for (trial_id,) in database.execute(
+                "SELECT trial_id FROM merge_notes WHERE session_id = ? "
+                "ORDER BY merge_seq", (second,),
+            ).fetchall()
+        ]
+        assert len(noted) >= 2
+        history = database.trial_count()
+        keys = job_keys(database, second)
+        gone = noted[:2]
+        database.execute(
+            "DELETE FROM artifacts WHERE key IN (?, ?)",
+            tuple(keys[t] for t in gone),
+        )
+
+        resumed, merged = run_recording(database, second)
+        assert warm_fingerprint(resumed) == warm_fingerprint(reference)
+        rows = job_rows(database, second)
+        assert {
+            t for t, job in rows.items() if job.lease_owner == "inline"
+        } == set(gone)
+        assert database.trial_count() == (
+            history + len(resumed.trials) - len(noted)
+        )
+        assert_by_reference(database, second, merged, {
+            t: job.result for t, job in job_rows(database, first).items()
+        })
 
 
 # -- the fleet ---------------------------------------------------------------------

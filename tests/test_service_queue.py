@@ -17,9 +17,12 @@ from repro.service.queue import (
     DONE,
     FAILED,
     LEASED,
+    MEMO_OWNER,
     QUEUED,
 )
+from repro.service.doorbell import Doorbell
 from repro.service.sessions import S_DONE, S_FAILED, S_QUEUED, S_RUNNING
+from repro.service.worker import LocalJobs
 from repro.storage import BUSY_TIMEOUT_MS, SCHEMA_VERSION, TrialDatabase
 from repro.storage.database import MIGRATIONS, PRE_V9_INTERRUPTED
 from tests.test_session_goldens import GOLDENS, digest
@@ -421,6 +424,65 @@ class TestJobQueue:
         assert queue.depths("s") == {
             QUEUED: 1, LEASED: 0, DONE: 2, FAILED: 0,
         }
+
+    def test_a_settled_row_holds_its_result_by_reference(self):
+        db, queue = make_queue()
+        assert queue.settle("s", 1, "p")
+        assert not queue.settle("s", 1, "p")  # an existing row wins
+        job = queue.get("s", 1)
+        assert (job.state, job.lease_owner, job.attempts) == (
+            DONE, MEMO_OWNER, 1
+        )
+        assert job.result is None
+        assert job.created_at == job.started_at == job.finished_at
+        queue.enqueue("s", 2, "p")
+        queue.complete(queue.lease("w1").id, "w1", b"r2")
+        log = queue.merge_log("s")
+        assert log[1].by_reference and not log[2].by_reference
+        # A memo row settled with a result copy reads like any done row.
+        queue.settle("s", 3, "p")
+        db.execute("UPDATE jobs SET result = x'00' WHERE trial_id = 3")
+        assert not queue.merge_log("s")[3].by_reference
+        assert queue.results_for("s", [2, 3]) == {2: b"r2", 3: b"\x00"}
+
+    def test_unsettle_sends_only_a_by_reference_row_back_to_the_queue(
+        self
+    ):
+        _, queue = make_queue()
+        queue.settle("s", 1, "p")
+        queue.enqueue("s", 2, "p")
+        queue.complete(queue.lease("w1").id, "w1", b"r2")
+        assert not queue.unsettle("s", 2)
+        assert queue.unsettle("s", 1)
+        job = queue.get("s", 1)
+        assert (job.state, job.lease_owner, job.attempts) == (QUEUED, None, 0)
+        assert job.started_at is job.finished_at is None
+        assert not queue.unsettle("s", 1)
+        leased = queue.lease("w2")
+        assert (leased.trial_id, leased.attempts) == (1, 1)
+
+    def test_local_completion_and_its_machine_count_commit_together(
+        self, tmp_path, monkeypatch
+    ):
+        class Killed(BaseException):
+            """The worker process died: nothing may catch it."""
+
+        def die(*args, **kwargs):
+            raise Killed()
+
+        with TrialDatabase(str(tmp_path / "svc.sqlite")) as db:
+            source = LocalJobs(db, "w1", 5.0, Doorbell())
+            source.queue.enqueue("s", 1, "p")
+            job = source.queue.lease("w1")
+            with monkeypatch.context() as patch:
+                patch.setattr(MachineRegistry, "record_done", die)
+                with pytest.raises(Killed):
+                    source.complete(job, b"r1")
+            assert source.queue.get("s", 1).state == LEASED
+            assert source.registry.get("w1").jobs_done == 0
+            assert source.complete(job, b"r1")
+            assert source.queue.get("s", 1).state == DONE
+            assert source.registry.get("w1").jobs_done == 1
 
 
 class TestSessions:

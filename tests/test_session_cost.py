@@ -21,7 +21,11 @@ now memoized — and counts, for each run:
 * ``steps`` — ``SGD.step`` + ``Adam.step`` calls;
 * ``loads`` — ``Workload.load`` calls (synthetic datasets built);
 * ``instantiations`` — ``ModelFamily.instantiate`` calls (models built,
-  sizing probes included).
+  sizing probes included);
+* ``db_bytes`` (memoized only) — how much the database file grew over
+  the first memoized run: ``page_count × page_size`` after a
+  ``PRAGMA wal_checkpoint(TRUNCATE)``, before and after.  It is what a
+  long-lived hub's file gains per resubmitted session.
 
 The two memoized runs must count identically (the path has no timing in
 it: nothing is queued, so the coordinator never waits), and at *equal or
@@ -63,11 +67,16 @@ SPEC = dict(workload="NLP", device="armv7", seed=7, samples=400)
 #: commit, and a memo hit merges from the blob the coordinator settled
 #: it with: 474 statements (-77 ``settled`` probes, -77 ``results_for``
 #: reads) and 34 commits (-62: one merge commit per wave, not per
-#: trial).  Lower a pin when the session gets cheaper; never raise one
-#: to make a change pass.
+#: trial).  A memo row then still carried a 13.5 KB copy of its result
+#: that nothing read during the session: the file grew 1,171,456 bytes
+#: a memoized session.  Now the row holds the result by reference (the
+#: artifact store keeps the one copy) and grows the file by 98,304
+#: bytes; statements and commits are unchanged.  Lower a pin when the
+#: session gets cheaper; never raise one to make a change pass.
 PINS = {
     "statements": 474,
     "commits": 34,
+    "db_bytes": 98304,
     "checkpoints": 0,
     "checkpoint_bytes": 0,
     "leases": 0,
@@ -84,10 +93,14 @@ PINS = {
 #: ``prepare`` and the inline worker's trials share the process memo
 #: (two builds before they did).  Same rule as above: a barrier wave's
 #: merges may share a commit, but not at the price of one more probe per
-#: merge (+62 statements) on this path.
+#: merge (+62 statements) on this path.  Then 1,185 / 406: the worker
+#: probed each cold trial's key twice (once itself, once in
+#: ``evaluate_trial``), and committed a completion and its machine's
+#: ``jobs_done`` separately; one probe (-77 statements) and one commit
+#: for both (-77 commits) give 1,108 / 329.
 COLD_PINS = {
-    "statements": 1186,
-    "commits": 406,
+    "statements": 1108,
+    "commits": 329,
     "checkpoints": 0,
     "checkpoint_bytes": 0,
     "stored_bytes": 1043168,
@@ -162,6 +175,14 @@ def run_counted(database, monkeypatch):
     return counts, len(result.trials)
 
 
+def file_bytes(database):
+    """The database file's size once the WAL is folded into it."""
+    database.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    (pages,) = database.execute("PRAGMA page_count").fetchone()
+    (page_size,) = database.execute("PRAGMA page_size").fetchone()
+    return pages * page_size
+
+
 def test_memoized_session_costs_what_is_pinned(tmp_path, monkeypatch):
     # Empty process memos, whatever ran before in this process.
     monkeypatch.setattr(model_server, "_DATASET_CACHE", {})
@@ -169,10 +190,15 @@ def test_memoized_session_costs_what_is_pinned(tmp_path, monkeypatch):
     with TrialDatabase(str(tmp_path / "svc.sqlite")) as database:
         cold, trials = run_counted(database, monkeypatch)
         assert cold["trainings"] == cold["leases"] == trials == 77
+        before = file_bytes(database)
         first, _ = run_counted(database, monkeypatch)
+        grown = file_bytes(database) - before
         second, _ = run_counted(database, monkeypatch)
     for name, pin in COLD_PINS.items():
         assert cold[name] <= pin, ("cold", name, cold[name], pin)
     assert first == second
+    # The first run's growth only: the second grows the same tables
+    # across other page boundaries.
+    first["db_bytes"] = grown
     for name, pin in PINS.items():
         assert first[name] <= pin, (name, first[name], pin)
