@@ -2,8 +2,8 @@
 
 ``benchmarks/session/ledger.py``'s frozen ``TARGETS`` still names these two
 functions; that is the only reason they exist, nothing in ``repro`` calls
-them, and their ledger rows read 0.  ROADMAP item 1(ii) deletes them
-together with ``TARGETS``.
+them, and their ledger rows read 0.  The ROADMAP item "Spans and
+counters move in-tree" deletes them together with ``TARGETS``.
 """
 
 

@@ -2,8 +2,8 @@
 
 ``benchmarks/session/ledger.py``'s frozen ``TARGETS`` still names this
 module's ``train_model_batch``; that is the only reason it exists, nothing
-in ``repro`` calls it, and its ledger row reads 0.  ROADMAP item 1(ii)
-deletes it together with ``TARGETS``.
+in ``repro`` calls it, and its ledger row reads 0.  The ROADMAP item
+"Spans and counters move in-tree" deletes it together with ``TARGETS``.
 """
 
 

@@ -21,7 +21,12 @@ from .module import Module, ParamTensor, Shape, check_ndim
 class ElmanRNN(Module):
     """Single-layer tanh RNN returning the final hidden state.
 
-    Input: (N, T, F); output: (N, H).
+    Input: (N, T, F); output: (N, H).  The initial state is zero and is
+    never built: step 0 is ``tanh(x_0 @ W_in + b)``, and the backward adds
+    into ``W_rec.grad`` only for t >= 1 (DESIGN §5c, "Zero initial
+    state").  A zero-length sequence returns the zero state.  ``flops``
+    still charges step 0's recurrent multiply: it is the emulated device's
+    cost, not this host's.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: SeedLike = None):
@@ -48,15 +53,15 @@ class ElmanRNN(Module):
                 f"got {inputs.shape[2]}"
             )
         batch, steps, _ = inputs.shape
-        hidden = np.zeros((batch, self.hidden_size))
-        states: List[np.ndarray] = [hidden]
+        if not steps:
+            self._cache = (inputs, [])
+            return np.zeros((batch, self.hidden_size))
+        states: List[np.ndarray] = []
         for t in range(steps):
-            pre = (
-                inputs[:, t, :] @ self.w_in.value
-                + hidden @ self.w_rec.value
-                + self.bias.value
-            )
-            hidden = np.tanh(pre)
+            pre = inputs[:, t, :] @ self.w_in.value
+            if t:  # step 0 reads the zero initial state: no recurrent term
+                pre = pre + hidden @ self.w_rec.value
+            hidden = np.tanh(pre + self.bias.value)
             states.append(hidden)
         self._cache = (inputs, states)
         return hidden
@@ -71,15 +76,14 @@ class ElmanRNN(Module):
         grad_inputs = np.zeros_like(inputs) if need_input_grad else None
         grad_hidden = grad_output
         for t in range(steps - 1, -1, -1):
-            hidden = states[t + 1]
-            previous = states[t]
+            hidden = states[t]
             grad_pre = grad_hidden * (1.0 - hidden**2)
             self.w_in.grad += inputs[:, t, :].T @ grad_pre
-            self.w_rec.grad += previous.T @ grad_pre
             self.bias.grad += grad_pre.sum(axis=0)
             if need_input_grad:
                 grad_inputs[:, t, :] = grad_pre @ self.w_in.value.T
-            if t:  # nothing precedes step 0
+            if t:  # step 0 reads the zero initial state: no recurrent term
+                self.w_rec.grad += states[t - 1].T @ grad_pre
                 grad_hidden = grad_pre @ self.w_rec.value.T
         return grad_inputs
 

@@ -162,7 +162,8 @@ class SessionStore:
 
         ``benchmarks/session/ledger.py``'s frozen ``TARGETS`` still names
         this method; that is the only reason it exists, and its ledger
-        rows read 0.  ROADMAP item 1(ii) deletes it with ``TARGETS``.
+        rows read 0.  The ROADMAP item "Spans and counters move in-tree"
+        deletes it with ``TARGETS``.
         """
         raise NotImplementedError("run-state checkpoints were removed")
 

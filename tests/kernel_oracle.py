@@ -1,4 +1,4 @@
-"""Correctness oracle for :mod:`repro.nn.kernels`.
+"""Correctness oracles for :mod:`repro.nn.kernels` and ``ElmanRNN``.
 
 The original ``np.add.at`` / fancy-indexing / two-pass implementations
 of every hot-path kernel: numpy's slowest write paths, but trivially
@@ -7,14 +7,21 @@ kernels on ``repro.nn.kernels``; the layers call every kernel through
 that module's attributes, so inside the block whole layers and models
 train on the oracle.  The equivalence contract it checks is stated in
 the ``repro.nn.kernels`` docstring.
+
+:func:`reference_rnn` does the same for ``ElmanRNN``'s forward and
+backward: the textbook recurrence that builds the zero initial state and
+multiplies it by ``W_rec`` at step 0 (DESIGN §5c, "Zero initial state").
 """
 
 from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.nn import kernels
+from repro.nn.module import check_ndim
+from repro.nn.recurrent import ElmanRNN
 
 
 def _im2col_1d_reference(
@@ -203,3 +210,67 @@ def reference_kernels() -> Iterator[None]:
     finally:
         for name, kernel in engine.items():
             setattr(kernels, name, kernel)
+
+
+# ---------------------------------------------------------------------------
+# ElmanRNN with the zero initial state built and multiplied in
+# ---------------------------------------------------------------------------
+
+def _elman_forward_reference(self, inputs: np.ndarray) -> np.ndarray:
+    check_ndim("ElmanRNN", inputs, 3)
+    if inputs.shape[2] != self.input_size:
+        raise ShapeError(
+            f"ElmanRNN expected input size {self.input_size}, "
+            f"got {inputs.shape[2]}"
+        )
+    batch, steps, _ = inputs.shape
+    hidden = np.zeros((batch, self.hidden_size))
+    states: List[np.ndarray] = [hidden]
+    for t in range(steps):
+        pre = (
+            inputs[:, t, :] @ self.w_in.value
+            + hidden @ self.w_rec.value
+            + self.bias.value
+        )
+        hidden = np.tanh(pre)
+        states.append(hidden)
+    self._cache = (inputs, states)
+    return hidden
+
+
+def _elman_backward_reference(
+    self, grad_output: np.ndarray, need_input_grad: bool = True
+) -> Optional[np.ndarray]:
+    if self._cache is None:
+        raise ShapeError("ElmanRNN.backward called before forward")
+    inputs, states = self._cache
+    batch, steps, _ = inputs.shape
+    grad_inputs = np.zeros_like(inputs) if need_input_grad else None
+    grad_hidden = grad_output
+    for t in range(steps - 1, -1, -1):
+        hidden = states[t + 1]
+        previous = states[t]
+        grad_pre = grad_hidden * (1.0 - hidden**2)
+        self.w_in.grad += inputs[:, t, :].T @ grad_pre
+        self.w_rec.grad += previous.T @ grad_pre
+        self.bias.grad += grad_pre.sum(axis=0)
+        if need_input_grad:
+            grad_inputs[:, t, :] = grad_pre @ self.w_in.value.T
+        if t:  # nothing precedes step 0
+            grad_hidden = grad_pre @ self.w_rec.value.T
+    return grad_inputs
+
+
+@contextmanager
+def reference_rnn() -> Iterator[None]:
+    """Run the block with every ``ElmanRNN`` on the oracle's forward and
+    backward; the layer's own are restored on exit, error or not.  A
+    forward and its backward must run on the same side of the block:
+    the two keep different step caches."""
+    engine = ElmanRNN.forward, ElmanRNN.backward
+    ElmanRNN.forward = _elman_forward_reference
+    ElmanRNN.backward = _elman_backward_reference
+    try:
+        yield
+    finally:
+        ElmanRNN.forward, ElmanRNN.backward = engine
