@@ -53,12 +53,11 @@ import logging
 import os
 import pickle
 import tempfile
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import faults
+from . import clock, faults
 from .storage import TrialDatabase
 
 logger = logging.getLogger(__name__)
@@ -267,7 +266,7 @@ class ArtifactStore:
                 float(data_fraction),
                 len(payload),
                 inline,
-                time.time(),
+                clock.now(),
                 artifact_checksum(payload),
             ),
         )
@@ -325,7 +324,7 @@ class ArtifactStore:
         self.database.execute(
             "UPDATE artifacts SET hits = hits + 1, last_hit_at = ? "
             "WHERE key = ?",
-            (time.time(), key),
+            (clock.now(), key),
         )
         return payload
 
@@ -549,7 +548,6 @@ class ArtifactStore:
         self,
         max_age_s: Optional[float] = None,
         max_bytes: Optional[int] = None,
-        now: Optional[float] = None,
     ) -> Dict[str, int]:
         """Prune the cache: age out cold entries, cap total size, and
         remove orphaned sidecar files (blobs whose row is gone).
@@ -558,10 +556,9 @@ class ArtifactStore:
         should not expire), else creation time.  The size cap evicts
         least-recently-used entries until under ``max_bytes``.
         """
-        now = time.time() if now is None else now
         doomed: List[str] = []
         if max_age_s is not None:
-            cutoff = now - max_age_s
+            cutoff = clock.now() - max_age_s
             doomed.extend(
                 row[0]
                 for row in self.database.execute(

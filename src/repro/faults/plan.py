@@ -15,10 +15,10 @@ from __future__ import annotations
 import hashlib
 import os
 import sqlite3
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from .. import clock
 from ..errors import InjectedFault
 
 #: Sites understood by :meth:`FaultPlan.fire`; decision-only sites
@@ -188,8 +188,8 @@ class FaultPlan:
             # new epoch and sails past the same frame.
             os._exit(CRASH_EXIT_CODE)
         if site == "worker.hang":
-            time.sleep(rule.param if rule.param is not None
-                       else DEFAULT_HANG_S)
+            clock.sleep(rule.param if rule.param is not None
+                        else DEFAULT_HANG_S)
             return
         if site == "storage.io":
             # The exact exception sqlite raises for a failing disk, so

@@ -21,10 +21,10 @@ from __future__ import annotations
 import logging
 import os
 import threading
-import time
 from types import SimpleNamespace
 from typing import Any, Dict, Optional, Tuple
 
+from .. import clock
 from ..artifacts import ArtifactStore, artifact_checksum
 from ..core.model_server import TrialTask
 from ..errors import FleetError
@@ -138,7 +138,7 @@ class HubJobs:
         that ignores ``wait_s``, a rejection, a partition)."""
         if not self.epoch:
             self.register()  # the first lease: join the fleet
-        asked_at = time.monotonic()
+        asked_at = clock.monotonic()
         try:
             response = self.call("lease", worker=WORKER, wait_s=wait_s)
         except FleetError:
@@ -148,7 +148,7 @@ class HubJobs:
             # Declared dead (and revived), or fenced by a restarted hub.
             self._recovered()
         if frame is None:
-            stop.wait(max(0.0, wait_s - (time.monotonic() - asked_at)))
+            stop.wait(max(0.0, wait_s - (clock.monotonic() - asked_at)))
             return None
         self._held.add(int(frame["id"]))
         return SimpleNamespace(**frame)
@@ -322,8 +322,7 @@ class HostPool(ProcessPool):
         super().__init__(hosts, "host", host_main)
         self.server = (server_host, int(server_port))
         self.base_dir = base_dir
-        self._stop = threading.Event()
-        self._supervisor: Optional[threading.Thread] = None
+        self._supervisor: Optional[clock.Periodic] = None
 
     def _slot(self, slot: int) -> Tuple[str, tuple, Dict[str, Any]]:
         machine_id = f"machine-{slot + 1}"
@@ -332,17 +331,10 @@ class HostPool(ProcessPool):
 
     def start(self) -> "HostPool":
         super().start()
-        self._supervisor = threading.Thread(target=self._supervise,
-                                            daemon=True)
-        self._supervisor.start()
+        self._supervisor = clock.Periodic(0.1, self.ensure_alive).start()
         return self
 
-    def _supervise(self) -> None:
-        while not self._stop.wait(0.1):
-            self.ensure_alive()
-
     def stop(self, timeout_s: float = 5.0) -> None:
-        self._stop.set()
         if self._supervisor is not None:
-            self._supervisor.join(timeout=1.0)
+            self._supervisor.stop()
         super().stop(timeout_s)

@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import os
 import socket
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .. import clock
 from ..storage import TrialDatabase
 
 #: Machine lifecycle states.
@@ -90,8 +90,8 @@ class Machine:
             last_heartbeat_at=float(row[6]),
         )
 
-    def heartbeat_age_s(self, now: Optional[float] = None) -> float:
-        return (time.time() if now is None else now) - self.last_heartbeat_at
+    def heartbeat_age_s(self, now: float) -> float:
+        return now - self.last_heartbeat_at
 
 
 class HubState:
@@ -119,9 +119,8 @@ class HubState:
         ).fetchone()
         return int(row[0]) if row is not None else 0
 
-    def advance_epoch(self, now: Optional[float] = None) -> int:
+    def advance_epoch(self) -> int:
         """Atomically mint the next incarnation epoch and persist it."""
-        now = time.time() if now is None else now
         with self.database.transaction() as connection:
             row = connection.execute(
                 "SELECT value FROM hub_state WHERE key = ?",
@@ -136,7 +135,7 @@ class HubState:
             connection.execute(
                 "INSERT INTO hub_state (key, value) VALUES (?, ?) "
                 "ON CONFLICT (key) DO UPDATE SET value = excluded.value",
-                ("epoch_started_at", repr(now)),
+                ("epoch_started_at", repr(clock.now())),
             )
         return epoch
 
@@ -152,14 +151,13 @@ class MachineRegistry:
         self,
         machine_id: str,
         capabilities: Optional[Dict[str, Any]] = None,
-        now: Optional[float] = None,
     ) -> Machine:
         """Add (or re-add) a machine; idempotent per id.
 
         A duplicate registration is a host reconnecting: it refreshes the
         capability tags and heartbeat and revives the row to ``alive``.
         """
-        now = time.time() if now is None else now
+        now = clock.now()
         capabilities = dict(capabilities or {})
         hostname = str(capabilities.get("hostname") or socket.gethostname())
         tags = json.dumps(capabilities, sort_keys=True, default=repr)
@@ -175,18 +173,15 @@ class MachineRegistry:
         assert machine is not None
         return machine
 
-    def heartbeat(
-        self, machine_id: str, now: Optional[float] = None
-    ) -> bool:
+    def heartbeat(self, machine_id: str) -> bool:
         """Refresh liveness; revives a prematurely-declared-dead machine
         (its leases were already drained — that is recoverable, a lost
         heartbeat is not).  ``False`` when the machine is unregistered."""
-        now = time.time() if now is None else now
         cursor = self.database.execute(
             "UPDATE machines SET last_heartbeat_at = ?, "
             "state = CASE WHEN state = ? THEN ? ELSE state END "
             "WHERE id = ?",
-            (now, DEAD, ALIVE, machine_id),
+            (clock.now(), DEAD, ALIVE, machine_id),
         )
         return cursor.rowcount > 0
 
@@ -234,18 +229,16 @@ class MachineRegistry:
         return self.list(state=ALIVE)
 
     # -- liveness sweep ------------------------------------------------------
-    def expire(
-        self,
-        ttl_s: float = DEFAULT_MACHINE_TTL_S,
-        now: Optional[float] = None,
-    ) -> List[str]:
-        """Declare machines with stale heartbeats dead.
+    def expire(self, ttl_s: float, now: float) -> List[str]:
+        """Declare machines whose last heartbeat is older than ``ttl_s``
+        at ``now`` dead (the janitor passes
+        :meth:`~repro.service.queue.JobQueue.expiry_now`, so a clock step
+        expires machines no sooner than leases).
 
         Returns the ids that flipped on *this* sweep (not ones already
         dead) so the janitor drains each machine's orphaned leases
         exactly once.
         """
-        now = time.time() if now is None else now
         cutoff = now - ttl_s
         with self.database.transaction() as connection:
             doomed = [

@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import faults
+from .. import clock, faults
 from ..artifacts import ArtifactStore, artifact_checksum
 from ..service.coordinator import (
     COORDINATOR_POLL_S, SessionCoordinator, drive_queued_sessions,
@@ -112,8 +110,7 @@ class FleetServer(FrameServer):
         #: ``complete``/``fail`` ring ``results_bell``, which it waits on.
         self.jobs_bell = Doorbells()
         self.results_bell = Doorbell()
-        self._janitor_stop = threading.Event()
-        self._janitor_thread: Optional[threading.Thread] = None
+        self._janitor: Optional[clock.Periodic] = None
         # Fenced restart: mint this incarnation's epoch first, then
         # recover whatever the previous incarnation left mid-flight.
         self.hub_state = HubState(database)
@@ -284,14 +281,14 @@ class FleetServer(FrameServer):
         the host hung up meanwhile: a job leased to a closed connection
         would sit out a whole lease TTL.
         """
-        deadline = time.monotonic() + wait_s
+        deadline = clock.monotonic() + wait_s
         with self.jobs_bell.listening() as bell:
             while True:
                 job = self.queue.lease(
                     owner, ttl_s=self.lease_ttl_s, workloads=workloads,
                     epoch=self.epoch,
                 )
-                remaining = deadline - time.monotonic()
+                remaining = deadline - clock.monotonic()
                 if job is not None or remaining <= 0:
                     return job
                 bell.wait(remaining)
@@ -437,7 +434,7 @@ class FleetServer(FrameServer):
 
     # -- overview ------------------------------------------------------------
     def _status(self, payload: Frame, connection: Peer) -> Frame:
-        now = time.time()
+        now = clock.now()
         machines = [
             {
                 "id": machine.id,
@@ -479,19 +476,21 @@ class FleetServer(FrameServer):
     }
 
     # -- janitor -------------------------------------------------------------
-    def janitor_sweep(self, now: Optional[float] = None) -> Dict[str, int]:
+    def janitor_sweep(self) -> Dict[str, int]:
         """One containment pass: expire silent machines, drain their
-        leases, reclaim individually-expired leases."""
-        now = time.time() if now is None else now
-        dead = self.registry.expire(self.machine_ttl_s, now=now)
+        leases, reclaim individually-expired leases — machines and leases
+        judged on the same clock-step hardened reading."""
+        dead = self.registry.expire(
+            self.machine_ttl_s, self.queue.expiry_now()
+        )
         drained = 0
         for machine_id in dead:
-            drained += self.queue.reclaim_owner(machine_id, now=now)
+            drained += self.queue.reclaim_owner(machine_id)
             logger.warning(
                 "fleet janitor: machine %s declared dead, %d leases drained",
                 machine_id, drained,
             )
-        expired = self.queue.reclaim_expired(now=now)
+        expired = self.queue.reclaim_expired()
         self.database.bump_stats(
             {"leases.drained": drained, "leases.expired": expired}
         )
@@ -502,21 +501,19 @@ class FleetServer(FrameServer):
         }
 
     def start_janitor(self, interval_s: Optional[float] = None) -> None:
-        if self._janitor_thread is not None:
+        if self._janitor is not None:
             return
-        interval = interval_s or max(
-            0.05, self.machine_ttl_s * JANITOR_FRACTION
-        )
 
-        def run() -> None:
-            while not self._janitor_stop.wait(interval):
-                try:
-                    self.janitor_sweep()
-                except Exception:  # pragma: no cover — sweep must survive
-                    logger.exception("fleet janitor sweep failed")
+        def sweep() -> None:
+            try:
+                self.janitor_sweep()
+            except Exception:  # pragma: no cover — sweep must survive
+                logger.exception("fleet janitor sweep failed")
 
-        self._janitor_thread = threading.Thread(target=run, daemon=True)
-        self._janitor_thread.start()
+        self._janitor = clock.Periodic(
+            interval_s or max(0.05, self.machine_ttl_s * JANITOR_FRACTION),
+            sweep,
+        ).start()
 
     # -- session driving -----------------------------------------------------
     def run_sessions(
@@ -553,5 +550,6 @@ class FleetServer(FrameServer):
     def _on_drain(self) -> None:
         """Stop the janitor and ring the hosts out of their long-polled
         ``lease`` (off the signal handler's thread: both take locks)."""
-        self._janitor_stop.set()
+        if self._janitor is not None:
+            self._janitor.stop()
         self.jobs_bell.ring()

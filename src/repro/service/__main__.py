@@ -23,6 +23,7 @@ import json
 import sys
 import warnings
 
+from .. import clock
 from ..artifacts import ArtifactStore
 from ..errors import ServiceError
 from ..storage import TrialDatabase
@@ -72,13 +73,11 @@ def _machines_info(database) -> dict:
     Machines are what ``status``/``workers`` report instead of bare
     worker PIDs: hostname, backend fingerprint, heartbeat age.
     """
-    import time as _time
-
     from ..fleet.registry import HubState, MachineRegistry
 
     registry = MachineRegistry(database)
     stats = database.stats()
-    now = _time.time()
+    now = clock.now()
     return {
         # Epoch 0 = no fleet hub has ever run against this database.
         "hub": {"epoch": HubState(database).current_epoch()},

@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
+import time  # unused: the session benchmark's ledger swaps this name
 import traceback
 from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import clock
 from ..artifacts import trial_key
 from ..core.model_server import (
     ModelTuningServer, RunState, _plain, failure_evaluation,
@@ -280,7 +281,7 @@ class SessionCoordinator:
         """
         barrier = not getattr(state.scheduler, "asynchronous", False)
         pending: List[ScheduledTrial] = []
-        wave_started = time.time()
+        wave_started = clock.now()
         while not state.stopped:
             if not barrier:
                 fresh = server.next_trials(
@@ -292,7 +293,7 @@ class SessionCoordinator:
                 fresh = [] if pending else server.next_wave(state)
             if fresh:
                 self._issue(server, state, fresh, pending)
-                wave_started = time.time()
+                wave_started = clock.now()
             if not pending:
                 capped = (
                     server.max_trials is not None
@@ -320,7 +321,7 @@ class SessionCoordinator:
                 pending.remove(trial)
             if barrier and (state.stopped or not pending):
                 self.meters.record(
-                    "wave.latency_s", time.time() - wave_started
+                    "wave.latency_s", clock.now() - wave_started
                 )
         # Target reached with work in flight: the serial driver would
         # never have issued it, so it is dropped unintegrated.
@@ -590,22 +591,22 @@ def drive_queued_sessions(
     and does not take the service down.
     """
     results: List[TuningRunResult] = []
-    idle_since = time.time()
+    idle_since = clock.now()
     while not stopping():
         record = sessions.claim_next_queued()
         if record is None:
             if drain or (
                 idle_timeout_s is not None
-                and time.time() - idle_since > idle_timeout_s
+                and clock.now() - idle_since > idle_timeout_s
             ):
                 break
-            time.sleep(poll_interval_s)
+            clock.sleep(poll_interval_s)
             continue
         try:
             results.append(coordinator_for(record).run())
         except ServiceError:
             pass  # recorded on the session row by the coordinator
-        idle_since = time.time()
+        idle_since = clock.now()
     return results
 
 

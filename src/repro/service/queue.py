@@ -13,24 +13,24 @@ Ownership protocol:
 * **complete**/**fail** only succeed while the lease is still held, so a
   reclaimed-and-reassigned job cannot be double-completed by a zombie.
 
-All timestamps are wall-clock seconds (``time.time()``) so they stay
-comparable across processes; determinism of *results* is unaffected
-because job execution itself is seed-driven.  The janitor's expiry
-*judgement*, however, is hardened against wall-clock steps (NTP
+All timestamps are raw wall-clock seconds (:data:`repro.clock.now`) so
+they stay comparable across processes; determinism of *results* is
+unaffected because job execution itself is seed-driven.  Expiry is
+*judged*, however, on a reading hardened against wall-clock steps (NTP
 step/regression) with a monotonic-clock cross-check — see
-:meth:`JobQueue._janitor_now`.
+:meth:`JobQueue.expiry_now`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import (
     Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
+from .. import clock
 from ..storage import TrialDatabase
 
 #: Job lifecycle states.
@@ -74,7 +74,7 @@ def _env_float(name: str, default: float) -> float:
 DEFAULT_LEASE_TTL_S = _env_float("REPRO_LEASE_TTL_S", 10.0)
 
 #: Divergence between the wall clock and the monotonic extrapolation
-#: beyond which the janitor treats ``time.time()`` as having stepped
+#: beyond which the janitor treats the wall clock as having stepped
 #: (NTP slew stays far below this; only a step/regression trips it).
 CLOCK_SKEW_TOLERANCE_S = 2.0
 
@@ -83,12 +83,6 @@ CLOCK_SKEW_TOLERANCE_S = 2.0
 #: One grace window is enough for every live worker to re-stamp its
 #: lease (heartbeats run at a quarter TTL) under the stepped clock.
 SKEW_GRACE_S = 2.0 * DEFAULT_LEASE_TTL_S
-
-#: Clock sources, module-level so the skew tests can substitute both
-#: coherently (patching ``time.time`` itself would leak into sqlite
-#: timestamps and every other subsystem).
-_wall_clock = time.time
-_mono_clock = time.monotonic
 
 #: Retry backoff: ``base * 2**(attempt-1)`` capped at ``cap`` seconds.
 BACKOFF_BASE_S = 0.25
@@ -208,8 +202,8 @@ class JobQueue:
         # Wall/monotonic anchor pair for the janitor's skew detector:
         # lease stamps must stay wall-clock (comparable across
         # processes), but expiry *judgement* must survive a clock step.
-        self._wall_anchor = _wall_clock()
-        self._mono_anchor = _mono_clock()
+        self._wall_anchor = clock.now()
+        self._mono_anchor = clock.monotonic()
         self._skew_grace_until: Optional[float] = None
 
     # -- producer side ------------------------------------------------------
@@ -219,7 +213,6 @@ class JobQueue:
         trial_id: int,
         payload: str,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        now: Optional[float] = None,
     ) -> bool:
         """Queue one trial-evaluation job.
 
@@ -237,7 +230,7 @@ class JobQueue:
                 payload,
                 QUEUED,
                 int(max_attempts),
-                time.time() if now is None else now,
+                clock.now(),
             ),
         )
         return cursor.rowcount > 0
@@ -253,7 +246,7 @@ class JobQueue:
         evaluation its probe returned (a resume probes the store again).
         Idempotent like :meth:`enqueue`: an existing row wins.
         """
-        now = time.time()
+        now = clock.now()
         cursor = self.database.execute(
             "INSERT OR IGNORE INTO jobs (session_id, trial_id, payload, "
             "state, attempts, lease_owner, created_at, started_at, "
@@ -282,7 +275,6 @@ class JobQueue:
         worker_id: str,
         ttl_s: float = DEFAULT_LEASE_TTL_S,
         session_id: Optional[str] = None,
-        now: Optional[float] = None,
         workloads: Optional[Sequence[str]] = None,
         epoch: int = 0,
     ) -> Optional[Job]:
@@ -296,7 +288,7 @@ class JobQueue:
         update share one ``BEGIN IMMEDIATE`` transaction, so at most one
         worker can win a job.
         """
-        now = time.time() if now is None else now
+        now = clock.now()
         query = (
             f"SELECT {_JOB_COLUMNS} FROM jobs "
             "WHERE state = ? AND next_retry_at <= ?"
@@ -339,24 +331,16 @@ class JobQueue:
         job_id: int,
         worker_id: str,
         ttl_s: float = DEFAULT_LEASE_TTL_S,
-        now: Optional[float] = None,
     ) -> bool:
         """Extend a held lease; ``False`` means the lease was lost."""
-        now = time.time() if now is None else now
         cursor = self.database.execute(
             "UPDATE jobs SET lease_expires_at = ? "
             "WHERE id = ? AND lease_owner = ? AND state = ?",
-            (now + ttl_s, int(job_id), worker_id, LEASED),
+            (clock.now() + ttl_s, int(job_id), worker_id, LEASED),
         )
         return cursor.rowcount > 0
 
-    def complete(
-        self,
-        job_id: int,
-        worker_id: str,
-        result: bytes,
-        now: Optional[float] = None,
-    ) -> bool:
+    def complete(self, job_id: int, worker_id: str, result: bytes) -> bool:
         """Mark a leased job done with its result blob.
 
         Rejected (returns ``False``) when the lease has been reclaimed —
@@ -364,12 +348,11 @@ class JobQueue:
         ``lease_owner`` is kept as the record of who finished the job
         (feeds the per-worker meters).
         """
-        now = time.time() if now is None else now
         cursor = self.database.execute(
             "UPDATE jobs SET state = ?, result = ?, finished_at = ?, "
             "lease_expires_at = NULL, error = NULL "
             "WHERE id = ? AND lease_owner = ? AND state = ?",
-            (DONE, result, now, int(job_id), worker_id, LEASED),
+            (DONE, result, clock.now(), int(job_id), worker_id, LEASED),
         )
         return cursor.rowcount > 0
 
@@ -395,7 +378,6 @@ class JobQueue:
         worker_ids: Dict[int, str],
         epoch: int,
         ttl_s: float = DEFAULT_LEASE_TTL_S,
-        now: Optional[float] = None,
     ) -> List[int]:
         """Re-adopt held leases under a new hub incarnation epoch.
 
@@ -406,7 +388,7 @@ class JobQueue:
         list and the host must drop them (their retry now owns the
         outcome).
         """
-        now = time.time() if now is None else now
+        now = clock.now()
         renewed: List[int] = []
         with self.database.transaction() as connection:
             for job_id, owner in sorted(worker_ids.items()):
@@ -420,13 +402,7 @@ class JobQueue:
                     renewed.append(int(job_id))
         return renewed
 
-    def fail(
-        self,
-        job_id: int,
-        worker_id: str,
-        error: str,
-        now: Optional[float] = None,
-    ) -> bool:
+    def fail(self, job_id: int, worker_id: str, error: str) -> bool:
         """Record a job failure: requeue with backoff or quarantine.
 
         A no-op (returns ``False``) when the lease was reclaimed *or has
@@ -435,7 +411,7 @@ class JobQueue:
         failures land the job in ``failed`` and copy it — with its full
         per-attempt error history — into the ``dead_letter`` quarantine.
         """
-        now = time.time() if now is None else now
+        now = clock.now()
         return self._release(
             "id = ? AND lease_owner = ? AND "
             "(lease_expires_at IS NULL OR lease_expires_at >= ?)",
@@ -443,11 +419,11 @@ class JobQueue:
         ) > 0
 
     # -- janitor side --------------------------------------------------------
-    def _janitor_now(self) -> float:
-        """Wall-clock "now" for lease-expiry checks, hardened against
-        clock steps.
+    def expiry_now(self) -> float:
+        """Wall-clock "now" for lease- and machine-expiry checks, hardened
+        against clock steps.
 
-        Lease stamps use ``time.time()`` — a forward NTP step would make
+        Lease stamps are raw wall time — a forward NTP step would make
         every healthy lease look expired (the janitor would mass-reclaim
         live workers' jobs) and a backward step would keep a dead
         worker's lease alive for the step duration.  The janitor
@@ -463,8 +439,8 @@ class JobQueue:
         forward step is judged late by up to the step size during the
         grace window, delaying — never hastening — its reclaim.
         """
-        wall = _wall_clock()
-        mono = _mono_clock()
+        wall = clock.now()
+        mono = clock.monotonic()
         steady = self._wall_anchor + (mono - self._mono_anchor)
         if abs(wall - steady) > CLOCK_SKEW_TOLERANCE_S:
             if self._skew_grace_until is None:
@@ -483,26 +459,22 @@ class JobQueue:
         self._skew_grace_until = None
         return wall
 
-    def reclaim_expired(self, now: Optional[float] = None) -> int:
-        """Requeue (or terminally fail) jobs whose lease ran out.
+    def reclaim_expired(self) -> int:
+        """Requeue (or terminally fail) jobs whose lease ran out, judged
+        on :meth:`expiry_now` (clock-step hardened).
 
         This is how a ``kill -9``'d worker's in-flight trials get retried:
         its leases stop being renewed and any surviving process reclaims
-        them here.  The real-time path judges expiry via
-        :meth:`_janitor_now` (clock-step hardened); an explicit ``now``
-        bypasses the skew detector — it is the simulated-time hook the
-        tests and operators use deliberately.
+        them here.
         """
-        now = self._janitor_now() if now is None else now
+        now = self.expiry_now()
         return self._release(
             "lease_expires_at < ?", (now,), now,
             lambda owner, attempts:
                 f"lease expired (owner {owner!r}, attempt {attempts})",
         )
 
-    def reclaim_owner(
-        self, owner: str, now: Optional[float] = None
-    ) -> int:
+    def reclaim_owner(self, owner: str) -> int:
         """Immediately release every lease held by ``owner`` (or by one
         of its workers, ``owner/<name>``).
 
@@ -510,10 +482,9 @@ class JobQueue:
         heartbeating, its orphaned jobs go back to the queue right away
         instead of idling until each lease times out on its own.
         """
-        now = time.time() if now is None else now
         return self._release(
             "(lease_owner = ? OR lease_owner LIKE ? || '/%')",
-            (owner, owner), now,
+            (owner, owner), clock.now(),
             lambda who, attempts:
                 f"host declared dead (owner {who!r}, attempt {attempts})",
         )
@@ -735,7 +706,6 @@ class JobQueue:
         self,
         session_id: str,
         trial_id: Optional[int] = None,
-        now: Optional[float] = None,
     ) -> int:
         """Release quarantined jobs back to the queue with a clean slate.
 
@@ -743,7 +713,6 @@ class JobQueue:
         budget again (the operator presumably fixed the underlying cause).
         Returns the number of jobs released.
         """
-        now = time.time() if now is None else now
         with self.database.transaction() as connection:
             query = "SELECT trial_id FROM dead_letter WHERE session_id = ?"
             args: List[Any] = [session_id]

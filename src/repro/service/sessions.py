@@ -12,11 +12,11 @@ a resume reads the history the first run read.
 from __future__ import annotations
 
 import json
-import time
 import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from .. import clock
 from ..errors import ServiceError
 from ..storage import TrialDatabase
 from ..storage.database import PRE_V9_INTERRUPTED
@@ -59,7 +59,7 @@ class SessionStore:
     ) -> str:
         """Insert a new queued session; returns its id."""
         session_id = session_id or uuid.uuid4().hex[:12]
-        now = time.time()
+        now = clock.now()
         self.database.execute(
             "INSERT INTO sessions (id, spec, state, created_at, updated_at) "
             "VALUES (?, ?, ?, ?, ?)",
@@ -112,7 +112,7 @@ class SessionStore:
                 return None
             connection.execute(
                 "UPDATE sessions SET state = ?, updated_at = ? WHERE id = ?",
-                (S_RUNNING, time.time(), row[0]),
+                (S_RUNNING, clock.now(), row[0]),
             )
             session_id = row[0]
         return self.get(session_id)
@@ -122,7 +122,7 @@ class SessionStore:
             raise ServiceError(f"unknown session state {state!r}")
         self.database.execute(
             "UPDATE sessions SET state = ?, updated_at = ? WHERE id = ?",
-            (state, time.time(), session_id),
+            (state, clock.now(), session_id),
         )
 
     def finish(self, session_id: str, result: Dict[str, Any]) -> None:
@@ -130,7 +130,7 @@ class SessionStore:
         self.database.execute(
             "UPDATE sessions SET state = ?, result = ?, "
             "error = NULL, updated_at = ? WHERE id = ?",
-            (S_DONE, json.dumps(result, sort_keys=True), time.time(),
+            (S_DONE, json.dumps(result, sort_keys=True), clock.now(),
              session_id),
         )
 
@@ -138,7 +138,7 @@ class SessionStore:
         self.database.execute(
             "UPDATE sessions SET state = ?, error = ?, updated_at = ? "
             "WHERE id = ?",
-            (S_FAILED, error, time.time(), session_id),
+            (S_FAILED, error, clock.now(), session_id),
         )
 
     def history_watermark(self, session_id: str) -> int:
@@ -168,12 +168,10 @@ class SessionStore:
         raise NotImplementedError("run-state checkpoints were removed")
 
     # -- garbage collection ----------------------------------------------------
-    def gc(self, max_age_s: float = 7 * 24 * 3600.0,
-           now: Optional[float] = None) -> Dict[str, int]:
+    def gc(self, max_age_s: float = 7 * 24 * 3600.0) -> Dict[str, int]:
         """Purge finished sessions older than ``max_age_s`` (and their
         jobs), and reclaim expired job leases.  Returns counters."""
-        now = time.time() if now is None else now
-        cutoff = now - max_age_s
+        cutoff = clock.now() - max_age_s
         stale = [
             row[0]
             for row in self.database.execute(
@@ -188,7 +186,7 @@ class SessionStore:
             self.database.execute(
                 "DELETE FROM sessions WHERE id = ?", (session_id,)
             )
-        leases = queue.reclaim_expired(now=now)
+        leases = queue.reclaim_expired()
         return {
             "sessions_deleted": len(stale),
             "jobs_deleted": jobs_deleted,

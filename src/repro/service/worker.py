@@ -6,12 +6,12 @@ stop)`` (``None`` once up to ``wait_s`` has passed), ``renew(job)``,
 (machine liveness, carrying dataset-memo counter deltas).
 :class:`LocalJobs` is the source over a shared database file; a fleet
 host runs the same worker over the hub (:mod:`repro.fleet.host`).  Per
-job the worker renews the lease on a :class:`Periodic` (a worker killed
-mid-trial stops renewing, so its job is reclaimed and retried), serves a
-trial its artifact store already holds, or else trains it via
-:func:`~repro.core.model_server.evaluate_trial` under the optional
-deadline, and completes the job with the result blob or fails it with
-the traceback.
+job the worker renews the lease on a :class:`~repro.clock.Periodic` (a
+worker killed mid-trial stops renewing, so its job is reclaimed and
+retried), serves a trial its artifact store already holds, or else
+trains it via :func:`~repro.core.model_server.evaluate_trial` under the
+optional deadline, and completes the job with the result blob or fails
+it with the traceback.
 
 Workers are stateless by design: every piece of information needed to run
 a job travels inside the job payload, which is what makes retries after a
@@ -24,10 +24,10 @@ import os
 import pickle
 import signal
 import threading
-import time
 import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
+from .. import clock
 from ..artifacts import ArtifactStore, pack_result, trial_key
 from ..core.model_server import (
     TrialTask,
@@ -73,33 +73,6 @@ def result_blob(evaluation: Any, model: Any) -> bytes:
     return pack_result(
         evaluation, pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
     )
-
-
-class Periodic:
-    """Daemon thread calling ``tick`` every ``interval_s`` for as long as
-    the ``with`` block runs, or until ``tick`` returns ``False`` — the
-    executor's one timer, renewing a job's lease whatever its source."""
-
-    def __init__(self, interval_s: float, tick: Callable[[], Any],
-                 join_timeout_s: float = 1.0):
-        self._stop = threading.Event()
-        self._join_timeout_s = join_timeout_s
-
-        def run() -> None:
-            while not self._stop.wait(interval_s) and tick() is not False:
-                pass
-
-        self._thread = threading.Thread(target=run, daemon=True)
-
-    def __enter__(self) -> "Periodic":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        # Bounded join: a tick stuck in a wedged sqlite call or socket is
-        # abandoned (a daemon) rather than outlive a sibling's reclaim.
-        self._thread.join(timeout=self._join_timeout_s)
 
 
 class LocalJobs:
@@ -185,7 +158,7 @@ class TrialWorker:
         #: tasks that carry lineage (``--reuse-checkpoints``).
         self.artifacts = ArtifactStore(self.database)
         self.source = self._job_source(lease_ttl_s, jobs_bell or Doorbell())
-        self._machine_touched_at = time.time()
+        self._machine_touched_at = clock.now()
         #: Dataset-memo counters as last published (the lock: both the
         #: main loop and a job's renewal thread touch the machine).
         self._dataset_cache_last = dataset_cache_stats()
@@ -198,7 +171,7 @@ class TrialWorker:
 
     def _touch_machine(self) -> None:
         """Throttled touch, piggybacking on the lease and renewal loops."""
-        now = time.time()
+        now = clock.now()
         if now - self._machine_touched_at >= self.source.touch_interval_s:
             self._machine_touched_at = now
             self._publish_dataset_cache_stats(touch=True)
@@ -229,8 +202,10 @@ class TrialWorker:
             return renewed
 
         ttl_s = self.source.lease_ttl_s
-        with Periodic(heartbeat_interval(ttl_s, self.heartbeat_interval_s),
-                      renew, join_timeout_s=min(ttl_s, 1.0)):
+        with clock.Periodic(
+            heartbeat_interval(ttl_s, self.heartbeat_interval_s), renew,
+            join_timeout_s=min(ttl_s, 1.0),
+        ):
             try:
                 # Chaos sites, keyed by trial and gated on the attempt: the
                 # retry of an injected failure runs clean by default.
@@ -307,16 +282,16 @@ class TrialWorker:
         returns the jobs completed.  An empty ``lease`` takes one fallback
         tick (``poll_interval_s``)."""
         stop = stop_event or threading.Event()
-        idle_since = time.time()
+        idle_since = clock.now()
         while not stop.is_set():
             self._touch_machine()
             job = self.source.lease(self.poll_interval_s, stop)
             if job is not None:
                 self.run_leased(job)
-                idle_since = time.time()
+                idle_since = clock.now()
             elif (
                 idle_timeout_s is not None
-                and time.time() - idle_since > idle_timeout_s
+                and clock.now() - idle_since > idle_timeout_s
             ):
                 break
         return self.jobs_done

@@ -36,12 +36,11 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .. import faults
+from .. import clock, faults
 from ..errors import StorageError
 
 #: How long (ms) a connection waits on a locked database before failing;
@@ -436,7 +435,7 @@ class TrialDatabase:
                         "UPDATE sessions SET state = 'failed', error = ?, "
                         "updated_at = ? WHERE state IN ('running', 'failed') "
                         "AND checkpoint IS NOT NULL",
-                        (PRE_V9_INTERRUPTED, time.time()),
+                        (PRE_V9_INTERRUPTED, clock.now()),
                     )
                     self._drop_column("sessions", "checkpoint")
             if target == 10:
@@ -507,7 +506,7 @@ class TrialDatabase:
             except sqlite3.OperationalError as error:
                 if attempt >= IO_RETRIES or not _is_transient(error):
                     raise
-                time.sleep(delay)
+                clock.sleep(delay)
                 delay *= 2.0
         raise StorageError("unreachable")  # pragma: no cover
 
@@ -557,7 +556,7 @@ class TrialDatabase:
             except sqlite3.OperationalError as error:
                 if attempt >= IO_RETRIES or not _is_transient(error):
                     raise
-                time.sleep(delay)
+                clock.sleep(delay)
                 delay *= 2.0
 
     # -- trials ------------------------------------------------------------
@@ -592,7 +591,7 @@ class TrialDatabase:
                     score,
                     train_runtime_s,
                     train_energy_j,
-                    time.time() if created_at is None else float(created_at),
+                    clock.now() if created_at is None else float(created_at),
                 ),
             )
 
@@ -755,7 +754,7 @@ class TrialDatabase:
 
     def store_recommendation(self, rec: StoredRecommendation) -> None:
         """Insert or replace the recommendation for the row's key."""
-        created = rec.created_at or time.time()
+        created = rec.created_at or clock.now()
         with self._write():
             self._connection.execute(
                 "INSERT OR REPLACE INTO recommendations "

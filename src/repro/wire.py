@@ -30,9 +30,9 @@ import signal
 import socket
 import socketserver
 import threading
-import time
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Type
 
+from . import clock
 from .errors import ReproError, WireError
 from .faults import should
 from .telemetry import MeterRegistry
@@ -174,8 +174,8 @@ class TokenBucket:
         self._lock = threading.Lock()
         self._buckets: Dict[str, Tuple[float, float]] = {}
 
-    def allow(self, key: str, now: Optional[float] = None) -> bool:
-        now = time.monotonic() if now is None else now
+    def allow(self, key: str) -> bool:
+        now = clock.monotonic()
         with self._lock:
             tokens, last = self._buckets.get(key, (self.burst, now))
             tokens = min(self.burst, tokens + (now - last) * self.rate)
@@ -273,7 +273,7 @@ class FrameServer(socketserver.ThreadingTCPServer):
         """Answer one frame: decode, rate-limit, dispatch through
         :attr:`verbs`, contain errors, meter the latency (also the
         unit-test seam, which has no ``connection``)."""
-        started = time.perf_counter()
+        started = clock.monotonic()
         self._count("requests")
         try:
             payload = decode_frame(line)
@@ -303,7 +303,7 @@ class FrameServer(socketserver.ThreadingTCPServer):
                 f"internal error: {type(error).__name__}: {error}"
             )
         self.meters.record(
-            f"{self.meter_prefix}.latency_s", time.perf_counter() - started
+            f"{self.meter_prefix}.latency_s", clock.monotonic() - started
         )
         return response
 
@@ -352,9 +352,9 @@ class FrameServer(socketserver.ThreadingTCPServer):
         try:
             self.serve_forever(poll_interval=poll_interval)
         finally:
-            deadline = time.monotonic() + drain_timeout_s
-            while self.in_flight > 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            deadline = clock.monotonic() + drain_timeout_s
+            while self.in_flight > 0 and clock.monotonic() < deadline:
+                clock.sleep(0.01)
             self.server_close()
 
     @contextlib.contextmanager
@@ -466,7 +466,7 @@ class FrameClient:
                 # connection is the only safe retry.
                 self.close()
                 if attempt <= self.retries:
-                    time.sleep(
+                    clock.sleep(
                         min(MAX_BACKOFF_S,
                             self.backoff_s * (2.0 ** (attempt - 1)))
                         * random.uniform(0.5, 1.0)

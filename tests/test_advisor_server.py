@@ -18,6 +18,7 @@ from repro.core.results import InferenceRecommendation
 from repro.errors import AdvisorError
 from repro.service import SessionCoordinator, SessionSpec, SessionStore
 from repro.storage import TrialDatabase
+from tests.clocks import frozen_clock  # noqa: F401 (fixture)
 
 
 class TestLRUCache:
@@ -55,24 +56,24 @@ class TestTokenBucket:
         with pytest.raises(AdvisorError):
             TokenBucket(0.0)
 
-    def test_burst_then_refusal(self):
+    def test_burst_then_refusal(self, frozen_clock):
         bucket = TokenBucket(rate=1.0, burst=3)
-        now = 100.0
-        assert all(bucket.allow("c", now=now) for _ in range(3))
-        assert not bucket.allow("c", now=now)
+        assert all(bucket.allow("c") for _ in range(3))
+        assert not bucket.allow("c")
 
-    def test_refills_over_time(self):
+    def test_refills_over_time(self, frozen_clock):
         bucket = TokenBucket(rate=2.0, burst=2)
-        assert bucket.allow("c", now=0.0)
-        assert bucket.allow("c", now=0.0)
-        assert not bucket.allow("c", now=0.0)
-        assert bucket.allow("c", now=1.0)  # 2 tokens/s refill
+        assert bucket.allow("c")
+        assert bucket.allow("c")
+        assert not bucket.allow("c")
+        frozen_clock.advance(1.0)
+        assert bucket.allow("c")  # 2 tokens/s refill
 
-    def test_clients_are_independent(self):
+    def test_clients_are_independent(self, frozen_clock):
         bucket = TokenBucket(rate=1.0, burst=1)
-        assert bucket.allow("a", now=0.0)
-        assert bucket.allow("b", now=0.0)
-        assert not bucket.allow("a", now=0.0)
+        assert bucket.allow("a")
+        assert bucket.allow("b")
+        assert not bucket.allow("a")
 
 
 def seed_kb(database, **overrides):

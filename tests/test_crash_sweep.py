@@ -31,7 +31,6 @@ For every crash point the resumed session must
 import os
 import random
 import shutil
-import time
 
 import pytest
 
@@ -39,6 +38,7 @@ from repro.service import JobQueue, SessionCoordinator, SessionSpec, SessionStor
 from repro.service.queue import BACKOFF_CAP_S, DONE
 from repro.service.sessions import S_DONE
 from repro.storage import TrialDatabase
+from tests.clocks import offset_clock  # noqa: F401 (fixture)
 from tests.test_session_goldens import fingerprint
 
 SPEC = dict(workload="NLP", device="armv7", seed=7, samples=60, max_trials=12)
@@ -182,17 +182,18 @@ def crash_at(template_path, spec, pin_order, path, die_at):
     return session_id
 
 
-def resume(database, session_id, pin_order):
+def resume(database, session_id, pin_order, clock):
     """Release the dead process's leases — as the janitor would once
-    their TTL and the retry backoff had both run out — and run the
-    session to completion again; the result."""
-    JobQueue(database).reclaim_owner("inline", now=time.time() - BACKOFF_CAP_S)
+    their TTL had run out — move ``clock`` past the retry backoff, and
+    run the session to completion again; the result."""
+    JobQueue(database).reclaim_owner("inline")
+    clock.advance(BACKOFF_CAP_S)
     return run(database, session_id, pin_order)
 
 
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
-    name, request, tmp_path
+    name, request, tmp_path, offset_clock
 ):
     overrides, pin_order, fixture = SESSIONS[name]
     template_path, history_id = request.getfixturevalue(fixture)
@@ -220,7 +221,9 @@ def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
             }
             store = SessionStore(database)
             if store.get(session_id).state != S_DONE:
-                resumed = resume(database, session_id, pin_order)
+                resumed = resume(
+                    database, session_id, pin_order, offset_clock
+                )
                 assert fingerprint(resumed) == fingerprint(reference), die_at
             record = store.get(session_id)
             assert record.state == S_DONE, die_at
@@ -239,7 +242,7 @@ def test_every_sampled_crash_point_resumes_to_the_uninterrupted_run(
 
 
 def test_kill_between_two_merges_of_one_batch_loses_the_whole_batch(
-    memo_template, tmp_path
+    memo_template, tmp_path, offset_clock
 ):
     """A fully memoized BOHB session merges its first wave in one
     commit.  Killed right after that commit's first merge note, before
@@ -266,7 +269,7 @@ def test_kill_between_two_merges_of_one_batch_loses_the_whole_batch(
             "SELECT COUNT(*) FROM merge_notes WHERE session_id = ?",
             (session_id,),
         ).fetchone() == (0,)
-        resumed = resume(database, session_id, False)
+        resumed = resume(database, session_id, False, offset_clock)
         assert fingerprint(resumed) == fingerprint(reference)
         assert summary(SessionStore(database).get(session_id)) == expected
         assert len(merged_rows(database, history_id)) == SPEC["max_trials"]

@@ -3,30 +3,36 @@
 from repro.service import DeadLetter, JobQueue
 from repro.service.queue import FAILED, QUEUED, backoff_delay
 from repro.storage import TrialDatabase
+from tests.clocks import frozen_clock  # noqa: F401 (fixture)
 
 
-def drive_to_exhaustion(queue, session="s1", trial=1, max_attempts=3,
-                        start=1000.0):
-    """Lease+fail a job through every attempt; returns the fail times."""
-    queue.enqueue(session, trial, "{}", max_attempts=max_attempts,
-                  now=start)
+def drive_to_exhaustion(queue, clock, session="s1", trial=1,
+                        max_attempts=3, start=1000.0):
+    """Lease+fail a job through every attempt on a frozen ``clock``;
+    returns the fail times."""
+    clock.at(start)
+    queue.enqueue(session, trial, "{}", max_attempts=max_attempts)
     now = start
     fail_times = []
     for attempt in range(1, max_attempts + 1):
         now += backoff_delay(attempt - 1) + 1.0
-        job = queue.lease("w1", ttl_s=30.0, now=now)
+        clock.at(now)
+        job = queue.lease("w1", ttl_s=30.0)
         assert job is not None and job.attempts == attempt
         now += 0.5
-        assert queue.fail(job.id, "w1", f"boom {attempt}", now=now)
+        clock.at(now)
+        assert queue.fail(job.id, "w1", f"boom {attempt}")
         fail_times.append(now)
     return fail_times
 
 
 class TestRetryExhaustion:
-    def test_exhausted_job_fails_and_quarantines_exactly_once(self):
+    def test_exhausted_job_fails_and_quarantines_exactly_once(
+        self, frozen_clock
+    ):
         db = TrialDatabase()
         queue = JobQueue(db)
-        drive_to_exhaustion(queue)
+        drive_to_exhaustion(queue, frozen_clock)
         job = queue.get("s1", 1)
         assert job.state == FAILED
         assert job.attempts == job.max_attempts == 3
@@ -39,10 +45,10 @@ class TestRetryExhaustion:
         assert queue.dead_letter_count() == 1
         assert queue.dead_letter_count("other") == 0
 
-    def test_error_history_is_complete_and_monotonic(self):
+    def test_error_history_is_complete_and_monotonic(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        fail_times = drive_to_exhaustion(queue)
+        fail_times = drive_to_exhaustion(queue, frozen_clock)
         history = queue.get("s1", 1).history()
         assert [entry["attempt"] for entry in history] == [1, 2, 3]
         assert [entry["error"] for entry in history] == [
@@ -53,41 +59,47 @@ class TestRetryExhaustion:
         # The quarantine row carries the same history.
         assert queue.dead_letters("s1")[0].error_history == history
 
-    def test_backoff_timestamps_monotonically_increase(self):
+    def test_backoff_timestamps_monotonically_increase(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        queue.enqueue("s1", 1, "{}", max_attempts=5, now=100.0)
+        frozen_clock.at(100.0)
+        queue.enqueue("s1", 1, "{}", max_attempts=5)
         retry_ats = []
         now = 100.0
         for attempt in range(1, 5):
             now += backoff_delay(attempt - 1) + 0.01
-            job = queue.lease("w1", ttl_s=30.0, now=now)
+            frozen_clock.at(now)
+            job = queue.lease("w1", ttl_s=30.0)
             assert job is not None
-            queue.fail(job.id, "w1", "x", now=now)
+            queue.fail(job.id, "w1", "x")
             retry_ats.append(queue.get("s1", 1).next_retry_at)
         assert retry_ats == sorted(retry_ats)
         assert all(b > a for a, b in zip(retry_ats, retry_ats[1:]))
 
-    def test_fail_after_lease_expiry_is_noop(self):
+    def test_fail_after_lease_expiry_is_noop(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        queue.enqueue("s1", 1, "{}", now=100.0)
-        job = queue.lease("w1", ttl_s=5.0, now=100.0)
+        frozen_clock.at(100.0)
+        queue.enqueue("s1", 1, "{}")
+        job = queue.lease("w1", ttl_s=5.0)
         # The zombie reports after its lease lapsed: rejected, and the
         # job row is untouched (reclaim owns it now).
-        assert not queue.fail(job.id, "w1", "late verdict", now=106.0)
+        frozen_clock.at(106.0)
+        assert not queue.fail(job.id, "w1", "late verdict")
         after = queue.get("s1", 1)
         assert after.state == "leased"
         assert after.error is None
         assert after.history() == []
 
-    def test_reclaim_exhaustion_also_quarantines(self):
+    def test_reclaim_exhaustion_also_quarantines(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        queue.enqueue("s1", 1, "{}", max_attempts=1, now=100.0)
-        job = queue.lease("w1", ttl_s=5.0, now=100.0)
+        frozen_clock.at(100.0)
+        queue.enqueue("s1", 1, "{}", max_attempts=1)
+        job = queue.lease("w1", ttl_s=5.0)
         assert job.attempts == 1
-        assert queue.reclaim_expired(now=200.0) == 1
+        frozen_clock.at(200.0)
+        assert queue.reclaim_expired() == 1
         assert queue.get("s1", 1).state == FAILED
         letters = queue.dead_letters("s1")
         assert len(letters) == 1
@@ -96,10 +108,10 @@ class TestRetryExhaustion:
 
 
 class TestDeadLetterManagement:
-    def test_retry_dead_releases_with_clean_slate(self):
+    def test_retry_dead_releases_with_clean_slate(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        drive_to_exhaustion(queue)
+        drive_to_exhaustion(queue, frozen_clock)
         assert queue.retry_dead("s1") == 1
         assert queue.dead_letter_count("s1") == 0
         job = queue.get("s1", 1)
@@ -108,27 +120,28 @@ class TestDeadLetterManagement:
         assert job.error is None
         assert job.history() == []
         # The released job is leasable again immediately.
-        assert queue.lease("w2", ttl_s=30.0, now=9999.0) is not None
+        frozen_clock.at(9999.0)
+        assert queue.lease("w2", ttl_s=30.0) is not None
 
-    def test_retry_dead_single_trial(self):
+    def test_retry_dead_single_trial(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        drive_to_exhaustion(queue, trial=1)
-        drive_to_exhaustion(queue, trial=2)
+        drive_to_exhaustion(queue, frozen_clock, trial=1)
+        drive_to_exhaustion(queue, frozen_clock, trial=2)
         assert queue.retry_dead("s1", trial_id=2) == 1
         assert {l.trial_id for l in queue.dead_letters("s1")} == {1}
 
-    def test_purge_dead_keeps_failed_jobs(self):
+    def test_purge_dead_keeps_failed_jobs(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
-        drive_to_exhaustion(queue)
+        drive_to_exhaustion(queue, frozen_clock)
         assert queue.purge_dead("s1") == 1
         assert queue.dead_letter_count() == 0
         assert queue.get("s1", 1).state == FAILED  # audit trail stays
 
-    def test_last_error_reports_most_recent(self):
+    def test_last_error_reports_most_recent(self, frozen_clock):
         db = TrialDatabase()
         queue = JobQueue(db)
         assert queue.last_error("s1") is None
-        drive_to_exhaustion(queue)
+        drive_to_exhaustion(queue, frozen_clock)
         assert queue.last_error("s1") == "boom 3"

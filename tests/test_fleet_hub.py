@@ -39,6 +39,7 @@ from repro.service.queue import (
 from repro.service.sessions import S_QUEUED, S_RUNNING
 from repro.storage import TrialDatabase
 
+from tests.clocks import frozen_clock  # noqa: F401 (fixture)
 from tests.test_fleet import SPEC
 
 
@@ -369,7 +370,7 @@ class TestReclaimCompleteRace:
         assert stored.state == DONE and stored.result == b"bits"
         assert stored.attempts == 1
 
-    def test_reclaim_first_complete_is_rejected(self, database):
+    def test_reclaim_first_complete_is_rejected(self, database, frozen_clock):
         queue, job = self._leased(database)
         assert queue.reclaim_owner("m1") == 1
         # The "dead" host was actually alive and finishes a beat later:
@@ -379,14 +380,17 @@ class TestReclaimCompleteRace:
         stored = queue.get("sess", 1)
         assert stored.state == QUEUED and stored.result is None
         # The retry owns the outcome and completes normally.
-        retry = queue.lease("m2/w0", now=stored.next_retry_at + 1.0)
+        frozen_clock.at(stored.next_retry_at + 1.0)
+        retry = queue.lease("m2/w0")
         assert retry is not None and retry.attempts == 2
         assert queue.complete(retry.id, "m2/w0", b"clean-bits")
         assert queue.get("sess", 1).result == b"clean-bits"
 
 
 class TestErrorHistoryCap:
-    def test_error_history_keeps_most_recent_entries(self, database):
+    def test_error_history_keeps_most_recent_entries(
+        self, database, frozen_clock
+    ):
         """Satellite: a hot-looping poison job must not grow its row
         without bound — only the newest attempts are retained."""
         queue = JobQueue(database)
@@ -394,9 +398,10 @@ class TestErrorHistoryCap:
         queue.enqueue("sess", 1, "{}", max_attempts=rounds + 5)
         now = 1_000.0
         for attempt in range(1, rounds + 1):
-            job = queue.lease("w0", now=now)
+            frozen_clock.at(now)
+            job = queue.lease("w0")
             assert job is not None
-            assert queue.fail(job.id, "w0", f"boom {attempt}", now=now)
+            assert queue.fail(job.id, "w0", f"boom {attempt}")
             now += 100.0  # clears any retry backoff
         history = queue.get("sess", 1).history()
         assert len(history) == MAX_HISTORY_ENTRIES

@@ -22,8 +22,10 @@ from repro.fleet.wire import (
     pack_bytes,
     unpack_bytes,
 )
-from repro.service.queue import QUEUED
+from repro.fleet.registry import ALIVE
+from repro.service.queue import LEASED, QUEUED, SKEW_GRACE_S
 from repro.storage import TrialDatabase
+from tests.clocks import frozen_clock, offset_clock  # noqa: F401 (fixtures)
 
 
 def frame(op, **params):
@@ -198,7 +200,9 @@ class TestLeaseProtocol:
             job_id=job["id"], result=pack_bytes(blob),
         ))["accepted"]
 
-    def test_mid_lease_disconnect_then_reacquisition(self, server):
+    def test_mid_lease_disconnect_then_reacquisition(
+        self, server, offset_clock
+    ):
         """A host that vanishes mid-lease stops extending; after expiry
         the job is re-leased (attempt 2) by another machine."""
         self._setup_job(server, "m1")
@@ -206,22 +210,23 @@ class TestLeaseProtocol:
         job = server.handle_line(frame("lease", machine_id="m1"))["job"]
         assert job["attempts"] == 1
         # m1 disconnects: no extends.  The janitor reclaims after TTL.
-        import time as _time
-        sweep = server.janitor_sweep(now=_time.time() + 6.0)
+        offset_clock.advance(6.0)
+        sweep = server.janitor_sweep()
         assert sweep["leases_expired"] == 1
         requeued = server.queue.get("sess", 1)
         assert requeued.state == QUEUED
-        # Backoff has passed by `now`: the re-lease goes to m2.
         retry = server.handle_line(frame("lease", machine_id="m1"))
-        assert retry["job"] is None  # backoff still pending at real now
-        leased = server.queue.lease("m2/w0", now=_time.time() + 7.0)
+        assert retry["job"] is None  # the retry's backoff is still pending
+        # Once the backoff has passed, the re-lease goes to m2.
+        offset_clock.advance(1.0)
+        leased = server.queue.lease("m2/w0")
         assert leased is not None and leased.attempts == 2
 
-    def test_zombie_complete_after_expiry_rejected(self, server):
+    def test_zombie_complete_after_expiry_rejected(self, server, offset_clock):
         self._setup_job(server, "m1")
         job = server.handle_line(frame("lease", machine_id="m1"))["job"]
-        import time as _time
-        server.janitor_sweep(now=_time.time() + 6.0)
+        offset_clock.advance(6.0)
+        server.janitor_sweep()
         response = server.handle_line(frame(
             "complete", machine_id="m1", worker="w0",
             job_id=job["id"], result=pack_bytes(b"stale"),
@@ -239,7 +244,9 @@ class TestLeaseProtocol:
         assert response["ok"] and response["renewed"]
         assert server.registry.get("m1").last_heartbeat_at >= before
 
-    def test_dead_host_drain_releases_leases_immediately(self, server):
+    def test_dead_host_drain_releases_leases_immediately(
+        self, server, offset_clock
+    ):
         """Machine-level containment: when heartbeats stop, the janitor
         drains every lease the machine held without waiting for each
         job's own (much longer) lease to expire."""
@@ -253,8 +260,8 @@ class TestLeaseProtocol:
             assert job is not None
             # Long manual lease: only the dead-host drain can free it soon.
             server.queue.heartbeat(job["id"], f"m1/{worker}", ttl_s=900.0)
-        import time as _time
-        sweep = server.janitor_sweep(now=_time.time() + 31.0)
+        offset_clock.advance(31.0)
+        sweep = server.janitor_sweep()
         assert sweep["machines_expired"] == 1
         assert sweep["leases_drained"] == 2
         assert server.database.stats()["leases.drained"] == 2.0
@@ -270,6 +277,75 @@ class TestLeaseProtocol:
         response = server.handle_line(frame("lease", machine_id="m1"))
         assert response["ok"]
         assert response["job"] is None and response["draining"]
+
+
+class TestJanitorClockStep:
+    """The hub janitor judges machine and lease expiry on the queue's
+    clock-step hardened reading (``JobQueue.expiry_now``): an NTP step
+    of the wall clock neither declares a live machine dead nor drains
+    its leases, and a silent machine is still expired once the grace
+    window has passed."""
+
+    NOTHING = {"machines_expired": 0, "leases_drained": 0,
+               "leases_expired": 0}
+
+    @pytest.fixture()
+    def hub(self, frozen_clock):
+        with TrialDatabase() as database:
+            instance = FleetServer(
+                database, port=0, lease_ttl_s=5.0, machine_ttl_s=30.0,
+            )
+            try:
+                register(instance, "m1")
+                instance.queue.enqueue("sess", 1, "{}")
+                job = instance.handle_line(
+                    frame("lease", machine_id="m1")
+                )["job"]
+                assert job is not None
+                yield instance, job
+            finally:
+                instance.server_close()
+
+    def test_step_expires_nothing_inside_the_grace_window(
+        self, hub, frozen_clock
+    ):
+        server, _ = hub
+        frozen_clock.step_wall(3600.0)
+        assert server.janitor_sweep() == self.NOTHING
+        # Still inside the lease TTL on the pre-step timeline.
+        frozen_clock.advance(server.lease_ttl_s - 1.0)
+        assert server.janitor_sweep() == self.NOTHING
+        assert server.registry.get("m1").state == ALIVE
+        assert server.queue.get("sess", 1).state == LEASED
+
+    def test_heartbeating_machine_is_kept_past_the_grace_window(
+        self, hub, frozen_clock
+    ):
+        server, job = hub
+        frozen_clock.step_wall(3600.0)
+        waited = 0.0
+        while waited < SKEW_GRACE_S + 1.0:
+            frozen_clock.advance(1.0)
+            waited += 1.0
+            # ``extend`` heartbeats the lease and the machine together.
+            assert server.handle_line(frame(
+                "extend", machine_id="m1", worker="w0", job_id=job["id"],
+            ))["renewed"]
+            assert server.janitor_sweep() == self.NOTHING
+        assert server.registry.get("m1").state == ALIVE
+        assert server.queue.get("sess", 1).state == LEASED
+
+    def test_silent_machine_is_expired_and_drained_after_grace(
+        self, hub, frozen_clock
+    ):
+        server, _ = hub
+        frozen_clock.step_wall(3600.0)
+        assert server.janitor_sweep() == self.NOTHING
+        frozen_clock.advance(SKEW_GRACE_S + server.machine_ttl_s + 1.0)
+        assert server.janitor_sweep() == {
+            "machines_expired": 1, "leases_drained": 1, "leases_expired": 0,
+        }
+        assert server.queue.get("sess", 1).state == QUEUED
 
 
 class TestArtifactFederation:
@@ -336,7 +412,7 @@ class TestOverTheWire:
             assert response["ok"] and not response["rejoined"]
 
 
-    def test_mid_lease_disconnect_over_socket(self, live_server):
+    def test_mid_lease_disconnect_over_socket(self, live_server, offset_clock):
         """The wire version of vanish-mid-lease: the TCP connection dies
         with the lease held; nothing is completed; reclaim frees it."""
         live_server.queue.enqueue("sess", 1, "{}")
@@ -345,8 +421,6 @@ class TestOverTheWire:
         job = client.request("lease", machine_id="m1")["job"]
         assert job is not None
         client.close()  # host gone, lease still held
-        import time as _time
-        assert live_server.queue.reclaim_expired(
-            now=_time.time() + 6.0
-        ) == 1
+        offset_clock.advance(6.0)
+        assert live_server.queue.reclaim_expired() == 1
         assert live_server.queue.get("sess", 1).state == QUEUED

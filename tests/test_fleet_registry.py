@@ -14,6 +14,7 @@ from repro.fleet.registry import (
 )
 from repro.service.queue import JobQueue, LEASED, QUEUED
 from repro.storage import TrialDatabase
+from tests.clocks import frozen_clock  # noqa: F401 (fixture)
 
 
 @pytest.fixture()
@@ -23,11 +24,11 @@ def db():
 
 
 class TestMachineRegistry:
-    def test_register_and_get(self, db):
+    def test_register_and_get(self, db, frozen_clock):
         registry = MachineRegistry(db)
+        frozen_clock.at(100.0)
         machine = registry.register(
             "m1", capabilities={"hostname": "edge-a", "cores": 4},
-            now=100.0,
         )
         assert machine.id == "m1"
         assert machine.hostname == "edge-a"
@@ -35,16 +36,16 @@ class TestMachineRegistry:
         assert machine.capabilities["cores"] == 4
         assert machine.registered_at == 100.0
 
-    def test_duplicate_registration_is_a_reconnect(self, db):
+    def test_duplicate_registration_is_a_reconnect(self, db, frozen_clock):
         """A host restarting with the same machine id is a reconnect:
         capabilities and heartbeat refresh, the row and its history stay."""
         registry = MachineRegistry(db)
-        registry.register("m1", capabilities={"cores": 2}, now=100.0)
+        frozen_clock.at(100.0)
+        registry.register("m1", capabilities={"cores": 2})
         registry.record_done("m1")
         registry.set_state("m1", DEAD)
-        again = registry.register(
-            "m1", capabilities={"cores": 8}, now=200.0
-        )
+        frozen_clock.at(200.0)
+        again = registry.register("m1", capabilities={"cores": 8})
         assert again.state == ALIVE
         assert again.registered_at == 100.0
         assert again.jobs_done == 1
@@ -52,11 +53,13 @@ class TestMachineRegistry:
         assert again.last_heartbeat_at == 200.0
         assert len(registry.list()) == 1
 
-    def test_heartbeat_refreshes_and_revives(self, db):
+    def test_heartbeat_refreshes_and_revives(self, db, frozen_clock):
         registry = MachineRegistry(db)
-        registry.register("m1", now=100.0)
+        frozen_clock.at(100.0)
+        registry.register("m1")
         registry.set_state("m1", DEAD)
-        assert registry.heartbeat("m1", now=150.0)
+        frozen_clock.at(150.0)
+        assert registry.heartbeat("m1")
         machine = registry.get("m1")
         assert machine.state == ALIVE
         assert machine.last_heartbeat_at == 150.0
@@ -64,10 +67,12 @@ class TestMachineRegistry:
     def test_heartbeat_unknown_machine(self, db):
         assert not MachineRegistry(db).heartbeat("ghost")
 
-    def test_expire_flips_only_stale_machines_once(self, db):
+    def test_expire_flips_only_stale_machines_once(self, db, frozen_clock):
         registry = MachineRegistry(db)
-        registry.register("fresh", now=100.0)
-        registry.register("stale", now=10.0)
+        frozen_clock.at(10.0)
+        registry.register("stale")
+        frozen_clock.at(100.0)
+        registry.register("fresh")
         doomed = registry.expire(ttl_s=30.0, now=100.0)
         assert doomed == ["stale"]
         assert registry.get("stale").state == DEAD
@@ -79,7 +84,7 @@ class TestMachineRegistry:
 
     def test_record_done_and_forget(self, db):
         registry = MachineRegistry(db)
-        registry.register("m1", now=1.0)
+        registry.register("m1")
         registry.record_done("m1")
         registry.record_done("m1", count=2)
         assert registry.get("m1").jobs_done == 3
@@ -127,10 +132,10 @@ class TestDeadHostDrain:
         queue = JobQueue(db)
         for trial in (1, 2, 3):
             queue.enqueue("s", trial, "{}")
-        queue.lease("m1/w0", ttl_s=1000.0, now=10.0)
-        queue.lease("m1/w1", ttl_s=1000.0, now=10.0)
-        queue.lease("m2/w0", ttl_s=1000.0, now=10.0)
-        assert queue.reclaim_owner("m1", now=20.0) == 2
+        queue.lease("m1/w0", ttl_s=1000.0)
+        queue.lease("m1/w1", ttl_s=1000.0)
+        queue.lease("m2/w0", ttl_s=1000.0)
+        assert queue.reclaim_owner("m1") == 2
         jobs = {j.trial_id: j for j in queue.jobs_for("s")}
         assert jobs[1].state == QUEUED
         assert "host declared dead" in jobs[1].error
@@ -139,12 +144,12 @@ class TestDeadHostDrain:
     def test_reclaim_owner_exact_match_without_worker_suffix(self, db):
         queue = JobQueue(db)
         queue.enqueue("s", 1, "{}")
-        queue.lease("m1", ttl_s=1000.0, now=10.0)
-        assert queue.reclaim_owner("m1", now=20.0) == 1
+        queue.lease("m1", ttl_s=1000.0)
+        assert queue.reclaim_owner("m1") == 1
 
     def test_reclaim_owner_exhausted_attempts_quarantines(self, db):
         queue = JobQueue(db)
         queue.enqueue("s", 1, "{}", max_attempts=1)
-        queue.lease("m1/w0", ttl_s=1000.0, now=10.0)
-        assert queue.reclaim_owner("m1", now=20.0) == 1
+        queue.lease("m1/w0", ttl_s=1000.0)
+        assert queue.reclaim_owner("m1") == 1
         assert queue.dead_letter_count("s") == 1

@@ -25,6 +25,7 @@ from repro.service.sessions import S_DONE, S_FAILED, S_QUEUED, S_RUNNING
 from repro.service.worker import LocalJobs
 from repro.storage import BUSY_TIMEOUT_MS, SCHEMA_VERSION, TrialDatabase
 from repro.storage.database import MIGRATIONS, PRE_V9_INTERRUPTED
+from tests.clocks import frozen_clock  # noqa: F401 (fixture)
 from tests.test_session_goldens import GOLDENS, digest
 
 
@@ -326,44 +327,56 @@ class TestJobQueue:
         assert queue.get("s", 1).payload == "payload-a"
         assert queue.depths("s")[QUEUED] == 1
 
-    def test_lease_claims_oldest_runnable(self):
+    def test_lease_claims_oldest_runnable(self, frozen_clock):
         _, queue = make_queue()
-        queue.enqueue("s", 1, "p1", now=10.0)
-        queue.enqueue("s", 2, "p2", now=11.0)
-        job = queue.lease("w1", now=20.0)
+        frozen_clock.at(10.0)
+        queue.enqueue("s", 1, "p1")
+        frozen_clock.at(11.0)
+        queue.enqueue("s", 2, "p2")
+        frozen_clock.at(20.0)
+        job = queue.lease("w1")
         assert job.trial_id == 1
         assert job.state == LEASED
         assert job.attempts == 1
         assert job.lease_owner == "w1"
-        other = queue.lease("w2", now=20.0)
+        other = queue.lease("w2")
         assert other.trial_id == 2
-        assert queue.lease("w3", now=20.0) is None
+        assert queue.lease("w3") is None
 
-    def test_lease_honours_retry_backoff_time(self):
+    def test_lease_honours_retry_backoff_time(self, frozen_clock):
         _, queue = make_queue()
-        queue.enqueue("s", 1, "p", now=0.0)
-        job = queue.lease("w1", now=0.0)
-        queue.fail(job.id, "w1", "boom", now=1.0)
+        frozen_clock.at(0.0)
+        queue.enqueue("s", 1, "p")
+        job = queue.lease("w1")
+        frozen_clock.at(1.0)
+        queue.fail(job.id, "w1", "boom")
         delay = backoff_delay(1)
-        assert queue.lease("w1", now=1.0 + delay / 2) is None
-        retry = queue.lease("w1", now=1.0 + delay)
+        frozen_clock.at(1.0 + delay / 2)
+        assert queue.lease("w1") is None
+        frozen_clock.at(1.0 + delay)
+        retry = queue.lease("w1")
         assert retry is not None and retry.attempts == 2
 
-    def test_heartbeat_extends_only_the_owner(self):
+    def test_heartbeat_extends_only_the_owner(self, frozen_clock):
         _, queue = make_queue()
         queue.enqueue("s", 1, "p")
-        job = queue.lease("w1", ttl_s=5.0, now=0.0)
-        assert queue.heartbeat(job.id, "w1", ttl_s=5.0, now=3.0) is True
+        frozen_clock.at(0.0)
+        job = queue.lease("w1", ttl_s=5.0)
+        frozen_clock.at(3.0)
+        assert queue.heartbeat(job.id, "w1", ttl_s=5.0) is True
         assert queue.get("s", 1).lease_expires_at == 8.0
-        assert queue.heartbeat(job.id, "intruder", now=3.0) is False
+        assert queue.heartbeat(job.id, "intruder") is False
 
-    def test_complete_requires_a_held_lease(self):
+    def test_complete_requires_a_held_lease(self, frozen_clock):
         _, queue = make_queue()
         queue.enqueue("s", 1, "p")
-        job = queue.lease("w1", ttl_s=1.0, now=0.0)
+        frozen_clock.at(0.0)
+        job = queue.lease("w1", ttl_s=1.0)
         # Lease expires; the job is reclaimed and re-leased by w2.
-        assert queue.reclaim_expired(now=2.0) == 1
-        retry = queue.lease("w2", now=2.0 + backoff_delay(1))
+        frozen_clock.at(2.0)
+        assert queue.reclaim_expired() == 1
+        frozen_clock.at(2.0 + backoff_delay(1))
+        retry = queue.lease("w2")
         assert retry is not None
         # The zombie's completion is rejected; the new owner's wins.
         assert queue.complete(job.id, "w1", b"zombie") is False
@@ -373,30 +386,36 @@ class TestJobQueue:
         assert done.result == b"fresh"
         assert done.lease_owner == "w2"  # kept as the finisher record
 
-    def test_fail_exhausts_attempts_then_terminal(self):
+    def test_fail_exhausts_attempts_then_terminal(self, frozen_clock):
         _, queue = make_queue()
         queue.enqueue("s", 1, "p", max_attempts=2)
         now = 0.0
-        job = queue.lease("w", now=now)
-        queue.fail(job.id, "w", "first", now=now)
+        frozen_clock.at(now)
+        job = queue.lease("w")
+        queue.fail(job.id, "w", "first")
         requeued = queue.get("s", 1)
         assert requeued.state == QUEUED
         assert requeued.next_retry_at == now + backoff_delay(1)
         now += backoff_delay(1)
-        job = queue.lease("w", now=now)
+        frozen_clock.at(now)
+        job = queue.lease("w")
         assert job.attempts == 2
-        queue.fail(job.id, "w", "second", now=now)
+        queue.fail(job.id, "w", "second")
         dead = queue.get("s", 1)
         assert dead.state == FAILED
         assert dead.error == "second"
-        assert queue.lease("w", now=now + 1000.0) is None
+        frozen_clock.at(now + 1000.0)
+        assert queue.lease("w") is None
 
-    def test_reclaim_expired_requeues_dead_workers_jobs(self):
+    def test_reclaim_expired_requeues_dead_workers_jobs(self, frozen_clock):
         _, queue = make_queue()
         queue.enqueue("s", 1, "p")
-        queue.lease("doomed", ttl_s=1.0, now=0.0)
-        assert queue.reclaim_expired(now=0.5) == 0  # still alive
-        assert queue.reclaim_expired(now=2.0) == 1
+        frozen_clock.at(0.0)
+        queue.lease("doomed", ttl_s=1.0)
+        frozen_clock.at(0.5)
+        assert queue.reclaim_expired() == 0  # still alive
+        frozen_clock.at(2.0)
+        assert queue.reclaim_expired() == 1
         job = queue.get("s", 1)
         assert job.state == QUEUED
         assert job.lease_owner is None
@@ -408,14 +427,16 @@ class TestJobQueue:
         assert backoff_delay(3) == 4 * BACKOFF_BASE_S
         assert backoff_delay(50) == BACKOFF_CAP_S
 
-    def test_results_for_and_worker_stats(self):
+    def test_results_for_and_worker_stats(self, frozen_clock):
         _, queue = make_queue()
+        frozen_clock.at(0.0)
         for trial_id in (1, 2, 3):
-            queue.enqueue("s", trial_id, "p", now=0.0)
+            queue.enqueue("s", trial_id, "p")
         for worker in ("w1", "w2"):
-            job = queue.lease(worker, now=1.0)
-            queue.complete(job.id, worker, f"r{job.trial_id}".encode(),
-                           now=3.0)
+            frozen_clock.at(1.0)
+            job = queue.lease(worker)
+            frozen_clock.at(3.0)
+            queue.complete(job.id, worker, f"r{job.trial_id}".encode())
         results = queue.results_for("s", [1, 2, 3])
         assert results == {1: b"r1", 2: b"r2"}
         stats = {s["worker"]: s for s in queue.worker_stats("s")}
@@ -574,40 +595,17 @@ class TestClockSkewHardening:
     worker's lease alive.
     """
 
-    class Clocks:
-        def __init__(self, wall=1000.0, mono=500.0):
-            self.wall = wall
-            self.mono = mono
-
-        def advance(self, dt):
-            """Normal passage of time: both clocks tick together."""
-            self.wall += dt
-            self.mono += dt
-
-        def step_wall(self, dt):
-            """An NTP step: only the wall clock jumps."""
-            self.wall += dt
-
-    def patched_queue(self, monkeypatch):
-        from repro.service import queue as queue_module
-
-        clocks = self.Clocks()
-        monkeypatch.setattr(queue_module, "_wall_clock", lambda: clocks.wall)
-        monkeypatch.setattr(queue_module, "_mono_clock", lambda: clocks.mono)
-        db = TrialDatabase()
-        return clocks, db, JobQueue(db)  # anchors read the fakes
-
     def test_forward_step_does_not_mass_expire_healthy_leases(
-        self, monkeypatch
+        self, frozen_clock
     ):
         from repro.service.queue import SKEW_GRACE_S
 
-        clocks, db, queue = self.patched_queue(monkeypatch)
-        queue.enqueue("s", 1, "p", now=clocks.wall)
-        job = queue.lease("w", ttl_s=60.0, now=clocks.wall)
+        db, queue = make_queue()  # anchors read the frozen clock
+        queue.enqueue("s", 1, "p")
+        job = queue.lease("w", ttl_s=60.0)
         assert job is not None
-        clocks.advance(10.0)
-        clocks.step_wall(3600.0)  # NTP jumps the wall clock an hour ahead
+        frozen_clock.advance(10.0)
+        frozen_clock.step_wall(3600.0)  # NTP jumps the wall an hour ahead
         # Wall-clock "now" is far past the lease stamp, but the healthy
         # lease must survive: the janitor holds the pre-step timeline.
         assert queue.reclaim_expired() == 0
@@ -616,58 +614,51 @@ class TestClockSkewHardening:
         ).fetchone()[0] == LEASED
         # The worker heartbeats during the grace window, re-stamping its
         # lease under the stepped clock...
-        clocks.advance(5.0)
-        assert queue.heartbeat(job.id, "w", ttl_s=60.0, now=clocks.wall)
+        frozen_clock.advance(5.0)
+        assert queue.heartbeat(job.id, "w", ttl_s=60.0)
         # ...so once the grace window lapses and the janitor adopts the
         # stepped wall clock, the lease is still honoured.
-        clocks.advance(SKEW_GRACE_S + 1.0)
-        assert queue.heartbeat(job.id, "w", ttl_s=60.0, now=clocks.wall)
+        frozen_clock.advance(SKEW_GRACE_S + 1.0)
+        assert queue.heartbeat(job.id, "w", ttl_s=60.0)
         assert queue.reclaim_expired() == 0
 
     def test_forward_step_still_reclaims_after_grace_without_heartbeat(
-        self, monkeypatch
+        self, frozen_clock
     ):
         from repro.service.queue import SKEW_GRACE_S
 
-        clocks, db, queue = self.patched_queue(monkeypatch)
-        queue.enqueue("s", 1, "p", now=clocks.wall)
-        assert queue.lease("w", ttl_s=60.0, now=clocks.wall) is not None
-        clocks.step_wall(3600.0)
+        db, queue = make_queue()  # anchors read the frozen clock
+        queue.enqueue("s", 1, "p")
+        assert queue.lease("w", ttl_s=60.0) is not None
+        frozen_clock.step_wall(3600.0)
         assert queue.reclaim_expired() == 0  # grace holds
         # A worker that never re-stamps through the whole grace window is
         # genuinely dead: adopting the stepped clock reclaims its lease.
-        clocks.advance(SKEW_GRACE_S + 61.0)
+        frozen_clock.advance(SKEW_GRACE_S + 61.0)
         assert queue.reclaim_expired() == 1
         assert db.execute(
             "SELECT state FROM jobs WHERE trial_id = 1"
         ).fetchone()[0] == QUEUED
 
-    def test_backward_step_still_reclaims_dead_lease(self, monkeypatch):
-        clocks, db, queue = self.patched_queue(monkeypatch)
-        queue.enqueue("s", 1, "p", now=clocks.wall)
-        assert queue.lease("w", ttl_s=60.0, now=clocks.wall) is not None
+    def test_backward_step_still_reclaims_dead_lease(self, frozen_clock):
+        db, queue = make_queue()  # anchors read the frozen clock
+        queue.enqueue("s", 1, "p")
+        assert queue.lease("w", ttl_s=60.0) is not None
         # The worker dies; the wall clock then steps back an hour.  A
         # purely wall-clock janitor would judge the lease alive for the
         # next hour; the monotonic timeline says it expired 10s ago.
-        clocks.step_wall(-3600.0)
-        clocks.advance(70.0)
+        frozen_clock.step_wall(-3600.0)
+        frozen_clock.advance(70.0)
         assert queue.reclaim_expired() == 1
         assert db.execute(
             "SELECT state FROM jobs WHERE trial_id = 1"
         ).fetchone()[0] == QUEUED
 
-    def test_agreeing_clocks_use_wall_time_directly(self, monkeypatch):
-        clocks, db, queue = self.patched_queue(monkeypatch)
-        queue.enqueue("s", 1, "p", now=clocks.wall)
-        assert queue.lease("w", ttl_s=60.0, now=clocks.wall) is not None
-        clocks.advance(59.0)
+    def test_agreeing_clocks_use_wall_time_directly(self, frozen_clock):
+        db, queue = make_queue()  # anchors read the frozen clock
+        queue.enqueue("s", 1, "p")
+        assert queue.lease("w", ttl_s=60.0) is not None
+        frozen_clock.advance(59.0)
         assert queue.reclaim_expired() == 0
-        clocks.advance(2.0)  # natural expiry, no skew anywhere
+        frozen_clock.advance(2.0)  # natural expiry, no skew anywhere
         assert queue.reclaim_expired() == 1
-
-    def test_explicit_now_bypasses_the_skew_detector(self, monkeypatch):
-        """Simulated-time callers (tests, operators) keep full control."""
-        clocks, db, queue = self.patched_queue(monkeypatch)
-        queue.enqueue("s", 1, "p", now=clocks.wall)
-        assert queue.lease("w", ttl_s=60.0, now=clocks.wall) is not None
-        assert queue.reclaim_expired(now=clocks.wall + 61.0) == 1

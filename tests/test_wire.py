@@ -24,6 +24,7 @@ from repro.fleet.client import FleetClient
 from repro.fleet.server import FleetServer
 from repro.storage import TrialDatabase
 from repro.wire import MAX_BACKOFF_S, READ_TIMEOUT_S, decode_frame
+from tests.clocks import frozen_clock  # noqa: F401 (fixture)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -281,9 +282,8 @@ class TestClientContract:
         with pytest.raises(proto.error, match="cannot reach"):
             client.request("ping")
 
-    def test_no_backoff_sleep_exceeds_the_cap(self, proto, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(wire.time, "sleep", sleeps.append)
+    def test_no_backoff_sleep_exceeds_the_cap(self, proto, frozen_clock):
+        sleeps = frozen_clock.sleeps
         client = proto.client(
             "127.0.0.1", 1, timeout_s=0.1, retries=8, backoff_s=1.0
         )
@@ -338,19 +338,23 @@ class TestClientContract:
 
 
 class TestLayering:
-    def test_wire_imports_only_the_stdlib_and_three_leaf_packages(self):
+    def test_wire_imports_only_the_stdlib_and_four_leaf_modules(self):
         with open(os.path.join(REPO, "src", "repro", "wire.py")) as handle:
             tree = ast.parse(handle.read())
         relative, absolute = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 assert node.level == 1
-                relative.add(node.module)
+                # ``from . import clock, faults`` names the modules itself.
+                relative.update(
+                    [node.module] if node.module
+                    else (alias.name for alias in node.names)
+                )
             elif isinstance(node, ast.ImportFrom):
                 absolute.add(node.module.split(".")[0])
             elif isinstance(node, ast.Import):
                 absolute.update(a.name.split(".")[0] for a in node.names)
-        assert relative == {"errors", "faults", "telemetry"}
+        assert relative == {"clock", "errors", "faults", "telemetry"}
         stdlib = getattr(sys, "stdlib_module_names", None)  # 3.10+
         if stdlib is not None:
             assert absolute <= set(stdlib), absolute - set(stdlib)
