@@ -23,24 +23,24 @@ on one store:
   budget.  Opt-in, because resumed training follows a different (shorter)
   SGD trajectory than the paper's retrain-from-scratch semantics.
 
-Storage: rows live in the ``artifacts`` table (migration v6) with
+Storage: rows live in the ``artifacts`` table with
 size/hit accounting for ``service gc``.  File-backed databases keep the
 payload bytes in a ``<db>.artifacts/`` sidecar directory — written to a
 temp file and published with an atomic :func:`os.replace`, so a crash
 mid-write never leaves a half-artifact visible — while ``:memory:``
 databases inline the payload in the ``blob`` column.
 
-**End-to-end integrity** (migration v8): every ``put`` records a blake2b
-checksum of the payload, and every ``get`` verifies it before handing
-bytes back.  A mismatch — bit rot, a truncated sidecar file, or the
+**End-to-end integrity** (``artifacts.checksum``): every ``put`` records
+a blake2b checksum of the payload, and every ``get`` verifies it before
+handing bytes back.  A mismatch — bit rot, a truncated sidecar file, or the
 ``artifact.corrupt_blob`` chaos site — **quarantines** the blob (the
 sidecar file moves to ``<blob_dir>/quarantine/``, the row is dropped, a
 crash-safe ``artifacts.quarantined`` counter is bumped) and the read
 reports a miss, so the trial falls back to a deterministic cold run
 instead of silently resuming from corrupted state.  ``scrub`` sweeps the
 whole store offline: verifying every blob, quarantining mismatches,
-dropping rows whose sidecar file is gone, backfilling checksums on
-pre-v8 rows, and removing orphaned files.
+dropping rows whose sidecar file is gone, backfilling missing
+checksums, and removing orphaned files.
 """
 
 from __future__ import annotations

@@ -103,6 +103,7 @@ def figure_13_budget_comparison(ctx: ExperimentContext) -> ExperimentResult:
                 ),
                 accuracy=run.best_accuracy,
             )
-    result.note("multi-budget consistently cheapest in runtime and energy "
-                "with comparable inference results (paper §5.2)")
+    result.note("multi-budget cheaper than the epoch budget in runtime and "
+                "energy on every workload; the dataset budget is cheapest "
+                "but its accuracy collapses (paper §5.2)")
     return result

@@ -134,8 +134,8 @@ class HubJobs:
         """Long-poll the hub: it holds an empty ``lease`` for up to
         ``wait_s`` (one tick) and answers the moment a job is enqueued.
         The rest of the tick is slept out here — nothing when the hub
-        held the request, all of it when the answer came at once (a hub
-        that ignores ``wait_s``, a rejection, a partition)."""
+        held the request, all of it when the answer came at once (a
+        rejection, a partition)."""
         if not self.epoch:
             self.register()  # the first lease: join the fleet
         asked_at = clock.monotonic()

@@ -1,6 +1,6 @@
 """The machine registry: who is in the fleet and are they alive.
 
-One row per worker host (``machines`` table, migration v7).  A machine
+One row per worker host (``machines`` table).  A machine
 registers once with its capability tags — hostname, core count, kernel
 backend fingerprint, supported workloads — and then proves liveness by
 heartbeating.  The fleet janitor calls :meth:`MachineRegistry.expire`
@@ -96,7 +96,7 @@ class Machine:
 
 class HubState:
     """The hub's persisted identity: a monotonically increasing
-    **incarnation epoch** (``hub_state`` table, migration v8).
+    **incarnation epoch** (``hub_state`` table).
 
     Every hub start — first boot, clean restart, crash recovery —
     advances the epoch by one inside a single write transaction, so two

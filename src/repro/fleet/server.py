@@ -146,18 +146,17 @@ class FleetServer(FrameServer):
     def _fence(self, payload: Frame) -> Optional[Frame]:
         """``None`` when the frame may mutate state, else the rejection.
 
-        Only frames that *carry* an epoch are fenced: pre-epoch clients
-        (and the in-process test seam) omit the field and are trusted as
-        current.  A stale epoch means the sender holds leases granted by
-        a dead incarnation — it must re-register and ``resync`` before
-        any of its writes count.
+        A frame without this incarnation's epoch is stale: its sender
+        holds leases granted by a dead incarnation, or never registered
+        with this one.  It must re-register and ``resync`` before any of
+        its writes count.
         """
         epoch = payload.get("epoch")
-        if epoch is None or int(epoch) == self.epoch:
+        if epoch is not None and int(epoch) == self.epoch:
             return None
         self.database.bump_stats({"hub.fenced_frames": 1})
         return error_frame(
-            f"fenced: frame epoch {int(epoch)} != hub epoch {self.epoch}",
+            f"fenced: frame epoch {epoch} != hub epoch {self.epoch}",
             fenced=True,
             reregister=True,
             epoch=self.epoch,
@@ -247,7 +246,7 @@ class FleetServer(FrameServer):
             return ok_frame(job=None, draining=True)
         wait_s = payload.get("wait_s")
         if not (isinstance(wait_s, (int, float)) and wait_s > 0):
-            wait_s = 0.0  # absent (an older host), or garbage off the wire
+            wait_s = 0.0  # absent, or garbage off the wire
         wait_s = min(
             wait_s, MAX_LEASE_WAIT_S, self.machine_ttl_s * JANITOR_FRACTION
         )

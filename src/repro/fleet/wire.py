@@ -37,11 +37,11 @@ Request frames are ``{"op": <name>, ...}``; response frames are
 ==================  =======================================================
 
 Fencing: mutation frames (``lease``/``extend``/``complete``/``fail``/
-``artifact_put``) may carry the ``epoch`` the sender registered under.
-A hub that restarted since then rejects the frame with ``{"ok": false,
-"fenced": true, "reregister": true, "epoch": <current>}`` — the client
-re-registers, resyncs its leases, and retries.  Frames without an epoch
-field (older clients, in-process tests) are trusted as current.
+``artifact_put``) carry the ``epoch`` the sender registered under.  A
+frame from before the hub's last restart, or one with no epoch at all,
+is rejected with ``{"ok": false, "fenced": true, "reregister": true,
+"epoch": <current>}`` — the client re-registers, resyncs its leases,
+and retries.
 ``complete`` is exempt when the job is already done by the same owner:
 the hub answers ``{"ok": true, "accepted": true, "duplicate": true}``
 so an in-flight result that raced a hub crash lands exactly once.

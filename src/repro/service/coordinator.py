@@ -62,7 +62,6 @@ from ..core.results import TuningRunResult
 from ..errors import ServiceError, TuningError
 from ..search import ScheduledTrial
 from ..storage import TrialDatabase
-from ..storage.database import PRE_V9_INTERRUPTED
 from ..telemetry import MeterRegistry
 from .doorbell import Doorbell, Doorbells
 from .pool import WorkerPool
@@ -163,10 +162,6 @@ class SessionCoordinator:
         if record.state == S_DONE:
             raise ServiceError(
                 f"session {self.session_id!r} is already done"
-            )
-        if record.error == PRE_V9_INTERRUPTED:
-            raise ServiceError(
-                f"session {self.session_id!r} was {PRE_V9_INTERRUPTED}"
             )
         server = build_server(record.spec, self.database)
         try:

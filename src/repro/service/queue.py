@@ -751,16 +751,14 @@ class JobQueue:
         record of what went wrong along the way.
         """
         rows = self.database.execute(
-            "SELECT error, error_history FROM jobs WHERE session_id = ?",
+            "SELECT error_history FROM jobs WHERE session_id = ?",
             (session_id,),
         ).fetchall()
         latest_at = float("-inf")
         latest: Optional[str] = None
-        for error, raw_history in rows:
+        for (raw_history,) in rows:
             history = json.loads(raw_history or "[]")
             if history and history[-1]["at"] > latest_at:
                 latest_at = history[-1]["at"]
                 latest = history[-1]["error"]
-            elif latest is None and error:
-                latest = error  # pre-v5 rows carry only ``error``
         return latest

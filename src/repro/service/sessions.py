@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional
 from .. import clock
 from ..errors import ServiceError
 from ..storage import TrialDatabase
-from ..storage.database import PRE_V9_INTERRUPTED
 from .queue import JobQueue
 from .spec import SessionSpec
 
@@ -43,8 +42,7 @@ class SessionRecord:
     error: Optional[str]
     created_at: float
     updated_at: float
-    #: Interrupted (``running``/``failed``), so ``resume`` can finish it:
-    #: every such session but one the v9 migration failed.
+    #: Interrupted (``running``/``failed``), so ``resume`` can finish it.
     resumable: bool
 
 
@@ -84,8 +82,7 @@ class SessionStore:
             error=row[4],
             created_at=row[5],
             updated_at=row[6],
-            resumable=row[2] in (S_RUNNING, S_FAILED)
-            and row[4] != PRE_V9_INTERRUPTED,
+            resumable=row[2] in (S_RUNNING, S_FAILED),
         )
 
     def list(self, state: Optional[str] = None) -> List[SessionRecord]:

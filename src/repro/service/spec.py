@@ -104,11 +104,8 @@ class SessionSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "SessionSpec":
-        """Rebuild a stored spec; keys this version has no field for
-        (the stacking width that sessions stored before trial stacking
-        was removed carry) are dropped."""
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        """Rebuild a spec stored by :meth:`to_dict`."""
+        return cls(**raw)
 
 
 def build_server(spec: SessionSpec, database: TrialDatabase):

@@ -6,7 +6,6 @@ and ``jobs`` tables behind the persistent tuning job queue.
 
 from .database import (
     BUSY_TIMEOUT_MS,
-    MIGRATIONS,
     NO_TARGET,
     SCHEMA_VERSION,
     StoredInferenceResult,
@@ -19,7 +18,6 @@ __all__ = [
     "StoredInferenceResult",
     "StoredRecommendation",
     "NO_TARGET",
-    "MIGRATIONS",
     "SCHEMA_VERSION",
     "BUSY_TIMEOUT_MS",
 ]

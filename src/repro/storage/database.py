@@ -24,11 +24,12 @@ for tests.  Four tables:
 * ``hub_state`` — the fleet hub's persisted incarnation epoch (bumped on
   every hub start so stale pre-crash frames can be fenced).
 
-The schema is evolved through numbered migrations tracked in sqlite's
-``PRAGMA user_version``, so databases written by older releases are
-upgraded in place on open.  File-backed databases run in WAL journal mode
-with a busy timeout so several worker *processes* can share one file
-without ``database is locked`` failures.
+There is one schema, stamped :data:`SCHEMA_VERSION` in sqlite's ``PRAGMA
+user_version``, and no migrations: opening a fresh file creates it,
+opening a current file uses it, and any other file is refused with a
+:class:`~repro.errors.StorageError`.  File-backed databases run in WAL
+journal mode with a busy timeout so several worker *processes* can share
+one file without ``database is locked`` failures.
 """
 
 from __future__ import annotations
@@ -62,8 +63,14 @@ def _is_transient(error: sqlite3.OperationalError) -> bool:
     message = str(error).lower()
     return any(marker in message for marker in _TRANSIENT_MARKERS)
 
-_SCHEMA_V1 = """
-CREATE TABLE IF NOT EXISTS trials (
+#: The one schema a database file can hold, stamped in ``PRAGMA
+#: user_version`` as :data:`SCHEMA_VERSION`.  Run statement by statement
+#: inside the transaction that stamps the version (see
+#: :meth:`TrialDatabase._open_schema`), so it holds no ``;`` but the
+#: ones that end statements.  Column order is part of the contract:
+#: ``inference_results`` is written by a positional ``INSERT``.
+_SCHEMA = """
+CREATE TABLE trials (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     experiment TEXT NOT NULL,
     trial_id INTEGER NOT NULL,
@@ -77,9 +84,10 @@ CREATE TABLE IF NOT EXISTS trials (
     train_energy_j REAL NOT NULL,
     created_at REAL NOT NULL DEFAULT 0
 );
-CREATE INDEX IF NOT EXISTS idx_trials_experiment ON trials (experiment);
+CREATE INDEX idx_trials_experiment ON trials (experiment);
+CREATE INDEX idx_trials_experiment_created ON trials (experiment, created_at);
 
-CREATE TABLE IF NOT EXISTS inference_results (
+CREATE TABLE inference_results (
     architecture_key TEXT NOT NULL,
     device TEXT NOT NULL,
     objective TEXT NOT NULL,
@@ -92,31 +100,23 @@ CREATE TABLE IF NOT EXISTS inference_results (
     tuning_energy_j REAL NOT NULL,
     PRIMARY KEY (architecture_key, device, objective)
 );
-"""
 
-#: v2 — trials history queries sort by insertion time; ``created_at`` is
-#: stamped by :meth:`TrialDatabase.record_trial` from this version on.
-_SCHEMA_V2 = """
-CREATE INDEX IF NOT EXISTS idx_trials_experiment_created
-    ON trials (experiment, created_at);
-"""
-
-#: v3 — the service layer: tuning sessions and the trial-evaluation job
-#: queue (states: queued/leased/done/failed).
-_SCHEMA_V3 = """
-CREATE TABLE IF NOT EXISTS sessions (
+CREATE TABLE sessions (
     id TEXT PRIMARY KEY,
     spec TEXT NOT NULL,
     state TEXT NOT NULL DEFAULT 'queued',
-    checkpoint BLOB,
     result TEXT,
     error TEXT,
     created_at REAL NOT NULL,
-    updated_at REAL NOT NULL
+    updated_at REAL NOT NULL,
+    -- a warm-start session reads history only up to this trials.id
+    history_upto INTEGER
 );
-CREATE INDEX IF NOT EXISTS idx_sessions_state ON sessions (state, created_at);
+CREATE INDEX idx_sessions_state ON sessions (state, created_at);
 
-CREATE TABLE IF NOT EXISTS jobs (
+-- states: queued/leased/done/failed, and lease_epoch is the hub
+-- incarnation that granted the lease (0 outside the fleet)
+CREATE TABLE jobs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     session_id TEXT NOT NULL,
     trial_id INTEGER NOT NULL,
@@ -132,19 +132,17 @@ CREATE TABLE IF NOT EXISTS jobs (
     created_at REAL NOT NULL,
     started_at REAL,
     finished_at REAL,
+    error_history TEXT NOT NULL DEFAULT '[]',
+    lease_epoch INTEGER NOT NULL DEFAULT 0,
     UNIQUE (session_id, trial_id)
 );
-CREATE INDEX IF NOT EXISTS idx_jobs_claim ON jobs (state, next_retry_at, id);
-CREATE INDEX IF NOT EXISTS idx_jobs_session ON jobs (session_id, state);
-"""
+CREATE INDEX idx_jobs_claim ON jobs (state, next_retry_at, id);
+CREATE INDEX idx_jobs_session ON jobs (session_id, state);
 
-#: v4 — the advisor's tuning knowledge base: one deployment
-#: recommendation per (workload, device, objective, target, system),
-#: distilled from a finished session.  ``target_accuracy`` uses -1.0 for
-#: "no target" so the uniqueness key has no NULLs; ``signature`` is the
-#: JSON workload signature used for nearest-workload matching.
-_SCHEMA_V4 = """
-CREATE TABLE IF NOT EXISTS recommendations (
+-- the advisor's knowledge base: one deployment recommendation per
+-- (workload, device, objective, target, system), with NO_TARGET rather
+-- than NULL in target_accuracy so the uniqueness key has no NULLs
+CREATE TABLE recommendations (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     workload TEXT NOT NULL,
     device TEXT NOT NULL,
@@ -163,17 +161,10 @@ CREATE TABLE IF NOT EXISTS recommendations (
     created_at REAL NOT NULL,
     UNIQUE (workload, device, objective, target_accuracy, system)
 );
-CREATE INDEX IF NOT EXISTS idx_recommendations_device
-    ON recommendations (device, objective);
-"""
+CREATE INDEX idx_recommendations_device ON recommendations (device, objective);
 
-#: v5 — failure containment: the ``dead_letter`` quarantine for jobs
-#: that exhausted their retries (full error history preserved for
-#: forensics and ``service deadletter retry``), plus a per-job
-#: ``error_history`` JSON column accumulating one entry per failed
-#: attempt.
-_SCHEMA_V5 = """
-CREATE TABLE IF NOT EXISTS dead_letter (
+-- jobs that exhausted their retries, with every attempt's error
+CREATE TABLE dead_letter (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     session_id TEXT NOT NULL,
     trial_id INTEGER NOT NULL,
@@ -185,19 +176,12 @@ CREATE TABLE IF NOT EXISTS dead_letter (
     quarantined_at REAL NOT NULL,
     UNIQUE (session_id, trial_id)
 );
-CREATE INDEX IF NOT EXISTS idx_dead_letter_session
-    ON dead_letter (session_id);
-"""
+CREATE INDEX idx_dead_letter_session ON dead_letter (session_id);
 
-#: v6 — the trial artifact cache (:mod:`repro.artifacts`): one row per
-#: content-addressed trial result.  ``key`` is the blake2b trial key;
-#: ``blob`` holds the pickled payload inline for ``:memory:`` databases,
-#: while file-backed databases keep payloads in a ``<db>.artifacts/``
-#: sidecar directory (atomic rename writes) and leave ``blob`` NULL.
-#: ``size_bytes``/``hits``/``last_hit_at`` feed ``service gc`` and the
-#: cache-hit telemetry.
-_SCHEMA_V6 = """
-CREATE TABLE IF NOT EXISTS artifacts (
+-- the trial artifact cache (repro.artifacts), keyed by the trial key:
+-- blob is the payload of a :memory: store (file stores keep it in the
+-- <db>.artifacts/ sidecar), checksum its blake2b digest
+CREATE TABLE artifacts (
     key TEXT PRIMARY KEY,
     workload TEXT NOT NULL,
     trial_id INTEGER NOT NULL,
@@ -207,85 +191,35 @@ CREATE TABLE IF NOT EXISTS artifacts (
     hits INTEGER NOT NULL DEFAULT 0,
     blob BLOB,
     created_at REAL NOT NULL,
-    last_hit_at REAL
+    last_hit_at REAL,
+    checksum TEXT
 );
-CREATE INDEX IF NOT EXISTS idx_artifacts_created ON artifacts (created_at);
-"""
+CREATE INDEX idx_artifacts_created ON artifacts (created_at);
 
-#: v7 — the multi-host tuning fleet (:mod:`repro.fleet`): the ``machines``
-#: registry (worker hosts with capability tags and liveness heartbeats),
-#: the ``fleet_stats`` counter table (crash-safe federation/janitor
-#: accounting readable by ``service status`` from any process), and a
-#: ``shard`` column on ``jobs`` so per-shard queues can be leased
-#: independently (``idx_jobs_claim_shard``).  The column itself is added
-#: by ``_ensure_column`` during migration (older files lack it).
-_SCHEMA_V7 = """
-CREATE TABLE IF NOT EXISTS machines (
+CREATE TABLE machines (
     id TEXT PRIMARY KEY,
     hostname TEXT NOT NULL,
-    shard INTEGER NOT NULL DEFAULT 0,
     state TEXT NOT NULL DEFAULT 'alive',
     capabilities TEXT NOT NULL DEFAULT '{}',
     jobs_done INTEGER NOT NULL DEFAULT 0,
     registered_at REAL NOT NULL,
     last_heartbeat_at REAL NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_machines_state ON machines (state, shard);
+CREATE INDEX idx_machines_state ON machines (state);
 
-CREATE TABLE IF NOT EXISTS fleet_stats (
+CREATE TABLE fleet_stats (
     key TEXT PRIMARY KEY,
     value REAL NOT NULL DEFAULT 0
 );
 
-CREATE INDEX IF NOT EXISTS idx_jobs_claim_shard
-    ON jobs (shard, state, next_retry_at, id);
-"""
-
-#: v8 — crash-safe hub restarts and end-to-end artifact integrity:
-#: ``hub_state`` persists the fleet hub's monotonically increasing
-#: incarnation epoch (every lease embeds it; frames from a pre-crash
-#: epoch are rejected as fenced), ``jobs.lease_epoch`` records which
-#: incarnation granted each lease, and ``artifacts.checksum`` carries a
-#: blake2b digest of the payload verified on every read and federation
-#: transfer (both columns added by ``_ensure_column``).
-_SCHEMA_V8 = """
-CREATE TABLE IF NOT EXISTS hub_state (
+CREATE TABLE hub_state (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
-"""
 
-#: v9 — a session's durable state is its job log (DESIGN.md §5b): each
-#: merged job gets ``merge_seq`` (its place in merge order) and
-#: ``merge_note`` (in ``jobs`` until v11, in ``merge_notes`` since), and
-#: a warm-start session's ``history_upto`` bounds the history it reads.
-#: The run-state snapshot ``sessions.checkpoint`` is dropped; a session
-#: that was resumable from one fails with :data:`PRE_V9_INTERRUPTED`.
-#: :meth:`TrialDatabase._migrate` does it all.
-_SCHEMA_V9 = ""
-
-#: Error of a session the v9 migration failed: it was interrupted while
-#: resumable from a run-state snapshot, which no longer exists.
-#: Resubmitting it trains nothing its artifacts already hold.
-PRE_V9_INTERRUPTED = "interrupted before schema v9: resubmit"
-
-#: v10 — one fleet queue: every host leases from the whole ``jobs``
-#: table (filtered by the workloads it advertises), so v7's ``jobs.shard``
-#: and ``machines.shard`` are dropped with ``idx_jobs_claim_shard``, and
-#: ``idx_machines_state`` is rebuilt on ``state`` alone.
-#: :meth:`TrialDatabase._migrate` drops them; the script re-creates the
-#: index.
-_SCHEMA_V10 = """
-CREATE INDEX IF NOT EXISTS idx_machines_state ON machines (state);
-"""
-
-#: v11 — merge notes move out of ``jobs`` into a table of their own, so
-#: noting a merge inserts a ~430 B row instead of rewriting the job row
-#: that holds the trial's result blob.  :meth:`TrialDatabase._migrate`
-#: copies v9's ``jobs.merge_seq`` / ``merge_note`` here after the script
-#: runs, then drops them (see :meth:`TrialDatabase._drop_column`).
-_SCHEMA_V11 = """
-CREATE TABLE IF NOT EXISTS merge_notes (
+-- one row per merged job: its place in merge order and the pickled
+-- note a resume replays (DESIGN.md §5b)
+CREATE TABLE merge_notes (
     session_id TEXT NOT NULL,
     trial_id INTEGER NOT NULL,
     merge_seq INTEGER NOT NULL,
@@ -294,28 +228,7 @@ CREATE TABLE IF NOT EXISTS merge_notes (
 );
 """
 
-#: ``ALTER TABLE ... DROP COLUMN`` arrived in sqlite 3.35.0.  On an older
-#: library a migration leaves a column it drops in place, unread.
-DROPS_COLUMNS = sqlite3.sqlite_version_info >= (3, 35, 0)
-
-#: Ordered (version, script) migration ladder; each script must be safe to
-#: run on a database that already contains the objects it creates (older
-#: releases wrote the v1 tables without stamping ``user_version``).
-MIGRATIONS: Tuple[Tuple[int, str], ...] = (
-    (1, _SCHEMA_V1),
-    (2, _SCHEMA_V2),
-    (3, _SCHEMA_V3),
-    (4, _SCHEMA_V4),
-    (5, _SCHEMA_V5),
-    (6, _SCHEMA_V6),
-    (7, _SCHEMA_V7),
-    (8, _SCHEMA_V8),
-    (9, _SCHEMA_V9),
-    (10, _SCHEMA_V10),
-    (11, _SCHEMA_V11),
-)
-
-SCHEMA_VERSION = MIGRATIONS[-1][0]
+SCHEMA_VERSION = 11
 
 
 #: Sentinel stored in ``recommendations.target_accuracy`` when the session
@@ -377,6 +290,7 @@ class TrialDatabase:
     def __init__(
         self, path: str = ":memory:", busy_timeout_ms: int = BUSY_TIMEOUT_MS
     ):
+        self.path = path
         try:
             # Autocommit mode: every statement is atomic on its own and
             # multi-statement sections use the explicit :meth:`transaction`
@@ -394,91 +308,46 @@ class TrialDatabase:
                 # "database is locked"; a no-op for in-memory stores.
                 self._connection.execute("PRAGMA journal_mode = WAL")
                 self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._migrate()
+            self._open_schema()
         except sqlite3.Error as error:
             raise StorageError(f"could not open trial database: {error}")
         self._lock = threading.RLock()
-        self.path = path
 
     # -- schema lifecycle ---------------------------------------------------
-    def _migrate(self) -> None:
-        """Bring the schema up to :data:`SCHEMA_VERSION` in-place."""
-        (version,) = self._connection.execute(
-            "PRAGMA user_version"
-        ).fetchone()
-        for target, script in MIGRATIONS:
-            if version >= target:
-                continue
-            if target == 2:
-                self._ensure_column(
-                    "trials", "created_at", "REAL NOT NULL DEFAULT 0"
-                )
-            if target == 5:
-                self._ensure_column(
-                    "jobs", "error_history", "TEXT NOT NULL DEFAULT '[]'"
-                )
-            if target == 7:
-                self._ensure_column(
-                    "jobs", "shard", "INTEGER NOT NULL DEFAULT 0"
-                )
-            if target == 8:
-                self._ensure_column(
-                    "jobs", "lease_epoch", "INTEGER NOT NULL DEFAULT 0"
-                )
-                self._ensure_column("artifacts", "checksum", "TEXT")
-            if target == 9:
-                # v9 also added jobs.merge_seq / merge_note, which v11
-                # moves out again: a file older than v9 has no notes.
-                self._ensure_column("sessions", "history_upto", "INTEGER")
-                if "checkpoint" in self._columns("sessions"):
-                    self._connection.execute(
-                        "UPDATE sessions SET state = 'failed', error = ?, "
-                        "updated_at = ? WHERE state IN ('running', 'failed') "
-                        "AND checkpoint IS NOT NULL",
-                        (PRE_V9_INTERRUPTED, clock.now()),
-                    )
-                    self._drop_column("sessions", "checkpoint")
-            if target == 10:
-                for index in ("idx_jobs_claim_shard", "idx_machines_state"):
-                    self._connection.execute(f"DROP INDEX IF EXISTS {index}")
-                for table in ("jobs", "machines"):
-                    self._drop_column(table, "shard")
-            self._connection.executescript(script)
-            if target == 11 and "merge_seq" in self._columns("jobs"):
-                self._connection.execute(
-                    "INSERT OR IGNORE INTO merge_notes (session_id, "
-                    "trial_id, merge_seq, merge_note) SELECT session_id, "
-                    "trial_id, merge_seq, merge_note FROM jobs "
-                    "WHERE merge_seq IS NOT NULL"
-                )
-                for column in ("merge_seq", "merge_note"):
-                    self._drop_column("jobs", column)
-            self._connection.execute(f"PRAGMA user_version = {target}")
-            version = target
+    def _open_schema(self) -> None:
+        """Create the schema in a fresh file, or accept a current one.
 
-    def _columns(self, table: str) -> set:
-        return {
-            row[1]
-            for row in self._connection.execute(
-                f"PRAGMA table_info({table})"
-            ).fetchall()
-        }
-
-    def _drop_column(self, table: str, column: str) -> None:
-        """Drop ``column`` from ``table`` if it is there.  Without
-        :data:`DROPS_COLUMNS` the column stays as it is: nothing reads it,
-        and every column a migration drops is nullable or has a default,
-        so inserts that leave it out still work."""
-        if DROPS_COLUMNS and column in self._columns(table):
-            self._connection.execute(
-                f"ALTER TABLE {table} DROP COLUMN {column}"
-            )
-
-    def _ensure_column(self, table: str, column: str, decl: str) -> None:
-        """Add ``column`` to ``table`` when a pre-migration file lacks it."""
-        if column not in self._columns(table):
-            self._connection.execute(
-                f"ALTER TABLE {table} ADD COLUMN {column} {decl}"
+        Any other file is refused: there are no migrations.  Creating
+        the tables and stamping the version commit together, so a
+        second process opening the same fresh file waits on the write
+        lock and then finds it current.
+        """
+        if self.schema_version == SCHEMA_VERSION:
+            return
+        connection = self._connection
+        connection.execute("BEGIN IMMEDIATE")
+        try:
+            version = self.schema_version
+            fresh = version == 0 and connection.execute(
+                "SELECT 1 FROM sqlite_master LIMIT 1"
+            ).fetchone() is None
+            if fresh:
+                for statement in _SCHEMA.split(";"):
+                    if statement.strip():
+                        connection.execute(statement)
+                connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+                version = SCHEMA_VERSION
+            connection.execute("COMMIT")
+        except BaseException:
+            if connection.in_transaction:
+                connection.execute("ROLLBACK")
+            raise
+        if version != SCHEMA_VERSION:
+            unstamped = " (unstamped, with tables)" if version == 0 else ""
+            raise StorageError(
+                f"trial database {self.path!r} is at schema v{version}"
+                f"{unstamped}: this release opens only fresh files and "
+                f"schema v{SCHEMA_VERSION}, and migrates none"
             )
 
     @property

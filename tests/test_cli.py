@@ -172,13 +172,11 @@ class TestServiceCli:
         assert cache["hits"] + cache["misses"] == trained
         assert "batching" not in status
 
-    def test_session_stored_with_a_stacking_width_still_runs(
+    def test_crashed_session_resumes_from_the_cli(
         self, tmp_path, capsys, monkeypatch
     ):
-        """Sessions stored while trial stacking existed carry a
-        ``trial_batch`` key in their spec: ``status`` and ``resume`` of
-        such a (crashed, checkpointed) session still work, and resume
-        finishes it exactly as an uninterrupted run."""
+        """``status`` of a crashed session reports it resumable, and
+        ``resume`` finishes it exactly as an uninterrupted run."""
         import json
 
         from repro.core.model_server import ModelTuningServer
@@ -186,20 +184,7 @@ class TestServiceCli:
         from repro.service.__main__ import main as service_main
         from repro.storage import TrialDatabase
 
-        #: ``SessionSpec.to_dict()`` as that version wrote it.
-        stored = {
-            "budget": "multi-budget", "device": "armv7", "max_trials": 8,
-            "num_configs": None, "reuse_checkpoints": False,
-            "samples": 160, "scheduler": None, "seed": 7,
-            "slo_deadline_s": None, "slo_p99_s": None, "system": "edgetune",
-            "target_accuracy": None, "traffic": None,
-            "traffic_metric": "p99", "trial_batch": 8,
-            "tuning_metric": "runtime", "warm_start": False,
-            "workload": "IC",
-        }
-        spec = SessionSpec.from_dict(stored)
-        assert spec == SessionSpec(workload="IC", samples=160, max_trials=8)
-
+        spec = SessionSpec(workload="IC", samples=160, max_trials=8)
         reference_db = str(tmp_path / "reference.sqlite")
         with TrialDatabase(reference_db) as database:
             reference_id = SessionStore(database).create(spec)
@@ -207,13 +192,9 @@ class TestServiceCli:
                              "--db", reference_db]) == 0
         reference = capsys.readouterr().out
 
-        db = str(tmp_path / "old.sqlite")
+        db = str(tmp_path / "crashed.sqlite")
         with TrialDatabase(db) as database:
             session_id = SessionStore(database).create(spec)
-            database.execute(
-                "UPDATE sessions SET spec = ? WHERE id = ?",
-                (json.dumps(stored, sort_keys=True), session_id),
-            )
             original = ModelTuningServer.integrate
             calls = []
 

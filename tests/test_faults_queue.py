@@ -145,3 +145,14 @@ class TestDeadLetterManagement:
         assert queue.last_error("s1") is None
         drive_to_exhaustion(queue, frozen_clock)
         assert queue.last_error("s1") == "boom 3"
+        # A later failure of another job is newer, and a successful
+        # retry, which clears ``jobs.error``, keeps it in the history.
+        queue.enqueue("s1", 2, "{}")
+        frozen_clock.advance(1.0)
+        job = queue.lease("w1", ttl_s=30.0)
+        assert queue.fail(job.id, "w1", "late boom")
+        frozen_clock.advance(backoff_delay(1) + 1.0)
+        job = queue.lease("w1", ttl_s=30.0)
+        assert job.trial_id == 2 and queue.complete(job.id, "w1", b"ok")
+        assert queue.get("s1", 2).error is None
+        assert queue.last_error("s1") == "late boom"

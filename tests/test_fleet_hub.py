@@ -142,17 +142,36 @@ class TestFencing:
         finally:
             hub.server_close()
 
-    def test_frames_without_epoch_stay_trusted(self, database):
-        """Back-compat: pre-epoch clients (and in-process tests) omit
-        the field entirely — they must keep working across a restart."""
+    def test_frames_without_epoch_are_fenced(self, database):
+        """A mutating frame with no epoch is stale: after a restart an
+        epoch-less ``complete`` writes nothing, and on a fresh hub an
+        epoch-less ``lease`` hands out nothing."""
         job, hub = self._crashed_hub(database)
         try:
+            fenced = hub.database.stats().get("hub.fenced_frames", 0.0)
             response = hub.handle_line(frame(
                 "complete", machine_id="m1", worker="w0",
                 job_id=job["id"], result=pack_bytes(b"bits"),
             ))
-            assert response["ok"] and response["accepted"]
-            assert hub.queue.get("sess", 1).state == DONE
+            assert not response["ok"]
+            assert response["fenced"] and response["reregister"]
+            stored = hub.queue.get("sess", 1)
+            assert stored.state == LEASED and stored.result is None
+            assert hub.database.stats()["hub.fenced_frames"] == fenced + 1
+        finally:
+            hub.server_close()
+
+    def test_lease_without_epoch_is_fenced_on_a_fresh_hub(self, database):
+        hub = start_hub(database)
+        try:
+            hub.handle_line(frame("register", machine_id="m1"))
+            hub.queue.enqueue("sess", 1, "{}")
+            response = hub.handle_line(frame("lease", machine_id="m1"))
+            assert not response["ok"]
+            assert response["fenced"] and response["reregister"]
+            assert response["epoch"] == hub.epoch == 1
+            assert hub.queue.get("sess", 1).state == QUEUED
+            assert hub.database.stats()["hub.fenced_frames"] == 1.0
         finally:
             hub.server_close()
 

@@ -44,6 +44,12 @@ def server():
             instance.server_close()
 
 
+def send(server, op, **params):
+    """A mutating frame as a registered host sends it: under the hub's
+    current epoch."""
+    return server.handle_line(frame(op, epoch=server.epoch, **params))
+
+
 def register(server, machine_id, **extra):
     return server.handle_line(
         frame("register", machine_id=machine_id, **extra)
@@ -131,7 +137,7 @@ class TestLeaseProtocol:
         server.queue.enqueue("sess", trial_id, "{}")
 
     def test_lease_from_unregistered_machine_rejected(self, server):
-        response = server.handle_line(frame("lease", machine_id="ghost"))
+        response = send(server, "lease", machine_id="ghost")
         assert not response["ok"]
         assert response["reregister"]
 
@@ -141,10 +147,8 @@ class TestLeaseProtocol:
         server.queue.enqueue("sess", 1, json.dumps({"workload_id": "IC"}))
         register(server, "sr", capabilities={"workloads": ["SR"]})
         register(server, "any")
-        assert server.handle_line(
-            frame("lease", machine_id="sr")
-        )["job"] is None
-        job = server.handle_line(frame("lease", machine_id="any"))["job"]
+        assert send(server, "lease", machine_id="sr")["job"] is None
+        job = send(server, "lease", machine_id="any")["job"]
         assert job is not None and job["trial_id"] == 1
 
     def test_lease_reads_the_machine_row_once(self, server):
@@ -156,9 +160,7 @@ class TestLeaseProtocol:
         try:
             for expected in (1, None):  # a job, then an empty queue
                 del statements[:]
-                job = server.handle_line(
-                    frame("lease", machine_id="m1")
-                )["job"]
+                job = send(server, "lease", machine_id="m1")["job"]
                 assert (job and job["trial_id"]) == expected
                 reads = [
                     sql for sql in statements
@@ -171,14 +173,12 @@ class TestLeaseProtocol:
 
     def test_lease_complete_roundtrip(self, server):
         self._setup_job(server, "m1")
-        job = server.handle_line(
-            frame("lease", machine_id="m1", worker="w3")
-        )["job"]
+        job = send(server, "lease", machine_id="m1", worker="w3")["job"]
         blob = b"pickled-evaluation"
-        response = server.handle_line(frame(
-            "complete", machine_id="m1", worker="w3",
+        response = send(
+            server, "complete", machine_id="m1", worker="w3",
             job_id=job["id"], result=pack_bytes(blob),
-        ))
+        )
         assert response["ok"] and response["accepted"]
         stored = server.queue.get("sess", 1)
         assert stored.result == blob
@@ -187,18 +187,18 @@ class TestLeaseProtocol:
         # A second completion by the *same* owner is an idempotent
         # replay (the worker cannot know whether its first send landed
         # before a hub crash): acknowledged without a second write.
-        replay = server.handle_line(frame(
-            "complete", machine_id="m1", worker="w3",
+        replay = send(
+            server, "complete", machine_id="m1", worker="w3",
             job_id=job["id"], result=pack_bytes(b"other-bits"),
-        ))
+        )
         assert replay["ok"] and replay["accepted"] and replay["duplicate"]
         assert server.queue.get("sess", 1).result == blob  # first wins
         assert server.registry.get("m1").jobs_done == 1  # not re-counted
         # A different worker claiming the finished job is still rejected.
-        assert not server.handle_line(frame(
-            "complete", machine_id="m1", worker="w9",
+        assert not send(
+            server, "complete", machine_id="m1", worker="w9",
             job_id=job["id"], result=pack_bytes(blob),
-        ))["accepted"]
+        )["accepted"]
 
     def test_mid_lease_disconnect_then_reacquisition(
         self, server, offset_clock
@@ -207,7 +207,7 @@ class TestLeaseProtocol:
         the job is re-leased (attempt 2) by another machine."""
         self._setup_job(server, "m1")
         register(server, "m2")
-        job = server.handle_line(frame("lease", machine_id="m1"))["job"]
+        job = send(server, "lease", machine_id="m1")["job"]
         assert job["attempts"] == 1
         # m1 disconnects: no extends.  The janitor reclaims after TTL.
         offset_clock.advance(6.0)
@@ -215,7 +215,7 @@ class TestLeaseProtocol:
         assert sweep["leases_expired"] == 1
         requeued = server.queue.get("sess", 1)
         assert requeued.state == QUEUED
-        retry = server.handle_line(frame("lease", machine_id="m1"))
+        retry = send(server, "lease", machine_id="m1")
         assert retry["job"] is None  # the retry's backoff is still pending
         # Once the backoff has passed, the re-lease goes to m2.
         offset_clock.advance(1.0)
@@ -224,23 +224,23 @@ class TestLeaseProtocol:
 
     def test_zombie_complete_after_expiry_rejected(self, server, offset_clock):
         self._setup_job(server, "m1")
-        job = server.handle_line(frame("lease", machine_id="m1"))["job"]
+        job = send(server, "lease", machine_id="m1")["job"]
         offset_clock.advance(6.0)
         server.janitor_sweep()
-        response = server.handle_line(frame(
-            "complete", machine_id="m1", worker="w0",
+        response = send(
+            server, "complete", machine_id="m1", worker="w0",
             job_id=job["id"], result=pack_bytes(b"stale"),
-        ))
+        )
         assert response["ok"] and not response["accepted"]
         assert server.registry.get("m1").jobs_done == 0
 
     def test_extend_renews_job_and_machine(self, server):
         self._setup_job(server, "m1")
-        job = server.handle_line(frame("lease", machine_id="m1"))["job"]
+        job = send(server, "lease", machine_id="m1")["job"]
         before = server.registry.get("m1").last_heartbeat_at
-        response = server.handle_line(frame(
-            "extend", machine_id="m1", worker="w0", job_id=job["id"]
-        ))
+        response = send(
+            server, "extend", machine_id="m1", worker="w0", job_id=job["id"]
+        )
         assert response["ok"] and response["renewed"]
         assert server.registry.get("m1").last_heartbeat_at >= before
 
@@ -254,9 +254,7 @@ class TestLeaseProtocol:
         for trial in (1, 2):
             server.queue.enqueue("sess", trial, "{}")
         for worker in ("w0", "w1"):
-            job = server.handle_line(
-                frame("lease", machine_id="m1", worker=worker)
-            )["job"]
+            job = send(server, "lease", machine_id="m1", worker=worker)["job"]
             assert job is not None
             # Long manual lease: only the dead-host drain can free it soon.
             server.queue.heartbeat(job["id"], f"m1/{worker}", ttl_s=900.0)
@@ -266,7 +264,7 @@ class TestLeaseProtocol:
         assert sweep["leases_drained"] == 2
         assert server.database.stats()["leases.drained"] == 2.0
         # The dead machine must re-register before taking work again.
-        refused = server.handle_line(frame("lease", machine_id="m1"))
+        refused = send(server, "lease", machine_id="m1")
         assert not refused["ok"] and refused["reregister"]
         rejoin = register(server, "m1")
         assert rejoin["rejoined"]
@@ -274,7 +272,7 @@ class TestLeaseProtocol:
     def test_drain_stops_handing_out_work(self, server):
         self._setup_job(server, "m1")
         assert server.handle_line(frame("drain"))["draining"]
-        response = server.handle_line(frame("lease", machine_id="m1"))
+        response = send(server, "lease", machine_id="m1")
         assert response["ok"]
         assert response["job"] is None and response["draining"]
 
@@ -298,9 +296,7 @@ class TestJanitorClockStep:
             try:
                 register(instance, "m1")
                 instance.queue.enqueue("sess", 1, "{}")
-                job = instance.handle_line(
-                    frame("lease", machine_id="m1")
-                )["job"]
+                job = send(instance, "lease", machine_id="m1")["job"]
                 assert job is not None
                 yield instance, job
             finally:
@@ -328,9 +324,10 @@ class TestJanitorClockStep:
             frozen_clock.advance(1.0)
             waited += 1.0
             # ``extend`` heartbeats the lease and the machine together.
-            assert server.handle_line(frame(
-                "extend", machine_id="m1", worker="w0", job_id=job["id"],
-            ))["renewed"]
+            assert send(
+                server, "extend", machine_id="m1", worker="w0",
+                job_id=job["id"],
+            )["renewed"]
             assert server.janitor_sweep() == self.NOTHING
         assert server.registry.get("m1").state == ALIVE
         assert server.queue.get("sess", 1).state == LEASED
@@ -351,10 +348,10 @@ class TestJanitorClockStep:
 class TestArtifactFederation:
     def test_put_probe_get_roundtrip(self, server):
         blob = b"\x80checkpoint-bytes"
-        put = server.handle_line(frame(
-            "artifact_put", key="k1", payload=pack_bytes(blob),
+        put = send(
+            server, "artifact_put", key="k1", payload=pack_bytes(blob),
             workload="IC", trial_id=3, epochs=2, data_fraction=0.5,
-        ))
+        )
         assert put["ok"] and put["stored"]
         probe = server.handle_line(
             frame("artifact_get", key="k1", probe=True)
@@ -370,10 +367,10 @@ class TestArtifactFederation:
         assert stats["federation.misses"] == 1.0
 
     def test_put_requires_key_and_payload(self, server):
-        assert not server.handle_line(frame("artifact_put", key="k"))["ok"]
-        assert not server.handle_line(
-            frame("artifact_put", payload=pack_bytes(b"x"))
-        )["ok"]
+        for params in ({"key": "k"}, {"payload": pack_bytes(b"x")}):
+            response = send(server, "artifact_put", **params)
+            assert not response["ok"]
+            assert "needs a key and a payload" in response["error"]
 
     def test_status_reports_machines_and_counters(self, server):
         register(server, "m1", capabilities={"fingerprint": "fp-a"})
@@ -418,7 +415,9 @@ class TestOverTheWire:
         live_server.queue.enqueue("sess", 1, "{}")
         client = FleetClient("127.0.0.1", live_server.port)
         client.request("register", machine_id="m1")
-        job = client.request("lease", machine_id="m1")["job"]
+        job = client.request(
+            "lease", machine_id="m1", epoch=live_server.epoch
+        )["job"]
         assert job is not None
         client.close()  # host gone, lease still held
         offset_clock.advance(6.0)

@@ -323,7 +323,8 @@ class TestLongPollLease:
 
         def lease():
             box["response"] = server.handle_line(encode_frame(
-                {"op": "lease", "machine_id": "m1", "wait_s": NEVER_S}
+                {"op": "lease", "machine_id": "m1", "wait_s": NEVER_S,
+                 "epoch": server.epoch}
             ))
             box["returned_at"] = time.monotonic()
 
@@ -357,7 +358,8 @@ class TestLongPollLease:
             ("127.0.0.1", server.port), timeout=5.0
         ) as sock:
             sock.sendall(encode_frame(
-                {"op": "lease", "machine_id": "m1", "wait_s": NEVER_S}
+                {"op": "lease", "machine_id": "m1", "wait_s": NEVER_S,
+                 "epoch": server.epoch}
             ))
             time.sleep(0.2)  # the handler is now holding the request
         server.queue.enqueue("sess", 1, "{}")
@@ -374,7 +376,8 @@ class TestLongPollLease:
                 ))
                 started = time.monotonic()
                 response = server.handle_line(encode_frame(
-                    {"op": "lease", "machine_id": "m1", "wait_s": 60.0}
+                    {"op": "lease", "machine_id": "m1", "wait_s": 60.0,
+                     "epoch": server.epoch}
                 ))
                 assert response["ok"] and response["job"] is None
                 assert 0.09 <= time.monotonic() - started < 0.4
@@ -386,7 +389,8 @@ class TestLongPollLease:
     def test_garbage_wait_s_is_answered_at_once(self, server, wait_s):
         started = time.monotonic()
         response = server.handle_line(encode_frame(
-            {"op": "lease", "machine_id": "m1", "wait_s": wait_s}
+            {"op": "lease", "machine_id": "m1", "wait_s": wait_s,
+             "epoch": server.epoch}
         ))
         assert response["ok"] and response["job"] is None
         assert time.monotonic() - started < 0.5

@@ -1,15 +1,15 @@
-"""Tests for the service substrate: migrations, job queue, sessions."""
+"""Tests for the service substrate: schema, job queue, sessions."""
 
-import json
 import os
 import sqlite3
+import threading
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, StorageError
 from repro.fleet.registry import MachineRegistry
 from repro.service import (
-    JobQueue, SessionCoordinator, SessionSpec, SessionStore, backoff_delay,
+    JobQueue, SessionSpec, SessionStore, backoff_delay,
 )
 from repro.service.queue import (
     BACKOFF_BASE_S,
@@ -24,9 +24,7 @@ from repro.service.doorbell import Doorbell
 from repro.service.sessions import S_DONE, S_FAILED, S_QUEUED, S_RUNNING
 from repro.service.worker import LocalJobs
 from repro.storage import BUSY_TIMEOUT_MS, SCHEMA_VERSION, TrialDatabase
-from repro.storage.database import MIGRATIONS, PRE_V9_INTERRUPTED
 from tests.clocks import frozen_clock  # noqa: F401 (fixture)
-from tests.test_session_goldens import GOLDENS, digest
 
 
 def make_queue():
@@ -34,262 +32,67 @@ def make_queue():
     return db, JobQueue(db)
 
 
-#: The columns each migration step added (or dropped) by hand.
-_LADDER_ALTERS = {
-    5: ["jobs ADD COLUMN error_history TEXT NOT NULL DEFAULT '[]'"],
-    7: ["jobs ADD COLUMN shard INTEGER NOT NULL DEFAULT 0"],
-    8: ["jobs ADD COLUMN lease_epoch INTEGER NOT NULL DEFAULT 0",
-        "artifacts ADD COLUMN checksum TEXT"],
-    9: ["jobs ADD COLUMN merge_seq INTEGER",
-        "jobs ADD COLUMN merge_note BLOB",
-        "sessions ADD COLUMN history_upto INTEGER",
-        "sessions DROP COLUMN checkpoint"],
-}
-
-
-def build_ladder(raw, version):
-    """Write the schema as it stood at ``version`` into ``raw``."""
-    for target, script in MIGRATIONS[:version]:
-        for alter in _LADDER_ALTERS.get(target, ()):
-            raw.execute(f"ALTER TABLE {alter}")
-        raw.executescript(script)
-    raw.execute(f"PRAGMA user_version = {version}")
+def tables(connection):
+    return sorted(
+        row[0] for row in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchall()
+    )
 
 
 class TestMigrations:
+    """There are none: a file is fresh (and gets the schema) or current
+    (and is opened); any other file is refused untouched."""
+
     def test_fresh_database_is_current(self):
         db = TrialDatabase()
-        assert db.schema_version == SCHEMA_VERSION
-        tables = {
-            row[0]
-            for row in db.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'"
-            ).fetchall()
-        }
-        assert {"trials", "inference_results", "sessions", "jobs"} <= tables
-
-    def test_fresh_database_without_drop_column_runs_a_session(
-        self, monkeypatch
-    ):
-        """On a sqlite older than 3.35 the migrations leave the columns
-        they drop in place; a session still runs to its golden result."""
-        monkeypatch.setattr("repro.storage.database.DROPS_COLUMNS", False)
-        with TrialDatabase() as db:
-            assert db.schema_version == SCHEMA_VERSION
-            assert "shard" in {
-                row[1] for row in db.execute("PRAGMA table_info(jobs)")
-            }
-            session_id = SessionStore(db).create(SessionSpec(
-                workload="NLP", device="armv7", seed=7,
-                samples=GOLDENS["NLP"]["samples"],
-            ))
-            result = SessionCoordinator(db, session_id).run()
-            assert digest(result) == GOLDENS["NLP"]["digest"]
-
-    def test_legacy_v0_database_upgrades_in_place(self, tmp_path):
-        """A pre-migration file (no user_version, no created_at column)
-        must upgrade on open with its rows intact."""
-        path = os.path.join(tmp_path, "legacy.sqlite")
-        raw = sqlite3.connect(path)
-        raw.executescript(
-            """
-            CREATE TABLE trials (
-                id INTEGER PRIMARY KEY AUTOINCREMENT,
-                experiment TEXT NOT NULL,
-                trial_id INTEGER NOT NULL,
-                configuration TEXT NOT NULL,
-                fidelity INTEGER NOT NULL,
-                epochs INTEGER NOT NULL,
-                data_fraction REAL NOT NULL,
-                accuracy REAL NOT NULL,
-                score REAL NOT NULL,
-                train_runtime_s REAL NOT NULL,
-                train_energy_j REAL NOT NULL
-            );
-            INSERT INTO trials (experiment, trial_id, configuration,
-                fidelity, epochs, data_fraction, accuracy, score,
-                train_runtime_s, train_energy_j)
-            VALUES ('old', 3, '{}', 1, 1, 1.0, 0.5, 2.0, 10.0, 20.0);
-            """
+        assert db.schema_version == SCHEMA_VERSION == 11
+        assert {"trials", "inference_results", "sessions", "jobs"} <= set(
+            tables(db)
         )
+
+    @pytest.mark.parametrize("version", [10, 0, 12])
+    def test_file_at_another_version_is_refused(self, tmp_path, version):
+        """Stamped older (v10) or newer (v12), or unstamped with tables
+        already in it (the layout from before ``user_version``)."""
+        path = os.path.join(tmp_path, f"v{version}.sqlite")
+        raw = sqlite3.connect(path)
+        raw.execute("CREATE TABLE trials (id INTEGER PRIMARY KEY)")
+        raw.execute(f"PRAGMA user_version = {version}")
         raw.commit()
-        raw.close()
-        with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION
-            columns = {
-                row[1]
-                for row in db.execute(
-                    "PRAGMA table_info(trials)"
-                ).fetchall()
-            }
-            assert "created_at" in columns
-            rows = db.trials_for("old")
-            assert len(rows) == 1 and rows[0]["trial_id"] == 3
-            indexes = {
-                row[0]
-                for row in db.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'index'"
-                ).fetchall()
-            }
-            assert "idx_trials_experiment_created" in indexes
-
-    def test_v8_database_upgrades_to_the_job_log(self, tmp_path):
-        """v9 drops the run-state snapshot column.  A session that was
-        still resumable from a snapshot cannot be replayed (its merges
-        have no notes) and fails with the resubmit message; a queued one
-        runs to its golden result; one interrupted before its first
-        snapshot has nothing to replay wrongly and stays resumable."""
-        path = os.path.join(tmp_path, "v8.sqlite")
-        raw = sqlite3.connect(path)
-        build_ladder(raw, 8)
-        spec = SessionSpec(workload="NLP", device="armv7", seed=7,
-                           samples=GOLDENS["NLP"]["samples"])
-        stored = json.dumps(spec.to_dict(), sort_keys=True)
-        for session_id, state, checkpoint in (
-            ("crashed", S_FAILED, b"\x80snapshot"),
-            ("started", S_RUNNING, None),
-            ("waiting", S_QUEUED, None),
-        ):
-            raw.execute(
-                "INSERT INTO sessions (id, spec, state, checkpoint, error, "
-                "created_at, updated_at) VALUES (?, ?, ?, ?, ?, 1, 1)",
-                (session_id, stored, state, checkpoint,
-                 "Traceback: boom" if state == S_FAILED else None),
-            )
-        raw.commit()
+        refusal = rf"schema v{version}\b.* v11\b"
+        with pytest.raises(StorageError, match=refusal):
+            TrialDatabase(path)
+        assert raw.execute("PRAGMA user_version").fetchone() == (version,)
+        assert tables(raw) == ["trials"]
         raw.close()
 
+    def test_concurrent_first_opens_of_one_fresh_file(self, tmp_path):
+        """Creating the schema and stamping its version commit together,
+        so every opener of a fresh file but one finds it current."""
+        path = os.path.join(tmp_path, "fresh.sqlite")
+        start = threading.Barrier(8)
+        versions, errors = [], []
+
+        def open_it():
+            start.wait()
+            try:
+                with TrialDatabase(path) as db:
+                    versions.append(db.schema_version)
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=open_it) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert errors == [] and versions == [SCHEMA_VERSION] * 8
         with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION == 11
-            columns = {
-                row[1]
-                for row in db.execute("PRAGMA table_info(sessions)")
-            }
-            assert "checkpoint" not in columns
-            store = SessionStore(db)
-            crashed = store.get("crashed")
-            assert crashed.state == S_FAILED
-            assert crashed.error == PRE_V9_INTERRUPTED
-            assert not crashed.resumable
-            with pytest.raises(ServiceError, match="resubmit"):
-                SessionCoordinator(db, "crashed").run()
-            assert store.get("crashed").error == PRE_V9_INTERRUPTED
-            assert store.get("started").resumable
-            assert store.get("waiting").state == S_QUEUED
-            result = SessionCoordinator(db, "waiting").run()
-            assert digest(result) == GOLDENS["NLP"]["digest"]
-
-    def test_v9_database_upgrades_to_one_queue(self, tmp_path):
-        """v10 drops the fleet's shard columns and the indexes over them;
-        the rows survive, and a job queued on shard 1 is leasable by any
-        host that runs its workload."""
-        path = os.path.join(tmp_path, "v9.sqlite")
-        raw = sqlite3.connect(path)
-        build_ladder(raw, 9)
-        raw.execute(
-            "INSERT INTO jobs (session_id, trial_id, payload, created_at, "
-            "shard) VALUES ('s', 1, ?, 1, 1)",
-            (json.dumps({"workload_id": "IC"}),),
-        )
-        raw.execute(
-            "INSERT INTO machines (id, hostname, shard, registered_at, "
-            "last_heartbeat_at) VALUES ('m1', 'edge-a', 1, 1, 1)"
-        )
-        raw.commit()
-        raw.close()
-
-        with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION == 11
-            for table in ("jobs", "machines"):
-                assert "shard" not in {
-                    row[1] for row in db.execute(f"PRAGMA table_info({table})")
-                }
-            indexes = dict(db.execute(
-                "SELECT name, sql FROM sqlite_master WHERE type = 'index' "
-                "AND sql IS NOT NULL"
-            ).fetchall())
-            assert "idx_jobs_claim_shard" not in indexes
-            assert "shard" not in indexes["idx_machines_state"]
-            assert MachineRegistry(db).get("m1").hostname == "edge-a"
-            job = JobQueue(db).lease("m2/w0", workloads=["IC"])
-            assert job is not None and job.trial_id == 1
-
-    @pytest.mark.parametrize("drops_columns", [True, False])
-    def test_v10_database_moves_merge_notes_out_of_jobs(
-        self, tmp_path, monkeypatch, drops_columns
-    ):
-        """v11 moves the merge notes of an interrupted session from
-        ``jobs`` into ``merge_notes``, and the session resumes to its
-        golden result.  On a sqlite without ``DROP COLUMN`` the old
-        columns stay behind; garbage written there afterwards changes
-        nothing, because nothing reads them."""
-        path = os.path.join(tmp_path, "v10.sqlite")
-        spec = SessionSpec(workload="NLP", device="armv7", seed=7,
-                           samples=GOLDENS["NLP"]["samples"])
-
-        class Killed(BaseException):
-            """Not an ``Exception``: nothing in the service catches it."""
-
-        merged = []
-        real_record_merge = JobQueue.record_merge
-
-        def record_merge(queue, *args):
-            if len(merged) == 30:
-                raise Killed()
-            merged.append(args)
-            return real_record_merge(queue, *args)
-
-        with TrialDatabase(path) as db:
-            session_id = SessionStore(db).create(spec)
-            with monkeypatch.context() as patch:
-                patch.setattr(JobQueue, "record_merge", record_merge)
-                with pytest.raises(Killed):
-                    SessionCoordinator(db, session_id).run()
-        # Back to the v10 layout: the notes in the job rows.
-        raw = sqlite3.connect(path)
-        raw.executescript(
-            """
-            ALTER TABLE jobs ADD COLUMN merge_seq INTEGER;
-            ALTER TABLE jobs ADD COLUMN merge_note BLOB;
-            UPDATE jobs SET (merge_seq, merge_note) = (
-                SELECT merge_seq, merge_note FROM merge_notes AS m
-                WHERE m.session_id = jobs.session_id
-                AND m.trial_id = jobs.trial_id);
-            DROP TABLE merge_notes;
-            PRAGMA user_version = 10;
-            """
-        )
-        assert raw.execute(
-            "SELECT COUNT(*) FROM jobs WHERE merge_seq IS NOT NULL"
-        ).fetchone() == (30,)
-        raw.close()
-
-        monkeypatch.setattr(
-            "repro.storage.database.DROPS_COLUMNS", drops_columns
-        )
-        with TrialDatabase(path) as db:
-            assert db.schema_version == SCHEMA_VERSION == 11
-            left = {"merge_seq", "merge_note"} & {
-                row[1] for row in db.execute("PRAGMA table_info(jobs)")
-            }
-            assert bool(left) is not drops_columns
-            log = JobQueue(db).merge_log(session_id)
-            assert sorted(
-                entry.merge_seq for entry in log.values()
-                if entry.merge_seq is not None
-            ) == list(range(1, 31))
-            if left:
-                db.execute("UPDATE jobs SET merge_seq = -1, merge_note = x'00'")
-            store = SessionStore(db)
-            assert store.get(session_id).state == S_RUNNING
-            result = SessionCoordinator(db, session_id).run()
-            assert digest(result) == GOLDENS["NLP"]["digest"]
-            assert store.get(session_id).state == S_DONE
-            assert db.trial_count() == len(result.trials)
-            assert db.execute(
-                "SELECT COUNT(*) FROM merge_notes WHERE session_id = ?",
-                (session_id,),
-            ).fetchone() == (len(result.trials),)
+            names = tables(db)
+        assert len(names) == len(set(names))
+        assert names == tables(TrialDatabase())
 
     def test_created_at_is_stamped_and_history_orders_by_it(self):
         db = TrialDatabase()
