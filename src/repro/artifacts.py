@@ -431,20 +431,20 @@ class ArtifactStore:
         workload: str = "",
         epochs: int = 0,
         data_fraction: float = 0.0,
-    ) -> None:
-        """Package and publish one finished trial.
+    ) -> bytes:
+        """Package and publish one finished trial; returns the model's
+        pickle (what :func:`pack_result` takes for this trial's job).
 
         ``evaluation`` is stored with ``model_blob`` cleared (the model
         travels as its own pickle so a hit can hand back a live object),
         ``resume`` is the optional :func:`pack_velocity` blob for
         warm-resume children (their weights come from the model pickle).
         """
+        model_blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         payload = pickle.dumps(
             {
                 "evaluation": dataclasses.replace(evaluation, model_blob=None),
-                "model": pickle.dumps(
-                    model, protocol=pickle.HIGHEST_PROTOCOL
-                ),
+                "model": model_blob,
                 "resume": resume,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -457,6 +457,7 @@ class ArtifactStore:
             epochs=int(epochs),
             data_fraction=float(data_fraction),
         )
+        return model_blob
 
     def load_trial(self, key: str) -> Optional[Tuple[Any, Any, Optional[bytes]]]:
         """(evaluation, model, resume blob) for ``key``, or ``None``."""

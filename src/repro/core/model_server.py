@@ -286,14 +286,14 @@ def evaluate_trial(
     eval_set: Optional[Dataset] = None,
     workload: Optional[Workload] = None,
     artifacts: Optional[ArtifactStore] = None,
-    probed_key: Optional[str] = None,
 ) -> Tuple[TrialEvaluation, Any]:
     """Run the real numpy training for one :class:`TrialTask`.
 
     Pure with respect to process state: depends only on the task (seeds
     included), so re-running a crashed job reproduces the same result.
     Returns ``(evaluation, trained_model)``; callers shipping the result
-    across a process boundary pickle the model into ``model_blob``.
+    across a process boundary pickle the model into ``model_blob`` (a
+    worker takes the pickle :func:`train_trial` hands back).
     ``workload`` short-circuits the registry lookup for in-process callers
     holding a custom workload object.
 
@@ -305,6 +305,25 @@ def evaluate_trial(
     ``task.start_epoch``.  A missing parent artifact degrades to a cold
     run — the task is re-keyed with the lineage stripped so the stored
     artifact always describes what actually ran.
+    """
+    evaluation, model, _ = train_trial(
+        task, train_set, eval_set, workload, artifacts
+    )
+    return evaluation, model
+
+
+def train_trial(
+    task: TrialTask,
+    train_set: Optional[Dataset] = None,
+    eval_set: Optional[Dataset] = None,
+    workload: Optional[Workload] = None,
+    artifacts: Optional[ArtifactStore] = None,
+    probed_key: Optional[str] = None,
+) -> Tuple[TrialEvaluation, Any, Optional[bytes]]:
+    """:func:`evaluate_trial` as a worker runs it: also returns the model
+    pickle the artifact store now holds when this call stored the trial
+    (else ``None``), which the worker completes its job with rather than
+    pickle the model again.
 
     ``probed_key`` is the task's trial key when the caller has already
     probed ``artifacts`` for it and missed without counting the miss (a
@@ -319,7 +338,7 @@ def evaluate_trial(
             key = trial_key(task)
             cached = artifacts.load_trial(key)
             if cached is not None:
-                return cached[0], cached[1]
+                return cached[0], cached[1], None
     workload = workload or get_workload(task.workload_id)
     resume: Optional[Tuple[Dict[str, Any], List[Any]]] = None
     if artifacts is not None and task.reuse and task.parent_key is not None:
@@ -331,7 +350,7 @@ def evaluate_trial(
             key = trial_key(task)
             cached = artifacts.load_trial(key)
             if cached is not None:
-                return cached[0], cached[1]
+                return cached[0], cached[1], None
     if train_set is None or eval_set is None:
         train_set, eval_set = workload.load(
             seed=task.seed, samples=task.samples
@@ -382,7 +401,7 @@ def evaluate_trial(
             # Only the optimizer half travels in the resume blob; the
             # post-training weights are already the stored model pickle.
             resume_blob = pack_velocity(result.resume_state["velocity"])
-        artifacts.store_trial(
+        return evaluation, model, artifacts.store_trial(
             key,
             evaluation,
             model,
@@ -391,7 +410,7 @@ def evaluate_trial(
             epochs=task.epochs,
             data_fraction=task.data_fraction,
         )
-    return evaluation, model
+    return evaluation, model, None
 
 
 @dataclass

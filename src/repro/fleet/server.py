@@ -146,13 +146,14 @@ class FleetServer(FrameServer):
     def _fence(self, payload: Frame) -> Optional[Frame]:
         """``None`` when the frame may mutate state, else the rejection.
 
-        A frame without this incarnation's epoch is stale: its sender
-        holds leases granted by a dead incarnation, or never registered
-        with this one.  It must re-register and ``resync`` before any of
-        its writes count.
+        A frame without this incarnation's epoch — the integer, not a
+        string or anything else that merely converts to it — is stale:
+        its sender holds leases granted by a dead incarnation, or never
+        registered with this one.  It must re-register and ``resync``
+        before any of its writes count.
         """
         epoch = payload.get("epoch")
-        if epoch is not None and int(epoch) == self.epoch:
+        if type(epoch) is int and epoch == self.epoch:
             return None
         self.database.bump_stats({"hub.fenced_frames": 1})
         return error_frame(

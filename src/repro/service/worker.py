@@ -5,13 +5,15 @@ stop)`` (``None`` once up to ``wait_s`` has passed), ``renew(job)``,
 ``complete(job, blob)``, ``fail(job, error)`` and ``touch(counters)``
 (machine liveness, carrying dataset-memo counter deltas).
 :class:`LocalJobs` is the source over a shared database file; a fleet
-host runs the same worker over the hub (:mod:`repro.fleet.host`).  Per
-job the worker renews the lease on a :class:`~repro.clock.Periodic` (a
-worker killed mid-trial stops renewing, so its job is reclaimed and
-retried), serves a trial its artifact store already holds, or else
-trains it via :func:`~repro.core.model_server.evaluate_trial` under the
-optional deadline, and completes the job with the result blob or fails
-it with the traceback.
+host runs the same worker over the hub (:mod:`repro.fleet.host`).  One
+renewer per worker, a :class:`~repro.clock.Periodic` started with its
+first job and stopped by :meth:`TrialWorker.close`, renews the lease of
+the job it holds (a worker killed mid-trial stops renewing, so its job is
+reclaimed and retried).  Per job the worker serves a trial its artifact
+store already holds, or else trains it via
+:func:`~repro.core.model_server.train_trial` under the optional
+deadline, and completes the job with the result blob or fails it with
+the traceback.
 
 Workers are stateless by design: every piece of information needed to run
 a job travels inside the job payload, which is what makes retries after a
@@ -20,6 +22,7 @@ crash bit-identical.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import signal
@@ -32,14 +35,16 @@ from ..artifacts import ArtifactStore, pack_result, trial_key
 from ..core.model_server import (
     TrialTask,
     dataset_cache_stats,
-    evaluate_trial,
     load_task_datasets,
+    train_trial,
 )
 from ..faults import fault_point
 from ..storage import TrialDatabase
 from .doorbell import Doorbell
 from .failures import run_with_deadline
 from .queue import DEFAULT_LEASE_TTL_S, Job, JobQueue, _env_float
+
+logger = logging.getLogger(__name__)
 
 #: An idle worker's fallback tick (its longest unrung wait), seconds.
 IDLE_POLL_S = 0.05
@@ -68,11 +73,15 @@ def heartbeat_interval(
     return max(0.05, ttl_s * HEARTBEAT_FRACTION)
 
 
-def result_blob(evaluation: Any, model: Any) -> bytes:
-    """The bytes a job that just trained ``model`` is completed with."""
-    return pack_result(
-        evaluation, pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+def result_blob(
+    evaluation: Any, model: Any, model_blob: Optional[bytes] = None
+) -> bytes:
+    """The bytes a job that just trained ``model`` is completed with;
+    ``model_blob`` is the model's pickle when the artifact store already
+    made one (the model is pickled once per cold trial)."""
+    if model_blob is None:
+        model_blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    return pack_result(evaluation, model_blob)
 
 
 class LocalJobs:
@@ -160,9 +169,16 @@ class TrialWorker:
         self.source = self._job_source(lease_ttl_s, jobs_bell or Doorbell())
         self._machine_touched_at = clock.now()
         #: Dataset-memo counters as last published (the lock: both the
-        #: main loop and a job's renewal thread touch the machine).
+        #: main loop and the renewal thread touch the machine).
         self._dataset_cache_last = dataset_cache_stats()
         self._dataset_cache_lock = threading.Lock()
+        #: The job being run (``None``: idle), which the renewer renews;
+        #: the lock makes the renewer's clear-on-loss and the main loop's
+        #: set/clear one step each.
+        self._job: Optional[Job] = None
+        self._job_lock = threading.Lock()
+        #: Started with the first job, stopped by :meth:`close`.
+        self._renewer: Optional[clock.Periodic] = None
 
     def _job_source(self, lease_ttl_s: float, jobs_bell: Doorbell) -> Any:
         """Where this worker's jobs come from: its database's own queue (a
@@ -191,34 +207,55 @@ class TrialWorker:
                 self._dataset_cache_last = stats
 
     # -- execution ----------------------------------------------------------
-    def run_job(self, job: Job) -> None:
-        """Execute one leased job to completion (or record its failure),
-        renewing its lease (and touching the machine) meanwhile; a lost
-        lease stops the renewals — the retry owns the job then."""
-        def renew() -> bool:
-            renewed = self.source.renew(job)
-            if renewed:
+    def _renew(self) -> None:
+        """One renewer tick: renew the held job's lease (and touch the
+        machine); idle, do nothing.  A lost lease clears the job, so its
+        renewals stop — the retry owns the job then.  An error is logged
+        and the next tick tries again: the thread outlives every job."""
+        job = self._job
+        if job is None:
+            return
+        try:
+            if self.source.renew(job):
                 self._touch_machine()
-            return renewed
-
-        ttl_s = self.source.lease_ttl_s
-        with clock.Periodic(
-            heartbeat_interval(ttl_s, self.heartbeat_interval_s), renew,
-            join_timeout_s=min(ttl_s, 1.0),
-        ):
-            try:
-                # Chaos sites, keyed by trial and gated on the attempt: the
-                # retry of an injected failure runs clean by default.
-                fault_point("worker.crash", key=job.trial_id,
-                            attempt=job.attempts)
-                fault_point("worker.fail", key=job.trial_id,
-                            attempt=job.attempts)
-                task = TrialTask.from_json(job.payload)
-                blob = self._evaluate(task, job.attempts)
-            except Exception:
-                self.jobs_failed += 1
-                self.source.fail(job, traceback.format_exc(limit=8))
                 return
+        except Exception:
+            logger.exception("lease renewal of job %s failed", job.id)
+            return
+        with self._job_lock:
+            if self._job is job:
+                self._job = None
+
+    def _hold(self, job: Optional[Job]) -> None:
+        """Make ``job`` the one the renewer renews (``None``: idle)."""
+        with self._job_lock:
+            self._job = job
+
+    def run_job(self, job: Job) -> None:
+        """Execute one leased job to completion (or record its failure);
+        while it runs, the worker's renewer renews its lease."""
+        if self._renewer is None:
+            ttl_s = self.source.lease_ttl_s
+            self._renewer = clock.Periodic(
+                heartbeat_interval(ttl_s, self.heartbeat_interval_s),
+                self._renew, join_timeout_s=min(ttl_s, 1.0),
+            ).start()
+        self._hold(job)
+        try:
+            # Chaos sites, keyed by trial and gated on the attempt: the
+            # retry of an injected failure runs clean by default.
+            fault_point("worker.crash", key=job.trial_id,
+                        attempt=job.attempts)
+            fault_point("worker.fail", key=job.trial_id,
+                        attempt=job.attempts)
+            task = TrialTask.from_json(job.payload)
+            blob = self._evaluate(task, job.attempts)
+        except Exception:
+            self.jobs_failed += 1
+            self.source.fail(job, traceback.format_exc(limit=8))
+            return
+        finally:
+            self._hold(None)
         if self.source.complete(job, blob):
             self.jobs_done += 1
 
@@ -252,7 +289,7 @@ class TrialWorker:
                 # A warm resume whose parent ran elsewhere (a fleet host).
                 self._prefetch(task, parent)
             train_set, eval_set = load_task_datasets(task)
-            blob = result_blob(*evaluate_trial(
+            blob = result_blob(*train_trial(
                 task, train_set, eval_set, artifacts=self.artifacts,
                 probed_key=key,
             ))
@@ -297,8 +334,11 @@ class TrialWorker:
         return self.jobs_done
 
     def close(self) -> None:
-        """Publish the last dataset-memo counters, then let go of the
-        database (if this worker opened it)."""
+        """Stop the renewer, publish the last dataset-memo counters, then
+        let go of the database (if this worker opened it)."""
+        if self._renewer is not None:
+            self._renewer.stop()
+            self._renewer = None
         self._publish_dataset_cache_stats()
         if self._owns_database:
             self.database.close()

@@ -302,13 +302,15 @@ class TrialDatabase:
             self._connection.execute(
                 f"PRAGMA busy_timeout = {int(busy_timeout_ms)}"
             )
+            self._open_schema()
             if path != ":memory:":
                 # WAL lets worker processes read while the coordinator
                 # writes (and vice versa) instead of raising
                 # "database is locked"; a no-op for in-memory stores.
+                # Set only once the file is ours: a refused one is left
+                # in its own journal mode, with no -wal/-shm siblings.
                 self._connection.execute("PRAGMA journal_mode = WAL")
                 self._connection.execute("PRAGMA synchronous = NORMAL")
-            self._open_schema()
         except sqlite3.Error as error:
             raise StorageError(f"could not open trial database: {error}")
         self._lock = threading.RLock()

@@ -157,7 +157,7 @@ class TestStaleLeaseChaos:
         reference = fingerprint(single_host_reference())
         faults.configure("seed=11;fleet.stale_lease=1.0@2",
                          propagate=False)
-        real_evaluate = worker_module.evaluate_trial
+        real_evaluate = worker_module.train_trial
         slowed = threading.Event()
 
         def slow_evaluate(task, *datasets, **kwargs):
@@ -167,7 +167,7 @@ class TestStaleLeaseChaos:
                 time.sleep(2.5)
             return real_evaluate(task, *datasets, **kwargs)
 
-        monkeypatch.setattr(worker_module, "evaluate_trial", slow_evaluate)
+        monkeypatch.setattr(worker_module, "train_trial", slow_evaluate)
         result, session_id, database, members = run_fleet_session(
             tmp_path, "stale", in_process=True, lease_ttl_s=0.8,
         )

@@ -9,8 +9,8 @@ full subprocess SIGKILL choreography lives in
 restart is pinned down deterministically:
 
 * the epoch advances monotonically, once per hub start;
-* mutation frames carrying a pre-crash epoch are fenced (and told to
-  re-register), while frames without an epoch stay trusted;
+* mutation frames carrying a pre-crash epoch, no epoch, or anything but
+  this incarnation's integer are fenced (and told to re-register);
 * a ``complete`` replayed across the crash lands exactly once;
 * ``resync`` re-adopts still-held leases under the new epoch and drops
   reclaimed ones;
@@ -167,6 +167,25 @@ class TestFencing:
             hub.handle_line(frame("register", machine_id="m1"))
             hub.queue.enqueue("sess", 1, "{}")
             response = hub.handle_line(frame("lease", machine_id="m1"))
+            assert not response["ok"]
+            assert response["fenced"] and response["reregister"]
+            assert response["epoch"] == hub.epoch == 1
+            assert hub.queue.get("sess", 1).state == QUEUED
+            assert hub.database.stats()["hub.fenced_frames"] == 1.0
+        finally:
+            hub.server_close()
+
+    @pytest.mark.parametrize("epoch", ["x", "1", 1.0, True, [1]])
+    def test_non_integer_epoch_is_fenced(self, database, epoch):
+        """An epoch that is not this incarnation's integer is stale, even
+        one that converts to it: fenced, counted, nothing leased."""
+        hub = start_hub(database)
+        try:
+            hub.handle_line(frame("register", machine_id="m1"))
+            hub.queue.enqueue("sess", 1, "{}")
+            response = hub.handle_line(frame(
+                "lease", machine_id="m1", worker="w0", epoch=epoch,
+            ))
             assert not response["ok"]
             assert response["fenced"] and response["reregister"]
             assert response["epoch"] == hub.epoch == 1

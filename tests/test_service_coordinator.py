@@ -164,7 +164,7 @@ class TestCrashResume:
         def broken(task, *args, **kwargs):
             raise ValueError(f"cannot evaluate trial {task.trial_id}")
 
-        monkeypatch.setattr(worker_module, "evaluate_trial", broken)
+        monkeypatch.setattr(worker_module, "train_trial", broken)
         result = SessionCoordinator(
             db, session_id, workers=0, poll_interval_s=0.01
         ).run()
@@ -318,7 +318,7 @@ class TestAsyncScheduling:
         def broken(task, *args, **kwargs):
             raise ValueError(f"cannot evaluate trial {task.trial_id}")
 
-        monkeypatch.setattr(worker_module, "evaluate_trial", broken)
+        monkeypatch.setattr(worker_module, "train_trial", broken)
         result = SessionCoordinator(
             db, session_id, workers=0, poll_interval_s=0.01,
             pin_order=True,

@@ -67,6 +67,22 @@ class TestMigrations:
         assert tables(raw) == ["trials"]
         raw.close()
 
+    def test_refused_file_keeps_its_journal_mode(self, tmp_path):
+        """Refusal happens before WAL is switched on: a rollback-journal
+        file stays one and grows no ``-wal``/``-shm`` siblings."""
+        path = os.path.join(tmp_path, "v10.sqlite")
+        raw = sqlite3.connect(path)
+        raw.execute("CREATE TABLE trials (id INTEGER PRIMARY KEY)")
+        raw.execute("PRAGMA user_version = 10")
+        raw.commit()
+        raw.close()
+        with pytest.raises(StorageError, match=r"schema v10\b"):
+            TrialDatabase(path)
+        raw = sqlite3.connect(path)
+        assert raw.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+        raw.close()
+        assert sorted(os.listdir(tmp_path)) == ["v10.sqlite"]
+
     def test_concurrent_first_opens_of_one_fresh_file(self, tmp_path):
         """Creating the schema and stamping its version commit together,
         so every opener of a fresh file but one finds it current."""
