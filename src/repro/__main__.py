@@ -5,12 +5,10 @@ Tune a workload end to end from the shell::
     python -m repro tune IC --device armv7 --target 0.8
     python -m repro tune IC --db tuning.sqlite --warm-start
     python -m repro tune SR --system tune --budget epochs
-    python -m repro advisor ask IC --db tuning.sqlite
     python -m repro devices
     python -m repro workloads
 
-(`python -m repro.experiments ...` regenerates the paper's tables/figures;
-``python -m repro advisor ...`` serves recommendations from past sessions.)
+(`python -m repro.experiments ...` regenerates the paper's tables/figures.)
 """
 
 from __future__ import annotations
@@ -285,13 +283,6 @@ def main(argv=None) -> int:
     workloads.set_defaults(func=_cmd_workloads)
 
     subparsers.add_parser(
-        "advisor",
-        help="recommendation advisor (serve/ask/index/bench); "
-             "see `python -m repro advisor --help`",
-        add_help=False,
-    )
-
-    subparsers.add_parser(
         "fleet",
         help="multi-host tuning fleet (serve/workers/register/status/"
              "drain); see `python -m repro fleet --help`",
@@ -306,11 +297,6 @@ def main(argv=None) -> int:
     )
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "advisor":
-        # The advisor owns its whole sub-CLI (including --help).
-        from .advisor.cli import main as advisor_main
-
-        return advisor_main(argv[1:])
     if argv and argv[0] == "fleet":
         from .fleet.cli import main as fleet_main
 

@@ -29,6 +29,7 @@ class Periodic:
 
     def __init__(self, interval_s: float, tick: Callable[[], Any],
                  join_timeout_s: float = 1.0):
+        self.interval_s = interval_s
         self._stop = threading.Event()
         self._join_timeout_s = join_timeout_s
 

@@ -57,22 +57,16 @@ class ServiceError(ReproError):
     spec, exhausted job retries, lost session)."""
 
 
-class AdvisorError(ReproError):
-    """The recommendation advisor could not answer (empty knowledge base,
-    malformed request, unreachable server)."""
-
-
 class FleetError(ServiceError):
     """The multi-host tuning fleet hit an unrecoverable condition
     (unreachable coordinator, protocol violation, unknown machine)."""
 
 
-class WireError(FleetError, AdvisorError):
+class WireError(FleetError):
     """A frame could not be encoded or decoded, or a transport setting
-    is invalid.  Raised by the protocol-neutral :mod:`repro.wire`
-    helpers, which both protocols call; it is an :class:`AdvisorError`
-    *and* a :class:`FleetError` so each protocol's callers keep catching
-    it under their own family."""
+    is invalid.  Raised by the :mod:`repro.wire` helpers; it is a
+    :class:`FleetError` so the fleet's callers catch it under their own
+    family."""
 
 
 class TrialTimeoutError(ServiceError):

@@ -36,8 +36,6 @@ Injection sites wired into the codebase:
 ``worker.hang``           sleeps ``param`` seconds inside the trial deadline
 ``trainer.nan``           corrupts one training loss to NaN (numeric guard)
 ``storage.io``            raises a transient sqlite "disk I/O error"
-``advisor.drop``          drops the advisor client's TCP connection
-``advisor.garbage``       corrupts one advisor response frame
 ``fleet.partition``       severs a fleet host's dispatch connection
 ``fleet.stale_lease``     suppresses one job's remote lease extensions
 ``fleet.hub_crash``       hard-kills the fleet *hub* mid-frame (keyed on
@@ -115,7 +113,7 @@ def fault_point(site: str, key: Any = None, attempt: int = 1) -> None:
 
 def should(site: str, key: Any = None, attempt: int = 1) -> bool:
     """Decision-only hook for callers that act on the fault themselves
-    (the advisor client drops its own connection, for instance)."""
+    (a fleet client severs its own connection, for instance)."""
     if _plan is None:
         return False
     return _plan.should(site, key=key, attempt=attempt)

@@ -22,7 +22,7 @@ from .. import clock
 from ..errors import InjectedFault
 
 #: Sites understood by :meth:`FaultPlan.fire`; decision-only sites
-#: (``advisor.*``, ``trainer.nan``) are queried via ``should``/
+#: (``fleet.partition``, ``trainer.nan``, ...) are queried via ``should``/
 #: ``corrupt_nan`` and need no action here.
 KNOWN_SITES = (
     "worker.crash",
@@ -30,8 +30,6 @@ KNOWN_SITES = (
     "worker.hang",
     "trainer.nan",
     "storage.io",
-    "advisor.drop",
-    "advisor.garbage",
     "fleet.partition",
     "fleet.stale_lease",
     "fleet.hub_crash",

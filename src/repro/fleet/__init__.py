@@ -3,10 +3,9 @@
 Scales one tuning session across machines while keeping the single-host
 determinism contract: remote hosts are separate processes with isolated
 databases, jobs are dispatched over a line-JSON TCP protocol
-(:mod:`repro.wire`, the transport the advisor speaks too), and the
-coordinator merges
-results in strict wave order — so a fleet run is bit-identical to the
-same spec run on one machine.
+(:mod:`repro.wire`), and the coordinator merges results in strict wave
+order — so a fleet run is bit-identical to the same spec run on one
+machine.
 
 Layout:
 

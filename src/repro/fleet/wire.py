@@ -1,12 +1,12 @@
 """Fleet dispatch wire format: newline-delimited JSON frames.
 
 The transport is :mod:`repro.wire`'s — one JSON object per line over a
-persistent TCP connection, the one the advisor speaks too — so every
-hardening lesson (oversized-frame rejection, garbage tolerance, graceful
-drain) is learnt once; the framing helpers are re-exported here.  Binary
-payloads (pickled evaluations, artifact blobs) travel base64-inside-JSON;
-the 32 MiB frame cap is sized for them with a wide margin (a
-``complete`` frame is 18 KB since a model pickles only its state).
+persistent TCP connection, with oversized-frame rejection, garbage
+tolerance and graceful drain; the framing helpers are re-exported here.
+Binary payloads (pickled evaluations, artifact blobs) travel
+base64-inside-JSON; the 32 MiB frame cap is sized for them with a wide
+margin (a ``complete`` frame is 18 KB since a model pickles only its
+state).
 
 Request frames are ``{"op": <name>, ...}``; response frames are
 ``{"ok": true, ...}`` or ``{"ok": false, "error": "..."}``.  Ops:

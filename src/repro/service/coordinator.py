@@ -175,7 +175,7 @@ class SessionCoordinator:
                 ).start()
                 self.jobs_bell = self._pool.jobs_bell
                 self.results_bell = self._pool.results_bell
-            result = self._run(server, record)
+            result = self._run(server)
         except Exception:
             self.sessions.fail(
                 self.session_id, traceback.format_exc(limit=8)
@@ -191,9 +191,7 @@ class SessionCoordinator:
             self._held.clear()
         return result
 
-    def _run(
-        self, server: ModelTuningServer, record: SessionRecord
-    ) -> TuningRunResult:
+    def _run(self, server: ModelTuningServer) -> TuningRunResult:
         if server.warm_start and server.warm_start_records is None:
             server.warm_start_records = self.database.trials_for(
                 server.experiment_name,
@@ -221,29 +219,7 @@ class SessionCoordinator:
         self.sessions.finish(
             self.session_id, self._summarize(server, result)
         )
-        self._index_knowledge(record, result)
         return result
-
-    def _index_knowledge(self, record: SessionRecord, result) -> None:
-        """Distill the finished session into the advisor knowledge base.
-
-        Import is deferred (and failures swallowed) so the tuning path
-        never depends on — or breaks because of — the advisor subsystem.
-        """
-        try:
-            from ..advisor import KnowledgeBase
-
-            KnowledgeBase(self.database).index_result(
-                workload=record.spec.workload,
-                device=record.spec.device,
-                objective=record.spec.tuning_metric,
-                target_accuracy=record.spec.target_accuracy,
-                system=record.spec.system,
-                session_id=self.session_id,
-                result=result,
-            )
-        except Exception:  # pragma: no cover - best-effort enrichment
-            pass
 
     # -- the merge loop ------------------------------------------------------
     def _drive(self, server: ModelTuningServer, state: RunState) -> None:

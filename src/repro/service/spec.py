@@ -35,7 +35,8 @@ class SessionSpec:
     max_trials: Optional[int] = None
     target_accuracy: Optional[float] = None
     #: Seed the session's search model from historical trials of the same
-    #: experiment before the first suggestion (the advisor's transfer path).
+    #: experiment, read from the ``trials`` table up to the session's
+    #: ``history_watermark``, before the first suggestion.
     warm_start: bool = False
     #: Warm-resume promoted trials from their parent rung's checkpoint
     #: (the artifact cache's cross-rung tier).  Opt-in: resumed trials

@@ -7,7 +7,8 @@ stop)`` (``None`` once up to ``wait_s`` has passed), ``renew(job)``,
 :class:`LocalJobs` is the source over a shared database file; a fleet
 host runs the same worker over the hub (:mod:`repro.fleet.host`).  One
 renewer per worker, a :class:`~repro.clock.Periodic` started with its
-first job and stopped by :meth:`TrialWorker.close`, renews the lease of
+first job (and again when the source's lease TTL changes its period) and
+stopped by :meth:`TrialWorker.close`, renews the lease of
 the job it holds (a worker killed mid-trial stops renewing, so its job is
 reclaimed and retried).  Per job the worker serves a trial its artifact
 store already holds, or else trains it via
@@ -233,12 +234,16 @@ class TrialWorker:
 
     def run_job(self, job: Job) -> None:
         """Execute one leased job to completion (or record its failure);
-        while it runs, the worker's renewer renews its lease."""
-        if self._renewer is None:
-            ttl_s = self.source.lease_ttl_s
+        while it runs, the worker's renewer renews its lease.  The renewer
+        is restarted when the source's TTL asks for another period (a
+        fleet host adopts a restarted hub's ``lease_ttl_s``)."""
+        ttl_s = self.source.lease_ttl_s
+        period = heartbeat_interval(ttl_s, self.heartbeat_interval_s)
+        if self._renewer is None or self._renewer.interval_s != period:
+            if self._renewer is not None:
+                self._renewer.stop()
             self._renewer = clock.Periodic(
-                heartbeat_interval(ttl_s, self.heartbeat_interval_s),
-                self._renew, join_timeout_s=min(ttl_s, 1.0),
+                period, self._renew, join_timeout_s=min(ttl_s, 1.0),
             ).start()
         self._hold(job)
         try:

@@ -6,18 +6,14 @@ and ``jobs`` tables behind the persistent tuning job queue.
 
 from .database import (
     BUSY_TIMEOUT_MS,
-    NO_TARGET,
     SCHEMA_VERSION,
     StoredInferenceResult,
-    StoredRecommendation,
     TrialDatabase,
 )
 
 __all__ = [
     "TrialDatabase",
     "StoredInferenceResult",
-    "StoredRecommendation",
-    "NO_TARGET",
     "SCHEMA_VERSION",
     "BUSY_TIMEOUT_MS",
 ]

@@ -139,30 +139,6 @@ CREATE TABLE jobs (
 CREATE INDEX idx_jobs_claim ON jobs (state, next_retry_at, id);
 CREATE INDEX idx_jobs_session ON jobs (session_id, state);
 
--- the advisor's knowledge base: one deployment recommendation per
--- (workload, device, objective, target, system), with NO_TARGET rather
--- than NULL in target_accuracy so the uniqueness key has no NULLs
-CREATE TABLE recommendations (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    workload TEXT NOT NULL,
-    device TEXT NOT NULL,
-    objective TEXT NOT NULL,
-    target_accuracy REAL NOT NULL DEFAULT -1.0,
-    system TEXT NOT NULL DEFAULT 'edgetune',
-    signature TEXT NOT NULL,
-    session_id TEXT,
-    best_configuration TEXT NOT NULL,
-    best_accuracy REAL NOT NULL,
-    best_score REAL NOT NULL,
-    num_trials INTEGER NOT NULL,
-    tuning_runtime_s REAL NOT NULL,
-    tuning_energy_j REAL NOT NULL,
-    inference TEXT,
-    created_at REAL NOT NULL,
-    UNIQUE (workload, device, objective, target_accuracy, system)
-);
-CREATE INDEX idx_recommendations_device ON recommendations (device, objective);
-
 -- jobs that exhausted their retries, with every attempt's error
 CREATE TABLE dead_letter (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -229,38 +205,6 @@ CREATE TABLE merge_notes (
 """
 
 SCHEMA_VERSION = 11
-
-
-#: Sentinel stored in ``recommendations.target_accuracy`` when the session
-#: ran without a target (sqlite UNIQUE treats NULLs as distinct, which
-#: would break the replace-on-reindex contract).
-NO_TARGET = -1.0
-
-
-@dataclass
-class StoredRecommendation:
-    """One knowledge-base row: the distilled outcome of a tuning session.
-
-    ``inference`` carries the session's deployment recommendation
-    (configuration + measured metrics) as a JSON-safe dict, ``None`` when
-    the session ran without an inference server (baselines).
-    """
-
-    workload: str
-    device: str
-    objective: str
-    target_accuracy: Optional[float]
-    system: str
-    signature: Dict[str, Any]
-    session_id: Optional[str]
-    best_configuration: Dict[str, Any]
-    best_accuracy: float
-    best_score: float
-    num_trials: int
-    tuning_runtime_s: float
-    tuning_energy_j: float
-    inference: Optional[Dict[str, Any]]
-    created_at: float = 0.0
 
 
 @dataclass
@@ -612,121 +556,6 @@ class TrialDatabase:
         with self._lock:
             (count,) = self._connection.execute(
                 "SELECT COUNT(*) FROM inference_results"
-            ).fetchone()
-        return int(count)
-
-    # -- recommendations (advisor knowledge base) ---------------------------
-    _RECOMMENDATION_COLUMNS = (
-        "workload, device, objective, target_accuracy, system, signature, "
-        "session_id, best_configuration, best_accuracy, best_score, "
-        "num_trials, tuning_runtime_s, tuning_energy_j, inference, "
-        "created_at"
-    )
-
-    def store_recommendation(self, rec: StoredRecommendation) -> None:
-        """Insert or replace the recommendation for the row's key."""
-        created = rec.created_at or clock.now()
-        with self._write():
-            self._connection.execute(
-                "INSERT OR REPLACE INTO recommendations "
-                f"({self._RECOMMENDATION_COLUMNS}) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    rec.workload,
-                    rec.device,
-                    rec.objective,
-                    NO_TARGET if rec.target_accuracy is None
-                    else float(rec.target_accuracy),
-                    rec.system,
-                    json.dumps(rec.signature, sort_keys=True),
-                    rec.session_id,
-                    json.dumps(
-                        rec.best_configuration, sort_keys=True, default=repr
-                    ),
-                    rec.best_accuracy,
-                    rec.best_score,
-                    rec.num_trials,
-                    rec.tuning_runtime_s,
-                    rec.tuning_energy_j,
-                    None if rec.inference is None
-                    else json.dumps(rec.inference, sort_keys=True),
-                    created,
-                ),
-            )
-
-    @staticmethod
-    def _recommendation_of(row: Tuple) -> StoredRecommendation:
-        return StoredRecommendation(
-            workload=row[0],
-            device=row[1],
-            objective=row[2],
-            target_accuracy=None if row[3] == NO_TARGET else row[3],
-            system=row[4],
-            signature=json.loads(row[5]),
-            session_id=row[6],
-            best_configuration=json.loads(row[7]),
-            best_accuracy=row[8],
-            best_score=row[9],
-            num_trials=row[10],
-            tuning_runtime_s=row[11],
-            tuning_energy_j=row[12],
-            inference=json.loads(row[13]) if row[13] else None,
-            created_at=row[14],
-        )
-
-    def lookup_recommendation(
-        self,
-        workload: str,
-        device: str,
-        objective: str,
-        target_accuracy: Optional[float] = None,
-        system: Optional[str] = None,
-    ) -> Optional[StoredRecommendation]:
-        """Exact-key lookup; ``system=None`` matches any system (best
-        accuracy first, so EdgeTune rows win over weaker baselines)."""
-        query = (
-            f"SELECT {self._RECOMMENDATION_COLUMNS} FROM recommendations "
-            "WHERE workload = ? AND device = ? AND objective = ? "
-            "AND target_accuracy = ?"
-        )
-        args: List[Any] = [
-            workload, device, objective,
-            NO_TARGET if target_accuracy is None else float(target_accuracy),
-        ]
-        if system is not None:
-            query += " AND system = ?"
-            args.append(system)
-        query += " ORDER BY best_accuracy DESC, created_at DESC LIMIT 1"
-        with self._lock:
-            row = self._connection.execute(query, tuple(args)).fetchone()
-        return None if row is None else self._recommendation_of(row)
-
-    def all_recommendations(
-        self, device: Optional[str] = None, objective: Optional[str] = None
-    ) -> List[StoredRecommendation]:
-        """Every stored recommendation, optionally filtered — the candidate
-        pool for nearest-signature matching of unseen workloads."""
-        query = (
-            f"SELECT {self._RECOMMENDATION_COLUMNS} FROM recommendations"
-        )
-        clauses, args = [], []
-        if device is not None:
-            clauses.append("device = ?")
-            args.append(device)
-        if objective is not None:
-            clauses.append("objective = ?")
-            args.append(objective)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY workload, created_at"
-        with self._lock:
-            rows = self._connection.execute(query, tuple(args)).fetchall()
-        return [self._recommendation_of(row) for row in rows]
-
-    def recommendation_count(self) -> int:
-        with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM recommendations"
             ).fetchone()
         return int(count)
 

@@ -1,13 +1,12 @@
 """The wire layer: newline-delimited JSON frames over persistent TCP.
 
-Everything the recommendation advisor (:mod:`repro.advisor`) and the
-fleet hub (:mod:`repro.fleet`) have in common, once: framing, the
-server's read loop and connection handler, in-flight accounting,
-graceful drain, rate limiting, and the client's reconnect-and-retry
-loop.  A protocol is what is left — a :class:`FrameServer` subclass
-naming its meter prefix, its request cap and a **verb table** (``op`` →
-method), and a :class:`FrameClient` subclass naming its error type and
-its chaos sites.
+The transport under the fleet hub (:mod:`repro.fleet`), kept apart from
+its verbs: framing, the server's read loop and connection handler,
+in-flight accounting, graceful drain, rate limiting, and the client's
+reconnect-and-retry loop.  A protocol is what is left — a
+:class:`FrameServer` subclass naming its meter prefix, its request cap
+and a **verb table** (``op`` → method), and a :class:`FrameClient`
+subclass naming its error type and its chaos sites.
 
 Request frames are ``{"op": <name>, ...}``; response frames are
 ``{"ok": true, ...}`` or ``{"ok": false, "error": "..."}``; binary
@@ -284,10 +283,11 @@ class FrameServer(socketserver.ThreadingTCPServer):
         try:
             verb = self.verbs.get(op)  # an unhashable ``op`` raises here
             if (
-                self.limiter is not None and self.limits(op)
+                self.limiter is not None and op != "ping"
                 and not self.limiter.allow(client)
             ):
-                # Shed abusive traffic explicitly instead of queueing it.
+                # Shed abusive traffic explicitly instead of queueing it;
+                # the liveness probe spends no token.
                 self._count("rate_limited")
                 response = error_frame("rate_limited")
             elif verb is None:
@@ -306,11 +306,6 @@ class FrameServer(socketserver.ThreadingTCPServer):
             f"{self.meter_prefix}.latency_s", clock.monotonic() - started
         )
         return response
-
-    def limits(self, op: Optional[str]) -> bool:
-        """Whether ``op`` spends a rate-limit token (per-protocol policy;
-        by default everything but the liveness probe does)."""
-        return op != "ping"
 
     def _ping(self, payload: Frame, connection: Peer) -> Frame:
         return ok_frame(pong=True, draining=self.draining)
@@ -395,10 +390,9 @@ class FrameClient:
     peer = "server"
     #: Chaos: sever the socket mid-request (a dropped switch port, a
     #: restarting server); dial afresh before it (NAT/keepalive churn, no
-    #: bytes lost); corrupt the reply (a proxy, interleaved writes).
+    #: bytes lost).
     sever_site: Optional[str] = None
     churn_site: Optional[str] = None
-    garbage_site: Optional[str] = None
 
     def __init__(
         self,
@@ -456,7 +450,6 @@ class FrameClient:
         """
         payload = dict(params, op=op)
         for attempt in range(1, self.retries + 2):
-            self._admit()
             try:
                 return self._request_once(payload, attempt)
             except self.error as error:
@@ -472,10 +465,6 @@ class FrameClient:
                         * random.uniform(0.5, 1.0)
                     )
         raise last_error
-
-    def _admit(self) -> None:
-        """Hook, run before every attempt: raise to refuse it outright,
-        past the retry loop (the advisor's circuit breaker)."""
 
     def _request_once(self, payload: Frame, attempt: int) -> Frame:
         self._request_seq += 1
@@ -505,10 +494,6 @@ class FrameClient:
             raise self.error(f"{self.peer} connection failed: {error}")
         if not line:
             raise self.error(f"{self.peer} closed the connection")
-        if self.garbage_site and should(
-            self.garbage_site, key=seq, attempt=attempt
-        ):
-            line = b"\x00\xfe{{{not-json\n"
         try:
             return decode_frame(line)
         except WireError as error:

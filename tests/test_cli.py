@@ -304,49 +304,3 @@ class TestTuneWarmStartCli:
         assert "warm-started from:" in out
         absorbed = int(out.split("warm-started from:")[1].split()[0])
         assert absorbed > 0
-
-
-class TestAdvisorCli:
-    def make_kb(self, tmp_path):
-        from repro.advisor import KnowledgeBase
-        from repro.storage import TrialDatabase
-        from tests.test_advisor_kb import index
-
-        db = str(tmp_path / "kb.sqlite")
-        with TrialDatabase(db) as database:
-            index(KnowledgeBase(database))
-        return db
-
-    def test_dispatch_from_top_level(self, capsys):
-        with pytest.raises(SystemExit):
-            repro_main(["advisor", "--help"])
-        assert "serve" in capsys.readouterr().out
-
-    def test_ask_in_process(self, tmp_path, capsys):
-        import json
-
-        db = self.make_kb(tmp_path)
-        assert repro_main(["advisor", "ask", "IC", "--db", db,
-                           "--target", "0.8"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["exact"] is True
-        assert payload["best_configuration"]
-
-    def test_ask_nearest_flagged(self, tmp_path, capsys):
-        import json
-
-        db = self.make_kb(tmp_path)
-        assert repro_main(["advisor", "ask", "SR", "--db", db]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["exact"] is False
-
-    def test_ask_exact_miss_fails(self, tmp_path, capsys):
-        db = self.make_kb(tmp_path)
-        assert repro_main(["advisor", "ask", "SR", "--db", db,
-                           "--exact"]) == 1
-
-    def test_index_empty_database(self, tmp_path, capsys):
-        db = str(tmp_path / "empty.sqlite")
-        assert repro_main(["advisor", "index", "--db", db]) == 0
-        out = capsys.readouterr().out
-        assert "sessions indexed:  0" in out

@@ -133,7 +133,7 @@ class TestFacade:
     def test_disabled_hooks_are_noops(self):
         assert not faults.enabled()
         faults.fault_point("worker.crash", key=1)
-        assert faults.should("advisor.drop") is False
+        assert faults.should("fleet.partition") is False
         assert faults.corrupt_nan("trainer.nan", 1.25) == 1.25
 
     def test_configure_activates_and_propagates(self):
@@ -163,7 +163,7 @@ class TestFacade:
             "import repro.service.coordinator\n"
             "import repro.nn.trainer\n"
             "import repro.storage.database\n"
-            "import repro.advisor.client\n"
+            "import repro.fleet.client\n"
             "assert 'repro.faults.plan' not in sys.modules, 'injector leaked'\n"
             "assert 'repro.faults' in sys.modules\n"
             "print('clean')\n"

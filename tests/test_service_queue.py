@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ServiceError, StorageError
 from repro.fleet.registry import MachineRegistry
 from repro.service import (
-    JobQueue, SessionSpec, SessionStore, backoff_delay,
+    JobQueue, SessionCoordinator, SessionSpec, SessionStore, backoff_delay,
 )
 from repro.service.queue import (
     BACKOFF_BASE_S,
@@ -25,6 +25,32 @@ from repro.service.sessions import S_DONE, S_FAILED, S_QUEUED, S_RUNNING
 from repro.service.worker import LocalJobs
 from repro.storage import BUSY_TIMEOUT_MS, SCHEMA_VERSION, TrialDatabase
 from tests.clocks import frozen_clock  # noqa: F401 (fixture)
+
+
+#: The table (and its index) the deleted recommendation advisor kept in
+#: schema v11, as the v11 DDL created it.
+OLD_RECOMMENDATIONS_DDL = """
+CREATE TABLE recommendations (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    workload TEXT NOT NULL,
+    device TEXT NOT NULL,
+    objective TEXT NOT NULL,
+    target_accuracy REAL NOT NULL DEFAULT -1.0,
+    system TEXT NOT NULL DEFAULT 'edgetune',
+    signature TEXT NOT NULL,
+    session_id TEXT,
+    best_configuration TEXT NOT NULL,
+    best_accuracy REAL NOT NULL,
+    best_score REAL NOT NULL,
+    num_trials INTEGER NOT NULL,
+    tuning_runtime_s REAL NOT NULL,
+    tuning_energy_j REAL NOT NULL,
+    inference TEXT,
+    created_at REAL NOT NULL,
+    UNIQUE (workload, device, objective, target_accuracy, system)
+);
+CREATE INDEX idx_recommendations_device ON recommendations (device, objective);
+"""
 
 
 def make_queue():
@@ -50,6 +76,47 @@ class TestMigrations:
         assert {"trials", "inference_results", "sessions", "jobs"} <= set(
             tables(db)
         )
+        assert "recommendations" not in tables(db)
+
+    def test_v11_file_with_the_old_recommendations_table_runs_a_session(
+        self, tmp_path
+    ):
+        """v11 files written while the recommendation advisor existed
+        hold its ``recommendations`` table.  They open as they are, a
+        session runs on them as on a fresh file, and nothing touches
+        the old table."""
+        path = os.path.join(tmp_path, "old-v11.sqlite")
+        TrialDatabase(path).close()
+        raw = sqlite3.connect(path)
+        raw.executescript(OLD_RECOMMENDATIONS_DDL)
+        raw.execute(
+            "INSERT INTO recommendations (workload, device, objective, "
+            "signature, best_configuration, best_accuracy, best_score, "
+            "num_trials, tuning_runtime_s, tuning_energy_j, created_at) "
+            "VALUES ('IC', 'armv7', 'runtime', '{}', '{}', 0.8, 1.5, 4, "
+            "60.0, 900.0, 1000.0)"
+        )
+        raw.commit()
+        row = raw.execute("SELECT * FROM recommendations").fetchall()
+        raw.close()
+        results = []
+        for database in (TrialDatabase(path), TrialDatabase()):
+            with database:
+                assert database.schema_version == SCHEMA_VERSION
+                spec = SessionSpec(workload="IC", seed=7, samples=160,
+                                   max_trials=4)
+                session_id = SessionStore(database).create(spec)
+                results.append(
+                    SessionCoordinator(database, session_id).run()
+                )
+                assert SessionStore(database).get(session_id).state == S_DONE
+        old, fresh = results
+        assert [(t.trial_id, t.score) for t in old.trials] == [
+            (t.trial_id, t.score) for t in fresh.trials
+        ]
+        raw = sqlite3.connect(path)
+        assert raw.execute("SELECT * FROM recommendations").fetchall() == row
+        raw.close()
 
     @pytest.mark.parametrize("version", [10, 0, 12])
     def test_file_at_another_version_is_refused(self, tmp_path, version):

@@ -170,90 +170,6 @@ class TestEventCounters:
         assert len(db.stats()) == 3
 
 
-def recommendation(workload="IC", device="armv7", objective="runtime",
-                   target=0.8, system="edgetune", accuracy=0.82):
-    from repro.storage import StoredRecommendation
-
-    return StoredRecommendation(
-        workload=workload,
-        device=device,
-        objective=objective,
-        target_accuracy=target,
-        system=system,
-        signature={"workload": workload, "family": "resnet"},
-        session_id="s-1",
-        best_configuration={"num_layers": 18},
-        best_accuracy=accuracy,
-        best_score=1.5,
-        num_trials=12,
-        tuning_runtime_s=640.0,
-        tuning_energy_j=9000.0,
-        inference={"configuration": {"cores": 2}},
-        created_at=1000.0,
-    )
-
-
-class TestRecommendations:
-    def test_roundtrip(self):
-        db = TrialDatabase()
-        db.store_recommendation(recommendation())
-        row = db.lookup_recommendation("IC", "armv7", "runtime", 0.8)
-        assert row is not None
-        assert row.best_configuration == {"num_layers": 18}
-        assert row.signature["family"] == "resnet"
-        assert row.inference == {"configuration": {"cores": 2}}
-        assert row.target_accuracy == 0.8
-
-    def test_miss_returns_none(self):
-        db = TrialDatabase()
-        db.store_recommendation(recommendation())
-        assert db.lookup_recommendation("IC", "i7nuc", "runtime", 0.8) is None
-        assert db.lookup_recommendation("IC", "armv7", "energy", 0.8) is None
-        assert db.lookup_recommendation("SR", "armv7", "runtime", 0.8) is None
-
-    def test_none_target_is_its_own_key(self):
-        db = TrialDatabase()
-        db.store_recommendation(recommendation(target=None))
-        db.store_recommendation(recommendation(target=0.8))
-        assert db.recommendation_count() == 2
-        row = db.lookup_recommendation("IC", "armv7", "runtime", None)
-        assert row is not None
-        assert row.target_accuracy is None
-
-    def test_replace_on_same_key(self):
-        db = TrialDatabase()
-        db.store_recommendation(recommendation(accuracy=0.7))
-        db.store_recommendation(recommendation(accuracy=0.9))
-        assert db.recommendation_count() == 1
-        row = db.lookup_recommendation("IC", "armv7", "runtime", 0.8)
-        assert row.best_accuracy == 0.9
-
-    def test_system_filter_and_best_row_wins(self):
-        db = TrialDatabase()
-        db.store_recommendation(recommendation(system="edgetune",
-                                               accuracy=0.8))
-        db.store_recommendation(recommendation(system="tune", accuracy=0.9))
-        any_system = db.lookup_recommendation("IC", "armv7", "runtime", 0.8)
-        assert any_system.best_accuracy == 0.9
-        pinned = db.lookup_recommendation("IC", "armv7", "runtime", 0.8,
-                                          system="edgetune")
-        assert pinned.system == "edgetune"
-
-    def test_all_recommendations_filters(self):
-        db = TrialDatabase()
-        db.store_recommendation(recommendation(device="armv7"))
-        db.store_recommendation(recommendation(device="i7nuc"))
-        assert len(db.all_recommendations()) == 2
-        assert len(db.all_recommendations(device="armv7")) == 1
-
-    def test_file_backed_roundtrip(self, tmp_path):
-        path = os.path.join(tmp_path, "reco.sqlite")
-        with TrialDatabase(path) as db:
-            db.store_recommendation(recommendation())
-        with TrialDatabase(path) as db:
-            assert db.recommendation_count() == 1
-
-
 class TestStructureKeyedCache:
     """§3.4: inference results are keyed by what the device executes.
 

@@ -1,6 +1,6 @@
 """The transport contract of :mod:`repro.wire`, kept by every protocol
-built on it: one suite, parametrized over the advisor and the fleet hub
-(servers) and their clients."""
+built on it: one suite, parametrized over the protocols (the fleet hub's
+server and its client)."""
 
 import ast
 import contextlib
@@ -15,11 +15,9 @@ from typing import NamedTuple, Tuple
 
 import pytest
 
-import repro.advisor
 import repro.fleet.wire
 from repro import faults, wire
-from repro.advisor import AdvisorClient, AdvisorServer
-from repro.errors import AdvisorError, FleetError
+from repro.errors import FleetError, WireError
 from repro.fleet.client import FleetClient
 from repro.fleet.server import FleetServer
 from repro.storage import TrialDatabase
@@ -43,12 +41,6 @@ class Protocol(NamedTuple):
 
 
 PROTOCOLS = {
-    "advisor": Protocol(
-        "advisor", AdvisorServer, AdvisorClient, AdvisorError,
-        ("advisor.drop", "advisor.garbage"),
-        ((0, 0), (1, 0), (0, 1), (1, 0), (1, 0), (1, 0),
-         (0, 1), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0)),
-    ),
     "fleet": Protocol(
         "fleet", FleetServer, FleetClient, FleetError,
         ("fleet.partition", "fleet.reconnect_storm"),
@@ -123,7 +115,6 @@ class TestServerContract:
     def test_oversized_frame_is_answered_then_hung_up_on(
         self, server, proto
     ):
-        assert AdvisorServer.max_frame_bytes == 64 * 1024
         assert FleetServer.max_frame_bytes == 32 * 1024 * 1024
         server.max_frame_bytes = 4096
         with raw_connection(server) as (sock, reader):
@@ -236,6 +227,55 @@ class TestServerContract:
                 )
             finally:
                 server.server_close()
+
+
+    def test_every_op_but_ping_spends_a_rate_limit_token(
+        self, proto, frozen_clock
+    ):
+        with TrialDatabase() as database:
+            server = proto.server(database, port=0, rate_limit=1.0, burst=2)
+            try:
+                for _ in range(4):
+                    assert server.handle_line(b'{"op": "ping"}', "a")["ok"]
+                errors = [
+                    server.handle_line(b'{"op": "frobnicate"}', "a")["error"]
+                    for _ in range(3)
+                ]
+                assert errors == ["unknown op 'frobnicate'"] * 2 + [
+                    "rate_limited"
+                ]
+                # Each client has its own bucket.
+                assert server.handle_line(
+                    b'{"op": "frobnicate"}', "b"
+                )["error"] == "unknown op 'frobnicate'"
+                assert count(server, proto, "rate_limited") == 1
+            finally:
+                server.server_close()
+
+
+class TestTokenBucket:
+    def test_rate_validated(self):
+        with pytest.raises(WireError):
+            wire.TokenBucket(0.0)
+
+    def test_burst_then_refusal(self, frozen_clock):
+        bucket = wire.TokenBucket(rate=1.0, burst=3)
+        assert all(bucket.allow("c") for _ in range(3))
+        assert not bucket.allow("c")
+
+    def test_refills_over_time(self, frozen_clock):
+        bucket = wire.TokenBucket(rate=2.0, burst=2)
+        assert bucket.allow("c")
+        assert bucket.allow("c")
+        assert not bucket.allow("c")
+        frozen_clock.advance(1.0)
+        assert bucket.allow("c")  # 2 tokens/s refill
+
+    def test_clients_are_independent(self, frozen_clock):
+        bucket = wire.TokenBucket(rate=1.0, burst=1)
+        assert bucket.allow("a")
+        assert bucket.allow("b")
+        assert not bucket.allow("a")
 
 
 class TestClientContract:
@@ -360,84 +400,40 @@ class TestLayering:
             assert absolute <= set(stdlib), absolute - set(stdlib)
         assert not absolute & {"repro", "numpy"}
 
-    def test_fleet_hub_and_host_do_not_import_the_advisor(self):
-        """The hub used to import ``repro.advisor.server`` (and with it
-        the knowledge base, signatures and the load generator) to borrow
-        its read loop and token bucket."""
-        env = dict(os.environ, PYTHONPATH="src")
-        code = (
-            "import sys\n"
-            "import repro.fleet.server, repro.fleet.host\n"
-            "leaked = sorted(m for m in sys.modules\n"
-            "                if m.startswith('repro.advisor'))\n"
-            "assert not leaked, leaked\n"
-            "assert 'repro.wire' in sys.modules\n"
-            "print('clean')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, cwd=REPO,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "clean" in result.stdout
-
     def test_each_protocol_keeps_its_error_family(self):
-        assert repro.advisor.TokenBucket is wire.TokenBucket
         assert repro.fleet.wire.decode_frame is wire.decode_frame
         with pytest.raises(FleetError):
             repro.fleet.wire.decode_frame(b"{nope")
         with pytest.raises(FleetError):
             repro.fleet.wire.unpack_bytes("not base64!!")
-        with pytest.raises(AdvisorError):
-            repro.advisor.TokenBucket(0.0)
 
 
 class TestServingHelper:
-    """``FrameServer.serving`` at its CLI call sites (``fleet serve`` is
-    driven by ``tests/test_faults_fleet.py``'s hub-restart drill)."""
+    """``FrameServer.serving(signals=True)`` at its CLI call site: a
+    ``fleet serve`` process drains on SIGTERM and exits cleanly (the
+    hub-restart drill in ``tests/test_faults_fleet.py`` kills it
+    instead)."""
 
-    @pytest.fixture
-    def db(self, tmp_path):
-        from repro.advisor import KnowledgeBase
-        from tests.test_advisor_kb import index
-
-        path = str(tmp_path / "kb.sqlite")
-        with TrialDatabase(path) as database:
-            index(KnowledgeBase(database))
-        return path
-
-    def test_advisor_serve_drains_on_sigterm(self, db):
+    def test_fleet_serve_drains_on_sigterm(self, tmp_path):
+        db = str(tmp_path / "hub.sqlite")
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "advisor", "serve",
+            [sys.executable, "-m", "repro", "fleet", "serve",
              "--db", db, "--port", "0"],
             env=dict(os.environ, PYTHONPATH="src"), cwd=REPO,
             stdout=subprocess.PIPE, text=True,
         )
         try:
             banner = process.stdout.readline()
-            assert banner.startswith("advisor listening on 127.0.0.1:")
-            port = int(banner.split()[3].rpartition(":")[2])
-            with AdvisorClient(port=port) as client:
-                assert client.ask("IC", target_accuracy=0.8)["ok"]
+            assert banner.startswith(
+                "fleet coordinator listening on 127.0.0.1:"
+            )
+            port = int(banner.split()[4].rpartition(":")[2])
+            with FleetClient(port=port) as client:
+                assert client.request("ping")["pong"]
                 process.send_signal(signal.SIGTERM)
                 out, _ = process.communicate(timeout=20.0)
         finally:
             if process.poll() is None:
                 process.kill()
         assert process.returncode == 0
-        assert "drained; final stats:" in out
-        assert '"advisor.requests": 1' in out
-
-    def test_advisor_bench_self_hosts_and_cleans_up(self, db, capsys):
-        from repro.__main__ import main as repro_main
-
-        before = threading.active_count()
-        assert repro_main(["advisor", "bench", "--db", db, "--threads", "2",
-                           "--duration", "0.3"]) == 0
-        out = capsys.readouterr().out
-        assert "throughput:" in out and "(0 errors)" in out
-        deadline = time.monotonic() + 5.0
-        while threading.active_count() > before and \
-                time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert threading.active_count() <= before
+        assert "fleet stats: " in out

@@ -5,7 +5,8 @@ A worker holds one long-lived :class:`~repro.clock.Periodic` that renews
 the lease of whichever job the worker is running, instead of a thread
 started and joined around every job.  These tests pin what that must
 keep: one renewal thread in a worker's lifetime, none left after
-``close()``; a job that outlives many heartbeats keeps its lease; a
+``close()``, and a new one only when the lease TTL changes its period;
+a job that outlives many heartbeats keeps its lease; a
 renewal that raises costs one tick, not the thread; a lost lease is no
 longer renewed; and a renewal that races a completion changes nothing —
 in the local queue or at the fleet hub.
@@ -108,6 +109,54 @@ class TestOneRenewerPerWorker:
         assert inline >= 2
         assert len(renewers) == 1
         assert not renewers[0]._thread.is_alive()
+        database.close()
+
+    def test_a_shorter_ttl_restarts_the_renewer_at_its_period(
+        self, tmp_path, renewers
+    ):
+        """A fleet host adopts a restarted hub's ``lease_ttl_s`` between
+        jobs.  From 10 s to 0.3 s, the 2.5 s renewer would let every
+        lease expire between renewals; the next job gets a renewer at
+        the new TTL's period instead, and a sibling reclaiming all
+        through its 4-TTL trial finds nothing to reclaim."""
+        database = TrialDatabase(str(tmp_path / "q.sqlite"))
+        queue = enqueue(database, 2)
+        worker = SleepyWorker(database=database, worker_id="w",
+                              lease_ttl_s=10.0)
+        renewed = []
+        renew = worker.source.renew
+
+        def counted(job):
+            renewed.append((job.trial_id, time.monotonic()))
+            return renew(job)
+
+        worker.source.renew = counted
+        reclaimed = []
+
+        def trial(job):
+            if job.trial_id == 0:
+                return
+            until = time.monotonic() + 4 * worker.source.lease_ttl_s
+            while time.monotonic() < until:
+                time.sleep(0.02)
+                reclaimed.append(queue.reclaim_expired())
+
+        worker.during = trial
+        worker.run_leased(worker.source.lease(0.0, threading.Event()))
+        worker.source.lease_ttl_s = 0.3
+        started = time.monotonic()
+        worker.run_leased(worker.source.lease(0.0, threading.Event()))
+        first, second = renewers
+        assert first.interval_s == 2.5 and second.interval_s == 0.075
+        assert not first._thread.is_alive() and second._thread.is_alive()
+        worker.close()
+        assert not second._thread.is_alive()
+        assert [job.attempts for job in queue.jobs_for("sess")] == [1, 1]
+        assert [job.state for job in queue.jobs_for("sess")] == [DONE] * 2
+        assert sum(reclaimed) == 0
+        times = [started] + [at for trial_id, at in renewed if trial_id == 1]
+        assert len(times) > 10
+        assert max(b - a for a, b in zip(times, times[1:])) < 0.3
         database.close()
 
 
