@@ -193,6 +193,13 @@ def unpack_velocity(blob: bytes) -> List[np.ndarray]:
     return [velocity[index] for index in sorted(velocity)]
 
 
+_INSERT_ROW = (
+    "INSERT OR IGNORE INTO artifacts (key, workload, trial_id, epochs, "
+    "data_fraction, size_bytes, hits, blob, created_at, checksum) "
+    "VALUES (?, ?, ?, ?, ?, ?, 0, ?, ?, ?)"
+)
+
+
 class ArtifactStore:
     """Keyed store of trial payloads over one :class:`TrialDatabase`.
 
@@ -201,13 +208,19 @@ class ArtifactStore:
     accounting and pruning.  Safe to open from any number of worker
     processes over the same file — writes are idempotent (first writer
     wins; every writer would produce identical bytes by construction)
-    and the row insert is a single autocommitted statement.
+    and the row insert is a single statement: autocommitted, or — with
+    ``hold_rows`` — held back until :meth:`write_held` writes it inside
+    the caller's transaction.
     """
 
     def __init__(
-        self, database: TrialDatabase, blob_dir: Optional[str] = None
+        self, database: TrialDatabase, blob_dir: Optional[str] = None,
+        hold_rows: bool = False,
     ):
         self.database = database
+        #: Rows :meth:`put` has not written yet (``None``: it writes each
+        #: at once).  A held key reads as absent until they are written.
+        self.held_rows: Optional[List[tuple]] = [] if hold_rows else None
         if blob_dir is not None:
             self.blob_dir: Optional[str] = blob_dir
         elif database.path != ":memory:":
@@ -254,22 +267,27 @@ class ArtifactStore:
         if self.blob_dir is not None:
             self._write_blob(key, payload)
             inline = None
-        self.database.execute(
-            "INSERT OR IGNORE INTO artifacts (key, workload, trial_id, "
-            "epochs, data_fraction, size_bytes, hits, blob, created_at, "
-            "checksum) VALUES (?, ?, ?, ?, ?, ?, 0, ?, ?, ?)",
-            (
-                key,
-                workload,
-                int(trial_id),
-                int(epochs),
-                float(data_fraction),
-                len(payload),
-                inline,
-                clock.now(),
-                artifact_checksum(payload),
-            ),
+        row = (
+            key,
+            workload,
+            int(trial_id),
+            int(epochs),
+            float(data_fraction),
+            len(payload),
+            inline,
+            clock.now(),
+            artifact_checksum(payload),
         )
+        if self.held_rows is None:
+            self.database.execute(_INSERT_ROW, row)
+        else:
+            self.held_rows.append(row)
+
+    def write_held(self) -> None:
+        """Write the rows :meth:`put` held back (in the caller's open
+        transaction, if any)."""
+        while self.held_rows:
+            self.database.execute(_INSERT_ROW, self.held_rows.pop(0))
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` has a row (unverified and not hit-counted)."""

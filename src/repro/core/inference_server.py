@@ -21,7 +21,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..errors import TuningError
 from ..hardware import Emulator, get_device
@@ -125,14 +127,31 @@ class InferenceTuningServer:
         return self._trace
 
     # -- cache ------------------------------------------------------------
-    def cached(self, architecture_key: str) -> Optional[InferenceRecommendation]:
+    def cached(
+        self,
+        architecture_key: str,
+        unstored: Mapping[str, InferenceRecommendation] = {},
+    ) -> Optional[InferenceRecommendation]:
+        """The historical look-up's answer for ``architecture_key``, or
+        ``None``.  ``unstored`` holds searches :meth:`store` has not kept
+        yet (a merge batch's, stored in its transaction): a key there is
+        answered as the cache will answer it once stored, bit for bit,
+        without reading the database."""
         if not self.use_cache:
             return None
-        stored = self.database.lookup_inference(
-            architecture_key, self.device, self.objective.name
-        )
-        if stored is None:
-            return None
+        fresh = unstored.get(architecture_key)
+        if fresh is not None:
+            stored = self._stored(architecture_key, fresh)
+            # What the row's JSON column gives back.
+            stored.configuration = json.loads(json.dumps(
+                stored.configuration, sort_keys=True, default=repr
+            ))
+        else:
+            stored = self.database.lookup_inference(
+                architecture_key, self.device, self.objective.name
+            )
+            if stored is None:
+                return None
         measurement = InferenceMeasurement(
             batch_latency_s=stored.batch_latency_s,
             throughput_sps=stored.throughput_sps,
@@ -157,6 +176,39 @@ class InferenceTuningServer:
             tuning_energy_j=0.0,
             cache_hit=True,
         )
+
+    def _stored(
+        self, architecture_key: str, recommendation: InferenceRecommendation
+    ) -> StoredInferenceResult:
+        """The cache row that keeps ``recommendation``."""
+        measurement = recommendation.measurement
+        return StoredInferenceResult(
+            architecture_key=architecture_key,
+            device=self.device,
+            objective=self.objective.name,
+            configuration=recommendation.configuration,
+            batch_latency_s=measurement.batch_latency_s,
+            throughput_sps=measurement.throughput_sps,
+            energy_per_sample_j=measurement.energy_per_sample_j,
+            power_w=measurement.power_w,
+            tuning_runtime_s=recommendation.tuning_runtime_s,
+            tuning_energy_j=recommendation.tuning_energy_j,
+        )
+
+    def store(
+        self,
+        architecture_key: str,
+        recommendation: InferenceRecommendation,
+        records: Sequence[InferenceTrialRecord] = (),
+    ) -> None:
+        """Keep a :meth:`search`'s outcome: its cache row, and its traffic
+        replays (``records``) folded into the persistent counters."""
+        self.database.store_inference(
+            self._stored(architecture_key, recommendation)
+        )
+        for record in records:
+            if record.replay is not None:
+                record_replay(self.database, record.replay, self.slo)
 
     # -- tuning ---------------------------------------------------------------
     def _candidates(self, space: ParameterSpace) -> List[Configuration]:
@@ -213,7 +265,6 @@ class InferenceTuningServer:
             power_w=steady.power_w,
             idle_power_w=spec.idle_power_w,
         )
-        record_replay(self.database, stats, self.slo)
 
         def finite(value: float, fallback: float) -> float:
             return value if math.isfinite(value) else fallback
@@ -244,15 +295,30 @@ class InferenceTuningServer:
         parameter_count: int,
         space: ParameterSpace,
     ) -> Tuple[InferenceRecommendation, List[InferenceTrialRecord]]:
-        """Tune inference parameters for one architecture.
+        """Tune inference parameters for one architecture: the historical
+        cache's answer, else a :meth:`search`, stored.
 
         Returns the recommendation plus the per-candidate records (the
         latter feed benchmark analyses; most callers ignore them).
-        Checks the historical cache first.
         """
         cached = self.cached(architecture_key)
         if cached is not None:
             return cached, []
+        recommendation, records = self.search(
+            forward_flops_per_sample, parameter_count, space
+        )
+        self.store(architecture_key, recommendation, records)
+        return recommendation, records
+
+    def search(
+        self,
+        forward_flops_per_sample: float,
+        parameter_count: int,
+        space: ParameterSpace,
+    ) -> Tuple[InferenceRecommendation, List[InferenceTrialRecord]]:
+        """Search the inference space for one architecture, touching no
+        database (:meth:`store` keeps the outcome); the recommendation
+        plus the per-candidate records."""
         records: List[InferenceTrialRecord] = []
         best: Optional[InferenceTrialRecord] = None
         total_sim_s = 0.0
@@ -305,20 +371,6 @@ class InferenceTuningServer:
             tuning_runtime_s=total_sim_s,
             tuning_energy_j=tuning_energy,
             cache_hit=False,
-        )
-        self.database.store_inference(
-            StoredInferenceResult(
-                architecture_key=architecture_key,
-                device=self.device,
-                objective=self.objective.name,
-                configuration=best.configuration,
-                batch_latency_s=best.measurement.batch_latency_s,
-                throughput_sps=best.measurement.throughput_sps,
-                energy_per_sample_j=best.measurement.energy_per_sample_j,
-                power_w=best.measurement.power_w,
-                tuning_runtime_s=total_sim_s,
-                tuning_energy_j=tuning_energy,
-            )
         )
         return recommendation, records
 

@@ -30,7 +30,11 @@ it across process boundaries:
   :class:`MergeNote`; handed back, the note replays that merge exactly
   and writes nothing, which is how the service resumes a crashed session
   (the scheduler and the run state are rebuilt by re-running the
-  session, not restored from a snapshot).
+  session, not restored from a snapshot);
+* :meth:`ModelTuningServer.plan_batch` runs integrate's inference half
+  (:meth:`~ModelTuningServer.plan_merge`: cache look-up, else search)
+  ahead for a batch, so that the batch's write transaction holds only
+  the merges' writes.
 
 :meth:`run` is the classic in-process driver: one trial at a time, exactly
 the historical serial semantics.
@@ -60,7 +64,9 @@ from ..space import ParameterSpace
 from ..storage import TrialDatabase
 from ..telemetry import TrainingMeasurement
 from ..workloads import WORKLOADS, Workload, get_workload
-from .inference_server import InferenceTuningServer, architecture_key_of
+from .inference_server import (
+    InferenceTrialRecord, InferenceTuningServer, architecture_key_of,
+)
 from .results import InferenceRecommendation, TrialRecord, TuningRunResult
 
 #: Per-trial fixed orchestration overhead on the tuning server, seconds
@@ -440,6 +446,9 @@ class RunState:
     #: tier walks when a promoted child looks up its parent's checkpoint
     #: (filled by :meth:`make_task`, so a replay rebuilds it too).
     artifact_keys: Dict[int, str] = field(default_factory=dict)
+    #: trial_id -> the :class:`MergePlan` :meth:`plan_batch` made ahead,
+    #: which :meth:`integrate` takes instead of planning the merge itself.
+    plans: Dict[int, "MergePlan"] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -457,6 +466,18 @@ class MergeNote:
 
     inference: Optional[InferenceRecommendation] = None
     tuned: bool = False
+
+
+@dataclass(frozen=True)
+class MergePlan:
+    """What :meth:`ModelTuningServer.plan_merge` settles for one trial
+    before its merge: the :class:`MergeNote` it merges with and, when
+    the note's recommendation was searched fresh, what the merge stores
+    — the architecture key and the search's candidate records."""
+
+    note: MergeNote
+    architecture_key: Optional[str] = None
+    records: Tuple[InferenceTrialRecord, ...] = ()
 
 
 class ModelTuningServer:
@@ -733,6 +754,76 @@ class ModelTuningServer:
                 state.artifact_keys[trial.trial_id] = trial_key(task)
         return task
 
+    def plan_merge(
+        self,
+        state: RunState,
+        trial: ScheduledTrial,
+        evaluation: TrialEvaluation,
+        unstored: Optional[Dict[str, InferenceRecommendation]] = None,
+    ) -> MergePlan:
+        """The part of :meth:`integrate` that reads outside the run: the
+        trial's inference recommendation — the historical cache's, else a
+        fresh search, not stored yet.  Degraded evaluations (diverged
+        training, dead-lettered jobs) get none: no inference tuning for a
+        configuration that produced no usable model.
+
+        A caller merging a batch in one transaction plans every trial
+        first, outside it, with one ``unstored`` dict: a search lands
+        there, so a later trial of the same architecture gets the cache
+        hit it would get had the search been stored already.
+        """
+        server = self.inference_server
+        if server is None or getattr(evaluation, "degraded", False):
+            return MergePlan(MergeNote())
+        key, flops, params = self._architecture_key(
+            trial.configuration, state.train_set
+        )
+        unstored = {} if unstored is None else unstored
+        cached = server.cached(key, unstored)
+        if cached is not None:
+            return MergePlan(MergeNote(inference=cached))
+        fresh, records = server.search(
+            forward_flops_per_sample=flops,
+            parameter_count=params,
+            space=self.workload.inference_space(server.device),
+        )
+        unstored[key] = fresh
+        return MergePlan(
+            MergeNote(inference=fresh, tuned=True), key, tuple(records)
+        )
+
+    def plan_batch(
+        self,
+        state: RunState,
+        batch: List[Tuple[ScheduledTrial, TrialEvaluation]],
+    ) -> List[Tuple[ScheduledTrial, TrialEvaluation, MergeNote]]:
+        """Plan the merges of ``batch`` ahead, in order, up to the trial
+        that stops the run, for :meth:`integrate` to take from
+        ``state.plans``; the planned ``(trial, evaluation, note)``.  A
+        batch merged in one transaction plans first, outside it: the
+        transaction holds only the merges' writes."""
+        unstored: Dict[str, InferenceRecommendation] = {}
+        planned = []
+        for trial, evaluation in batch:
+            plan = self.plan_merge(state, trial, evaluation, unstored)
+            state.plans[trial.trial_id] = plan
+            planned.append((trial, evaluation, plan.note))
+            if self.stops_run(trial, evaluation):
+                break
+        return planned
+
+    def stops_run(
+        self, trial: ScheduledTrial, evaluation: TrialEvaluation
+    ) -> bool:
+        """Whether merging ``evaluation`` ends the run: the target
+        accuracy reached at full fidelity."""
+        return bool(
+            self.stop_on_target
+            and self.target_accuracy is not None
+            and trial.fidelity >= self.budget.max_iteration
+            and evaluation.accuracy >= self.target_accuracy
+        )
+
     def integrate(
         self,
         state: RunState,
@@ -750,10 +841,12 @@ class ModelTuningServer:
         order makes the run independent of *when* evaluations finished —
         the determinism contract of the parallel worker pool.
 
-        Given the ``note`` an earlier merge of the same trial returned,
-        the merge is *replayed*: the inference recommendation comes from
-        the note, and nothing is read from or written to the database
-        (the trial's history row already exists).
+        The trial's :meth:`plan_merge` is taken from ``state.plans`` when
+        :meth:`plan_batch` made it ahead, else made here; a fresh search
+        it holds is stored here.  Given the ``note`` an earlier merge of
+        the same trial returned, the merge is *replayed*: the inference
+        recommendation comes from the note, and nothing is read from or
+        written to the database (the trial's history row already exists).
         """
         configuration = trial.configuration
         budget = self.budget.budget(trial.fidelity)
@@ -767,31 +860,21 @@ class ModelTuningServer:
             state.rung_key = (trial.bracket, trial.rung)
             state.barrier = max(state.barrier, state.rung_end)
 
-        # Degraded evaluations (diverged training, dead-lettered jobs)
-        # are contained here: no inference tuning for a configuration
-        # that produced no usable model, and a finite worst-case score
-        # so the scheduler prunes it without poisoning its model fit.
+        # Degraded evaluations are contained here too: a finite
+        # worst-case score so the scheduler prunes them without poisoning
+        # its model fit.
         degraded = getattr(evaluation, "degraded", False)
 
         replay = note is not None
-        if note is None and self.inference_server is not None and not degraded:
-            inference_key, flops, params = self._architecture_key(
-                configuration, state.train_set
+        if note is None:
+            plan = state.plans.pop(trial.trial_id, None) or self.plan_merge(
+                state, trial, evaluation
             )
-            cached = self.inference_server.cached(inference_key)
-            if cached is not None:
-                note = MergeNote(inference=cached)
-            else:
-                fresh, _ = self.inference_server.tune(
-                    inference_key,
-                    forward_flops_per_sample=flops,
-                    parameter_count=params,
-                    space=self.workload.inference_space(
-                        self.inference_server.device
-                    ),
+            if plan.architecture_key is not None:
+                self.inference_server.store(
+                    plan.architecture_key, plan.note.inference, plan.records
                 )
-                note = MergeNote(inference=fresh, tuned=True)
-        note = note or MergeNote()
+            note = plan.note
         inference_rec, inference_is_new = note.inference, note.tuned
 
         gpus = (
@@ -898,12 +981,7 @@ class ModelTuningServer:
             state.best_model = (
                 model if model is not None else evaluation.model_blob
             )
-        if (
-            self.stop_on_target
-            and self.target_accuracy is not None
-            and record.fidelity >= self.budget.max_iteration
-            and record.accuracy >= self.target_accuracy
-        ):
+        if self.stops_run(trial, evaluation):
             state.stopped = True
         return record, note
 

@@ -263,6 +263,8 @@ class RemoteHost(TrialWorker):
     #: The job source's class (a test substitutes its own).
     hub_class = HubJobs
 
+    hold_artifact_rows = False
+
     def __init__(
         self,
         machine_id: str,

@@ -327,19 +327,21 @@ class SessionCoordinator:
             )
             self.meters.count("trials.resumed")
             return [trial]
-        merged: List[ScheduledTrial] = []
+        # Look-ups, inference searches and note pickles run before the
+        # write lock.
+        planned = server.plan_batch(state, batch)
+        notes = [
+            pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL)
+            for _, _, note in planned
+        ]
         with self.database.transaction():
-            for trial, evaluation in batch:
-                _, note = server.integrate(state, trial, evaluation)
+            for (trial, evaluation, _), note in zip(planned, notes):
+                server.integrate(state, trial, evaluation)
                 self.queue.record_merge(
-                    self.session_id, trial.trial_id, len(state.records),
-                    pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL),
+                    self.session_id, trial.trial_id, len(state.records), note
                 )
-                merged.append(trial)
-                if state.stopped:
-                    break
-        self.meters.count("trials.integrated", len(merged))
-        return merged
+        self.meters.count("trials.integrated", len(planned))
+        return [trial for trial, _, _ in planned]
 
     def _issue(
         self,
@@ -365,41 +367,49 @@ class SessionCoordinator:
         runs the trial cold.
         """
         store = server.artifacts
+        # Tasks, payloads and trial keys are built before the write lock.
+        issued: List[Tuple[ScheduledTrial, str, Optional[str], Any]] = []
         queued = 0
-        with self.database.transaction():
-            for trial in fresh:
-                task = server.make_task(trial, state)
-                payload = task.to_json()
-                logged = self._log.get(trial.trial_id)
-                if logged is not None:
-                    if logged.payload != payload:
-                        raise ServiceError(
-                            f"session {self.session_id!r}: trial "
-                            f"{trial.trial_id} re-drawn as {payload}, "
-                            f"issued as {logged.payload}"
-                        )
-                    if not logged.by_reference:
-                        queued += logged.merge_seq is None
-                        continue
-                evaluation = None
-                if store is not None:
-                    evaluation = store.load_evaluation(
-                        trial_key(task), count_miss=False
+        for trial in fresh:
+            task = server.make_task(trial, state)
+            payload = task.to_json()
+            logged = self._log.get(trial.trial_id)
+            if logged is not None:
+                if logged.payload != payload:
+                    raise ServiceError(
+                        f"session {self.session_id!r}: trial "
+                        f"{trial.trial_id} re-drawn as {payload}, "
+                        f"issued as {logged.payload}"
                     )
-                if evaluation is not None and (
-                    logged is not None or self.queue.settle(
-                        self.session_id, trial.trial_id, payload
-                    )
-                ):
-                    self._held[trial.trial_id] = evaluation
+                if not logged.by_reference:
+                    queued += logged.merge_seq is None
                     continue
-                queued += 1
-                if logged is None:
-                    self.queue.enqueue(
-                        self.session_id, trial.trial_id, payload
-                    )
-                else:
-                    self.queue.unsettle(self.session_id, trial.trial_id)
+            key = None if store is None else trial_key(task)
+            issued.append((trial, payload, key, logged))
+        if issued:
+            with self.database.transaction():
+                for trial, payload, key, logged in issued:
+                    evaluation = None
+                    if key is not None:
+                        evaluation = store.load_evaluation(
+                            key, count_miss=False
+                        )
+                    if evaluation is not None and (
+                        logged is not None or self.queue.settle(
+                            self.session_id, trial.trial_id, payload
+                        )
+                    ):
+                        self._held[trial.trial_id] = evaluation
+                        continue
+                    queued += 1
+                    if logged is None:
+                        self.queue.enqueue(
+                            self.session_id, trial.trial_id, payload
+                        )
+                    else:
+                        self.queue.unsettle(
+                            self.session_id, trial.trial_id
+                        )
         if queued:
             self.jobs_bell.ring()
         pending.extend(fresh)

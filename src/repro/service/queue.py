@@ -2,14 +2,15 @@
 
 Ownership protocol:
 
-* a worker **leases** the oldest runnable queued job inside a single
-  ``BEGIN IMMEDIATE`` transaction — at most one worker can win a job;
+* a worker **leases** the oldest runnable queued job with one
+  ``UPDATE ... RETURNING`` — at most one worker can win a job — after a
+  read that finds it (an empty poll takes no write lock);
 * while executing, the worker **heartbeats** to extend its lease; a worker
   that dies (``kill -9``, OOM) simply stops heartbeating;
 * anyone (coordinator or other workers) may **reclaim** expired leases:
   the job returns to ``queued`` with exponentially backed-off
   ``next_retry_at``, or moves to ``failed`` once ``max_attempts`` is
-  spent;
+  spent (finding none expired is a read, with no write lock);
 * **complete**/**fail** only succeed while the lease is still held, so a
   reclaimed-and-reassigned job cannot be double-completed by a zombie.
 
@@ -284,47 +285,36 @@ class JobQueue:
         ``workloads`` restricts the claim to jobs whose payload names one
         of them (a fleet machine's advertised capabilities); ``None``
         leases any job.  ``epoch`` stamps the lease with the
-        granting hub's incarnation (0 for local pool leases).  Select and
-        update share one ``BEGIN IMMEDIATE`` transaction, so at most one
-        worker can win a job.
+        granting hub's incarnation (0 for local pool leases).
+
+        An empty poll is one read and takes no write lock; a claim is one
+        ``UPDATE`` of the oldest runnable row that returns it, so at most
+        one worker can win a job.
         """
         now = clock.now()
-        query = (
-            f"SELECT {_JOB_COLUMNS} FROM jobs "
-            "WHERE state = ? AND next_retry_at <= ?"
-        )
+        where = "state = ? AND next_retry_at <= ?"
         args: List[Any] = [QUEUED, now]
         if session_id is not None:
-            query += " AND session_id = ?"
+            where += " AND session_id = ?"
             args.append(session_id)
         if workloads is not None:
             marks = ", ".join("?" * len(workloads))
-            query += (
+            where += (
                 f" AND json_extract(payload, '$.workload_id') IN ({marks})"
             )
             args.extend(workloads)
-        with self.database.transaction() as connection:
-            row = connection.execute(
-                query + " ORDER BY id LIMIT 1", tuple(args)
-            ).fetchone()
-            if row is None:
-                return None
-            job = Job.from_row(row)
-            connection.execute(
-                "UPDATE jobs SET state = ?, lease_owner = ?, "
-                "lease_expires_at = ?, attempts = attempts + 1, "
-                "started_at = ?, lease_epoch = ? "
-                "WHERE id = ? AND state = ?",
-                (LEASED, worker_id, now + ttl_s, now, int(epoch),
-                 job.id, QUEUED),
-            )
-        job.state = LEASED
-        job.lease_owner = worker_id
-        job.lease_expires_at = now + ttl_s
-        job.attempts += 1
-        job.started_at = now
-        job.lease_epoch = int(epoch)
-        return job
+        oldest = f"SELECT id FROM jobs WHERE {where} ORDER BY id LIMIT 1"
+        if not self.database.fetchall(oldest, tuple(args)):
+            return None
+        rows = self.database.fetchall(
+            "UPDATE jobs SET state = ?, lease_owner = ?, "
+            "lease_expires_at = ?, attempts = attempts + 1, "
+            f"started_at = ?, lease_epoch = ? WHERE id = ({oldest}) "
+            f"RETURNING {_JOB_COLUMNS}",
+            (LEASED, worker_id, now + ttl_s, now, int(epoch), *args),
+        )
+        # Empty only when other workers took every runnable job since.
+        return Job.from_row(rows[0]) if rows else None
 
     def heartbeat(
         self,
@@ -494,7 +484,13 @@ class JobQueue:
         ``queued`` with backoff, or — attempts spent — to ``failed`` plus
         a copy, with its full per-attempt error history, in the
         ``dead_letter`` quarantine (the UNIQUE key makes a job quarantine
-        exactly once).  ``describe(owner, attempts)`` words the error."""
+        exactly once).  ``describe(owner, attempts)`` words the error.
+        Finding nothing to release is one read, with no write lock."""
+        if not self.database.fetchall(
+            f"SELECT 1 FROM jobs WHERE state = ? AND {where} LIMIT 1",
+            (LEASED, *args),
+        ):
+            return 0
         with self.database.transaction() as connection:
             rows = connection.execute(
                 "SELECT id, attempts, max_attempts, lease_owner, "

@@ -98,7 +98,12 @@ class SessionStore:
 
     # -- lifecycle -----------------------------------------------------------
     def claim_next_queued(self) -> Optional[SessionRecord]:
-        """Atomically move the oldest queued session to ``running``."""
+        """Atomically move the oldest queued session to ``running``; with
+        none queued, one read and no write lock."""
+        if not self.database.fetchall(
+            "SELECT 1 FROM sessions WHERE state = ? LIMIT 1", (S_QUEUED,)
+        ):
+            return None
         with self.database.transaction() as connection:
             row = connection.execute(
                 "SELECT id FROM sessions WHERE state = ? "

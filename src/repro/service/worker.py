@@ -13,8 +13,8 @@ the job it holds (a worker killed mid-trial stops renewing, so its job is
 reclaimed and retried).  Per job the worker serves a trial its artifact
 store already holds, or else trains it via
 :func:`~repro.core.model_server.train_trial` under the optional
-deadline, and completes the job with the result blob or fails it with
-the traceback.
+deadline, and completes the job with the result blob (a cold run's
+artifact row commits with it) or fails it with the traceback.
 
 Workers are stateless by design: every piece of information needed to run
 a job travels inside the job payload, which is what makes retries after a
@@ -87,10 +87,14 @@ def result_blob(
 
 class LocalJobs:
     """The local job source: a shared database's :class:`JobQueue`, with
-    leases owned by ``owner``, and its machine registry."""
+    leases owned by ``owner``, and its machine registry.  ``artifacts``
+    is the worker's store when it holds rows back
+    (:attr:`TrialWorker.hold_artifact_rows`): they commit with the next
+    verdict."""
 
     def __init__(self, database: TrialDatabase, owner: str,
-                 lease_ttl_s: float, jobs_bell: Doorbell):
+                 lease_ttl_s: float, jobs_bell: Doorbell,
+                 artifacts: Optional[ArtifactStore] = None):
         from ..fleet.registry import MachineRegistry, local_capabilities
 
         self.queue = JobQueue(database)
@@ -102,6 +106,7 @@ class LocalJobs:
         #: Rung by the coordinator once enqueued jobs have committed.
         self.jobs_bell = jobs_bell
         self.touch_interval_s = max(0.25, lease_ttl_s * HEARTBEAT_FRACTION)
+        self.artifacts = artifacts
 
     def lease(self, wait_s: float, stop: threading.Event) -> Optional[Job]:
         """The oldest runnable job, else a wait on the jobs bell; on a tick
@@ -117,15 +122,22 @@ class LocalJobs:
 
     def complete(self, job: Job, blob: bytes) -> bool:
         """Complete the job and count it on this machine in one commit
-        (apart, a kill between the two would lose the count)."""
+        (apart, a kill between the two would lose the count), with the
+        artifact row a cold run stored: one write transaction a trial."""
         with self.queue.database.transaction():
+            self._write_held()
             if not self.queue.complete(job.id, self.owner, blob):
                 return False
             self.registry.record_done(self.owner)
         return True
 
     def fail(self, job: Job, error: str) -> None:
+        self._write_held()
         self.queue.fail(job.id, self.owner, error)
+
+    def _write_held(self) -> None:
+        if self.artifacts is not None:
+            self.artifacts.write_held()
 
     def touch(self, counters: Dict[str, float]) -> bool:
         self.registry.heartbeat(self.owner)
@@ -138,6 +150,11 @@ class LocalJobs:
 class TrialWorker:
     """Executes trial-evaluation jobs from a job source — by default the
     local queue of a shared database file."""
+
+    #: Whether the worker's artifact store holds a cold trial's row back
+    #: for the local source to commit with the job's verdict; a fleet
+    #: host writes it at once, for the upload that follows.
+    hold_artifact_rows = True
 
     def __init__(
         self,
@@ -166,7 +183,9 @@ class TrialWorker:
         self.jobs_failed = 0
         #: Exact memoization is always on (bit-safe); warm-resume only for
         #: tasks that carry lineage (``--reuse-checkpoints``).
-        self.artifacts = ArtifactStore(self.database)
+        self.artifacts = ArtifactStore(
+            self.database, hold_rows=self.hold_artifact_rows
+        )
         self.source = self._job_source(lease_ttl_s, jobs_bell or Doorbell())
         self._machine_touched_at = clock.now()
         #: Dataset-memo counters as last published (the lock: both the
@@ -184,7 +203,8 @@ class TrialWorker:
     def _job_source(self, lease_ttl_s: float, jobs_bell: Doorbell) -> Any:
         """Where this worker's jobs come from: its database's own queue (a
         fleet host's come from the hub)."""
-        return LocalJobs(self.database, self.worker_id, lease_ttl_s, jobs_bell)
+        return LocalJobs(self.database, self.worker_id, lease_ttl_s,
+                         jobs_bell, self.artifacts)
 
     def _touch_machine(self) -> None:
         """Throttled touch, piggybacking on the lease and renewal loops."""
@@ -339,11 +359,14 @@ class TrialWorker:
         return self.jobs_done
 
     def close(self) -> None:
-        """Stop the renewer, publish the last dataset-memo counters, then
-        let go of the database (if this worker opened it)."""
+        """Stop the renewer, write any artifact row still held (a trial
+        stored but interrupted before its verdict), publish the last
+        dataset-memo counters, then let go of the database (if this
+        worker opened it)."""
         if self._renewer is not None:
             self._renewer.stop()
             self._renewer = None
+        self.artifacts.write_held()
         self._publish_dataset_cache_stats()
         if self._owns_database:
             self.database.close()

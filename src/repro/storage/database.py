@@ -1,7 +1,7 @@
 """Persistent trial database (the architecture box "Persistent Database").
 
 Backed by sqlite3 (stdlib); ``path=":memory:"`` gives an ephemeral store
-for tests.  Four tables:
+for tests.  Ten tables:
 
 * ``trials`` — every training trial the Model Tuning Server ran;
 * ``inference_results`` — the Inference Tuning Server's historical
@@ -11,9 +11,14 @@ for tests.  Four tables:
   (spec, lifecycle state, result summary);
 * ``jobs`` — the persistent trial-evaluation job queue consumed by the
   service's parallel worker pool and the fleet's hosts alike
-  (lease-with-heartbeat ownership); its rows, with the note
-  ``merge_notes`` holds for each one the coordinator merged, are also a
+  (lease-with-heartbeat ownership); with ``merge_notes``, also a
   session's durable state (crash-safe resume replays them);
+* ``merge_notes`` — one row per job the coordinator merged: its place in
+  merge order and the pickled note a resume replays;
+* ``dead_letter`` — the quarantine of jobs that spent every retry, with
+  each attempt's error;
+* ``artifacts`` — the trial artifact cache (:mod:`repro.artifacts`):
+  one row per stored trial, its payload inline or in a sidecar file;
 * ``machines`` — the :mod:`repro.fleet` machine registry: worker hosts
   with capability tags and liveness heartbeats;
 * ``fleet_stats`` — the crash-safe event counters (hub, federation,
@@ -28,8 +33,11 @@ There is one schema, stamped :data:`SCHEMA_VERSION` in sqlite's ``PRAGMA
 user_version``, and no migrations: opening a fresh file creates it,
 opening a current file uses it, and any other file is refused with a
 :class:`~repro.errors.StorageError`.  File-backed databases run in WAL
-journal mode with a busy timeout so several worker *processes* can share
-one file without ``database is locked`` failures.
+journal mode, so several worker *processes* share one file: readers
+never wait, and a statement that meets another connection's write lock
+waits it out in :meth:`TrialDatabase._run` — sub-millisecond sleeps
+within one :data:`BUSY_TIMEOUT_MS` budget, sqlite's own busy handler
+switched off — then fails with a :class:`~repro.errors.StorageError`.
 """
 
 from __future__ import annotations
@@ -44,24 +52,39 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from .. import clock, faults
 from ..errors import StorageError
 
-#: How long (ms) a connection waits on a locked database before failing;
-#: generous because worker processes contend on the shared job queue.
+#: How long (ms) a statement waits out another connection's write lock
+#: before failing; generous because worker processes contend on the
+#: shared job queue.
 BUSY_TIMEOUT_MS = 10_000
 
-#: Transient sqlite failures worth retrying at the statement boundary
-#: (a flaky disk or a lock that outlived the busy timeout); anything
-#: else propagates immediately.
-_TRANSIENT_MARKERS = ("disk i/o error", "database is locked",
-                     "database table is locked")
+#: The lock wait's first and longest sleep, seconds: it starts at the
+#: first and doubles up to the second.  sqlite's own busy handler sleeps
+#: 1, 2, 5, 10 ... ms whatever the holder is doing (a 0.2 ms hold cost
+#: its waiter 1.2 ms); these steps take a released lock within half a
+#: millisecond.
+LOCK_WAIT_FIRST_S = 50e-6
+LOCK_WAIT_STEP_S = 0.5e-3
+
+#: What sqlite says when another connection holds the lock a statement
+#: needs (the lock wait's business, never retried past its budget).
+_LOCKED_MARKERS = ("database is locked", "database table is locked")
+
+#: Transient sqlite failures worth retrying at the statement boundary (a
+#: flaky disk); anything else propagates immediately.
+_TRANSIENT_MARKERS = ("disk i/o error",)
+
+#: The oldest sqlite this store runs on: the job queue claims a job with
+#: one ``UPDATE ... RETURNING`` (new in 3.35).
+MIN_SQLITE_VERSION = (3, 35, 0)
 
 #: Bounded retry envelope for transient statement failures.
 IO_RETRIES = 4
 IO_RETRY_BASE_S = 0.01
 
 
-def _is_transient(error: sqlite3.OperationalError) -> bool:
+def _says(error: sqlite3.OperationalError, markers: Tuple[str, ...]) -> bool:
     message = str(error).lower()
-    return any(marker in message for marker in _TRANSIENT_MARKERS)
+    return any(marker in message for marker in markers)
 
 #: The one schema a database file can hold, stamped in ``PRAGMA
 #: user_version`` as :data:`SCHEMA_VERSION`.  Run statement by statement
@@ -228,23 +251,30 @@ class TrialDatabase:
 
     The same class is shared by the service layer: every coordinator and
     worker *process* opens its own ``TrialDatabase`` over one file; WAL
-    journaling plus the busy timeout make that safe.
+    journaling plus the lock wait (:meth:`_run`) make that safe.
     """
 
     def __init__(
         self, path: str = ":memory:", busy_timeout_ms: int = BUSY_TIMEOUT_MS
     ):
+        if sqlite3.sqlite_version_info < MIN_SQLITE_VERSION:
+            raise StorageError(
+                f"sqlite {sqlite3.sqlite_version} is linked; the trial "
+                "database needs "
+                + ".".join(map(str, MIN_SQLITE_VERSION)) + " or newer"
+            )
         self.path = path
+        self.busy_timeout_ms = busy_timeout_ms
+        self._lock = threading.RLock()
         try:
             # Autocommit mode: every statement is atomic on its own and
             # multi-statement sections use the explicit :meth:`transaction`
             # helper — required for the job queue's BEGIN IMMEDIATE claims.
+            # ``timeout=0`` switches sqlite's busy handler off: locks are
+            # waited out in :meth:`_run`.
             self._connection = sqlite3.connect(
                 path, check_same_thread=False, isolation_level=None,
-                timeout=busy_timeout_ms / 1000.0,
-            )
-            self._connection.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout_ms)}"
+                timeout=0,
             )
             self._open_schema()
             if path != ":memory:":
@@ -253,11 +283,10 @@ class TrialDatabase:
                 # "database is locked"; a no-op for in-memory stores.
                 # Set only once the file is ours: a refused one is left
                 # in its own journal mode, with no -wal/-shm siblings.
-                self._connection.execute("PRAGMA journal_mode = WAL")
-                self._connection.execute("PRAGMA synchronous = NORMAL")
+                self._run("PRAGMA journal_mode = WAL")
+                self._run("PRAGMA synchronous = NORMAL")
         except sqlite3.Error as error:
             raise StorageError(f"could not open trial database: {error}")
-        self._lock = threading.RLock()
 
     # -- schema lifecycle ---------------------------------------------------
     def _open_schema(self) -> None:
@@ -270,23 +299,24 @@ class TrialDatabase:
         """
         if self.schema_version == SCHEMA_VERSION:
             return
-        connection = self._connection
-        connection.execute("BEGIN IMMEDIATE")
+        self._run("BEGIN IMMEDIATE")
         try:
             version = self.schema_version
-            fresh = version == 0 and connection.execute(
+            fresh = version == 0 and self._run(
                 "SELECT 1 FROM sqlite_master LIMIT 1"
             ).fetchone() is None
             if fresh:
                 for statement in _SCHEMA.split(";"):
                     if statement.strip():
-                        connection.execute(statement)
-                connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+                        self._run(statement)
+                self._run(f"PRAGMA user_version = {SCHEMA_VERSION}")
                 version = SCHEMA_VERSION
-            connection.execute("COMMIT")
+            # Before WAL is on, committing waits for other openers'
+            # reads to end.
+            self._run("COMMIT")
         except BaseException:
-            if connection.in_transaction:
-                connection.execute("ROLLBACK")
+            if self._connection.in_transaction:
+                self._connection.execute("ROLLBACK")
             raise
         if version != SCHEMA_VERSION:
             unstamped = " (unstamped, with tables)" if version == 0 else ""
@@ -298,44 +328,76 @@ class TrialDatabase:
 
     @property
     def schema_version(self) -> int:
-        (version,) = self._connection.execute(
-            "PRAGMA user_version"
-        ).fetchone()
+        (version,) = self._run("PRAGMA user_version").fetchone()
         return int(version)
 
     # -- low-level access (service layer) -----------------------------------
-    def execute(self, sql: str, args: Tuple = ()) -> sqlite3.Cursor:
-        """Run one statement under the instance lock (autocommitted).
+    def _run(self, sql: str, args: Tuple = ()) -> sqlite3.Cursor:
+        """Execute one statement, waiting out another connection's lock.
 
-        Transient failures (disk I/O errors, locks outliving the busy
-        timeout — or their injected equivalents via the ``storage.io``
-        fault site) are retried with exponential backoff; statements are
-        atomic in autocommit mode, so the retry is always safe.
+        With sqlite's busy handler off, a statement that meets a lock
+        fails at once with "database is locked".  It is retried here
+        after sleeps through :mod:`repro.clock`, from
+        :data:`LOCK_WAIT_FIRST_S` doubling up to :data:`LOCK_WAIT_STEP_S`,
+        until ``busy_timeout_ms`` have passed — by the monotonic clock or
+        by the sleeps asked for, whichever says more, so a frozen clock
+        ends the wait too.  Then it fails once, with
+        :class:`~repro.errors.StorageError`.  Every statement this class
+        runs outside a held write lock comes through here.
+        """
+        with self._lock:
+            step, slept, started = LOCK_WAIT_FIRST_S, 0.0, None
+            while True:
+                try:
+                    return self._connection.execute(sql, args)
+                except sqlite3.OperationalError as error:
+                    if not _says(error, _LOCKED_MARKERS):
+                        raise
+                    now = clock.monotonic()
+                    started = now if started is None else started
+                    waited_s = max(now - started, slept)
+                    if waited_s * 1000.0 >= self.busy_timeout_ms:
+                        raise StorageError(
+                            f"trial database {self.path!r} stayed locked "
+                            f"for {self.busy_timeout_ms} ms: "
+                            f"{sql.split(None, 1)[0]} gave up"
+                        ) from error
+                    clock.sleep(step)
+                    slept += step
+                    step = min(2.0 * step, LOCK_WAIT_STEP_S)
+
+    def execute(self, sql: str, args: Tuple = ()) -> sqlite3.Cursor:
+        """Run one statement under the instance lock (autocommitted, or
+        joining an open :meth:`transaction`).
+
+        Transient disk I/O errors — or their injected equivalents via
+        the ``storage.io`` fault site — are retried with exponential
+        backoff; statements are atomic in autocommit mode, so the retry
+        is always safe.  A lock is waited out by :meth:`_run`.
         """
         delay = IO_RETRY_BASE_S
         for attempt in range(IO_RETRIES + 1):
             try:
                 with self._lock:
                     faults.fault_point("storage.io")
-                    return self._connection.execute(sql, args)
+                    return self._run(sql, args)
             except sqlite3.OperationalError as error:
-                if attempt >= IO_RETRIES or not _is_transient(error):
+                if attempt >= IO_RETRIES or not _says(
+                    error, _TRANSIENT_MARKERS
+                ):
                     raise
                 clock.sleep(delay)
                 delay *= 2.0
         raise StorageError("unreachable")  # pragma: no cover
 
-    @contextmanager
-    def _write(self) -> Iterator[sqlite3.Connection]:
-        """A single logical write: autocommitted on its own, but *joining*
-        an enclosing :meth:`transaction` when one is open (committing
-        there would prematurely end the caller's atomic section)."""
+    def fetchall(self, sql: str, args: Tuple = ()) -> List[tuple]:
+        """:meth:`execute`, every row read under the instance lock.  A
+        statement is in progress until its last row is read, and an
+        ``UPDATE ... RETURNING`` holds its write until then: left to the
+        caller, another thread's ``COMMIT`` on this connection would
+        fail on it ("SQL statements in progress")."""
         with self._lock:
-            if self._connection.in_transaction:
-                yield self._connection
-            else:
-                with self._connection:
-                    yield self._connection
+            return self.execute(sql, args).fetchall()
 
     @contextmanager
     def transaction(self, immediate: bool = True) -> Iterator[sqlite3.Connection]:
@@ -345,34 +407,25 @@ class TrialDatabase:
         makes the job queue's claim step atomic across processes.  Only
         the BEGIN is retried on transient errors: nothing has happened
         yet, so retrying it cannot double-apply the caller's writes.
+        Callers hold the lock for their writes only: whatever can be
+        computed or read before is done before.
         """
         with self._lock:
             try:
                 self._begin(immediate)
                 yield self._connection
+                self._connection.execute("COMMIT")
             except BaseException:
                 # Also when the interrupt (a pool worker's SIGTERM) lands
-                # just after BEGIN: a connection left inside the
-                # transaction would swallow every later write.
+                # just after BEGIN, or the COMMIT itself fails: a
+                # connection left inside the transaction would swallow
+                # every later write.
                 if self._connection.in_transaction:
                     self._connection.execute("ROLLBACK")
                 raise
-            else:
-                self._connection.execute("COMMIT")
 
     def _begin(self, immediate: bool) -> None:
-        statement = "BEGIN IMMEDIATE" if immediate else "BEGIN"
-        delay = IO_RETRY_BASE_S
-        for attempt in range(IO_RETRIES + 1):
-            try:
-                faults.fault_point("storage.io")
-                self._connection.execute(statement)
-                return
-            except sqlite3.OperationalError as error:
-                if attempt >= IO_RETRIES or not _is_transient(error):
-                    raise
-                clock.sleep(delay)
-                delay *= 2.0
+        self.execute("BEGIN IMMEDIATE" if immediate else "BEGIN")
 
     # -- trials ------------------------------------------------------------
     def record_trial(
@@ -389,26 +442,25 @@ class TrialDatabase:
         train_energy_j: float,
         created_at: Optional[float] = None,
     ) -> None:
-        with self._write():
-            self._connection.execute(
-                "INSERT INTO trials (experiment, trial_id, configuration, "
-                "fidelity, epochs, data_fraction, accuracy, score, "
-                "train_runtime_s, train_energy_j, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    experiment,
-                    trial_id,
-                    json.dumps(configuration, sort_keys=True, default=repr),
-                    fidelity,
-                    epochs,
-                    data_fraction,
-                    accuracy,
-                    score,
-                    train_runtime_s,
-                    train_energy_j,
-                    clock.now() if created_at is None else float(created_at),
-                ),
-            )
+        self._run(
+            "INSERT INTO trials (experiment, trial_id, configuration, "
+            "fidelity, epochs, data_fraction, accuracy, score, "
+            "train_runtime_s, train_energy_j, created_at) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                experiment,
+                trial_id,
+                json.dumps(configuration, sort_keys=True, default=repr),
+                fidelity,
+                epochs,
+                data_fraction,
+                accuracy,
+                score,
+                train_runtime_s,
+                train_energy_j,
+                clock.now() if created_at is None else float(created_at),
+            ),
+        )
 
     def trials_for(
         self, experiment: str, upto: Optional[int] = None
@@ -425,7 +477,7 @@ class TrialDatabase:
             query += " AND id <= ?"
             args += (int(upto),)
         with self._lock:
-            rows = self._connection.execute(
+            rows = self._run(
                 query + " ORDER BY id", args
             ).fetchall()
         return [
@@ -458,7 +510,7 @@ class TrialDatabase:
         query += " ORDER BY created_at DESC, id DESC LIMIT ?"
         args.append(int(limit))
         with self._lock:
-            rows = self._connection.execute(query, tuple(args)).fetchall()
+            rows = self._run(query, tuple(args)).fetchall()
         return [
             {
                 "experiment": row[0],
@@ -477,7 +529,7 @@ class TrialDatabase:
             query += " WHERE experiment = ?"
             args = (experiment,)
         with self._lock:
-            (count,) = self._connection.execute(query, args).fetchone()
+            (count,) = self._run(query, args).fetchone()
         return int(count)
 
     # -- event counters -------------------------------------------------------
@@ -506,31 +558,30 @@ class TrialDatabase:
 
     # -- inference cache ------------------------------------------------------
     def store_inference(self, result: StoredInferenceResult) -> None:
-        with self._write():
-            self._connection.execute(
-                "INSERT OR REPLACE INTO inference_results VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    result.architecture_key,
-                    result.device,
-                    result.objective,
-                    json.dumps(
-                        result.configuration, sort_keys=True, default=repr
-                    ),
-                    result.batch_latency_s,
-                    result.throughput_sps,
-                    result.energy_per_sample_j,
-                    result.power_w,
-                    result.tuning_runtime_s,
-                    result.tuning_energy_j,
+        self._run(
+            "INSERT OR REPLACE INTO inference_results VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                result.architecture_key,
+                result.device,
+                result.objective,
+                json.dumps(
+                    result.configuration, sort_keys=True, default=repr
                 ),
-            )
+                result.batch_latency_s,
+                result.throughput_sps,
+                result.energy_per_sample_j,
+                result.power_w,
+                result.tuning_runtime_s,
+                result.tuning_energy_j,
+            ),
+        )
 
     def lookup_inference(
         self, architecture_key: str, device: str, objective: str
     ) -> Optional[StoredInferenceResult]:
         with self._lock:
-            row = self._connection.execute(
+            row = self._run(
                 "SELECT configuration, batch_latency_s, throughput_sps, "
                 "energy_per_sample_j, power_w, tuning_runtime_s, "
                 "tuning_energy_j FROM inference_results WHERE "
@@ -554,7 +605,7 @@ class TrialDatabase:
 
     def inference_cache_size(self) -> int:
         with self._lock:
-            (count,) = self._connection.execute(
+            (count,) = self._run(
                 "SELECT COUNT(*) FROM inference_results"
             ).fetchone()
         return int(count)
@@ -565,7 +616,7 @@ class TrialDatabase:
         with self._lock:
             experiments = [
                 row[0]
-                for row in self._connection.execute(
+                for row in self._run(
                     "SELECT DISTINCT experiment FROM trials"
                 ).fetchall()
             ]
@@ -578,7 +629,7 @@ class TrialDatabase:
 
     def _all_inference(self) -> List[Dict[str, Any]]:
         with self._lock:
-            rows = self._connection.execute(
+            rows = self._run(
                 "SELECT architecture_key, device, objective, configuration, "
                 "batch_latency_s, throughput_sps, energy_per_sample_j, "
                 "power_w, tuning_runtime_s, tuning_energy_j "

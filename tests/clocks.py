@@ -7,6 +7,9 @@ and ``sleep`` at once).
 * ``offset_clock`` — real time, shifted ahead on both readings by what
   the test advances: for tests with live server threads whose long polls
   need real deadlines to pass.
+* ``recording_clock`` — real time whose sleeps are also recorded, with
+  the monotonic reading each began at: for tests that judge a wait by
+  the steps it asked for rather than by how long the host took.
 
 A test module imports the fixture it uses from here.
 """
@@ -66,6 +69,22 @@ class OffsetClock:
         self.offset += dt
 
 
+class RecordingClock:
+    def __init__(self):
+        #: ``(monotonic reading, seconds)`` of every ``clock.sleep``.
+        self.sleeps = []
+
+    def now(self):
+        return time.time()
+
+    def monotonic(self):
+        return time.monotonic()
+
+    def sleep(self, seconds):
+        self.sleeps.append((time.monotonic(), seconds))
+        time.sleep(seconds)
+
+
 def _install(monkeypatch, fake):
     for name in ("now", "monotonic", "sleep"):
         monkeypatch.setattr(clock, name, getattr(fake, name))
@@ -80,3 +99,8 @@ def frozen_clock(monkeypatch):
 @pytest.fixture()
 def offset_clock(monkeypatch):
     return _install(monkeypatch, OffsetClock())
+
+
+@pytest.fixture()
+def recording_clock(monkeypatch):
+    return _install(monkeypatch, RecordingClock())

@@ -27,6 +27,36 @@ def space(device="armv7"):
     return get_workload("IC").inference_space(device)
 
 
+class TestSearchAndStore:
+    def test_unstored_search_answers_as_the_stored_row_will(self):
+        """A search held back from the cache (a merge batch's, stored in
+        its transaction) answers a later look-up bit for bit as its
+        stored row does."""
+        import pickle
+
+        server = make_server()
+        fresh, records = server.search(FLOPS, PARAMS, space())
+        assert server.cached("arch") is None
+        held = server.cached("arch", {"arch": fresh})
+        server.store("arch", fresh, records)
+        stored = server.cached("arch")
+        assert held.cache_hit and not fresh.cache_hit
+        assert pickle.dumps(held) == pickle.dumps(stored)
+        assert server.cached("arch", {"arch": fresh}) is not None
+        assert make_server(use_cache=False).cached(
+            "arch", {"arch": fresh}
+        ) is None
+
+    def test_search_touches_no_database(self):
+        server = make_server()
+        statements = []
+        server.database._connection.set_trace_callback(statements.append)
+        server.search(FLOPS, PARAMS, space())
+        server.database._connection.set_trace_callback(None)
+        assert statements == []
+        assert server.database.inference_cache_size() == 0
+
+
 class TestTuning:
     def test_returns_best_by_objective(self):
         server = make_server(objective=InferenceObjective("energy"))

@@ -11,8 +11,12 @@ import pickle
 
 import pytest
 
+import repro.artifacts as artifacts_module
+import repro.core.model_server as model_server_module
+import repro.service.coordinator as coordinator_module
 import repro.service.worker as worker_module
 from repro import EdgeTune
+from repro.core import InferenceTuningServer
 from repro.core.model_server import ModelTuningServer
 from repro.errors import ServiceError
 from repro.service import (
@@ -76,6 +80,42 @@ class TestInlineService:
         SessionCoordinator(db, session_id, workers=0).run()
         with pytest.raises(ServiceError):
             SessionCoordinator(db, session_id, workers=0).run()
+
+
+class TestWriteTransactions:
+    def test_no_search_task_or_key_inside_a_write_transaction(
+        self, tmp_path, monkeypatch
+    ):
+        """A write transaction holds only its writes: in a cold inline
+        session on a file database, no inference search, ``make_task``
+        or ``trial_key`` runs while the coordinator's connection (which
+        the inline worker shares) is inside one."""
+        calls = []
+        database = TrialDatabase(str(tmp_path / "svc.sqlite"))
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, database._connection.in_transaction))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(InferenceTuningServer, "search")
+        spy(ModelTuningServer, "make_task")
+        for module in (artifacts_module, model_server_module,
+                       coordinator_module, worker_module):
+            spy(module, "trial_key")
+        with database:
+            session_id, _ = make_session(
+                database, workload="NLP", samples=400
+            )
+            SessionCoordinator(database, session_id, workers=0).run()
+        assert {name for name, _ in calls} == {
+            "search", "make_task", "trial_key"
+        }
+        assert [name for name, inside in calls if inside] == []
 
 
 class TestWorkerCountDeterminism:

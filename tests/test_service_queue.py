@@ -196,16 +196,66 @@ class TestMigrations:
         ).fetchone()[0]
         assert auto > 0
 
-    def test_file_database_uses_wal_and_busy_timeout(self, tmp_path):
+    def test_file_database_uses_wal_and_its_own_lock_wait(self, tmp_path):
+        """sqlite's busy handler is off: locks are waited out by the
+        database's own loop, within ``BUSY_TIMEOUT_MS``."""
         path = os.path.join(tmp_path, "wal.sqlite")
         with TrialDatabase(path) as db:
             mode = db.execute("PRAGMA journal_mode").fetchone()[0]
             assert mode == "wal"
             timeout = db.execute("PRAGMA busy_timeout").fetchone()[0]
-            assert timeout == BUSY_TIMEOUT_MS
+            assert timeout == 0
+            assert db.busy_timeout_ms == BUSY_TIMEOUT_MS
 
 
 class TestJobQueue:
+    def test_leases_on_a_shared_connection_leave_commits_alone(
+        self, tmp_path
+    ):
+        """The hub's handler threads share one connection.  A lease's
+        ``UPDATE ... RETURNING`` is in progress until its row is read, so
+        the read must happen under the connection's lock: read after it,
+        another thread's ``COMMIT`` meets the unfinished write and fails
+        with "SQL statements in progress".  (A race: with the read
+        outside the lock, 8 of 10 runs of this test failed.)"""
+        db = TrialDatabase(os.path.join(tmp_path, "shared.sqlite"))
+        queue = JobQueue(db)
+        jobs, errors = 300, []
+
+        def leaser(owner):
+            try:
+                while True:
+                    job = queue.lease(owner)
+                    if job is None:
+                        return
+                    queue.complete(job.id, owner, b"result")
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        def committer(session):
+            try:
+                for n in range(jobs):
+                    with db.transaction():
+                        db.execute("INSERT INTO fleet_stats (key, value) "
+                                   "VALUES (?, 1)", (f"{session}.{n}",))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        for session in ("s1", "s2", "s3"):
+            for trial_id in range(jobs):
+                queue.enqueue(session, trial_id, "{}")
+            threads = [
+                threading.Thread(target=leaser, args=(f"w{n}",))
+                for n in range(2)
+            ] + [threading.Thread(target=committer, args=(session,))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert errors == []
+            assert queue.depths(session)[DONE] == jobs
+            assert len(db.stats(session + ".")) == jobs
+
     def test_enqueue_is_idempotent(self):
         _, queue = make_queue()
         assert queue.enqueue("s", 1, "payload-a") is True

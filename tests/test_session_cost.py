@@ -102,10 +102,14 @@ PINS = {
 #: ``evaluate_trial``), and committed a completion and its machine's
 #: ``jobs_done`` separately; one probe (-77 statements) and one commit
 #: for both (-77 commits) give 1,108 / 329, and no knowledge-base row
-#: on finish (-1 / -1) gives 1,107 / 328.
+#: on finish (-1 / -1) gives 1,107 / 328.  Then a cold trial's artifact
+#: row joined its job's completion commit instead of autocommitting
+#: (-77 commits), and a merge looked each architecture up in the
+#: inference cache once, not again inside the search (-8 statements,
+#: one per fresh search): 1,099 / 251.
 COLD_PINS = {
-    "statements": 1107,
-    "commits": 328,
+    "statements": 1099,
+    "commits": 251,
     "checkpoints": 0,
     "checkpoint_bytes": 0,
     "stored_bytes": 1043168,

@@ -1,11 +1,19 @@
 """Tests for the persistent trial database and inference cache."""
 
 import os
+import sqlite3
 import threading
+import time
 
 import pytest
 
+from repro import clock
+from repro.errors import StorageError
 from repro.storage import StoredInferenceResult, TrialDatabase
+from repro.storage.database import (
+    BUSY_TIMEOUT_MS, LOCK_WAIT_FIRST_S, LOCK_WAIT_STEP_S,
+)
+from tests.clocks import frozen_clock, recording_clock  # noqa: F401
 
 
 def stored(key="arch-a", device="armv7", objective="inference-energy"):
@@ -138,6 +146,114 @@ class TestPersistence:
         db.close()
         with TrialDatabase(path) as reader:
             assert reader.stats() == {"dataset_cache.hits": 2.0}
+
+    def test_a_failed_commit_leaves_no_open_transaction(self, tmp_path):
+        """A ``COMMIT`` can fail too ("SQL statements in progress": a
+        write statement on the connection not read to its end).  The
+        transaction is rolled back, and the next write autocommits."""
+        db = TrialDatabase(os.path.join(tmp_path, "trials.sqlite"))
+        db.bump_stats({"k": 1})
+        with pytest.raises(sqlite3.OperationalError, match="in progress"):
+            with db.transaction() as connection:
+                unread = connection.execute(
+                    "UPDATE fleet_stats SET value = 5 RETURNING key"
+                )
+        del unread
+        assert not db._connection.in_transaction
+        db.bump_stats({"k": 1})
+        assert db.stats() == {"k": 2.0}
+
+
+def hold_write_lock(path, seconds, held, waits, released):
+    """Hold ``path``'s write lock on a connection of this thread until
+    ``seconds`` after the waiter's first sleep (``waits`` grows);
+    ``released`` gets the monotonic reading just before the ``COMMIT``
+    that lets go."""
+    raw = sqlite3.connect(path, isolation_level=None)
+    raw.execute("BEGIN IMMEDIATE")
+    held.set()
+    deadline = time.monotonic() + 10.0
+    while not waits and time.monotonic() < deadline:
+        time.sleep(1e-4)
+    time.sleep(seconds)
+    released.append(time.monotonic())
+    raw.execute("COMMIT")
+    raw.close()
+
+
+class TestLockWait:
+    """sqlite's busy handler is off; ``TrialDatabase`` waits a lock out
+    in sub-millisecond steps within one ``BUSY_TIMEOUT_MS`` budget."""
+
+    def test_waiter_sleeps_sub_ms_steps_and_takes_the_lock_on_release(
+        self, tmp_path, recording_clock
+    ):
+        path = os.path.join(tmp_path, "trials.sqlite")
+        db = TrialDatabase(path)
+        held, released = threading.Event(), []
+        holder = threading.Thread(
+            target=hold_write_lock,
+            args=(path, 0.003, held, recording_clock.sleeps, released),
+        )
+        holder.start()
+        held.wait()
+        with db.transaction():
+            db.execute("INSERT INTO fleet_stats (key, value) VALUES (?, 1)",
+                       ("waited",))
+        holder.join()
+        sleeps = recording_clock.sleeps
+        assert sleeps, "the waiter never met the lock"
+        steps = [seconds for _, seconds in sleeps]
+        assert steps[0] == LOCK_WAIT_FIRST_S
+        assert max(steps) <= LOCK_WAIT_STEP_S < 1e-3
+        # Judged on the steps asked for, not on how long the host took:
+        # the last one ends within a millisecond of the release, and no
+        # attempt after the release failed.
+        (release,) = released
+        began, seconds = sleeps[-1]
+        assert began + seconds - release < 1e-3
+        assert sum(1 for began, _ in sleeps if began >= release) <= 1
+        assert db.stats() == {"waited": 1.0}
+
+    def test_a_lock_outliving_the_budget_fails_once(
+        self, tmp_path, frozen_clock, monkeypatch
+    ):
+        """One bounded wait: the statement (or ``BEGIN``) fails with
+        ``StorageError`` once ``BUSY_TIMEOUT_MS`` of steps are spent, not
+        retried by the disk-error envelope on top.  Under a frozen clock
+        the steps asked for end the wait: no spin."""
+        budget_s = BUSY_TIMEOUT_MS / 1000.0
+        most = len(frozen_clock.sleeps) + 2 * budget_s / LOCK_WAIT_STEP_S
+
+        def sleep(seconds):
+            frozen_clock.sleep(seconds)
+            assert len(frozen_clock.sleeps) < most, "the lock wait spins"
+
+        monkeypatch.setattr(clock, "sleep", sleep)
+        path = os.path.join(tmp_path, "trials.sqlite")
+        db = TrialDatabase(path)
+        raw = sqlite3.connect(path, isolation_level=None)
+        raw.execute("BEGIN IMMEDIATE")
+        waits = []
+        try:
+            with pytest.raises(StorageError, match="stayed locked"):
+                db.execute("INSERT INTO fleet_stats (key, value) "
+                           "VALUES ('k', 1)")
+            waits.append(list(frozen_clock.sleeps))
+            del frozen_clock.sleeps[:]
+            with pytest.raises(StorageError, match="stayed locked"):
+                with db.transaction():
+                    pass
+            waits.append(list(frozen_clock.sleeps))
+        finally:
+            raw.execute("ROLLBACK")
+            raw.close()
+        for sleeps in waits:
+            assert budget_s <= sum(sleeps) < budget_s + LOCK_WAIT_STEP_S
+            assert max(sleeps) == LOCK_WAIT_STEP_S
+        assert not db._connection.in_transaction
+        db.bump_stats({"k": 1})
+        assert db.stats() == {"k": 1.0}
 
 
 class TestEventCounters:
