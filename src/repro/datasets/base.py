@@ -9,8 +9,8 @@ yields mini-batches for the SGD loop.  Both are deterministic given a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +98,18 @@ class Dataset:
     def sample_shape(self) -> Tuple[int, ...]:
         """Shape of a single sample (no batch axis)."""
         return tuple(self.features.shape[1:])
+
+    def viewed(self, view: Callable[[np.ndarray], np.ndarray]) -> "Dataset":
+        """This dataset with ``view(features)`` as its features.
+
+        ``view`` is a per-sample view that commutes with the batch gather
+        (a model's input stage, DESIGN §5c), so :meth:`subset` and
+        :meth:`batches` of the result copy only the bytes the view keeps.
+        Targets and :attr:`order_seed` are kept, and so are the
+        permutations both draw: a subset of the view is the view of the
+        subset, nested ones included.
+        """
+        return replace(self, features=view(self.features))
 
     # -- budget operations ------------------------------------------------------
     def subset(self, fraction: float, rng: SeedLike = None) -> "Dataset":

@@ -4,9 +4,10 @@ Implemented with im2col/col2im so the heavy lifting is a single matrix
 multiply per layer — fast enough in numpy for the reproduction workloads
 while remaining a genuine convolution with exact gradients.  The array
 kernels themselves (patch gather, col2im accumulate, pooling scatter)
-live in :mod:`repro.nn.kernels`, which keeps a vectorized ``fast``
-backend and the original ``reference`` backend side by side; the layers
-here only manage parameters, caches and reusable gradient buffers.
+live in :mod:`repro.nn.kernels`, the one engine (there is no backend
+switch; the original ``np.add.at`` kernels are the test oracle in
+``tests/kernel_oracle.py``); the layers here only manage parameters,
+caches and reusable gradient buffers.
 
 Buffer reuse: each layer keeps its patch matrix, its input-gradient
 buffer, the pooling index tables and the conv matmul scratch across

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -307,6 +307,25 @@ class Sequential(Module):
         self, grad_output: np.ndarray, need_input_grad: bool = True
     ) -> Optional[np.ndarray]:
         return backward_chain(self.modules, grad_output, need_input_grad)
+
+    def input_stage(
+        self,
+    ) -> Tuple[Optional[Callable[[np.ndarray], np.ndarray]], Module]:
+        """The leading :attr:`~Module.sample_view` modules as one view,
+        and a ``Sequential`` of the rest (DESIGN §5c, "Input stage")."""
+        count = 0
+        while count < len(self.modules) and self.modules[count].sample_view:
+            count += 1
+        if not count:
+            return None, self
+        stage = self.modules[:count]
+
+        def view(inputs: np.ndarray) -> np.ndarray:
+            for module in stage:
+                inputs = module.view(inputs)
+            return inputs
+
+        return view, Sequential(*self.modules[count:])
 
     def parameters(self) -> List[ParamTensor]:
         result: List[ParamTensor] = []

@@ -19,7 +19,7 @@ A blob written before a layer grew one of them gets it, empty, on restore
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,6 +90,23 @@ class Module:
     #: of it were first stored (artifact stores outlive code versions):
     #: restore creates them even when the blob predates them.
     grown_step_state: Tuple[str, ...] = ()
+
+    #: True on a class whose forward is ``view(inputs)``: a parameter-free
+    #: per-sample view that commutes with any gather along the batch axis,
+    #: ``view(x[idx]) == view(x)[idx]``.  A leading run of such modules is
+    #: a model's input stage (:meth:`input_stage`), which the trainer
+    #: applies once per dataset instead of once per step.
+    sample_view: bool = False
+
+    def input_stage(
+        self,
+    ) -> Tuple[Optional[Callable[[np.ndarray], np.ndarray]], "Module"]:
+        """``(view, tail)`` with ``tail.forward(view(x)) == forward(x)``.
+
+        ``tail`` runs the same module objects as this one.  ``view`` is
+        ``None`` when there is no input stage, as here.
+        """
+        return None, self
 
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:

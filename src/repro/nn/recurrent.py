@@ -105,8 +105,12 @@ class SequenceStride(Module):
 
     This is the tunable *stride* model-hyperparameter of the NLP workload: a
     larger stride shortens the unrolled recurrence (cheaper) at the cost of
-    dropping tokens (potentially less accurate).
+    dropping tokens (potentially less accurate).  It is a model's input
+    stage: the trainer strides a whole dataset once and gathers only the
+    kept steps (DESIGN §5c, "Input stage").
     """
+
+    sample_view = True
 
     def __init__(self, stride: int):
         if stride <= 0:
@@ -114,10 +118,14 @@ class SequenceStride(Module):
         self.stride = int(stride)
         self._input_shape: Optional[Tuple[int, int, int]] = None
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def view(self, inputs: np.ndarray) -> np.ndarray:
         check_ndim("SequenceStride", inputs, 3)
-        self._input_shape = inputs.shape
         return inputs[:, :: self.stride, :]
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        outputs = self.view(inputs)
+        self._input_shape = inputs.shape
+        return outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

@@ -15,7 +15,7 @@ choosing these two numbers per trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +72,14 @@ class TrainingResult:
 BACKWARD_FLOPS_FACTOR = 2.0
 
 
+def _input_staged(model: Module, dataset: Dataset) -> Tuple[Module, Dataset]:
+    """``model``'s tail and ``dataset`` seen through its input stage
+    (DESIGN §5c, "Input stage"): every subset and batch of it then copies
+    only what the tail reads."""
+    view, tail = model.input_stage()
+    return tail, dataset if view is None else dataset.viewed(view)
+
+
 def evaluate_accuracy(
     model: Module, dataset: Dataset, batch_size: int = 256,
     box_tolerance: float = 0.25,
@@ -83,13 +91,14 @@ def evaluate_accuracy(
     ``box_tolerance`` (normalised units) of the truth — a simplified IoU
     criterion suited to the single-object synthetic COCO.
     """
+    tail, dataset = _input_staged(model, dataset)
     model.eval()
     correct = 0
     try:
         for features, targets in dataset.batches(
             batch_size, shuffle=False
         ):
-            outputs = model.forward(features)
+            outputs = tail.forward(features)
             if dataset.task == "classification":
                 predictions = outputs.argmax(axis=1)
                 correct += int((predictions == targets).sum())
@@ -151,6 +160,10 @@ def train_model(
         )
     base_seed = ensure_seed(seed)
     schedule = schedule or ConstantLR()
+    # Costs are the whole model's on the original sample; the steps run
+    # the tail on the split seen through the input stage.
+    forward_flops, _ = model.flops(train_set.sample_shape)
+    tail, train_set = _input_staged(model, train_set)
     if nested_subset:
         subset = train_set.subset(data_fraction)
     else:
@@ -165,7 +178,6 @@ def train_model(
 
         load_state_dict(model, init_state["weights"])
         optimizer.load_state_dict({"velocity": init_state["velocity"]})
-    forward_flops, _ = model.flops(train_set.sample_shape)
     model.train()
     losses: List[float] = []
     samples_seen = 0
@@ -180,7 +192,7 @@ def train_model(
             batch_size, rng=spawn_rng(base_seed, "epoch", epoch)
         ):
             optimizer.zero_grad()
-            outputs = model.forward(features)
+            outputs = tail.forward(features)
             batch_loss = loss.forward(outputs, targets)
             if first_batch:
                 # Fault site trainer.nan: corrupts exactly one loss per
@@ -198,7 +210,7 @@ def train_model(
                 diverged = True
                 break
             # The batch is data: nothing consumes dL/d(input).
-            model.backward(loss.backward(), need_input_grad=False)
+            tail.backward(loss.backward(), need_input_grad=False)
             optimizer.step()
             epoch_loss += batch_loss
             batches += 1

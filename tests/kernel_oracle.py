@@ -11,6 +11,11 @@ the ``repro.nn.kernels`` docstring.
 :func:`reference_rnn` does the same for ``ElmanRNN``'s forward and
 backward: the textbook recurrence that builds the zero initial state and
 multiplies it by ``W_rec`` at step 0 (DESIGN §5c, "Zero initial state").
+
+:func:`full_batches` empties every model's input stage: inside the block
+``train_model`` and ``evaluate_accuracy`` gather whole samples and step
+the whole model, ``SequenceStride`` included (DESIGN §5c, "Input
+stage").
 """
 
 from contextlib import contextmanager
@@ -20,7 +25,8 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn import kernels
-from repro.nn.module import check_ndim
+from repro.nn.layers import Sequential
+from repro.nn.module import Module, check_ndim
 from repro.nn.recurrent import ElmanRNN
 
 
@@ -274,3 +280,20 @@ def reference_rnn() -> Iterator[None]:
         yield
     finally:
         ElmanRNN.forward, ElmanRNN.backward = engine
+
+
+# ---------------------------------------------------------------------------
+# Whole models on full batches
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def full_batches() -> Iterator[None]:
+    """Run the block with no model splitting off an input stage, so
+    every subset and batch holds whole samples and each step runs the
+    whole model; restored on exit, error or not."""
+    engine = Sequential.input_stage
+    Sequential.input_stage = Module.input_stage
+    try:
+        yield
+    finally:
+        Sequential.input_stage = engine

@@ -90,6 +90,28 @@ class TestDatasetContainer:
         b = ds.subset(0.5, rng=7)
         np.testing.assert_array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("rng", [None, 3])
+    def test_a_view_commutes_with_subset_and_batches(self, fraction, rng):
+        """``viewed`` keeps targets and ``order_seed``: its subsets and
+        batches are those of the full dataset, seen through the view,
+        copied and C-contiguous, and nested subsets stay nested."""
+        ds = make_agnews(samples=40, seed=0)
+        ds.order_seed = 11
+        view = lambda features: features[:, ::5, :]  # noqa: E731
+        seen = ds.viewed(view)
+        assert seen.order_seed == ds.order_seed
+        assert np.shares_memory(seen.features, ds.features)
+        ours, theirs = seen.subset(fraction, rng), ds.subset(fraction, rng)
+        np.testing.assert_array_equal(ours.targets, theirs.targets)
+        assert ours.features.tobytes() == view(theirs.features).tobytes()
+        for (a, ya), (b, yb) in zip(
+            ours.batches(7, rng=2), theirs.batches(7, rng=2)
+        ):
+            assert a.flags.c_contiguous and a.shape[1] == 5
+            assert a.tobytes() == view(b).tobytes()
+            np.testing.assert_array_equal(ya, yb)
+
     def test_split_sizes(self):
         train, test = self.make(100).split(0.2, rng=0)
         assert len(train) == 80 and len(test) == 20

@@ -135,6 +135,17 @@ class TestRegistry:
         )
         assert model.forward(np.zeros((1, 3, 8, 8))).shape == (1, 10)
 
+    @pytest.mark.parametrize("name,sample_shape", [
+        ("m5", (1, 128)), ("resnet", (3, 8, 8)), ("yolo", (3, 8, 8)),
+    ])
+    def test_only_textrnn_splits_off_an_input_stage(self, name, sample_shape):
+        """Only ``textrnn`` starts with a sample view (``SequenceStride``);
+        every other family trains its whole model on whole samples."""
+        model = get_model_family(name).instantiate(
+            sample_shape, 4, {}, seed=0
+        )
+        assert model.input_stage() == (None, model)
+
     def test_model_parameter_kinds(self):
         for family in MODEL_FAMILIES.values():
             assert family.model_parameter.kind == "model"

@@ -11,7 +11,16 @@ They are needed next to ``TestTrainingEqualsTheOracle`` in
 ``tests/test_nn_losses_optim.py``: that oracle replaces the optimizer
 step and the loss but reuses the model's own layers, so it cannot see a
 change inside a layer.
+
+The last section holds ``train_model``'s input stage to the same
+standard: striding the split once and stepping the model's tail must
+leave every byte that stepping the whole model on full batches leaves
+(``full_batches`` in ``tests/kernel_oracle.py``; DESIGN §5c, "Input
+stage").
 """
+
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +28,7 @@ import pytest
 from repro.datasets import make_agnews
 from repro.nn import ElmanRNN, train_model
 from repro.nn.models import get_model_family
-from tests.kernel_oracle import reference_rnn
+from tests.kernel_oracle import full_batches, reference_rnn
 from tests.test_nn_losses_optim import SGD_SETTINGS, engine_steps, raw
 
 RNG = np.random.default_rng(11)
@@ -136,3 +145,92 @@ def test_train_model_equals_the_oracle(stride, lr):
     assert raw(p.value for p in model.parameters()) == raw(
         p.value for p in ref_model.parameters()
     )
+
+
+# ---------------------------------------------------------------------------
+# The input stage against whole models on full batches
+# ---------------------------------------------------------------------------
+
+#: A canonical sample order, so ``nested_subset`` slices prefixes; 96
+#: training samples, so batches of 7, 34 and 64 end short.
+TRAIN, HELD_OUT = replace(DATASET, order_seed=17).split(0.2, rng=0)
+
+
+def staged_run(stride, **budget):
+    model = build_textrnn(stride)
+    with np.errstate(all="ignore"):
+        result = train_model(
+            model, TEXTRNN.make_loss(DATASET.num_classes), TRAIN, HELD_OUT,
+            seed=5, capture_state=True, **budget,
+        )
+    return result, model
+
+
+def assert_same_bytes(ours, theirs):
+    """Losses, accuracy, weights, velocity, the whole result and the
+    model's pickle, by bytes (NaN payloads and signed zeros count)."""
+    (result, model), (reference, ref_model) = ours, theirs
+    assert raw(result.losses) == raw(reference.losses)
+    assert raw([result.accuracy]) == raw([reference.accuracy])
+    assert raw(p.value for p in model.parameters()) == raw(
+        p.value for p in ref_model.parameters()
+    )
+    assert raw(result.resume_state["velocity"]) == raw(
+        reference.resume_state["velocity"]
+    )
+    assert pickle.dumps(result) == pickle.dumps(reference)
+    assert pickle.dumps(model) == pickle.dumps(ref_model)
+
+
+def against_full_batches(run):
+    ours = run()
+    with full_batches():
+        theirs = run()
+    assert_same_bytes(ours, theirs)
+    return ours
+
+
+STRIDES = [1, 2, 5, 23, 24, 32]  # T = 24, 12, 5, 2, 1, 1
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 34, 64])
+@pytest.mark.parametrize("stride", STRIDES)
+def test_train_model_equals_whole_model_steps(stride, batch_size):
+    result, _ = against_full_batches(
+        lambda: staged_run(stride, epochs=2, batch_size=batch_size)
+    )
+    assert not result.diverged
+    assert result.samples_seen == 2 * len(TRAIN)
+
+
+@pytest.mark.parametrize("stride", STRIDES)
+def test_a_warm_resume_on_nested_subsets_equals_whole_model_steps(stride):
+    """A parent on half the canonical order, and a child restored from
+    its captured state that runs two more epochs on three quarters."""
+
+    def run():
+        parent, _ = staged_run(
+            stride, epochs=1, batch_size=7, data_fraction=0.5,
+            nested_subset=True,
+        )
+        child = staged_run(
+            stride, epochs=3, start_epoch=1, batch_size=7,
+            data_fraction=0.75, nested_subset=True,
+            init_state=parent.resume_state,
+        )
+        return child
+
+    child, _ = against_full_batches(run)
+    assert child.epochs_run == 2
+    assert child.samples_seen == 2 * int(0.75 * len(TRAIN))
+
+
+@pytest.mark.parametrize("lr", [1e20, 1e100])
+@pytest.mark.parametrize("stride", [2, 24])
+def test_a_diverging_run_equals_whole_model_steps(stride, lr):
+    result, _ = against_full_batches(
+        lambda: staged_run(
+            stride, epochs=3, batch_size=12, lr=lr, data_fraction=0.8
+        )
+    )
+    assert result.diverged

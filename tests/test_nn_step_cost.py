@@ -35,7 +35,9 @@ import sys
 import numpy as np
 
 import repro
-from repro.nn import SGD, CrossEntropyLoss
+from repro.datasets import make_agnews
+from repro.datasets.base import Dataset
+from repro.nn import SGD, CrossEntropyLoss, train_model
 from repro.nn.models import build_m5, build_textrnn
 
 REPRO_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -56,14 +58,24 @@ ROOTS = (REPRO_ROOT, NUMPY_ROOT)
 #: it to make a change pass.
 STEP_CALLS_PIN = 128
 
-#: Calls per ``textrnn`` step at stride 24 (T = 1) and batch 34: 36, one
-#: fewer than when ``ElmanRNN`` built its zero initial state (the
-#: ``np.zeros``).  The skipped ``h @ W_rec`` product and its add are
-#: operators, which this count cannot see: the test that carries the skip
-#: is ``test_step_0_does_no_recurrent_arithmetic`` in
+#: Calls per ``textrnn`` step at stride 24 (T = 1) and batch 34: 33.
+#: The step is the one ``train_model`` runs, the model's tail after its
+#: input stage: ``SequenceStride``'s forward and shape check run once per
+#: dataset, and the backward chain no longer asks it for parameters (36
+#: with all three on the step).  Before that, 37 when ``ElmanRNN``
+#: built its zero initial state (the ``np.zeros``).  The skipped
+#: ``h @ W_rec`` product and its add are operators, which this count
+#: cannot see: the test that carries the skip is
+#: ``test_step_0_does_no_recurrent_arithmetic`` in
 #: ``tests/test_nn_recurrent.py``.  Lower it when a step gets cheaper;
 #: never raise it to make a change pass.
-TEXTRNN_STEP_CALLS_PIN = 36
+TEXTRNN_STEP_CALLS_PIN = 33
+
+#: Feature bytes one ``textrnn`` training step gathers at stride 24 and
+#: batch 34: the one kept step of 12 float64 features per sample,
+#: 34 x 1 x 12 x 8.  A gather of the whole (24, 12) sequences reads
+#: 78,336.  Lower it when a step gathers less; never raise it.
+TEXTRNN_STEP_FEATURE_BYTES_PIN = 3_264
 
 
 def _is_numpy_callable(function) -> bool:
@@ -128,6 +140,30 @@ def test_a_serial_m5_step_makes_a_pinned_number_of_calls():
 
 
 def test_a_serial_textrnn_step_makes_a_pinned_number_of_calls():
-    model = build_textrnn((24, 12), 4, stride=24, seed=3)
-    step = make_step(model, (24, 12), 4, batch=34)
+    """The step ``train_model`` runs: the tail after the input stage, on
+    a batch gathered from the strided dataset."""
+    view, tail = build_textrnn((24, 12), 4, stride=24, seed=3).input_stage()
+    kept = view(np.empty((1, 24, 12))).shape[1:]
+    step = make_step(tail, kept, 4, batch=34)
     assert_step_calls_at_most(step, TEXTRNN_STEP_CALLS_PIN)
+
+
+def test_a_textrnn_step_gathers_only_the_kept_timesteps(monkeypatch):
+    gathered = []
+    batches = Dataset.batches
+
+    def spy(self, batch_size, *args, **kwargs):
+        for features, targets in batches(self, batch_size, *args, **kwargs):
+            if batch_size == 34:  # training, not the evaluation pass
+                gathered.append(features.nbytes)
+            yield features, targets
+
+    monkeypatch.setattr(Dataset, "batches", spy)
+    dataset = make_agnews(samples=68, seed=1)
+    train_model(
+        build_textrnn(dataset.sample_shape, 4, stride=24, seed=3),
+        CrossEntropyLoss(), dataset, dataset, epochs=1, batch_size=34,
+        seed=5,
+    )
+    assert len(gathered) == 2
+    assert max(gathered) <= TEXTRNN_STEP_FEATURE_BYTES_PIN, gathered
