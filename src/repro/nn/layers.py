@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -266,35 +266,26 @@ class Residual(Module):
         return inner_flops + int(np.prod(input_shape)), input_shape
 
 
-def backward_chain(
-    modules: Sequence, grad: np.ndarray, need_input_grad: bool
-) -> Optional[np.ndarray]:
-    """Backpropagate ``grad`` through ``modules``, last to first.
-
-    Without a consumer for the input gradient the chain ends at the first
-    module that owns parameters (which is told so in turn); the
-    parameter-free modules in front of it have nothing to learn.
-    """
-    if need_input_grad:
-        for module in reversed(modules):
-            grad = module.backward(grad)
-        return grad
-    head = next((i for i, m in enumerate(modules) if m.parameters()), None)
-    if head is not None:
-        for module in reversed(modules[head + 1:]):
-            grad = module.backward(grad)
-        modules[head].backward(grad, need_input_grad=False)
-    return None
-
-
 class Sequential(Module):
     """Chain of modules applied in order."""
+
+    #: Index of the first module that owns parameters (``len(modules)``
+    #: when none does), or ``None`` until a backward needs it. It follows
+    #: from the structure alone, so it is found once: :meth:`append`
+    #: clears it and :meth:`__getstate__` leaves it out of pickles.
+    _head: Optional[int] = None
 
     def __init__(self, *modules: Module):
         self.modules: List[Module] = list(modules)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        state = super().__getstate__()
+        state.pop("_head", None)
+        return state
+
     def append(self, module: Module) -> "Sequential":
         self.modules.append(module)
+        self._head = None
         return self
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -306,7 +297,28 @@ class Sequential(Module):
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True
     ) -> Optional[np.ndarray]:
-        return backward_chain(self.modules, grad_output, need_input_grad)
+        """Backpropagate ``grad_output`` through the modules, last to first.
+
+        Without a consumer for the input gradient the chain ends at the
+        first module that owns parameters (which is told so in turn); the
+        parameter-free modules in front of it have nothing to learn.
+        """
+        modules = self.modules
+        if need_input_grad:
+            for module in reversed(modules):
+                grad_output = module.backward(grad_output)
+            return grad_output
+        if self._head is None:
+            self._head = next(
+                (i for i, m in enumerate(modules) if m.parameters()),
+                len(modules),
+            )
+        head = self._head
+        for module in reversed(modules[head + 1:]):
+            grad_output = module.backward(grad_output)
+        if head < len(modules):
+            modules[head].backward(grad_output, need_input_grad=False)
+        return None
 
     def input_stage(
         self,

@@ -55,9 +55,11 @@ class _BudgetAwareTPE(Searcher):
 
     def observe_at(self, fidelity: int, configuration: Configuration,
                    score: float) -> None:
-        self._sampler_for(fidelity).observe(configuration, score)
+        # One embedding feeds both models.
+        vector = configuration.to_unit_vector()
+        self._sampler_for(fidelity).observe_vector(vector, score)
         self._counts[fidelity] += 1
-        self._fallback.observe(configuration, score)
+        self._fallback.observe_vector(vector, score)
 
     # -- Searcher interface ---------------------------------------------------
     def observe(self, configuration: Configuration, score: float) -> None:

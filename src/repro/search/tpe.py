@@ -39,12 +39,18 @@ class ParzenEstimator:
     """Product of 1-D Gaussian mixture densities over the unit cube.
 
     Draw-order contract: :meth:`sample_many` makes each candidate's
-    ``rng.integers`` + ``rng.normal(0.0, bandwidths)`` draws in candidate
-    order, exactly as that many :meth:`sample` calls would, so batching
-    leaves the generator stream (and every later suggestion) untouched.
-    Only the arithmetic on the drawn values is batched; it is elementwise
-    or a reduction along the same axis, so each row equals the one-row
-    result bit for bit (``tests/tpe_oracle.py`` holds the scalar code).
+    ``rng.integers`` draw and then its ``d`` standard-normal draws
+    (``rng.standard_normal`` straight into the candidate's row), in
+    candidate order, exactly as that many ``rng.integers`` +
+    ``rng.normal(0.0, bandwidths)`` pairs would, so batching leaves the
+    generator stream (and every later suggestion) untouched. The block is
+    then scaled once, ``noise *= bandwidths; noise += 0.0``: numpy's
+    ``normal(loc, scale)`` is ``loc + scale * z`` element by element, so
+    ``normal(0.0, b)`` is ``0.0 + b * z``, and the ``+ 0.0`` keeps even
+    the sign of a zero product. All other arithmetic on the drawn values
+    is elementwise or a reduction along the same axis, so each row
+    equals the one-row result bit for bit (``tests/tpe_oracle.py`` holds
+    the scalar ``rng.normal`` code).
     """
 
     def __init__(self, points: np.ndarray):
@@ -65,7 +71,11 @@ class ParzenEstimator:
         noise = np.empty((count, self.points.shape[1]))
         for row in range(count):
             indices[row] = rng.integers(len(self.points))
-            noise[row] = rng.normal(0.0, self.bandwidths)
+            rng.standard_normal(out=noise[row])
+        # numpy's normal(loc, scale) is ``loc + scale * z`` per element,
+        # in draw order: scale and shift the whole block once instead.
+        noise *= self.bandwidths
+        noise += 0.0
         draws = self.points[indices] + noise
         # Reflect at the boundaries to keep the proposal inside the cube.
         draws = np.abs(draws)
@@ -117,9 +127,12 @@ class TPESampler(Searcher):
 
     # -- observation -----------------------------------------------------
     def observe(self, configuration: Configuration, score: float) -> None:
-        self._observations.append(
-            (configuration.to_unit_vector(), float(score))
-        )
+        self.observe_vector(configuration.to_unit_vector(), score)
+
+    def observe_vector(self, vector: np.ndarray, score: float) -> None:
+        """:meth:`observe` of a configuration already embedded in the
+        unit cube (``vector`` is kept, not copied: do not mutate it)."""
+        self._observations.append((vector, float(score)))
 
     def warm_start(self, records: List[Mapping[str, Any]]) -> int:
         """Seed the Parzen model with prior-session observations.

@@ -8,8 +8,9 @@ and ``sleep`` at once).
   the test advances: for tests with live server threads whose long polls
   need real deadlines to pass.
 * ``recording_clock`` — real time whose sleeps are also recorded, with
-  the monotonic reading each began at: for tests that judge a wait by
-  the steps it asked for rather than by how long the host took.
+  the monotonic reading each began at and the last reading the code
+  under test took before it: for tests that judge a wait by the steps it
+  asked for rather than by how long the host took.
 
 A test module imports the fixture it uses from here.
 """
@@ -71,17 +72,22 @@ class OffsetClock:
 
 class RecordingClock:
     def __init__(self):
-        #: ``(monotonic reading, seconds)`` of every ``clock.sleep``.
+        #: ``(began, seconds, read)`` of every ``clock.sleep``: the
+        #: monotonic time it began, the step asked for, and the last
+        #: ``clock.monotonic()`` reading handed out before it (``None``
+        #: if there was none).
         self.sleeps = []
+        self._read = None
 
     def now(self):
         return time.time()
 
     def monotonic(self):
-        return time.monotonic()
+        self._read = time.monotonic()
+        return self._read
 
     def sleep(self, seconds):
-        self.sleeps.append((time.monotonic(), seconds))
+        self.sleeps.append((time.monotonic(), seconds, self._read))
         time.sleep(seconds)
 
 

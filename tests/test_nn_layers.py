@@ -5,6 +5,8 @@ Every layer's backward pass is checked against central finite differences
 have.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -424,3 +426,32 @@ class TestDataGradientRule:
         norm_first.forward(inputs.reshape(5, 6))
         assert norm_first.backward(grad_output, need_input_grad=False) is None
         assert norm_first.parameters()[0].grad.any()
+
+    def test_head_is_found_once_and_follows_append(self, monkeypatch):
+        calls = []
+        original = ReLU.parameters
+        monkeypatch.setattr(
+            ReLU, "parameters", lambda self: calls.append(1) or original(self)
+        )
+        inputs = RNG.normal(size=(5, 4))
+        # No module owns parameters: the chain runs no backward at all.
+        model = Sequential(ReLU())
+        for _ in range(3):
+            model.forward(inputs)
+            assert model.backward(inputs, need_input_grad=False) is None
+        assert len(calls) == 1, "the head is searched for once, not per step"
+        # Appending a trainable layer behind the ReLU moves the head to it.
+        model.append(Linear(4, 2, rng=0))
+        model.forward(inputs)
+        model.backward(np.ones((5, 2)), need_input_grad=False)
+        assert model.modules[1].weight.grad.any()
+        assert len(calls) == 2
+
+    def test_found_head_stays_out_of_pickles(self):
+        model = Sequential(ReLU(), Linear(4, 2, rng=0))
+        blob = pickle.dumps(model)
+        model.forward(RNG.normal(size=(5, 4)))
+        model.backward(np.ones((5, 2)), need_input_grad=False)
+        assert "_head" in vars(model)
+        assert pickle.dumps(model) == blob
+        assert "_head" not in vars(pickle.loads(blob))

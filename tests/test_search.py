@@ -21,7 +21,13 @@ from repro.search import (
     build_searcher,
     rung_fidelities,
 )
-from repro.space import Categorical, Float, Integer, ParameterSpace
+from repro.space import (
+    Categorical,
+    Configuration,
+    Float,
+    Integer,
+    ParameterSpace,
+)
 
 
 def small_space():
@@ -260,6 +266,39 @@ class TestBOHB:
         )
         late = [t.configuration["x"] for t, _ in history[-8:]]
         assert abs(np.mean(late) - 0.25) < 0.3
+
+    def test_a_report_embeds_its_configuration_once(self, monkeypatch):
+        """The report's fidelity model and the fallback model get one
+        unit vector between them, equal in both."""
+        calls = []
+        embed = Configuration.to_unit_vector
+        monkeypatch.setattr(
+            Configuration, "to_unit_vector",
+            lambda self: calls.append(1) or embed(self),
+        )
+        scheduler = BOHBScheduler(small_space(), max_fidelity=8, seed=4)
+        reported = {}
+        while True:
+            trial = scheduler.next_trial()
+            if trial is None:
+                break
+            score = quadratic(trial.configuration)
+            before = len(calls)
+            scheduler.report(TrialReport(trial=trial, score=score))
+            assert len(calls) - before == 1
+            reported.setdefault(trial.fidelity, []).append(
+                (embed(trial.configuration).tobytes(), score)
+            )
+        tpe = scheduler.tpe
+
+        def seen(sampler):
+            return [(v.tobytes(), s) for v, s in sampler._observations]
+
+        assert sorted(seen(tpe._fallback)) == sorted(
+            sum(reported.values(), [])
+        )
+        for fidelity, observed in reported.items():
+            assert seen(tpe._samplers[fidelity]) == observed
 
 
 class TestRegistry:

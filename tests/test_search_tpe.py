@@ -7,6 +7,7 @@ included, so bandwidths sit at ``MIN_BANDWIDTH``), and a digest of
 the scalar candidate loop.
 """
 
+import collections
 import copy
 import hashlib
 
@@ -73,6 +74,43 @@ def suggest_digest(states: int = 200, rounds: int = 3) -> str:
 
 def test_suggest_digest_unchanged():
     assert suggest_digest() == SUGGEST_DIGEST
+
+
+class CountingGenerator:
+    """Forwards to a seeded ``Generator`` and counts each method call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attribute = getattr(self._rng, name)
+        if not callable(attribute):
+            return attribute
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attribute(*args, **kwargs)
+
+        return counted
+
+
+def test_a_modelled_suggest_draws_one_kernel_and_one_noise_row_each():
+    """Per candidate: one ``integers`` call for the kernel and one
+    ``standard_normal`` call for its whole noise row; no ``normal``."""
+    for seed in (1, 6, 30, 100):
+        sampler = sampler_state(seed)
+        twin = copy.deepcopy(sampler)
+        assert len(sampler._observations) >= sampler.startup_trials
+        counting = CountingGenerator(sampler._rng)
+        sampler._rng = counting
+        assert sampler.suggest() == twin.suggest()
+        assert dict(counting.calls) == {
+            "integers": sampler.candidates,
+            "standard_normal": sampler.candidates,
+        }
+        assert (counting._rng.bit_generator.state
+                == twin._rng.bit_generator.state)
 
 
 def test_suggest_equals_the_scalar_loop():
