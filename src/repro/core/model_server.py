@@ -14,40 +14,41 @@ scores each trial with the combined objective.  All training is *real*
 * tuning energy sums every trial's consumption — parallelism hides
   latency, never joules.
 
-The server is a *stepwise engine* so that :mod:`repro.service` can drive
-it across process boundaries:
+The server is a *stepwise engine*, driven by one loop, :func:`drive`:
 
 * :meth:`ModelTuningServer.prepare` builds a :class:`RunState`;
 * :meth:`ModelTuningServer.next_wave` drains every trial the scheduler can
   issue right now (a rung's worth for halving schedulers);
+  :meth:`~ModelTuningServer.next_trials` draws what an asynchronous
+  scheduler can run without demanding progress;
 * :meth:`ModelTuningServer.make_task` turns a trial into a serializable
   :class:`TrialTask` that any worker process can execute via
   :func:`evaluate_trial` — the pure, heavy part (real numpy training);
 * :meth:`ModelTuningServer.integrate` merges one evaluation back —
-  scoring, inference tuning, virtual-time accounting, scheduler report —
-  and must be called in wave order, which is what makes an N-worker run
-  identical to a 1-worker run.  It also returns the merge's
-  :class:`MergeNote`; handed back, the note replays that merge exactly
-  and writes nothing, which is how the service resumes a crashed session
-  (the scheduler and the run state are rebuilt by re-running the
-  session, not restored from a snapshot);
-* :meth:`ModelTuningServer.plan_batch` runs integrate's inference half
-  (:meth:`~ModelTuningServer.plan_merge`: cache look-up, else search)
-  ahead for a batch, so that the batch's write transaction holds only
-  the merges' writes.
+  inference recommendation (cache look-up, else a search), scoring,
+  virtual-time accounting, scheduler report — and must be called in
+  issue order, which is what makes an N-worker run identical to a
+  1-worker run.  It writes nothing: it returns a :class:`Merge`, whose
+  rows the caller writes with :meth:`~ModelTuningServer.write`, and
+  whose :class:`MergeNote`, handed back, replays that merge exactly —
+  which is how the service resumes a crashed session (the scheduler and
+  the run state are rebuilt by re-running the session, not restored
+  from a snapshot).
 
-:meth:`run` is the classic in-process driver: one trial at a time, exactly
-the historical serial semantics.
+:func:`drive` is the tuning loop (Algorithm 1); its only parameter is
+where evaluations come from.  :class:`InProcess` trains each trial here
+when the loop reaches it (:meth:`ModelTuningServer.run`, the paper
+path); :class:`~repro.service.coordinator.SessionCoordinator` hands
+trials to a job queue and merges what its workers settle.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..artifacts import ArtifactStore, pack_velocity, trial_key
 from ..budgets import BudgetStrategy, MultiBudget
@@ -202,23 +203,9 @@ def failure_evaluation(trial_id: int, error: Optional[str]) -> TrialEvaluation:
 #: worker's trials look a session's datasets up here, so a long-lived
 #: process (a hub running session after session, a worker serving many
 #: jobs, a benchmark tuning in a loop) builds each synthetic dataset
-#: once.  FIFO capped: at most this many materialised datasets are held.
+#: once.  FIFO capped: at most :data:`_DATASET_CACHE_MAX` materialised
+#: datasets are held.
 _DATASET_CACHE: Dict[Tuple[str, int, Optional[int]], Tuple[Dataset, Dataset]] = {}
-
-
-def _dataset_cache_max() -> int:
-    """Size cap, overridable per deployment via ``$REPRO_DATASET_CACHE_MAX``
-    (a worker serving interleaved sessions may want more than the default
-    four)."""
-    raw = os.environ.get("REPRO_DATASET_CACHE_MAX", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _DATASET_CACHE_MAX
-
-
 _DATASET_CACHE_MAX = 4
 
 #: Lifetime telemetry for the dataset memo (process-local, monotonic).
@@ -248,7 +235,7 @@ def load_datasets(
         _DATASET_CACHE_COUNTERS["misses"] += 1
         workload = get_workload(workload_id)
         cached = workload.load(seed=seed, samples=samples)
-        while len(_DATASET_CACHE) >= _dataset_cache_max():
+        while len(_DATASET_CACHE) >= _DATASET_CACHE_MAX:
             _DATASET_CACHE.pop(next(iter(_DATASET_CACHE)))
             _DATASET_CACHE_COUNTERS["evictions"] += 1
         _DATASET_CACHE[cache_key] = cached
@@ -446,9 +433,10 @@ class RunState:
     #: tier walks when a promoted child looks up its parent's checkpoint
     #: (filled by :meth:`make_task`, so a replay rebuilds it too).
     artifact_keys: Dict[int, str] = field(default_factory=dict)
-    #: trial_id -> the :class:`MergePlan` :meth:`plan_batch` made ahead,
-    #: which :meth:`integrate` takes instead of planning the merge itself.
-    plans: Dict[int, "MergePlan"] = field(default_factory=dict)
+    #: architecture key -> a fresh search merged but not written yet
+    #: (:meth:`ModelTuningServer.write` drops it): a later trial of the
+    #: same architecture gets the cache hit it would get from the row.
+    unstored: Dict[str, InferenceRecommendation] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -469,15 +457,18 @@ class MergeNote:
 
 
 @dataclass(frozen=True)
-class MergePlan:
-    """What :meth:`ModelTuningServer.plan_merge` settles for one trial
-    before its merge: the :class:`MergeNote` it merges with and, when
-    the note's recommendation was searched fresh, what the merge stores
-    — the architecture key and the search's candidate records."""
+class Merge:
+    """What one :meth:`ModelTuningServer.integrate` hands its caller: the
+    trial's record, the note that replays the merge, and what
+    :meth:`~ModelTuningServer.write` writes for it — the record's
+    ``trials`` row and, when the note's recommendation was searched
+    fresh, its inference-cache row (the architecture key and the
+    search's candidate records)."""
 
+    record: TrialRecord
     note: MergeNote
     architecture_key: Optional[str] = None
-    records: Tuple[InferenceTrialRecord, ...] = ()
+    search_records: Tuple[InferenceTrialRecord, ...] = ()
 
 
 class ModelTuningServer:
@@ -632,44 +623,11 @@ class ModelTuningServer:
             pool=pool,
         )
 
-    def _next_trial(self, state: RunState) -> Optional[ScheduledTrial]:
-        """One trial from the scheduler, honouring the trial cap."""
-        if state.stopped:
-            return None
-        if (
-            self.max_trials is not None
-            and len(state.records) >= self.max_trials
-        ):
-            return None
-        trial = state.scheduler.next_trial()
-        if trial is None and not state.scheduler.finished:
-            raise TuningError("scheduler stalled awaiting reports")
-        return trial
-
     def next_wave(self, state: RunState) -> List[ScheduledTrial]:
-        """Drain every trial the scheduler can issue before needing reports.
-
-        For synchronous-halving schedulers this is (the remainder of) one
-        rung — exactly the set of trials that may execute concurrently.
-        Returns an empty list when the run is complete.  Counts trials
-        already issued so the cap holds across ``wave + records``.
-        """
-        wave: List[ScheduledTrial] = []
-        while True:
-            if (
-                self.max_trials is not None
-                and len(state.records) + len(wave) >= self.max_trials
-            ):
-                break
-            if state.stopped:
-                break
-            trial = state.scheduler.next_trial()
-            if trial is None:
-                if not wave and not state.scheduler.finished:
-                    raise TuningError("scheduler stalled awaiting reports")
-                break
-            wave.append(trial)
-        return wave
+        """Every trial the scheduler can issue before it needs reports:
+        for synchronous-halving schedulers (the remainder of) one rung —
+        exactly the set of trials that may execute concurrently."""
+        return self.next_trials(state)
 
     def next_trials(
         self,
@@ -677,13 +635,11 @@ class ModelTuningServer:
         in_flight: int = 0,
         limit: Optional[int] = None,
     ) -> List[ScheduledTrial]:
-        """Drain runnable trials without demanding progress (async path).
-
-        The asynchronous coordinator calls this every loop turn; unlike
-        :meth:`next_wave` an empty answer while reports are outstanding
-        is normal (the scheduler is waiting on them), not a stall.
-        ``in_flight`` counts issued-but-unintegrated trials so the
-        ``max_trials`` cap holds across ``records + in flight + issued``.
+        """Draw runnable trials, at most ``limit``, until the scheduler
+        needs reports.  ``in_flight`` counts issued-but-unmerged trials,
+        so the ``max_trials`` cap holds across ``records + in flight +
+        drawn``.  Empty when nothing can run now; :func:`drive` tells a
+        finished run from a stalled one.
         """
         trials: List[ScheduledTrial] = []
         while limit is None or len(trials) < limit:
@@ -754,75 +710,34 @@ class ModelTuningServer:
                 state.artifact_keys[trial.trial_id] = trial_key(task)
         return task
 
-    def plan_merge(
+    def _recommend(
         self,
         state: RunState,
         trial: ScheduledTrial,
         evaluation: TrialEvaluation,
-        unstored: Optional[Dict[str, InferenceRecommendation]] = None,
-    ) -> MergePlan:
-        """The part of :meth:`integrate` that reads outside the run: the
-        trial's inference recommendation — the historical cache's, else a
-        fresh search, not stored yet.  Degraded evaluations (diverged
-        training, dead-lettered jobs) get none: no inference tuning for a
-        configuration that produced no usable model.
-
-        A caller merging a batch in one transaction plans every trial
-        first, outside it, with one ``unstored`` dict: a search lands
-        there, so a later trial of the same architecture gets the cache
-        hit it would get had the search been stored already.
-        """
+    ) -> Tuple[MergeNote, Optional[str], Tuple[InferenceTrialRecord, ...]]:
+        """The trial's inference recommendation — the historical cache's
+        (``state.unstored`` included), else a fresh search — as its
+        :class:`MergeNote`, plus, after a search, the architecture key and
+        the candidate records its cache row keeps.  Degraded evaluations
+        (diverged training, dead-lettered jobs) get none: no inference
+        tuning for a configuration that produced no usable model."""
         server = self.inference_server
         if server is None or getattr(evaluation, "degraded", False):
-            return MergePlan(MergeNote())
+            return MergeNote(), None, ()
         key, flops, params = self._architecture_key(
             trial.configuration, state.train_set
         )
-        unstored = {} if unstored is None else unstored
-        cached = server.cached(key, unstored)
+        cached = server.cached(key, state.unstored)
         if cached is not None:
-            return MergePlan(MergeNote(inference=cached))
+            return MergeNote(inference=cached), None, ()
         fresh, records = server.search(
             forward_flops_per_sample=flops,
             parameter_count=params,
             space=self.workload.inference_space(server.device),
         )
-        unstored[key] = fresh
-        return MergePlan(
-            MergeNote(inference=fresh, tuned=True), key, tuple(records)
-        )
-
-    def plan_batch(
-        self,
-        state: RunState,
-        batch: List[Tuple[ScheduledTrial, TrialEvaluation]],
-    ) -> List[Tuple[ScheduledTrial, TrialEvaluation, MergeNote]]:
-        """Plan the merges of ``batch`` ahead, in order, up to the trial
-        that stops the run, for :meth:`integrate` to take from
-        ``state.plans``; the planned ``(trial, evaluation, note)``.  A
-        batch merged in one transaction plans first, outside it: the
-        transaction holds only the merges' writes."""
-        unstored: Dict[str, InferenceRecommendation] = {}
-        planned = []
-        for trial, evaluation in batch:
-            plan = self.plan_merge(state, trial, evaluation, unstored)
-            state.plans[trial.trial_id] = plan
-            planned.append((trial, evaluation, plan.note))
-            if self.stops_run(trial, evaluation):
-                break
-        return planned
-
-    def stops_run(
-        self, trial: ScheduledTrial, evaluation: TrialEvaluation
-    ) -> bool:
-        """Whether merging ``evaluation`` ends the run: the target
-        accuracy reached at full fidelity."""
-        return bool(
-            self.stop_on_target
-            and self.target_accuracy is not None
-            and trial.fidelity >= self.budget.max_iteration
-            and evaluation.accuracy >= self.target_accuracy
-        )
+        state.unstored[key] = fresh
+        return MergeNote(inference=fresh, tuned=True), key, tuple(records)
 
     def integrate(
         self,
@@ -831,22 +746,23 @@ class ModelTuningServer:
         evaluation: TrialEvaluation,
         model: Any = None,
         note: Optional[MergeNote] = None,
-    ) -> Tuple[TrialRecord, MergeNote]:
+    ) -> Merge:
         """Merge one finished evaluation back into the run; returns the
-        trial's record and the note that replays this merge.
+        :class:`Merge`: the trial's record, the note that replays this
+        merge, and the rows :meth:`write` writes for it.
 
-        Must be called in wave order: this is where inference tuning, the
-        virtual timeline, the scheduler report and the database write
-        happen, all of which are order-sensitive.  Calling it in a fixed
-        order makes the run independent of *when* evaluations finished —
-        the determinism contract of the parallel worker pool.
+        Must be called in issue order: this is where inference tuning,
+        the virtual timeline and the scheduler report happen, all of
+        which are order-sensitive.  Calling it in a fixed order makes the
+        run independent of *when* evaluations finished — the determinism
+        contract of the parallel worker pool.
 
-        The trial's :meth:`plan_merge` is taken from ``state.plans`` when
-        :meth:`plan_batch` made it ahead, else made here; a fresh search
-        it holds is stored here.  Given the ``note`` an earlier merge of
-        the same trial returned, the merge is *replayed*: the inference
-        recommendation comes from the note, and nothing is read from or
-        written to the database (the trial's history row already exists).
+        Writes nothing.  The recommendation is the historical cache's,
+        else a fresh search, which waits in ``state.unstored`` until its
+        row is written.  Given the ``note`` an earlier merge of the same
+        trial returned, the merge is *replayed*: the recommendation comes
+        from the note, nothing is read from the database, and the caller
+        writes nothing (the trial's rows already exist).
         """
         configuration = trial.configuration
         budget = self.budget.budget(trial.fidelity)
@@ -865,16 +781,12 @@ class ModelTuningServer:
         # its model fit.
         degraded = getattr(evaluation, "degraded", False)
 
-        replay = note is not None
+        architecture_key: Optional[str] = None
+        search_records: Tuple[InferenceTrialRecord, ...] = ()
         if note is None:
-            plan = state.plans.pop(trial.trial_id, None) or self.plan_merge(
+            note, architecture_key, search_records = self._recommend(
                 state, trial, evaluation
             )
-            if plan.architecture_key is not None:
-                self.inference_server.store(
-                    plan.architecture_key, plan.note.inference, plan.records
-                )
-            note = plan.note
         inference_rec, inference_is_new = note.inference, note.tuned
 
         gpus = (
@@ -949,19 +861,6 @@ class ModelTuningServer:
             failure=getattr(evaluation, "failure", None),
         )
         state.records.append(record)
-        if not replay:
-            self.database.record_trial(
-                experiment=self.experiment_name,
-                trial_id=trial.trial_id,
-                configuration=record.configuration,
-                fidelity=trial.fidelity,
-                epochs=budget.epochs,
-                data_fraction=budget.data_fraction,
-                accuracy=evaluation.accuracy,
-                score=score,
-                train_runtime_s=training_measurement.runtime_s,
-                train_energy_j=training_measurement.energy_j,
-            )
         state.scheduler.report(
             TrialReport(
                 trial=trial, score=score, accuracy=evaluation.accuracy
@@ -981,9 +880,38 @@ class ModelTuningServer:
             state.best_model = (
                 model if model is not None else evaluation.model_blob
             )
-        if self.stops_run(trial, evaluation):
-            state.stopped = True
-        return record, note
+        if (
+            self.stop_on_target
+            and self.target_accuracy is not None
+            and trial.fidelity >= self.budget.max_iteration
+            and evaluation.accuracy >= self.target_accuracy
+        ):
+            state.stopped = True  # the target accuracy at full fidelity
+        return Merge(record, note, architecture_key, search_records)
+
+    def write(self, state: RunState, merge: Merge) -> None:
+        """Write the rows a fresh (not replayed) ``merge`` leaves: a
+        fresh search's inference-cache row, then the trial's history
+        row."""
+        if merge.architecture_key is not None:
+            self.inference_server.store(
+                merge.architecture_key, merge.note.inference,
+                merge.search_records,
+            )
+            state.unstored.pop(merge.architecture_key, None)
+        record = merge.record
+        self.database.record_trial(
+            experiment=self.experiment_name,
+            trial_id=record.trial_id,
+            configuration=record.configuration,
+            fidelity=record.fidelity,
+            epochs=record.epochs,
+            data_fraction=record.data_fraction,
+            accuracy=record.accuracy,
+            score=record.score,
+            train_runtime_s=record.training.runtime_s,
+            train_energy_j=record.training.energy_j,
+        )
 
     def finalize(self, state: RunState) -> TuningRunResult:
         """Close the run and assemble the :class:`TuningRunResult`."""
@@ -1030,25 +958,9 @@ class ModelTuningServer:
         """
         raise NotImplementedError("run-state snapshots were removed")
 
-    # -- full run ----------------------------------------------------------------
     def run(self) -> TuningRunResult:
-        """Execute the tuning loop in-process to completion, one trial
-        at a time: each result is integrated before the next trial is
-        drawn, for every scheduler."""
-        state = self.prepare()
-        while True:
-            trial = self._next_trial(state)
-            if trial is None:
-                break
-            evaluation, model = evaluate_trial(
-                self.make_task(trial, state),
-                state.train_set,
-                state.eval_set,
-                workload=self.workload,
-                artifacts=self.artifacts,
-            )
-            self.integrate(state, trial, evaluation, model=model)
-        return self.finalize(state)
+        """Execute the tuning loop in process to completion."""
+        return drive(self, self.prepare(), InProcess(self))
 
     @staticmethod
     def _better(candidate: TrialRecord, incumbent: TrialRecord) -> bool:
@@ -1056,3 +968,123 @@ class ModelTuningServer:
         if candidate.fidelity != incumbent.fidelity:
             return candidate.fidelity > incumbent.fidelity
         return candidate.score < incumbent.score
+
+
+#: Issue lookahead of the asynchronous policy: at most this many trials in
+#: flight at once.  A *constant* (never derived from the worker count) on
+#: purpose — the issue schedule is part of what makes pinned-order
+#: decision logs bit-identical across worker counts — and big enough to
+#: keep the default pools saturated while leaving ``max_trials`` headroom
+#: for the promotions each result unlocks (greedy issuance would spend a
+#: capped session's whole budget on bottom-rung trials before the first
+#: promotion could claim a slot).
+ASYNC_MAX_IN_FLIGHT = 8
+
+
+class Settled(NamedTuple):
+    """An issued trial an evaluation source hands back for merging: its
+    evaluation, the trained model when it is still live, and the note of
+    an earlier merge when this one replays it."""
+
+    trial: ScheduledTrial
+    evaluation: TrialEvaluation
+    model: Any = None
+    note: Optional[MergeNote] = None
+
+
+def drive(
+    server: ModelTuningServer, state: RunState, source: Any
+) -> TuningRunResult:
+    """Issue trials and merge their results until the run is complete;
+    the finalized result.
+
+    ``source`` is where evaluations come from (:class:`InProcess`, or the
+    service's :class:`~repro.service.coordinator.SessionCoordinator`):
+    ``issue(state, trials)`` takes newly drawn trials,
+    ``settled(state, pending, barrier)`` hands back :class:`Settled`
+    trials of ``pending`` in the order to merge them (possibly none),
+    ``wait()`` blocks until that may change, and ``commit(state,
+    merges)`` writes the merges of one turn.
+
+    ``pending`` holds issued-but-unmerged trials in issue order.  The
+    policy is read off the scheduler (DESIGN.md §8): a **barrier**
+    (synchronous) scheduler is asked for more only once ``pending`` has
+    drained, a whole :meth:`~ModelTuningServer.next_wave` at a time; an
+    asynchronous one every turn, up to :data:`ASYNC_MAX_IN_FLIGHT` in
+    flight, so a promotion is issued before the next merge.  A trial
+    that stops the run ends the turn; work still in flight then is
+    dropped unmerged, as a one-at-a-time run would never have drawn it.
+    """
+    barrier = not getattr(state.scheduler, "asynchronous", False)
+    pending: List[ScheduledTrial] = []
+    while not state.stopped:
+        if barrier:
+            fresh = [] if pending else server.next_wave(state)
+        else:
+            fresh = server.next_trials(
+                state,
+                in_flight=len(pending),
+                limit=max(0, ASYNC_MAX_IN_FLIGHT - len(pending)),
+            )
+        if fresh:
+            source.issue(state, fresh)
+            pending.extend(fresh)
+        if not pending:
+            capped = (
+                server.max_trials is not None
+                and len(state.records) >= server.max_trials
+            )
+            if not (capped or state.scheduler.finished):
+                raise TuningError(
+                    "scheduler stalled with no runnable or in-flight trials"
+                )
+            break
+        settled = source.settled(state, pending, barrier)
+        if not settled:
+            source.wait()
+            continue
+        merges = []
+        for trial, evaluation, model, note in settled:
+            merges.append(
+                server.integrate(state, trial, evaluation, model=model)
+                if note is None
+                else server.integrate(state, trial, evaluation, note=note)
+            )
+            pending.remove(trial)
+            if state.stopped:
+                break
+        source.commit(state, merges)
+    return server.finalize(state)
+
+
+class InProcess:
+    """The evaluation source of an in-process run: the head pending trial
+    is trained when the loop asks for a settled one, so exactly one
+    trained model is alive at a time, and each merge's rows are written
+    as soon as it merges."""
+
+    def __init__(self, server: ModelTuningServer):
+        self.server = server
+
+    def issue(self, state: RunState, trials: List[ScheduledTrial]) -> None:
+        """Nothing to hand anyone: a trial trains when it is the head."""
+
+    def settled(
+        self, state: RunState, pending: List[ScheduledTrial], barrier: bool
+    ) -> List[Settled]:
+        server, trial = self.server, pending[0]
+        evaluation, model = evaluate_trial(
+            server.make_task(trial, state),
+            state.train_set,
+            state.eval_set,
+            workload=server.workload,
+            artifacts=server.artifacts,
+        )
+        return [Settled(trial, evaluation, model)]
+
+    def wait(self) -> None:
+        """Never reached: the head is settled whenever it is asked for."""
+
+    def commit(self, state: RunState, merges: List[Merge]) -> None:
+        for merge in merges:
+            self.server.write(state, merge)

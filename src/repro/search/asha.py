@@ -69,7 +69,7 @@ class ASHAScheduler(TrialScheduler):
     """
 
     #: Drivers branch on this: no rung barriers, results may integrate
-    #: out of issue order (see ``SessionCoordinator._drive``).
+    #: out of issue order (see :func:`repro.core.model_server.drive`).
     asynchronous = True
 
     def __init__(

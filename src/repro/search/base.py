@@ -90,6 +90,10 @@ class _Snapshottable:
 class Searcher(_Snapshottable):
     """Proposes configurations over a fixed space."""
 
+    #: :meth:`suggest` depends on the scores :meth:`observe` fed back
+    #: (TPE), so the order results arrive in changes what it proposes.
+    learns = False
+
     def __init__(self, space: ParameterSpace, seed: SeedLike = None):
         if len(space) == 0:
             raise SearchSpaceError("cannot search an empty space")
@@ -200,7 +204,12 @@ class TrialScheduler(_Snapshottable):
 
 class SearcherScheduler(TrialScheduler):
     """Adapter: run a plain :class:`Searcher` for ``num_trials`` trials,
-    all at maximum fidelity (the "fixed budget" strawman of §2.2)."""
+    all at maximum fidelity (the "fixed budget" strawman of §2.2).
+
+    A searcher that :attr:`~Searcher.learns` gets one trial at a time:
+    the next is issued only once the previous one is reported, so every
+    suggestion sees every earlier score, however many workers run them.
+    """
 
     def __init__(
         self,
@@ -218,7 +227,9 @@ class SearcherScheduler(TrialScheduler):
         self._reported = 0
 
     def next_trial(self) -> Optional[ScheduledTrial]:
-        if self._issued >= self.num_trials:
+        if self._issued >= self.num_trials or (
+            self.searcher.learns and self._reported < self._issued
+        ):
             return None
         configuration = self.searcher.suggest()
         if configuration is None:

@@ -106,6 +106,8 @@ class ParzenEstimator:
 class TPESampler(Searcher):
     """TPE searcher over a :class:`ParameterSpace`."""
 
+    learns = True
+
     def __init__(
         self,
         space: ParameterSpace,

@@ -22,13 +22,17 @@ One coordinator drives one tuning session to completion:
    run;
 4. note every merged trial, in the merge's own transaction, with its
    merge sequence number and its
-   :class:`~repro.core.model_server.MergeNote` (one ``merge_notes`` row).
+   :class:`~repro.core.model_server.MergeNote` (one ``merge_notes`` row),
+   beside the rows :meth:`~repro.core.model_server.ModelTuningServer.integrate`
+   left to write (the trial's history row, a fresh search's cache row).
    A barrier scheduler merges every settled trial at the head of its
    wave in one transaction; an asynchronous one merges one trial per
    transaction, asking the scheduler for more in between.
 
-Steps 2-4 are one loop, :meth:`SessionCoordinator._drive`; it waits in
-one place, on the results doorbell (:mod:`repro.service.doorbell`).
+Steps 2-4 are the one tuning loop, :func:`repro.core.model_server.drive`,
+with this coordinator as its evaluation source (:meth:`issue`,
+:meth:`settled`, :meth:`wait`, :meth:`commit`); it waits in one place, on
+the results doorbell (:mod:`repro.service.doorbell`).
 
 Resume is the same loop over the job rows step 1 read: a re-drawn trial
 that has a row is not enqueued again (its payload must equal the row's)
@@ -56,10 +60,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .. import clock
 from ..artifacts import trial_key
 from ..core.model_server import (
-    ModelTuningServer, RunState, _plain, failure_evaluation,
+    Merge, ModelTuningServer, RunState, Settled, _plain, drive,
+    failure_evaluation,
 )
 from ..core.results import TuningRunResult
-from ..errors import ServiceError, TuningError
+from ..errors import ServiceError
 from ..search import ScheduledTrial
 from ..storage import TrialDatabase
 from ..telemetry import MeterRegistry
@@ -73,16 +78,6 @@ from .worker import TrialWorker
 #: The coordinator's fallback tick, seconds: the longest it waits for a
 #: result when nobody rings (see :mod:`repro.service.doorbell`).
 COORDINATOR_POLL_S = 0.05
-
-#: Issue lookahead of the asynchronous merge loop: at most this many
-#: trials in flight at once.  A *constant* (never derived from the
-#: worker count) on purpose — the issue schedule is part of what makes
-#: pinned-order decision logs bit-identical across worker counts — and
-#: big enough to keep the default pools saturated while leaving
-#: ``max_trials`` headroom for the promotions each result unlocks
-#: (greedy issuance would spend a capped session's whole budget on
-#: bottom-rung trials before the first promotion could claim a slot).
-ASYNC_MAX_IN_FLIGHT = 8
 
 
 class SessionCoordinator:
@@ -150,10 +145,15 @@ class SessionCoordinator:
         self._decision_log: Optional[List[List[Any]]] = None
         #: The session's job rows as :meth:`run` found them, by trial id.
         self._log: Dict[int, LoggedJob] = {}
-        #: Evaluations :meth:`_issue` settled from the artifact store, by
+        #: Evaluations :meth:`issue` settled from the artifact store, by
         #: trial id, held until the trial merges: a memo hit's job row
         #: holds no result to read back.
         self._held: Dict[int, Any] = {}
+        #: The session's server, issued-but-unmerged trial count and
+        #: when the last wave was issued, while :meth:`run` drives it.
+        self._server: Optional[ModelTuningServer] = None
+        self._in_flight = 0
+        self._wave_started = 0.0
 
     # -- main entry ---------------------------------------------------------
     def run(self) -> TuningRunResult:
@@ -209,147 +209,23 @@ class SessionCoordinator:
             )
         self._log = self.queue.merge_log(self.session_id)
         self.sessions.set_state(self.session_id, "running")
-
-        self._drive(server, state)
-
+        self._server = server
+        result = drive(server, state, self)
         log = getattr(state.scheduler, "decision_log", None)
         if log is not None:
             self._decision_log = [list(entry) for entry in log]
-        result = server.finalize(state)
         self.sessions.finish(
             self.session_id, self._summarize(server, result)
         )
         return result
 
-    # -- the merge loop ------------------------------------------------------
-    def _drive(self, server: ModelTuningServer, state: RunState) -> None:
-        """Issue trials, merge their results, until the run is complete.
-
-        ``pending`` holds issued-but-unintegrated trials in issue order.
-        One loop serves every scheduler; two policy flags are all that
-        differs (DESIGN.md §8):
-
-        * ``barrier`` (synchronous schedulers) — ask for more only once
-          ``pending`` has drained, a whole wave at a time; asynchronous
-          ones are asked every turn, up to the in-flight cap, so a
-          promotion reaches the queue before the next merge.
-        * head-only (barrier, or :attr:`pin_order`) — only the
-          earliest-issued pending trial may integrate next, which makes
-          the result (and an async decision log) independent of worker
-          count and timing.  Otherwise any settled trial may,
-          earliest-issued first — a deterministic tie-break, not a
-          barrier.
-
-        A barrier turn integrates the settled head of the wave — every
-        pending trial, in issue order, up to the first one still
-        running — in one transaction; an asynchronous turn integrates
-        one trial.  Each trial's history row, a freshly tuned
-        inference-cache entry and the merge note that says "this trial
-        is merged" commit together or not at all.  While pending trials
-        have notes (a resume), the one with the lowest merge sequence
-        number goes next, alone, replayed from its note — whatever the
-        flags say.
-        """
-        barrier = not getattr(state.scheduler, "asynchronous", False)
-        pending: List[ScheduledTrial] = []
-        wave_started = clock.now()
-        while not state.stopped:
-            if not barrier:
-                fresh = server.next_trials(
-                    state,
-                    in_flight=len(pending),
-                    limit=max(0, ASYNC_MAX_IN_FLIGHT - len(pending)),
-                )
-            else:
-                fresh = [] if pending else server.next_wave(state)
-            if fresh:
-                self._issue(server, state, fresh, pending)
-                wave_started = clock.now()
-            if not pending:
-                capped = (
-                    server.max_trials is not None
-                    and len(state.records) >= server.max_trials
-                )
-                if not (barrier or capped or state.scheduler.finished):
-                    raise TuningError(
-                        "asynchronous scheduler stalled with no "
-                        "runnable or in-flight trials"
-                    )
-                return
-            noted = [t for t in pending if self._merge_seq(t) is not None]
-            if noted:
-                batch = self._settled([min(noted, key=self._merge_seq)])
-            elif barrier:
-                batch = self._settled(pending, prefix=True)
-            else:
-                batch = self._settled(
-                    pending[:1] if self.pin_order else pending
-                )
-            if not batch:
-                self._pump()
-                continue
-            for trial in self._merge(server, state, batch):
-                pending.remove(trial)
-            if barrier and (state.stopped or not pending):
-                self.meters.record(
-                    "wave.latency_s", clock.now() - wave_started
-                )
-        # Target reached with work in flight: the serial driver would
-        # never have issued it, so it is dropped unintegrated.
-
-    def _merge_seq(self, trial: ScheduledTrial) -> Optional[int]:
-        """Where the session merged ``trial`` before, if it did."""
-        logged = self._log.get(trial.trial_id)
+    # -- the evaluation source of the drive loop -----------------------------
+    def _merge_seq(self, trial_id: int) -> Optional[int]:
+        """Where the session merged ``trial_id`` before, if it did."""
+        logged = self._log.get(trial_id)
         return None if logged is None else logged.merge_seq
 
-    def _merge(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        batch: List[Tuple[ScheduledTrial, Any]],
-    ) -> List[ScheduledTrial]:
-        """Integrate settled ``(trial, evaluation)`` pairs in order; the
-        trials integrated.  A trial the session merged before is replayed
-        from its note (it comes alone); the others are merged and noted
-        in one commit, up to the one that stops the run."""
-        trial, evaluation = batch[0]
-        logged = self._log.get(trial.trial_id)
-        if logged is not None and logged.merge_seq is not None:
-            if logged.merge_seq != len(state.records) + 1:
-                raise ServiceError(
-                    f"session {self.session_id!r}: trial {trial.trial_id} "
-                    f"was merge {logged.merge_seq}, replayed as "
-                    f"{len(state.records) + 1}"
-                )
-            server.integrate(
-                state, trial, evaluation,
-                note=pickle.loads(logged.merge_note),
-            )
-            self.meters.count("trials.resumed")
-            return [trial]
-        # Look-ups, inference searches and note pickles run before the
-        # write lock.
-        planned = server.plan_batch(state, batch)
-        notes = [
-            pickle.dumps(note, protocol=pickle.HIGHEST_PROTOCOL)
-            for _, _, note in planned
-        ]
-        with self.database.transaction():
-            for (trial, evaluation, _), note in zip(planned, notes):
-                server.integrate(state, trial, evaluation)
-                self.queue.record_merge(
-                    self.session_id, trial.trial_id, len(state.records), note
-                )
-        self.meters.count("trials.integrated", len(planned))
-        return [trial for trial, _, _ in planned]
-
-    def _issue(
-        self,
-        server: ModelTuningServer,
-        state: RunState,
-        fresh: List[ScheduledTrial],
-        pending: List[ScheduledTrial],
-    ) -> None:
+    def issue(self, state: RunState, fresh: List[ScheduledTrial]) -> None:
         """Settle or enqueue ``fresh`` as one commit and wake the workers
         if anything was queued (a crash before the commit re-issues the
         same trials on resume).
@@ -366,6 +242,7 @@ class SessionCoordinator:
         quarantined since — the row goes back to ``queued`` and a worker
         runs the trial cold.
         """
+        server = self._server
         store = server.artifacts
         # Tasks, payloads and trial keys are built before the write lock.
         issued: List[Tuple[ScheduledTrial, str, Optional[str], Any]] = []
@@ -412,18 +289,54 @@ class SessionCoordinator:
                         )
         if queued:
             self.jobs_bell.ring()
-        pending.extend(fresh)
+        self._in_flight += len(fresh)
+        self._wave_started = clock.now()
 
-    def _settled(
+    def settled(
+        self, state: RunState, pending: List[ScheduledTrial], barrier: bool
+    ) -> List[Settled]:
+        """The trials to merge this turn, from ``pending`` (issue order).
+
+        While pending trials have notes (a resume), the one with the
+        lowest merge sequence number goes next, alone, replayed from its
+        note, whatever the policy.  Otherwise a barrier turn takes the
+        settled head of the wave — every pending trial up to the first
+        one still running — and an asynchronous turn one trial: the head
+        under :attr:`pin_order` (head-only, so the result and the
+        decision log do not depend on worker count or timing), else the
+        earliest-issued settled one (a deterministic tie-break, not a
+        barrier).
+        """
+        noted = [t for t in pending if self._merge_seq(t.trial_id) is not None]
+        if noted:
+            trial = min(noted, key=lambda t: self._merge_seq(t.trial_id))
+            replayed = self._settle([trial])
+            if not replayed:
+                return []
+            logged = self._log[trial.trial_id]
+            if logged.merge_seq != len(state.records) + 1:
+                raise ServiceError(
+                    f"session {self.session_id!r}: trial {trial.trial_id} "
+                    f"was merge {logged.merge_seq}, replayed as "
+                    f"{len(state.records) + 1}"
+                )
+            return [replayed[0]._replace(
+                note=pickle.loads(logged.merge_note)
+            )]
+        if barrier:
+            return self._settle(pending, prefix=True)
+        return self._settle(pending[:1] if self.pin_order else pending)
+
+    def _settle(
         self, candidates: List[ScheduledTrial], prefix: bool = False
-    ) -> List[Tuple[ScheduledTrial, Any]]:
-        """``(trial, evaluation)`` pairs ready to integrate, from
+    ) -> List[Settled]:
+        """Trials ready to merge, with their evaluations, from
         ``candidates`` in issue order: with ``prefix``, every one up to
         the first still running; otherwise the first whose job is done —
         else the first dead-lettered one — or none.  A dead-lettered
         trial gets a failure record in place of a result.
 
-        A trial :meth:`_issue` settled is done with its evaluation in
+        A trial :meth:`issue` settled is done with its evaluation in
         hand, so the one ``settled`` probe asks only about the others.
         """
         held = self._held
@@ -461,11 +374,11 @@ class SessionCoordinator:
                 evaluation = held.pop(trial.trial_id)
             else:
                 evaluation = pickle.loads(fetched[trial.trial_id])
-            batch.append((trial, evaluation))
+            batch.append(Settled(trial, evaluation))
         return batch
 
-    def _pump(self) -> None:
-        """Nothing can integrate yet: run a job inline, or wait for one.
+    def wait(self) -> None:
+        """Nothing can merge yet: run a job inline, or wait for one.
 
         The coordinator's only wait.  A worker (or the fleet hub, for a
         remote host) rings :attr:`results_bell` once a result row has
@@ -492,6 +405,36 @@ class SessionCoordinator:
         if reclaimed:
             self.meters.count("leases.reclaimed", reclaimed)
             self.jobs_bell.ring()
+
+    def commit(self, state: RunState, merges: List[Merge]) -> None:
+        """Write one turn's merges: their rows and merge notes in one
+        transaction, so a trial's history row, a freshly tuned
+        inference-cache entry and the note that says "this trial is
+        merged" commit together or not at all.  A replayed merge writes
+        nothing.  The note pickles are made before the write lock."""
+        if self._merge_seq(merges[0].record.trial_id) is not None:
+            self.meters.count("trials.resumed")
+        else:
+            notes = [
+                pickle.dumps(merge.note, protocol=pickle.HIGHEST_PROTOCOL)
+                for merge in merges
+            ]
+            merge_seq = len(state.records) - len(merges)
+            with self.database.transaction():
+                for merge, note in zip(merges, notes):
+                    merge_seq += 1
+                    self._server.write(state, merge)
+                    self.queue.record_merge(
+                        self.session_id, merge.record.trial_id, merge_seq,
+                        note,
+                    )
+            self.meters.count("trials.integrated", len(merges))
+        self._in_flight -= len(merges)
+        barrier = not getattr(state.scheduler, "asynchronous", False)
+        if barrier and (state.stopped or not self._in_flight):
+            self.meters.record(
+                "wave.latency_s", clock.now() - self._wave_started
+            )
 
     # -- summaries -------------------------------------------------------------
     def _summarize(

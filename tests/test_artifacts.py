@@ -33,7 +33,9 @@ from repro.artifacts import (
 from repro.budgets import MultiBudget
 from repro.core import ModelTuningServer
 import repro.core.model_server as model_server
-from repro.core.model_server import TrialTask, evaluate_trial
+from repro.core.model_server import (
+    InProcess, TrialTask, drive, evaluate_trial,
+)
 from repro.errors import ConfigurationError
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.serialize import state_dict
@@ -525,19 +527,16 @@ class TestWarmResume:
             reuse_checkpoints=True,
         )
         state = server.prepare()
-        warm_tasks = []
-        while True:
-            trial = server._next_trial(state)
-            if trial is None:
-                break
-            task = server.make_task(trial, state)
-            if task.parent_key is not None:
-                warm_tasks.append(task)
-            evaluation, model = evaluate_trial(
-                task, state.train_set, state.eval_set,
-                workload=server.workload, artifacts=server.artifacts,
-            )
-            server.integrate(state, trial, evaluation, model=model)
+        tasks = []
+        make_task = server.make_task
+
+        def recording(trial, state=None):
+            tasks.append(make_task(trial, state))
+            return tasks[-1]
+
+        server.make_task = recording
+        drive(server, state, InProcess(server))
+        warm_tasks = [task for task in tasks if task.parent_key is not None]
         assert warm_tasks, "no promotion carried a parent key"
         assert all(t.start_epoch > 0 for t in warm_tasks)
         assert len(state.artifact_keys) == len(state.records)
@@ -649,19 +648,6 @@ class TestDatasetCacheMeters:
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 1
         assert after["size"] >= 1
-
-    def test_cache_cap_env_override(self, monkeypatch):
-        from repro.core import model_server
-
-        model_server._DATASET_CACHE.clear()
-        monkeypatch.setenv("REPRO_DATASET_CACHE_MAX", "2")
-        before = model_server.dataset_cache_stats()["evictions"]
-        for seed in range(4):
-            model_server.load_task_datasets(
-                make_task(seed=200 + seed, samples=64)
-            )
-        assert len(model_server._DATASET_CACHE) == 2
-        assert model_server.dataset_cache_stats()["evictions"] == before + 2
 
     def test_concurrent_publishes_send_every_load_once(self, tmp_path):
         """A worker's main loop and its job heartbeat thread both publish
